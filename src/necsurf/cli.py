@@ -6,8 +6,8 @@ Subcommands:
   and print (or write) the certificate;
 * ``enumerate --gamma G --periods LIST --order 2N`` -- list all
   surface-kernel epimorphisms for the given quotient data;
-* ``check-lemma <file>`` -- run the chain up to the normality lemma and
-  print only that report.
+* ``check-lemma <file>`` -- run the full pipeline and print only the
+  normality-lemma report.
 
 Input file: a JSON object {"gamma": int, "periods": [int..], "n": int,
 "rho": {"d": [int..], "x": [int..]} | "search"}.  With "search" the
@@ -31,16 +31,12 @@ from .pipeline import (
     ActionValidationError,
     PipelineAssertionError,
     RealizationCertificate,
-    build_theta,
-    derive_delta_hat,
     enumerate_smooth_epimorphisms,
     first_smooth_epimorphism,
-    lemma1_check,
     realize,
-    validate_action,
 )
-from .presentations import Presentation, canonical_presentation
-from .signatures import NECSignature, quotient_disc_signature
+from .presentations import Presentation
+from .signatures import NECSignature
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -190,20 +186,22 @@ def certificate_json(cert: RealizationCertificate, input_doc: dict) -> dict:
                 "free_rank": cert.lemma.free_rank,
             },
         },
+        # The eta and Theta verdicts below are literal true: realize raises
+        # before returning a certificate if any of them fails.
         "eta": {
             "images": _hom_images_json(cert.eta.hom),
             "unit": cert.eta.unit,
             "torsion_images": list(cert.eta.torsion_images),
-            "surjective": cert.eta.surjective,
-            "parity_ok": cert.eta.parity_ok,
-            "torsion_ok": cert.eta.torsion_ok,
-            "branch_match": cert.eta.branch_match,
+            "surjective": True,
+            "parity_ok": True,
+            "torsion_ok": True,
+            "branch_match": True,
         },
         "theta_extension": {
             "images": _hom_images_json(cert.extension.hom),
             "reflection_rotation": cert.extension.reflection_rotation,
-            "surjective": cert.extension.surjective,
-            "restriction_agrees": cert.extension.restriction_agrees,
+            "surjective": True,
+            "restriction_agrees": True,
             "image_order": cert.extension.image_order,
             "kernel_index": cert.extension.kernel_index,
         },
@@ -281,9 +279,8 @@ def certificate_text(cert: RealizationCertificate) -> str:
         + ", ".join(f"{name} -> {value}" for name, value in eta.hom.images)
     )
     lines.append(
-        f"  surjective: {_verdict(eta.surjective)}; torsion orders: "
-        f"{_verdict(eta.torsion_ok)}; parity: {_verdict(eta.parity_ok)};"
-        f" branch match (unit u={eta.unit}): {_verdict(eta.branch_match)}"
+        "  surjective: PASS; torsion orders: PASS; parity: PASS;"
+        f" branch match (exact, unit u={eta.unit}): PASS"
     )
     ext = cert.extension
     lines.append(
@@ -292,8 +289,7 @@ def certificate_text(cert: RealizationCertificate) -> str:
     )
     lines.append(
         f"  homomorphism: PASS; surjective (|image| = {ext.image_order} = 4n):"
-        f" {_verdict(ext.surjective)}; restriction to kernel = eta:"
-        f" {_verdict(ext.restriction_agrees)}"
+        " PASS; restriction to kernel = eta: PASS"
     )
     lines.append(f"  kernel index in K: {ext.kernel_index}")
     lines.append(
@@ -341,17 +337,28 @@ def _load_document(path: str) -> dict:
     return parse_input_document(raw)
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
+def _realize_document(
+    args: argparse.Namespace,
+) -> tuple[dict, RealizationCertificate | None]:
+    """Load the input file and run the pipeline once.  On invalid input
+    the itemised failure is emitted in the chosen format and the result
+    is ``(doc, None)``."""
     doc = _load_document(args.file)
     datum = datum_from_document(doc, warn=lambda msg: print(msg, file=sys.stderr))
-    validation = validate_action(datum)
-    if not validation.ok:
+    try:
+        return doc, realize(datum)
+    except ActionValidationError as exc:
         if args.format == "json":
-            _emit(render_json(validation_failure_json(doc, validation.errors)), args.out)
+            _emit(render_json(validation_failure_json(doc, exc.reasons)), args.out)
         else:
-            _emit(validation_failure_text(validation.errors), args.out)
+            _emit(validation_failure_text(exc.reasons), args.out)
+        return doc, None
+
+
+def _cmd_realize(args: argparse.Namespace) -> int:
+    doc, cert = _realize_document(args)
+    if cert is None:
         return EXIT_INVALID
-    cert = realize(datum)
     if args.format == "json":
         _emit(render_json(certificate_json(cert, doc)), args.out)
     else:
@@ -387,20 +394,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_lemma(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    datum = datum_from_document(doc, warn=lambda msg: print(msg, file=sys.stderr))
-    validation = validate_action(datum)
-    if not validation.ok:
-        if args.format == "json":
-            _emit(render_json(validation_failure_json(doc, validation.errors)), args.out)
-        else:
-            _emit(validation_failure_text(validation.errors), args.out)
+    doc, cert = _realize_document(args)
+    if cert is None:
         return EXIT_INVALID
-    k_sig = quotient_disc_signature(datum.gamma, datum.periods)
-    K = canonical_presentation(k_sig)
-    theta = build_theta(K)
-    derived = derive_delta_hat(K, theta)
-    lemma = lemma1_check(derived)
+    lemma = cert.lemma
     payload = {
         "input": doc,
         "lemma1": {

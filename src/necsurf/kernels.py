@@ -70,16 +70,25 @@ def _character_factors_through_image(
     """Try to define a consistent orientation character on the image.
 
     Walk the Cayley graph of the image, pushing the character of each
-    generator along its edge.  A sign conflict proves the character does
-    not factor; the two colliding paths combine into an explicit
-    orientation-reversing kernel word (the witness).
+    generator along its edge and keeping one parent edge per element.  A
+    sign conflict proves the character does not factor; the two colliding
+    tree paths combine into an explicit orientation-reversing kernel word
+    (the witness).
     """
     chars = orientation_character(p)
     images = hom.image_dict()
     identity = hom.target.identity()
     signs = {identity: 1}
-    paths: dict = {identity: Word()}
+    parent: dict = {identity: None}  # element -> (previous element, generator)
     frontier = [identity]
+
+    def path(elem) -> Word:
+        letters = []
+        while parent[elem] is not None:
+            elem, name = parent[elem]
+            letters.append((name, 1))
+        return Word(tuple(reversed(letters)))
+
     while frontier:
         new = []
         for elem in frontier:
@@ -88,11 +97,11 @@ def _character_factors_through_image(
                 sign = signs[elem] * chars[name]
                 if nxt not in signs:
                     signs[nxt] = sign
-                    paths[nxt] = paths[elem] * Word.gen(name)
+                    parent[nxt] = (elem, name)
                     new.append(nxt)
                 elif signs[nxt] != sign:
-                    conflict = paths[elem] * Word.gen(name)
-                    witness = conflict * paths[nxt].inverse()
+                    conflict = path(elem) * Word.gen(name)
+                    witness = conflict * path(nxt).inverse()
                     witness = reduce_mod_involutions(witness, p.involution_names())
                     return False, witness
         frontier = new

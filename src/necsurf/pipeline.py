@@ -16,19 +16,21 @@ The chain constructed and verified here:
 3. derive the index-2 kernel of theta by Reidemeister-Schreier rewriting,
    compute its signature independently by orbit and area bookkeeping, and
    check it reproduces (gamma; -; [n_1..n_r]) exactly;
-4. transport rho to an epimorphism eta of the derived kernel onto C_2n by
-   a constrained exhaustive search (branch data matched up to a single
-   automorphism of C_2n);
+4. transport rho to an epimorphism eta of the derived kernel onto C_2n in
+   closed form, eta(delta_j) = (-1)^j d_j and eta(c_k) = x_1 + ... + x_k,
+   with the remaining images forced by the relators (branch data matched
+   exactly, in order);
 5. certify that conjugation by the first reflection inverts the kernel's
    abelianization (so every homomorphism to an abelian group has normal
-   kernel in K), and extend eta to Theta: K -> D_2n;
+   kernel in K), and extend eta to Theta: K -> D_2n with Theta(tau1) = t;
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
 
-Every search is exhaustive with deterministic ordering; any step that
-fails where the mathematics says it cannot raises
-``PipelineAssertionError`` instead of producing a weakened certificate.
+Every map the mathematics fixes is built in closed form and then
+verified; any check that fails where the mathematics says it cannot
+raises ``PipelineAssertionError`` instead of producing a weakened
+certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, product
 
 from .abelian import Abelianization, abelianization
 from .cosets import SchreierSubgroup, cayley_coset_table, reidemeister_schreier
@@ -497,28 +499,6 @@ class EtaResult:
     hom: FiniteHom
     unit: int
     torsion_images: tuple[int, ...]
-    surjective: bool
-    parity_ok: bool
-    torsion_ok: bool
-    branch_match: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.surjective and self.parity_ok and self.torsion_ok and self.branch_match
-
-
-def _torsion_arrangements(
-    values: list[int], periods: tuple[int, ...], order: int
-) -> list[tuple[int, ...]]:
-    """Distinct orderings of the value multiset whose entries have exactly
-    the declared orders, in deterministic (sorted) order."""
-    out = []
-    for perm in sorted(set(permutations(values))):
-        if all(
-            order // math.gcd(t, order) == n for t, n in zip(perm, periods)
-        ):
-            out.append(perm)
-    return out
 
 
 def _propagate_images(
@@ -528,115 +508,83 @@ def _propagate_images(
     order: int,
 ) -> dict[str, int] | None:
     """Extend a partial assignment to all generators using relators that
-    are linear equations mod ``order`` (abelian target).  Relators with a
-    single unknown of unit coefficient force its value; fully determined
-    relators must sum to zero.  Returns None when the candidate is
-    inconsistent or cannot be completed."""
+    are linear equations mod ``order`` (abelian target): a relator with a
+    single unknown of unit coefficient forces its value.  Returns None
+    when some image stays unforced; the caller checks the relators."""
     values = dict(assignment)
     changed = True
     while changed:
         changed = False
         for sums in relator_sums:
             unknowns = [g for g in sums if g not in values]
-            if not unknowns:
-                total = sum(sums[g] * values[g] for g in sums) % order
-                if total != 0:
-                    return None
-                continue
-            if len(unknowns) == 1:
+            if len(unknowns) == 1 and math.gcd(sums[unknowns[0]], order) == 1:
                 g = unknowns[0]
-                coeff = sums[g]
-                if math.gcd(coeff, order) != 1:
-                    continue
                 rest = sum(sums[h] * values[h] for h in sums if h != g)
-                inv = pow(coeff, -1, order)
-                values[g] = (-rest * inv) % order
+                values[g] = -rest * pow(sums[g], -1, order) % order
                 changed = True
-    if len(values) != len(names):
-        return None
-    return values
+    return values if len(values) == len(names) else None
 
 
 def construct_eta(derived: DerivedKernel, datum: ActionDatum) -> EtaResult:
-    """Epimorphism of the derived kernel onto C_2n carrying the same
-    branch data as rho up to one automorphism of C_2n.
+    """Epimorphism of the derived kernel onto C_2n carrying exactly the
+    branch data of rho.
 
-    Deterministic constrained search: automorphism units in ascending
-    order, then arrangements of the transported torsion multiset, then
-    odd images for the glide generators in lexicographic order; all other
-    generator images are forced by the relators.  The first assignment
-    passing every relator, parity, torsion-order, surjectivity and
-    branch-match condition is returned.
+    Closed-form transport: eta(delta_j) = (-1)^j * d_j and
+    eta(c_k) = x_1 + ... + x_k; every other generator image is forced by
+    the relators.  The result is then verified: the images are complete,
+    their parities follow the orientation character, every relator of the
+    derived kernel holds, every torsion word keeps its order, the torsion
+    images equal rho's elliptic images in order, and eta is surjective.
+    A failed check raises ``PipelineAssertionError`` naming it.
     """
     two_n = datum.order
     target = CyclicGroup(two_n)
     pres = derived.presentation
-    gamma = derived.gamma
-    r = len(derived.link_periods)
-    delta_names = [f"delta{j}" for j in range(1, gamma + 1)]
-    c_names = [f"c{k}" for k in range(1, r + 1)]
     names = pres.generator_names()
+
+    assignment = {
+        f"delta{j}": (-1) ** j * d % two_n
+        for j, d in enumerate(datum.d_images, start=1)
+    }
+    for k, c in enumerate(accumulate(datum.x_images), start=1):
+        assignment[f"c{k}"] = c % two_n
     relator_sums = [rel.exponent_sums() for rel in pres.relators]
-    characters = {name: pres.kind_of(name).character for name in names}
+    values = _propagate_images(assignment, relator_sums, names, two_n)
+    if values is None:
+        raise PipelineAssertionError(
+            "eta: the relators do not force an image for every generator"
+        )
+    for name in names:
+        if (values[name] % 2 == 1) != (pres.kind_of(name).character == -1):
+            raise PipelineAssertionError(
+                f"eta: parity of {name} -> {values[name]} differs from its"
+                " orientation character"
+            )
 
-    odd_residues = [k for k in range(1, two_n, 2)]
-    units = (
-        [u for u in range(1, two_n) if math.gcd(u, two_n) == 1] if r else [1]
+    hom = FiniteHom.from_dict(
+        pres, target, {name: target.element(v) for name, v in values.items()}
     )
-
-    for unit in units:
-        transported = sorted((unit * t) % two_n for t in datum.x_images)
-        for arrangement in _torsion_arrangements(
-            transported, derived.link_periods, two_n
-        ):
-            c_values = []
-            total = 0
-            for t in arrangement:
-                total = (total + t) % two_n
-                c_values.append(total)
-            base = dict(zip(c_names, c_values))
-            for bs in product(odd_residues, repeat=gamma):
-                assignment = dict(zip(delta_names, bs))
-                assignment.update(base)
-                full = _propagate_images(assignment, relator_sums, names, two_n)
-                if full is None:
-                    continue
-                parity_ok = all(
-                    (full[name] % 2 == 1) == (characters[name] == -1)
-                    for name in names
-                )
-                if not parity_ok:
-                    continue
-                hom = FiniteHom.from_dict(
-                    pres, target, {name: target.element(v) for name, v in full.items()}
-                )
-                if not check_homomorphism(pres, hom).valid:
-                    continue
-                torsion_ok = all(
-                    hom.evaluate(w).order() == n for w, n in pres.torsion_words
-                )
-                if not torsion_ok:
-                    continue
-                torsion_images = tuple(
-                    hom.evaluate(w).value for w, _ in pres.torsion_words
-                )
-                branch_match = sorted(torsion_images) == transported
-                if not branch_match:
-                    continue
-                if not hom.is_surjective():
-                    continue
-                return EtaResult(
-                    hom=hom,
-                    unit=unit,
-                    torsion_images=torsion_images,
-                    surjective=True,
-                    parity_ok=True,
-                    torsion_ok=True,
-                    branch_match=True,
-                )
-    raise PipelineAssertionError(
-        "no epimorphism of the derived kernel transports the branch data"
-    )
+    for rel, value in check_homomorphism(pres, hom).failures:
+        raise PipelineAssertionError(
+            f"eta is not a homomorphism: relator {rel} maps to {value}"
+        )
+    torsion_images = []
+    for word, n in pres.torsion_words:
+        image = hom.evaluate(word)
+        if image.order() != n:
+            raise PipelineAssertionError(
+                f"eta: torsion word {word} maps to {image} of order"
+                f" {image.order()}, declared {n}"
+            )
+        torsion_images.append(image.value)
+    if tuple(torsion_images) != datum.x_images:
+        raise PipelineAssertionError(
+            f"eta: torsion images {torsion_images} differ from rho's elliptic"
+            f" images {list(datum.x_images)}"
+        )
+    if not hom.is_surjective():
+        raise PipelineAssertionError(f"eta is not surjective onto C_{two_n}")
+    return EtaResult(hom=hom, unit=1, torsion_images=tuple(torsion_images))
 
 
 # ---------------------------------------------------------------------------
@@ -647,74 +595,57 @@ def construct_eta(derived: DerivedKernel, datum: ActionDatum) -> EtaResult:
 class DihedralExtension:
     hom: FiniteHom
     reflection_rotation: int
-    surjective: bool
-    restriction_agrees: bool
     image_order: int
     kernel_index: int
-
-    @property
-    def ok(self) -> bool:
-        return self.surjective and self.restriction_agrees
 
 
 def extend_to_dihedral(
     K: Presentation, derived: DerivedKernel, eta: EtaResult
 ) -> DihedralExtension:
-    """Extend eta to Theta: K -> D_2n.
+    """Extend eta to Theta: K -> D_2n with Theta(tau1) = t.
 
-    Theta(tau1) is searched among the 2n reflections t*s^k (k ascending);
-    every other image is forced: kernel generators go to the rotation
+    Every other image is forced: kernel generators go to the rotation
     eta gives them, and a generator g with theta(g) = a goes to
-    Theta(tau1) * rotation(eta(tau1 * g)).  The first k whose images
-    satisfy all relators wins; surjectivity and the restriction
-    Theta|kernel = eta are then verified, so ker(Theta) = ker(eta) of
-    index 4n in K.
+    t * rotation(eta(tau1 * g)).  Theta is then verified to be a
+    homomorphism on K with image of order 4n that restricts to eta on
+    every kernel generator, so ker(Theta) = ker(eta) has index 4n in K.
+    A failed check raises ``PipelineAssertionError`` naming it.
     """
     two_n = eta.hom.target.modulus
     dihedral = DihedralGroup(two_n)
+    t = dihedral.reflection(0)
     theta_images = derived.theta.image_dict()
     tau1 = K.generators_of_kind("reflection")[0]
 
-    rotation_exponent: dict[str, int] = {}
-    reflected_exponent: dict[str, int] = {}
+    images = {}
     for name, _ in K.generators:
         if theta_images[name].is_identity():
             rewritten = derived.subgroup.rewrite(Word.gen(name))
-            rotation_exponent[name] = eta.hom.evaluate(rewritten).value
+            images[name] = dihedral.rotation(eta.hom.evaluate(rewritten).value)
         else:
             rewritten = derived.subgroup.rewrite(Word.gen(tau1) * Word.gen(name))
-            reflected_exponent[name] = eta.hom.evaluate(rewritten).value
-
-    for k in range(two_n):
-        t_img = dihedral.reflection(k)
-        images = {}
-        for name, _ in K.generators:
-            if name in rotation_exponent:
-                images[name] = dihedral.rotation(rotation_exponent[name])
-            else:
-                images[name] = t_img * dihedral.rotation(reflected_exponent[name])
-        hom = FiniteHom.from_dict(K, dihedral, images)
-        if not check_homomorphism(K, hom).valid:
-            continue
-        image_order = len(hom.image_subgroup())
-        surjective = image_order == dihedral.order
-        restriction = all(
-            hom.evaluate(gen.word)
-            == dihedral.rotation(eta.hom.image_of(gen.name).value)
-            for gen in derived.subgroup.generators
+            images[name] = t * dihedral.rotation(eta.hom.evaluate(rewritten).value)
+    hom = FiniteHom.from_dict(K, dihedral, images)
+    for rel, value in check_homomorphism(K, hom).failures:
+        raise PipelineAssertionError(
+            f"Theta is not a homomorphism: relator {rel} maps to {value}"
         )
-        if not surjective or not restriction:
-            continue
-        return DihedralExtension(
-            hom=hom,
-            reflection_rotation=k,
-            surjective=surjective,
-            restriction_agrees=restriction,
-            image_order=image_order,
-            kernel_index=image_order,
+    image_order = len(hom.image_subgroup())
+    if image_order != dihedral.order:
+        raise PipelineAssertionError(
+            f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
-    raise PipelineAssertionError(
-        "no reflection choice extends eta to a dihedral homomorphism"
+    for gen in derived.subgroup.generators:
+        expected = dihedral.rotation(eta.hom.image_of(gen.name).value)
+        if hom.evaluate(gen.word) != expected:
+            raise PipelineAssertionError(
+                f"Theta restricted to the kernel differs from eta on {gen.name}"
+            )
+    return DihedralExtension(
+        hom=hom,
+        reflection_rotation=0,
+        image_order=image_order,
+        kernel_index=image_order,
     )
 
 
@@ -758,8 +689,6 @@ class RealizationCertificate:
             and self.area_ratio == 2
             and self.rho_report.ok
             and self.lemma.ok
-            and self.eta.ok
-            and self.extension.ok
             and self.genus_match
         )
 

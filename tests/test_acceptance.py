@@ -89,8 +89,11 @@ def test_criterion_4_dihedral_certificates(action_battery):
     for datum in action_battery:
         cert = realize(datum)
         ext = cert.extension
-        assert ext.surjective
-        assert ext.restriction_agrees
+        assert len(ext.hom.image_subgroup()) == ext.hom.target.order
+        for gen in cert.derived.subgroup.generators:
+            assert ext.hom.evaluate(gen.word) == ext.hom.target.rotation(
+                cert.eta.hom.image_of(gen.name).value
+            )
         assert ext.image_order == 4 * datum.n
         assert ext.kernel_index == 4 * datum.n
         assert ext.hom.target == DihedralGroup(2 * datum.n)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from necsurf import cli
+from necsurf import cli, pipeline
 from necsurf.pipeline import PipelineAssertionError
 
 GENUS2_DOC = {
@@ -149,6 +149,21 @@ class TestRealizeCommand:
         code = cli.main(["realize", path])
         assert code == 2
         assert "internal assertion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["realize", "check-lemma"])
+def test_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    original = pipeline.validate_action
+
+    def counting(datum):
+        calls.append(datum)
+        return original(datum)
+
+    monkeypatch.setattr(pipeline, "validate_action", counting)
+    path = write_doc(tmp_path, GENUS2_DOC)
+    assert cli.main([command, path]) == 0
+    assert len(calls) == 1
 
 
 class TestEnumerateCommand:

@@ -1,5 +1,6 @@
+import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -7,6 +8,7 @@ from necsurf import (
     ActionDatum,
     ActionValidationError,
     CyclicGroup,
+    DihedralGroup,
     FiniteHom,
     NECSignature,
     PipelineAssertionError,
@@ -85,6 +87,18 @@ class TestValidateAction:
         for d_images in product((1, 3), repeat=3):
             datum = ActionDatum(3, (), 2, d_images, ())
             assert not validate_action(datum).ok
+
+    def test_large_order_memory_stays_linear(self):
+        # the orientation walk over C_6000 must not store a path per element
+        datum = ActionDatum(4, (), 3000, (1, 1, 1, 5997), ())
+        tracemalloc.start()
+        try:
+            result = validate_action(datum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ok and result.genus == 6001
+        assert peak < 20 * 1024 * 1024
 
     def test_divisibility_violation(self):
         bad = ActionDatum(1, (2, 4), 2, (1,), (2, 2))
@@ -169,7 +183,8 @@ class TestConstructEta:
     def test_genus2_instance(self):
         _, derived = derived_for(1, (2, 2, 2))
         eta = construct_eta(derived, GENUS2)
-        assert eta.ok
+        assert check_homomorphism(derived.presentation, eta.hom).valid
+        assert eta.torsion_images == GENUS2.x_images and eta.unit == 1
         assert eta.hom.image_of("delta1").value % 2 == 1
         assert [eta.hom.evaluate(w).order() for w, _ in derived.presentation.torsion_words] == [2, 2, 2]
         assert eta.hom.is_surjective()
@@ -177,7 +192,8 @@ class TestConstructEta:
     def test_gamma4_instance(self):
         _, derived = derived_for(4, ())
         eta = construct_eta(derived, GAMMA4)
-        assert eta.ok
+        assert check_homomorphism(derived.presentation, eta.hom).valid
+        assert eta.hom.is_surjective()
         for j in range(1, 5):
             assert eta.hom.image_of(f"delta{j}").value % 2 == 1
 
@@ -198,6 +214,43 @@ class TestConstructEta:
         broken = replace(derived, presentation=broken_pres)
         with pytest.raises(PipelineAssertionError):
             construct_eta(broken, GENUS2)
+
+
+def closed_form_shapes(max_order=8, max_gamma=3, max_r=3):
+    """Every hyperbolic (gamma, periods, 2n) with 2n <= max_order."""
+    for order in range(4, max_order + 1, 4):
+        n = order // 2
+        divisors = [p for p in range(2, n + 1) if n % p == 0]
+        for gamma in range(1, max_gamma + 1):
+            for r in range(max_r + 1):
+                for periods in combinations_with_replacement(divisors, r):
+                    if reduced_area(NECSignature(False, gamma, periods)) > 0:
+                        yield gamma, periods, order
+
+
+def test_closed_form_on_every_small_epimorphism():
+    checked = []
+    for gamma, periods, order in closed_form_shapes():
+        K, derived = derived_for(gamma, periods)
+        dihedral = DihedralGroup(order)
+        for d_images, x_images in enumerate_smooth_epimorphisms(
+            gamma, periods, order
+        ).tuples:
+            datum = ActionDatum(gamma, periods, order // 2, d_images, x_images)
+            eta = construct_eta(derived, datum)
+            assert eta.torsion_images == x_images
+            assert eta.unit == 1
+            ext = extend_to_dihedral(K, derived, eta)
+            assert ext.hom.image_of("tau1") == dihedral.reflection(0)
+            assert check_homomorphism(K, ext.hom).valid
+            assert ext.image_order == len(ext.hom.image_subgroup()) == 2 * order
+            for gen in derived.subgroup.generators:
+                assert ext.hom.evaluate(gen.word) == dihedral.rotation(
+                    eta.hom.image_of(gen.name).value
+                )
+            checked.append(datum)
+    assert len(checked) == 582
+    assert {datum.gamma % 2 for datum in checked} == {0, 1}
 
 
 class TestLemma:
@@ -236,7 +289,11 @@ class TestExtendToDihedral:
         K, derived = derived_for(1, (2, 2, 2))
         eta = construct_eta(derived, GENUS2)
         ext = extend_to_dihedral(K, derived, eta)
-        assert ext.ok
+        assert len(ext.hom.image_subgroup()) == ext.hom.target.order == 8
+        for gen in derived.subgroup.generators:
+            assert ext.hom.evaluate(gen.word) == ext.hom.target.rotation(
+                eta.hom.image_of(gen.name).value
+            )
         assert ext.image_order == 8
         assert ext.kernel_index == 8
         assert check_homomorphism(K, ext.hom).valid
