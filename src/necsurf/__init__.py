@@ -22,16 +22,8 @@ from .groups import (
     DihedralGroup,
     FiniteHom,
     GroupMismatchError,
-    PermutationElement,
-    PermutationGroup,
-    generated_subgroup,
 )
-from .kernels import (
-    KernelSignatureReport,
-    SurfaceKernelReport,
-    kernel_signature_index2,
-    surface_kernel_check,
-)
+from .kernels import KernelSignatureReport, kernel_signature_index2
 from .pipeline import (
     ActionDatum,
     ActionValidationError,
@@ -71,7 +63,6 @@ from .signatures import (
     NECSignature,
     NoSurfaceKernelError,
     elliptic,
-    is_hyperbolic,
     quotient_disc_signature,
     reduced_area,
     riemann_hurwitz_index,

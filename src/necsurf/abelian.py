@@ -192,12 +192,6 @@ class Abelianization:
     def free_rank(self) -> int:
         return sum(1 for d in self.moduli if d == 0)
 
-    def structure(self) -> str:
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        if self.free_rank:
-            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
-        return " x ".join(parts) if parts else "trivial"
-
     def class_of(self, w: Word) -> tuple[int, ...]:
         index = dict(self._generator_index)
         n = len(index)
@@ -216,9 +210,6 @@ class Abelianization:
         return tuple(
             (-c) % d if d > 0 else -c for c, d in zip(cls_vector, self.moduli)
         )
-
-    def is_zero(self, w: Word) -> bool:
-        return all(c == 0 for c in self.class_of(w))
 
 
 def abelianization(p: Presentation) -> Abelianization:

@@ -57,10 +57,6 @@ class CosetTable:
             inverse[j] = i
         return tuple(inverse)
 
-    def columns_are_bijections(self) -> bool:
-        n = len(self.cosets)
-        return all(sorted(perm) == list(range(n)) for _, perm in self.action)
-
 
 def cayley_coset_table(hom: FiniteHom) -> CosetTable:
     """Coset table of ker(hom): cosets are the image subgroup elements,
@@ -125,12 +121,6 @@ class SchreierSubgroup:
     @property
     def index(self) -> int:
         return self.table.index
-
-    def generator_named(self, name: str) -> SchreierGenerator:
-        for gen in self.generators:
-            if gen.name == name:
-                return gen
-        raise KeyError(name)
 
     def rewrite(self, w: Word) -> Word:
         """Express a kernel word in the Schreier generators."""

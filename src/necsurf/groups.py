@@ -1,10 +1,15 @@
-"""Concrete finite groups: cyclic, dihedral and permutation groups.
+"""Concrete finite groups: cyclic and dihedral groups.
 
 Cyclic groups are written additively (residues mod m).  Dihedral elements
 are normal forms t^eps * s^k in D_m of order 2m, with t*s*t = s^-1; the
 product rule is
 
     (t^e1 s^k1) (t^e2 s^k2) = t^(e1+e2) s^(k2 + (-1)^e2 * k1).
+
+The order of a generated subgroup is a gcd, never an enumeration: in C_m
+the residues a_i generate a subgroup of order m / gcd(m, a_1, ...), and
+in D_m the rotations s^r_i and reflections t*s^k_j generate one of order
+(2 if any reflection, else 1) * m / gcd(m, r_i..., k_j - k_1...).
 
 A ``FiniteHom`` assigns a target element to every generator of a
 presentation and evaluates words by folding the group operation.
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import TYPE_CHECKING, Iterable
 
 from .words import Word
@@ -73,8 +77,9 @@ class CyclicGroup:
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self.modulus, value)
 
-    def elements(self) -> list[CyclicElement]:
-        return [CyclicElement(self.modulus, k) for k in range(self.modulus)]
+    def subgroup_order(self, elements: Iterable[CyclicElement]) -> int:
+        """Order of the subgroup the elements generate: m / gcd(m, a_1, ...)."""
+        return self.modulus // math.gcd(self.modulus, *(e.value for e in elements))
 
     def __str__(self) -> str:
         return f"C{self.modulus}"
@@ -142,104 +147,24 @@ class DihedralGroup:
     def reflection(self, k: int = 0) -> DihedralElement:
         return DihedralElement(self.modulus, 1, k)
 
-    def elements(self) -> list[DihedralElement]:
-        return [
-            DihedralElement(self.modulus, flip, k)
-            for flip in (0, 1)
-            for k in range(self.modulus)
-        ]
+    def subgroup_order(self, elements: Iterable[DihedralElement]) -> int:
+        """Order of the subgroup the elements generate.  Its rotations are
+        generated by the given rotations and the differences k_j - k_1 of
+        the reflections t*s^k_j; any reflection doubles the order."""
+        elements = list(elements)
+        rotations = [e.rot for e in elements if not e.flip]
+        reflections = [e.rot for e in elements if e.flip]
+        rotations += [k - reflections[0] for k in reflections[1:]]
+        rotation_order = self.modulus // math.gcd(self.modulus, *rotations)
+        return rotation_order * (2 if reflections else 1)
 
     def __str__(self) -> str:
         return f"D{self.modulus}"
 
 
 # ---------------------------------------------------------------------------
-# Permutation groups (symmetric group on n points)
+# Homomorphisms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PermutationElement:
-    images: tuple[int, ...]  # images[i] = image of point i
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"{self.images} is not a permutation of 0..{n - 1}")
-
-    def __mul__(self, other: "PermutationElement") -> "PermutationElement":
-        if not isinstance(other, PermutationElement) or len(other.images) != len(self.images):
-            raise GroupMismatchError("permutations act on different point sets")
-        # apply self first, then other
-        return PermutationElement(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "PermutationElement":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return PermutationElement(tuple(inv))
-
-    def order(self) -> int:
-        result = 1
-        seen = [False] * len(self.images)
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.images[i]
-                length += 1
-            result = result * length // math.gcd(result, length)
-        return result
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def __str__(self) -> str:
-        return "(" + " ".join(str(i) for i in self.images) + ")"
-
-
-@dataclass(frozen=True)
-class PermutationGroup:
-    degree: int
-
-    @property
-    def order(self) -> int:
-        return math.factorial(self.degree)
-
-    def identity(self) -> PermutationElement:
-        return PermutationElement(tuple(range(self.degree)))
-
-    def elements(self) -> list[PermutationElement]:
-        return [PermutationElement(p) for p in permutations(range(self.degree))]
-
-    def __str__(self) -> str:
-        return f"Sym{self.degree}"
-
-
-# ---------------------------------------------------------------------------
-# Closure and homomorphisms
-# ---------------------------------------------------------------------------
-
-def generated_subgroup(elements: Iterable) -> frozenset:
-    """Closure of the given elements under the group operation."""
-    gens = list(elements)
-    if not gens:
-        return frozenset()
-    closure = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new: list = []
-        for a in gens:
-            for b in frontier:
-                c = b * a
-                if c not in closure:
-                    closure.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(closure)
-
 
 @dataclass(frozen=True)
 class FiniteHom:
@@ -248,7 +173,7 @@ class FiniteHom:
     the relators is checked by ``presentations.check_homomorphism``."""
 
     domain: "Presentation"
-    target: CyclicGroup | DihedralGroup | PermutationGroup
+    target: CyclicGroup | DihedralGroup
     images: tuple[tuple[str, object], ...]
 
     def __post_init__(self) -> None:
@@ -293,8 +218,8 @@ class FiniteHom:
             result = result * (img if e == 1 else img.inverse())
         return result
 
-    def image_subgroup(self) -> frozenset:
-        return generated_subgroup(v for _, v in self.images)
+    def image_order(self) -> int:
+        return self.target.subgroup_order(v for _, v in self.images)
 
     def is_surjective(self) -> bool:
-        return len(self.image_subgroup()) == self.target.order
+        return self.image_order() == self.target.order

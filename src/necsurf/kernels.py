@@ -1,15 +1,11 @@
-"""Signatures of the specific kernels the construction needs.
+"""Signature of the one kernel the construction needs to derive.
 
-Two cases, and deliberately only these two:
-
-* the index-2 kernel of a map to C_2 that kills every reflection of a
-  disc-quotient group (the kernel is then reflection-free, its corner
-  points become interior cone points, and the genus follows from exact
-  area bookkeeping);
-
-* surface kernels: torsion-freeness and orientation behaviour of the
-  kernel of a map onto a finite cyclic group, for presentations with
-  designated torsion words.
+That kernel is the index-2 kernel of a map to C_2 that kills every
+reflection of a disc-quotient group: it is reflection-free, its corner
+points become interior cone points, its orientability is decided by
+whether the orientation character factors through the image, and its
+genus follows from exact area bookkeeping.  (Surface-kernel conditions
+on rho are checked item by item in ``pipeline.validate_action``.)
 
 The fully general subgroup-signature algorithm for arbitrary finite-index
 NEC subgroups is out of scope on purpose.
@@ -20,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import CosetTable, cayley_coset_table
+from .cosets import cayley_coset_table
 from .groups import FiniteHom
-from .presentations import Presentation, check_homomorphism, orientation_character
-from .signatures import NECSignature, reduced_area, surface_kernel_genus
+from .presentations import Presentation, orientation_character
+from .signatures import NECSignature, reduced_area
 from .words import Word, reduce_mod_involutions
 
 
@@ -209,61 +205,4 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
         witness=witness,
         base_area=base_area,
         kernel_area=kernel_area,
-    )
-
-
-@dataclass(frozen=True)
-class TorsionCheck:
-    word: Word
-    declared_order: int
-    image_order: int
-
-    @property
-    def ok(self) -> bool:
-        return self.image_order == self.declared_order
-
-
-@dataclass(frozen=True)
-class SurfaceKernelReport:
-    homomorphism: bool
-    torsion_free: bool
-    fuchsian: bool
-    surjective: bool
-    genus: int | None
-    torsion_checks: tuple[TorsionCheck, ...]
-    index: int
-
-    @property
-    def ok(self) -> bool:
-        return self.homomorphism and self.torsion_free and self.fuchsian
-
-
-def surface_kernel_check(p: Presentation, hom: FiniteHom) -> SurfaceKernelReport:
-    """Does ker(hom) uniformize a closed Riemann surface?
-
-    Torsion-free: every designated torsion word maps with its full
-    declared order.  Orientation-preserving (so the kernel is a Fuchsian
-    surface group): the orientation character factors through the image.
-    When both hold and the presentation knows its signature, the genus
-    follows from the exact area relation 2g - 2 = index * area.
-    """
-    hom_check = check_homomorphism(p, hom)
-    checks = tuple(
-        TorsionCheck(w, n, hom.evaluate(w).order()) for w, n in p.torsion_words
-    )
-    torsion_free = all(c.ok for c in checks)
-    factors, _ = _character_factors_through_image(p, hom)
-    index = len(hom.image_subgroup())
-    surjective = index == hom.target.order
-    genus: int | None = None
-    if hom_check.valid and torsion_free and factors and p.signature is not None:
-        genus = surface_kernel_genus(p.signature, index)
-    return SurfaceKernelReport(
-        homomorphism=hom_check.valid,
-        torsion_free=torsion_free,
-        fuchsian=factors,
-        surjective=surjective,
-        genus=genus,
-        torsion_checks=checks,
-        index=index,
     )

@@ -40,15 +40,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, product
 
-from .abelian import Abelianization, abelianization
+from .abelian import abelianization
 from .cosets import SchreierSubgroup, cayley_coset_table, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
-from .kernels import (
-    KernelSignatureReport,
-    SurfaceKernelReport,
-    kernel_signature_index2,
-    surface_kernel_check,
-)
+from .kernels import KernelSignatureReport, kernel_signature_index2
 from .presentations import (
     Presentation,
     RelatorCertificate,
@@ -113,7 +108,6 @@ class ActionDatum:
 class ValidationResult:
     errors: tuple[str, ...]
     genus: int | None
-    surface_report: SurfaceKernelReport | None
 
     @property
     def ok(self) -> bool:
@@ -122,7 +116,15 @@ class ValidationResult:
 
 def validate_action(datum: ActionDatum) -> ValidationResult:
     """Check every invariant of the action datum, reporting each
-    violation individually, and compute the genus when valid."""
+    violation individually, and compute the genus when valid.
+
+    rho is checked once, item by item: it must satisfy every relator, be
+    surjective (its image order is a gcd), keep each elliptic image at
+    its declared order, and send glides to odd and elliptics to even
+    residues.  For a surjective rho onto C_2n the last condition is
+    exactly the orientation character factoring through the image, so
+    the kernel is then a torsion-free Fuchsian surface group.
+    """
     errors: list[str] = []
     if datum.n < 2:
         errors.append(f"n = {datum.n} must be at least 2")
@@ -146,13 +148,13 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
             f"expected {len(datum.periods)} elliptic images, got {len(datum.x_images)}"
         )
     if errors:
-        return ValidationResult(tuple(errors), None, None)
+        return ValidationResult(tuple(errors), None)
 
     sig = datum.delta_signature()
     area = reduced_area(sig)
     if area <= 0:
         errors.append(f"signature {sig} is not hyperbolic (reduced area {area})")
-        return ValidationResult(tuple(errors), None, None)
+        return ValidationResult(tuple(errors), None)
 
     two_n = datum.order
     target = CyclicGroup(two_n)
@@ -192,9 +194,7 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
         genus = surface_kernel_genus(sig, two_n)
     except NoSurfaceKernelError as exc:
         errors.append(str(exc))
-
-    report = surface_kernel_check(delta, rho)
-    return ValidationResult(tuple(errors), genus if not errors else None, report)
+    return ValidationResult(tuple(errors), genus if not errors else None)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,6 @@ class DerivedKernel:
     presentation: Presentation
     theta: FiniteHom
     report: KernelSignatureReport
-    expected_signature: NECSignature
-    signature_matches: bool
     correspondence: tuple[GeneratorCorrespondence, ...]
     printed_checks: tuple[tuple[str, RelatorCertificate], ...]
     gamma: int
@@ -356,8 +354,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
 
     report = kernel_signature_index2(K, theta)
     expected = NECSignature(False, gamma, tuple(sorted(periods)))
-    matches = report.signature == expected
-    if not matches:
+    if report.signature != expected:
         raise PipelineAssertionError(
             f"derived kernel signature {report.signature} differs from expected {expected}"
         )
@@ -392,8 +389,6 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
         presentation=presentation,
         theta=theta,
         report=report,
-        expected_signature=expected,
-        signature_matches=matches,
         correspondence=correspondence,
         printed_checks=tuple(printed),
         gamma=gamma,
@@ -630,7 +625,7 @@ def extend_to_dihedral(
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {value}"
         )
-    image_order = len(hom.image_subgroup())
+    image_order = hom.image_order()
     if image_order != dihedral.order:
         raise PipelineAssertionError(
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
@@ -667,7 +662,6 @@ class RealizationCertificate:
     theta_connector_exponent: int
     theta_printed_connector_valid: bool
     area_ratio: Fraction
-    rho_report: SurfaceKernelReport
     derived: DerivedKernel
     lemma: LemmaReport
     eta: EtaResult
@@ -675,22 +669,8 @@ class RealizationCertificate:
     genus_real: int
 
     @property
-    def signature_match(self) -> bool:
-        return self.derived.signature_matches
-
-    @property
-    def genus_match(self) -> bool:
-        return self.genus_real == self.genus
-
-    @property
     def conclusion(self) -> bool:
-        return (
-            self.signature_match
-            and self.area_ratio == 2
-            and self.rho_report.ok
-            and self.lemma.ok
-            and self.genus_match
-        )
+        return self.area_ratio == 2 and self.genus_real == self.genus and self.lemma.ok
 
 
 def realize(datum: ActionDatum) -> RealizationCertificate:
@@ -748,7 +728,6 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
         theta_connector_exponent=datum.gamma % 2,
         theta_printed_connector_valid=printed_valid,
         area_ratio=area_ratio,
-        rho_report=validation.surface_report,
         derived=derived,
         lemma=lemma,
         eta=eta,
@@ -771,12 +750,6 @@ class EnumerationResult:
     @property
     def count(self) -> int:
         return len(self.tuples)
-
-    def first_datum(self) -> ActionDatum | None:
-        if not self.tuples:
-            return None
-        d_images, x_images = self.tuples[0]
-        return ActionDatum(self.gamma, self.periods, self.order // 2, d_images, x_images)
 
 
 def _iter_smooth_epimorphisms(gamma: int, periods: tuple[int, ...], order: int):

@@ -21,7 +21,7 @@ relator, and matching against cyclic rotations of the remaining relators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import FiniteHom
 from .signatures import (
@@ -85,25 +85,6 @@ class Presentation:
 
     def generators_of_kind(self, kind: str) -> tuple[str, ...]:
         return tuple(g for g, k in self.generators if k.kind == kind)
-
-    def validate(self) -> list[str]:
-        """Well-formedness problems (empty list when none): every relator
-        references declared generators only, and every elliptic or
-        reflection generator has its order relator present."""
-        problems: list[str] = []
-        declared = set(self.generator_names())
-        for rel in self.relators:
-            undeclared = rel.generator_names() - declared
-            if undeclared:
-                problems.append(f"relator {rel} uses undeclared {sorted(undeclared)}")
-        for g, kind in self.generators:
-            order = 2 if kind.kind == "reflection" else kind.order
-            if order is None:
-                continue
-            wanted = Word.gen(g, order)
-            if not any(free_reduce(rel).letters == wanted.letters for rel in self.relators):
-                problems.append(f"missing order relator {g}^{order}")
-        return problems
 
 
 def orientation_character(p: Presentation) -> dict[str, int]:

@@ -152,10 +152,6 @@ def reduced_area(sig: NECSignature) -> Fraction:
     return total
 
 
-def is_hyperbolic(sig: NECSignature) -> bool:
-    return reduced_area(sig) > 0
-
-
 def quotient_disc_signature(gamma: int, periods: Iterable[int]) -> NECSignature:
     """Signature of the disc-quotient group with gamma interior order-2
     cone points and the given corner orders on a single boundary cycle.

@@ -10,7 +10,7 @@ to g and adjacent equal involutions cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,6 @@ def cyclic_reduce(w: Word, involutions: frozenset[str] | set[str] = frozenset())
     return Word(tuple(letters))
 
 
-def rotations(w: Word) -> Iterable[Word]:
-    n = len(w.letters)
-    if n == 0:
-        yield w
-        return
-    for k in range(n):
-        yield Word(w.letters[k:] + w.letters[:k])
-
-
 def cyclically_equal(
     a: Word, b: Word, involutions: frozenset[str] | set[str] = frozenset()
 ) -> bool:
@@ -157,4 +148,7 @@ def cyclically_equal(
     b = cyclic_reduce(b, involutions)
     if len(a) != len(b):
         return False
-    return any(rot.letters == b.letters for rot in rotations(a))
+    letters = a.letters
+    return any(
+        letters[k:] + letters[:k] == b.letters for k in range(max(len(letters), 1))
+    )

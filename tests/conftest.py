@@ -50,6 +50,30 @@ def action_battery_data(max_gamma=5, max_r=4, max_order=12):
     return data
 
 
+def generated_subgroup(group, elements):
+    """Brute-force closure of {identity} under right multiplication by the
+    given elements: the subgroup they generate.  This is the oracle for the
+    gcd formula of ``subgroup_order``."""
+    gens = list(elements)
+    closure = {group.identity()}
+    frontier = list(closure)
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = b * a
+                if c not in closure:
+                    closure.add(c)
+                    new.append(c)
+        frontier = new
+    return frozenset(closure)
+
+
+@pytest.fixture(scope="session")
+def closure():
+    return generated_subgroup
+
+
 @pytest.fixture(scope="session")
 def signature_battery():
     return signature_battery_cases()

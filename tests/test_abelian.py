@@ -83,19 +83,17 @@ class TestAbelianization:
         ab = abelianization(free_presentation("a", relators=[Word.gen("a", 2)]))
         assert ab.invariant_factors == (2,)
         assert ab.free_rank == 0
-        assert ab.structure() == "Z/2"
 
     def test_free_rank_two(self):
         ab = abelianization(free_presentation("a", "b"))
         assert ab.invariant_factors == ()
         assert ab.free_rank == 2
-        assert ab.structure() == "Z^2"
 
     def test_commutator_dies(self):
         rel = Word.parse("a b a^-1 b^-1")
         ab = abelianization(free_presentation("a", "b", relators=[rel]))
         assert ab.free_rank == 2
-        assert ab.is_zero(rel)
+        assert all(c == 0 for c in ab.class_of(rel))
 
     def test_class_arithmetic(self):
         p = free_presentation("a", "b", relators=[Word.gen("a", 4)])
@@ -105,8 +103,8 @@ class TestAbelianization:
         assert ab.class_of(wa * wa) == ab.class_of(Word.gen("a", 2))
         assert ab.negate(ca) == ab.class_of(wa.inverse())
         assert ab.class_of(wa * wa.inverse()) == ab.class_of(Word())
-        assert not ab.is_zero(wb)
-        assert ab.is_zero(Word.gen("a", 4))
+        assert any(c != 0 for c in ab.class_of(wb))
+        assert all(c == 0 for c in ab.class_of(Word.gen("a", 4)))
 
     def test_mixed_structure(self):
         p = free_presentation(

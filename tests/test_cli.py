@@ -151,6 +151,20 @@ class TestRealizeCommand:
         assert "internal assertion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_non_positive_n_fails_validation(tmp_path, capsys, n, fmt):
+    # residues are not reduced mod 2n <= 0; validation names n instead
+    doc = {"gamma": 1, "periods": [], "n": n, "rho": {"d": [1], "x": []}}
+    path = write_doc(tmp_path, doc)
+    code = cli.main(["--format", fmt, "realize", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"n = {n} must be at least 2" in captured.out
+    assert "reduced mod" not in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("command", ["realize", "check-lemma"])
 def test_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, command):
     calls = []

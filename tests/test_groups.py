@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,9 +8,6 @@ from necsurf import (
     DihedralGroup,
     FiniteHom,
     GroupMismatchError,
-    PermutationElement,
-    PermutationGroup,
-    generated_subgroup,
 )
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
@@ -24,8 +23,11 @@ class TestCyclic:
 
     def test_generated_subgroups(self):
         c4 = CyclicGroup(4)
-        assert generated_subgroup([c4.element(2)]) == {c4.element(0), c4.element(2)}
-        assert len(generated_subgroup([c4.element(1)])) == 4
+        assert c4.subgroup_order([c4.element(2)]) == 2
+        assert c4.subgroup_order([c4.element(1)]) == 4
+        assert c4.subgroup_order([]) == 1
+        c12 = CyclicGroup(12)
+        assert c12.subgroup_order([c12.element(8), c12.element(6)]) == 6
 
     def test_mismatch(self):
         with pytest.raises(GroupMismatchError):
@@ -47,8 +49,11 @@ class TestDihedral:
 
     def test_full_group_from_t_and_s(self):
         d4 = DihedralGroup(4)
-        closure = generated_subgroup([d4.reflection(0), d4.rotation(1)])
-        assert len(closure) == 8
+        assert d4.subgroup_order([d4.reflection(0), d4.rotation(1)]) == 8
+        # two reflections generate the rotations by their difference
+        assert d4.subgroup_order([d4.reflection(1), d4.reflection(3)]) == 4
+        assert d4.subgroup_order([d4.reflection(1), d4.reflection(2)]) == 8
+        assert d4.subgroup_order([d4.rotation(2)]) == 2
 
     def test_reflections_are_involutions(self):
         d6 = DihedralGroup(6)
@@ -75,25 +80,20 @@ class TestDihedral:
         assert a * a.inverse() == d.identity()
 
 
-class TestPermutations:
-    def test_composition_applies_left_first(self):
-        a = PermutationElement((1, 0, 2))
-        b = PermutationElement((0, 2, 1))
-        assert (a * b).images == (2, 0, 1)
-
-    def test_order_and_inverse(self):
-        cycle = PermutationElement((1, 2, 3, 0))
-        assert cycle.order() == 4
-        assert cycle * cycle.inverse() == PermutationGroup(4).identity()
-
-    def test_symmetric_group_closure(self):
-        s3 = PermutationGroup(3)
-        gens = [PermutationElement((1, 0, 2)), PermutationElement((1, 2, 0))]
-        assert len(generated_subgroup(gens)) == s3.order == 6
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            PermutationElement((0, 0, 1))
+def test_subgroup_order_matches_closure(closure):
+    # every subset of size <= 3 of C_m and D_m, m <= 12, empty set included
+    checked = 0
+    for m in range(1, 13):
+        c, d = CyclicGroup(m), DihedralGroup(m)
+        for group, elements in (
+            (c, [c.element(k) for k in range(m)]),
+            (d, [d.rotation(k) for k in range(m)] + [d.reflection(k) for k in range(m)]),
+        ):
+            for size in range(4):
+                for subset in combinations(elements, size):
+                    assert group.subgroup_order(subset) == len(closure(group, subset))
+                    checked += 1
+    assert checked == 9345
 
 
 class TestFiniteHom:
@@ -112,7 +112,9 @@ class TestFiniteHom:
         p = self._free_presentation("a")
         c4 = CyclicGroup(4)
         assert FiniteHom.from_dict(p, c4, {"a": c4.element(1)}).is_surjective()
-        assert not FiniteHom.from_dict(p, c4, {"a": c4.element(2)}).is_surjective()
+        half = FiniteHom.from_dict(p, c4, {"a": c4.element(2)})
+        assert half.image_order() == 2
+        assert not half.is_surjective()
 
     def test_mismatched_generators_rejected(self):
         p = self._free_presentation("a", "b")

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,9 +14,10 @@ from necsurf import (
     kernel_signature_index2,
     quotient_disc_signature,
     reduced_area,
-    surface_kernel_check,
+    surface_kernel_genus,
     word_character,
 )
+from necsurf.kernels import _character_factors_through_image
 from necsurf.words import Word
 
 
@@ -91,29 +94,54 @@ class TestKernelSignatureIndex2:
 
 
 class TestSurfaceKernelCheck:
+    """The surface-kernel conditions on rho that ``validate_action`` checks
+    item by item, read off the primitives it uses."""
+
     def test_valid_genus2_epimorphism(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (1,), (2, 2, 2))
-        report = surface_kernel_check(delta, rho)
-        assert report.ok
-        assert report.torsion_free and report.fuchsian and report.surjective
-        assert report.genus == 2
-        assert report.index == 4
+        assert check_homomorphism(delta, rho).valid
+        assert rho.image_order() == 4 and rho.is_surjective()
+        assert all(rho.evaluate(w).order() == n for w, n in delta.torsion_words)
+        assert _character_factors_through_image(delta, rho) == (True, None)
+        assert surface_kernel_genus(delta.signature, rho.image_order()) == 2
 
     def test_torsion_collapse_detected(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (1,), (0, 2, 2))
-        report = surface_kernel_check(delta, rho)
-        assert not report.torsion_free
-        failing = [c for c in report.torsion_checks if not c.ok]
-        assert failing and failing[0].image_order == 1
+        orders = [rho.evaluate(w).order() for w, _ in delta.torsion_words]
+        assert orders == [1, 2, 2]
 
     def test_even_glide_image_breaks_orientation(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (2,), (2, 2, 2))
-        report = surface_kernel_check(delta, rho)
-        assert not report.fuchsian
+        factors, witness = _character_factors_through_image(delta, rho)
+        assert not factors
+        assert word_character(delta, witness) == -1
 
     def test_non_surjective_is_reported(self):
         # all images in the even subgroup of C4 cannot generate; with an
         # even glide image this is also not orientation-compatible
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (2,), (2, 2, 2))
-        report = surface_kernel_check(delta, rho)
-        assert not report.surjective
+        assert rho.image_order() == 2
+        assert not rho.is_surjective()
+
+    def test_character_factors_exactly_under_parity_rule(self):
+        # for surjective rho onto C_2n the orientation character factors
+        # through the image iff every glide image is odd and every
+        # elliptic image even; period 3 keeps the x_i out of the
+        # involution reduction, so each witness must evaluate to 1
+        checked = 0
+        for two_n in (2, 4, 6, 8):
+            for gamma in (1, 2):
+                for r in (0, 1, 2):
+                    for images in product(range(two_n), repeat=gamma + r):
+                        if math.gcd(two_n, *images) != 1:
+                            continue
+                        d, x = images[:gamma], images[gamma:]
+                        delta, rho = crosscap_rho(gamma, (3,) * r, two_n // 2, d, x)
+                        factors, witness = _character_factors_through_image(delta, rho)
+                        parity = all(v % 2 for v in d) and not any(v % 2 for v in x)
+                        assert factors == parity
+                        if not factors:
+                            assert word_character(delta, witness) == -1
+                            assert rho.evaluate(witness).is_identity()
+                        checked += 1
+        assert checked == 6864

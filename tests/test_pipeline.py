@@ -47,7 +47,6 @@ class TestValidateAction:
         result = validate_action(GENUS2)
         assert result.ok
         assert result.genus == 2
-        assert result.surface_report.ok
 
     def test_four_crosscaps(self):
         result = validate_action(GAMMA4)
@@ -99,6 +98,18 @@ class TestValidateAction:
             tracemalloc.stop()
         assert result.ok and result.genus == 6001
         assert peak < 20 * 1024 * 1024
+
+    def test_large_order_realize_enumerates_nothing(self):
+        # surjectivity and |Theta(K)| = 4n are gcds, not walks over C_4000
+        datum = ActionDatum(4, (), 2000, (1, 1, 1, 3997), ())
+        tracemalloc.start()
+        try:
+            cert = realize(datum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.conclusion and cert.extension.kernel_index == 8000
+        assert peak < 1024 * 1024
 
     def test_divisibility_violation(self):
         bad = ActionDatum(1, (2, 4), 2, (1,), (2, 2))
@@ -228,7 +239,7 @@ def closed_form_shapes(max_order=8, max_gamma=3, max_r=3):
                         yield gamma, periods, order
 
 
-def test_closed_form_on_every_small_epimorphism():
+def test_closed_form_on_every_small_epimorphism(closure):
     checked = []
     for gamma, periods, order in closed_form_shapes():
         K, derived = derived_for(gamma, periods)
@@ -243,7 +254,8 @@ def test_closed_form_on_every_small_epimorphism():
             ext = extend_to_dihedral(K, derived, eta)
             assert ext.hom.image_of("tau1") == dihedral.reflection(0)
             assert check_homomorphism(K, ext.hom).valid
-            assert ext.image_order == len(ext.hom.image_subgroup()) == 2 * order
+            images = [v for _, v in ext.hom.images]
+            assert ext.image_order == len(closure(dihedral, images)) == 2 * order
             for gen in derived.subgroup.generators:
                 assert ext.hom.evaluate(gen.word) == dihedral.rotation(
                     eta.hom.image_of(gen.name).value
@@ -285,11 +297,12 @@ class TestLemma:
 
 
 class TestExtendToDihedral:
-    def test_genus2_extension(self):
+    def test_genus2_extension(self, closure):
         K, derived = derived_for(1, (2, 2, 2))
         eta = construct_eta(derived, GENUS2)
         ext = extend_to_dihedral(K, derived, eta)
-        assert len(ext.hom.image_subgroup()) == ext.hom.target.order == 8
+        images = [v for _, v in ext.hom.images]
+        assert len(closure(ext.hom.target, images)) == ext.hom.target.order == 8
         for gen in derived.subgroup.generators:
             assert ext.hom.evaluate(gen.word) == ext.hom.target.rotation(
                 eta.hom.image_of(gen.name).value
@@ -411,7 +424,7 @@ class TestEnumeration:
     def test_first_is_lexicographic(self):
         result = enumerate_smooth_epimorphisms(1, (2, 2, 2), 4)
         assert result.tuples[0] == ((1,), (2, 2, 2))
-        assert result.first_datum() == GENUS2
+        assert first_smooth_epimorphism(1, (2, 2, 2), 4) == GENUS2
 
     def test_oracle_agreement_small(self):
         for gamma, periods, order in [
