@@ -7,7 +7,7 @@ epimorphisms, extends them to dihedral quotients, and verifies every
 step with exact arithmetic.
 """
 
-from .abelian import Abelianization, abelianization, integer_determinant, smith_normal_form
+from .abelian import Abelianization, abelianization, smith_normal_form
 from .cosets import (
     CosetTable,
     NotInKernelError,
@@ -52,7 +52,7 @@ from .presentations import (
     canonical_presentation,
     check_homomorphism,
     orientation_character,
-    verify_derived_relator,
+    verify_derived_relators,
     word_character,
 )
 from .signatures import (

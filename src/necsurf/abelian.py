@@ -22,45 +22,6 @@ def _identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik:
-                row_b = b[k]
-                row_o = out[i]
-                for j in range(cols):
-                    row_o[j] += aik * row_b[j]
-    return out
-
-
-def integer_determinant(m: Matrix) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return (D, U, V) with U*M*V = D, U and V unimodular, D diagonal
     and each diagonal entry dividing the next."""
@@ -150,39 +111,15 @@ class Abelianization:
     """Abelianization of a presentation, with canonical coordinates.
 
     A word maps to the vector of its exponent sums times the Smith column
-    transform; coordinate i is reduced modulo the i-th diagonal entry
-    (0 meaning a free coordinate).  The zero vector characterises words
-    that die under every homomorphism to an abelian group.
+    transform V; coordinate i is reduced modulo the i-th diagonal entry
+    (0 meaning a free coordinate).  ``rows`` holds, per generator, the
+    non-zero entries (column, value) of its row of V.  The zero vector
+    characterises words that die under every homomorphism to an abelian
+    group.
     """
 
-    presentation: Presentation
     moduli: tuple[int, ...]
-    _column_transform: tuple[tuple[int, ...], ...]
-    _generator_index: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def of(cls, p: Presentation) -> "Abelianization":
-        names = p.generator_names()
-        index = {g: i for i, g in enumerate(names)}
-        matrix = []
-        for rel in p.relators:
-            row = [0] * len(names)
-            for g, e in rel.exponent_sums().items():
-                row[index[g]] = e
-            matrix.append(row)
-        if not matrix:
-            matrix = [[0] * len(names)] if names else []
-        d, _, v = smith_normal_form(matrix)
-        diag = [d[i][i] for i in range(min(len(d), len(names)))]
-        moduli = tuple(
-            (diag[i] if i < len(diag) else 0) for i in range(len(names))
-        )
-        return cls(
-            p,
-            moduli,
-            tuple(tuple(row) for row in v),
-            tuple(index.items()),
-        )
+    rows: dict[str, tuple[tuple[int, int], ...]]
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -193,15 +130,10 @@ class Abelianization:
         return sum(1 for d in self.moduli if d == 0)
 
     def class_of(self, w: Word) -> tuple[int, ...]:
-        index = dict(self._generator_index)
-        n = len(index)
-        exponents = [0] * n
+        coords = [0] * len(self.moduli)
         for g, e in w.exponent_sums().items():
-            exponents[index[g]] += e
-        coords = [
-            sum(exponents[i] * self._column_transform[i][j] for i in range(n))
-            for j in range(n)
-        ]
+            for j, v in self.rows[g]:
+                coords[j] += e * v
         return tuple(
             c % d if d > 0 else c for c, d in zip(coords, self.moduli)
         )
@@ -213,4 +145,22 @@ class Abelianization:
 
 
 def abelianization(p: Presentation) -> Abelianization:
-    return Abelianization.of(p)
+    names = p.generator_names()
+    index = {g: i for i, g in enumerate(names)}
+    matrix = []
+    for rel in p.relators:
+        row = [0] * len(names)
+        for g, e in rel.exponent_sums().items():
+            row[index[g]] = e
+        matrix.append(row)
+    if not matrix:
+        matrix = [[0] * len(names)] if names else []
+    d, _, v = smith_normal_form(matrix)
+    diag = [d[i][i] for i in range(min(len(d), len(names)))]
+    moduli = tuple(
+        (diag[i] if i < len(diag) else 0) for i in range(len(names))
+    )
+    rows = {
+        g: tuple((j, x) for j, x in enumerate(v[i]) if x) for g, i in index.items()
+    }
+    return Abelianization(moduli, rows)

@@ -320,8 +320,11 @@ def render_json(doc: dict) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {out_path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -340,12 +343,13 @@ def _load_document(path: str) -> dict:
 def _realize_document(
     args: argparse.Namespace,
 ) -> tuple[dict, RealizationCertificate | None]:
-    """Load the input file and run the pipeline once.  On invalid input
-    the itemised failure is emitted in the chosen format and the result
-    is ``(doc, None)``."""
+    """Load the input file, resolve rho and run the pipeline once.  On
+    invalid input (a "search" that finds no epimorphism included) the
+    itemised failure is emitted in the chosen format and the result is
+    ``(doc, None)``."""
     doc = _load_document(args.file)
-    datum = datum_from_document(doc, warn=lambda msg: print(msg, file=sys.stderr))
     try:
+        datum = datum_from_document(doc, warn=lambda msg: print(msg, file=sys.stderr))
         return doc, realize(datum)
     except ActionValidationError as exc:
         if args.format == "json":
@@ -367,10 +371,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    periods = tuple(
-        int(tok) for tok in args.periods.replace(",", " ").split()
-    )
     try:
+        periods = tuple(int(tok) for tok in args.periods.replace(",", " ").split())
         result = enumerate_smooth_epimorphisms(args.gamma, periods, args.order)
     except ValueError as exc:
         print(f"invalid enumeration request: {exc}", file=sys.stderr)
@@ -480,9 +482,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ActionValidationError as exc:
-        print(validation_failure_text(exc.reasons), file=sys.stderr, end="")
         return EXIT_INVALID
     except PipelineAssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ the correspondence with the ambient group stays auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .groups import FiniteHom
 from .presentations import Presentation, word_character
@@ -34,34 +34,23 @@ class NotInKernelError(ValueError):
 @dataclass(frozen=True)
 class CosetTable:
     """Cosets of a kernel, realised as the image subgroup elements, with
-    one permutation of coset indices per domain generator."""
+    one permutation of coset indices per domain generator: ``forward[g]``
+    sends coset i to coset i*g and ``backward[g]`` is its inverse."""
 
     hom: FiniteHom
     cosets: tuple  # image subgroup elements; index 0 is the identity
-    action: tuple[tuple[str, tuple[int, ...]], ...]
+    forward: dict[str, tuple[int, ...]]
+    backward: dict[str, tuple[int, ...]]
 
     @property
     def index(self) -> int:
         return len(self.cosets)
 
-    def action_of(self, name: str) -> tuple[int, ...]:
-        for g, perm in self.action:
-            if g == name:
-                return perm
-        raise KeyError(name)
-
-    def inverse_action_of(self, name: str) -> tuple[int, ...]:
-        perm = self.action_of(name)
-        inverse = [0] * len(perm)
-        for i, j in enumerate(perm):
-            inverse[j] = i
-        return tuple(inverse)
-
 
 def cayley_coset_table(hom: FiniteHom) -> CosetTable:
     """Coset table of ker(hom): cosets are the image subgroup elements,
     discovered breadth-first in declared generator order, and each
-    generator acts by right translation."""
+    generator acts by right translation (backward: by its inverse)."""
     images = hom.image_dict()
     identity = hom.target.identity()
     cosets = [identity]
@@ -77,11 +66,10 @@ def cayley_coset_table(hom: FiniteHom) -> CosetTable:
                     cosets.append(nxt)
                     new.append(nxt)
         frontier = new
-    action = tuple(
-        (name, tuple(seen[c * images[name]] for c in cosets))
-        for name, _ in hom.domain.generators
-    )
-    return CosetTable(hom, tuple(cosets), action)
+    names = hom.domain.generator_names()
+    forward = {g: tuple(seen[c * images[g]] for c in cosets) for g in names}
+    backward = {g: tuple(seen[c * images[g].inverse()] for c in cosets) for g in names}
+    return CosetTable(hom, tuple(cosets), forward, backward)
 
 
 @dataclass(frozen=True)
@@ -94,29 +82,19 @@ class SchreierGenerator:
     word: Word          # freely reduced word in the ambient generators
 
 
+@dataclass(frozen=True)
 class SchreierSubgroup:
     """Reidemeister-Schreier data for a kernel: transversal, generators,
-    derived presentation and the rewriting map into it."""
+    derived presentation and the rewriting map into it.  ``pair_names``
+    names the Schreier generator of each (coset, generator) pair, or
+    None when that generator is freely trivial."""
 
-    def __init__(
-        self,
-        base: Presentation,
-        table: CosetTable,
-        transversal: tuple[Word, ...],
-        generators: tuple[SchreierGenerator, ...],
-        presentation: Presentation,
-        pair_names: dict[tuple[int, str], str | None],
-    ) -> None:
-        self.base = base
-        self.table = table
-        self.transversal = transversal
-        self.generators = generators
-        self.presentation = presentation
-        self._pair_names = pair_names
-        self._forward = {name: table.action_of(name) for name in base.generator_names()}
-        self._backward = {
-            name: table.inverse_action_of(name) for name in base.generator_names()
-        }
+    base: Presentation
+    table: CosetTable
+    transversal: tuple[Word, ...]
+    generators: tuple[SchreierGenerator, ...]
+    presentation: Presentation
+    pair_names: dict[tuple[int, str], str | None]
 
     @property
     def index(self) -> int:
@@ -124,17 +102,19 @@ class SchreierSubgroup:
 
     def rewrite(self, w: Word) -> Word:
         """Express a kernel word in the Schreier generators."""
+        forward, backward = self.table.forward, self.table.backward
+        pair_names = self.pair_names
         out: list[tuple[str, int]] = []
         coset = 0
         for g, e in w.letters:
             if e == 1:
-                name = self._pair_names[(coset, g)]
+                name = pair_names[(coset, g)]
                 if name is not None:
                     out.append((name, 1))
-                coset = self._forward[g][coset]
+                coset = forward[g][coset]
             else:
-                coset = self._backward[g][coset]
-                name = self._pair_names[(coset, g)]
+                coset = backward[g][coset]
+                name = pair_names[(coset, g)]
                 if name is not None:
                     out.append((name, -1))
         if coset != 0:
@@ -168,45 +148,27 @@ class SchreierSubgroup:
         )
         pair_names = {
             pair: (mapping.get(name, name) if name is not None else None)
-            for pair, name in self._pair_names.items()
+            for pair, name in self.pair_names.items()
         }
-        return SchreierSubgroup(
-            self.base, self.table, self.transversal, new_gens, presentation, pair_names
-        )
-
-    def with_presentation(self, presentation: Presentation) -> "SchreierSubgroup":
-        return SchreierSubgroup(
-            self.base,
-            self.table,
-            self.transversal,
-            self.generators,
-            presentation,
-            self._pair_names,
+        return replace(
+            self, generators=new_gens, presentation=presentation, pair_names=pair_names
         )
 
 
-def _default_alphabet(p: Presentation) -> list[str]:
-    reflections = [g for g, kind in p.generators if kind.kind == "reflection"]
-    rest = [g for g, kind in p.generators if kind.kind != "reflection"]
-    return reflections + rest
-
-
-def reidemeister_schreier(
-    p: Presentation, table: CosetTable, alphabet: list[str] | None = None
-) -> SchreierSubgroup:
+def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierSubgroup:
     """Presentation of the kernel from a coset table.
 
-    The transversal is built breadth-first over ``alphabet`` (reflection
-    generators first by default, then declared order; positive letters
-    before negative).  Schreier generators are the non-trivial words
+    The transversal is built breadth-first over the reflection generators
+    first, then the others in declared order (positive letters before
+    negative).  Schreier generators are the non-trivial words
     u * g * rep(u g)^-1 for transversal u and generator g; relators are
     the rewritten conjugates u * R * u^-1 of the base relators.
     """
-    if alphabet is None:
-        alphabet = _default_alphabet(p)
+    alphabet = [
+        g for g, kind in sorted(p.generators, key=lambda gk: gk[1].kind != "reflection")
+    ]
     index = table.index
-    forward = {name: table.action_of(name) for name in p.generator_names()}
-    backward = {name: table.inverse_action_of(name) for name in p.generator_names()}
+    forward, backward = table.forward, table.backward
 
     reps: list[Word | None] = [None] * index
     reps[0] = Word()
@@ -260,5 +222,4 @@ def reidemeister_schreier(
                 seen_relators.add(rewritten.letters)
                 relators.append(rewritten)
 
-    final = Presentation(derived.generators, tuple(relators))
-    return subgroup.with_presentation(final)
+    return replace(subgroup, presentation=Presentation(derived.generators, tuple(relators)))

@@ -18,7 +18,7 @@ presentation and evaluates words by folding the group operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .words import Word
@@ -175,6 +175,7 @@ class FiniteHom:
     domain: "Presentation"
     target: CyclicGroup | DihedralGroup
     images: tuple[tuple[str, object], ...]
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
@@ -187,6 +188,7 @@ class FiniteHom:
                 f"generator images do not match the domain (missing {sorted(missing)},"
                 f" extra {sorted(extra)})"
             )
+        object.__setattr__(self, "_by_name", dict(self.images))
 
     @classmethod
     def from_dict(cls, domain, target, images: dict) -> "FiniteHom":
@@ -201,17 +203,15 @@ class FiniteHom:
         return cls(domain, target, ordered)
 
     def image_dict(self) -> dict:
-        return dict(self.images)
+        """Generator name -> image; shared by every caller, not a copy."""
+        return self._by_name
 
     def image_of(self, name: str):
-        for g, value in self.images:
-            if g == name:
-                return value
-        raise KeyError(name)
+        return self._by_name[name]
 
     def evaluate(self, word: Word):
         """Image of a word under the homomorphism."""
-        table = self.image_dict()
+        table = self._by_name
         result = self.target.identity()
         for g, e in word.letters:
             img = table[g]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import cayley_coset_table
+from .cosets import CosetTable
 from .groups import FiniteHom
 from .presentations import Presentation, orientation_character
 from .signatures import NECSignature, reduced_area
@@ -104,9 +104,10 @@ def _character_factors_through_image(
     return True, None
 
 
-def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatureReport:
-    """Signature of the index-2 kernel of ``theta`` when every reflection
-    of the disc-quotient group ``p`` maps to the non-trivial element.
+def kernel_signature_index2(p: Presentation, table: CosetTable) -> KernelSignatureReport:
+    """Signature of the index-2 kernel of the map theta = ``table.hom``,
+    read from its coset table, when every reflection of the disc-quotient
+    group ``p`` maps to the non-trivial element.
 
     With the reflections gone the kernel has no boundary; its proper
     periods come from surviving interior elliptics (one period m/o per
@@ -119,7 +120,7 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
         raise ValueError("presentation carries no signature metadata")
     if len(p.signature.period_cycles) > 1:
         raise ValueError("only single-boundary disc quotients are supported")
-    table = cayley_coset_table(theta)
+    theta = table.hom
     if table.index != 2:
         raise ValueError(f"kernel has index {table.index}, expected 2")
     reflections = p.generators_of_kind("reflection")
@@ -138,7 +139,7 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
             continue
         order = kind.order
         image_order = images[name].order()
-        perm = table.action_of(name)
+        perm = table.forward[name]
         seen = [False] * len(perm)
         orbit_count = 0
         for start in range(len(perm)):

@@ -49,7 +49,7 @@ from .presentations import (
     RelatorCertificate,
     canonical_presentation,
     check_homomorphism,
-    verify_derived_relator,
+    verify_derived_relators,
 )
 from .signatures import (
     NECSignature,
@@ -352,7 +352,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     order = [name for name in order if name in present]
     sub = sub.renamed(mapping, order)
 
-    report = kernel_signature_index2(K, theta)
+    report = kernel_signature_index2(K, table)
     expected = NECSignature(False, gamma, tuple(sorted(periods)))
     if report.signature != expected:
         raise PipelineAssertionError(
@@ -366,7 +366,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     presentation = replace(
         sub.presentation, torsion_words=tuple(torsion), signature=report.signature
     )
-    sub = sub.with_presentation(presentation)
+    sub = replace(sub, presentation=presentation)
 
     correspondence = tuple(
         GeneratorCorrespondence(gen.name, roles[gen.name], gen.word)
@@ -375,10 +375,10 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
 
     printed: list[tuple[str, RelatorCertificate]] = []
     if even:
-        substitution = classical_substitution(K, gamma, r)
-        for label, word in _printed_relator_words(gamma, periods):
-            cert = verify_derived_relator(K, word, substitution)
-            printed.append((label, cert))
+        labels, words = zip(*_printed_relator_words(gamma, periods))
+        certs = verify_derived_relators(K, words, classical_substitution(K, gamma, r))
+        printed = list(zip(labels, certs))
+        for label, cert in printed:
             if not cert.certified:
                 raise PipelineAssertionError(
                     f"classical relator {label} could not be certified"
@@ -460,13 +460,14 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
             )
 
     r = len(derived.link_periods)
-    substitution = classical_substitution(K, derived.gamma, r)
-    certificates: list[tuple[str, bool]] = []
     names = [f"delta{j}" for j in range(1, derived.gamma + 1)]
     names += [f"c{k}" for k in range(1, r + 1)]
-    for name in names:
-        word = Word.gen(tau1) * Word.gen(name) * Word.gen(tau1) * Word.gen(name)
-        cert = verify_derived_relator(K, word, substitution)
+    words = [
+        Word.gen(tau1) * Word.gen(name) * Word.gen(tau1) * Word.gen(name) for name in names
+    ]
+    certs = verify_derived_relators(K, words, classical_substitution(K, derived.gamma, r))
+    certificates: list[tuple[str, bool]] = []
+    for name, cert in zip(names, certs):
         certificates.append((f"tau1*{name}*tau1*{name}", cert.certified))
         if not cert.certified:
             raise PipelineAssertionError(
@@ -536,6 +537,7 @@ def construct_eta(derived: DerivedKernel, datum: ActionDatum) -> EtaResult:
     target = CyclicGroup(two_n)
     pres = derived.presentation
     names = pres.generator_names()
+    kinds = dict(pres.generators)
 
     assignment = {
         f"delta{j}": (-1) ** j * d % two_n
@@ -550,7 +552,7 @@ def construct_eta(derived: DerivedKernel, datum: ActionDatum) -> EtaResult:
             "eta: the relators do not force an image for every generator"
         )
     for name in names:
-        if (values[name] % 2 == 1) != (pres.kind_of(name).character == -1):
+        if (values[name] % 2 == 1) != (kinds[name].character == -1):
             raise PipelineAssertionError(
                 f"eta: parity of {name} -> {values[name]} differs from its"
                 " orientation character"

@@ -13,8 +13,8 @@ Two canonical families are built here:
   generators d_1..d_gamma and elliptic generators x_1..x_r, with relators
   x_i^{n_i} and x_1...x_r d_1^2...d_gamma^2.
 
-``verify_derived_relator`` certifies that a word over derived subgroup
-generators is trivial in the ambient group by bounded rewriting: free and
+``verify_derived_relators`` certifies that words over derived subgroup
+generators are trivial in the ambient group by bounded rewriting: free and
 involution-aware reduction, elimination of the connector through the long
 relator, and matching against cyclic rotations of the remaining relators.
 """
@@ -22,6 +22,7 @@ relator, and matching against cyclic rotations of the remaining relators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .groups import FiniteHom
 from .signatures import (
@@ -73,12 +74,6 @@ class Presentation:
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.generators)
-
-    def kind_of(self, name: str) -> GeneratorKind:
-        for g, kind in self.generators:
-            if g == name:
-                return kind
-        raise KeyError(name)
 
     def involution_names(self) -> frozenset[str]:
         return frozenset(g for g, kind in self.generators if kind.is_involution)
@@ -225,10 +220,10 @@ def _connector_elimination(p: Presentation) -> dict[str, Word] | None:
     return None
 
 
-def verify_derived_relator(
-    p: Presentation, relator: Word, substitution: dict[str, Word]
-) -> RelatorCertificate:
-    """Certify that ``relator`` (a word over derived-generator names, with
+def verify_derived_relators(
+    p: Presentation, words: Iterable[Word], substitution: dict[str, Word]
+) -> tuple[RelatorCertificate, ...]:
+    """Certify that each of ``words`` (over derived-generator names, with
     ``substitution`` expressing those names in the ambient generators) is
     trivial in the group presented by ``p``.
 
@@ -236,7 +231,8 @@ def verify_derived_relator(
     involution relators, eliminate the connector through the long relator,
     cyclically reduce, then accept an empty word or an exact cyclic match
     with one of the remaining relators (or an inverse).  Anything else is
-    reported unresolved, never silently accepted.
+    reported unresolved, never silently accepted.  The connector is solved
+    for and the relators of ``p`` are normalised once for the whole batch.
     """
     involutions = p.involution_names()
     elimination = _connector_elimination(p) or {}
@@ -246,22 +242,20 @@ def verify_derived_relator(
         if elimination:
             w = substitute(w, elimination)
             w = reduce_mod_involutions(free_reduce(w), involutions)
-        return w
+        return cyclic_reduce(w, involutions)
 
-    substituted = free_reduce(substitute(relator, substitution))
-    normal = cyclic_reduce(normalise(substituted), involutions)
+    remaining = [rel for rel in map(normalise, p.relators) if rel.letters]
 
-    if not normal.letters:
-        return RelatorCertificate(relator, substituted, normal, "trivial")
+    def certify(word: Word) -> RelatorCertificate:
+        substituted = free_reduce(substitute(word, substitution))
+        normal = normalise(substituted)
+        if not normal.letters:
+            return RelatorCertificate(word, substituted, normal, "trivial")
+        for rel in remaining:
+            if cyclically_equal(normal, rel, involutions) or cyclically_equal(
+                normal, rel.inverse(), involutions
+            ):
+                return RelatorCertificate(word, substituted, normal, "matches-relator", rel)
+        return RelatorCertificate(word, substituted, normal, "unresolved")
 
-    remaining = []
-    for rel in p.relators:
-        reduced = cyclic_reduce(normalise(rel), involutions)
-        if reduced.letters:
-            remaining.append(reduced)
-    for rel in remaining:
-        if cyclically_equal(normal, rel, involutions) or cyclically_equal(
-            normal, rel.inverse(), involutions
-        ):
-            return RelatorCertificate(relator, substituted, normal, "matches-relator", rel)
-    return RelatorCertificate(relator, substituted, normal, "unresolved")
+    return tuple(map(certify, words))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from necsurf import abelianization, smith_normal_form
-from necsurf.abelian import integer_determinant, matrix_multiply
+from matrices import integer_determinant, matrix_multiply
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -122,3 +122,33 @@ def test_determinant_matches_expansion():
     assert integer_determinant([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
     assert integer_determinant([[3]]) == 3
     assert integer_determinant([[0, 1], [1, 0]]) == -1
+
+
+def dense_classes(p, words):
+    """Oracle for ``class_of``: the full exponent vector of each word times
+    the whole Smith column transform V, reduced modulo the diagonal."""
+    names = p.generator_names()
+    matrix = [[rel.exponent_sums().get(g, 0) for g in names] for rel in p.relators]
+    d, _, v = smith_normal_form(matrix)
+    moduli = [d[i][i] if i < len(d) else 0 for i in range(len(names))]
+    for w in words:
+        sums = w.exponent_sums()
+        exponents = [sums.get(g, 0) for g in names]
+        coords = [sum(x * row[j] for x, row in zip(exponents, v)) for j in range(len(names))]
+        yield tuple(c % m if m > 0 else c for c, m in zip(coords, moduli))
+
+
+def test_sparse_class_matches_dense_product(derived_battery):
+    checked = 0
+    for gamma, _, _, _, derived in derived_battery:
+        if gamma > 3:
+            continue
+        p = derived.presentation
+        ab = abelianization(p)
+        pair = ("e1", "e2") if gamma % 2 == 0 else ("f1", "f2")
+        words = [Word.gen(g) for g in p.generator_names()] + list(p.relators)
+        words.append(Word.gen(pair[0]) * Word.gen(pair[1]))
+        for w, expected in zip(words, dense_classes(p, words)):
+            assert ab.class_of(w) == expected, (p.signature, str(w))
+            checked += 1
+    assert checked > 10000

@@ -24,7 +24,7 @@ from necsurf import (
     reduced_area,
     smith_normal_form,
 )
-from necsurf.abelian import integer_determinant, matrix_multiply
+from matrices import integer_determinant, matrix_multiply
 from necsurf.groups import CyclicElement, DihedralElement
 
 

@@ -106,9 +106,9 @@ class TestRealizeCommand:
         doc = {"gamma": 3, "periods": [], "n": 2, "rho": "search"}
         path = write_doc(tmp_path, doc)
         code = cli.main(["realize", path])
-        err = capsys.readouterr().err
+        out = capsys.readouterr().out
         assert code == 1
-        assert "no surface-kernel epimorphism" in err
+        assert "no surface-kernel epimorphism" in out
 
     def test_out_of_range_residue_warns_and_reduces(self, tmp_path, capsys):
         doc = dict(GENUS2_DOC, rho={"d": [5], "x": [2, 2, 2]})
@@ -149,6 +149,31 @@ class TestRealizeCommand:
         code = cli.main(["realize", path])
         assert code == 2
         assert "internal assertion" in capsys.readouterr().err
+
+    def test_unwritable_out_path_exits_one(self, tmp_path, capsys):
+        path = write_doc(tmp_path, GENUS2_DOC)
+        out_path = tmp_path / "missing" / "cert.json"
+        code = cli.main(["--out", str(out_path), "realize", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"invalid input: cannot write output file '{out_path}'")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["realize", "check-lemma"])
+def test_failed_search_uses_the_failure_output(tmp_path, capsys, command, fmt):
+    doc = {"gamma": 1, "periods": [2, 2, 3], "n": 2, "rho": "search"}
+    path = write_doc(tmp_path, doc)
+    code = cli.main(["--format", fmt, command, path])
+    captured = capsys.readouterr()
+    reason = "no surface-kernel epimorphism exists for gamma=1, periods=[2, 2, 3], order=4"
+    assert code == 1
+    assert captured.err == ""
+    if fmt == "json":
+        assert json.loads(captured.out) == {"input": doc, "errors": [reason]}
+    else:
+        assert captured.out == f"input validation failed:\n  - {reason}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -209,6 +234,13 @@ class TestEnumerateCommand:
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2", "--order", "6"])
         assert code == 1
         assert "even" in capsys.readouterr().err
+
+    def test_non_integer_period_exits_one(self, capsys):
+        code = cli.main(["enumerate", "--gamma", "1", "--periods", "2,a", "--order", "4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("invalid enumeration request: ")
+        assert err.count("\n") == 1
 
 
 class TestCheckLemmaCommand:

@@ -32,9 +32,9 @@ class TestCayleyCosetTable:
         table = cayley_coset_table(theta)
         assert table.index == 2
         for tau in ("tau1", "tau2"):
-            assert table.action_of(tau) == (1, 0)
-        assert table.action_of("e") == (0, 1)
-        for _, perm in table.action:
+            assert table.forward[tau] == (1, 0)
+        assert table.forward["e"] == (0, 1)
+        for perm in table.forward.values():
             assert sorted(perm) == [0, 1]
 
     def test_trivial_hom_single_coset(self):
@@ -42,7 +42,7 @@ class TestCayleyCosetTable:
         c1 = CyclicGroup(1)
         table = cayley_coset_table(FiniteHom.from_dict(p, c1, {"a": c1.identity()}))
         assert table.index == 1
-        assert table.action_of("a") == (0,)
+        assert table.forward["a"] == (0,)
 
     def test_crosscap_epimorphism_gives_four_cosets(self):
         delta = canonical_presentation(NECSignature(False, 1, (2, 2, 2)))
@@ -54,7 +54,7 @@ class TestCayleyCosetTable:
         )
         table = cayley_coset_table(rho)
         assert table.index == 4
-        perm = table.action_of("d1")
+        perm = table.forward["d1"]
         # the glide image generates, so its column is a 4-cycle
         seen, i = [], 0
         for _ in range(4):
@@ -130,3 +130,22 @@ class TestReidemeisterSchreier:
         gen = next(g for g in renamed.generators if g.name == "delta1")
         assert str(gen.word) == "tau1*x1"
         assert renamed.rewrite(Word.parse("tau1 x1")) == Word.gen("delta1")
+
+
+def test_backward_inverts_forward(derived_battery, action_battery):
+    """The theta tables of the signature battery with gamma <= 3, and the
+    C_2n tables of rho over the action battery (where the permutations
+    are not involutions)."""
+    tables = [d.subgroup.table for gamma, _, _, _, d in derived_battery if gamma <= 3]
+    for datum in action_battery:
+        delta = canonical_presentation(datum.delta_signature())
+        c = CyclicGroup(datum.order)
+        images = dict(zip(delta.generator_names(), datum.d_images + datum.x_images))
+        tables.append(cayley_coset_table(
+            FiniteHom.from_dict(delta, c, {g: c.element(v) for g, v in images.items()})
+        ))
+    for table in tables:
+        assert table.forward.keys() == table.backward.keys()
+        for g, perm in table.forward.items():
+            assert sorted(perm) == list(range(table.index))
+            assert all(table.backward[g][j] == i for i, j in enumerate(perm))

@@ -10,6 +10,7 @@ from necsurf import (
     NECSignature,
     build_theta,
     canonical_presentation,
+    cayley_coset_table,
     check_homomorphism,
     kernel_signature_index2,
     quotient_disc_signature,
@@ -25,6 +26,10 @@ def disc_group(gamma, periods):
     return canonical_presentation(quotient_disc_signature(gamma, periods))
 
 
+def parity_kernel_report(K):
+    return kernel_signature_index2(K, cayley_coset_table(build_theta(K)))
+
+
 def crosscap_rho(gamma, periods, n, d_images, x_images):
     delta = canonical_presentation(NECSignature(False, gamma, periods))
     c = CyclicGroup(2 * n)
@@ -36,37 +41,37 @@ def crosscap_rho(gamma, periods, n, d_images, x_images):
 class TestKernelSignatureIndex2:
     def test_genus2_instance(self):
         K = disc_group(1, (2, 2, 2))
-        report = kernel_signature_index2(K, build_theta(K))
+        report = parity_kernel_report(K)
         assert report.signature == NECSignature(False, 1, (2, 2, 2))
 
     def test_no_corner_points(self):
         K = disc_group(4, ())
-        report = kernel_signature_index2(K, build_theta(K))
+        report = parity_kernel_report(K)
         assert report.signature == NECSignature(False, 4, ())
         assert report.link_contributions == ()
 
     def test_mixed_periods(self):
         K = disc_group(2, (3, 4))
-        report = kernel_signature_index2(K, build_theta(K))
+        report = parity_kernel_report(K)
         assert report.signature == NECSignature(False, 2, (3, 4))
 
     def test_area_bookkeeping_is_exact(self):
         K = disc_group(2, (3, 4))
-        report = kernel_signature_index2(K, build_theta(K))
+        report = parity_kernel_report(K)
         assert report.kernel_area == 2 * report.base_area
         assert reduced_area(report.signature) == report.kernel_area
         assert report.base_area == Fraction(17, 24)
 
     def test_interior_involutions_disappear(self):
         K = disc_group(3, (2,))
-        report = kernel_signature_index2(K, build_theta(K))
+        report = parity_kernel_report(K)
         for orbit in report.elliptic_orbits:
             assert orbit.period is None  # order 2 killed by image order 2
 
     def test_witness_is_reversing_kernel_element(self):
         K = disc_group(1, (2, 2, 2))
         theta = build_theta(K)
-        report = kernel_signature_index2(K, theta)
+        report = kernel_signature_index2(K, cayley_coset_table(theta))
         assert str(report.witness) == "tau1*x1"
         assert word_character(K, report.witness) == -1
         assert theta.evaluate(report.witness).is_identity()
@@ -79,7 +84,7 @@ class TestKernelSignatureIndex2:
         images["tau2"] = c2.element(0)  # tau2 would survive in the kernel
         bad = FiniteHom.from_dict(K, c2, images)
         with pytest.raises(ValueError, match="tau2"):
-            kernel_signature_index2(K, bad)
+            kernel_signature_index2(K, cayley_coset_table(bad))
 
     def test_orientable_double_of_pure_boundary_quotient(self):
         # no interior cone points: the character factors through C2 and
@@ -87,7 +92,7 @@ class TestKernelSignatureIndex2:
         K = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
         theta = build_theta(K)
         assert check_homomorphism(K, theta).valid
-        report = kernel_signature_index2(K, theta)
+        report = kernel_signature_index2(K, cayley_coset_table(theta))
         assert report.orientable
         assert report.witness is None
         assert report.signature == NECSignature(True, 0, (3, 3))

@@ -351,7 +351,7 @@ class TestExtendToDihedral:
         eta = construct_eta(derived, GENUS2)
         table = cayley_coset_table(eta.hom)
         assert table.index == 4
-        perm = table.action_of("delta1")
+        perm = table.forward["delta1"]
         i, seen = 0, []
         for _ in range(4):
             seen.append(i)

@@ -10,7 +10,7 @@ from necsurf import (
     check_homomorphism,
     orientation_character,
     quotient_disc_signature,
-    verify_derived_relator,
+    verify_derived_relators,
     word_character,
 )
 from necsurf.pipeline import classical_substitution
@@ -168,8 +168,8 @@ class TestVerifyDerivedRelator:
 
     def test_first_corner_power_matches_link_relator(self):
         K = disc_group(1, (2, 2, 2))
-        cert = verify_derived_relator(
-            K, Word.gen("c1", 2), self.substitution(K, 1, 3)
+        (cert,) = verify_derived_relators(
+            K, [Word.gen("c1", 2)], self.substitution(K, 1, 3)
         )
         assert cert.certified
         assert cert.status == "matches-relator"
@@ -178,7 +178,7 @@ class TestVerifyDerivedRelator:
     def test_consecutive_corner_power(self):
         K = disc_group(1, (2, 3, 2))
         word = (Word.gen("c1", -1) * Word.gen("c2")) ** 3
-        cert = verify_derived_relator(K, word, self.substitution(K, 1, 3))
+        (cert,) = verify_derived_relators(K, [word], self.substitution(K, 1, 3))
         assert cert.certified
         assert cert.status == "matches-relator"
         assert str(cert.matched) == "tau2*tau3*tau2*tau3*tau2*tau3"
@@ -192,19 +192,19 @@ class TestVerifyDerivedRelator:
             * Word.gen("delta4")
             * Word.gen("e1", -1)
         )
-        cert = verify_derived_relator(K, word, self.substitution(K, 4, 0))
+        (cert,) = verify_derived_relators(K, [word], self.substitution(K, 4, 0))
         assert cert.certified
         assert cert.status == "trivial"
 
     def test_connector_pair_relation_uses_conjugation_relator(self):
         K = disc_group(2, (3,))
         word = Word.gen("e1") * Word.gen("e2", -1) * Word.gen("c1")
-        cert = verify_derived_relator(K, word, self.substitution(K, 2, 1))
+        (cert,) = verify_derived_relators(K, [word], self.substitution(K, 2, 1))
         assert cert.certified
 
     def test_nontrivial_word_is_unresolved(self):
         K = disc_group(1, (2, 2, 2))
-        cert = verify_derived_relator(K, Word.gen("c1"), self.substitution(K, 1, 3))
+        (cert,) = verify_derived_relators(K, [Word.gen("c1")], self.substitution(K, 1, 3))
         assert not cert.certified
         assert cert.status == "unresolved"
 
