@@ -15,8 +15,8 @@ lexicographically first enumerated epimorphism is used.  Residues out of
 range are reduced mod 2n with a warning (when n >= 1; otherwise validation
 rejects n).
 
-Exit codes: 0 success (conclusion true), 1 input/validation failure with
-itemized reasons, 2 internal assertion (a step failing where the
+Exit codes: 0 success (conclusion true), 1 usage error or input/validation
+failure with itemized reasons, 2 internal assertion (a step failing where the
 construction guarantees success -- always a bug or unsupported edge).
 """
 
@@ -333,8 +333,10 @@ def _load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except FileNotFoundError:
-        raise InputError(f"cannot read input file {path!r}")
+    except OSError as exc:
+        raise InputError(f"cannot read input file {path!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read input file {path!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"cannot parse input file {path!r}: {exc}")
     return parse_input_document(raw)
@@ -444,8 +446,17 @@ def _cmd_check_lemma(args: argparse.Namespace) -> int:
     return EXIT_OK if lemma.ok else EXIT_INTERNAL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_INVALID``: argparse's own code, 2, is
+    reserved here for internal assertions.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="necsurf",
         description=(
             "Build and verify the group-theoretic realization of a cyclic"

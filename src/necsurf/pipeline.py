@@ -16,13 +16,13 @@ The chain constructed and verified here:
 3. derive the index-2 kernel of theta by Reidemeister-Schreier rewriting,
    compute its signature independently by orbit and area bookkeeping, and
    check it reproduces (gamma; -; [n_1..n_r]) exactly;
-4. transport rho to an epimorphism eta of the derived kernel onto C_2n in
-   closed form, eta(delta_j) = (-1)^j d_j and eta(c_k) = x_1 + ... + x_k,
-   with the remaining images forced by the relators (branch data matched
-   exactly, in order);
-5. certify that conjugation by the first reflection inverts the kernel's
+4. certify that conjugation by the first reflection inverts the kernel's
    abelianization (so every homomorphism to an abelian group has normal
-   kernel in K), and extend eta to Theta: K -> D_2n with Theta(tau1) = t;
+   kernel in K);
+5. write Theta: K -> D_2n on K's generators from rho in closed form, with
+   Theta(tau1) = t, and read eta off it as its restriction to the derived
+   kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
+   eta(c_k) = x_1 + ... + x_k (branch data matched exactly, in order);
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
@@ -201,22 +201,17 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
 # theta and the derived kernel
 # ---------------------------------------------------------------------------
 
-def build_theta(K: Presentation, connector_exponent: int | None = None) -> FiniteHom:
+def build_theta(K: Presentation) -> FiniteHom:
     """The parity map K -> C_2: interior elliptics and reflections go to
     the non-trivial element; the connector image is a^(gamma mod 2), the
-    unique choice making the long relator hold for both parities.  Pass
-    ``connector_exponent`` to force a different connector image (0 gives
-    the assignment that fails the long relator when gamma is odd)."""
+    unique choice making the long relator hold for both parities (so the
+    naive image e -> 1 is valid exactly when gamma is even)."""
     gamma = len(K.generators_of_kind("elliptic"))
-    if connector_exponent is None:
-        connector_exponent = gamma % 2
     c2 = CyclicGroup(2)
-    images = {}
-    for name, kind in K.generators:
-        if kind.kind == "connector":
-            images[name] = c2.element(connector_exponent)
-        else:
-            images[name] = c2.element(1)
+    images = {
+        name: c2.element(gamma % 2 if kind.kind == "connector" else 1)
+        for name, kind in K.generators
+    }
     return FiniteHom.from_dict(K, c2, images)
 
 
@@ -487,8 +482,53 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 
 
 # ---------------------------------------------------------------------------
-# eta: transporting rho to the derived kernel
+# Theta on K, and eta as its restriction to the derived kernel
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DihedralExtension:
+    hom: FiniteHom
+    reflection_rotation: int
+    image_order: int
+    kernel_index: int
+
+
+def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
+    """Theta: K -> D_2n, written on K's generators from rho in closed form:
+    Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j), Theta(tau_(k+1)) =
+    t*s^(x_1 + ... + x_k), and Theta(e) is forced by the long relator.
+    Theta is then verified to be a homomorphism on K with image of order
+    4n, so ker(Theta) has index 4n in K.  A failed check raises
+    ``PipelineAssertionError`` naming it.
+    """
+    dihedral = DihedralGroup(datum.order)
+    images = {"tau1": dihedral.reflection(0)}
+    for j, d in enumerate(datum.d_images, start=1):
+        images[f"x{j}"] = dihedral.reflection((-1) ** j * d)
+    for k, c in enumerate(accumulate(datum.x_images), start=1):
+        images[f"tau{k + 1}"] = dihedral.reflection(c)
+    long_product = dihedral.identity()
+    for j in range(datum.gamma, 0, -1):
+        long_product = long_product * images[f"x{j}"]
+    images["e"] = long_product.inverse()
+
+    hom = FiniteHom.from_dict(K, dihedral, images)
+    for rel, value in check_homomorphism(K, hom).failures:
+        raise PipelineAssertionError(
+            f"Theta is not a homomorphism: relator {rel} maps to {value}"
+        )
+    image_order = hom.image_order()
+    if image_order != dihedral.order:
+        raise PipelineAssertionError(
+            f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
+        )
+    return DihedralExtension(
+        hom=hom,
+        reflection_rotation=0,
+        image_order=image_order,
+        kernel_index=image_order,
+    )
+
 
 @dataclass(frozen=True)
 class EtaResult:
@@ -497,70 +537,40 @@ class EtaResult:
     torsion_images: tuple[int, ...]
 
 
-def _propagate_images(
-    assignment: dict[str, int],
-    relator_sums: list[dict[str, int]],
-    names: tuple[str, ...],
-    order: int,
-) -> dict[str, int] | None:
-    """Extend a partial assignment to all generators using relators that
-    are linear equations mod ``order`` (abelian target): a relator with a
-    single unknown of unit coefficient forces its value.  Returns None
-    when some image stays unforced; the caller checks the relators."""
-    values = dict(assignment)
-    changed = True
-    while changed:
-        changed = False
-        for sums in relator_sums:
-            unknowns = [g for g in sums if g not in values]
-            if len(unknowns) == 1 and math.gcd(sums[unknowns[0]], order) == 1:
-                g = unknowns[0]
-                rest = sum(sums[h] * values[h] for h in sums if h != g)
-                values[g] = -rest * pow(sums[g], -1, order) % order
-                changed = True
-    return values if len(values) == len(names) else None
-
-
-def construct_eta(derived: DerivedKernel, datum: ActionDatum) -> EtaResult:
+def construct_eta(
+    derived: DerivedKernel, extension: DihedralExtension, datum: ActionDatum
+) -> EtaResult:
     """Epimorphism of the derived kernel onto C_2n carrying exactly the
-    branch data of rho.
+    branch data of rho: the restriction of Theta, eta(g) = the rotation
+    Theta(g.word) for each kernel generator g.
 
-    Closed-form transport: eta(delta_j) = (-1)^j * d_j and
-    eta(c_k) = x_1 + ... + x_k; every other generator image is forced by
-    the relators.  The result is then verified: the images are complete,
-    their parities follow the orientation character, every relator of the
-    derived kernel holds, every torsion word keeps its order, the torsion
-    images equal rho's elliptic images in order, and eta is surjective.
-    A failed check raises ``PipelineAssertionError`` naming it.
+    The result is verified: every image is a rotation, its parity follows
+    the orientation character, every relator of the derived kernel holds,
+    every torsion word keeps its order, the torsion images equal rho's
+    elliptic images in order, and eta is surjective.  A failed check
+    raises ``PipelineAssertionError`` naming it.
     """
     two_n = datum.order
     target = CyclicGroup(two_n)
     pres = derived.presentation
-    names = pres.generator_names()
     kinds = dict(pres.generators)
 
-    assignment = {
-        f"delta{j}": (-1) ** j * d % two_n
-        for j, d in enumerate(datum.d_images, start=1)
-    }
-    for k, c in enumerate(accumulate(datum.x_images), start=1):
-        assignment[f"c{k}"] = c % two_n
-    relator_sums = [rel.exponent_sums() for rel in pres.relators]
-    values = _propagate_images(assignment, relator_sums, names, two_n)
-    if values is None:
-        raise PipelineAssertionError(
-            "eta: the relators do not force an image for every generator"
-        )
-    for name in names:
-        if (values[name] % 2 == 1) != (kinds[name].character == -1):
+    images = {}
+    for gen in derived.subgroup.generators:
+        value = extension.hom.evaluate(gen.word)
+        if value.flip:
             raise PipelineAssertionError(
-                f"eta: parity of {name} -> {values[name]} differs from its"
+                f"eta: Theta sends the kernel generator {gen.name} to the"
+                f" reflection {value}"
+            )
+        if (value.rot % 2 == 1) != (kinds[gen.name].character == -1):
+            raise PipelineAssertionError(
+                f"eta: parity of {gen.name} -> {value.rot} differs from its"
                 " orientation character"
             )
+        images[gen.name] = target.element(value.rot)
 
-    hom = FiniteHom.from_dict(
-        pres, target, {name: target.element(v) for name, v in values.items()}
-    )
+    hom = FiniteHom.from_dict(pres, target, images)
     for rel, value in check_homomorphism(pres, hom).failures:
         raise PipelineAssertionError(
             f"eta is not a homomorphism: relator {rel} maps to {value}"
@@ -582,68 +592,6 @@ def construct_eta(derived: DerivedKernel, datum: ActionDatum) -> EtaResult:
     if not hom.is_surjective():
         raise PipelineAssertionError(f"eta is not surjective onto C_{two_n}")
     return EtaResult(hom=hom, unit=1, torsion_images=tuple(torsion_images))
-
-
-# ---------------------------------------------------------------------------
-# Dihedral extension
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DihedralExtension:
-    hom: FiniteHom
-    reflection_rotation: int
-    image_order: int
-    kernel_index: int
-
-
-def extend_to_dihedral(
-    K: Presentation, derived: DerivedKernel, eta: EtaResult
-) -> DihedralExtension:
-    """Extend eta to Theta: K -> D_2n with Theta(tau1) = t.
-
-    Every other image is forced: kernel generators go to the rotation
-    eta gives them, and a generator g with theta(g) = a goes to
-    t * rotation(eta(tau1 * g)).  Theta is then verified to be a
-    homomorphism on K with image of order 4n that restricts to eta on
-    every kernel generator, so ker(Theta) = ker(eta) has index 4n in K.
-    A failed check raises ``PipelineAssertionError`` naming it.
-    """
-    two_n = eta.hom.target.modulus
-    dihedral = DihedralGroup(two_n)
-    t = dihedral.reflection(0)
-    theta_images = derived.theta.image_dict()
-    tau1 = K.generators_of_kind("reflection")[0]
-
-    images = {}
-    for name, _ in K.generators:
-        if theta_images[name].is_identity():
-            rewritten = derived.subgroup.rewrite(Word.gen(name))
-            images[name] = dihedral.rotation(eta.hom.evaluate(rewritten).value)
-        else:
-            rewritten = derived.subgroup.rewrite(Word.gen(tau1) * Word.gen(name))
-            images[name] = t * dihedral.rotation(eta.hom.evaluate(rewritten).value)
-    hom = FiniteHom.from_dict(K, dihedral, images)
-    for rel, value in check_homomorphism(K, hom).failures:
-        raise PipelineAssertionError(
-            f"Theta is not a homomorphism: relator {rel} maps to {value}"
-        )
-    image_order = hom.image_order()
-    if image_order != dihedral.order:
-        raise PipelineAssertionError(
-            f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
-        )
-    for gen in derived.subgroup.generators:
-        expected = dihedral.rotation(eta.hom.image_of(gen.name).value)
-        if hom.evaluate(gen.word) != expected:
-            raise PipelineAssertionError(
-                f"Theta restricted to the kernel differs from eta on {gen.name}"
-            )
-    return DihedralExtension(
-        hom=hom,
-        reflection_rotation=0,
-        image_order=image_order,
-        kernel_index=image_order,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +642,6 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     theta = build_theta(K)
     if not check_homomorphism(K, theta).valid:
         raise PipelineAssertionError("parity map theta is not a homomorphism")
-    printed_theta = build_theta(K, connector_exponent=0)
-    printed_valid = check_homomorphism(K, printed_theta).valid
 
     area_ratio = riemann_hurwitz_index(delta_sig, k_sig)
     if area_ratio != 2:
@@ -705,12 +651,8 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
 
     derived = derive_delta_hat(K, theta)
     lemma = lemma1_check(derived)
-    eta = construct_eta(derived, datum)
-    extension = extend_to_dihedral(K, derived, eta)
-    if extension.kernel_index != 4 * datum.n:
-        raise PipelineAssertionError(
-            f"kernel index {extension.kernel_index} differs from 4n = {4 * datum.n}"
-        )
+    extension = extend_to_dihedral(K, datum)
+    eta = construct_eta(derived, extension, datum)
 
     genus_real = surface_kernel_genus(k_sig, extension.kernel_index)
     genus_via_kernel = surface_kernel_genus(derived.report.signature, datum.order)
@@ -728,7 +670,7 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
         k_presentation=K,
         theta=theta,
         theta_connector_exponent=datum.gamma % 2,
-        theta_printed_connector_valid=printed_valid,
+        theta_printed_connector_valid=datum.gamma % 2 == 0,
         area_ratio=area_ratio,
         derived=derived,
         lemma=lemma,

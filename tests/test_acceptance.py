@@ -25,6 +25,7 @@ from necsurf import (
     smith_normal_form,
 )
 from matrices import integer_determinant, matrix_multiply
+from reference import naive_theta
 from necsurf.groups import CyclicElement, DihedralElement
 
 
@@ -98,6 +99,9 @@ def test_criterion_4_dihedral_certificates(action_battery, closure):
         assert ext.kernel_index == 4 * datum.n
         assert ext.hom.target == DihedralGroup(2 * datum.n)
         assert cert.genus_real == cert.genus and cert.conclusion
+        K = cert.k_presentation
+        naive = check_homomorphism(K, naive_theta(K))
+        assert cert.theta_printed_connector_valid == naive.valid
     report(
         4,
         "dihedral extension exists with kernel index 4n",
@@ -212,7 +216,7 @@ def test_criterion_7_connector_parity(signature_battery):
     even = odd = 0
     for gamma, periods in signature_battery:
         K = canonical_presentation(quotient_disc_signature(gamma, periods))
-        naive = check_homomorphism(K, build_theta(K, connector_exponent=0))
+        naive = check_homomorphism(K, naive_theta(K))
         fixed = check_homomorphism(K, build_theta(K))
         assert fixed.valid
         if gamma % 2 == 0:

@@ -159,6 +159,39 @@ class TestRealizeCommand:
         assert captured.err.startswith(f"invalid input: cannot write output file '{out_path}'")
         assert captured.err.count("\n") == 1
 
+    def test_directory_input_exits_one(self, tmp_path, capsys):
+        code = cli.main(["realize", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"invalid input: cannot read input file '{tmp_path}': ")
+        assert captured.err.count("\n") == 1
+
+    def test_non_utf8_input_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code = cli.main(["realize", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"invalid input: cannot read input file '{path}': ")
+        assert "utf-8" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize"],
+        ["--format", "yaml", "realize", "input.json"],
+        ["enumerate", "--gamma", "x", "--order", "4"],
+    ],
+    ids=["missing-file", "unknown-format", "non-integer-gamma"],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["realize", "check-lemma"])

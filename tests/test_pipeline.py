@@ -28,6 +28,7 @@ from necsurf import (
     validate_action,
 )
 from necsurf.words import Word, reduce_mod_involutions
+from reference import naive_theta, theta_through_eta
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 GAMMA4 = ActionDatum(4, (), 2, (1, 1, 1, 1), ())
@@ -40,6 +41,10 @@ def disc_group(gamma, periods):
 def derived_for(gamma, periods):
     K = disc_group(gamma, periods)
     return K, derive_delta_hat(K, build_theta(K))
+
+
+def eta_for(K, derived, datum):
+    return construct_eta(derived, extend_to_dihedral(K, datum), datum)
 
 
 class TestValidateAction:
@@ -131,7 +136,7 @@ class TestBuildTheta:
         theta = build_theta(K)
         assert not theta.image_of("e").is_identity()
         assert check_homomorphism(K, theta).valid
-        naive = build_theta(K, connector_exponent=0)
+        naive = naive_theta(K)
         assert not check_homomorphism(K, naive).valid
 
     def test_gamma4_explicit(self):
@@ -192,8 +197,8 @@ class TestDeriveDeltaHat:
 
 class TestConstructEta:
     def test_genus2_instance(self):
-        _, derived = derived_for(1, (2, 2, 2))
-        eta = construct_eta(derived, GENUS2)
+        K, derived = derived_for(1, (2, 2, 2))
+        eta = eta_for(K, derived, GENUS2)
         assert check_homomorphism(derived.presentation, eta.hom).valid
         assert eta.torsion_images == GENUS2.x_images and eta.unit == 1
         assert eta.hom.image_of("delta1").value % 2 == 1
@@ -201,21 +206,21 @@ class TestConstructEta:
         assert eta.hom.is_surjective()
 
     def test_gamma4_instance(self):
-        _, derived = derived_for(4, ())
-        eta = construct_eta(derived, GAMMA4)
+        K, derived = derived_for(4, ())
+        eta = eta_for(K, derived, GAMMA4)
         assert check_homomorphism(derived.presentation, eta.hom).valid
         assert eta.hom.is_surjective()
         for j in range(1, 5):
             assert eta.hom.image_of(f"delta{j}").value % 2 == 1
 
     def test_deterministic(self):
-        _, derived = derived_for(1, (2, 2, 2))
-        first = construct_eta(derived, GENUS2)
-        second = construct_eta(derived, GENUS2)
+        K, derived = derived_for(1, (2, 2, 2))
+        first = eta_for(K, derived, GENUS2)
+        second = eta_for(K, derived, GENUS2)
         assert first.hom.images == second.hom.images
 
     def test_inconsistent_torsion_fixture_fails(self):
-        _, derived = derived_for(1, (2, 2, 2))
+        K, derived = derived_for(1, (2, 2, 2))
         # demand order 3 from an order-2 corner word with 2n = 4
         words = derived.presentation.torsion_words
         broken_pres = replace(
@@ -224,7 +229,18 @@ class TestConstructEta:
         )
         broken = replace(derived, presentation=broken_pres)
         with pytest.raises(PipelineAssertionError):
-            construct_eta(broken, GENUS2)
+            eta_for(K, broken, GENUS2)
+
+    def test_tampered_theta_yields_no_eta(self):
+        K, derived = derived_for(1, (2, 2, 2))
+        ext = extend_to_dihedral(K, GENUS2)
+        target = ext.hom.target
+        tampered_images = ext.hom.image_dict() | {
+            "x1": ext.hom.image_of("x1") * target.rotation(1)
+        }
+        tampered = replace(ext, hom=FiniteHom.from_dict(K, target, tampered_images))
+        with pytest.raises(PipelineAssertionError):
+            construct_eta(derived, tampered, GENUS2)
 
 
 def closed_form_shapes(max_order=8, max_gamma=3, max_r=3):
@@ -248,10 +264,10 @@ def test_closed_form_on_every_small_epimorphism(closure):
             gamma, periods, order
         ).tuples:
             datum = ActionDatum(gamma, periods, order // 2, d_images, x_images)
-            eta = construct_eta(derived, datum)
+            ext = extend_to_dihedral(K, datum)
+            eta = construct_eta(derived, ext, datum)
             assert eta.torsion_images == x_images
             assert eta.unit == 1
-            ext = extend_to_dihedral(K, derived, eta)
             assert ext.hom.image_of("tau1") == dihedral.reflection(0)
             assert check_homomorphism(K, ext.hom).valid
             images = [v for _, v in ext.hom.images]
@@ -260,6 +276,8 @@ def test_closed_form_on_every_small_epimorphism(closure):
                 assert ext.hom.evaluate(gen.word) == dihedral.rotation(
                     eta.hom.image_of(gen.name).value
                 )
+            for name, image in ext.hom.images:
+                assert image == theta_through_eta(derived, eta, name)
             checked.append(datum)
     assert len(checked) == 582
     assert {datum.gamma % 2 for datum in checked} == {0, 1}
@@ -299,8 +317,8 @@ class TestLemma:
 class TestExtendToDihedral:
     def test_genus2_extension(self, closure):
         K, derived = derived_for(1, (2, 2, 2))
-        eta = construct_eta(derived, GENUS2)
-        ext = extend_to_dihedral(K, derived, eta)
+        ext = extend_to_dihedral(K, GENUS2)
+        eta = construct_eta(derived, ext, GENUS2)
         images = [v for _, v in ext.hom.images]
         assert len(closure(ext.hom.target, images)) == ext.hom.target.order == 8
         for gen in derived.subgroup.generators:
@@ -314,16 +332,15 @@ class TestExtendToDihedral:
         assert theta_img.flip == 1 and theta_img.rot == ext.reflection_rotation
 
     def test_gamma4_extension_index8(self):
-        K, derived = derived_for(4, ())
-        eta = construct_eta(derived, GAMMA4)
-        ext = extend_to_dihedral(K, derived, eta)
+        K, _ = derived_for(4, ())
+        ext = extend_to_dihedral(K, GAMMA4)
         assert ext.kernel_index == 8
 
     def test_restriction_agrees_with_eta(self):
         K, derived = derived_for(2, (3,))
         datum = first_smooth_epimorphism(2, (3,), 12)
-        eta = construct_eta(derived, datum)
-        ext = extend_to_dihedral(K, derived, eta)
+        ext = extend_to_dihedral(K, datum)
+        eta = construct_eta(derived, ext, datum)
         for gen in derived.subgroup.generators:
             value = ext.hom.evaluate(gen.word)
             assert value.flip == 0
@@ -332,8 +349,8 @@ class TestExtendToDihedral:
     def test_extension_agrees_with_eta_on_arbitrary_kernel_words(self):
         K, derived = derived_for(2, (2, 6))
         datum = first_smooth_epimorphism(2, (2, 6), 12)
-        eta = construct_eta(derived, datum)
-        ext = extend_to_dihedral(K, derived, eta)
+        ext = extend_to_dihedral(K, datum)
+        eta = construct_eta(derived, ext, datum)
         for text in (
             "tau1 x1 tau2 x2",
             "e tau1 x1 tau3 tau2 x2 e^-1 x1 tau1",
@@ -347,8 +364,8 @@ class TestExtendToDihedral:
             assert value.rot == eta.hom.evaluate(derived.subgroup.rewrite(w)).value
 
     def test_eta_coset_table_has_four_cosets(self):
-        _, derived = derived_for(1, (2, 2, 2))
-        eta = construct_eta(derived, GENUS2)
+        K, derived = derived_for(1, (2, 2, 2))
+        eta = eta_for(K, derived, GENUS2)
         table = cayley_coset_table(eta.hom)
         assert table.index == 4
         perm = table.forward["delta1"]
@@ -357,20 +374,6 @@ class TestExtendToDihedral:
             seen.append(i)
             i = perm[i]
         assert i == 0 and sorted(seen) == [0, 1, 2, 3]
-
-    def test_tampered_eta_finds_no_extension(self):
-        K, derived = derived_for(1, (2, 2, 2))
-        eta = construct_eta(derived, GENUS2)
-        target = eta.hom.target
-        tampered_images = dict(eta.hom.images)
-        tampered_images["delta1t"] = target.element(
-            tampered_images["delta1t"].value + 1
-        )
-        tampered = replace(
-            eta, hom=FiniteHom.from_dict(derived.presentation, target, tampered_images)
-        )
-        with pytest.raises(PipelineAssertionError):
-            extend_to_dihedral(K, derived, tampered)
 
 
 class TestRealize:

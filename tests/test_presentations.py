@@ -5,7 +5,6 @@ from necsurf import (
     FiniteHom,
     NECSignature,
     UnsupportedSignatureError,
-    build_theta,
     canonical_presentation,
     check_homomorphism,
     orientation_character,
@@ -17,6 +16,7 @@ from necsurf.pipeline import classical_substitution
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word, free_reduce
+from reference import naive_theta
 
 
 def disc_group(gamma, periods):
@@ -142,12 +142,12 @@ class TestOrientationCharacter:
 class TestCheckHomomorphism:
     def test_even_gamma_connector_to_identity_valid(self):
         K = disc_group(2, (2,))
-        theta = build_theta(K, connector_exponent=0)
+        theta = naive_theta(K)
         assert check_homomorphism(K, theta).valid
 
     def test_odd_gamma_connector_to_identity_fails_long_relator(self):
         K = disc_group(1, (2, 2, 2))
-        theta = build_theta(K, connector_exponent=0)
+        theta = naive_theta(K)
         result = check_homomorphism(K, theta)
         assert not result.valid
         assert [str(rel) for rel, _ in result.failures] == ["x1*e"]
