@@ -95,7 +95,8 @@ def parse_input_document(doc: Any) -> dict:
 
 
 def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
-    """Build the action datum, resolving "search" and reducing residues."""
+    """Build the action datum, resolving "search" and warning about
+    residues out of range."""
     gamma, periods, n = doc["gamma"], tuple(doc["periods"]), doc["n"]
     if doc["rho"] == "search":
         try:
@@ -108,18 +109,14 @@ def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
                  f" periods={list(periods)}, order={2 * n}",)
             )
         return datum
-    two_n = 2 * n
-    images = {}
-    for field in ("d", "x"):
-        values = doc["rho"][field]
-        if n >= 1:  # n < 1 is left as given for validate_action to reject
-            for i, v in enumerate(values, start=1):
+    if n >= 1:  # ActionDatum reduces the residues; n < 1 is left for validation
+        two_n = 2 * n
+        for field in ("d", "x"):
+            for i, v in enumerate(doc["rho"][field], start=1):
                 if not 0 <= v < two_n:
                     warn(f"warning: rho.{field}[{i}] = {v} reduced mod {two_n}"
                          f" to {v % two_n}")
-            values = [v % two_n for v in values]
-        images[field] = tuple(values)
-    return ActionDatum(gamma, periods, n, images["d"], images["x"])
+    return ActionDatum(gamma, periods, n, doc["rho"]["d"], doc["rho"]["x"])
 
 
 # ---------------------------------------------------------------------------

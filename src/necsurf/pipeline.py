@@ -83,7 +83,8 @@ class PipelineAssertionError(RuntimeError):
 class ActionDatum:
     """Quotient data of a cyclic orientation-reversing action: gamma
     crosscaps, cone orders, n (the action has order 2n), and the images
-    of the glide and elliptic generators under rho: Delta -> C_2n."""
+    of the glide and elliptic generators under rho: Delta -> C_2n, as
+    residues reduced mod 2n (when n >= 1; otherwise validation rejects n)."""
 
     gamma: int
     periods: tuple[int, ...]
@@ -93,8 +94,11 @@ class ActionDatum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "periods", tuple(self.periods))
-        object.__setattr__(self, "d_images", tuple(self.d_images))
-        object.__setattr__(self, "x_images", tuple(self.x_images))
+        for field in ("d_images", "x_images"):
+            values = tuple(getattr(self, field))
+            if self.n >= 1:
+                values = tuple(v % self.order for v in values)
+            object.__setattr__(self, field, values)
 
     @property
     def order(self) -> int:
@@ -114,16 +118,45 @@ class ValidationResult:
         return not self.errors
 
 
+def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> list[str]:
+    """Every way ``hom`` fails to be a surface-kernel epimorphism of
+    ``pres`` onto a cyclic group C_2n, one item each and in this order:
+    relators that do not map to the identity, non-surjectivity (the image
+    order is a gcd), torsion words whose image has lost order, and images
+    whose parity differs from their generator's orientation character.
+    For a surjective map onto C_2n the last condition is exactly the
+    orientation character factoring through the image, so with no item
+    the kernel is a torsion-free Fuchsian surface group."""
+    problems = [
+        f"{label} is not a homomorphism: relator {rel} maps to {value}"
+        for rel, value in check_homomorphism(pres, hom).failures
+    ]
+    if not hom.is_surjective():
+        problems.append(f"{label} is not surjective onto C_{hom.target.modulus}")
+    for word, n in pres.torsion_words:
+        image = hom.evaluate(word)
+        if image.order() != n:
+            problems.append(
+                f"torsion collapse: {word} image {image} has order {image.order()},"
+                f" declared {n}"
+            )
+    for name, kind in pres.generators:
+        v = hom.image_of(name).value
+        if v % 2 != (kind.character == -1):
+            problems.append(
+                f"orientation mismatch: {kind.kind} image {name} -> {v} is"
+                f" {'odd' if v % 2 else 'even'}"
+            )
+    return problems
+
+
 def validate_action(datum: ActionDatum) -> ValidationResult:
     """Check every invariant of the action datum, reporting each
     violation individually, and compute the genus when valid.
 
-    rho is checked once, item by item: it must satisfy every relator, be
-    surjective (its image order is a gcd), keep each elliptic image at
-    its declared order, and send glides to odd and elliptics to even
-    residues.  For a surjective rho onto C_2n the last condition is
-    exactly the orientation character factoring through the image, so
-    the kernel is then a torsion-free Fuchsian surface group.
+    rho is checked once, item by item, by ``_surface_kernel_problems``:
+    every relator holds, rho is surjective, each elliptic image keeps its
+    declared order, and glides go to odd and elliptics to even residues.
     """
     errors: list[str] = []
     if datum.n < 2:
@@ -167,27 +200,7 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
     )
     rho = FiniteHom.from_dict(delta, target, images)
 
-    hom_check = check_homomorphism(delta, rho)
-    for rel, value in hom_check.failures:
-        errors.append(f"rho is not a homomorphism: relator {rel} maps to {value}")
-    if not rho.is_surjective():
-        errors.append("rho is not surjective onto C_" + str(two_n))
-    for i, (nj, v) in enumerate(zip(datum.periods, datum.x_images), start=1):
-        order = target.element(v).order()
-        if order != nj:
-            errors.append(
-                f"torsion collapse: x{i} image {v} has order {order}, declared {nj}"
-            )
-    for j, v in enumerate(datum.d_images, start=1):
-        if v % 2 == 0:
-            errors.append(
-                f"orientation mismatch: glide image d{j} -> {v} is even"
-            )
-    for i, v in enumerate(datum.x_images, start=1):
-        if v % 2 != 0:
-            errors.append(
-                f"orientation mismatch: elliptic image x{i} -> {v} is odd"
-            )
+    errors += _surface_kernel_problems(delta, rho, "rho")
 
     genus: int | None = None
     try:
@@ -544,16 +557,13 @@ def construct_eta(
     branch data of rho: the restriction of Theta, eta(g) = the rotation
     Theta(g.word) for each kernel generator g.
 
-    The result is verified: every image is a rotation, its parity follows
-    the orientation character, every relator of the derived kernel holds,
-    every torsion word keeps its order, the torsion images equal rho's
-    elliptic images in order, and eta is surjective.  A failed check
-    raises ``PipelineAssertionError`` naming it.
+    The result is verified: every image is a rotation, eta passes the
+    same surface-kernel checks as rho (``_surface_kernel_problems``), and
+    the torsion images equal rho's elliptic images in order.  A failed
+    check raises ``PipelineAssertionError`` naming it.
     """
-    two_n = datum.order
-    target = CyclicGroup(two_n)
+    target = CyclicGroup(datum.order)
     pres = derived.presentation
-    kinds = dict(pres.generators)
 
     images = {}
     for gen in derived.subgroup.generators:
@@ -563,35 +573,19 @@ def construct_eta(
                 f"eta: Theta sends the kernel generator {gen.name} to the"
                 f" reflection {value}"
             )
-        if (value.rot % 2 == 1) != (kinds[gen.name].character == -1):
-            raise PipelineAssertionError(
-                f"eta: parity of {gen.name} -> {value.rot} differs from its"
-                " orientation character"
-            )
         images[gen.name] = target.element(value.rot)
 
     hom = FiniteHom.from_dict(pres, target, images)
-    for rel, value in check_homomorphism(pres, hom).failures:
+    problems = _surface_kernel_problems(pres, hom, "eta")
+    if problems:
+        raise PipelineAssertionError("eta: " + "; ".join(problems))
+    torsion_images = tuple(hom.evaluate(word).value for word, _ in pres.torsion_words)
+    if torsion_images != datum.x_images:
         raise PipelineAssertionError(
-            f"eta is not a homomorphism: relator {rel} maps to {value}"
-        )
-    torsion_images = []
-    for word, n in pres.torsion_words:
-        image = hom.evaluate(word)
-        if image.order() != n:
-            raise PipelineAssertionError(
-                f"eta: torsion word {word} maps to {image} of order"
-                f" {image.order()}, declared {n}"
-            )
-        torsion_images.append(image.value)
-    if tuple(torsion_images) != datum.x_images:
-        raise PipelineAssertionError(
-            f"eta: torsion images {torsion_images} differ from rho's elliptic"
+            f"eta: torsion images {list(torsion_images)} differ from rho's elliptic"
             f" images {list(datum.x_images)}"
         )
-    if not hom.is_surjective():
-        raise PipelineAssertionError(f"eta is not surjective onto C_{two_n}")
-    return EtaResult(hom=hom, unit=1, torsion_images=tuple(torsion_images))
+    return EtaResult(hom=hom, unit=1, torsion_images=torsion_images)
 
 
 # ---------------------------------------------------------------------------

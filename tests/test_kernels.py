@@ -18,8 +18,8 @@ from necsurf import (
     surface_kernel_genus,
     word_character,
 )
-from necsurf.kernels import _character_factors_through_image
-from necsurf.words import Word
+from necsurf.pipeline import _surface_kernel_problems
+from reference import character_factors_through_image
 
 
 def disc_group(gamma, periods):
@@ -48,7 +48,9 @@ class TestKernelSignatureIndex2:
         K = disc_group(4, ())
         report = parity_kernel_report(K)
         assert report.signature == NECSignature(False, 4, ())
-        assert report.link_contributions == ()
+        # no boundary corner of K, so no corner rotation becomes a cone point
+        assert K.signature.period_cycles == ((),)
+        assert report.signature.proper_periods == ()
 
     def test_mixed_periods(self):
         K = disc_group(2, (3, 4))
@@ -58,15 +60,15 @@ class TestKernelSignatureIndex2:
     def test_area_bookkeeping_is_exact(self):
         K = disc_group(2, (3, 4))
         report = parity_kernel_report(K)
-        assert report.kernel_area == 2 * report.base_area
-        assert reduced_area(report.signature) == report.kernel_area
-        assert report.base_area == Fraction(17, 24)
+        assert reduced_area(report.signature) == 2 * reduced_area(K.signature)
+        assert reduced_area(K.signature) == Fraction(17, 24)
 
     def test_interior_involutions_disappear(self):
         K = disc_group(3, (2,))
         report = parity_kernel_report(K)
-        for orbit in report.elliptic_orbits:
-            assert orbit.period is None  # order 2 killed by image order 2
+        # the three interior order-2 points have image order 2 and leave no
+        # period: the one period 2 is the corner's
+        assert report.signature.proper_periods == K.signature.period_cycles[0] == (2,)
 
     def test_witness_is_reversing_kernel_element(self):
         K = disc_group(1, (2, 2, 2))
@@ -97,6 +99,35 @@ class TestKernelSignatureIndex2:
         assert report.witness is None
         assert report.signature == NECSignature(True, 0, (3, 3))
 
+    def test_orientability_matches_walk(self, derived_battery):
+        # the closed-form orientability and witness against the Cayley-graph
+        # walk: on every battery kernel, on the gamma=0 orientable double
+        # and, for gamma <= 2, on every other choice of theta on the interior
+        # involutions (the connector image follows from the long relator)
+        c2 = CyclicGroup(2)
+        double = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
+        cases = [(double, build_theta(double))]
+        for gamma, _, K, theta, _ in derived_battery:
+            cases.append((K, theta))
+            for xs in product((0, 1), repeat=gamma if gamma <= 2 else 0):
+                if not all(xs):
+                    images = theta.image_dict() | {
+                        f"x{j}": c2.element(v) for j, v in enumerate(xs, start=1)
+                    }
+                    images["e"] = c2.element(sum(xs))
+                    cases.append((K, FiniteHom.from_dict(K, c2, images)))
+        orientable = 0
+        for K, theta in cases:
+            assert check_homomorphism(K, theta).valid
+            report = kernel_signature_index2(K, cayley_coset_table(theta))
+            factors, _ = character_factors_through_image(K, theta)
+            assert report.orientable == factors
+            if report.witness is not None:
+                assert theta.evaluate(report.witness).is_identity()
+                assert word_character(K, report.witness) == -1
+            orientable += report.orientable
+        assert (len(cases), orientable) == (2949, 651)
+
 
 class TestSurfaceKernelCheck:
     """The surface-kernel conditions on rho that ``validate_action`` checks
@@ -107,19 +138,26 @@ class TestSurfaceKernelCheck:
         assert check_homomorphism(delta, rho).valid
         assert rho.image_order() == 4 and rho.is_surjective()
         assert all(rho.evaluate(w).order() == n for w, n in delta.torsion_words)
-        assert _character_factors_through_image(delta, rho) == (True, None)
+        assert character_factors_through_image(delta, rho) == (True, None)
+        assert _surface_kernel_problems(delta, rho, "rho") == []
         assert surface_kernel_genus(delta.signature, rho.image_order()) == 2
 
     def test_torsion_collapse_detected(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (1,), (0, 2, 2))
         orders = [rho.evaluate(w).order() for w, _ in delta.torsion_words]
         assert orders == [1, 2, 2]
+        assert "torsion collapse: x1 image 0 has order 1, declared 2" in (
+            _surface_kernel_problems(delta, rho, "rho")
+        )
 
     def test_even_glide_image_breaks_orientation(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (2,), (2, 2, 2))
-        factors, witness = _character_factors_through_image(delta, rho)
+        factors, witness = character_factors_through_image(delta, rho)
         assert not factors
         assert word_character(delta, witness) == -1
+        assert "orientation mismatch: glide image d1 -> 2 is even" in (
+            _surface_kernel_problems(delta, rho, "rho")
+        )
 
     def test_non_surjective_is_reported(self):
         # all images in the even subgroup of C4 cannot generate; with an
@@ -132,7 +170,9 @@ class TestSurfaceKernelCheck:
         # for surjective rho onto C_2n the orientation character factors
         # through the image iff every glide image is odd and every
         # elliptic image even; period 3 keeps the x_i out of the
-        # involution reduction, so each witness must evaluate to 1
+        # involution reduction, so each witness must evaluate to 1; the
+        # surface-kernel check reports an orientation mismatch exactly when
+        # the walk finds the character does not factor
         checked = 0
         for two_n in (2, 4, 6, 8):
             for gamma in (1, 2):
@@ -142,9 +182,14 @@ class TestSurfaceKernelCheck:
                             continue
                         d, x = images[:gamma], images[gamma:]
                         delta, rho = crosscap_rho(gamma, (3,) * r, two_n // 2, d, x)
-                        factors, witness = _character_factors_through_image(delta, rho)
+                        factors, witness = character_factors_through_image(delta, rho)
                         parity = all(v % 2 for v in d) and not any(v % 2 for v in x)
                         assert factors == parity
+                        problems = _surface_kernel_problems(delta, rho, "rho")
+                        mismatch = any(
+                            p.startswith("orientation mismatch") for p in problems
+                        )
+                        assert mismatch == (not factors)
                         if not factors:
                             assert word_character(delta, witness) == -1
                             assert rho.evaluate(witness).is_identity()

@@ -93,7 +93,8 @@ class TestValidateAction:
             assert not validate_action(datum).ok
 
     def test_large_order_memory_stays_linear(self):
-        # the orientation walk over C_6000 must not store a path per element
+        # rho's checks on C_6000 are gcds and parities: nothing is stored
+        # per group element
         datum = ActionDatum(4, (), 3000, (1, 1, 1, 5997), ())
         tracemalloc.start()
         try:
@@ -239,7 +240,7 @@ class TestConstructEta:
             "x1": ext.hom.image_of("x1") * target.rotation(1)
         }
         tampered = replace(ext, hom=FiniteHom.from_dict(K, target, tampered_images))
-        with pytest.raises(PipelineAssertionError):
+        with pytest.raises(PipelineAssertionError, match="orientation mismatch"):
             construct_eta(derived, tampered, GENUS2)
 
 
@@ -392,6 +393,15 @@ class TestRealize:
         assert cert.genus == 5 and cert.genus_real == 5
         assert cert.extension.kernel_index == 8
         assert cert.theta_printed_connector_valid  # even gamma
+
+    @pytest.mark.parametrize("x_images", [(6, 2, 2), (-2, 2, 2)])
+    def test_unreduced_residues_realize(self, x_images):
+        # residues are reduced mod 2n once, by the datum, so eta's torsion
+        # images are compared with the reduced elliptic images
+        datum = ActionDatum(1, (2, 2, 2), 2, (1,), x_images)
+        cert = realize(datum)
+        assert cert.conclusion and cert.eta.torsion_images == (2, 2, 2)
+        assert datum == GENUS2
 
     def test_validation_errors_propagate(self):
         with pytest.raises(ActionValidationError) as exc:
