@@ -8,13 +8,7 @@ step with exact arithmetic.
 """
 
 from .abelian import Abelianization, abelianization, smith_normal_form
-from .cosets import (
-    CosetTable,
-    NotInKernelError,
-    SchreierSubgroup,
-    cayley_coset_table,
-    reidemeister_schreier,
-)
+from .cosets import NotInKernelError, SchreierSubgroup, reidemeister_schreier
 from .groups import (
     CyclicElement,
     CyclicGroup,

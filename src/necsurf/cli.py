@@ -15,9 +15,12 @@ lexicographically first enumerated epimorphism is used.  Residues out of
 range are reduced mod 2n with a warning (when n >= 1; otherwise validation
 rejects n).
 
-Exit codes: 0 success (conclusion true), 1 usage error or input/validation
-failure with itemized reasons, 2 internal assertion (a step failing where the
+Exit codes: 0 success, 1 usage error or input/validation failure with
+itemized reasons, 2 internal assertion (a step failing where the
 construction guarantees success -- always a bug or unsupported edge).
+``realize`` raises ``PipelineAssertionError`` before it returns a
+certificate whose conclusion or lemma verdict could be false, so exit 2
+comes only from that exception.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def certificate_json(cert: RealizationCertificate, input_doc: dict) -> dict:
         "delta_hat_signature": _signature_json(cert.derived.report.signature),
         "delta_hat_presentation": _presentation_json(cert.derived.presentation),
         "correspondence": [
-            {"name": c.name, "role": c.role, "word": str(c.kernel_word)}
-            for c in cert.derived.correspondence
+            {"name": g.name, "role": g.role, "word": str(g.word)}
+            for g in cert.derived.subgroup.generators
         ],
         "signature_match": True,
         "printed_relator_checks": [
@@ -243,8 +246,8 @@ def certificate_text(cert: RealizationCertificate) -> str:
     lines.append(f"area ratio [Dhat : K-area] = {cert.area_ratio}: "
                  + _verdict(cert.area_ratio == 2))
     lines.append("derived kernel generators:")
-    for c in cert.derived.correspondence:
-        lines.append(f"  {c.name} = {c.kernel_word}  ({c.role})")
+    for g in cert.derived.subgroup.generators:
+        lines.append(f"  {g.name} = {g.word}  ({g.role})")
     sig_display = cert.derived.report.signature.display()
     lines.append(
         f"Δ̂ signature {sig_display} matches"
@@ -334,7 +337,7 @@ def _load_document(path: str) -> dict:
         raise InputError(f"cannot read input file {path!r}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read input file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot parse input file {path!r}: {exc}")
     return parse_input_document(raw)
 
@@ -366,7 +369,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         _emit(render_json(certificate_json(cert, doc)), args.out)
     else:
         _emit(certificate_text(cert), args.out)
-    return EXIT_OK if cert.conclusion else EXIT_INTERNAL
+    return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -440,7 +443,7 @@ def _cmd_check_lemma(args: argparse.Namespace) -> int:
         )
         lines.append(f"conjugation certificates: {_verdict(lemma.certificates_ok)}")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if lemma.ok else EXIT_INTERNAL
+    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -1,20 +1,19 @@
-"""Coset tables for kernels of maps to finite groups, and the
-Reidemeister-Schreier subgroup presentation.
+"""Reidemeister-Schreier presentation of the index-2 kernel of theta.
 
-Every subgroup handled by this package is the kernel of a homomorphism
-onto a finite group, so its coset space is simply the image subgroup:
-the table records, per generator, the permutation given by right
-translation by the generator's image.  No general coset enumeration is
-needed.
+The construction derives one subgroup: the kernel of a map theta from a
+disc-quotient group K onto C_2 that moves the first reflection tau_1.
+Its Schreier coset representatives are therefore fixed, {1, tau_1} (the
+doubled fundamental domain), and the coset of a word is the theta-parity
+bit of its prefix.  Each pair (coset c, generator g) gives the Schreier word
+rep(c) * g * rep(c xor theta(g))^-1; only (0, tau_1) is trivial.  Every
+generator is born with its canonical name and role: delta_j = tau_1 x_j,
+c_k = tau_1 tau_(k+1), the connector pair e1, e2 (gamma even) or f1, f2
+(gamma odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.
 
-The Schreier transversal is grown breadth-first from the identity coset.
-Reflection generators are tried before the others, so an index-2 kernel
-that kills the reflections gets the classical transversal {1, tau_1}
-(the doubled fundamental domain) and the derived generators come out in
-their familiar printed shapes.  The derived presentation is simplified
-only by dropping freely-trivial Schreier generators and freely reducing
-(and de-duplicating) the rewritten relators; nothing more aggressive, so
-the correspondence with the ambient group stays auditable.
+Rewriting a kernel word walks the parity bit letter by letter.  The
+derived presentation is simplified only by freely reducing and
+de-duplicating the rewritten relators; nothing more aggressive, so the
+correspondence with the ambient group stays auditable.
 """
 
 from __future__ import annotations
@@ -32,78 +31,32 @@ class NotInKernelError(ValueError):
 
 
 @dataclass(frozen=True)
-class CosetTable:
-    """Cosets of a kernel, realised as the image subgroup elements, with
-    one permutation of coset indices per domain generator: ``forward[g]``
-    sends coset i to coset i*g and ``backward[g]`` is its inverse."""
-
-    hom: FiniteHom
-    cosets: tuple  # image subgroup elements; index 0 is the identity
-    forward: dict[str, tuple[int, ...]]
-    backward: dict[str, tuple[int, ...]]
-
-    @property
-    def index(self) -> int:
-        return len(self.cosets)
-
-
-def cayley_coset_table(hom: FiniteHom) -> CosetTable:
-    """Coset table of ker(hom): cosets are the image subgroup elements,
-    discovered breadth-first in declared generator order, and each
-    generator acts by right translation (backward: by its inverse)."""
-    images = hom.image_dict()
-    identity = hom.target.identity()
-    cosets = [identity]
-    seen = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for elem in frontier:
-            for name, _ in hom.domain.generators:
-                nxt = elem * images[name]
-                if nxt not in seen:
-                    seen[nxt] = len(cosets)
-                    cosets.append(nxt)
-                    new.append(nxt)
-        frontier = new
-    names = hom.domain.generator_names()
-    forward = {g: tuple(seen[c * images[g]] for c in cosets) for g in names}
-    backward = {g: tuple(seen[c * images[g].inverse()] for c in cosets) for g in names}
-    return CosetTable(hom, tuple(cosets), forward, backward)
-
-
-@dataclass(frozen=True)
 class SchreierGenerator:
-    """One non-trivial Schreier generator u * g * rep(u g)^-1."""
+    """One non-trivial Schreier generator rep(c) * g * rep(c g)^-1."""
 
     name: str
-    coset: int          # transversal index of u
+    coset: int          # 1 for the tau_1 coset, 0 for the identity coset
     base_generator: str
     word: Word          # freely reduced word in the ambient generators
+    role: str
 
 
 @dataclass(frozen=True)
 class SchreierSubgroup:
-    """Reidemeister-Schreier data for a kernel: transversal, generators,
-    derived presentation and the rewriting map into it.  ``pair_names``
-    names the Schreier generator of each (coset, generator) pair, or
-    None when that generator is freely trivial."""
+    """Reidemeister-Schreier data for ker(theta): generators, derived
+    presentation and the rewriting map into it.  ``pair_names`` names the
+    Schreier generator of each (coset, generator) pair, or None for the
+    trivial pair (0, tau_1); ``parity`` is theta's bit on each generator."""
 
     base: Presentation
-    table: CosetTable
-    transversal: tuple[Word, ...]
     generators: tuple[SchreierGenerator, ...]
     presentation: Presentation
     pair_names: dict[tuple[int, str], str | None]
-
-    @property
-    def index(self) -> int:
-        return self.table.index
+    parity: dict[str, int]
 
     def rewrite(self, w: Word) -> Word:
         """Express a kernel word in the Schreier generators."""
-        forward, backward = self.table.forward, self.table.backward
-        pair_names = self.pair_names
+        parity, pair_names = self.parity, self.pair_names
         out: list[tuple[str, int]] = []
         coset = 0
         for g, e in w.letters:
@@ -111,9 +64,9 @@ class SchreierSubgroup:
                 name = pair_names[(coset, g)]
                 if name is not None:
                     out.append((name, 1))
-                coset = forward[g][coset]
+                coset ^= parity[g]
             else:
-                coset = backward[g][coset]
+                coset ^= parity[g]
                 name = pair_names[(coset, g)]
                 if name is not None:
                     out.append((name, -1))
@@ -121,103 +74,58 @@ class SchreierSubgroup:
             raise NotInKernelError(f"{w} is not in the kernel (ends at coset {coset})")
         return free_reduce(Word(tuple(out)))
 
-    def renamed(self, mapping: dict[str, str], order: list[str] | None = None) -> "SchreierSubgroup":
-        """Tietze renaming (and optional reordering) of the Schreier
-        generators; words, relators and the rewriting map follow along."""
 
-        def rename_word(w: Word) -> Word:
-            return Word(tuple((mapping.get(g, g), e) for g, e in w.letters))
+def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
+    """Presentation of ker(theta) over the coset representatives {1, tau_1}.
 
-        new_gens = tuple(
-            SchreierGenerator(mapping.get(g.name, g.name), g.coset, g.base_generator, g.word)
-            for g in self.generators
-        )
-        if order is not None:
-            position = {name: i for i, name in enumerate(order)}
-            new_gens = tuple(sorted(new_gens, key=lambda g: position[g.name]))
-        kinds = {
-            mapping.get(name, name): kind for name, kind in self.presentation.generators
-        }
-        presentation = Presentation(
-            tuple((g.name, kinds[g.name]) for g in new_gens),
-            tuple(rename_word(rel) for rel in self.presentation.relators),
-            tuple(
-                (rename_word(w), n) for w, n in self.presentation.torsion_words
-            ),
-            self.presentation.signature,
-        )
-        pair_names = {
-            pair: (mapping.get(name, name) if name is not None else None)
-            for pair, name in self.pair_names.items()
-        }
-        return replace(
-            self, generators=new_gens, presentation=presentation, pair_names=pair_names
-        )
-
-
-def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierSubgroup:
-    """Presentation of the kernel from a coset table.
-
-    The transversal is built breadth-first over the reflection generators
-    first, then the others in declared order (positive letters before
-    negative).  Schreier generators are the non-trivial words
-    u * g * rep(u g)^-1 for transversal u and generator g; relators are
-    the rewritten conjugates u * R * u^-1 of the base relators.
+    Raises ``ValueError`` unless theta has image of order 2 and moves the
+    first reflection tau_1: exactly the conditions for 1 and tau_1 to
+    represent the two cosets.  Generators come in canonical order:
+    delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.  Relators are
+    the rewritten conjugates u * R * u^-1 of the base relators for u = 1,
+    then u = tau_1.
     """
-    alphabet = [
-        g for g, kind in sorted(p.generators, key=lambda gk: gk[1].kind != "reflection")
-    ]
-    index = table.index
-    forward, backward = table.forward, table.backward
+    index = theta.image_order()
+    if index != 2:
+        raise ValueError(f"theta has index {index}, expected 2")
+    reflections = p.generators_of_kind("reflection")
+    if not reflections or theta.image_of(reflections[0]).is_identity():
+        raise ValueError("theta must move the first reflection tau_1")
+    tau1 = reflections[0]
+    elliptics = p.generators_of_kind("elliptic")
+    parity = {g: int(not theta.image_of(g).is_identity()) for g in p.generator_names()}
+    reps = (Word(), Word.gen(tau1))
 
-    reps: list[Word | None] = [None] * index
-    reps[0] = Word()
-    discovery = [0]
-    queue = [0]
-    while queue:
-        coset = queue.pop(0)
-        for g in alphabet:
-            for exp, step in ((1, forward), (-1, backward)):
-                nxt = step[g][coset]
-                if reps[nxt] is None:
-                    reps[nxt] = reps[coset] * Word.gen(g, exp)  # type: ignore[operator]
-                    discovery.append(nxt)
-                    queue.append(nxt)
-    if any(rep is None for rep in reps):
-        raise ValueError("coset table is not transitive")
-    transversal = tuple(reps)  # type: ignore[arg-type]
+    # (coset, base generator, name, role), in canonical order
+    pairs = [(1, x, f"delta{j}", "glide") for j, x in enumerate(elliptics, start=1)]
+    pairs += [(1, t, f"c{k}", "corner rotation") for k, t in enumerate(reflections[1:], start=1)]
+    conjugates = [(0, g, name + "t", role + " (tau1-conjugate)") for _, g, name, role in pairs]
+    letter = "e" if len(elliptics) % 2 == 0 else "f"
+    for e in p.generators_of_kind("connector"):
+        pairs += [(0, e, f"{letter}1", "connector"), (1, e, f"{letter}2", "connector")]
+    conjugates.append((1, tau1, "tau1sq", "reflection square (trivial in K)"))
 
-    pair_names: dict[tuple[int, str], str | None] = {}
+    pair_names: dict[tuple[int, str], str | None] = {(0, tau1): None}
     generators: list[SchreierGenerator] = []
-    counter = 0
-    for coset in discovery:
-        for g, _ in p.generators:
-            target = forward[g][coset]
-            word = free_reduce(transversal[coset] * Word.gen(g) * transversal[target].inverse())
-            if not word.letters:
-                pair_names[(coset, g)] = None
-            else:
-                counter += 1
-                name = f"s{counter}"
-                pair_names[(coset, g)] = name
-                generators.append(SchreierGenerator(name, coset, g, word))
+    for coset, g, name, role in pairs + conjugates:
+        word = free_reduce(reps[coset] * Word.gen(g) * reps[coset ^ parity[g]].inverse())
+        pair_names[(coset, g)] = name
+        generators.append(SchreierGenerator(name, coset, g, word, role))
 
-    kinds = {
-        gen.name: (GLIDE if word_character(p, gen.word) == -1 else CONNECTOR)
-        for gen in generators
-    }
     derived = Presentation(
-        tuple((gen.name, kinds[gen.name]) for gen in generators), ()
+        tuple(
+            (gen.name, GLIDE if word_character(p, gen.word) == -1 else CONNECTOR)
+            for gen in generators
+        ),
+        (),
     )
-    subgroup = SchreierSubgroup(p, table, transversal, tuple(generators), derived, pair_names)
+    subgroup = SchreierSubgroup(p, tuple(generators), derived, pair_names, parity)
 
     relators: list[Word] = []
     seen_relators: set[tuple[tuple[str, int], ...]] = set()
-    for coset in discovery:
-        u = transversal[coset]
+    for u in reps:
         for rel in p.relators:
-            conjugate = free_reduce(u * rel * u.inverse())
-            rewritten = subgroup.rewrite(conjugate)
+            rewritten = subgroup.rewrite(free_reduce(u * rel * u.inverse()))
             if rewritten.letters and rewritten.letters not in seen_relators:
                 seen_relators.add(rewritten.letters)
                 relators.append(rewritten)

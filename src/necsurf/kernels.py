@@ -7,8 +7,12 @@ generator of order m with theta-image of order o gives 2/o cone points of
 order m/o, each boundary corner becomes one interior cone point of its
 full order, it is orientable exactly when the orientation character is
 -1 on precisely the generators theta moves, and its genus follows from
-exact area bookkeeping.  (Surface-kernel conditions on rho and eta are
-checked item by item in ``pipeline``.)
+exact area bookkeeping.  Everything is read off theta's generator images;
+no coset table is built.  The kernel's cosets are represented by 1 and
+tau_1, so an orientation-reversing witness is a generator g with
+theta(g) = 1 or the product tau_1*g.  (The presentation is derived over
+the same coset representatives in ``cosets``; surface-kernel conditions
+on rho and eta are checked item by item in ``pipeline``.)
 
 The fully general subgroup-signature algorithm for arbitrary finite-index
 NEC subgroups is out of scope on purpose.
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import CosetTable
+from .groups import FiniteHom
 from .presentations import Presentation, orientation_character
 from .signatures import NECSignature, reduced_area
 from .words import Word
@@ -32,10 +36,9 @@ class KernelSignatureReport:
     witness: Word | None  # orientation-reversing kernel element, if any
 
 
-def kernel_signature_index2(p: Presentation, table: CosetTable) -> KernelSignatureReport:
-    """Signature of the index-2 kernel of the map theta = ``table.hom``
-    when every reflection of the disc-quotient group ``p`` maps to the
-    non-trivial element.
+def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatureReport:
+    """Signature of the index-2 kernel of ``theta`` when every reflection
+    of the disc-quotient group ``p`` maps to the non-trivial element.
 
     With the reflections gone the kernel has no boundary; its proper
     periods come from the interior elliptics (an order-m generator whose
@@ -52,10 +55,11 @@ def kernel_signature_index2(p: Presentation, table: CosetTable) -> KernelSignatu
         raise ValueError("presentation carries no signature metadata")
     if len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
-    if table.index != 2:
-        raise ValueError(f"kernel has index {table.index}, expected 2")
+    index = theta.image_order()
+    if index != 2:
+        raise ValueError(f"kernel has index {index}, expected 2")
     reflections = p.generators_of_kind("reflection")
-    images = table.hom.image_dict()
+    images = theta.image_dict()
     for tau in reflections:
         if images[tau].is_identity():
             raise ValueError(f"reflection {tau} maps to the identity and survives")

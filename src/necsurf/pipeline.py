@@ -13,9 +13,12 @@ The chain constructed and verified here:
    points, corner orders n_1..n_r) and the parity map theta: K -> C_2
    killing the connector and sending every other generator to the
    non-trivial element;
-3. derive the index-2 kernel of theta by Reidemeister-Schreier rewriting,
-   compute its signature independently by orbit and area bookkeeping, and
-   check it reproduces (gamma; -; [n_1..n_r]) exactly;
+3. derive the index-2 kernel of theta by Reidemeister-Schreier over the
+   fixed coset representatives {1, tau1}: each generator is born with its
+   canonical name (delta_j = tau1*x_j, c_k = tau1*tau_(k+1), the connector
+   pair, their tau1-conjugates, tau1sq) and kernel words are rewritten by
+   walking theta's parity bit; read its signature off theta in closed
+   form and check it reproduces (gamma; -; [n_1..n_r]) exactly;
 4. certify that conjugation by the first reflection inverts the kernel's
    abelianization (so every homomorphism to an abelian group has normal
    kernel in K);
@@ -41,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 from .abelian import abelianization
-from .cosets import SchreierSubgroup, cayley_coset_table, reidemeister_schreier
+from .cosets import SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport, kernel_signature_index2
 from .presentations import (
@@ -229,13 +232,6 @@ def build_theta(K: Presentation) -> FiniteHom:
 
 
 @dataclass(frozen=True)
-class GeneratorCorrespondence:
-    name: str
-    role: str
-    kernel_word: Word
-
-
-@dataclass(frozen=True)
 class DerivedKernel:
     """The index-2 kernel of theta: Reidemeister-Schreier presentation
     (with canonical generator names), independently computed signature,
@@ -245,7 +241,6 @@ class DerivedKernel:
     presentation: Presentation
     theta: FiniteHom
     report: KernelSignatureReport
-    correspondence: tuple[GeneratorCorrespondence, ...]
     printed_checks: tuple[tuple[str, RelatorCertificate], ...]
     gamma: int
     link_periods: tuple[int, ...]
@@ -290,8 +285,8 @@ def classical_substitution(K: Presentation, gamma: int, r: int) -> dict[str, Wor
 
 
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
-    """Reidemeister-Schreier presentation of ker(theta) with canonical
-    names, its independently computed signature, and (for even gamma) the
+    """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
+    its independently computed signature, and (for even gamma) the
     certified classical relator list."""
     if K.signature is None or len(K.signature.period_cycles) != 1:
         raise ValueError("derive_delta_hat needs a disc-quotient presentation")
@@ -305,62 +300,12 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     r = len(reflections) - 1
     periods = K.signature.period_cycles[0]
 
-    table = cayley_coset_table(theta)
-    if table.index != 2:
-        raise PipelineAssertionError(f"theta has index {table.index}, expected 2")
-    sub = reidemeister_schreier(K, table)
+    index = theta.image_order()
+    if index != 2:
+        raise PipelineAssertionError(f"theta has index {index}, expected 2")
+    sub = reidemeister_schreier(K, theta)
 
-    tau1 = reflections[0]
-    mirror = next(
-        (
-            i
-            for i, rep in enumerate(sub.transversal)
-            if rep.letters == ((tau1, 1),)
-        ),
-        None,
-    )
-    if mirror is None:
-        raise PipelineAssertionError("transversal does not use the first reflection")
-
-    even = gamma % 2 == 0
-    mapping: dict[str, str] = {}
-    roles: dict[str, str] = {}
-    for gen in sub.generators:
-        key = (gen.coset, gen.base_generator)
-        base = gen.base_generator
-        if base.startswith("x"):
-            j = base[1:]
-            name = f"delta{j}" if gen.coset == mirror else f"delta{j}t"
-            role = "glide" if gen.coset == mirror else "glide (tau1-conjugate)"
-        elif base == tau1:
-            name, role = "tau1sq", "reflection square (trivial in K)"
-        elif base.startswith("tau"):
-            k = int(base[3:]) - 1
-            name = f"c{k}" if gen.coset == mirror else f"c{k}t"
-            role = "corner rotation" if gen.coset == mirror else "corner rotation (tau1-conjugate)"
-        elif base == "e":
-            if gen.coset == 0:
-                name = "e1" if even else "f1"
-            else:
-                name = "e2" if even else "f2"
-            role = "connector"
-        else:  # pragma: no cover - canonical K has no other generators
-            name, role = gen.name, "schreier"
-        mapping[gen.name] = name
-        roles[name] = role
-
-    order = []
-    order += [f"delta{j}" for j in range(1, gamma + 1)]
-    order += [f"c{k}" for k in range(1, r + 1)]
-    order += ["e1", "e2"] if even else ["f1", "f2"]
-    order += [f"delta{j}t" for j in range(1, gamma + 1)]
-    order += [f"c{k}t" for k in range(1, r + 1)]
-    order += ["tau1sq"]
-    present = set(mapping.values())
-    order = [name for name in order if name in present]
-    sub = sub.renamed(mapping, order)
-
-    report = kernel_signature_index2(K, table)
+    report = kernel_signature_index2(K, theta)
     expected = NECSignature(False, gamma, tuple(sorted(periods)))
     if report.signature != expected:
         raise PipelineAssertionError(
@@ -376,13 +321,8 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     )
     sub = replace(sub, presentation=presentation)
 
-    correspondence = tuple(
-        GeneratorCorrespondence(gen.name, roles[gen.name], gen.word)
-        for gen in sub.generators
-    )
-
     printed: list[tuple[str, RelatorCertificate]] = []
-    if even:
+    if gamma % 2 == 0:
         labels, words = zip(*_printed_relator_words(gamma, periods))
         certs = verify_derived_relators(K, words, classical_substitution(K, gamma, r))
         printed = list(zip(labels, certs))
@@ -397,7 +337,6 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
         presentation=presentation,
         theta=theta,
         report=report,
-        correspondence=correspondence,
         printed_checks=tuple(printed),
         gamma=gamma,
         link_periods=tuple(periods),

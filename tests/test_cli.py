@@ -125,6 +125,17 @@ class TestRealizeCommand:
         assert code == 1
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["realize", "check-lemma"])
+    def test_deeply_nested_json_exits_one(self, tmp_path, capsys, command):
+        # the decoder gives up with RecursionError, not JSONDecodeError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code = cli.main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"invalid input: cannot parse input file {str(path)!r}: ")
+        assert err.count("\n") == 1
+
     def test_missing_field_named(self, tmp_path, capsys):
         path = write_doc(tmp_path, {"gamma": 1, "periods": [2, 2, 2]})
         code = cli.main(["realize", path])

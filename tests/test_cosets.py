@@ -7,13 +7,14 @@ from necsurf import (
     NotInKernelError,
     build_theta,
     canonical_presentation,
-    cayley_coset_table,
     quotient_disc_signature,
     reidemeister_schreier,
 )
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word, free_reduce, reduce_mod_involutions
+from reference import cayley_coset_table
+from reference import reidemeister_schreier as table_reidemeister_schreier
 
 
 def disc_group(gamma, periods):
@@ -63,80 +64,148 @@ class TestCayleyCosetTable:
         assert sorted(seen) == [0, 1, 2, 3] and i == 0
 
 
+def both_constructions(K):
+    """ker(theta) by the closed form over {1, tau1} and by the general
+    construction over the coset table."""
+    theta = build_theta(K)
+    return reidemeister_schreier(K, theta), table_reidemeister_schreier(K, cayley_coset_table(theta))
+
+
+def canonical_generators(K):
+    """(coset, base generator, name, role) of every Schreier generator of
+    ker(theta) in the canonical order: delta_j = tau1*x_j, c_k =
+    tau1*tau_(k+1), the connector pair (e for even gamma, f for odd), the
+    tau1-conjugates delta_jt = x_j*tau1^-1 and c_kt, and tau1sq."""
+    xs = K.generators_of_kind("elliptic")
+    taus = K.generators_of_kind("reflection")
+    letter = "ef"[len(xs) % 2]
+    plain = [(1, x, f"delta{j}", "glide") for j, x in enumerate(xs, start=1)]
+    plain += [(1, t, f"c{k}", "corner rotation") for k, t in enumerate(taus[1:], start=1)]
+    conjugates = [(0, g, name + "t", role + " (tau1-conjugate)") for _, g, name, role in plain]
+    plain += [(0, "e", f"{letter}1", "connector"), (1, "e", f"{letter}2", "connector")]
+    return plain + conjugates + [(1, "tau1", "tau1sq", "reflection square (trivial in K)")]
+
+
 class TestReidemeisterSchreier:
     def test_index_two_in_free_group(self):
         p = Presentation((("a", CONNECTOR),), ())
         c2 = CyclicGroup(2)
         hom = FiniteHom.from_dict(p, c2, {"a": c2.element(1)})
-        sub = reidemeister_schreier(p, cayley_coset_table(hom))
+        sub = table_reidemeister_schreier(p, cayley_coset_table(hom))
         assert [str(g.word) for g in sub.generators] == ["a*a"]
         assert sub.presentation.relators == ()
 
     def test_even_gamma_generators_match_printed_shapes(self):
         K = disc_group(2, (2,))
-        theta = build_theta(K)
-        sub = reidemeister_schreier(K, cayley_coset_table(theta))
-        words = {str(g.word) for g in sub.generators}
-        for expected in ("tau1*x1", "tau1*x2", "tau1*tau2", "e"):
-            assert expected in words
+        for sub in both_constructions(K):
+            words = {str(g.word) for g in sub.generators}
+            for expected in ("tau1*x1", "tau1*x2", "tau1*tau2", "e"):
+                assert expected in words
 
     def test_odd_gamma_connector_pair(self):
         K = disc_group(1, (2, 2, 2))
-        theta = build_theta(K)
-        sub = reidemeister_schreier(K, cayley_coset_table(theta))
-        words = normalised_words(sub)
-        assert "tau1*e" in words
-        assert "e*tau1" in words
+        for sub in both_constructions(K):
+            words = normalised_words(sub)
+            assert "tau1*e" in words
+            assert "e*tau1" in words
 
     def test_schreier_generator_count(self):
         # index * generators - (index - 1) non-trivial pairs
         for gamma, periods in [(1, (2, 2, 2)), (2, (2,)), (4, ()), (2, (3, 4))]:
             K = disc_group(gamma, periods)
-            sub = reidemeister_schreier(K, cayley_coset_table(build_theta(K)))
             expected = 2 * len(K.generators) - 1
-            assert len(sub.generators) == expected
+            for sub in both_constructions(K):
+                assert len(sub.generators) == expected
 
     def test_transversal_uses_first_reflection(self):
         K = disc_group(3, (2, 2))
-        sub = reidemeister_schreier(K, cayley_coset_table(build_theta(K)))
+        _, sub = both_constructions(K)
         assert [str(w) for w in sub.transversal] == ["1", "tau1"]
 
     def test_rewrite_rejects_non_kernel_words(self):
         K = disc_group(2, (2,))
-        sub = reidemeister_schreier(K, cayley_coset_table(build_theta(K)))
-        with pytest.raises(NotInKernelError):
-            sub.rewrite(Word.gen("tau1"))
+        for sub in both_constructions(K):
+            with pytest.raises(NotInKernelError):
+                sub.rewrite(Word.gen("tau1"))
 
     def test_rewrite_is_multiplicative(self):
         K = disc_group(2, (2,))
-        sub = reidemeister_schreier(K, cayley_coset_table(build_theta(K)))
         w1 = Word.parse("tau1 x1")
         w2 = Word.parse("tau1 tau2")
-        combined = sub.rewrite(w1 * w2)
-        assert combined == free_reduce(sub.rewrite(w1) * sub.rewrite(w2))
+        for sub in both_constructions(K):
+            combined = sub.rewrite(w1 * w2)
+            assert combined == free_reduce(sub.rewrite(w1) * sub.rewrite(w2))
 
     def test_rewritten_relators_have_known_support(self):
         K = disc_group(2, (3,))
-        sub = reidemeister_schreier(K, cayley_coset_table(build_theta(K)))
-        names = set(sub.presentation.generator_names())
-        for rel in sub.presentation.relators:
-            assert rel.generator_names() <= names
+        for sub in both_constructions(K):
+            names = set(sub.presentation.generator_names())
+            for rel in sub.presentation.relators:
+                assert rel.generator_names() <= names
 
-    def test_renaming_is_consistent(self):
+    def test_requires_the_transversal_one_tau1(self):
         K = disc_group(2, (2,))
-        sub = reidemeister_schreier(K, cayley_coset_table(build_theta(K)))
-        target = next(g for g in sub.generators if str(g.word) == "tau1*x1")
-        renamed = sub.renamed({target.name: "delta1"})
-        gen = next(g for g in renamed.generators if g.name == "delta1")
-        assert str(gen.word) == "tau1*x1"
-        assert renamed.rewrite(Word.parse("tau1 x1")) == Word.gen("delta1")
+        c2 = CyclicGroup(2)
+        trivial = FiniteHom.from_dict(K, c2, {g: c2.identity() for g in K.generator_names()})
+        with pytest.raises(ValueError, match="index 1"):
+            reidemeister_schreier(K, trivial)
+        images = build_theta(K).image_dict() | {"tau1": c2.identity()}
+        with pytest.raises(ValueError, match="tau_1"):
+            reidemeister_schreier(K, FiniteHom.from_dict(K, c2, images))
+
+    def test_generators_are_born_canonical(self):
+        for gamma, periods in [(1, (2, 2, 2)), (2, (3,)), (4, ()), (3, (2, 4))]:
+            K = disc_group(gamma, periods)
+            sub = reidemeister_schreier(K, build_theta(K))
+            assert [
+                (g.coset, g.base_generator, g.name, g.role) for g in sub.generators
+            ] == canonical_generators(K)
+            assert sub.presentation.generator_names() == tuple(g.name for g in sub.generators)
+
+
+def test_closed_form_matches_reference(derived_battery):
+    """On every battery shape the closed form over {1, tau1} agrees with
+    the general construction over the coset table, generator by generator
+    matched on (coset, base generator): word, kind, canonical name and
+    role, the relators in order, and the rewrite of each corner word and
+    of each generator's tau1-conjugate."""
+    tau1 = Word.gen("tau1")
+    for _, _, K, theta, derived in derived_battery:
+        sub = derived.subgroup
+        ref = table_reidemeister_schreier(K, cayley_coset_table(theta))
+        assert [str(w) for w in ref.transversal] == ["1", "tau1"]
+        assert [
+            (g.coset, g.base_generator, g.name, g.role) for g in sub.generators
+        ] == canonical_generators(K)
+
+        ref_by_pair = {(g.coset, g.base_generator): g for g in ref.generators}
+        assert len(ref_by_pair) == len(sub.generators)
+        kinds, ref_kinds = dict(sub.presentation.generators), dict(ref.presentation.generators)
+        to_name = {}
+        for gen in sub.generators:
+            ref_gen = ref_by_pair[(gen.coset, gen.base_generator)]
+            assert gen.word == ref_gen.word
+            assert kinds[gen.name] == ref_kinds[ref_gen.name]
+            to_name[ref_gen.name] = gen.name
+
+        def translate(w):
+            return Word(tuple((to_name[name], e) for name, e in w.letters))
+
+        assert sub.presentation.relators == tuple(
+            translate(rel) for rel in ref.presentation.relators
+        )
+        taus = K.generators_of_kind("reflection")
+        words = [Word.gen(a) * Word.gen(b) for a, b in zip(taus, taus[1:])]
+        words += [tau1 * gen.word * tau1 for gen in sub.generators]
+        for w in words:
+            assert sub.rewrite(w) == translate(ref.rewrite(w))
 
 
 def test_backward_inverts_forward(derived_battery, action_battery):
     """The theta tables of the signature battery with gamma <= 3, and the
     C_2n tables of rho over the action battery (where the permutations
     are not involutions)."""
-    tables = [d.subgroup.table for gamma, _, _, _, d in derived_battery if gamma <= 3]
+    tables = [cayley_coset_table(theta) for gamma, _, _, theta, _ in derived_battery if gamma <= 3]
     for datum in action_battery:
         delta = canonical_presentation(datum.delta_signature())
         c = CyclicGroup(datum.order)

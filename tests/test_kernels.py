@@ -10,7 +10,6 @@ from necsurf import (
     NECSignature,
     build_theta,
     canonical_presentation,
-    cayley_coset_table,
     check_homomorphism,
     kernel_signature_index2,
     quotient_disc_signature,
@@ -27,7 +26,7 @@ def disc_group(gamma, periods):
 
 
 def parity_kernel_report(K):
-    return kernel_signature_index2(K, cayley_coset_table(build_theta(K)))
+    return kernel_signature_index2(K, build_theta(K))
 
 
 def crosscap_rho(gamma, periods, n, d_images, x_images):
@@ -73,7 +72,7 @@ class TestKernelSignatureIndex2:
     def test_witness_is_reversing_kernel_element(self):
         K = disc_group(1, (2, 2, 2))
         theta = build_theta(K)
-        report = kernel_signature_index2(K, cayley_coset_table(theta))
+        report = kernel_signature_index2(K, theta)
         assert str(report.witness) == "tau1*x1"
         assert word_character(K, report.witness) == -1
         assert theta.evaluate(report.witness).is_identity()
@@ -86,7 +85,7 @@ class TestKernelSignatureIndex2:
         images["tau2"] = c2.element(0)  # tau2 would survive in the kernel
         bad = FiniteHom.from_dict(K, c2, images)
         with pytest.raises(ValueError, match="tau2"):
-            kernel_signature_index2(K, cayley_coset_table(bad))
+            kernel_signature_index2(K, bad)
 
     def test_orientable_double_of_pure_boundary_quotient(self):
         # no interior cone points: the character factors through C2 and
@@ -94,7 +93,7 @@ class TestKernelSignatureIndex2:
         K = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
         theta = build_theta(K)
         assert check_homomorphism(K, theta).valid
-        report = kernel_signature_index2(K, cayley_coset_table(theta))
+        report = kernel_signature_index2(K, theta)
         assert report.orientable
         assert report.witness is None
         assert report.signature == NECSignature(True, 0, (3, 3))
@@ -119,7 +118,7 @@ class TestKernelSignatureIndex2:
         orientable = 0
         for K, theta in cases:
             assert check_homomorphism(K, theta).valid
-            report = kernel_signature_index2(K, cayley_coset_table(theta))
+            report = kernel_signature_index2(K, theta)
             factors, _ = character_factors_through_image(K, theta)
             assert report.orientable == factors
             if report.witness is not None:

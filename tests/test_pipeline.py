@@ -14,7 +14,6 @@ from necsurf import (
     PipelineAssertionError,
     build_theta,
     canonical_presentation,
-    cayley_coset_table,
     check_homomorphism,
     construct_eta,
     derive_delta_hat,
@@ -28,7 +27,7 @@ from necsurf import (
     validate_action,
 )
 from necsurf.words import Word, reduce_mod_involutions
-from reference import naive_theta, theta_through_eta
+from reference import cayley_coset_table, naive_theta, theta_through_eta
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 GAMMA4 = ActionDatum(4, (), 2, (1, 1, 1, 1), ())
@@ -130,7 +129,7 @@ class TestBuildTheta:
         theta = build_theta(K)
         assert theta.image_of("e").is_identity()
         assert check_homomorphism(K, theta).valid
-        assert cayley_coset_table(theta).index == 2
+        assert theta.image_order() == 2
 
     def test_odd_gamma_needs_nontrivial_connector(self):
         K = disc_group(1, (2, 2, 2))
@@ -154,16 +153,16 @@ class TestDeriveDeltaHat:
     def test_genus2_signature_and_correspondence(self):
         _, derived = derived_for(1, (2, 2, 2))
         assert derived.report.signature == NECSignature(False, 1, (2, 2, 2))
-        words = {c.name: str(c.kernel_word) for c in derived.correspondence}
+        words = {g.name: str(g.word) for g in derived.subgroup.generators}
         assert words["delta1"] == "tau1*x1"
         assert words["c1"] == "tau1*tau2"
         assert words["c2"] == "tau1*tau3"
         assert words["c3"] == "tau1*tau4"
         involutions = derived.subgroup.base.involution_names()
         connector_pair = {
-            str(reduce_mod_involutions(c.kernel_word, involutions))
-            for c in derived.correspondence
-            if c.name in ("f1", "f2")
+            str(reduce_mod_involutions(g.word, involutions))
+            for g in derived.subgroup.generators
+            if g.name in ("f1", "f2")
         }
         assert connector_pair == {"tau1*e", "e*tau1"}
 
