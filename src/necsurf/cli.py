@@ -38,6 +38,7 @@ from .pipeline import (
     enumerate_smooth_epimorphisms,
     first_smooth_epimorphism,
     realize,
+    shape_problems,
 )
 from .presentations import Presentation
 from .signatures import NECSignature
@@ -98,14 +99,14 @@ def parse_input_document(doc: Any) -> dict:
 
 
 def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
-    """Build the action datum, resolving "search" and warning about
-    residues out of range."""
+    """Build the action datum, resolving "search" once the quotient data
+    pass ``shape_problems``, and warning about residues out of range."""
     gamma, periods, n = doc["gamma"], tuple(doc["periods"]), doc["n"]
     if doc["rho"] == "search":
-        try:
-            datum = first_smooth_epimorphism(gamma, periods, 2 * n)
-        except ValueError as exc:
-            raise ActionValidationError((str(exc),))
+        problems = shape_problems(gamma, periods, n)
+        if problems:
+            raise ActionValidationError(tuple(problems))
+        datum = first_smooth_epimorphism(gamma, periods, 2 * n)
         if datum is None:
             raise ActionValidationError(
                 (f"no surface-kernel epimorphism exists for gamma={gamma},"

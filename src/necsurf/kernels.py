@@ -48,8 +48,9 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
     precisely the generators with non-trivial image, since the reflections
     already fix the non-trivial factor.  At the first generator g where
     that fails, g (if theta(g) = 1) or tau_1*g (otherwise) is an
-    orientation-reversing kernel element, the witness.  The genus comes
-    from exact area bookkeeping.
+    orientation-reversing kernel element, the witness.  The genus is
+    (area + 2 - sum(1 - 1/m)) / alpha, with alpha = 2 for an orientable
+    kernel and 1 otherwise, by exact area bookkeeping.
     """
     if p.signature is None:
         raise ValueError("presentation carries no signature metadata")
@@ -86,20 +87,10 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
     orientable = witness is None
 
     cone_sum = sum(Fraction(m - 1, m) for m in periods)
-    if orientable:
-        genus2 = kernel_area + 2 - cone_sum
-        if genus2.denominator != 1 or genus2.numerator % 2 != 0 or genus2 < 0:
-            raise ValueError(
-                f"area bookkeeping gives non-integral orientable genus {genus2}/2"
-            )
-        genus = genus2.numerator // 2
-    else:
-        genus_exact = kernel_area + 2 - cone_sum
-        if genus_exact.denominator != 1 or genus_exact < 1:
-            raise ValueError(
-                f"area bookkeeping gives non-integral genus {genus_exact}"
-            )
-        genus = genus_exact.numerator
+    alpha = 2 if orientable else 1
+    genus, remainder = divmod(kernel_area + 2 - cone_sum, alpha)
+    if remainder:
+        raise ValueError(f"non-integral genus {genus + remainder / alpha} from area bookkeeping")
 
     signature = NECSignature(
         orientable=orientable,

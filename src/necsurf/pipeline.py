@@ -19,9 +19,10 @@ The chain constructed and verified here:
    pair, their tau1-conjugates, tau1sq) and kernel words are rewritten by
    walking theta's parity bit; read its signature off theta in closed
    form and check it reproduces (gamma; -; [n_1..n_r]) exactly;
-4. certify that conjugation by the first reflection inverts the kernel's
-   abelianization (so every homomorphism to an abelian group has normal
-   kernel in K);
+4. certify, in one pass over the Schreier generators, that conjugation by
+   the first reflection inverts the kernel's abelianization (so every
+   homomorphism to an abelian group has normal kernel in K), reading the
+   connector pair, the glides and the corner rotations off their roles;
 5. write Theta: K -> D_2n on K's generators from rho in closed form, with
    Theta(tau1) = t, and read eta off it as its restriction to the derived
    kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
@@ -44,7 +45,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 from .abelian import abelianization
-from .cosets import SchreierSubgroup, reidemeister_schreier
+from .cosets import NotInKernelError, SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport, kernel_signature_index2
 from .presentations import (
@@ -153,28 +154,40 @@ def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> 
     return problems
 
 
+def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
+    """Each violation of the rho-independent invariants, one item each: n
+    even and at least 2, gamma at least 1, each period at least 2 and
+    dividing n, and (when those hold) (gamma; -; [periods]) hyperbolic."""
+    errors: list[str] = []
+    if n < 2:
+        errors.append(f"n = {n} must be at least 2")
+    elif n % 2 != 0:
+        errors.append(f"n = {n} must be even (the action order is 2n with n even)")
+    if gamma < 1:
+        errors.append(f"gamma = {gamma} must be at least 1")
+    for i, nj in enumerate(periods, start=1):
+        if nj < 2:
+            errors.append(f"period n_{i} = {nj} must be at least 2")
+        elif nj > n:
+            errors.append(f"period n_{i} = {nj} exceeds n = {n}")
+        elif n % nj != 0:
+            errors.append(f"period n_{i} = {nj} does not divide n = {n}")
+    if not errors:
+        sig = NECSignature(False, gamma, periods)
+        area = reduced_area(sig)
+        if area <= 0:
+            errors.append(f"signature {sig} is not hyperbolic (reduced area {area})")
+    return errors
+
+
 def validate_action(datum: ActionDatum) -> ValidationResult:
     """Check every invariant of the action datum, reporting each
     violation individually, and compute the genus when valid.
 
-    rho is checked once, item by item, by ``_surface_kernel_problems``:
-    every relator holds, rho is surjective, each elliptic image keeps its
-    declared order, and glides go to odd and elliptics to even residues.
+    The quotient data are checked by ``shape_problems``, and rho once,
+    item by item, by ``_surface_kernel_problems``.
     """
-    errors: list[str] = []
-    if datum.n < 2:
-        errors.append(f"n = {datum.n} must be at least 2")
-    elif datum.n % 2 != 0:
-        errors.append(f"n = {datum.n} must be even (the action order is 2n with n even)")
-    if datum.gamma < 1:
-        errors.append(f"gamma = {datum.gamma} must be at least 1")
-    for i, nj in enumerate(datum.periods, start=1):
-        if nj < 2:
-            errors.append(f"period n_{i} = {nj} must be at least 2")
-        elif nj > datum.n:
-            errors.append(f"period n_{i} = {nj} exceeds n = {datum.n}")
-        elif datum.n % nj != 0:
-            errors.append(f"period n_{i} = {nj} does not divide n = {datum.n}")
+    errors = shape_problems(datum.gamma, datum.periods, datum.n)
     if len(datum.d_images) != max(datum.gamma, 0):
         errors.append(
             f"expected {datum.gamma} glide images, got {len(datum.d_images)}"
@@ -187,11 +200,6 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
         return ValidationResult(tuple(errors), None)
 
     sig = datum.delta_signature()
-    area = reduced_area(sig)
-    if area <= 0:
-        errors.append(f"signature {sig} is not hyperbolic (reduced area {area})")
-        return ValidationResult(tuple(errors), None)
-
     two_n = datum.order
     target = CyclicGroup(two_n)
     delta = canonical_presentation(sig)
@@ -239,11 +247,8 @@ class DerivedKernel:
 
     subgroup: SchreierSubgroup
     presentation: Presentation
-    theta: FiniteHom
     report: KernelSignatureReport
     printed_checks: tuple[tuple[str, RelatorCertificate], ...]
-    gamma: int
-    link_periods: tuple[int, ...]
 
 
 def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[str, Word]]:
@@ -271,19 +276,6 @@ def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[s
     return rels
 
 
-def classical_substitution(K: Presentation, gamma: int, r: int) -> dict[str, Word]:
-    """Expressions of the canonical derived generators as words in K."""
-    tau1 = Word.gen("tau1")
-    sub: dict[str, Word] = {}
-    for j in range(1, gamma + 1):
-        sub[f"delta{j}"] = tau1 * Word.gen(f"x{j}")
-    for k in range(1, r + 1):
-        sub[f"c{k}"] = tau1 * Word.gen(f"tau{k + 1}")
-    sub["e1"] = Word.gen("e")
-    sub["e2"] = tau1 * Word.gen("e") * tau1
-    return sub
-
-
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
     its independently computed signature, and (for even gamma) the
@@ -297,7 +289,6 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
             " (the kernel is orientable otherwise)"
         )
     reflections = K.generators_of_kind("reflection")
-    r = len(reflections) - 1
     periods = K.signature.period_cycles[0]
 
     index = theta.image_order()
@@ -324,7 +315,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     printed: list[tuple[str, RelatorCertificate]] = []
     if gamma % 2 == 0:
         labels, words = zip(*_printed_relator_words(gamma, periods))
-        certs = verify_derived_relators(K, words, classical_substitution(K, gamma, r))
+        certs = verify_derived_relators(K, words, {g.name: g.word for g in sub.generators})
         printed = list(zip(labels, certs))
         for label, cert in printed:
             if not cert.certified:
@@ -335,11 +326,8 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     return DerivedKernel(
         subgroup=sub,
         presentation=presentation,
-        theta=theta,
         report=report,
         printed_checks=tuple(printed),
-        gamma=gamma,
-        link_periods=tuple(periods),
     )
 
 
@@ -378,44 +366,45 @@ class LemmaReport:
 
 
 def lemma1_check(derived: DerivedKernel) -> LemmaReport:
+    """Certify the normality lemma in one pass over the Schreier generators:
+    each tau1-conjugate is rewritten once and must invert its generator's
+    class, the connector pair (role "connector") must have product class
+    zero when gamma is even, and tau1*g*tau1*g = 1 is certified in K for
+    each glide and corner rotation g, which is tau1 times an involution."""
+    sub = derived.subgroup
+    K = sub.base
     ab = abelianization(derived.presentation)
-    even = derived.gamma % 2 == 0
-    pair = ("e1", "e2") if even else ("f1", "f2")
-    product_word = Word.gen(pair[0]) * Word.gen(pair[1])
-    product_class = ab.class_of(product_word)
+    even = len(K.generators_of_kind("elliptic")) % 2 == 0
+    pair = tuple(g.name for g in sub.generators if g.role == "connector")
+    product_class = ab.class_of(Word.gen(pair[0]) * Word.gen(pair[1]))
     product_zero = all(c == 0 for c in product_class)
     if even and not product_zero:
         raise PipelineAssertionError(
             f"connector product {pair[0]}*{pair[1]} has non-zero class {product_class}"
         )
 
-    K = derived.subgroup.base
     tau1 = K.generators_of_kind("reflection")[0]
+    t = Word.gen(tau1)
     entries: list[tuple[str, bool]] = []
-    for gen in derived.subgroup.generators:
-        conjugate = Word.gen(tau1) * gen.word * Word.gen(tau1)
-        if not derived.theta.evaluate(conjugate).is_identity():
-            raise PipelineAssertionError(
-                f"tau1-conjugate of {gen.name} left the kernel"
-            )
-        rewritten = derived.subgroup.rewrite(conjugate)
+    identities: dict[str, Word] = {}  # name of g -> tau1*g*tau1*g
+    for gen in sub.generators:
+        try:
+            rewritten = sub.rewrite(t * gen.word * t)
+        except NotInKernelError:
+            raise PipelineAssertionError(f"tau1-conjugate of {gen.name} left the kernel")
         ok = ab.class_of(rewritten) == ab.negate(ab.class_of(Word.gen(gen.name)))
         entries.append((gen.name, ok))
         if not ok:
             raise PipelineAssertionError(
                 f"conjugation by {tau1} does not invert the class of {gen.name}"
             )
+        if gen.role in ("glide", "corner rotation"):
+            identities[gen.name] = t * Word.gen(gen.name) * t * Word.gen(gen.name)
 
-    r = len(derived.link_periods)
-    names = [f"delta{j}" for j in range(1, derived.gamma + 1)]
-    names += [f"c{k}" for k in range(1, r + 1)]
-    words = [
-        Word.gen(tau1) * Word.gen(name) * Word.gen(tau1) * Word.gen(name) for name in names
-    ]
-    certs = verify_derived_relators(K, words, classical_substitution(K, derived.gamma, r))
-    certificates: list[tuple[str, bool]] = []
-    for name, cert in zip(names, certs):
-        certificates.append((f"tau1*{name}*tau1*{name}", cert.certified))
+    certs = verify_derived_relators(
+        K, identities.values(), {g.name: g.word for g in sub.generators}
+    )
+    for name, cert in zip(identities, certs):
         if not cert.certified:
             raise PipelineAssertionError(
                 f"conjugation identity for {name} could not be certified"
@@ -427,7 +416,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
         connector_product_class=product_class,
         connector_product_zero=product_zero,
         inversion_entries=tuple(entries),
-        conjugation_certificates=tuple(certificates),
+        conjugation_certificates=tuple((str(c.source), c.certified) for c in certs),
         invariant_factors=ab.invariant_factors,
         free_rank=ab.free_rank,
     )

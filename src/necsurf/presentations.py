@@ -14,9 +14,10 @@ Two canonical families are built here:
   x_i^{n_i} and x_1...x_r d_1^2...d_gamma^2.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
-generators are trivial in the ambient group by bounded rewriting: free and
-involution-aware reduction, elimination of the connector through the long
-relator, and matching against cyclic rotations of the remaining relators.
+generators are trivial in the ambient group by bounded rewriting: the
+connector is replaced by its closed form x_1^-1...x_gamma^-1 (read off the
+long relator), the result is reduced freely and modulo the involutions,
+and matched against cyclic rotations of the remaining relators.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .words import (
     cyclic_reduce,
     cyclically_equal,
     free_reduce,
-    reduce_mod_involutions,
     substitute,
 )
 
@@ -199,25 +199,11 @@ class RelatorCertificate:
         return self.status != "unresolved"
 
 
-def _connector_elimination(p: Presentation) -> dict[str, Word] | None:
-    """Solve the unique relator containing the connector exactly once for
-    the connector (a Tietze elimination), if there is such a relator."""
-    connectors = p.generators_of_kind("connector")
-    if len(connectors) != 1:
-        return None
-    e = connectors[0]
-    for rel in p.relators:
-        positions = [i for i, (g, _) in enumerate(rel.letters) if g == e]
-        if len(positions) != 1:
-            continue
-        i = positions[0]
-        prefix = Word(rel.letters[:i])
-        suffix = Word(rel.letters[i + 1:])
-        replacement = (suffix * prefix).inverse()
-        if rel.letters[i][1] == -1:
-            replacement = replacement.inverse()
-        return {e: replacement}
-    return None
+def _connector_elimination(p: Presentation) -> dict[str, Word]:
+    """The connector solved from the long relator x_gamma...x_2 x_1 e of
+    the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1."""
+    solved = Word(tuple((x, -1) for x in p.generators_of_kind("elliptic")))
+    return {e: solved for e in p.generators_of_kind("connector")}
 
 
 def verify_derived_relators(
@@ -227,22 +213,18 @@ def verify_derived_relators(
     ``substitution`` expressing those names in the ambient generators) is
     trivial in the group presented by ``p``.
 
-    The bounded procedure: substitute, reduce freely and modulo the
-    involution relators, eliminate the connector through the long relator,
-    cyclically reduce, then accept an empty word or an exact cyclic match
-    with one of the remaining relators (or an inverse).  Anything else is
-    reported unresolved, never silently accepted.  The connector is solved
-    for and the relators of ``p`` are normalised once for the whole batch.
+    The bounded procedure: substitute, replace the connector by its
+    closed form x_1^-1...x_gamma^-1, reduce cyclically, freely and modulo
+    the involution relators, then accept an empty word or an exact cyclic
+    match with one of the remaining relators (or an inverse).  Anything
+    else is reported unresolved, never silently accepted.  The relators of
+    ``p`` are normalised once for the whole batch.
     """
     involutions = p.involution_names()
-    elimination = _connector_elimination(p) or {}
+    elimination = _connector_elimination(p)
 
     def normalise(w: Word) -> Word:
-        w = reduce_mod_involutions(free_reduce(w), involutions)
-        if elimination:
-            w = substitute(w, elimination)
-            w = reduce_mod_involutions(free_reduce(w), involutions)
-        return cyclic_reduce(w, involutions)
+        return cyclic_reduce(substitute(w, elimination), involutions)
 
     remaining = [rel for rel in map(normalise, p.relators) if rel.letters]
 

@@ -1,5 +1,6 @@
 """Reference constructions kept as test oracles for the closed forms in
-``necsurf.cosets``, ``necsurf.pipeline`` and ``necsurf.kernels``."""
+``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
+``necsurf.presentations``."""
 
 from dataclasses import dataclass, replace
 
@@ -29,7 +30,7 @@ def theta_through_eta(derived, eta, name):
     rotation(eta(rewrite(g))) when theta(g) = 1, and
     t * rotation(eta(rewrite(tau1 * g))) otherwise."""
     dihedral = DihedralGroup(eta.hom.target.modulus)
-    if derived.theta.image_of(name).is_identity():
+    if not derived.subgroup.parity[name]:
         rewritten = derived.subgroup.rewrite(Word.gen(name))
         return dihedral.rotation(eta.hom.evaluate(rewritten).value)
     rewritten = derived.subgroup.rewrite(Word.gen("tau1") * Word.gen(name))
@@ -240,3 +241,27 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierSubgrou
                 relators.append(rewritten)
 
     return replace(subgroup, presentation=Presentation(derived.generators, tuple(relators)))
+
+
+# The relator search for the connector: the oracle for the closed form
+# e = x_1^-1...x_gamma^-1 in ``necsurf.presentations``.
+
+def search_connector_elimination(p: Presentation) -> dict[str, Word] | None:
+    """Solve the unique relator containing the connector exactly once for
+    the connector (a Tietze elimination), if there is such a relator."""
+    connectors = p.generators_of_kind("connector")
+    if len(connectors) != 1:
+        return None
+    e = connectors[0]
+    for rel in p.relators:
+        positions = [i for i, (g, _) in enumerate(rel.letters) if g == e]
+        if len(positions) != 1:
+            continue
+        i = positions[0]
+        prefix = Word(rel.letters[:i])
+        suffix = Word(rel.letters[i + 1:])
+        replacement = (suffix * prefix).inverse()
+        if rel.letters[i][1] == -1:
+            replacement = replacement.inverse()
+        return {e: replacement}
+    return None

@@ -66,10 +66,18 @@ def test_criterion_3_lemma_over_battery(derived_battery):
     started = time.time()
     even_cases = 0
     generators_checked = 0
-    for gamma, _, _, _, derived in derived_battery:
+    for gamma, periods, _, _, derived in derived_battery:
         lemma = lemma1_check(derived)
         assert lemma.inversion_ok
         assert lemma.certificates_ok
+        names = [f"delta{j}" for j in range(1, gamma + 1)]
+        names += [f"c{k}" for k in range(1, len(periods) + 1)]
+        assert [label for label, _ in lemma.conjugation_certificates] == [
+            f"tau1*{name}*tau1*{name}" for name in names
+        ]
+        assert [name for name, _ in lemma.inversion_entries] == [
+            g.name for g in derived.subgroup.generators
+        ]
         generators_checked += len(lemma.inversion_entries)
         if gamma % 2 == 0:
             even_cases += 1

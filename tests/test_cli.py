@@ -207,17 +207,53 @@ def test_usage_errors_exit_one(capsys, argv):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["realize", "check-lemma"])
 def test_failed_search_uses_the_failure_output(tmp_path, capsys, command, fmt):
-    doc = {"gamma": 1, "periods": [2, 2, 3], "n": 2, "rho": "search"}
+    doc = {"gamma": 1, "periods": [2, 2, 3], "n": 6, "rho": "search"}
     path = write_doc(tmp_path, doc)
     code = cli.main(["--format", fmt, command, path])
     captured = capsys.readouterr()
-    reason = "no surface-kernel epimorphism exists for gamma=1, periods=[2, 2, 3], order=4"
+    reason = "no surface-kernel epimorphism exists for gamma=1, periods=[2, 2, 3], order=12"
     assert code == 1
     assert captured.err == ""
     if fmt == "json":
         assert json.loads(captured.out) == {"input": doc, "errors": [reason]}
     else:
         assert captured.out == f"input validation failed:\n  - {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "shape, reasons",
+    [
+        (
+            {"gamma": 2, "periods": [3, 5], "n": 4},
+            ["period n_1 = 3 does not divide n = 4", "period n_2 = 5 exceeds n = 4"],
+        ),
+        (
+            {"gamma": 1, "periods": [], "n": 3},
+            ["n = 3 must be even (the action order is 2n with n even)"],
+        ),
+        (
+            {"gamma": 1, "periods": [2], "n": 2},
+            ["signature (1;\u2212;[2]) is not hyperbolic (reduced area -1/2)"],
+        ),
+    ],
+    ids=["periods", "odd-n", "not-hyperbolic"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_search_reports_the_shape_violations(tmp_path, capsys, shape, reasons, fmt):
+    # "search" and an explicit rho give the same itemised reasons
+    explicit = {"d": [1] * shape["gamma"], "x": [0] * len(shape["periods"])}
+    for rho in ("search", explicit):
+        doc = dict(shape, rho=rho)
+        code = cli.main(["--format", fmt, "realize", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out) == {"input": doc, "errors": reasons}
+        else:
+            assert captured.out == "".join(
+                ["input validation failed:\n"] + [f"  - {reason}\n" for reason in reasons]
+            )
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

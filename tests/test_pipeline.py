@@ -314,6 +314,18 @@ class TestLemma:
         assert report.connector_product_zero
 
 
+    def test_conjugate_leaving_the_kernel_is_an_assertion(self):
+        _, derived = derived_for(1, (2, 2, 2))
+        generators = list(derived.subgroup.generators)
+        assert generators[0].name == "delta1"
+        generators[0] = replace(generators[0], word=Word.gen("x1"))
+        broken = replace(
+            derived, subgroup=replace(derived.subgroup, generators=tuple(generators))
+        )
+        with pytest.raises(PipelineAssertionError, match="left the kernel"):
+            lemma1_check(broken)
+
+
 class TestExtendToDihedral:
     def test_genus2_extension(self, closure):
         K, derived = derived_for(1, (2, 2, 2))
@@ -357,7 +369,7 @@ class TestExtendToDihedral:
             "x2 tau3 x2 tau3",
         ):
             w = Word.parse(text)
-            if not derived.theta.evaluate(w).is_identity():
+            if not build_theta(K).evaluate(w).is_identity():
                 continue
             value = ext.hom.evaluate(w)
             assert value.flip == 0

@@ -9,14 +9,15 @@ from necsurf import (
     check_homomorphism,
     orientation_character,
     quotient_disc_signature,
+    reidemeister_schreier,
     verify_derived_relators,
     word_character,
 )
-from necsurf.pipeline import classical_substitution
-from necsurf.presentations import Presentation
+from necsurf.pipeline import build_theta
+from necsurf.presentations import Presentation, _connector_elimination
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word, free_reduce
-from reference import naive_theta
+from reference import naive_theta, search_connector_elimination
 
 
 def disc_group(gamma, periods):
@@ -163,13 +164,14 @@ class TestCheckHomomorphism:
 
 
 class TestVerifyDerivedRelator:
-    def substitution(self, K, gamma, r):
-        return classical_substitution(K, gamma, r)
+    def substitution(self, K):
+        sub = reidemeister_schreier(K, build_theta(K))
+        return {g.name: g.word for g in sub.generators}
 
     def test_first_corner_power_matches_link_relator(self):
         K = disc_group(1, (2, 2, 2))
         (cert,) = verify_derived_relators(
-            K, [Word.gen("c1", 2)], self.substitution(K, 1, 3)
+            K, [Word.gen("c1", 2)], self.substitution(K)
         )
         assert cert.certified
         assert cert.status == "matches-relator"
@@ -178,7 +180,7 @@ class TestVerifyDerivedRelator:
     def test_consecutive_corner_power(self):
         K = disc_group(1, (2, 3, 2))
         word = (Word.gen("c1", -1) * Word.gen("c2")) ** 3
-        (cert,) = verify_derived_relators(K, [word], self.substitution(K, 1, 3))
+        (cert,) = verify_derived_relators(K, [word], self.substitution(K))
         assert cert.certified
         assert cert.status == "matches-relator"
         assert str(cert.matched) == "tau2*tau3*tau2*tau3*tau2*tau3"
@@ -192,21 +194,28 @@ class TestVerifyDerivedRelator:
             * Word.gen("delta4")
             * Word.gen("e1", -1)
         )
-        (cert,) = verify_derived_relators(K, [word], self.substitution(K, 4, 0))
+        (cert,) = verify_derived_relators(K, [word], self.substitution(K))
         assert cert.certified
         assert cert.status == "trivial"
 
     def test_connector_pair_relation_uses_conjugation_relator(self):
         K = disc_group(2, (3,))
         word = Word.gen("e1") * Word.gen("e2", -1) * Word.gen("c1")
-        (cert,) = verify_derived_relators(K, [word], self.substitution(K, 2, 1))
+        (cert,) = verify_derived_relators(K, [word], self.substitution(K))
         assert cert.certified
 
     def test_nontrivial_word_is_unresolved(self):
         K = disc_group(1, (2, 2, 2))
-        (cert,) = verify_derived_relators(K, [Word.gen("c1")], self.substitution(K, 1, 3))
+        (cert,) = verify_derived_relators(K, [Word.gen("c1")], self.substitution(K))
         assert not cert.certified
         assert cert.status == "unresolved"
+
+
+def test_connector_elimination_matches_relator_search(signature_battery):
+    assert len(signature_battery) == 1640
+    for gamma, periods in signature_battery:
+        K = disc_group(gamma, periods)
+        assert _connector_elimination(K) == search_connector_elimination(K)
 
 
 def test_duplicate_generator_names_rejected():
