@@ -27,8 +27,7 @@ def main() -> None:
 
     started = time.time()
     total = 0
-    print(f"{'gamma':>5} {'periods':<14} {'2n':>3} {'g':>3} {'ghat':>4} "
-          f"{'|D|':>4} verdict")
+    print(f"{'gamma':>5} {'periods':<14} {'2n':>3} {'g':>3} {'|D|':>4} verdict")
     for n in range(2, args.max_order // 2 + 1, 2):
         divisors = [d for d in range(2, n + 1) if n % d == 0]
         for gamma in range(1, args.max_gamma + 1):
@@ -44,7 +43,7 @@ def main() -> None:
                     verdict = "REALIZED" if cert.conclusion else "FAILED"
                     print(
                         f"{gamma:>5} {str(list(periods)):<14} {2 * n:>3}"
-                        f" {cert.genus:>3} {cert.genus_real:>4}"
+                        f" {cert.genus:>3}"
                         f" {cert.extension.image_order:>4} {verdict}"
                     )
     print(f"\n{total} actions realized in {time.time() - started:.1f}s")

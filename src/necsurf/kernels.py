@@ -31,9 +31,11 @@ from .words import Word
 
 @dataclass(frozen=True)
 class KernelSignatureReport:
+    """The kernel's signature and, exactly when ``signature.orientable``
+    is false, an orientation-reversing kernel element as witness."""
+
     signature: NECSignature
-    orientable: bool
-    witness: Word | None  # orientation-reversing kernel element, if any
+    witness: Word | None
 
 
 def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatureReport:
@@ -103,4 +105,4 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
             f"derived signature {signature} has area {reduced_area(signature)},"
             f" expected {kernel_area}"
         )
-    return KernelSignatureReport(signature=signature, orientable=orientable, witness=witness)
+    return KernelSignatureReport(signature=signature, witness=witness)

@@ -38,7 +38,6 @@ from .words import (
     Word,
     cyclic_reduce,
     cyclically_equal,
-    free_reduce,
     substitute,
 )
 
@@ -166,8 +165,11 @@ def _crosscap_presentation(sig: NECSignature) -> Presentation:
 
 @dataclass(frozen=True)
 class HomCheck:
-    valid: bool
-    failures: tuple[tuple[Word, object], ...] = ()
+    failures: tuple[tuple[Word, object], ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.failures
 
 
 def check_homomorphism(p: Presentation, hom: FiniteHom) -> HomCheck:
@@ -179,7 +181,7 @@ def check_homomorphism(p: Presentation, hom: FiniteHom) -> HomCheck:
         value = hom.evaluate(rel)
         if not value.is_identity():
             failures.append((rel, value))
-    return HomCheck(valid=not failures, failures=tuple(failures))
+    return HomCheck(tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +191,6 @@ def check_homomorphism(p: Presentation, hom: FiniteHom) -> HomCheck:
 @dataclass(frozen=True)
 class RelatorCertificate:
     source: Word
-    substituted: Word
-    normal_form: Word
     status: str  # "trivial" | "matches-relator" | "unresolved"
     matched: Word | None = None
 
@@ -229,15 +229,14 @@ def verify_derived_relators(
     remaining = [rel for rel in map(normalise, p.relators) if rel.letters]
 
     def certify(word: Word) -> RelatorCertificate:
-        substituted = free_reduce(substitute(word, substitution))
-        normal = normalise(substituted)
+        normal = normalise(substitute(word, substitution))
         if not normal.letters:
-            return RelatorCertificate(word, substituted, normal, "trivial")
+            return RelatorCertificate(word, "trivial")
         for rel in remaining:
             if cyclically_equal(normal, rel, involutions) or cyclically_equal(
                 normal, rel.inverse(), involutions
             ):
-                return RelatorCertificate(word, substituted, normal, "matches-relator", rel)
-        return RelatorCertificate(word, substituted, normal, "unresolved")
+                return RelatorCertificate(word, "matches-relator", rel)
+        return RelatorCertificate(word, "unresolved")
 
     return tuple(map(certify, words))

@@ -2,7 +2,9 @@
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
 ``necsurf.presentations``."""
 
+import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 from necsurf import (
     CyclicGroup,
@@ -265,3 +267,26 @@ def search_connector_elimination(p: Presentation) -> dict[str, Word] | None:
             replacement = replacement.inverse()
         return {e: replacement}
     return None
+
+
+# The unpruned product-space filter: the oracle for the pruned search in
+# ``necsurf.pipeline``.
+
+def unpruned_epimorphisms(gamma, periods, order):
+    """Every surface-kernel epimorphism (d, x) of (gamma; -; [periods])
+    onto C_order, by filtering the full product space in lexicographic
+    order: odd glide images, elliptic images of exactly their period, the
+    long relator summing to zero, and images generating C_order."""
+    found = []
+    for tup in product(range(order), repeat=gamma + len(periods)):
+        d, x = tup[:gamma], tup[gamma:]
+        if any(v % 2 == 0 for v in d):
+            continue
+        if any(order // math.gcd(v, order) != n for v, n in zip(x, periods)):
+            continue
+        if (sum(x) + 2 * sum(d)) % order != 0:
+            continue
+        if math.gcd(order, *tup) != 1:
+            continue
+        found.append((d, x))
+    return found

@@ -94,7 +94,7 @@ class TestKernelSignatureIndex2:
         theta = build_theta(K)
         assert check_homomorphism(K, theta).valid
         report = kernel_signature_index2(K, theta)
-        assert report.orientable
+        assert report.signature.orientable
         assert report.witness is None
         assert report.signature == NECSignature(True, 0, (3, 3))
 
@@ -120,11 +120,11 @@ class TestKernelSignatureIndex2:
             assert check_homomorphism(K, theta).valid
             report = kernel_signature_index2(K, theta)
             factors, _ = character_factors_through_image(K, theta)
-            assert report.orientable == factors
+            assert report.signature.orientable == factors
             if report.witness is not None:
                 assert theta.evaluate(report.witness).is_identity()
                 assert word_character(K, report.witness) == -1
-            orientable += report.orientable
+            orientable += report.signature.orientable
         assert (len(cases), orientable) == (2949, 651)
 
 

@@ -12,6 +12,7 @@ from necsurf import (
     FiniteHom,
     NECSignature,
     PipelineAssertionError,
+    RelatorCertificate,
     build_theta,
     canonical_presentation,
     check_homomorphism,
@@ -26,8 +27,14 @@ from necsurf import (
     reduced_area,
     validate_action,
 )
+from necsurf import pipeline
 from necsurf.words import Word, reduce_mod_involutions
-from reference import cayley_coset_table, naive_theta, theta_through_eta
+from reference import (
+    cayley_coset_table,
+    naive_theta,
+    theta_through_eta,
+    unpruned_epimorphisms,
+)
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 GAMMA4 = ActionDatum(4, (), 2, (1, 1, 1, 1), ())
@@ -44,6 +51,18 @@ def derived_for(gamma, periods):
 
 def eta_for(K, derived, datum):
     return construct_eta(derived, extend_to_dihedral(K, datum), datum)
+
+
+def without_relator(derived, text):
+    """``derived`` with the relator spelled ``text`` dropped from Δ̂."""
+    relators = tuple(r for r in derived.presentation.relators if str(r) != text)
+    assert len(relators) == len(derived.presentation.relators) - 1
+    return replace(derived, presentation=replace(derived.presentation, relators=relators))
+
+
+def unresolved_relators(K, words, substitution):
+    """A stand-in for ``verify_derived_relators`` that certifies nothing."""
+    return tuple(RelatorCertificate(w, "unresolved") for w in words)
 
 
 class TestValidateAction:
@@ -174,6 +193,14 @@ class TestDeriveDeltaHat:
         labels = [label for label, _ in derived.printed_checks]
         assert "c1^3" in labels
 
+    def test_uncertified_classical_relator_is_an_assertion(self, monkeypatch):
+        K = disc_group(2, (3,))
+        monkeypatch.setattr(pipeline, "verify_derived_relators", unresolved_relators)
+        with pytest.raises(
+            PipelineAssertionError, match=r"classical relator c1\^3 could not be certified"
+        ):
+            derive_delta_hat(K, build_theta(K))
+
     def test_gamma4_no_corner_generators(self):
         _, derived = derived_for(4, ())
         assert derived.report.signature == NECSignature(False, 4, ())
@@ -288,8 +315,9 @@ class TestLemma:
         _, derived = derived_for(1, (2, 2, 2))
         report = lemma1_check(derived)
         assert report.ok
-        assert len(report.inversion_entries) == len(derived.subgroup.generators)
-        assert all(ok for _, ok in report.inversion_entries)
+        assert report.inversion_entries == tuple(
+            g.name for g in derived.subgroup.generators
+        )
 
     def test_even_gamma_connector_product_class_zero(self):
         _, derived = derived_for(2, (3,))
@@ -301,9 +329,8 @@ class TestLemma:
     def test_conjugation_certificates(self):
         _, derived = derived_for(1, (2, 2, 2))
         report = lemma1_check(derived)
-        labels = dict(report.conjugation_certificates)
-        assert labels["tau1*delta1*tau1*delta1"]
-        assert labels["tau1*c1*tau1*c1"]
+        assert "tau1*delta1*tau1*delta1" in report.conjugation_certificates
+        assert "tau1*c1*tau1*c1" in report.conjugation_certificates
 
     def test_odd_gamma_connector_class_recorded(self):
         _, derived = derived_for(1, (2, 2, 2))
@@ -313,6 +340,32 @@ class TestLemma:
         # recorded, and in fact zero here as well
         assert report.connector_product_zero
 
+    def test_class_not_inverted_is_an_assertion(self):
+        # without delta1t*f2 the classes of f1 and its conjugate f2 are
+        # independent, so conjugation by tau1 no longer inverts f1's class
+        _, derived = derived_for(1, (2, 2, 2))
+        broken = without_relator(derived, "delta1t*f2")
+        with pytest.raises(
+            PipelineAssertionError, match="does not invert the class of f1"
+        ):
+            lemma1_check(broken)
+
+    def test_nonzero_connector_product_is_an_assertion(self):
+        _, derived = derived_for(2, (3,))
+        broken = without_relator(derived, "delta2t*delta1*e1")
+        with pytest.raises(
+            PipelineAssertionError, match=r"connector product e1\*e2 has non-zero class"
+        ):
+            lemma1_check(broken)
+
+    def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
+        _, derived = derived_for(1, (2, 2, 2))
+        monkeypatch.setattr(pipeline, "verify_derived_relators", unresolved_relators)
+        with pytest.raises(
+            PipelineAssertionError,
+            match="conjugation identity for delta1 could not be certified",
+        ):
+            lemma1_check(derived)
 
     def test_conjugate_leaving_the_kernel_is_an_assertion(self):
         _, derived = derived_for(1, (2, 2, 2))
@@ -392,18 +445,20 @@ class TestRealize:
     def test_genus2_certificate(self):
         cert = realize(GENUS2)
         assert cert.conclusion
-        assert cert.genus == 2 and cert.genus_real == 2
+        assert cert.genus == 2
         assert cert.derived.report.signature == NECSignature(False, 1, (2, 2, 2))
         assert cert.extension.kernel_index == 8
-        assert cert.area_ratio == 2
-        assert not cert.theta_printed_connector_valid  # odd gamma needs the parity fix
+        K = cert.k_presentation
+        # odd gamma needs the parity fix
+        assert not check_homomorphism(K, naive_theta(K)).valid
 
     def test_gamma4_certificate(self):
         cert = realize(GAMMA4)
         assert cert.conclusion
-        assert cert.genus == 5 and cert.genus_real == 5
+        assert cert.genus == 5
         assert cert.extension.kernel_index == 8
-        assert cert.theta_printed_connector_valid  # even gamma
+        K = cert.k_presentation
+        assert check_homomorphism(K, naive_theta(K)).valid  # even gamma
 
     @pytest.mark.parametrize("x_images", [(6, 2, 2), (-2, 2, 2)])
     def test_unreduced_residues_realize(self, x_images):
@@ -419,24 +474,24 @@ class TestRealize:
             realize(ActionDatum(1, (2, 4), 2, (1,), (2, 2)))
         assert any("n_2" in reason for reason in exc.value.reasons)
 
+    def test_area_ratio_other_than_two_is_an_assertion(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "riemann_hurwitz_index", lambda sup, sub: 3)
+        with pytest.raises(PipelineAssertionError, match="area ratio .* is 3, expected 2"):
+            realize(GENUS2)
 
-def unpruned_epimorphisms(gamma, periods, order):
-    """Independent oracle: filter the full product space."""
-    import math
-
-    found = []
-    for tup in product(range(order), repeat=gamma + len(periods)):
-        d, x = tup[:gamma], tup[gamma:]
-        if any(v % 2 == 0 for v in d):
-            continue
-        if any(order // math.gcd(v, order) != n for v, n in zip(x, periods)):
-            continue
-        if (sum(x) + 2 * sum(d)) % order != 0:
-            continue
-        if math.gcd(order, *tup) != 1:
-            continue
-        found.append((d, x))
-    return found
+    def test_genus_disagreement_is_an_assertion(self, monkeypatch):
+        # validation computes the genus from Delta's signature; only the
+        # genus realize reads off K (the one signature with a boundary) is off
+        genus = pipeline.surface_kernel_genus
+        monkeypatch.setattr(
+            pipeline,
+            "surface_kernel_genus",
+            lambda sig, order: genus(sig, order) + (1 if sig.period_cycles else 0),
+        )
+        with pytest.raises(
+            PipelineAssertionError, match="genus bookkeeping disagrees: 2 vs 3 vs 2"
+        ):
+            realize(GENUS2)
 
 
 class TestEnumeration:
