@@ -11,7 +11,8 @@ Subcommands:
 
 Input file: a JSON object {"gamma": int, "periods": [int..], "n": int,
 "rho": {"d": [int..], "x": [int..]} | "search"}.  With "search" the
-lexicographically first enumerated epimorphism is used.  Residues out of
+lexicographically first epimorphism, found by the memoised walk of
+``first_smooth_epimorphism``, is used.  Residues out of
 range are reduced mod 2n with a warning (when n >= 1; otherwise validation
 rejects n).
 

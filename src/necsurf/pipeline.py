@@ -245,9 +245,12 @@ class DerivedKernel:
     and the audit data tying the two together."""
 
     subgroup: SchreierSubgroup
-    presentation: Presentation
     report: KernelSignatureReport
     printed_checks: tuple[tuple[str, RelatorCertificate], ...]
+
+    @property
+    def presentation(self) -> Presentation:
+        return self.subgroup.presentation
 
 
 def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[str, Word]]:
@@ -306,10 +309,12 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     for k, n in enumerate(periods, start=1):
         corner = Word.gen(reflections[k - 1]) * Word.gen(reflections[k])
         torsion.append((sub.rewrite(corner), n))
-    presentation = replace(
-        sub.presentation, torsion_words=tuple(torsion), signature=report.signature
+    sub = replace(
+        sub,
+        presentation=replace(
+            sub.presentation, torsion_words=tuple(torsion), signature=report.signature
+        ),
     )
-    sub = replace(sub, presentation=presentation)
 
     printed: list[tuple[str, RelatorCertificate]] = []
     if gamma % 2 == 0:
@@ -322,12 +327,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
                     f"classical relator {label} could not be certified"
                 )
 
-    return DerivedKernel(
-        subgroup=sub,
-        presentation=presentation,
-        report=report,
-        printed_checks=tuple(printed),
-    )
+    return DerivedKernel(subgroup=sub, report=report, printed_checks=tuple(printed))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +590,7 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration oracle
+# Surface-kernel epimorphisms onto C_2n: the first one, and all of them
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -602,7 +602,14 @@ class EnumerationResult:
         return len(self.tuples)
 
 
-def _iter_smooth_epimorphisms(gamma: int, periods: tuple[int, ...], order: int):
+def _image_choices(
+    gamma: int, periods: tuple[int, ...], order: int
+) -> tuple[range, list[list[int]]]:
+    """The candidate images of each letter, in increasing order: the odd
+    residues for every glide, and for a period p the residues of exact
+    order p in C_order, which are (order/p)*u for the units u mod p (none
+    when p does not divide order).  Raises ``ValueError`` unless order is
+    2n with n even, gamma >= 1 and (gamma; -; [periods]) is hyperbolic."""
     if order % 2 != 0 or (order // 2) % 2 != 0 or order < 4:
         raise ValueError(f"order {order} must be 2n with n even and n >= 2")
     if gamma < 1:
@@ -610,21 +617,12 @@ def _iter_smooth_epimorphisms(gamma: int, periods: tuple[int, ...], order: int):
     sig = NECSignature(False, gamma, periods)
     if reduced_area(sig) <= 0:
         raise ValueError(f"signature {sig} is not hyperbolic")
-
-    odd = [k for k in range(1, order, 2)]
     x_candidates = [
-        [t for t in range(order) if order // math.gcd(t, order) == n]
-        for n in periods
+        [order // p * u for u in range(1, p) if math.gcd(u, p) == 1]
+        if order % p == 0 else []
+        for p in periods
     ]
-    for d_images in product(odd, repeat=gamma):
-        partial = 2 * sum(d_images)
-        d_gcd = math.gcd(order, *d_images)
-        for x_images in product(*x_candidates):
-            if (partial + sum(x_images)) % order != 0:
-                continue
-            if math.gcd(d_gcd, *x_images) != 1:
-                continue
-            yield tuple(d_images), tuple(x_images)
+    return range(1, order, 2), x_candidates
 
 
 def enumerate_smooth_epimorphisms(
@@ -635,18 +633,72 @@ def enumerate_smooth_epimorphisms(
 
     Conditions: each elliptic image has exactly its declared order, each
     glide image is odd, the long relator sums to zero, and the images
-    generate.  The enumeration is constraint-pruned but exhaustive, in
-    lexicographic order over (d_1..d_gamma, x_1..x_r); counts are raw,
-    with no quotient by any equivalence.
+    generate.  The elliptic product of the candidate lists
+    (``_image_choices``) is listed once, grouped by its sum mod order; the
+    glide product is then walked in lexicographic order, and each glide
+    tuple meets only the elliptic tuples that close the long relator.  So
+    the output is in lexicographic order over (d_1..d_gamma, x_1..x_r),
+    and the cost is (order/2)^gamma plus the elliptic product plus the
+    output.  Counts are raw, with no quotient by any equivalence.
     """
-    return EnumerationResult(tuple(_iter_smooth_epimorphisms(gamma, periods, order)))
+    odd, x_candidates = _image_choices(gamma, periods, order)
+    by_sum: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for x_images in product(*x_candidates):
+        by_sum.setdefault(sum(x_images) % order, []).append(
+            (x_images, math.gcd(order, *x_images))
+        )
+    found = []
+    for d_images in product(odd, repeat=gamma):
+        closing = by_sum.get(-2 * sum(d_images) % order)
+        if closing:
+            d_gcd = math.gcd(order, *d_images)
+            found += [(d_images, x) for x, x_gcd in closing if math.gcd(d_gcd, x_gcd) == 1]
+    return EnumerationResult(tuple(found))
 
 
 def first_smooth_epimorphism(
     gamma: int, periods: tuple[int, ...], order: int
 ) -> ActionDatum | None:
     """Lexicographically first surface-kernel epimorphism, as an action
-    datum, without materialising the full enumeration."""
-    for d_images, x_images in _iter_smooth_epimorphisms(gamma, periods, order):
-        return ActionDatum(gamma, periods, order // 2, d_images, x_images)
+    datum, or None when there is none.
+
+    A depth-first walk over the letters d_1..d_gamma, x_1..x_r, trying each
+    letter's candidates (``_image_choices``) in increasing order.  The
+    state after k letters is (k, relator sum mod order, gcd of order and
+    the images so far), and a state found to have no completion is never
+    expanded again.  So the walk expands each state at most once: at most
+    (gamma + r) * order * tau(order) states, tau counting divisors, each
+    tried against one letter's candidates.  The walk keeps an explicit
+    stack, so gamma is not bounded by the recursion limit.  Raises the
+    ``ValueError``s of ``enumerate_smooth_epimorphisms``.
+    """
+    odd, x_candidates = _image_choices(gamma, periods, order)
+    # (weight in the long relator, candidate images) per letter
+    letters = [(2, odd)] * gamma + [(1, candidates) for candidates in x_candidates]
+    last = len(letters) - 1
+    dead: set[tuple[int, int, int]] = set()
+    # one frame per letter on the path: (total, gcd) before it, and the
+    # index of its next candidate, so its chosen image is the one before
+    stack = [(0, order, 0)]
+    while stack:
+        total, g, i = stack.pop()
+        k = len(stack)
+        weight, choices = letters[k]
+        while i < len(choices):
+            value = choices[i]
+            i += 1
+            child = ((total + weight * value) % order, math.gcd(g, value))
+            if k == last:
+                if child == (0, 1):
+                    images = [letters[j][1][nxt - 1] for j, (*_, nxt) in enumerate(stack)]
+                    images.append(value)
+                    return ActionDatum(
+                        gamma, periods, order // 2, images[:gamma], images[gamma:]
+                    )
+            elif (k + 1, *child) not in dead:
+                stack.append((total, g, i))
+                stack.append((*child, 0))
+                break
+        else:
+            dead.add((k, total, g))
     return None

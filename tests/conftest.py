@@ -3,6 +3,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import settings
 
+from shapes import battery_shapes
+
 from necsurf import (
     NECSignature,
     build_theta,
@@ -34,19 +36,10 @@ def action_battery_data(max_gamma=5, max_r=4, max_order=12):
     """One valid action datum (the lexicographically first epimorphism)
     per admissible (gamma, periods, n) with 2n <= max_order."""
     data = []
-    for n in (2, 4, 6):
-        if 2 * n > max_order:
-            continue
-        divisors = [d for d in range(2, n + 1) if n % d == 0]
-        for gamma in range(1, max_gamma + 1):
-            for r in range(max_r + 1):
-                for periods in combinations_with_replacement(divisors, r):
-                    sig = NECSignature(False, gamma, periods)
-                    if reduced_area(sig) <= 0:
-                        continue
-                    datum = first_smooth_epimorphism(gamma, periods, 2 * n)
-                    if datum is not None:
-                        data.append(datum)
+    for gamma, periods, order in battery_shapes(max_gamma, max_r, max_order):
+        datum = first_smooth_epimorphism(gamma, periods, order)
+        if datum is not None:
+            data.append(datum)
     return data
 
 

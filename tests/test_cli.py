@@ -110,6 +110,12 @@ class TestRealizeCommand:
         assert code == 1
         assert "no surface-kernel epimorphism" in out
 
+    def test_search_at_large_gamma_resolves_rho(self):
+        # the walk keeps its own stack: 2000 letters deep is no RecursionError
+        doc = {"gamma": 2000, "periods": [], "n": 2, "rho": "search"}
+        datum = cli.datum_from_document(doc)
+        assert datum.d_images == (1,) * 2000 and datum.n == 2
+
     def test_out_of_range_residue_warns_and_reduces(self, tmp_path, capsys):
         doc = dict(GENUS2_DOC, rho={"d": [5], "x": [2, 2, 2]})
         path = write_doc(tmp_path, doc)

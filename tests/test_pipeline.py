@@ -1,6 +1,8 @@
+import math
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations_with_replacement, product
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +37,7 @@ from reference import (
     theta_through_eta,
     unpruned_epimorphisms,
 )
+from shapes import battery_shapes
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 GAMMA4 = ActionDatum(4, (), 2, (1, 1, 1, 1), ())
@@ -57,7 +60,12 @@ def without_relator(derived, text):
     """``derived`` with the relator spelled ``text`` dropped from Δ̂."""
     relators = tuple(r for r in derived.presentation.relators if str(r) != text)
     assert len(relators) == len(derived.presentation.relators) - 1
-    return replace(derived, presentation=replace(derived.presentation, relators=relators))
+    return with_presentation(derived, replace(derived.presentation, relators=relators))
+
+
+def with_presentation(derived, presentation):
+    """``derived`` with its Schreier subgroup's presentation replaced."""
+    return replace(derived, subgroup=replace(derived.subgroup, presentation=presentation))
 
 
 def unresolved_relators(K, words, substitution):
@@ -254,7 +262,7 @@ class TestConstructEta:
             derived.presentation,
             torsion_words=((words[0][0], 3),) + words[1:],
         )
-        broken = replace(derived, presentation=broken_pres)
+        broken = with_presentation(derived, broken_pres)
         with pytest.raises(PipelineAssertionError):
             eta_for(K, broken, GENUS2)
 
@@ -270,21 +278,9 @@ class TestConstructEta:
             construct_eta(derived, tampered, GENUS2)
 
 
-def closed_form_shapes(max_order=8, max_gamma=3, max_r=3):
-    """Every hyperbolic (gamma, periods, 2n) with 2n <= max_order."""
-    for order in range(4, max_order + 1, 4):
-        n = order // 2
-        divisors = [p for p in range(2, n + 1) if n % p == 0]
-        for gamma in range(1, max_gamma + 1):
-            for r in range(max_r + 1):
-                for periods in combinations_with_replacement(divisors, r):
-                    if reduced_area(NECSignature(False, gamma, periods)) > 0:
-                        yield gamma, periods, order
-
-
 def test_closed_form_on_every_small_epimorphism(closure):
     checked = []
-    for gamma, periods, order in closed_form_shapes():
+    for gamma, periods, order in battery_shapes(max_gamma=3, max_r=3, max_order=8):
         K, derived = derived_for(gamma, periods)
         dihedral = DihedralGroup(order)
         for d_images, x_images in enumerate_smooth_epimorphisms(
@@ -515,10 +511,57 @@ class TestEnumeration:
             assert list(got.tuples) == unpruned_epimorphisms(gamma, periods, order)
 
     def test_invalid_orders_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            enumerate_smooth_epimorphisms(1, (2, 2, 2), 6)  # n = 3 odd
-        with pytest.raises(ValueError, match="not hyperbolic"):
-            enumerate_smooth_epimorphisms(2, (), 4)
+        for search in (enumerate_smooth_epimorphisms, first_smooth_epimorphism):
+            with pytest.raises(ValueError, match="even"):
+                search(1, (2, 2, 2), 6)  # n = 3 odd
+            with pytest.raises(ValueError, match="gamma must be >= 1"):
+                search(0, (2, 2, 2, 2, 2), 4)
+            with pytest.raises(ValueError, match="not hyperbolic"):
+                search(2, (), 4)
+
+
+class TestFirstEpimorphism:
+    def test_matches_enumeration_and_brute_force(self):
+        shapes = battery_shapes()
+        assert len(shapes) == 260
+        found = brute_checked = 0
+        for gamma, periods, order in shapes:
+            listed = enumerate_smooth_epimorphisms(gamma, periods, order).tuples
+            datum = first_smooth_epimorphism(gamma, periods, order)
+            first = (datum.d_images, datum.x_images) if datum else None
+            assert first == (listed[0] if listed else None), (gamma, periods, order)
+            if datum:
+                found += 1
+                assert datum == ActionDatum(gamma, periods, order // 2, *listed[0])
+            if order ** (gamma + len(periods)) <= 5000:
+                brute = unpruned_epimorphisms(gamma, periods, order)
+                assert first == (brute[0] if brute else None), (gamma, periods, order)
+                brute_checked += 1
+        # both verdicts occur, and the brute force reaches both
+        assert 0 < found < len(shapes) and brute_checked > 0
+
+    @pytest.mark.parametrize("gamma", [13, 41])
+    def test_infeasible_walk_expands_each_state_once(self, monkeypatch, gamma):
+        # every candidate tried costs one gcd; the walk has at most
+        # gamma * 8 * tau(8) states, each trying the 4 odd residues, where
+        # a walk without the memo would try about 4^gamma
+        bound = gamma * 8 * 4 * 4
+        tried = 0
+
+        def gcd(*args):
+            nonlocal tried
+            tried += 1
+            if tried > bound:
+                raise AssertionError(f"more than {bound} candidates tried")
+            return math.gcd(*args)
+
+        monkeypatch.setattr(pipeline, "math", SimpleNamespace(gcd=gcd))
+        assert first_smooth_epimorphism(gamma, (), 8) is None
+        assert tried > 0
+
+    def test_deep_infeasible_walk_needs_no_recursion(self):
+        # odd gamma at 2n = 4: the walk backtracks through all 2001 letters
+        assert first_smooth_epimorphism(2001, (), 4) is None
 
 
 def test_battery_subsample_round_trip(action_battery):
