@@ -2,10 +2,11 @@
 
 The Smith normal form D = U*M*V (U, V unimodular, D diagonal with
 d_1 | d_2 | ...) is computed over Python integers, so there is no
-overflow and every identity is exact.  Abelianizing a presentation means
-taking the Smith form of its relator exponent matrix; the column
-transform V then reduces any word to canonical coordinates in the
-direct-sum decomposition Z/d_1 x ... x Z/d_k x Z^f.
+overflow and every identity is exact.  Only D and the column transform V
+are formed; nothing reads the row transform U.  Abelianizing a
+presentation means taking the Smith form of its relator exponent matrix;
+the column transform V then reduces any word to canonical coordinates in
+the direct-sum decomposition Z/d_1 x ... x Z/d_k x Z^f.
 """
 
 from __future__ import annotations
@@ -18,24 +19,18 @@ from .words import Word
 Matrix = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U*M*V = D, U and V unimodular, D diagonal
-    and each diagonal entry dividing the next."""
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Return (D, V) with D diagonal, each diagonal entry dividing the
+    next, V unimodular and U*M*V = D for some unimodular U; row
+    operations act on the working matrix only, so U is never formed."""
     a = [[int(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_sub(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
         for t in range(cols):
             a[i][t] -= q * a[j][t]
-        for t in range(rows):
-            u[i][t] -= q * u[j][t]
 
     def col_sub(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
         for t in range(rows):
@@ -43,21 +38,11 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         for t in range(cols):
             v[t][i] -= q * v[t][j]
 
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
     def swap_cols(i: int, j: int) -> None:
         for t in range(rows):
             a[t][i], a[t][j] = a[t][j], a[t][i]
         for t in range(cols):
             v[t][i], v[t][j] = v[t][j], v[t][i]
-
-    def negate_row(i: int) -> None:
-        for t in range(cols):
-            a[i][t] = -a[i][t]
-        for t in range(rows):
-            u[i][t] = -u[i][t]
 
     t = 0
     while t < min(rows, cols):
@@ -71,11 +56,11 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             break
         if pivot != (t, t):
             if pivot[0] != t:
-                swap_rows(pivot[0], t)
+                a[pivot[0]], a[t] = a[t], a[pivot[0]]
             if pivot[1] != t:
                 swap_cols(pivot[1], t)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
 
         dirty = False
         for i in range(t + 1, rows):
@@ -103,7 +88,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             continue
         t += 1
 
-    return a, u, v
+    return a, v
 
 
 @dataclass(frozen=True)
@@ -138,11 +123,6 @@ class Abelianization:
             c % d if d > 0 else c for c, d in zip(coords, self.moduli)
         )
 
-    def negate(self, cls_vector: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            (-c) % d if d > 0 else -c for c, d in zip(cls_vector, self.moduli)
-        )
-
 
 def abelianization(p: Presentation) -> Abelianization:
     names = p.generator_names()
@@ -155,7 +135,7 @@ def abelianization(p: Presentation) -> Abelianization:
         matrix.append(row)
     if not matrix:
         matrix = [[0] * len(names)] if names else []
-    d, _, v = smith_normal_form(matrix)
+    d, v = smith_normal_form(matrix)
     diag = [d[i][i] for i in range(min(len(d), len(names)))]
     moduli = tuple(
         (diag[i] if i < len(diag) else 0) for i in range(len(names))

@@ -34,6 +34,7 @@ from typing import Any
 from .pipeline import (
     ActionDatum,
     ActionValidationError,
+    LemmaReport,
     PipelineAssertionError,
     RealizationCertificate,
     enumerate_smooth_epimorphisms,
@@ -151,6 +152,22 @@ def _hom_images_json(hom) -> dict:
     return {name: str(value) for name, value in hom.images}
 
 
+def _lemma_json(lemma: LemmaReport, **conjugation) -> dict:
+    """The ``lemma1`` keys that ``realize`` and ``check-lemma`` share; each
+    command adds its own conjugation keys."""
+    return {
+        "gamma_even": lemma.gamma_even,
+        "connector_pair": list(lemma.connector_pair),
+        "connector_product_class": list(lemma.connector_product_class),
+        "connector_product_zero": lemma.connector_product_zero,
+        **conjugation,
+        "abelianization": {
+            "invariant_factors": list(lemma.invariant_factors),
+            "free_rank": lemma.free_rank,
+        },
+    }
+
+
 def certificate_json(cert: RealizationCertificate, input_doc: dict) -> dict:
     datum = cert.datum
     # realize raises if any check fails, so these keys are literal, as are
@@ -181,18 +198,9 @@ def certificate_json(cert: RealizationCertificate, input_doc: dict) -> dict:
             {"relator": label, "status": rc.status}
             for label, rc in cert.derived.printed_checks
         ],
-        "lemma1": {
-            "gamma_even": cert.lemma.gamma_even,
-            "connector_pair": list(cert.lemma.connector_pair),
-            "connector_product_class": list(cert.lemma.connector_product_class),
-            "connector_product_zero": cert.lemma.connector_product_zero,
-            "conjugation_inversion_ok": True,
-            "conjugation_certificates_ok": True,
-            "abelianization": {
-                "invariant_factors": list(cert.lemma.invariant_factors),
-                "free_rank": cert.lemma.free_rank,
-            },
-        },
+        "lemma1": _lemma_json(
+            cert.lemma, conjugation_inversion_ok=True, conjugation_certificates_ok=True
+        ),
         "eta": {
             "images": _hom_images_json(cert.eta.hom),
             "unit": cert.eta.unit,
@@ -397,23 +405,16 @@ def _cmd_check_lemma(args: argparse.Namespace) -> int:
     lemma = cert.lemma
     payload = {
         "input": doc,
-        "lemma1": {
-            "gamma_even": lemma.gamma_even,
-            "connector_pair": list(lemma.connector_pair),
-            "connector_product_class": list(lemma.connector_product_class),
-            "connector_product_zero": lemma.connector_product_zero,
-            "conjugation_inversion": [
+        "lemma1": _lemma_json(
+            lemma,
+            conjugation_inversion=[
                 {"generator": name, "inverted": True} for name in lemma.inversion_entries
             ],
-            "conjugation_certificates": [
+            conjugation_certificates=[
                 {"identity": label, "certified": True}
                 for label in lemma.conjugation_certificates
             ],
-            "abelianization": {
-                "invariant_factors": list(lemma.invariant_factors),
-                "free_rank": lemma.free_rank,
-            },
-        },
+        ),
     }
     if args.format == "json":
         _emit(render_json(payload), args.out)

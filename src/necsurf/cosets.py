@@ -32,11 +32,11 @@ class NotInKernelError(ValueError):
 
 @dataclass(frozen=True)
 class SchreierGenerator:
-    """One non-trivial Schreier generator rep(c) * g * rep(c g)^-1."""
+    """One non-trivial Schreier generator rep(c) * g * rep(c g)^-1.  Its
+    pair (coset c, generator g) is the key of its name in
+    ``SchreierSubgroup.pair_names``."""
 
     name: str
-    coset: int          # 1 for the tau_1 coset, 0 for the identity coset
-    base_generator: str
     word: Word          # freely reduced word in the ambient generators
     role: str
 
@@ -110,7 +110,7 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     for coset, g, name, role in pairs + conjugates:
         word = free_reduce(reps[coset] * Word.gen(g) * reps[coset ^ parity[g]].inverse())
         pair_names[(coset, g)] = name
-        generators.append(SchreierGenerator(name, coset, g, word, role))
+        generators.append(SchreierGenerator(name, word, role))
 
     derived = Presentation(
         tuple(

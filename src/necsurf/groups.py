@@ -202,10 +202,6 @@ class FiniteHom:
         ordered = tuple((name, images[name]) for name in names)
         return cls(domain, target, ordered)
 
-    def image_dict(self) -> dict:
-        """Generator name -> image; shared by every caller, not a copy."""
-        return self._by_name
-
     def image_of(self, name: str):
         return self._by_name[name]
 

@@ -62,9 +62,8 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
     if index != 2:
         raise ValueError(f"kernel has index {index}, expected 2")
     reflections = p.generators_of_kind("reflection")
-    images = theta.image_dict()
     for tau in reflections:
-        if images[tau].is_identity():
+        if theta.image_of(tau).is_identity():
             raise ValueError(f"reflection {tau} maps to the identity and survives")
 
     kernel_area = 2 * reduced_area(p.signature)
@@ -72,7 +71,7 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
     periods = list(p.signature.period_cycles[0])
     for name, kind in p.generators:
         if kind.kind == "elliptic":
-            image_order = images[name].order()
+            image_order = theta.image_of(name).order()
             period = kind.order // image_order
             if period > 1:
                 periods.extend([period] * (2 // image_order))
@@ -80,7 +79,7 @@ def kernel_signature_index2(p: Presentation, theta: FiniteHom) -> KernelSignatur
     chars = orientation_character(p)
     witness = None
     for name, _ in p.generators:
-        moved = not images[name].is_identity()
+        moved = not theta.image_of(name).is_identity()
         if (chars[name] == -1) != moved:
             witness = Word.gen(name)
             if moved:

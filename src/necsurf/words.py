@@ -1,16 +1,15 @@
 """Words over named generators, with free and involution-aware reduction.
 
 A word is a sequence of (generator name, exponent) letters with exponents
-restricted to +1/-1; higher powers are spelled out.  Reduction comes in
-two strengths: plain free reduction, and reduction modulo a declared set
-of involutions (generators g with g^2 = 1), under which g^-1 is rewritten
-to g and adjacent equal involutions cancel.
+restricted to +1/-1; higher powers are spelled out.  One function reduces
+words, modulo a declared set of involutions (generators g with g^2 = 1),
+under which g^-1 is rewritten to g and adjacent equal involutions cancel;
+with no involutions it is plain free reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
@@ -73,9 +69,6 @@ class Word:
             parts.append(g if e == 1 else f"{g}^-1")
         return "*".join(parts)
 
-    def generator_names(self) -> set[str]:
-        return {g for g, _ in self.letters}
-
     def exponent_sums(self) -> dict[str, int]:
         sums: dict[str, int] = {}
         for g, e in self.letters:
@@ -83,22 +76,13 @@ class Word:
         return sums
 
 
-def free_reduce(w: Word) -> Word:
-    """Cancel adjacent inverse pairs until none remain."""
-    stack: list[tuple[str, int]] = []
-    for g, e in w.letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -e:
-            stack.pop()
-        else:
-            stack.append((g, e))
-    return Word(tuple(stack))
-
-
-def reduce_mod_involutions(w: Word, involutions: frozenset[str] | set[str]) -> Word:
+def reduce_mod_involutions(
+    w: Word, involutions: frozenset[str] | set[str] = frozenset()
+) -> Word:
     """Free reduction after rewriting g^-1 -> g for each involution g.
 
     The result is equal to ``w`` in any group where the involution
-    relators g^2 = 1 hold.
+    relators g^2 = 1 hold; with no involutions it is the free reduction.
     """
     stack: list[tuple[str, int]] = []
     for g, e in w.letters:
@@ -111,6 +95,10 @@ def reduce_mod_involutions(w: Word, involutions: frozenset[str] | set[str]) -> W
                 continue
         stack.append((g, e))
     return Word(tuple(stack))
+
+
+# Cancel adjacent inverse pairs until none remain.
+free_reduce = reduce_mod_involutions
 
 
 def substitute(w: Word, mapping: dict[str, Word]) -> Word:

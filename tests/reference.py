@@ -49,7 +49,7 @@ def character_factors_through_image(p, hom):
     (the witness).
     """
     chars = orientation_character(p)
-    images = hom.image_dict()
+    images = dict(hom.images)
     identity = hom.target.identity()
     signs = {identity: 1}
     parent: dict = {identity: None}  # element -> (previous element, generator)
@@ -104,7 +104,7 @@ def cayley_coset_table(hom: FiniteHom) -> CosetTable:
     """Coset table of ker(hom): cosets are the image subgroup elements,
     discovered breadth-first in declared generator order, and each
     generator acts by right translation (backward: by its inverse)."""
-    images = hom.image_dict()
+    images = dict(hom.images)
     identity = hom.target.identity()
     cosets = [identity]
     seen = {identity: 0}

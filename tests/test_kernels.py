@@ -110,7 +110,7 @@ class TestKernelSignatureIndex2:
             cases.append((K, theta))
             for xs in product((0, 1), repeat=gamma if gamma <= 2 else 0):
                 if not all(xs):
-                    images = theta.image_dict() | {
+                    images = dict(theta.images) | {
                         f"x{j}": c2.element(v) for j, v in enumerate(xs, start=1)
                     }
                     images["e"] = c2.element(sum(xs))

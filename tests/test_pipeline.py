@@ -270,7 +270,7 @@ class TestConstructEta:
         K, derived = derived_for(1, (2, 2, 2))
         ext = extend_to_dihedral(K, GENUS2)
         target = ext.hom.target
-        tampered_images = ext.hom.image_dict() | {
+        tampered_images = dict(ext.hom.images) | {
             "x1": ext.hom.image_of("x1") * target.rotation(1)
         }
         tampered = replace(ext, hom=FiniteHom.from_dict(K, target, tampered_images))

@@ -33,7 +33,7 @@ def assert_well_formed(p):
     reflection generator has its order relator."""
     declared = set(p.generator_names())
     for rel in p.relators:
-        assert rel.generator_names() <= declared
+        assert {g for g, _ in rel.letters} <= declared
     reduced = {free_reduce(rel).letters for rel in p.relators}
     for g, kind in p.generators:
         order = 2 if kind.kind == "reflection" else kind.order
