@@ -3,15 +3,21 @@
 The Smith normal form D = U*M*V (U, V unimodular, D diagonal with
 d_1 | d_2 | ...) is computed over Python integers, so there is no
 overflow and every identity is exact.  Only D and the column transform V
-are formed; nothing reads the row transform U.  Abelianizing a
-presentation means taking the Smith form of its relator exponent matrix;
-the column transform V then reduces any word to canonical coordinates in
-the direct-sum decomposition Z/d_1 x ... x Z/d_k x Z^f.
+are formed; nothing reads the row transform U.
+
+Abelianizing a presentation means reducing its relator exponent matrix
+to that form.  The relators of a Reidemeister-Schreier presentation are
+short and most have a +-1 entry, so each such entry first eliminates a
+generator (a Tietze move on sparse rows), and only the small core that
+is left goes through the dense Smith form.  Back-substituting the
+eliminated generators into the core's column transform V reduces any
+word to canonical coordinates in Z/d_1 x ... x Z/d_k x Z^f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .presentations import Presentation
 from .words import Word
@@ -95,12 +101,15 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
 class Abelianization:
     """Abelianization of a presentation, with canonical coordinates.
 
-    A word maps to the vector of its exponent sums times the Smith column
-    transform V; coordinate i is reduced modulo the i-th diagonal entry
-    (0 meaning a free coordinate).  ``rows`` holds, per generator, the
-    non-zero entries (column, value) of its row of V.  The zero vector
-    characterises words that die under every homomorphism to an abelian
-    group.
+    A word maps to the sum of its generators' coordinate vectors times
+    their exponent sums; coordinate i is reduced modulo ``moduli[i]`` (0
+    meaning a free coordinate).  ``rows`` holds, per generator, the
+    non-zero entries (column, value) of its coordinate vector: a generator
+    that survives elimination reads its row of the core's Smith column
+    transform V (or a unit vector, if it is free), and an eliminated one
+    the back-substituted sum of those rows.  Coordinates of modulus 1 are
+    always zero, so no row holds them.  The zero vector characterises
+    words that die under every homomorphism to an abelian group.
     """
 
     moduli: tuple[int, ...]
@@ -115,32 +124,124 @@ class Abelianization:
         return sum(1 for d in self.moduli if d == 0)
 
     def class_of(self, w: Word) -> tuple[int, ...]:
-        coords = [0] * len(self.moduli)
+        """The word's coordinates; only those its generators touch are
+        reduced, every other one is zero."""
+        coords: dict[int, int] = {}
         for g, e in w.exponent_sums().items():
             for j, v in self.rows[g]:
-                coords[j] += e * v
-        return tuple(
-            c % d if d > 0 else c for c, d in zip(coords, self.moduli)
-        )
+                coords[j] = coords.get(j, 0) + e * v
+        out = [0] * len(self.moduli)
+        for j, c in coords.items():
+            d = self.moduli[j]
+            out[j] = c % d if d > 0 else c
+        return tuple(out)
+
+
+def _eliminate_units(
+    rows: dict[int, dict[int, int]], holders: list[set[int]]
+) -> list[tuple[int, dict[int, int]]]:
+    """Tietze elimination on sparse relator rows, in place.
+
+    While some row has a +-1 entry s at generator g, the row says
+    g = -s * (rest of the row): substitute that into every other row
+    holding g and drop the pivot row.  Rows are taken shortest first from
+    a heap that each changed row re-enters, so no step rescans the alive
+    rows; within a row the unit column held by the fewest rows is the
+    pivot (a Markowitz-style choice that limits fill-in).  ``holders[j]``
+    is the set of rows holding column j.  Returns the substitutions
+    (g, {h: coefficient}) in elimination order; each expresses g through
+    columns that were not yet eliminated when it was made.
+    """
+    substitutions: list[tuple[int, dict[int, int]]] = []
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapify(heap)
+    while heap:
+        length, r = heappop(heap)
+        row = rows.get(r)
+        if row is None or len(row) != length:
+            continue  # eliminated, or re-queued with its new length
+        units = [j for j, x in row.items() if x in (1, -1)]
+        if not units:
+            continue
+        g = min(units, key=lambda j: len(holders[j]))
+        s = row[g]
+        del rows[r]
+        for j in row:
+            holders[j].discard(r)
+        expr = {h: -s * x for h, x in row.items() if h != g}
+        substitutions.append((g, expr))
+        for t in holders[g]:
+            other = rows[t]
+            q = other.pop(g)
+            for h, x in expr.items():
+                y = other.get(h, 0) + q * x
+                if y:
+                    other[h] = y
+                    holders[h].add(t)
+                else:
+                    del other[h]
+                    holders[h].discard(t)
+            if other:
+                heappush(heap, (len(other), t))
+            else:
+                del rows[t]
+        holders[g].clear()
+    return substitutions
 
 
 def abelianization(p: Presentation) -> Abelianization:
+    """Abelianize by unit-pivot elimination, then Smith form on the core.
+
+    Each relator becomes a sparse exponent row.  ``_eliminate_units``
+    removes one generator per +-1 pivot (after Havas, Holt and Rees,
+    "Recognizing badly presented Z-modules", 1993); each eliminated
+    generator is a coordinate of modulus 1.  A surviving generator that
+    no remaining row holds is free.  Only the columns the remaining rows
+    still hold, the core, go to ``smith_normal_form``; its diagonal gives
+    their moduli.  Coordinates run: eliminated generators, core diagonal,
+    free generators, so ``moduli`` has one entry per generator.
+    """
     names = p.generator_names()
     index = {g: i for i, g in enumerate(names)}
-    matrix = []
-    for rel in p.relators:
-        row = [0] * len(names)
-        for g, e in rel.exponent_sums().items():
-            row[index[g]] = e
-        matrix.append(row)
-    if not matrix:
-        matrix = [[0] * len(names)] if names else []
-    d, v = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(len(d), len(names)))]
-    moduli = tuple(
-        (diag[i] if i < len(diag) else 0) for i in range(len(names))
+    rows: dict[int, dict[int, int]] = {}
+    holders: list[set[int]] = [set() for _ in names]
+    for r, rel in enumerate(p.relators):
+        row = {index[g]: e for g, e in rel.exponent_sums().items() if e}
+        if row:
+            rows[r] = row
+            for j in row:
+                holders[j].add(r)
+    substitutions = _eliminate_units(rows, holders)
+
+    eliminated = {g for g, _ in substitutions}
+    core = [j for j in range(len(names)) if holders[j]]
+    free = [j for j in range(len(names)) if j not in eliminated and not holders[j]]
+    d, v = smith_normal_form([[row.get(j, 0) for j in core] for row in rows.values()])
+    diag = [d[i][i] for i in range(min(len(d), len(core)))]
+    moduli = (1,) * len(eliminated) + tuple(diag) + (0,) * (len(core) - len(diag) + len(free))
+
+    def reduced(vec: dict[int, int]) -> dict[int, int]:
+        out = {}
+        for j, x in vec.items():
+            m = moduli[j]
+            x = x % m if m > 0 else x
+            if x:
+                out[j] = x
+        return out
+
+    start = len(eliminated)
+    vectors: dict[int, dict[int, int]] = {}
+    for i, j in enumerate(core):
+        vectors[j] = reduced({start + k: x for k, x in enumerate(v[i])})
+    start += len(core)
+    for i, j in enumerate(free):
+        vectors[j] = {start + i: 1}
+    for g, expr in reversed(substitutions):
+        vec: dict[int, int] = {}
+        for h, x in expr.items():
+            for k, y in vectors[h].items():
+                vec[k] = vec.get(k, 0) + x * y
+        vectors[g] = reduced(vec)
+    return Abelianization(
+        moduli, {g: tuple(sorted(vectors[i].items())) for g, i in index.items()}
     )
-    rows = {
-        g: tuple((j, x) for j, x in enumerate(v[i]) if x) for g, i in index.items()
-    }
-    return Abelianization(moduli, rows)

@@ -19,9 +19,10 @@ correspondence with the ambient group stays auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 
 from .groups import FiniteHom
-from .presentations import Presentation, word_character
+from .presentations import Presentation, orientation_character
 from .signatures import CONNECTOR, GLIDE
 from .words import Word, free_reduce
 
@@ -112,9 +113,11 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
         pair_names[(coset, g)] = name
         generators.append(SchreierGenerator(name, word, role))
 
+    chars = orientation_character(p)
     derived = Presentation(
         tuple(
-            (gen.name, GLIDE if word_character(p, gen.word) == -1 else CONNECTOR)
+            (gen.name, GLIDE if prod(chars[g] for g, _ in gen.word.letters) == -1
+             else CONNECTOR)
             for gen in generators
         ),
         (),

@@ -268,13 +268,10 @@ def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[s
         )
     else:
         rels.append(("e1*e2^-1", Word.gen("e1") * Word.gen("e2", -1)))
-    w1 = Word()
-    w2 = Word()
-    for j in range(1, gamma + 1):
-        w1 = w1 * Word.gen(f"delta{j}", -1 if j % 2 == 1 else 1)
-        w2 = w2 * Word.gen(f"delta{j}", 1 if j % 2 == 1 else -1)
-    rels.append(("delta-alternation-1", w1 * Word.gen("e1", -1)))
-    rels.append(("delta-alternation-2", w2 * Word.gen("e2", -1)))
+    # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
+    for i, sign in ((1, -1), (2, 1)):
+        letters = [(f"delta{j}", sign if j % 2 else -sign) for j in range(1, gamma + 1)]
+        rels.append((f"delta-alternation-{i}", Word((*letters, (f"e{i}", -1)))))
     return rels
 
 

@@ -130,11 +130,7 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     relators.append(
         Word.gen("e", -1) * Word.gen(taus[-1]) * Word.gen("e") * Word.gen(taus[0], -1)
     )
-    long_word = Word()
-    for x in reversed(xs):
-        long_word = long_word * Word.gen(x)
-    long_word = long_word * Word.gen("e")
-    relators.append(long_word)
+    relators.append(Word(tuple((x, 1) for x in reversed(xs))) * Word.gen("e"))
     for k, n in enumerate(cycle):
         relators.append((Word.gen(taus[k]) * Word.gen(taus[k + 1])) ** n)
     return Presentation(tuple(generators), tuple(relators), signature=sig)
@@ -149,12 +145,10 @@ def _crosscap_presentation(sig: NECSignature) -> Presentation:
         (x, elliptic(n)) for x, n in zip(xs, periods)
     ]
     relators = [Word.gen(x, n) for x, n in zip(xs, periods)]
-    long_word = Word()
-    for x in xs:
-        long_word = long_word * Word.gen(x)
-    for d in ds:
-        long_word = long_word * Word.gen(d, 2)
-    relators.append(long_word)
+    # x1*...*xr * d1^2*...*d_gamma^2
+    relators.append(
+        Word(tuple((x, 1) for x in xs)) * Word(tuple((d, 1) for d in ds for _ in range(2)))
+    )
     torsion = tuple((Word.gen(x), n) for x, n in zip(xs, periods))
     return Presentation(tuple(generators), tuple(relators), torsion, sig)
 

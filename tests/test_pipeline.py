@@ -354,6 +354,22 @@ class TestLemma:
         ):
             lemma1_check(broken)
 
+    @pytest.mark.parametrize(
+        "gamma, periods, message",
+        [
+            (1, (2, 2, 2), "does not invert the class of delta1"),
+            (3, (2, 3), "does not invert the class of delta1"),
+            (2, (2, 2), r"connector product e1\*e2 has non-zero class"),
+        ],
+    )
+    def test_missing_delta1_relator_is_an_assertion(self, gamma, periods, message):
+        # drop both rewrites of x1*x1 (conjugated by 1 and by tau1): the
+        # unit-pivot elimination must not hide the missing relation
+        _, derived = derived_for(gamma, periods)
+        broken = without_relator(without_relator(derived, "delta1t*delta1"), "delta1*delta1t")
+        with pytest.raises(PipelineAssertionError, match=message):
+            lemma1_check(broken)
+
     def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
         _, derived = derived_for(1, (2, 2, 2))
         monkeypatch.setattr(pipeline, "verify_derived_relators", unresolved_relators)
