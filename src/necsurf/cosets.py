@@ -10,10 +10,13 @@ generator is born with its canonical name and role: delta_j = tau_1 x_j,
 c_k = tau_1 tau_(k+1), the connector pair e1, e2 (gamma even) or f1, f2
 (gamma odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.
 
-Rewriting a kernel word walks the parity bit letter by letter.  The
-derived presentation is simplified only by freely reducing and
-de-duplicating the rewritten relators; nothing more aggressive, so the
-correspondence with the ambient group stays auditable.
+Rewriting a kernel word walks the parity bit letter by letter.  A walk
+started at coset 1 rewrites the tau_1-conjugate of the word without
+building it; the derived relators and the lemma's conjugates are read
+that way.  The derived presentation is simplified only by freely
+reducing and de-duplicating the rewritten relators; nothing more
+aggressive, so the correspondence with the ambient group stays
+auditable.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import prod
 from .groups import FiniteHom
 from .presentations import Presentation, orientation_character
 from .signatures import CONNECTOR, GLIDE
-from .words import Word, free_reduce
+from .words import Word
 
 
 class NotInKernelError(ValueError):
@@ -55,25 +58,32 @@ class SchreierSubgroup:
     pair_names: dict[tuple[int, str], str | None]
     parity: dict[str, int]
 
-    def rewrite(self, w: Word) -> Word:
-        """Express a kernel word in the Schreier generators."""
+    def rewrite(self, w: Word, coset: int = 0) -> Word:
+        """Express a word in the Schreier generators by walking the parity
+        bit from ``coset``.  From coset 0 this is the rewrite of the kernel
+        word ``w``; from coset 1 it is the rewrite of tau_1 * w * tau_1^-1,
+        read without building that conjugate.  The walk must end where it
+        started, or ``NotInKernelError`` is raised."""
         parity, pair_names = self.parity, self.pair_names
-        out: list[tuple[str, int]] = []
-        coset = 0
+        out: list[tuple[str, int]] = []  # freely reduced as it grows
+        start = coset
         for g, e in w.letters:
             if e == 1:
                 name = pair_names[(coset, g)]
-                if name is not None:
-                    out.append((name, 1))
                 coset ^= parity[g]
             else:
                 coset ^= parity[g]
                 name = pair_names[(coset, g)]
-                if name is not None:
-                    out.append((name, -1))
-        if coset != 0:
-            raise NotInKernelError(f"{w} is not in the kernel (ends at coset {coset})")
-        return free_reduce(Word(tuple(out)))
+            if name is not None:
+                if out and out[-1] == (name, -e):
+                    out.pop()
+                else:
+                    out.append((name, e))
+        if coset != start:
+            raise NotInKernelError(
+                f"{w} is not in the kernel (the walk from coset {start} ends at coset {coset})"
+            )
+        return Word(tuple(out))
 
 
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
@@ -84,7 +94,8 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     represent the two cosets.  Generators come in canonical order:
     delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.  Relators are
     the rewritten conjugates u * R * u^-1 of the base relators for u = 1,
-    then u = tau_1.
+    then u = tau_1, each read as the walk of R from coset u; free
+    reduction commutes with the walk, so no conjugate is built.
     """
     index = theta.image_order()
     if index != 2:
@@ -95,7 +106,10 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     tau1 = reflections[0]
     elliptics = p.generators_of_kind("elliptic")
     parity = {g: int(not theta.image_of(g).is_identity()) for g in p.generator_names()}
-    reps = (Word(), Word.gen(tau1))
+    # letters of the representatives 1, tau_1 and of their inverses; only
+    # the trivial pair (0, tau_1), tau_1 * tau_1^-1, would cancel, and it
+    # is never built, so each generator word is freely reduced as built
+    reps, rep_inverses = ((), ((tau1, 1),)), ((), ((tau1, -1),))
 
     # (coset, base generator, name, role), in canonical order
     pairs = [(1, x, f"delta{j}", "glide") for j, x in enumerate(elliptics, start=1)]
@@ -109,7 +123,7 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     pair_names: dict[tuple[int, str], str | None] = {(0, tau1): None}
     generators: list[SchreierGenerator] = []
     for coset, g, name, role in pairs + conjugates:
-        word = free_reduce(reps[coset] * Word.gen(g) * reps[coset ^ parity[g]].inverse())
+        word = Word(reps[coset] + ((g, 1),) + rep_inverses[coset ^ parity[g]])
         pair_names[(coset, g)] = name
         generators.append(SchreierGenerator(name, word, role))
 
@@ -126,9 +140,9 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
 
     relators: list[Word] = []
     seen_relators: set[tuple[tuple[str, int], ...]] = set()
-    for u in reps:
+    for u in (0, 1):
         for rel in p.relators:
-            rewritten = subgroup.rewrite(free_reduce(u * rel * u.inverse()))
+            rewritten = subgroup.rewrite(rel, u)
             if rewritten.letters and rewritten.letters not in seen_relators:
                 seen_relators.add(rewritten.letters)
                 relators.append(rewritten)

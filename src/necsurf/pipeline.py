@@ -40,6 +40,7 @@ certificate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate, product
 
@@ -155,8 +156,9 @@ def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> 
 
 def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
     """Each violation of the rho-independent invariants, one item each: n
-    even and at least 2, gamma at least 1, each period at least 2 and
-    dividing n, and (when those hold) (gamma; -; [periods]) hyperbolic."""
+    even and at least 2, gamma at least 1, each period at least 2, dividing
+    n and at most ``sys.maxsize`` (a relator spells its period out letter
+    by letter), and (when those hold) (gamma; -; [periods]) hyperbolic."""
     errors: list[str] = []
     if n < 2:
         errors.append(f"n = {n} must be at least 2")
@@ -171,6 +173,11 @@ def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
             errors.append(f"period n_{i} = {nj} exceeds n = {n}")
         elif n % nj != 0:
             errors.append(f"period n_{i} = {nj} does not divide n = {n}")
+        elif nj > sys.maxsize:
+            errors.append(
+                f"period n_{i} = {nj} exceeds {sys.maxsize}, the longest relator"
+                " word that can be spelled out"
+            )
     if not errors:
         sig = NECSignature(False, gamma, periods)
         area = reduced_area(sig)
@@ -304,7 +311,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
 
     torsion = []
     for k, n in enumerate(periods, start=1):
-        corner = Word.gen(reflections[k - 1]) * Word.gen(reflections[k])
+        corner = Word(((reflections[k - 1], 1), (reflections[k], 1)))
         torsion.append((sub.rewrite(corner), n))
     sub = replace(
         sub,
@@ -367,8 +374,9 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     when gamma is even, and rewrite(tau1*g*tau1)*g for each generator g,
     which is zero exactly when conjugation by tau1 inverts the class of g,
     since ``class_of`` is additive.  Each tau1-conjugate is rewritten once,
-    and tau1*g*tau1*g = 1 is certified in K for each glide and corner
-    rotation g, which is tau1 times an involution."""
+    as rewrite(g, 1)*tau1sq from the word of g (the walk from coset 1), and
+    tau1*g*tau1*g = 1 is certified in K for each glide and corner rotation
+    g, which is tau1 times an involution."""
     sub = derived.subgroup
     K = sub.base
     ab = abelianization(derived.presentation)
@@ -382,21 +390,23 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
         )
 
     tau1 = K.generators_of_kind("reflection")[0]
-    t = Word.gen(tau1)
+    # rewrite(tau1*w*tau1) = rewrite(w, 1)*tau1sq: the walk enters coset 1
+    # through the trivial pair (0, tau1) and leaves it through (1, tau1)
+    tau1sq = (sub.pair_names[(1, tau1)], 1)
     entries: list[str] = []
     identities: dict[str, Word] = {}  # name of g -> tau1*g*tau1*g
     for gen in sub.generators:
         try:
-            rewritten = sub.rewrite(t * gen.word * t)
+            rewritten = sub.rewrite(gen.word, 1)
         except NotInKernelError:
             raise PipelineAssertionError(f"tau1-conjugate of {gen.name} left the kernel")
-        if any(ab.class_of(rewritten * Word.gen(gen.name))):
+        if any(ab.class_of(Word(rewritten.letters + (tau1sq, (gen.name, 1))))):
             raise PipelineAssertionError(
                 f"conjugation by {tau1} does not invert the class of {gen.name}"
             )
         entries.append(gen.name)
         if gen.role in ("glide", "corner rotation"):
-            identities[gen.name] = t * Word.gen(gen.name) * t * Word.gen(gen.name)
+            identities[gen.name] = Word(((tau1, 1), (gen.name, 1)) * 2)
 
     certs = verify_derived_relators(
         K, identities.values(), {g.name: g.word for g in sub.generators}

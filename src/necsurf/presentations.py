@@ -17,7 +17,8 @@ Two canonical families are built here:
 generators are trivial in the ambient group by bounded rewriting: the
 connector is replaced by its closed form x_1^-1...x_gamma^-1 (read off the
 long relator), the result is reduced freely and modulo the involutions,
-and matched against cyclic rotations of the remaining relators.
+and looked up by its least rotation among the remaining relators and
+their inverses.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .signatures import (
 from .words import (
     Word,
     cyclic_reduce,
-    cyclically_equal,
+    least_rotation,
     substitute,
 )
 
@@ -127,12 +128,10 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     relators: list[Word] = []
     relators += [Word.gen(x, 2) for x in xs]
     relators += [Word.gen(t, 2) for t in taus]
-    relators.append(
-        Word.gen("e", -1) * Word.gen(taus[-1]) * Word.gen("e") * Word.gen(taus[0], -1)
-    )
-    relators.append(Word(tuple((x, 1) for x in reversed(xs))) * Word.gen("e"))
+    relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
+    relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
     for k, n in enumerate(cycle):
-        relators.append((Word.gen(taus[k]) * Word.gen(taus[k + 1])) ** n)
+        relators.append(Word(((taus[k], 1), (taus[k + 1], 1)) * n))
     return Presentation(tuple(generators), tuple(relators), signature=sig)
 
 
@@ -212,7 +211,11 @@ def verify_derived_relators(
     the involution relators, then accept an empty word or an exact cyclic
     match with one of the remaining relators (or an inverse).  Anything
     else is reported unresolved, never silently accepted.  The relators of
-    ``p`` are normalised once for the whole batch.
+    ``p`` are normalised once for the whole batch, and only when some word
+    is not trivial, and indexed by the least rotation of each normal form
+    and of the cyclic reduction of its inverse, first relator first, so
+    each word costs one lookup and is matched with the first relator that
+    a scan in relator order would find.
     """
     involutions = p.involution_names()
     elimination = _connector_elimination(p)
@@ -220,17 +223,22 @@ def verify_derived_relators(
     def normalise(w: Word) -> Word:
         return cyclic_reduce(substitute(w, elimination), involutions)
 
-    remaining = [rel for rel in map(normalise, p.relators) if rel.letters]
+    words = tuple(words)
+    normals = [normalise(substitute(word, substitution)) for word in words]
+    by_rotation: dict[tuple[tuple[str, int], ...], Word] = {}
+    if any(normal.letters for normal in normals):
+        for rel in map(normalise, p.relators):
+            if rel.letters:
+                by_rotation.setdefault(least_rotation(rel), rel)
+                inverse = cyclic_reduce(rel.inverse(), involutions)
+                by_rotation.setdefault(least_rotation(inverse), rel)
 
-    def certify(word: Word) -> RelatorCertificate:
-        normal = normalise(substitute(word, substitution))
+    def certify(word: Word, normal: Word) -> RelatorCertificate:
         if not normal.letters:
             return RelatorCertificate(word, "trivial")
-        for rel in remaining:
-            if cyclically_equal(normal, rel, involutions) or cyclically_equal(
-                normal, rel.inverse(), involutions
-            ):
-                return RelatorCertificate(word, "matches-relator", rel)
+        rel = by_rotation.get(least_rotation(normal))
+        if rel is not None:
+            return RelatorCertificate(word, "matches-relator", rel)
         return RelatorCertificate(word, "unresolved")
 
-    return tuple(map(certify, words))
+    return tuple(map(certify, words, normals))

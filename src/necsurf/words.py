@@ -1,10 +1,19 @@
 """Words over named generators, with free and involution-aware reduction.
 
-A word is a sequence of (generator name, exponent) letters with exponents
-restricted to +1/-1; higher powers are spelled out.  One function reduces
-words, modulo a declared set of involutions (generators g with g^2 = 1),
-under which g^-1 is rewritten to g and adjacent equal involutions cancel;
-with no involutions it is plain free reduction.
+A word is a tuple of (generator name, exponent) letters with exponents
+restricted to +1/-1; higher powers are spelled out.  Constructing a
+``Word`` checks every letter once, in one pass, and copies nothing when
+handed a tuple of hashable pairs; any other input (a list, a generator,
+letters that are lists) is coerced letter by letter, and a bad letter
+raises ``ValueError`` naming it.  So every ``Word`` is hashable.  Every
+operation below builds its result's letter tuple once and makes one
+``Word`` from it.
+
+One function reduces words, modulo a declared set of involutions
+(generators g with g^2 = 1), under which g^-1 is rewritten to g and
+adjacent equal involutions cancel; with no involutions it is plain free
+reduction.  ``least_rotation`` gives a cyclic word its rotation-invariant
+key.
 """
 
 from __future__ import annotations
@@ -19,10 +28,18 @@ class Word:
     letters: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple((g, e) for g, e in self.letters))
-        for g, e in self.letters:
-            if e not in (1, -1):
-                raise ValueError(f"letter exponent must be +1 or -1, got {g}^{e}")
+        letters = self.letters
+        if type(letters) is tuple:
+            try:
+                for _, e in letters:
+                    if e != 1 and e != -1:
+                        break
+                else:
+                    hash(letters)
+                    return
+            except (TypeError, ValueError):
+                pass
+        object.__setattr__(self, "letters", _checked_letters(letters))
 
     @classmethod
     def gen(cls, name: str, exp: int = 1) -> "Word":
@@ -76,16 +93,27 @@ class Word:
         return sums
 
 
-def reduce_mod_involutions(
-    w: Word, involutions: frozenset[str] | set[str] = frozenset()
-) -> Word:
-    """Free reduction after rewriting g^-1 -> g for each involution g.
+def _checked_letters(letters) -> tuple[tuple[str, int], ...]:
+    """The slow path of ``Word``: each letter coerced to a (name, +1/-1)
+    pair, or ``ValueError`` naming the first letter that is not one."""
+    out = []
+    for letter in letters:
+        try:
+            g, e = letter
+            hash(g)
+        except (TypeError, ValueError):
+            raise ValueError(f"letter must be a (generator, exponent) pair, got {letter!r}") from None
+        if e != 1 and e != -1:
+            raise ValueError(f"letter exponent must be +1 or -1, got {g}^{e}")
+        out.append((g, e))
+    return tuple(out)
 
-    The result is equal to ``w`` in any group where the involution
-    relators g^2 = 1 hold; with no involutions it is the free reduction.
-    """
+
+def _reduced_letters(
+    letters: tuple[tuple[str, int], ...], involutions: frozenset[str] | set[str]
+) -> list[tuple[str, int]]:
     stack: list[tuple[str, int]] = []
-    for g, e in w.letters:
+    for g, e in letters:
         if g in involutions:
             e = 1
         if stack and stack[-1][0] == g:
@@ -94,7 +122,18 @@ def reduce_mod_involutions(
                 stack.pop()
                 continue
         stack.append((g, e))
-    return Word(tuple(stack))
+    return stack
+
+
+def reduce_mod_involutions(
+    w: Word, involutions: frozenset[str] | set[str] = frozenset()
+) -> Word:
+    """Free reduction after rewriting g^-1 -> g for each involution g.
+
+    The result is equal to ``w`` in any group where the involution
+    relators g^2 = 1 hold; with no involutions it is the free reduction.
+    """
+    return Word(tuple(_reduced_letters(w.letters, involutions)))
 
 
 # Cancel adjacent inverse pairs until none remain.
@@ -106,8 +145,8 @@ def substitute(w: Word, mapping: dict[str, Word]) -> Word:
     out: list[tuple[str, int]] = []
     for g, e in w.letters:
         if g in mapping:
-            image = mapping[g] if e == 1 else mapping[g].inverse()
-            out.extend(image.letters)
+            image = mapping[g].letters
+            out.extend(image if e == 1 else [(h, -f) for h, f in reversed(image)])
         else:
             out.append((g, e))
     return Word(tuple(out))
@@ -116,27 +155,39 @@ def substitute(w: Word, mapping: dict[str, Word]) -> Word:
 def cyclic_reduce(w: Word, involutions: frozenset[str] | set[str] = frozenset()) -> Word:
     """Reduce ``w`` as a cyclic word (conjugation-invariant normal form,
     up to rotation)."""
-    w = reduce_mod_involutions(w, involutions)
-    letters = list(w.letters)
-    while len(letters) >= 2:
-        (g1, e1), (g2, e2) = letters[0], letters[-1]
-        if g1 == g2 and (e1 == -e2 or (g1 in involutions and e1 == e2)):
-            letters = letters[1:-1]
-        else:
+    letters = _reduced_letters(w.letters, involutions)
+    i, j = 0, len(letters) - 1
+    while i < j:
+        (g1, e1), (g2, e2) = letters[i], letters[j]
+        if g1 != g2 or not (e1 == -e2 or (g1 in involutions and e1 == e2)):
             break
-    return Word(tuple(letters))
+        i, j = i + 1, j - 1
+    return Word(tuple(letters[i:j + 1]))
 
 
-def cyclically_equal(
-    a: Word, b: Word, involutions: frozenset[str] | set[str] = frozenset()
-) -> bool:
-    """Equality of cyclic words modulo rotation (after involution-aware
-    cyclic reduction of both sides)."""
-    a = cyclic_reduce(a, involutions)
-    b = cyclic_reduce(b, involutions)
-    if len(a) != len(b):
-        return False
-    letters = a.letters
-    return any(
-        letters[k:] + letters[:k] == b.letters for k in range(max(len(letters), 1))
-    )
+def least_rotation(w: Word) -> tuple[tuple[str, int], ...]:
+    """The lexicographically least rotation of the letters of ``w``: two
+    words are equal up to rotation exactly when these tuples are equal.
+
+    A two-candidate scan in linear time: rotations i and j are compared k
+    letters deep, and the larger one skips past the compared block, in
+    which no least rotation starts.
+    """
+    letters = w.letters
+    n = len(letters)
+    doubled = letters + letters
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return letters[start:] + letters[:start]

@@ -13,9 +13,14 @@ from necsurf import (
     NotInKernelError,
     orientation_character,
 )
-from necsurf.presentations import Presentation, word_character
+from necsurf.presentations import (
+    Presentation,
+    RelatorCertificate,
+    _connector_elimination,
+    word_character,
+)
 from necsurf.signatures import CONNECTOR, GLIDE
-from necsurf.words import Word, free_reduce, reduce_mod_involutions
+from necsurf.words import Word, cyclic_reduce, free_reduce, reduce_mod_involutions, substitute
 
 
 def naive_theta(K):
@@ -243,6 +248,75 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierSubgrou
                 relators.append(rewritten)
 
     return replace(subgroup, presentation=Presentation(derived.generators, tuple(relators)))
+
+
+# Rewriting by building each conjugate: the oracle for the walk from
+# coset 1 in ``necsurf.cosets`` and ``necsurf.pipeline``.
+
+def conjugate_relators(sub) -> tuple[Word, ...]:
+    """The derived relators of the closed-form ``sub``, each rewritten
+    from the freely reduced conjugate u * R * u^-1 for u = 1, then
+    u = tau_1, de-duplicated in that order."""
+    tau1 = Word.gen(sub.base.generators_of_kind("reflection")[0])
+    relators: list[Word] = []
+    for u in (Word(), tau1):
+        for rel in sub.base.relators:
+            rewritten = sub.rewrite(free_reduce(u * rel * u.inverse()))
+            if rewritten.letters and rewritten not in relators:
+                relators.append(rewritten)
+    return tuple(relators)
+
+
+def conjugate_rewrite(sub, w: Word) -> Word:
+    """rewrite(tau_1 * w * tau_1), building the conjugate."""
+    tau1 = Word.gen(sub.base.generators_of_kind("reflection")[0])
+    return sub.rewrite(tau1 * w * tau1)
+
+
+# Matching by a scan over every rotation of every relator: the oracle for
+# the least-rotation index of ``necsurf.presentations``.
+
+def cyclically_equal(
+    a: Word, b: Word, involutions: frozenset[str] | set[str] = frozenset()
+) -> bool:
+    """Equality of cyclic words modulo rotation (after involution-aware
+    cyclic reduction of both sides)."""
+    a = cyclic_reduce(a, involutions)
+    b = cyclic_reduce(b, involutions)
+    if len(a) != len(b):
+        return False
+    letters = a.letters
+    return any(
+        letters[k:] + letters[:k] == b.letters for k in range(max(len(letters), 1))
+    )
+
+
+def scan_derived_relators(p: Presentation, words, substitution) -> tuple:
+    """``verify_derived_relators`` with a linear scan: each normal form is
+    compared, by ``cyclically_equal``, with every remaining relator and
+    its inverse in relator order, and the first hit is the match."""
+    involutions = p.involution_names()
+    elimination = _connector_elimination(p)
+
+    def normalise(w: Word) -> Word:
+        return cyclic_reduce(substitute(w, elimination), involutions)
+
+    remaining = [rel for rel in map(normalise, p.relators) if rel.letters]
+    certs = []
+    for word in words:
+        normal = normalise(substitute(word, substitution))
+        if not normal.letters:
+            certs.append(RelatorCertificate(word, "trivial"))
+            continue
+        for rel in remaining:
+            if cyclically_equal(normal, rel, involutions) or cyclically_equal(
+                normal, rel.inverse(), involutions
+            ):
+                certs.append(RelatorCertificate(word, "matches-relator", rel))
+                break
+        else:
+            certs.append(RelatorCertificate(word, "unresolved"))
+    return tuple(certs)
 
 
 # The relator search for the connector: the oracle for the closed form

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -250,6 +251,30 @@ def test_search_reports_the_shape_violations(tmp_path, capsys, shape, reasons, f
     explicit = {"d": [1] * shape["gamma"], "x": [0] * len(shape["periods"])}
     for rho in ("search", explicit):
         doc = dict(shape, rho=rho)
+        code = cli.main(["--format", fmt, "realize", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out) == {"input": doc, "errors": reasons}
+        else:
+            assert captured.out == "".join(
+                ["input validation failed:\n"] + [f"  - {reason}\n" for reason in reasons]
+            )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_period_beyond_maxsize_fails_validation(tmp_path, capsys, fmt):
+    # a relator spells its period out, so a period past sys.maxsize is
+    # rejected by validation instead of overflowing when the word is built
+    big = 10**21
+    reasons = [
+        f"period n_{i} = {big} exceeds {sys.maxsize}, the longest relator word"
+        " that can be spelled out"
+        for i in (1, 2, 3)
+    ]
+    for rho in ("search", {"d": [1], "x": [2, 2, big - 4]}):
+        doc = {"gamma": 1, "periods": [big] * 3, "n": big, "rho": rho}
         code = cli.main(["--format", fmt, "realize", write_doc(tmp_path, doc)])
         captured = capsys.readouterr()
         assert code == 1

@@ -1,19 +1,21 @@
 import pytest
 
 from necsurf import (
+    Abelianization,
     CyclicGroup,
     FiniteHom,
     NECSignature,
     NotInKernelError,
     build_theta,
     canonical_presentation,
+    lemma1_check,
     quotient_disc_signature,
     reidemeister_schreier,
 )
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word, free_reduce, reduce_mod_involutions
-from reference import cayley_coset_table
+from reference import cayley_coset_table, conjugate_relators, conjugate_rewrite
 from reference import reidemeister_schreier as table_reidemeister_schreier
 
 
@@ -203,6 +205,41 @@ def test_closed_form_matches_reference(derived_battery):
         words += [tau1 * gen.word * tau1 for gen in sub.generators]
         for w in words:
             assert sub.rewrite(w) == translate(ref.rewrite(w))
+
+
+def test_walk_from_coset_one_must_end_there():
+    K = disc_group(2, (2,))
+    sub = reidemeister_schreier(K, build_theta(K))
+    for w in (Word.gen("tau1"), Word.parse("x1 tau1 tau2"), Word.gen("x2", -1)):
+        with pytest.raises(NotInKernelError, match="from coset 1 ends at coset 0"):
+            sub.rewrite(w, 1)
+    w = Word.parse("tau2 x1")
+    assert sub.rewrite(w, 1) == sub.rewrite(Word.gen("tau1") * w * Word.gen("tau1", -1))
+
+
+def test_coset_walk_matches_built_conjugates(derived_battery, monkeypatch):
+    """The relators read as walks from coset u equal the rewrites of the
+    built conjugates u*R*u^-1 on all 1640 battery shapes; on every 16th,
+    each word whose class the lemma tests is rewrite(tau1*g*tau1)*g,
+    rewritten from the built conjugate, up to free reduction."""
+    assert len(derived_battery) == 1640
+    for _, _, _, _, derived in derived_battery:
+        assert derived.presentation.relators == conjugate_relators(derived.subgroup)
+
+    tested = []
+    class_of = Abelianization.class_of
+    monkeypatch.setattr(
+        Abelianization, "class_of", lambda self, w: tested.append(w) or class_of(self, w)
+    )
+    for _, _, _, _, derived in derived_battery[::16]:
+        sub = derived.subgroup
+        tested.clear()
+        lemma1_check(derived)
+        # the connector product first, then one word per generator
+        assert len(tested) == 1 + len(sub.generators)
+        for gen, w in zip(sub.generators, tested[1:]):
+            expected = conjugate_rewrite(sub, gen.word) * Word.gen(gen.name)
+            assert free_reduce(w) == free_reduce(expected)
 
 
 def test_backward_inverts_forward(derived_battery, action_battery):

@@ -13,11 +13,16 @@ from necsurf import (
     verify_derived_relators,
     word_character,
 )
-from necsurf.pipeline import build_theta
+from necsurf.pipeline import _printed_relator_words, build_theta
 from necsurf.presentations import Presentation, _connector_elimination
-from necsurf.signatures import CONNECTOR
+from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, free_reduce
-from reference import naive_theta, search_connector_elimination
+from reference import (
+    cyclically_equal,
+    naive_theta,
+    scan_derived_relators,
+    search_connector_elimination,
+)
 
 
 def disc_group(gamma, periods):
@@ -204,11 +209,77 @@ class TestVerifyDerivedRelator:
         (cert,) = verify_derived_relators(K, [word], self.substitution(K))
         assert cert.certified
 
+    def test_first_relator_in_order_is_the_match(self):
+        # R1, its inverse and a rotation of it: every word below matches
+        # all three, and the match is R1, as in a scan in relator order
+        p = Presentation(
+            tuple((g, GLIDE) for g in "abc"),
+            (Word.parse("a b c"), Word.parse("c^-1 b^-1 a^-1"), Word.parse("b c a")),
+        )
+        words = [Word.parse("c a b"), Word.parse("a^-1 c^-1 b^-1"), Word.parse("b c a")]
+        certs = verify_derived_relators(p, words, {})
+        assert [c.matched for c in certs] == [Word.parse("a b c")] * 3
+        assert certs == scan_derived_relators(p, words, {})
+
     def test_nontrivial_word_is_unresolved(self):
         K = disc_group(1, (2, 2, 2))
         (cert,) = verify_derived_relators(K, [Word.gen("c1")], self.substitution(K))
         assert not cert.certified
         assert cert.status == "unresolved"
+
+
+def test_rotation_index_matches_linear_scan(derived_battery):
+    """On every even-gamma battery shape, certifying by the least-rotation
+    index gives the (status, matched) of the scan over every rotation of
+    every relator: for the printed relators, their inverses, the
+    conjugation identities tau1*g*tau1*g and one perturbed word, which
+    stays unresolved."""
+    statuses = set()
+    for gamma, periods, K, _, derived in derived_battery:
+        if gamma % 2:
+            continue
+        sub = derived.subgroup
+        printed = [w for _, w in _printed_relator_words(gamma, periods)]
+        words = printed + [w.inverse() for w in printed]
+        words += [
+            Word((("tau1", 1), (g.name, 1)) * 2)
+            for g in sub.generators if g.role in ("glide", "corner rotation")
+        ]
+        perturbed = printed[0] * Word.gen("delta1")
+        words.append(perturbed)
+        substitution = {g.name: g.word for g in sub.generators}
+        fast = verify_derived_relators(K, words, substitution)
+        scan = scan_derived_relators(K, words, substitution)
+        assert [(c.status, c.matched) for c in fast] == [(c.status, c.matched) for c in scan]
+        assert fast[-1].status == "unresolved"
+        statuses.update(c.status for c in fast)
+    assert statuses == {"trivial", "matches-relator", "unresolved"}
+
+
+def test_rotation_index_matches_linear_scan_on_crosscap_groups(signature_battery):
+    """The same comparison on the crosscap groups (gamma; -; [periods]) of
+    every 8th battery shape, whose glide and elliptic generators of order
+    above 2 are not involutions, so that a relator and its inverse differ
+    as cyclic words and the inverse's rotations can only match through
+    the inverse key."""
+    by_inverse = 0
+    for gamma, periods in signature_battery[::8]:
+        delta = canonical_presentation(NECSignature(False, gamma, periods))
+        words = []
+        for rel in delta.relators:
+            inverse = rel.inverse()
+            words += [rel, inverse, Word(inverse.letters[1:] + inverse.letters[:1])]
+        words.append(delta.relators[-1] * Word.gen("d1"))
+        fast = verify_derived_relators(delta, words, {})
+        scan = scan_derived_relators(delta, words, {})
+        assert [(c.status, c.matched) for c in fast] == [(c.status, c.matched) for c in scan]
+        assert fast[-1].status == "unresolved"
+        by_inverse += sum(
+            c.status == "matches-relator"
+            and not cyclically_equal(c.source, c.matched, delta.involution_names())
+            for c in fast
+        )
+    assert by_inverse > 0
 
 
 def test_connector_elimination_matches_relator_search(signature_battery):

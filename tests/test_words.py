@@ -4,11 +4,12 @@ from hypothesis import given, strategies as st
 from necsurf.words import (
     Word,
     cyclic_reduce,
-    cyclically_equal,
     free_reduce,
+    least_rotation,
     reduce_mod_involutions,
     substitute,
 )
+from reference import cyclically_equal
 
 letters = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from([1, -1])),
@@ -81,6 +82,41 @@ class TestParseAndPrint:
             Word((("a", 2),))
 
 
+class TestWordContract:
+    @pytest.mark.parametrize("exp", [2, 0])
+    def test_bad_exponent_named(self, exp):
+        for letters in ((("b", 1), ("a", exp)), [("b", 1), ("a", exp)]):
+            with pytest.raises(ValueError, match=rf"got a\^{exp}$"):
+                Word(letters)
+
+    @pytest.mark.parametrize("letter", [("a",), ("a", 1, 1), "a", 5, None, (["a"], 1)])
+    def test_letter_not_a_pair_rejected(self, letter):
+        with pytest.raises(ValueError, match="letter must be a"):
+            Word((("b", 1), letter))
+        with pytest.raises(ValueError, match="letter must be a"):
+            Word([("b", 1), letter])
+
+    def test_lists_are_coerced_to_tuples(self):
+        expected = (("a", 1), ("b", -1))
+        for letters in ([["a", 1], ["b", -1]], [("a", 1), ("b", -1)], (["a", 1], ("b", -1)),
+                        iter(expected)):
+            w = Word(letters)
+            assert type(w.letters) is tuple
+            assert w.letters == expected
+            assert all(type(letter) is tuple for letter in w.letters)
+
+    def test_a_tuple_of_pairs_is_kept(self):
+        letters = (("a", 1), ("b", -1))
+        assert Word(letters).letters is letters
+
+    @given(words)
+    def test_every_word_is_hashable(self, w):
+        built = [w, Word(list(w.letters)), w * w, w.inverse(), w ** 2, free_reduce(w),
+                 cyclic_reduce(w, {"a"}), Word.parse(str(w)) if w.letters else Word()]
+        for v in built:
+            assert hash(v) == hash(Word(v.letters))
+
+
 class TestCyclicWords:
     def test_rotation_equality(self):
         a = Word.parse("a b c")
@@ -94,6 +130,25 @@ class TestCyclicWords:
     def test_inverse_not_automatically_equal(self):
         a = Word.parse("a b")
         assert not cyclically_equal(a, a.inverse())
+
+    @given(words, st.integers(min_value=0, max_value=40))
+    def test_least_rotation_keys_rotations(self, w, k):
+        """Equal keys exactly when ``cyclically_equal`` holds, and the key
+        is the least rotation, on each word, a rotation of it and its
+        inverse."""
+        w = cyclic_reduce(w)
+        n = max(len(w), 1)
+        rotated = Word(w.letters[k % n:] + w.letters[:k % n])
+        assert least_rotation(rotated) == least_rotation(w)
+        assert least_rotation(w) == min(
+            (w.letters[i:] + w.letters[:i] for i in range(n)), default=()
+        )
+        inverse = cyclic_reduce(w.inverse())
+        assert (least_rotation(inverse) == least_rotation(w)) == cyclically_equal(inverse, w)
+
+    def test_least_rotation_of_periodic_word(self):
+        w = Word.parse("b a b a")
+        assert least_rotation(w) == Word.parse("a b a b").letters
 
 
 def test_substitute_passes_unmapped_names_through():
