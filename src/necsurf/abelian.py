@@ -123,18 +123,30 @@ class Abelianization:
     def free_rank(self) -> int:
         return sum(1 for d in self.moduli if d == 0)
 
-    def class_of(self, w: Word) -> tuple[int, ...]:
-        """The word's coordinates; only those its generators touch are
-        reduced, every other one is zero."""
+    def _touched(self, w: Word) -> dict[int, int]:
+        """The reduced coordinates the word's generators touch, by column;
+        every other coordinate is zero."""
         coords: dict[int, int] = {}
         for g, e in w.exponent_sums().items():
             for j, v in self.rows[g]:
                 coords[j] = coords.get(j, 0) + e * v
-        out = [0] * len(self.moduli)
         for j, c in coords.items():
             d = self.moduli[j]
-            out[j] = c % d if d > 0 else c
+            if d > 0:
+                coords[j] = c % d
+        return coords
+
+    def class_of(self, w: Word) -> tuple[int, ...]:
+        """The word's coordinates, one per generator."""
+        out = [0] * len(self.moduli)
+        for j, c in self._touched(w).items():
+            out[j] = c
         return tuple(out)
+
+    def is_zero(self, w: Word) -> bool:
+        """Whether the word's class is zero, read from the coordinates it
+        touches only, so the test is linear in the word."""
+        return not any(self._touched(w).values())
 
 
 def _eliminate_units(

@@ -12,7 +12,10 @@ in D_m the rotations s^r_i and reflections t*s^k_j generate one of order
 (2 if any reflection, else 1) * m / gcd(m, r_i..., k_j - k_1...).
 
 A ``FiniteHom`` assigns a target element to every generator of a
-presentation and evaluates words by folding the group operation.
+presentation; constructing it checks once that each image belongs to the
+target group.  A word is evaluated by its target's ``fold``, one pass
+over the letters on plain integers (a residue sum in C_m, the product
+rule above on (eps, k) in D_m) that builds a single element at the end.
 """
 
 from __future__ import annotations
@@ -76,6 +79,19 @@ class CyclicGroup:
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self.modulus, value)
+
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, CyclicElement) and x.modulus == self.modulus
+
+    def fold(
+        self, table: dict[str, CyclicElement], letters: Iterable[tuple[str, int]]
+    ) -> CyclicElement:
+        """The product of the letters' images, ``table`` giving each
+        generator's image: the sum of +-value, reduced once."""
+        total = 0
+        for g, e in letters:
+            total += e * table[g].value
+        return CyclicElement(self.modulus, total)
 
     def subgroup_order(self, elements: Iterable[CyclicElement]) -> int:
         """Order of the subgroup the elements generate: m / gcd(m, a_1, ...)."""
@@ -147,6 +163,27 @@ class DihedralGroup:
     def reflection(self, k: int = 0) -> DihedralElement:
         return DihedralElement(self.modulus, 1, k)
 
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, DihedralElement) and x.modulus == self.modulus
+
+    def fold(
+        self, table: dict[str, DihedralElement], letters: Iterable[tuple[str, int]]
+    ) -> DihedralElement:
+        """The product of the letters' images, ``table`` giving each
+        generator's image, by the product rule on (eps, rot): a reflection
+        t*s^k, its own inverse, toggles eps and sets rot to k - rot
+        whatever the letter's sign; a rotation s^k adds +-k to rot.
+        Reduced once, at the end."""
+        flip = rot = 0
+        for g, e in letters:
+            img = table[g]
+            if img.flip:
+                flip ^= 1
+                rot = img.rot - rot
+            else:
+                rot += e * img.rot
+        return DihedralElement(self.modulus, flip, rot)
+
     def subgroup_order(self, elements: Iterable[DihedralElement]) -> int:
         """Order of the subgroup the elements generate.  Its rotations are
         generated by the given rotations and the differences k_j - k_1 of
@@ -169,8 +206,10 @@ class DihedralGroup:
 @dataclass(frozen=True)
 class FiniteHom:
     """A homomorphism from a finitely presented group to a finite group,
-    given by its generator images.  Whether the images actually satisfy
-    the relators is checked by ``presentations.check_homomorphism``."""
+    given by its generator images.  Construction checks that every image
+    is an element of ``target`` (else ``GroupMismatchError`` names the
+    generator); whether the images actually satisfy the relators is
+    checked by ``presentations.check_homomorphism``."""
 
     domain: "Presentation"
     target: CyclicGroup | DihedralGroup
@@ -188,6 +227,11 @@ class FiniteHom:
                 f"generator images do not match the domain (missing {sorted(missing)},"
                 f" extra {sorted(extra)})"
             )
+        for g, img in self.images:
+            if img not in self.target:
+                raise GroupMismatchError(
+                    f"image {img} of generator {g} is not an element of {self.target}"
+                )
         object.__setattr__(self, "_by_name", dict(self.images))
 
     @classmethod
@@ -206,13 +250,10 @@ class FiniteHom:
         return self._by_name[name]
 
     def evaluate(self, word: Word):
-        """Image of a word under the homomorphism."""
-        table = self._by_name
-        result = self.target.identity()
-        for g, e in word.letters:
-            img = table[g]
-            result = result * (img if e == 1 else img.inverse())
-        return result
+        """Image of a word under the homomorphism: the target's integer
+        fold over the letters.  The images were checked to belong to the
+        target at construction, so no letter is checked again."""
+        return self.target.fold(self._by_name, word.letters)
 
     def image_order(self) -> int:
         return self.target.subgroup_order(v for _, v in self.images)

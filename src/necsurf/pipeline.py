@@ -373,7 +373,9 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     has class zero: the connector product (the pair of role "connector")
     when gamma is even, and rewrite(tau1*g*tau1)*g for each generator g,
     which is zero exactly when conjugation by tau1 inverts the class of g,
-    since ``class_of`` is additive.  Each tau1-conjugate is rewritten once,
+    since classes are additive; only the connector product's class is
+    printed, so each generator's test reads the coordinates its word
+    touches (``is_zero``).  Each tau1-conjugate is rewritten once,
     as rewrite(g, 1)*tau1sq from the word of g (the walk from coset 1), and
     tau1*g*tau1*g = 1 is certified in K for each glide and corner rotation
     g, which is tau1 times an involution."""
@@ -400,7 +402,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
             rewritten = sub.rewrite(gen.word, 1)
         except NotInKernelError:
             raise PipelineAssertionError(f"tau1-conjugate of {gen.name} left the kernel")
-        if any(ab.class_of(Word(rewritten.letters + (tau1sq, (gen.name, 1))))):
+        if not ab.is_zero(Word(rewritten.letters + (tau1sq, (gen.name, 1)))):
             raise PipelineAssertionError(
                 f"conjugation by {tau1} does not invert the class of {gen.name}"
             )

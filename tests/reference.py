@@ -1,6 +1,7 @@
 """Reference constructions kept as test oracles for the closed forms in
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
-``necsurf.presentations``."""
+``necsurf.presentations``, and for the integer fold of
+``necsurf.groups``."""
 
 import math
 from dataclasses import dataclass, replace
@@ -21,6 +22,17 @@ from necsurf.presentations import (
 )
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, cyclic_reduce, free_reduce, reduce_mod_involutions, substitute
+
+
+def element_fold(hom, word):
+    """hom(word) as a product of group elements, one per letter: the
+    letter's image or its inverse, multiplied on by the elements'
+    ``__mul__``.  The oracle for ``FiniteHom.evaluate``."""
+    result = hom.target.identity()
+    for g, e in word.letters:
+        img = hom.image_of(g)
+        result = result * (img if e == 1 else img.inverse())
+    return result
 
 
 def naive_theta(K):

@@ -226,11 +226,15 @@ def test_coset_walk_matches_built_conjugates(derived_battery, monkeypatch):
     for _, _, _, _, derived in derived_battery:
         assert derived.presentation.relators == conjugate_relators(derived.subgroup)
 
+    # the lemma reads the connector product's class_of and tests every
+    # other word with is_zero: record the words both receive, in order
     tested = []
-    class_of = Abelianization.class_of
-    monkeypatch.setattr(
-        Abelianization, "class_of", lambda self, w: tested.append(w) or class_of(self, w)
-    )
+    for method in ("class_of", "is_zero"):
+        original = getattr(Abelianization, method)
+        monkeypatch.setattr(
+            Abelianization, method,
+            lambda self, w, original=original: tested.append(w) or original(self, w),
+        )
     for _, _, _, _, derived in derived_battery[::16]:
         sub = derived.subgroup
         tested.clear()

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from necsurf import (
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
+from reference import element_fold
 
 
 class TestCyclic:
@@ -125,3 +127,43 @@ class TestFiniteHom:
             FiniteHom.from_dict(
                 p, c2, {"a": c2.element(1), "b": c2.element(1), "c": c2.element(0)}
             )
+
+    @pytest.mark.parametrize(
+        "target, image",
+        [
+            (CyclicGroup(6), CyclicGroup(4).element(1)),
+            (CyclicGroup(4), DihedralGroup(4).rotation(1)),
+        ],
+        ids=["C4-image-for-C6", "D4-image-for-C4"],
+    )
+    def test_image_outside_target_rejected(self, target, image):
+        p = self._free_presentation("a", "b")
+        with pytest.raises(GroupMismatchError, match="generator b"):
+            FiniteHom.from_dict(p, target, {"a": target.identity(), "b": image})
+
+    def test_evaluate_matches_element_fold(self):
+        # seeded random words, inverse letters included, over C_m and D_m;
+        # the dihedral images mix rotations and reflections
+        rng = random.Random(20261018)
+        names = ("a", "b", "c", "d")
+        p = self._free_presentation(*names)
+        checked = 0
+        for m in range(1, 25):
+            c, d = CyclicGroup(m), DihedralGroup(m)
+            for _ in range(10):
+                cyclic = {g: c.element(rng.randrange(m)) for g in names}
+                dihedral = {
+                    g: (d.reflection if rng.random() < 0.5 else d.rotation)(rng.randrange(m))
+                    for g in names
+                }
+                for target, images in ((c, cyclic), (d, dihedral)):
+                    hom = FiniteHom.from_dict(p, target, images)
+                    for _ in range(10):
+                        word = Word(tuple(
+                            (rng.choice(names), rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, 30))
+                        ))
+                        expected = element_fold(hom, word)
+                        assert hom.evaluate(word) == expected, (target, images, str(word))
+                        checked += 1
+        assert checked == 4800

@@ -33,6 +33,7 @@ from necsurf import pipeline
 from necsurf.words import Word, reduce_mod_involutions
 from reference import (
     cayley_coset_table,
+    element_fold,
     naive_theta,
     theta_through_eta,
     unpruned_epimorphisms,
@@ -304,6 +305,37 @@ def test_closed_form_on_every_small_epimorphism(closure):
             checked.append(datum)
     assert len(checked) == 582
     assert {datum.gamma % 2 for datum in checked} == {0, 1}
+
+
+def test_evaluate_matches_element_fold_on_battery(action_battery):
+    """The integer fold of ``FiniteHom.evaluate`` against the per-letter
+    product of ``element_fold`` on every relator, torsion word and
+    generator (both signs) of Delta under rho, K under theta and Theta
+    and Delta-hat under eta, and on every Schreier generator word under
+    theta and Theta, for the whole action battery."""
+    checked = 0
+    for datum in action_battery:
+        cert = realize(datum)
+        delta = canonical_presentation(datum.delta_signature())
+        target = CyclicGroup(datum.order)
+        images = {f"d{j}": target.element(v) for j, v in enumerate(datum.d_images, 1)}
+        images.update({f"x{i}": target.element(v) for i, v in enumerate(datum.x_images, 1)})
+        rho = FiniteHom.from_dict(delta, target, images)
+        K, derived = cert.k_presentation, cert.derived.presentation
+        schreier = [gen.word for gen in cert.derived.subgroup.generators]
+        for hom, pres, extra in (
+            (rho, delta, []),
+            (cert.theta, K, schreier),
+            (cert.extension.hom, K, schreier),
+            (cert.eta.hom, derived, []),
+        ):
+            words = [*pres.relators, *(w for w, _ in pres.torsion_words), *extra]
+            words += [Word.gen(g, e) for g in pres.generator_names() for e in (1, -1)]
+            for w in words:
+                assert hom.evaluate(w) == element_fold(hom, w), (datum, str(w))
+                checked += 1
+    assert len(action_battery) == 126
+    assert checked == 20370
 
 
 class TestLemma:
