@@ -39,7 +39,6 @@ from .pipeline import (
     validate_action,
 )
 from .presentations import (
-    HomCheck,
     Presentation,
     RelatorCertificate,
     UnsupportedSignatureError,

@@ -5,16 +5,18 @@ Subcommands:
 * ``realize <file>``     -- run the full pipeline on a JSON action datum
   and print (or write) the certificate;
 * ``enumerate --gamma G --periods LIST --order 2N`` -- list all
-  surface-kernel epimorphisms for the given quotient data;
+  surface-kernel epimorphisms for the given quotient data, or print why
+  ``shape_problems`` (or an odd 2N) rejects them, on one line;
 * ``check-lemma <file>`` -- run the full pipeline and print only the
   normality-lemma report.
 
 Input file: a JSON object {"gamma": int, "periods": [int..], "n": int,
 "rho": {"d": [int..], "x": [int..]} | "search"}.  With "search" the
 lexicographically first epimorphism, found by the memoised walk of
-``first_smooth_epimorphism``, is used.  Residues out of
-range are reduced mod 2n with a warning (when n >= 1; otherwise validation
-rejects n).
+``first_smooth_epimorphism``, is used; it rejects a shape with the
+itemised ``shape_problems`` reasons that an explicit rho would get.
+Residues out of range are reduced mod 2n with a warning (when n >= 1;
+otherwise validation rejects n).
 
 Exit codes: 0 success, 1 usage error or input/validation failure with
 itemized reasons, 2 internal assertion (a step failing where the
@@ -41,7 +43,6 @@ from .pipeline import (
     enumerate_smooth_epimorphisms,
     first_smooth_epimorphism,
     realize,
-    shape_problems,
 )
 from .presentations import Presentation
 from .signatures import NECSignature
@@ -102,13 +103,10 @@ def parse_input_document(doc: Any) -> dict:
 
 
 def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
-    """Build the action datum, resolving "search" once the quotient data
-    pass ``shape_problems``, and warning about residues out of range."""
+    """Build the action datum, resolving "search" by
+    ``first_smooth_epimorphism``, and warning about residues out of range."""
     gamma, periods, n = doc["gamma"], tuple(doc["periods"]), doc["n"]
     if doc["rho"] == "search":
-        problems = shape_problems(gamma, periods, n)
-        if problems:
-            raise ActionValidationError(tuple(problems))
         datum = first_smooth_epimorphism(gamma, periods, 2 * n)
         if datum is None:
             raise ActionValidationError(

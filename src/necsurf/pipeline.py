@@ -133,7 +133,7 @@ def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> 
     the kernel is a torsion-free Fuchsian surface group."""
     problems = [
         f"{label} is not a homomorphism: relator {rel} maps to {value}"
-        for rel, value in check_homomorphism(pres, hom).failures
+        for rel, value in check_homomorphism(pres, hom)
     ]
     if not hom.is_surjective():
         problems.append(f"{label} is not surjective onto C_{hom.target.modulus}")
@@ -446,7 +446,8 @@ class DihedralExtension:
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
     """Theta: K -> D_2n, written on K's generators from rho in closed form:
     Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j), Theta(tau_(k+1)) =
-    t*s^(x_1 + ... + x_k), and Theta(e) is forced by the long relator.
+    t*s^(x_1 + ... + x_k), and Theta(e) is forced by the long relator:
+    e = x_1^-1...x_gamma^-1, evaluated by one fold over its letters.
     Theta is then verified to be a homomorphism on K with image of order
     4n, so ker(Theta) has index 4n in K.  A failed check raises
     ``PipelineAssertionError`` naming it.
@@ -457,13 +458,12 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
         images[f"x{j}"] = dihedral.reflection((-1) ** j * d)
     for k, c in enumerate(accumulate(datum.x_images), start=1):
         images[f"tau{k + 1}"] = dihedral.reflection(c)
-    long_product = dihedral.identity()
-    for j in range(datum.gamma, 0, -1):
-        long_product = long_product * images[f"x{j}"]
-    images["e"] = long_product.inverse()
+    images["e"] = dihedral.fold(
+        images, [(f"x{j}", -1) for j in range(1, datum.gamma + 1)]
+    )
 
     hom = FiniteHom.from_dict(K, dihedral, images)
-    for rel, value in check_homomorphism(K, hom).failures:
+    for rel, value in check_homomorphism(K, hom):
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {value}"
         )
@@ -569,7 +569,7 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     K = canonical_presentation(k_sig)
 
     theta = build_theta(K)
-    if not check_homomorphism(K, theta).valid:
+    if check_homomorphism(K, theta):
         raise PipelineAssertionError("parity map theta is not a homomorphism")
 
     area_ratio = riemann_hurwitz_index(delta_sig, k_sig)
@@ -621,20 +621,18 @@ def _image_choices(
 ) -> tuple[range, list[list[int]]]:
     """The candidate images of each letter, in increasing order: the odd
     residues for every glide, and for a period p the residues of exact
-    order p in C_order, which are (order/p)*u for the units u mod p (none
-    when p does not divide order).  Raises ``ValueError`` unless order is
-    2n with n even, gamma >= 1 and (gamma; -; [periods]) is hyperbolic."""
-    if order % 2 != 0 or (order // 2) % 2 != 0 or order < 4:
-        raise ValueError(f"order {order} must be 2n with n even and n >= 2")
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    sig = NECSignature(False, gamma, periods)
-    if reduced_area(sig) <= 0:
-        raise ValueError(f"signature {sig} is not hyperbolic")
+    order p in C_order, which are (order/p)*u for the units u mod p.
+    Raises ``ActionValidationError`` unless the shape is admissible: an
+    even order 2n carries the reasons of ``shape_problems(gamma, periods,
+    n)``, an odd order one reason naming it."""
+    if order % 2:
+        reasons = [f"order {order} is odd: the action order must be 2n with n even"]
+    else:
+        reasons = shape_problems(gamma, periods, order // 2)
+    if reasons:
+        raise ActionValidationError(tuple(reasons))
     x_candidates = [
-        [order // p * u for u in range(1, p) if math.gcd(u, p) == 1]
-        if order % p == 0 else []
-        for p in periods
+        [order // p * u for u in range(1, p) if math.gcd(u, p) == 1] for p in periods
     ]
     return range(1, order, 2), x_candidates
 
@@ -654,6 +652,8 @@ def enumerate_smooth_epimorphisms(
     the output is in lexicographic order over (d_1..d_gamma, x_1..x_r),
     and the cost is (order/2)^gamma plus the elliptic product plus the
     output.  Counts are raw, with no quotient by any equivalence.
+    Raises ``ActionValidationError``, itemised as for ``realize``, when
+    the shape is not admissible (``_image_choices``).
     """
     odd, x_candidates = _image_choices(gamma, periods, order)
     by_sum: dict[int, list[tuple[tuple[int, ...], int]]] = {}
@@ -683,8 +683,9 @@ def first_smooth_epimorphism(
     expanded again.  So the walk expands each state at most once: at most
     (gamma + r) * order * tau(order) states, tau counting divisors, each
     tried against one letter's candidates.  The walk keeps an explicit
-    stack, so gamma is not bounded by the recursion limit.  Raises the
-    ``ValueError``s of ``enumerate_smooth_epimorphisms``.
+    stack, so gamma is not bounded by the recursion limit.  Raises
+    ``ActionValidationError`` on the shapes ``enumerate_smooth_epimorphisms``
+    rejects, with the same reasons.
     """
     odd, x_candidates = _image_choices(gamma, periods, order)
     # (weight in the long relator, candidate images) per letter

@@ -156,25 +156,18 @@ def _crosscap_presentation(sig: NECSignature) -> Presentation:
 # Homomorphism checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomCheck:
-    failures: tuple[tuple[Word, object], ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.failures
-
-
-def check_homomorphism(p: Presentation, hom: FiniteHom) -> HomCheck:
+def check_homomorphism(
+    p: Presentation, hom: FiniteHom
+) -> tuple[tuple[Word, object], ...]:
     """Evaluate every relator; images defining a homomorphism send all of
-    them to the identity.  Failures list the offending relators with the
-    element they evaluate to."""
+    them to the identity.  Returns the failures, each offending relator
+    with the element it evaluates to, so an empty tuple means valid."""
     failures = []
     for rel in p.relators:
         value = hom.evaluate(rel)
         if not value.is_identity():
             failures.append((rel, value))
-    return HomCheck(tuple(failures))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,26 @@ class TestEnumerateCommand:
         assert code == 1
         assert "even" in capsys.readouterr().err
 
+    def test_period_beyond_n_exits_one(self, capsys):
+        # enumerate applies shape_problems, as realize does: a period 8 at
+        # 2n = 8 would need odd elliptic images
+        code = cli.main(["enumerate", "--gamma", "1", "--periods", "8,8", "--order", "8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid enumeration request: period n_1 = 8 exceeds n = 4;"
+            " period n_2 = 8 exceeds n = 4\n"
+        )
+
+    def test_odd_order_exits_one(self, capsys):
+        code = cli.main(["enumerate", "--gamma", "1", "--periods", "8,8", "--order", "7"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "invalid enumeration request: order 7 is odd: the action order must be"
+            " 2n with n even\n"
+        )
+
     def test_non_integer_period_exits_one(self, capsys):
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2,a", "--order", "4"])
         err = capsys.readouterr().err

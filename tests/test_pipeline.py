@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
@@ -156,16 +156,16 @@ class TestBuildTheta:
         K = disc_group(2, (2,))
         theta = build_theta(K)
         assert theta.image_of("e").is_identity()
-        assert check_homomorphism(K, theta).valid
+        assert not check_homomorphism(K, theta)
         assert theta.image_order() == 2
 
     def test_odd_gamma_needs_nontrivial_connector(self):
         K = disc_group(1, (2, 2, 2))
         theta = build_theta(K)
         assert not theta.image_of("e").is_identity()
-        assert check_homomorphism(K, theta).valid
+        assert not check_homomorphism(K, theta)
         naive = naive_theta(K)
-        assert not check_homomorphism(K, naive).valid
+        assert check_homomorphism(K, naive)
 
     def test_gamma4_explicit(self):
         K = disc_group(4, ())
@@ -174,7 +174,7 @@ class TestBuildTheta:
         assert all(
             theta.image_of(g).value == 1 for g in ("x1", "x2", "x3", "x4", "tau1")
         )
-        assert check_homomorphism(K, theta).valid
+        assert not check_homomorphism(K, theta)
 
 
 class TestDeriveDeltaHat:
@@ -235,7 +235,7 @@ class TestConstructEta:
     def test_genus2_instance(self):
         K, derived = derived_for(1, (2, 2, 2))
         eta = eta_for(K, derived, GENUS2)
-        assert check_homomorphism(derived.presentation, eta.hom).valid
+        assert not check_homomorphism(derived.presentation, eta.hom)
         assert eta.torsion_images == GENUS2.x_images and eta.unit == 1
         assert eta.hom.image_of("delta1").value % 2 == 1
         assert [eta.hom.evaluate(w).order() for w, _ in derived.presentation.torsion_words] == [2, 2, 2]
@@ -244,7 +244,7 @@ class TestConstructEta:
     def test_gamma4_instance(self):
         K, derived = derived_for(4, ())
         eta = eta_for(K, derived, GAMMA4)
-        assert check_homomorphism(derived.presentation, eta.hom).valid
+        assert not check_homomorphism(derived.presentation, eta.hom)
         assert eta.hom.is_surjective()
         for j in range(1, 5):
             assert eta.hom.image_of(f"delta{j}").value % 2 == 1
@@ -293,7 +293,7 @@ def test_closed_form_on_every_small_epimorphism(closure):
             assert eta.torsion_images == x_images
             assert eta.unit == 1
             assert ext.hom.image_of("tau1") == dihedral.reflection(0)
-            assert check_homomorphism(K, ext.hom).valid
+            assert not check_homomorphism(K, ext.hom)
             images = [v for _, v in ext.hom.images]
             assert ext.image_order == len(closure(dihedral, images)) == 2 * order
             for gen in derived.subgroup.generators:
@@ -436,7 +436,7 @@ class TestExtendToDihedral:
             )
         assert ext.image_order == 8
         assert ext.kernel_index == 8
-        assert check_homomorphism(K, ext.hom).valid
+        assert not check_homomorphism(K, ext.hom)
         theta_img = ext.hom.image_of("tau1")
         assert theta_img.flip == 1 and theta_img.rot == ext.reflection_rotation
 
@@ -494,7 +494,7 @@ class TestRealize:
         assert cert.extension.kernel_index == 8
         K = cert.k_presentation
         # odd gamma needs the parity fix
-        assert not check_homomorphism(K, naive_theta(K)).valid
+        assert check_homomorphism(K, naive_theta(K))
 
     def test_gamma4_certificate(self):
         cert = realize(GAMMA4)
@@ -502,7 +502,7 @@ class TestRealize:
         assert cert.genus == 5
         assert cert.extension.kernel_index == 8
         K = cert.k_presentation
-        assert check_homomorphism(K, naive_theta(K)).valid  # even gamma
+        assert not check_homomorphism(K, naive_theta(K))  # even gamma
 
     @pytest.mark.parametrize("x_images", [(6, 2, 2), (-2, 2, 2)])
     def test_unreduced_residues_realize(self, x_images):
@@ -562,10 +562,48 @@ class TestEnumeration:
         for search in (enumerate_smooth_epimorphisms, first_smooth_epimorphism):
             with pytest.raises(ValueError, match="even"):
                 search(1, (2, 2, 2), 6)  # n = 3 odd
-            with pytest.raises(ValueError, match="gamma must be >= 1"):
+            with pytest.raises(ValueError, match="gamma = 0 must be at least 1"):
                 search(0, (2, 2, 2, 2, 2), 4)
             with pytest.raises(ValueError, match="not hyperbolic"):
                 search(2, (), 4)
+
+    def test_searches_reject_exactly_what_shape_problems_rejects(self):
+        # one rule, asked two ways: each search rejects a shape exactly when
+        # it has a reason, with ActionValidationError carrying shape_problems'
+        # reasons for an even order 2n and one reason naming an odd order;
+        # every tuple listed for an accepted shape is a valid action
+        reasons = {}
+        for order in range(2, 17):
+            for gamma in range(4):
+                for r in range(3):
+                    for periods in combinations_with_replacement(range(2, 17), r):
+                        reasons[gamma, periods, order] = (
+                            (f"order {order} is odd: the action order must be 2n"
+                             " with n even",)
+                            if order % 2
+                            else tuple(pipeline.shape_problems(gamma, periods, order // 2))
+                        )
+        admissible = {shape for shape, why in reasons.items() if not why}
+        assert 0 < len(admissible) < len(reasons)
+        for search in (enumerate_smooth_epimorphisms, first_smooth_epimorphism):
+            rejections = {}
+            for shape in reasons:
+                try:
+                    search(*shape)
+                except ValueError as exc:
+                    rejections[shape] = exc
+            # a set difference names the shapes the two rules disagree on
+            assert set(reasons) - set(rejections) == admissible, search.__name__
+            for shape, exc in rejections.items():
+                assert isinstance(exc, ActionValidationError), shape
+                assert exc.reasons == reasons[shape], shape
+        for gamma, periods, order in admissible:
+            if order > 12 or gamma > 2:
+                continue
+            listed = enumerate_smooth_epimorphisms(gamma, periods, order).tuples
+            for d_images, x_images in listed:
+                datum = ActionDatum(gamma, periods, order // 2, d_images, x_images)
+                assert validate_action(datum).errors == (), datum
 
 
 class TestFirstEpimorphism:

@@ -149,15 +149,15 @@ class TestCheckHomomorphism:
     def test_even_gamma_connector_to_identity_valid(self):
         K = disc_group(2, (2,))
         theta = naive_theta(K)
-        assert check_homomorphism(K, theta).valid
+        assert not check_homomorphism(K, theta)
 
     def test_odd_gamma_connector_to_identity_fails_long_relator(self):
         K = disc_group(1, (2, 2, 2))
         theta = naive_theta(K)
         result = check_homomorphism(K, theta)
-        assert not result.valid
-        assert [str(rel) for rel, _ in result.failures] == ["x1*e"]
-        assert str(result.failures[0][1]) == "1"  # the residue a, written additively
+        assert result
+        assert [str(rel) for rel, _ in result] == ["x1*e"]
+        assert str(result[0][1]) == "1"  # the residue a, written additively
 
     def test_everything_to_identity_is_valid(self):
         K = disc_group(3, (2, 4))
@@ -165,7 +165,7 @@ class TestCheckHomomorphism:
         trivial = FiniteHom.from_dict(
             K, c2, {name: c2.identity() for name in K.generator_names()}
         )
-        assert check_homomorphism(K, trivial).valid
+        assert not check_homomorphism(K, trivial)
 
 
 class TestVerifyDerivedRelator:
