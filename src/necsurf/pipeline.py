@@ -624,11 +624,20 @@ def _image_choices(
     order p in C_order, which are (order/p)*u for the units u mod p.
     Raises ``ActionValidationError`` unless the shape is admissible: an
     even order 2n carries the reasons of ``shape_problems(gamma, periods,
-    n)``, an odd order one reason naming it."""
+    n)``, an odd order one reason naming it.  The searches index by
+    machine integers, so an otherwise admissible shape gets one reason
+    each for an order or a gamma above ``sys.maxsize``."""
     if order % 2:
         reasons = [f"order {order} is odd: the action order must be 2n with n even"]
     else:
         reasons = shape_problems(gamma, periods, order // 2)
+    if not reasons:
+        if order > sys.maxsize:
+            reasons.append(f"order {order} exceeds {sys.maxsize}, the largest order"
+                           " the search can index")
+        if gamma > sys.maxsize:
+            reasons.append(f"gamma = {gamma} exceeds {sys.maxsize}, the most glides"
+                           " the search can index")
     if reasons:
         raise ActionValidationError(tuple(reasons))
     x_candidates = [

@@ -288,6 +288,34 @@ def test_period_beyond_maxsize_fails_validation(tmp_path, capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_search_beyond_maxsize_fails_validation(tmp_path, capsys, fmt):
+    # the search indexes residues mod 2n by machine integers, so an order
+    # past sys.maxsize is rejected before the walk overflows
+    n = 10**30
+    doc = {"gamma": 1, "periods": [2, 2, 2], "n": n, "rho": "search"}
+    reason = f"order {2 * n} exceeds {sys.maxsize}, the largest order the search can index"
+    code = cli.main(["--format", fmt, "realize", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    if fmt == "json":
+        assert json.loads(captured.out) == {"input": doc, "errors": [reason]}
+    else:
+        assert captured.out == f"input validation failed:\n  - {reason}\n"
+
+
+def test_explicit_rho_beyond_maxsize_realizes(tmp_path, capsys):
+    # the bound is the search's: an explicit rho at the same n still realizes
+    n = 10**30
+    doc = {"gamma": 4, "periods": [], "n": n, "rho": {"d": [1, 1, 1, n - 3], "x": []}}
+    code = cli.main(["--format", "json", "realize", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["theta_extension"]["image_order"] == 4 * n
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("n", [0, -2])
 def test_non_positive_n_fails_validation(tmp_path, capsys, n, fmt):
     # residues are not reduced mod 2n <= 0; validation names n instead
@@ -365,6 +393,25 @@ class TestEnumerateCommand:
             "invalid enumeration request: order 7 is odd: the action order must be"
             " 2n with n even\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--gamma", "4", "--order", str(2 * 10**24)],
+             f"order {2 * 10**24} exceeds {sys.maxsize}, the largest order the search"
+             " can index"),
+            (["--gamma", str(10**20), "--order", "4"],
+             f"gamma = {10**20} exceeds {sys.maxsize}, the most glides the search"
+             " can index"),
+        ],
+        ids=["order", "gamma"],
+    )
+    def test_beyond_maxsize_exits_one(self, capsys, argv, reason):
+        code = cli.main(["enumerate", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"invalid enumeration request: {reason}\n"
 
     def test_non_integer_period_exits_one(self, capsys):
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2,a", "--order", "4"])

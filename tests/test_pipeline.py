@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement, product
@@ -566,6 +567,25 @@ class TestEnumeration:
                 search(0, (2, 2, 2, 2, 2), 4)
             with pytest.raises(ValueError, match="not hyperbolic"):
                 search(2, (), 4)
+
+    def test_searches_reject_what_they_cannot_index(self):
+        # an admissible shape past sys.maxsize gets one reason per bound; an
+        # inadmissible one keeps exactly shape_problems' reasons
+        big = 10**30
+        cases = [
+            ((1, (2, 2, 2), 2 * big),
+             (f"order {2 * big} exceeds {sys.maxsize}, the largest order the search"
+              " can index",)),
+            ((big, (), 4),
+             (f"gamma = {big} exceeds {sys.maxsize}, the most glides the search"
+              " can index",)),
+            ((big, (3,), 2 * big), tuple(pipeline.shape_problems(big, (3,), big))),
+        ]
+        for search in (enumerate_smooth_epimorphisms, first_smooth_epimorphism):
+            for shape, reasons in cases:
+                with pytest.raises(ActionValidationError) as exc:
+                    search(*shape)
+                assert exc.value.reasons == reasons, (search.__name__, shape)
 
     def test_searches_reject_exactly_what_shape_problems_rejects(self):
         # one rule, asked two ways: each search rejects a shape exactly when
