@@ -46,7 +46,6 @@ from .presentations import (
     check_homomorphism,
     orientation_character,
     verify_derived_relators,
-    word_character,
 )
 from .signatures import (
     CONNECTOR,
@@ -61,6 +60,6 @@ from .signatures import (
     riemann_hurwitz_index,
     surface_kernel_genus,
 )
-from .words import Word, free_reduce, reduce_mod_involutions
+from .words import Word
 
 __version__ = "0.1.0"

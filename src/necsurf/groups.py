@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 
 class GroupMismatchError(ValueError):
-    """Operands belong to different groups."""
+    """An element does not belong to the group it is used in."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +47,6 @@ class CyclicElement:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __mul__(self, other: "CyclicElement") -> "CyclicElement":
-        if not isinstance(other, CyclicElement) or other.modulus != self.modulus:
-            raise GroupMismatchError("cyclic elements have different moduli")
-        return CyclicElement(self.modulus, self.value + other.value)
-
-    def inverse(self) -> "CyclicElement":
-        return CyclicElement(self.modulus, -self.value)
 
     def order(self) -> int:
         return self.modulus // math.gcd(self.value, self.modulus)
@@ -73,9 +65,6 @@ class CyclicGroup:
     @property
     def order(self) -> int:
         return self.modulus
-
-    def identity(self) -> CyclicElement:
-        return CyclicElement(self.modulus, 0)
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self.modulus, value)
@@ -117,26 +106,6 @@ class DihedralElement:
         object.__setattr__(self, "flip", self.flip % 2)
         object.__setattr__(self, "rot", self.rot % self.modulus)
 
-    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
-        if not isinstance(other, DihedralElement) or other.modulus != self.modulus:
-            raise GroupMismatchError("dihedral elements have different moduli")
-        sign = -1 if other.flip else 1
-        return DihedralElement(
-            self.modulus, self.flip + other.flip, other.rot + sign * self.rot
-        )
-
-    def inverse(self) -> "DihedralElement":
-        if self.flip:
-            return self
-        return DihedralElement(self.modulus, 0, -self.rot)
-
-    def order(self) -> int:
-        if self.flip:
-            return 2
-        if self.rot == 0:
-            return 1
-        return self.modulus // math.gcd(self.rot, self.modulus)
-
     def is_identity(self) -> bool:
         return self.flip == 0 and self.rot == 0
 
@@ -153,12 +122,6 @@ class DihedralGroup:
     @property
     def order(self) -> int:
         return 2 * self.modulus
-
-    def identity(self) -> DihedralElement:
-        return DihedralElement(self.modulus, 0, 0)
-
-    def rotation(self, k: int) -> DihedralElement:
-        return DihedralElement(self.modulus, 0, k)
 
     def reflection(self, k: int = 0) -> DihedralElement:
         return DihedralElement(self.modulus, 1, k)

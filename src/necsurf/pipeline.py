@@ -437,6 +437,11 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 
 @dataclass(frozen=True)
 class DihedralExtension:
+    """Theta: K -> D_2n.  ``reflection_rotation`` is always 0 and
+    ``kernel_index`` always equals ``image_order``: both stay only because
+    bench/workloads.py and bench/layers.py read them, until ROADMAP item 1
+    deletes them."""
+
     hom: FiniteHom
     reflection_rotation: int
     image_order: int
@@ -482,6 +487,9 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
 
 @dataclass(frozen=True)
 class EtaResult:
+    """eta onto C_2n.  ``unit`` is always 1: it stays only because
+    bench/workloads.py reads it, until ROADMAP item 1 deletes it."""
+
     hom: FiniteHom
     unit: int
     torsion_images: tuple[int, ...]

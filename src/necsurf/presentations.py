@@ -87,17 +87,6 @@ def orientation_character(p: Presentation) -> dict[str, int]:
     return {g: kind.character for g, kind in p.generators}
 
 
-def word_character(p: Presentation, w: Word) -> int:
-    """Multiplicative extension of the orientation character to words."""
-    chars = orientation_character(p)
-    value = 1
-    for g, _ in w.letters:
-        if g not in chars:
-            raise KeyError(f"generator {g} has no declared kind")
-        value *= chars[g]
-    return value
-
-
 def canonical_presentation(sig: NECSignature) -> Presentation:
     """Canonical presentation for the two supported signature families."""
     if (

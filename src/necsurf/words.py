@@ -1,4 +1,4 @@
-"""Words over named generators, with free and involution-aware reduction.
+"""Words over named generators, with involution-aware cyclic reduction.
 
 A word is a tuple of (generator name, exponent) letters with exponents
 restricted to +1/-1; higher powers are spelled out.  Constructing a
@@ -9,10 +9,11 @@ raises ``ValueError`` naming it.  So every ``Word`` is hashable.  Every
 operation below builds its result's letter tuple once and makes one
 ``Word`` from it.
 
-One function reduces words, modulo a declared set of involutions
-(generators g with g^2 = 1), under which g^-1 is rewritten to g and
-adjacent equal involutions cancel; with no involutions it is plain free
-reduction.  ``least_rotation`` gives a cyclic word its rotation-invariant
+``cyclic_reduce`` reduces a word as a cyclic word, modulo a declared set
+of involutions (generators g with g^2 = 1), under which g^-1 is rewritten
+to g and adjacent equal involutions cancel; with no involutions it is
+plain free reduction followed by trimming inverse pairs at the ends.
+``least_rotation`` gives a cyclically reduced word its rotation-invariant
 key.
 """
 
@@ -47,22 +48,6 @@ class Word:
             return cls()
         letter = (name, 1 if exp > 0 else -1)
         return cls((letter,) * abs(exp))
-
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        """Parse e.g. ``"tau1 x1^-1 e^2"`` (``*`` also accepted as separator)."""
-        letters: list[tuple[str, int]] = []
-        for token in text.replace("*", " ").split():
-            if "^" in token:
-                name, _, exp_text = token.partition("^")
-                exp = int(exp_text)
-            else:
-                name, exp = token, 1
-            if not name:
-                raise ValueError(f"empty generator name in {text!r}")
-            sign = 1 if exp > 0 else -1
-            letters.extend((name, sign) for _ in range(abs(exp)))
-        return cls(tuple(letters))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
@@ -109,37 +94,6 @@ def _checked_letters(letters) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-def _reduced_letters(
-    letters: tuple[tuple[str, int], ...], involutions: frozenset[str] | set[str]
-) -> list[tuple[str, int]]:
-    stack: list[tuple[str, int]] = []
-    for g, e in letters:
-        if g in involutions:
-            e = 1
-        if stack and stack[-1][0] == g:
-            top_e = stack[-1][1]
-            if top_e == -e or (g in involutions and top_e == e):
-                stack.pop()
-                continue
-        stack.append((g, e))
-    return stack
-
-
-def reduce_mod_involutions(
-    w: Word, involutions: frozenset[str] | set[str] = frozenset()
-) -> Word:
-    """Free reduction after rewriting g^-1 -> g for each involution g.
-
-    The result is equal to ``w`` in any group where the involution
-    relators g^2 = 1 hold; with no involutions it is the free reduction.
-    """
-    return Word(tuple(_reduced_letters(w.letters, involutions)))
-
-
-# Cancel adjacent inverse pairs until none remain.
-free_reduce = reduce_mod_involutions
-
-
 def substitute(w: Word, mapping: dict[str, Word]) -> Word:
     """Replace each letter by its image word; unmapped names pass through."""
     out: list[tuple[str, int]] = []
@@ -154,8 +108,17 @@ def substitute(w: Word, mapping: dict[str, Word]) -> Word:
 
 def cyclic_reduce(w: Word, involutions: frozenset[str] | set[str] = frozenset()) -> Word:
     """Reduce ``w`` as a cyclic word (conjugation-invariant normal form,
-    up to rotation)."""
-    letters = _reduced_letters(w.letters, involutions)
+    up to rotation), with g^-1 read as g for each involution g."""
+    letters: list[tuple[str, int]] = []
+    for g, e in w.letters:
+        if g in involutions:
+            e = 1
+        if letters and letters[-1][0] == g:
+            top_e = letters[-1][1]
+            if top_e == -e or (g in involutions and top_e == e):
+                letters.pop()
+                continue
+        letters.append((g, e))
     i, j = 0, len(letters) - 1
     while i < j:
         (g1, e1), (g2, e2) = letters[i], letters[j]

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import settings
 
+from reference import identity, mul
 from shapes import battery_shapes
 
 from necsurf import (
@@ -48,13 +49,13 @@ def generated_subgroup(group, elements):
     given elements: the subgroup they generate.  This is the oracle for the
     gcd formula of ``subgroup_order``."""
     gens = list(elements)
-    closure = {group.identity()}
+    closure = {identity(group)}
     frontier = list(closure)
     while frontier:
         new = []
         for b in frontier:
             for a in gens:
-                c = b * a
+                c = mul(b, a)
                 if c not in closure:
                     closure.add(c)
                     new.append(c)

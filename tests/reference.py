@@ -1,14 +1,23 @@
 """Reference constructions kept as test oracles for the closed forms in
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
 ``necsurf.presentations``, and for the integer fold of
-``necsurf.groups``."""
+``necsurf.groups``.
+
+Element arithmetic (``identity``, ``rotation``, ``mul``, ``inverse``,
+``order``), the word parser ``parse_word``, the reducers
+``reduce_mod_involutions`` and ``free_reduce``, and ``word_character``
+live only here: the library folds words and reduces them cyclically
+without them, and the tests use them as plain functions, never as
+methods put back on library classes."""
 
 import math
 from dataclasses import dataclass, replace
 from itertools import product
 
 from necsurf import (
+    CyclicElement,
     CyclicGroup,
+    DihedralElement,
     DihedralGroup,
     FiniteHom,
     NotInKernelError,
@@ -18,21 +27,123 @@ from necsurf.presentations import (
     Presentation,
     RelatorCertificate,
     _connector_elimination,
-    word_character,
 )
 from necsurf.signatures import CONNECTOR, GLIDE
-from necsurf.words import Word, cyclic_reduce, free_reduce, reduce_mod_involutions, substitute
+from necsurf.words import Word, cyclic_reduce, substitute
+
+
+# Element arithmetic in C_m (additive residues) and D_m (normal forms
+# t^eps * s^k): the oracle for the integer folds of ``necsurf.groups``.
+
+def identity(group):
+    """The identity element of C_m or D_m."""
+    if isinstance(group, CyclicGroup):
+        return group.element(0)
+    return DihedralElement(group.modulus, 0, 0)
+
+
+def rotation(group, k):
+    """The rotation s^k of D_m."""
+    return DihedralElement(group.modulus, 0, k)
+
+
+def mul(a, b):
+    """The product a*b of two elements of one C_m or D_m; in D_m by
+    (t^e1 s^k1) (t^e2 s^k2) = t^(e1+e2) s^(k2 + (-1)^e2 * k1)."""
+    if isinstance(a, CyclicElement):
+        return CyclicElement(a.modulus, a.value + b.value)
+    sign = -1 if b.flip else 1
+    return DihedralElement(a.modulus, a.flip + b.flip, b.rot + sign * a.rot)
+
+
+def inverse(a):
+    """The inverse of an element of C_m or D_m; a reflection is its own."""
+    if isinstance(a, CyclicElement):
+        return CyclicElement(a.modulus, -a.value)
+    return a if a.flip else DihedralElement(a.modulus, 0, -a.rot)
+
+
+def order(a):
+    """The order of an element, by multiplying by it until the identity."""
+    power, k = a, 1
+    while not power.is_identity():
+        power, k = mul(power, a), k + 1
+    return k
 
 
 def element_fold(hom, word):
     """hom(word) as a product of group elements, one per letter: the
-    letter's image or its inverse, multiplied on by the elements'
-    ``__mul__``.  The oracle for ``FiniteHom.evaluate``."""
-    result = hom.target.identity()
+    letter's image or its inverse, multiplied on by ``mul``.  The oracle
+    for ``FiniteHom.evaluate``."""
+    result = identity(hom.target)
     for g, e in word.letters:
         img = hom.image_of(g)
-        result = result * (img if e == 1 else img.inverse())
+        result = mul(result, img if e == 1 else inverse(img))
     return result
+
+
+# Words from text, and letter-by-letter reduction: the oracle for
+# ``necsurf.words.cyclic_reduce`` and for the free reduction that
+# ``SchreierSubgroup.rewrite`` does as it walks.
+
+def parse_word(text: str) -> Word:
+    """Parse e.g. ``"tau1 x1^-1 e^2"`` (``*`` also accepted as separator)."""
+    letters: list[tuple[str, int]] = []
+    for token in text.replace("*", " ").split():
+        if "^" in token:
+            name, _, exp_text = token.partition("^")
+            exp = int(exp_text)
+        else:
+            name, exp = token, 1
+        if not name:
+            raise ValueError(f"empty generator name in {text!r}")
+        sign = 1 if exp > 0 else -1
+        letters.extend((name, sign) for _ in range(abs(exp)))
+    return Word(tuple(letters))
+
+
+def _cancels(a, b, involutions) -> bool:
+    """Whether the letters a and b cancel side by side: inverse letters,
+    or equal letters of an involution."""
+    return a[0] == b[0] and (a[1] == -b[1] or (a[0] in involutions and a[1] == b[1]))
+
+
+def reduce_mod_involutions(w: Word, involutions=frozenset()) -> Word:
+    """Free reduction after rewriting g^-1 -> g for each involution g;
+    with no involutions it is the free reduction."""
+    stack: list[tuple[str, int]] = []
+    for g, e in w.letters:
+        letter = (g, 1 if g in involutions else e)
+        if stack and _cancels(stack[-1], letter, involutions):
+            stack.pop()
+        else:
+            stack.append(letter)
+    return Word(tuple(stack))
+
+
+def free_reduce(w: Word) -> Word:
+    """Cancel adjacent inverse pairs until none remain."""
+    return reduce_mod_involutions(w)
+
+
+def trimmed_reduction(w: Word, involutions=frozenset()) -> Word:
+    """``reduce_mod_involutions``, then the letter pairs at the two ends
+    trimmed while they cancel: the oracle for ``cyclic_reduce``."""
+    letters = reduce_mod_involutions(w, involutions).letters
+    while len(letters) > 1 and _cancels(letters[0], letters[-1], involutions):
+        letters = letters[1:-1]
+    return Word(letters)
+
+
+def word_character(p: Presentation, w: Word) -> int:
+    """Multiplicative extension of the orientation character to words."""
+    chars = orientation_character(p)
+    value = 1
+    for g, _ in w.letters:
+        if g not in chars:
+            raise KeyError(f"generator {g} has no declared kind")
+        value *= chars[g]
+    return value
 
 
 def naive_theta(K):
@@ -51,9 +162,9 @@ def theta_through_eta(derived, eta, name):
     dihedral = DihedralGroup(eta.hom.target.modulus)
     if not derived.subgroup.parity[name]:
         rewritten = derived.subgroup.rewrite(Word.gen(name))
-        return dihedral.rotation(eta.hom.evaluate(rewritten).value)
+        return rotation(dihedral, eta.hom.evaluate(rewritten).value)
     rewritten = derived.subgroup.rewrite(Word.gen("tau1") * Word.gen(name))
-    return dihedral.reflection(0) * dihedral.rotation(eta.hom.evaluate(rewritten).value)
+    return mul(dihedral.reflection(0), rotation(dihedral, eta.hom.evaluate(rewritten).value))
 
 
 def character_factors_through_image(p, hom):
@@ -67,10 +178,10 @@ def character_factors_through_image(p, hom):
     """
     chars = orientation_character(p)
     images = dict(hom.images)
-    identity = hom.target.identity()
-    signs = {identity: 1}
-    parent: dict = {identity: None}  # element -> (previous element, generator)
-    frontier = [identity]
+    one = identity(hom.target)
+    signs = {one: 1}
+    parent: dict = {one: None}  # element -> (previous element, generator)
+    frontier = [one]
 
     def path(elem) -> Word:
         letters = []
@@ -83,7 +194,7 @@ def character_factors_through_image(p, hom):
         new = []
         for elem in frontier:
             for name, _ in p.generators:
-                nxt = elem * images[name]
+                nxt = mul(elem, images[name])
                 sign = signs[elem] * chars[name]
                 if nxt not in signs:
                     signs[nxt] = sign
@@ -122,23 +233,23 @@ def cayley_coset_table(hom: FiniteHom) -> CosetTable:
     discovered breadth-first in declared generator order, and each
     generator acts by right translation (backward: by its inverse)."""
     images = dict(hom.images)
-    identity = hom.target.identity()
-    cosets = [identity]
-    seen = {identity: 0}
-    frontier = [identity]
+    one = identity(hom.target)
+    cosets = [one]
+    seen = {one: 0}
+    frontier = [one]
     while frontier:
         new = []
         for elem in frontier:
             for name, _ in hom.domain.generators:
-                nxt = elem * images[name]
+                nxt = mul(elem, images[name])
                 if nxt not in seen:
                     seen[nxt] = len(cosets)
                     cosets.append(nxt)
                     new.append(nxt)
         frontier = new
     names = hom.domain.generator_names()
-    forward = {g: tuple(seen[c * images[g]] for c in cosets) for g in names}
-    backward = {g: tuple(seen[c * images[g].inverse()] for c in cosets) for g in names}
+    forward = {g: tuple(seen[mul(c, images[g])] for c in cosets) for g in names}
+    backward = {g: tuple(seen[mul(c, inverse(images[g]))] for c in cosets) for g in names}
     return CosetTable(hom, tuple(cosets), forward, backward)
 
 

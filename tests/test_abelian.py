@@ -16,6 +16,7 @@ from matrices import assert_snf_contract, integer_determinant
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
+from reference import parse_word
 
 
 class TestSmithNormalForm:
@@ -74,7 +75,7 @@ class TestAbelianization:
         assert ab.free_rank == 2
 
     def test_commutator_dies(self):
-        rel = Word.parse("a b a^-1 b^-1")
+        rel = parse_word("a b a^-1 b^-1")
         ab = abelianization(free_presentation("a", "b", relators=[rel]))
         assert ab.free_rank == 2
         assert all(c == 0 for c in ab.class_of(rel))
@@ -114,7 +115,7 @@ class TestAbelianization:
     def test_mixed_structure(self):
         p = free_presentation(
             "a", "b", "c",
-            relators=[Word.gen("a", 2), Word.parse("b b c c c c")],
+            relators=[Word.gen("a", 2), parse_word("b b c c c c")],
         )
         ab = abelianization(p)
         # Z<a,b,c | 2a, 2b+4c> = Z/2 x Z/2 x Z

@@ -22,7 +22,7 @@ from necsurf import (
     reduced_area,
 )
 from matrices import assert_snf_contract
-from reference import naive_theta, unpruned_epimorphisms
+from reference import identity, inverse, mul, naive_theta, rotation, unpruned_epimorphisms
 from necsurf.groups import CyclicElement, DihedralElement
 
 
@@ -95,8 +95,8 @@ def test_criterion_4_dihedral_certificates(action_battery, closure):
         images = [v for _, v in ext.hom.images]
         assert len(closure(ext.hom.target, images)) == ext.hom.target.order
         for gen in cert.derived.subgroup.generators:
-            assert ext.hom.evaluate(gen.word) == ext.hom.target.rotation(
-                cert.eta.hom.image_of(gen.name).value
+            assert ext.hom.evaluate(gen.word) == rotation(
+                ext.hom.target, cert.eta.hom.image_of(gen.name).value
             )
         assert ext.image_order == 4 * datum.n
         assert ext.kernel_index == 4 * datum.n
@@ -218,25 +218,25 @@ def test_criterion_8_algebra_engines():
     # exhaustive group laws for C_m and D_m with 2m <= 32
     for m in range(1, 17):
         elements = [CyclicElement(m, k) for k in range(m)]
-        identity = CyclicElement(m, 0)
+        one = identity(CyclicGroup(m))
         for a in elements:
-            assert a * a.inverse() == identity
-            assert a * identity == a == identity * a
+            assert mul(a, inverse(a)) == one
+            assert mul(a, one) == a == mul(one, a)
         for a in elements:
             for b in elements:
                 for c in elements:
-                    assert (a * b) * c == a * (b * c)
+                    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     for m in range(1, 17):
         elements = [DihedralElement(m, f, k) for f in (0, 1) for k in range(m)]
-        identity = DihedralElement(m, 0, 0)
+        one = identity(DihedralGroup(m))
         for a in elements:
-            assert a * a.inverse() == identity
-            assert a * identity == a == identity * a
+            assert mul(a, inverse(a)) == one
+            assert mul(a, one) == a == mul(one, a)
         for a in elements:
             for b in elements:
                 for c in elements:
-                    assert (a * b) * c == a * (b * c)
+                    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     # Smith normal form on 100 seeded random matrices
     rng = random.Random(987654321)

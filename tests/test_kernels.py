@@ -15,10 +15,9 @@ from necsurf import (
     quotient_disc_signature,
     reduced_area,
     surface_kernel_genus,
-    word_character,
 )
 from necsurf.pipeline import _surface_kernel_problems
-from reference import character_factors_through_image
+from reference import character_factors_through_image, word_character
 
 
 def disc_group(gamma, periods):
