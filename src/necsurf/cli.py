@@ -14,12 +14,16 @@ Both ``realize`` and ``check-lemma`` render ``necsurf.certificate``'s
 document: the whole of it, or its lemma projection, as JSON or text.
 
 Input file: a JSON object {"gamma": int, "periods": [int..], "n": int,
-"rho": {"d": [int..], "x": [int..]} | "search"}.  With "search" the
-lexicographically first epimorphism, found by the memoised walk of
-``first_smooth_epimorphism``, is used; it rejects a shape with the
-itemised ``shape_problems`` reasons that an explicit rho would get, and
-an order 2n or a gamma above ``sys.maxsize``, which it cannot index,
-with a reason naming it.
+"rho": {"d": [int..], "x": [int..]} | "search"}.  Reading it checks only
+that each field is present with its JSON type (a missing or mistyped
+field is named by its path, such as "rho.d"); the values, rho's lengths
+included (gamma glide images, one elliptic image per period), are
+checked by ``validate_action``, which lists every failing item at once.
+With "search" the lexicographically first epimorphism, found by the
+memoised walk of ``first_smooth_epimorphism``, is used; it rejects a
+shape with the itemised ``shape_problems`` reasons that an explicit rho
+would get, and an order 2n or a gamma above ``sys.maxsize``, which it
+cannot index, with a reason naming it.
 Residues out of range are reduced mod 2n with a warning (when n >= 1;
 otherwise validation rejects n).
 
@@ -62,27 +66,31 @@ class InputError(ValueError):
     pass
 
 
-def _require(doc: dict, field: str, kind: type) -> Any:
+def _require(doc: dict, path: str, kind: type) -> Any:
+    """The value of the field at ``path`` ("n", or "rho.d" inside the rho
+    object ``doc``), checked to be of ``kind``; a message names the path."""
+    field = path.rpartition(".")[2]
     if field not in doc:
-        raise InputError(f"missing field {field!r}")
+        raise InputError(f'missing field "{path}"')
     value = doc[field]
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise InputError(f"field {field!r} must be an integer, got {value!r}")
+        raise InputError(f'field "{path}" must be an integer, got {value!r}')
     if kind is list and not isinstance(value, list):
-        raise InputError(f"field {field!r} must be a list, got {value!r}")
+        raise InputError(f'field "{path}" must be a list, got {value!r}')
     return value
 
 
-def _int_list(doc: dict, field: str) -> list[int]:
-    values = _require(doc, field, list)
+def _int_list(doc: dict, path: str) -> list[int]:
+    values = _require(doc, path, list)
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"field {field!r} must contain integers, got {v!r}")
+            raise InputError(f'field "{path}" must contain integers, got {v!r}')
     return values
 
 
 def parse_input_document(doc: Any) -> dict:
-    """Validate field presence and types of an action-input document."""
+    """Validate field presence and JSON types of an action-input document.
+    Every value check, rho's lengths included, is ``validate_action``'s."""
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     gamma = _require(doc, "gamma", int)
@@ -92,15 +100,7 @@ def parse_input_document(doc: Any) -> dict:
     if rho != "search":
         if not isinstance(rho, dict):
             raise InputError('field "rho" must be an object {"d": .., "x": ..} or "search"')
-        d = _int_list(rho, "d")
-        x = _int_list(rho, "x")
-        if len(d) != gamma:
-            raise InputError(f'field "rho.d" must list {gamma} residues, got {len(d)}')
-        if len(x) != len(periods):
-            raise InputError(
-                f'field "rho.x" must list {len(periods)} residues, got {len(x)}'
-            )
-        rho = {"d": d, "x": x}
+        rho = {"d": _int_list(rho, "rho.d"), "x": _int_list(rho, "rho.x")}
     return {"gamma": gamma, "periods": periods, "n": n, "rho": rho}
 
 

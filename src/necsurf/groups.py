@@ -169,10 +169,12 @@ class DihedralGroup:
 @dataclass(frozen=True)
 class FiniteHom:
     """A homomorphism from a finitely presented group to a finite group,
-    given by its generator images.  Construction checks that every image
-    is an element of ``target`` (else ``GroupMismatchError`` names the
-    generator); whether the images actually satisfy the relators is
-    checked by ``presentations.check_homomorphism``."""
+    given by its generator images.  Construction checks that exactly the
+    domain's generators have images (else ``ValueError`` names the missing
+    and the undeclared ones) and that every image is an element of
+    ``target`` (else ``GroupMismatchError`` names the generator); whether
+    the images actually satisfy the relators is checked by
+    ``presentations.check_homomorphism``."""
 
     domain: "Presentation"
     target: CyclicGroup | DihedralGroup
@@ -184,11 +186,10 @@ class FiniteHom:
         names = {g for g, _ in self.domain.generators}
         assigned = {g for g, _ in self.images}
         if names != assigned:
-            missing = names - assigned
-            extra = assigned - names
             raise ValueError(
-                f"generator images do not match the domain (missing {sorted(missing)},"
-                f" extra {sorted(extra)})"
+                f"generator images do not match the domain: missing images for"
+                f" {sorted(names - assigned)}, images for undeclared generators"
+                f" {sorted(assigned - names)}"
             )
         for g, img in self.images:
             if img not in self.target:
@@ -199,15 +200,12 @@ class FiniteHom:
 
     @classmethod
     def from_dict(cls, domain, target, images: dict) -> "FiniteHom":
-        names = [g for g, _ in domain.generators]
-        extra = set(images) - set(names)
-        if extra:
-            raise ValueError(f"images given for undeclared generators {sorted(extra)}")
-        missing = [g for g in names if g not in images]
-        if missing:
-            raise ValueError(f"missing images for generators {missing}")
-        ordered = tuple((name, images[name]) for name in names)
-        return cls(domain, target, ordered)
+        """The homomorphism with these images, put in the domain's
+        generator order; any image for an undeclared generator follows,
+        for construction to reject."""
+        rest = dict(images)
+        ordered = [(g, rest.pop(g)) for g, _ in domain.generators if g in rest]
+        return cls(domain, target, (*ordered, *rest.items()))
 
     def image_of(self, name: str):
         return self._by_name[name]

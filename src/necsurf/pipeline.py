@@ -112,16 +112,6 @@ class ActionDatum:
         return NECSignature(False, self.gamma, self.periods)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    errors: tuple[str, ...]
-    genus: int | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> list[str]:
     """Every way ``hom`` fails to be a surface-kernel epimorphism of
     ``pres`` onto a cyclic group C_2n, one item each and in this order:
@@ -186,12 +176,15 @@ def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
     return errors
 
 
-def validate_action(datum: ActionDatum) -> ValidationResult:
-    """Check every invariant of the action datum, reporting each
-    violation individually, and compute the genus when valid.
+def validate_action(datum: ActionDatum) -> int:
+    """Check every invariant of the action datum and return the genus of
+    the acted-on surface, or raise ``ActionValidationError`` listing
+    every violation, one reason each.
 
-    The quotient data are checked by ``shape_problems``, and rho once,
-    item by item, by ``_surface_kernel_problems``.
+    The quotient data are checked by ``shape_problems`` and rho's lengths
+    (gamma glide images, one elliptic image per period) with them; when
+    all of those hold, rho is checked item by item by
+    ``_surface_kernel_problems``, and the genus by Riemann-Hurwitz.
     """
     errors = shape_problems(datum.gamma, datum.periods, datum.n)
     if len(datum.d_images) != max(datum.gamma, 0):
@@ -203,7 +196,7 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
             f"expected {len(datum.periods)} elliptic images, got {len(datum.x_images)}"
         )
     if errors:
-        return ValidationResult(tuple(errors), None)
+        raise ActionValidationError(tuple(errors))
 
     sig = datum.delta_signature()
     two_n = datum.order
@@ -219,12 +212,13 @@ def validate_action(datum: ActionDatum) -> ValidationResult:
 
     errors += _surface_kernel_problems(delta, rho, "rho")
 
-    genus: int | None = None
     try:
         genus = surface_kernel_genus(sig, two_n)
     except NoSurfaceKernelError as exc:
         errors.append(str(exc))
-    return ValidationResult(tuple(errors), genus if not errors else None)
+    if errors:
+        raise ActionValidationError(tuple(errors))
+    return genus
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +279,21 @@ def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[s
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
     its independently computed signature, and (for even gamma) the
-    certified classical relator list."""
-    if K.signature is None or len(K.signature.period_cycles) != 1:
-        raise ValueError("derive_delta_hat needs a disc-quotient presentation")
+    certified classical relator list.  Raises ``ValueError`` when K has
+    no interior cone point, and otherwise leaves the input checks to
+    their owners: ``reidemeister_schreier`` rejects a theta of index
+    other than 2 or fixing tau_1, and ``kernel_signature_index2`` a K
+    without a single period cycle."""
     gamma = len(K.generators_of_kind("elliptic"))
     if gamma < 1:
         raise ValueError(
             "derive_delta_hat needs at least one interior cone point"
             " (the kernel is orientable otherwise)"
         )
+    sub = reidemeister_schreier(K, theta)
+    report = kernel_signature_index2(K, theta)
     reflections = K.generators_of_kind("reflection")
     periods = K.signature.period_cycles[0]
-
-    index = theta.image_order()
-    if index != 2:
-        raise PipelineAssertionError(f"theta has index {index}, expected 2")
-    sub = reidemeister_schreier(K, theta)
-
-    report = kernel_signature_index2(K, theta)
     expected = NECSignature(False, gamma, tuple(sorted(periods)))
     if report.signature != expected:
         raise PipelineAssertionError(
@@ -567,11 +558,7 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     ``PipelineAssertionError`` if an internal step fails where the
     construction guarantees success.
     """
-    validation = validate_action(datum)
-    if not validation.ok:
-        raise ActionValidationError(validation.errors)
-    assert validation.genus is not None
-
+    genus = validate_action(datum)
     delta_sig = datum.delta_signature()
     k_sig = quotient_disc_signature(datum.gamma, datum.periods)
     K = canonical_presentation(k_sig)
@@ -593,15 +580,15 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
 
     genus_real = surface_kernel_genus(k_sig, extension.kernel_index)
     genus_via_kernel = surface_kernel_genus(derived.report.signature, datum.order)
-    if genus_real != validation.genus or genus_via_kernel != validation.genus:
+    if genus_real != genus or genus_via_kernel != genus:
         raise PipelineAssertionError(
-            f"genus bookkeeping disagrees: {validation.genus} vs {genus_real}"
+            f"genus bookkeeping disagrees: {genus} vs {genus_real}"
             f" vs {genus_via_kernel}"
         )
 
     return RealizationCertificate(
         datum=datum,
-        genus=validation.genus,
+        genus=genus,
         k_presentation=K,
         theta=theta,
         derived=derived,

@@ -158,13 +158,10 @@ def quotient_disc_signature(gamma: int, periods: Iterable[int]) -> NECSignature:
 
     This is the bordered mirror of the non-orientable signature
     (gamma; -; [periods]): it has exactly half its reduced area.
+    ``NECSignature`` rejects a corner order below 2.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1 (the crosscap count of the quotient)")
-    periods = tuple(periods)
-    for n in periods:
-        if n < 2:
-            raise ValueError(f"link period {n} < 2")
     return NECSignature(
         orientable=True,
         genus=0,

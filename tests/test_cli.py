@@ -148,15 +148,46 @@ class TestRealizeCommand:
         code = cli.main(["realize", path])
         err = capsys.readouterr().err
         assert code == 1
-        assert "'n'" in err
+        assert '"n"' in err
+
+    def test_nested_field_named_by_its_path(self, tmp_path, capsys):
+        doc = dict(GENUS2_DOC, rho={"d": [1.5], "x": [2, 2, 2]})
+        path = write_doc(tmp_path, doc)
+        code = cli.main(["realize", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == 'invalid input: field "rho.d" must contain integers, got 1.5\n'
 
     def test_wrong_rho_length_named(self, tmp_path, capsys):
         doc = dict(GENUS2_DOC, rho={"d": [1, 1], "x": [2, 2, 2]})
         path = write_doc(tmp_path, doc)
         code = cli.main(["realize", path])
-        err = capsys.readouterr().err
+        out = capsys.readouterr().out
         assert code == 1
-        assert "rho.d" in err
+        assert "expected 1 glide images, got 2" in out
+
+    def test_negative_gamma_names_gamma(self, tmp_path, capsys):
+        doc = {"gamma": -1, "periods": [], "n": 2, "rho": {"d": [], "x": []}}
+        path = write_doc(tmp_path, doc)
+        code = cli.main(["realize", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "gamma = -1 must be at least 1" in captured.out
+        assert "must list" not in captured.out + captured.err
+
+    def test_rho_lengths_listed_with_the_shape_reasons(self, tmp_path, capsys):
+        doc = {"gamma": 2, "periods": [3, 5], "n": 4, "rho": {"d": [1], "x": [2]}}
+        path = write_doc(tmp_path, doc)
+        code = cli.main(["realize", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out == (
+            "input validation failed:\n"
+            "  - period n_1 = 3 does not divide n = 4\n"
+            "  - period n_2 = 5 exceeds n = 4\n"
+            "  - expected 2 glide images, got 1\n"
+            "  - expected 2 elliptic images, got 1\n"
+        )
 
     def test_internal_assertion_exits_two(self, tmp_path, capsys, monkeypatch):
         def boom(datum):

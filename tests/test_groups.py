@@ -117,12 +117,15 @@ class TestFiniteHom:
     def test_mismatched_generators_rejected(self):
         p = self._free_presentation("a", "b")
         c2 = CyclicGroup(2)
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match=r"missing images for \['b'\]"):
             FiniteHom.from_dict(p, c2, {"a": c2.element(1)})
-        with pytest.raises(ValueError, match="undeclared"):
+        with pytest.raises(ValueError, match=r"undeclared generators \['c'\]"):
             FiniteHom.from_dict(
                 p, c2, {"a": c2.element(1), "b": c2.element(1), "c": c2.element(0)}
             )
+        # construction itself owns the check, whatever the images' order
+        with pytest.raises(ValueError, match=r"missing .*\['a'\].* undeclared .*\['c'\]"):
+            FiniteHom(p, c2, (("c", c2.element(0)), ("b", c2.element(1))))
 
     @pytest.mark.parametrize(
         "target, image",

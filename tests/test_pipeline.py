@@ -74,6 +74,13 @@ def with_presentation(derived, presentation):
     return replace(derived, subgroup=replace(derived.subgroup, presentation=presentation))
 
 
+def reasons_of(datum):
+    """The reasons ``validate_action`` raises for an invalid datum."""
+    with pytest.raises(ActionValidationError) as exc:
+        validate_action(datum)
+    return exc.value.reasons
+
+
 def unresolved_relators(K, words, substitution):
     """A stand-in for ``verify_derived_relators`` that certifies nothing."""
     return tuple(RelatorCertificate(w, "unresolved") for w in words)
@@ -81,40 +88,36 @@ def unresolved_relators(K, words, substitution):
 
 class TestValidateAction:
     def test_genus2_instance(self):
-        result = validate_action(GENUS2)
-        assert result.ok
-        assert result.genus == 2
+        assert validate_action(GENUS2) == 2
 
     def test_four_crosscaps(self):
-        result = validate_action(GAMMA4)
-        assert result.ok and result.genus == 5
+        assert validate_action(GAMMA4) == 5
 
     def test_each_violation_reported(self):
         bad = ActionDatum(1, (2, 3), 3, (2,), (1, 1))
-        errors = "\n".join(validate_action(bad).errors)
+        errors = "\n".join(reasons_of(bad))
         assert "must be even" in errors
         assert "does not divide" in errors
 
     def test_orientation_and_torsion_violations(self):
         collapsed = ActionDatum(1, (2, 2, 2), 2, (1,), (0, 2, 2))
-        errors = "\n".join(validate_action(collapsed).errors)
+        errors = "\n".join(reasons_of(collapsed))
         assert "torsion collapse" in errors
 
         even_glide = ActionDatum(1, (2, 2, 2), 2, (2,), (2, 2, 2))
-        errors = "\n".join(validate_action(even_glide).errors)
+        errors = "\n".join(reasons_of(even_glide))
         assert "orientation mismatch" in errors
 
     def test_non_surjective_reported(self):
         # images {3, 6} only generate the index-3 subgroup of C12
         bad = ActionDatum(1, (2, 2, 2), 6, (3,), (6, 6, 6))
-        result = validate_action(bad)
-        errors = "\n".join(result.errors)
+        errors = "\n".join(reasons_of(bad))
         assert "surjective" in errors
         assert "torsion" not in errors and "orientation" not in errors
 
     def test_non_hyperbolic_rejected(self):
         flat = ActionDatum(2, (), 2, (1, 1), ())
-        errors = "\n".join(validate_action(flat).errors)
+        errors = "\n".join(reasons_of(flat))
         assert "not hyperbolic" in errors
 
     def test_three_crosscaps_has_no_epimorphism(self):
@@ -122,7 +125,7 @@ class TestValidateAction:
         assert enumerate_smooth_epimorphisms(3, (), 4).count == 0
         for d_images in product((1, 3), repeat=3):
             datum = ActionDatum(3, (), 2, d_images, ())
-            assert not validate_action(datum).ok
+            assert reasons_of(datum)
 
     def test_large_order_memory_stays_linear(self):
         # rho's checks on C_6000 are gcds and parities: nothing is stored
@@ -130,11 +133,11 @@ class TestValidateAction:
         datum = ActionDatum(4, (), 3000, (1, 1, 1, 5997), ())
         tracemalloc.start()
         try:
-            result = validate_action(datum)
+            genus = validate_action(datum)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.ok and result.genus == 6001
+        assert genus == 6001
         assert peak < 20 * 1024 * 1024
 
     def test_large_order_realize_enumerates_nothing(self):
@@ -151,7 +154,7 @@ class TestValidateAction:
 
     def test_divisibility_violation(self):
         bad = ActionDatum(1, (2, 4), 2, (1,), (2, 2))
-        assert not validate_action(bad).ok
+        assert reasons_of(bad)
         with pytest.raises(ActionValidationError):
             realize(bad)
 
@@ -214,6 +217,21 @@ class TestDeriveDeltaHat:
             PipelineAssertionError, match=r"classical relator c1\^3 could not be certified"
         ):
             derive_delta_hat(K, build_theta(K))
+
+    def test_theta_of_index_one_rejected(self):
+        # the index check lives in reidemeister_schreier alone
+        K = disc_group(2, (2,))
+        c2 = CyclicGroup(2)
+        trivial = FiniteHom.from_dict(K, c2, {g: c2.element(0) for g in K.generator_names()})
+        with pytest.raises(ValueError, match="index 1"):
+            derive_delta_hat(K, trivial)
+
+    def test_theta_fixing_tau1_rejected(self):
+        K = disc_group(2, (2,))
+        c2 = CyclicGroup(2)
+        images = dict(build_theta(K).images) | {"tau1": c2.element(0)}
+        with pytest.raises(ValueError, match="tau_1"):
+            derive_delta_hat(K, FiniteHom.from_dict(K, c2, images))
 
     def test_gamma4_no_corner_generators(self):
         _, derived = derived_for(4, ())
@@ -627,7 +645,7 @@ class TestEnumeration:
             listed = enumerate_smooth_epimorphisms(gamma, periods, order).tuples
             for d_images, x_images in listed:
                 datum = ActionDatum(gamma, periods, order // 2, d_images, x_images)
-                assert validate_action(datum).errors == (), datum
+                validate_action(datum)
 
 
 class TestFirstEpimorphism:

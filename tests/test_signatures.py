@@ -64,6 +64,11 @@ class TestQuotientDiscSignature:
         with pytest.raises(ValueError):
             quotient_disc_signature(0, (2, 2))
 
+    def test_corner_order_below_two_rejected(self):
+        # NECSignature owns the check
+        with pytest.raises(ValueError, match="link period 1 < 2"):
+            quotient_disc_signature(2, (3, 1))
+
 
 class TestSurfaceKernelGenus:
     def test_genus_two_action(self):
