@@ -1,14 +1,17 @@
 """Reidemeister-Schreier presentation of the index-2 kernel of theta.
 
 The construction derives one subgroup: the kernel of a map theta from a
-disc-quotient group K onto C_2 that moves the first reflection tau_1.
-Its Schreier coset representatives are therefore fixed, {1, tau_1} (the
+single-boundary disc-quotient group K onto C_2 that moves every
+reflection.  This module alone reads theta and checks those conditions.
+The Schreier coset representatives are therefore fixed, {1, tau_1} (the
 doubled fundamental domain), and the coset of a word is the theta-parity
-bit of its prefix.  Each pair (coset c, generator g) gives the Schreier word
-rep(c) * g * rep(c xor theta(g))^-1; only (0, tau_1) is trivial.  Every
-generator is born with its canonical name and role: delta_j = tau_1 x_j,
-c_k = tau_1 tau_(k+1), the connector pair e1, e2 (gamma even) or f1, f2
-(gamma odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.
+bit of its prefix.  Each pair (coset c, generator g) gives the Schreier
+word rep(c) * g * rep(c xor theta(g))^-1; only (0, tau_1) is trivial.
+Every generator is born with its canonical name, role and orientation
+kind: delta_j = tau_1 x_j, c_k = tau_1 tau_(k+1), the connector pair
+e1, e2 (gamma even) or f1, f2 (gamma odd), the tau_1-conjugates delta_jt
+and c_kt, and tau1sq.  The kernel's torsion words are built here too, so
+``kernels`` reads its signature off the subgroup without theta.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -48,9 +51,10 @@ class SchreierGenerator:
 @dataclass(frozen=True)
 class SchreierSubgroup:
     """Reidemeister-Schreier data for ker(theta): generators, derived
-    presentation and the rewriting map into it.  ``pair_names`` names the
-    Schreier generator of each (coset, generator) pair, or None for the
-    trivial pair (0, tau_1); ``parity`` is theta's bit on each generator."""
+    presentation (with its torsion words) and the rewriting map into it.
+    ``pair_names`` names the Schreier generator of each (coset, generator)
+    pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
+    bit on each generator."""
 
     base: Presentation
     generators: tuple[SchreierGenerator, ...]
@@ -87,22 +91,33 @@ class SchreierSubgroup:
 
 
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
-    """Presentation of ker(theta) over the coset representatives {1, tau_1}.
+    """Presentation of ker(theta) over the coset representatives {1, tau_1},
+    with its torsion words.
 
-    Raises ``ValueError`` unless theta has image of order 2 and moves the
-    first reflection tau_1: exactly the conditions for 1 and tau_1 to
-    represent the two cosets.  Generators come in canonical order:
-    delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.  Relators are
-    the rewritten conjugates u * R * u^-1 of the base relators for u = 1,
-    then u = tau_1, each read as the walk of R from coset u; free
-    reduction commutes with the walk, so no conjugate is built.
+    Raises ``ValueError`` unless ``p`` carries a signature with a single
+    period cycle, theta has image of order 2, and theta moves every
+    reflection (so tau_1 among them, and 1 and tau_1 represent the two
+    cosets).  Generators come in canonical order: delta_j, c_k, the
+    connector pair, delta_jt, c_kt, tau1sq.  Relators are the rewritten
+    conjugates u * R * u^-1 of the base relators for u = 1, then
+    u = tau_1, each read as the walk of R from coset u; free reduction
+    commutes with the walk, so no conjugate is built.  Torsion words: each
+    corner tau_k tau_(k+1) rewritten from coset 0, of its full order n_k;
+    then, for an interior elliptic x of order m whose image has order o,
+    x^o rewritten from each of the 2/o cosets, of order m/o (omitted when
+    m/o = 1).
     """
+    if p.signature is None or len(p.signature.period_cycles) != 1:
+        raise ValueError("only single-boundary disc quotients are supported")
     index = theta.image_order()
     if index != 2:
         raise ValueError(f"theta has index {index}, expected 2")
     reflections = p.generators_of_kind("reflection")
-    if not reflections or theta.image_of(reflections[0]).is_identity():
-        raise ValueError("theta must move the first reflection tau_1")
+    if not reflections:
+        raise ValueError("K has no reflection tau_1 to represent the second coset")
+    fixed = [tau for tau in reflections if theta.image_of(tau).is_identity()]
+    if fixed:
+        raise ValueError(f"theta must move every reflection, and fixes {', '.join(fixed)}")
     tau1 = reflections[0]
     elliptics = p.generators_of_kind("elliptic")
     parity = {g: int(not theta.image_of(g).is_identity()) for g in p.generator_names()}
@@ -147,4 +162,15 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
                 seen_relators.add(rewritten.letters)
                 relators.append(rewritten)
 
-    return replace(subgroup, presentation=Presentation(derived.generators, tuple(relators)))
+    corners = zip(reflections, reflections[1:], p.signature.period_cycles[0])
+    torsion = [(subgroup.rewrite(Word(((a, 1), (b, 1)))), n) for a, b, n in corners]
+    kinds = dict(p.generators)
+    for x in elliptics:
+        o = 1 + parity[x]
+        period = kinds[x].order // o
+        if period > 1:
+            torsion += [(subgroup.rewrite(Word.gen(x, o), c), period) for c in range(2 // o)]
+
+    return replace(
+        subgroup, presentation=Presentation(derived.generators, tuple(relators), tuple(torsion))
+    )

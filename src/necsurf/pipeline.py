@@ -17,8 +17,9 @@ The chain constructed and verified here:
    fixed coset representatives {1, tau1}: each generator is born with its
    canonical name (delta_j = tau1*x_j, c_k = tau1*tau_(k+1), the connector
    pair, their tau1-conjugates, tau1sq) and kernel words are rewritten by
-   walking theta's parity bit; read its signature off theta in closed
-   form and check it reproduces (gamma; -; [n_1..n_r]) exactly;
+   walking theta's parity bit; read its signature off the derived
+   subgroup and its torsion words in closed form and check it reproduces
+   (gamma; -; [n_1..n_r]) exactly;
 4. certify, in one pass over the Schreier generators, that conjugation by
    the first reflection inverts the kernel's abelianization (so every
    homomorphism to an abelian group has normal kernel in K), reading the
@@ -57,7 +58,6 @@ from .presentations import (
 )
 from .signatures import (
     NECSignature,
-    NoSurfaceKernelError,
     quotient_disc_signature,
     reduced_area,
     riemann_hurwitz_index,
@@ -184,7 +184,10 @@ def validate_action(datum: ActionDatum) -> int:
     The quotient data are checked by ``shape_problems`` and rho's lengths
     (gamma glide images, one elliptic image per period) with them; when
     all of those hold, rho is checked item by item by
-    ``_surface_kernel_problems``, and the genus by Riemann-Hurwitz.
+    ``_surface_kernel_problems``.  The genus then follows from
+    Riemann-Hurwitz, 2g - 2 = 2n * area, whose right side is a positive
+    even integer for every shape ``shape_problems`` accepts, since each
+    period divides n.
     """
     errors = shape_problems(datum.gamma, datum.periods, datum.n)
     if len(datum.d_images) != max(datum.gamma, 0):
@@ -211,14 +214,9 @@ def validate_action(datum: ActionDatum) -> int:
     rho = FiniteHom.from_dict(delta, target, images)
 
     errors += _surface_kernel_problems(delta, rho, "rho")
-
-    try:
-        genus = surface_kernel_genus(sig, two_n)
-    except NoSurfaceKernelError as exc:
-        errors.append(str(exc))
     if errors:
         raise ActionValidationError(tuple(errors))
-    return genus
+    return surface_kernel_genus(sig, two_n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +240,8 @@ def build_theta(K: Presentation) -> FiniteHom:
 @dataclass(frozen=True)
 class DerivedKernel:
     """The index-2 kernel of theta: Reidemeister-Schreier presentation
-    (with canonical generator names), independently computed signature,
-    and the audit data tying the two together."""
+    (with canonical generator names and torsion words), the signature read
+    off it, and the certified classical relators."""
 
     subgroup: SchreierSubgroup
     report: KernelSignatureReport
@@ -278,12 +276,12 @@ def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[s
 
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
-    its independently computed signature, and (for even gamma) the
-    certified classical relator list.  Raises ``ValueError`` when K has
-    no interior cone point, and otherwise leaves the input checks to
-    their owners: ``reidemeister_schreier`` rejects a theta of index
-    other than 2 or fixing tau_1, and ``kernel_signature_index2`` a K
-    without a single period cycle."""
+    with its torsion words and the signature read off it, and (for even
+    gamma) the certified classical relator list.  Raises ``ValueError``
+    when K has no interior cone point; every other input check is
+    ``reidemeister_schreier``'s: K has a single period cycle, theta has
+    index 2 and moves every reflection.  The signature must be
+    (gamma; -; [periods]) exactly, or ``PipelineAssertionError`` is raised."""
     gamma = len(K.generators_of_kind("elliptic"))
     if gamma < 1:
         raise ValueError(
@@ -291,25 +289,17 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
             " (the kernel is orientable otherwise)"
         )
     sub = reidemeister_schreier(K, theta)
-    report = kernel_signature_index2(K, theta)
-    reflections = K.generators_of_kind("reflection")
+    report = kernel_signature_index2(sub)
     periods = K.signature.period_cycles[0]
     expected = NECSignature(False, gamma, tuple(sorted(periods)))
     if report.signature != expected:
         raise PipelineAssertionError(
             f"derived kernel signature {report.signature} differs from expected {expected}"
         )
-
-    torsion = []
-    for k, n in enumerate(periods, start=1):
-        corner = Word(((reflections[k - 1], 1), (reflections[k], 1)))
-        torsion.append((sub.rewrite(corner), n))
-    sub = replace(
-        sub,
-        presentation=replace(
-            sub.presentation, torsion_words=tuple(torsion), signature=report.signature
-        ),
-    )
+    pres = sub.presentation
+    sub = replace(sub, presentation=Presentation(
+        pres.generators, pres.relators, pres.torsion_words, report.signature
+    ))
 
     printed: list[tuple[str, RelatorCertificate]] = []
     if gamma % 2 == 0:

@@ -167,8 +167,30 @@ class TestReidemeisterSchreier:
         with pytest.raises(ValueError, match="index 1"):
             reidemeister_schreier(K, trivial)
         images = dict(build_theta(K).images) | {"tau1": identity(c2)}
-        with pytest.raises(ValueError, match="tau_1"):
+        with pytest.raises(ValueError, match="fixes tau1$"):
             reidemeister_schreier(K, FiniteHom.from_dict(K, c2, images))
+
+    def test_surviving_reflection_rejected(self):
+        K = disc_group(2, (2,))
+        c2 = CyclicGroup(2)
+        images = {name: c2.element(1) for name in K.generator_names()}
+        images["e"] = c2.element(0)
+        images["tau2"] = c2.element(0)  # tau2 would survive in the kernel
+        bad = FiniteHom.from_dict(K, c2, images)
+        with pytest.raises(ValueError, match="tau2"):
+            reidemeister_schreier(K, bad)
+
+    def test_requires_a_single_boundary_disc_quotient(self):
+        K = disc_group(2, (2,))
+        theta = build_theta(K)
+        with pytest.raises(ValueError, match="single-boundary"):
+            reidemeister_schreier(Presentation(K.generators, K.relators), theta)
+        # K without its reflections, where theta still has index 2
+        kept = tuple((g, kind) for g, kind in K.generators if kind.kind != "reflection")
+        bare = Presentation(kept, (), signature=K.signature)
+        images = {g: theta.image_of(g) for g, _ in kept}
+        with pytest.raises(ValueError, match="no reflection"):
+            reidemeister_schreier(bare, FiniteHom.from_dict(bare, CyclicGroup(2), images))
 
     def test_generators_are_born_canonical(self):
         for gamma, periods in [(1, (2, 2, 2)), (2, (3,)), (4, ()), (3, (2, 4))]:

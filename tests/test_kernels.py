@@ -1,8 +1,8 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 from itertools import product
-
-import pytest
 
 from necsurf import (
     CyclicGroup,
@@ -14,10 +14,15 @@ from necsurf import (
     kernel_signature_index2,
     quotient_disc_signature,
     reduced_area,
+    reidemeister_schreier,
     surface_kernel_genus,
 )
+from necsurf import kernels
 from necsurf.pipeline import _surface_kernel_problems
-from reference import character_factors_through_image, word_character
+from necsurf.presentations import Presentation
+from necsurf.signatures import elliptic
+from necsurf.words import Word, substitute
+from reference import character_factors_through_image, free_reduce, word_character
 
 
 def disc_group(gamma, periods):
@@ -25,7 +30,7 @@ def disc_group(gamma, periods):
 
 
 def parity_kernel_report(K):
-    return kernel_signature_index2(K, build_theta(K))
+    return kernel_signature_index2(reidemeister_schreier(K, build_theta(K)))
 
 
 def crosscap_rho(gamma, periods, n, d_images, x_images):
@@ -68,23 +73,35 @@ class TestKernelSignatureIndex2:
         # period: the one period 2 is the corner's
         assert report.signature.proper_periods == K.signature.period_cycles[0] == (2,)
 
+    def test_moved_interior_point_of_order_four_halves(self):
+        # (0; +; [4]; {(2, 2)}) written by hand: theta moves x1, so x1^2
+        # lies in the kernel and leaves one cone point of order 4/2 = 2
+        base = disc_group(1, (2, 2))
+        sig = NECSignature(True, 0, (4,), ((2, 2),))
+        K = Presentation(
+            (("x1", elliptic(4)),) + base.generators[1:],
+            (Word.gen("x1", 4),) + base.relators[1:],
+            signature=sig,
+        )
+        theta = build_theta(K)
+        assert not check_homomorphism(K, theta)
+        sub = reidemeister_schreier(K, theta)
+        words = {g.name: g.word for g in sub.generators}
+        torsion = [(str(free_reduce(substitute(w, words))), n)
+                   for w, n in sub.presentation.torsion_words]
+        assert torsion == [("tau1*tau2", 2), ("tau2*tau3", 2), ("x1*x1", 2)]
+        report = kernel_signature_index2(sub)
+        assert report.signature == NECSignature(False, 1, (2, 2, 2))
+        assert character_factors_through_image(K, theta)[0] is False
+        assert reduced_area(report.signature) == 2 * reduced_area(sig)
+
     def test_witness_is_reversing_kernel_element(self):
         K = disc_group(1, (2, 2, 2))
         theta = build_theta(K)
-        report = kernel_signature_index2(K, theta)
+        report = kernel_signature_index2(reidemeister_schreier(K, theta))
         assert str(report.witness) == "tau1*x1"
         assert word_character(K, report.witness) == -1
         assert theta.evaluate(report.witness).is_identity()
-
-    def test_surviving_reflection_rejected(self):
-        K = disc_group(2, (2,))
-        c2 = CyclicGroup(2)
-        images = {name: c2.element(1) for name in K.generator_names()}
-        images["e"] = c2.element(0)
-        images["tau2"] = c2.element(0)  # tau2 would survive in the kernel
-        bad = FiniteHom.from_dict(K, c2, images)
-        with pytest.raises(ValueError, match="tau2"):
-            kernel_signature_index2(K, bad)
 
     def test_orientable_double_of_pure_boundary_quotient(self):
         # no interior cone points: the character factors through C2 and
@@ -92,39 +109,76 @@ class TestKernelSignatureIndex2:
         K = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
         theta = build_theta(K)
         assert not check_homomorphism(K, theta)
-        report = kernel_signature_index2(K, theta)
+        report = kernel_signature_index2(reidemeister_schreier(K, theta))
         assert report.signature.orientable
         assert report.witness is None
         assert report.signature == NECSignature(True, 0, (3, 3))
 
     def test_orientability_matches_walk(self, derived_battery):
-        # the closed-form orientability and witness against the Cayley-graph
-        # walk: on every battery kernel, on the gamma=0 orientable double
-        # and, for gamma <= 2, on every other choice of theta on the interior
-        # involutions (the connector image follows from the long relator)
+        # the orientability and witness read off the Schreier generators
+        # against the Cayley-graph walk, and the torsion words against the
+        # image-order rule: on every battery kernel, on the gamma=0
+        # orientable double and, for gamma <= 2, on every other choice of
+        # theta on the interior involutions (the connector image follows
+        # from the long relator)
         c2 = CyclicGroup(2)
         double = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
-        cases = [(double, build_theta(double))]
-        for gamma, _, K, theta, _ in derived_battery:
-            cases.append((K, theta))
+        cases = [(double, build_theta(double), None)]
+        for gamma, _, K, theta, derived in derived_battery:
+            cases.append((K, theta, derived.subgroup))
             for xs in product((0, 1), repeat=gamma if gamma <= 2 else 0):
                 if not all(xs):
                     images = dict(theta.images) | {
                         f"x{j}": c2.element(v) for j, v in enumerate(xs, start=1)
                     }
                     images["e"] = c2.element(sum(xs))
-                    cases.append((K, FiniteHom.from_dict(K, c2, images)))
+                    cases.append((K, FiniteHom.from_dict(K, c2, images), None))
         orientable = 0
-        for K, theta in cases:
+        for K, theta, sub in cases:
             assert not check_homomorphism(K, theta)
-            report = kernel_signature_index2(K, theta)
+            sub = sub or reidemeister_schreier(K, theta)
+            report = kernel_signature_index2(sub)
             factors, _ = character_factors_through_image(K, theta)
             assert report.signature.orientable == factors
             if report.witness is not None:
                 assert theta.evaluate(report.witness).is_identity()
                 assert word_character(K, report.witness) == -1
             orientable += report.signature.orientable
+
+            # one torsion word per corner at full order, then two of order
+            # 2 for each interior involution theta fixes: x and its
+            # tau1-conjugate, as words of K
+            taus = K.generators_of_kind("reflection")
+            fixed = [x for x in K.generators_of_kind("elliptic")
+                     if theta.image_of(x).is_identity()]
+            tau1 = Word.gen("tau1")
+            expected = [(Word.gen(a) * Word.gen(b), n)
+                        for a, b, n in zip(taus, taus[1:], K.signature.period_cycles[0])]
+            for x in fixed:
+                expected += [(Word.gen(x), 2), (tau1 * Word.gen(x) * tau1.inverse(), 2)]
+            words = {g.name: g.word for g in sub.generators}
+            torsion = [(free_reduce(substitute(w, words)), n)
+                       for w, n in sub.presentation.torsion_words]
+            assert torsion == expected
+            assert report.signature.proper_periods == tuple(sorted(n for _, n in expected))
         assert (len(cases), orientable) == (2949, 651)
+
+
+def test_kernels_reads_no_theta():
+    """The kernel signature is read off the Schreier subgroup alone:
+    ``kernels`` imports neither the group layer nor the presentation layer
+    and reads no homomorphism image."""
+    source = inspect.getsource(kernels)
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "necsurf" if node.level else None
+            imported.add(".".join(filter(None, (package, node.module))))
+    assert "necsurf.cosets" in imported
+    assert not imported & {"necsurf.groups", "necsurf.presentations"}
+    assert "image_of" not in source and "image_order" not in source
 
 
 class TestSurfaceKernelCheck:

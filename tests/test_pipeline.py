@@ -158,6 +158,22 @@ class TestValidateAction:
         with pytest.raises(ActionValidationError):
             realize(bad)
 
+    def test_every_admissible_shape_has_a_surface_kernel_genus(self):
+        # once shape_problems passes, each period divides n, so
+        # 2n * area = 2n(gamma - 2) + sum(2n - 2n/n_i) is a positive even
+        # integer and the genus validate_action returns always exists
+        accepted = 0
+        for n in range(2, 61, 2):
+            divisors = [p for p in range(2, n + 1) if n % p == 0]
+            for gamma in range(5):
+                for r in range(5):
+                    for periods in combinations_with_replacement(divisors, r):
+                        if not pipeline.shape_problems(gamma, periods, n):
+                            sig = NECSignature(False, gamma, periods)
+                            assert pipeline.surface_kernel_genus(sig, 2 * n) >= 2
+                            accepted += 1
+        assert accepted == 23775
+
 
 class TestBuildTheta:
     def test_even_gamma_kills_connector(self):
@@ -230,7 +246,7 @@ class TestDeriveDeltaHat:
         K = disc_group(2, (2,))
         c2 = CyclicGroup(2)
         images = dict(build_theta(K).images) | {"tau1": c2.element(0)}
-        with pytest.raises(ValueError, match="tau_1"):
+        with pytest.raises(ValueError, match="fixes tau1$"):
             derive_delta_hat(K, FiniteHom.from_dict(K, c2, images))
 
     def test_gamma4_no_corner_generators(self):
