@@ -13,8 +13,8 @@ JSON renders the same bytes.
 literals: ``signature_match``, ``genus_match``, the ``lemma1``
 ``conjugation_*_ok`` keys, the ``eta`` and ``theta_extension`` checks and
 check-lemma's ``inverted`` and ``certified`` are ``true``, ``area_ratio``
-is ``"2"``, ``genus_real`` is ``genus``, and ``theta``'s
-``connector_exponent`` is gamma mod 2.
+is ``"2"`` and ``genus_real`` is ``genus``.  ``theta``'s
+``connector_exponent`` and ``printed_connector_valid`` are read off theta.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
     its ``input``."""
     datum = cert.datum
     lemma = cert.lemma
+    (connector,) = cert.k_presentation.generators_of_kind("connector")
+    connector_exponent = cert.theta.image_of(connector).value
     return {
         "input": input_doc,
         "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
@@ -61,8 +63,8 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
         "k_presentation": _presentation(cert.k_presentation),
         "theta": {
             "images": _images(cert.theta),
-            "connector_exponent": datum.gamma % 2,
-            "printed_connector_valid": datum.gamma % 2 == 0,
+            "connector_exponent": connector_exponent,
+            "printed_connector_valid": connector_exponent == 0,
         },
         "area_ratio": "2",
         "delta_hat_signature": _signature(cert.derived.report.signature),

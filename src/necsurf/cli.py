@@ -106,7 +106,8 @@ def parse_input_document(doc: Any) -> dict:
 
 def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
     """Build the action datum, resolving "search" by
-    ``first_smooth_epimorphism``, and warning about residues out of range."""
+    ``first_smooth_epimorphism``, and warning about each residue that
+    ``ActionDatum`` reduced."""
     gamma, periods, n = doc["gamma"], tuple(doc["periods"]), doc["n"]
     if doc["rho"] == "search":
         datum = first_smooth_epimorphism(gamma, periods, 2 * n)
@@ -116,14 +117,12 @@ def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
                  f" periods={list(periods)}, order={2 * n}",)
             )
         return datum
-    if n >= 1:  # ActionDatum reduces the residues; n < 1 is left for validation
-        two_n = 2 * n
-        for field in ("d", "x"):
-            for i, v in enumerate(doc["rho"][field], start=1):
-                if not 0 <= v < two_n:
-                    warn(f"warning: rho.{field}[{i}] = {v} reduced mod {two_n}"
-                         f" to {v % two_n}")
-    return ActionDatum(gamma, periods, n, doc["rho"]["d"], doc["rho"]["x"])
+    datum = ActionDatum(gamma, periods, n, doc["rho"]["d"], doc["rho"]["x"])
+    for field, reduced in (("d", datum.d_images), ("x", datum.x_images)):
+        for i, (v, residue) in enumerate(zip(doc["rho"][field], reduced), start=1):
+            if v != residue:
+                warn(f"warning: rho.{field}[{i}] = {v} reduced mod {datum.order} to {residue}")
+    return datum
 
 
 # ---------------------------------------------------------------------------

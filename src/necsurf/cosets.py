@@ -9,9 +9,10 @@ bit of its prefix.  Each pair (coset c, generator g) gives the Schreier
 word rep(c) * g * rep(c xor theta(g))^-1; only (0, tau_1) is trivial.
 Every generator is born with its canonical name, role and orientation
 kind: delta_j = tau_1 x_j, c_k = tau_1 tau_(k+1), the connector pair
-e1, e2 (gamma even) or f1, f2 (gamma odd), the tau_1-conjugates delta_jt
-and c_kt, and tau1sq.  The kernel's torsion words are built here too, so
-``kernels`` reads its signature off the subgroup without theta.
+e1, e2 (theta(e) = 0, gamma even) or f1, f2 (theta(e) = 1, gamma odd),
+the tau_1-conjugates delta_jt and c_kt, and tau1sq.  The kernel's torsion
+words are built here too, so ``kernels`` reads its signature off the
+subgroup without theta.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -130,8 +131,8 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     pairs = [(1, x, f"delta{j}", "glide") for j, x in enumerate(elliptics, start=1)]
     pairs += [(1, t, f"c{k}", "corner rotation") for k, t in enumerate(reflections[1:], start=1)]
     conjugates = [(0, g, name + "t", role + " (tau1-conjugate)") for _, g, name, role in pairs]
-    letter = "e" if len(elliptics) % 2 == 0 else "f"
     for e in p.generators_of_kind("connector"):
+        letter = "ef"[parity[e]]
         pairs += [(0, e, f"{letter}1", "connector"), (1, e, f"{letter}2", "connector")]
     conjugates.append((1, tau1, "tau1sq", "reflection square (trivial in K)"))
 

@@ -11,8 +11,8 @@ The chain constructed and verified here:
    surface by exact Riemann-Hurwitz arithmetic;
 2. build the bordered disc-quotient group K (gamma interior order-2
    points, corner orders n_1..n_r) and the parity map theta: K -> C_2
-   killing the connector and sending every other generator to the
-   non-trivial element;
+   sending each interior point and reflection to the non-trivial element
+   and the connector to gamma mod 2, as the long relator forces;
 3. derive the index-2 kernel of theta by Reidemeister-Schreier over the
    fixed coset representatives {1, tau1}: each generator is born with its
    canonical name (delta_j = tau1*x_j, c_k = tau1*tau_(k+1), the connector
@@ -22,8 +22,10 @@ The chain constructed and verified here:
    (gamma; -; [n_1..n_r]) exactly;
 4. certify, in one pass over the Schreier generators, that conjugation by
    the first reflection inverts the kernel's abelianization (so every
-   homomorphism to an abelian group has normal kernel in K), reading the
-   connector pair, the glides and the corner rotations off their roles;
+   homomorphism to an abelian group has normal kernel in K), and that
+   tau1*g*tau1*g reduces to 1 in K for each glide and corner rotation g,
+   reading the connector pair, the glides and the corner rotations off
+   their roles;
 5. write Theta: K -> D_2n on K's generators from rho in closed form, with
    Theta(tau1) = t, and read eta off it as its restriction to the derived
    kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .abelian import abelianization
@@ -54,6 +56,7 @@ from .presentations import (
     RelatorCertificate,
     canonical_presentation,
     check_homomorphism,
+    connector_closed_form,
     verify_derived_relators,
 )
 from .signatures import (
@@ -63,7 +66,7 @@ from .signatures import (
     riemann_hurwitz_index,
     surface_kernel_genus,
 )
-from .words import Word
+from .words import Word, cyclic_reduce, substitute
 
 
 class ActionValidationError(ValueError):
@@ -205,12 +208,8 @@ def validate_action(datum: ActionDatum) -> int:
     two_n = datum.order
     target = CyclicGroup(two_n)
     delta = canonical_presentation(sig)
-    images = {
-        f"d{j}": target.element(v) for j, v in enumerate(datum.d_images, start=1)
-    }
-    images.update(
-        {f"x{i}": target.element(v) for i, v in enumerate(datum.x_images, start=1)}
-    )
+    images = dict(zip(delta.generators_of_kind("glide"), map(target.element, datum.d_images)))
+    images.update(zip(delta.generators_of_kind("elliptic"), map(target.element, datum.x_images)))
     rho = FiniteHom.from_dict(delta, target, images)
 
     errors += _surface_kernel_problems(delta, rho, "rho")
@@ -225,15 +224,14 @@ def validate_action(datum: ActionDatum) -> int:
 
 def build_theta(K: Presentation) -> FiniteHom:
     """The parity map K -> C_2: interior elliptics and reflections go to
-    the non-trivial element; the connector image is a^(gamma mod 2), the
-    unique choice making the long relator hold for both parities (so the
-    naive image e -> 1 is valid exactly when gamma is even)."""
-    gamma = len(K.generators_of_kind("elliptic"))
+    the non-trivial element, and the connector to the fold of its closed
+    form x_1^-1...x_gamma^-1, a^(gamma mod 2): the one image making the
+    long relator hold (so the naive image e -> 1 is valid exactly when
+    gamma is even)."""
     c2 = CyclicGroup(2)
-    images = {
-        name: c2.element(gamma % 2 if kind.kind == "connector" else 1)
-        for name, kind in K.generators
-    }
+    images = {name: c2.element(1) for name, kind in K.generators if kind.kind != "connector"}
+    for e, word in connector_closed_form(K).items():
+        images[e] = c2.fold(images, word.letters)
     return FiniteHom.from_dict(K, c2, images)
 
 
@@ -296,10 +294,6 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
         raise PipelineAssertionError(
             f"derived kernel signature {report.signature} differs from expected {expected}"
         )
-    pres = sub.presentation
-    sub = replace(sub, presentation=Presentation(
-        pres.generators, pres.relators, pres.torsion_words, report.signature
-    ))
 
     printed: list[tuple[str, RelatorCertificate]] = []
     if gamma % 2 == 0:
@@ -330,8 +324,8 @@ class LemmaReport:
     ``lemma1_check`` raises at the first check that fails, so the report
     holds what was checked, not verdicts: ``inversion_entries`` names, in
     generator order, each generator whose class was checked to be
-    inverted, and ``conjugation_certificates`` labels each certified
-    identity tau1*g*tau1*g = 1."""
+    inverted, and ``conjugation_certificates`` labels each identity
+    tau1*g*tau1*g = 1 certified in K, for g a glide or corner rotation."""
 
     gamma_even: bool
     connector_pair: tuple[str, str]
@@ -357,9 +351,10 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     since classes are additive; only the connector product's class is
     printed, so each generator's test reads the coordinates its word
     touches (``is_zero``).  Each tau1-conjugate is rewritten once,
-    as rewrite(g, 1)*tau1sq from the word of g (the walk from coset 1), and
-    tau1*g*tau1*g = 1 is certified in K for each glide and corner rotation
-    g, which is tau1 times an involution."""
+    as rewrite(g, 1)*tau1sq from the word of g (the walk from coset 1).  In
+    the same pass tau1*g*tau1*g = 1 is certified in K for each glide and
+    corner rotation g, tau1 times an involution: with g's word substituted
+    the identity has no connector and reduces to the empty cyclic word."""
     sub = derived.subgroup
     K = sub.base
     ab = abelianization(derived.presentation)
@@ -376,8 +371,9 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     # rewrite(tau1*w*tau1) = rewrite(w, 1)*tau1sq: the walk enters coset 1
     # through the trivial pair (0, tau1) and leaves it through (1, tau1)
     tau1sq = (sub.pair_names[(1, tau1)], 1)
+    involutions = K.involution_names()
     entries: list[str] = []
-    identities: dict[str, Word] = {}  # name of g -> tau1*g*tau1*g
+    identities: list[str] = []
     for gen in sub.generators:
         try:
             rewritten = sub.rewrite(gen.word, 1)
@@ -389,16 +385,12 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
             )
         entries.append(gen.name)
         if gen.role in ("glide", "corner rotation"):
-            identities[gen.name] = Word(((tau1, 1), (gen.name, 1)) * 2)
-
-    certs = verify_derived_relators(
-        K, identities.values(), {g.name: g.word for g in sub.generators}
-    )
-    for name, cert in zip(identities, certs):
-        if not cert.certified:
-            raise PipelineAssertionError(
-                f"conjugation identity for {name} could not be certified"
-            )
+            identity = Word(((tau1, 1), (gen.name, 1)) * 2)
+            if cyclic_reduce(substitute(identity, {gen.name: gen.word}), involutions).letters:
+                raise PipelineAssertionError(
+                    f"conjugation identity for {gen.name} could not be certified"
+                )
+            identities.append(str(identity))
 
     return LemmaReport(
         gamma_even=even,
@@ -406,7 +398,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
         connector_product_class=product_class,
         connector_product_zero=product_zero,
         inversion_entries=tuple(entries),
-        conjugation_certificates=tuple(str(c.source) for c in certs),
+        conjugation_certificates=tuple(identities),
         invariant_factors=ab.invariant_factors,
         free_rank=ab.free_rank,
     )
@@ -432,21 +424,21 @@ class DihedralExtension:
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
     """Theta: K -> D_2n, written on K's generators from rho in closed form:
     Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j), Theta(tau_(k+1)) =
-    t*s^(x_1 + ... + x_k), and Theta(e) is forced by the long relator:
-    e = x_1^-1...x_gamma^-1, evaluated by one fold over its letters.
+    t*s^(x_1 + ... + x_k), and Theta(e) is the fold over e's closed form
+    (``connector_closed_form``), forced by the long relator.
     Theta is then verified to be a homomorphism on K with image of order
     4n, so ker(Theta) has index 4n in K.  A failed check raises
     ``PipelineAssertionError`` naming it.
     """
     dihedral = DihedralGroup(datum.order)
-    images = {"tau1": dihedral.reflection(0)}
-    for j, d in enumerate(datum.d_images, start=1):
-        images[f"x{j}"] = dihedral.reflection((-1) ** j * d)
-    for k, c in enumerate(accumulate(datum.x_images), start=1):
-        images[f"tau{k + 1}"] = dihedral.reflection(c)
-    images["e"] = dihedral.fold(
-        images, [(f"x{j}", -1) for j in range(1, datum.gamma + 1)]
-    )
+    taus = K.generators_of_kind("reflection")
+    images = {taus[0]: dihedral.reflection(0)}
+    images.update(zip(K.generators_of_kind("elliptic"), (
+        dihedral.reflection((-1) ** j * d) for j, d in enumerate(datum.d_images, start=1)
+    )))
+    images.update(zip(taus[1:], map(dihedral.reflection, accumulate(datum.x_images))))
+    for e, word in connector_closed_form(K).items():
+        images[e] = dihedral.fold(images, word.letters)
 
     hom = FiniteHom.from_dict(K, dihedral, images)
     for rel, value in check_homomorphism(K, hom):
@@ -524,8 +516,9 @@ class RealizationCertificate:
     re-checkable without recomputation.  ``realize`` raises at the first
     check that fails, so a certificate holds values, not verdicts: the
     quotient signature is ``datum.delta_signature()``, K's is
-    ``k_presentation.signature``, theta's connector exponent is gamma mod 2,
-    the area ratio is 2, and the real surface has genus ``genus``."""
+    ``k_presentation.signature``, theta's connector exponent is its image
+    of the connector, the area ratio is 2, and the real surface has genus
+    ``genus``."""
 
     datum: ActionDatum
     genus: int

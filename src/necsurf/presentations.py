@@ -13,12 +13,15 @@ Two canonical families are built here:
   generators d_1..d_gamma and elliptic generators x_1..x_r, with relators
   x_i^{n_i} and x_1...x_r d_1^2...d_gamma^2.
 
+This module alone spells out these generator names; everyone else takes
+them by kind (``generators_of_kind``).  ``connector_closed_form`` solves
+the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
+
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting: the
-connector is replaced by its closed form x_1^-1...x_gamma^-1 (read off the
-long relator), the result is reduced freely and modulo the involutions,
-and looked up by its least rotation among the remaining relators and
-their inverses.
+connector is replaced by its closed form, the result is reduced freely
+and modulo the involutions, and looked up by its least rotation among the
+remaining relators and their inverses.
 """
 
 from __future__ import annotations
@@ -174,9 +177,10 @@ class RelatorCertificate:
         return self.status != "unresolved"
 
 
-def _connector_elimination(p: Presentation) -> dict[str, Word]:
+def connector_closed_form(p: Presentation) -> dict[str, Word]:
     """The connector solved from the long relator x_gamma...x_2 x_1 e of
-    the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1."""
+    the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1.
+    Every image of e, theta's and Theta's, is a fold over this one word."""
     solved = Word(tuple((x, -1) for x in p.generators_of_kind("elliptic")))
     return {e: solved for e in p.generators_of_kind("connector")}
 
@@ -193,29 +197,27 @@ def verify_derived_relators(
     the involution relators, then accept an empty word or an exact cyclic
     match with one of the remaining relators (or an inverse).  Anything
     else is reported unresolved, never silently accepted.  The relators of
-    ``p`` are normalised once for the whole batch, and only when some word
-    is not trivial, and indexed by the least rotation of each normal form
-    and of the cyclic reduction of its inverse, first relator first, so
-    each word costs one lookup and is matched with the first relator that
-    a scan in relator order would find.
+    ``p`` are normalised once for the whole batch and indexed by the least
+    rotation of each normal form and of the cyclic reduction of its
+    inverse, first relator first, so each word costs one lookup and is
+    matched with the first relator that a scan in relator order would
+    find.
     """
     involutions = p.involution_names()
-    elimination = _connector_elimination(p)
+    elimination = connector_closed_form(p)
 
     def normalise(w: Word) -> Word:
         return cyclic_reduce(substitute(w, elimination), involutions)
 
-    words = tuple(words)
-    normals = [normalise(substitute(word, substitution)) for word in words]
     by_rotation: dict[tuple[tuple[str, int], ...], Word] = {}
-    if any(normal.letters for normal in normals):
-        for rel in map(normalise, p.relators):
-            if rel.letters:
-                by_rotation.setdefault(least_rotation(rel), rel)
-                inverse = cyclic_reduce(rel.inverse(), involutions)
-                by_rotation.setdefault(least_rotation(inverse), rel)
+    for rel in map(normalise, p.relators):
+        if rel.letters:
+            by_rotation.setdefault(least_rotation(rel), rel)
+            inverse = cyclic_reduce(rel.inverse(), involutions)
+            by_rotation.setdefault(least_rotation(inverse), rel)
 
-    def certify(word: Word, normal: Word) -> RelatorCertificate:
+    def certify(word: Word) -> RelatorCertificate:
+        normal = normalise(substitute(word, substitution))
         if not normal.letters:
             return RelatorCertificate(word, "trivial")
         rel = by_rotation.get(least_rotation(normal))
@@ -223,4 +225,4 @@ def verify_derived_relators(
             return RelatorCertificate(word, "matches-relator", rel)
         return RelatorCertificate(word, "unresolved")
 
-    return tuple(map(certify, words, normals))
+    return tuple(map(certify, words))

@@ -26,7 +26,7 @@ from necsurf import (
 from necsurf.presentations import (
     Presentation,
     RelatorCertificate,
-    _connector_elimination,
+    connector_closed_form,
 )
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, cyclic_reduce, substitute
@@ -419,7 +419,7 @@ def scan_derived_relators(p: Presentation, words, substitution) -> tuple:
     compared, by ``cyclically_equal``, with every remaining relator and
     its inverse in relator order, and the first hit is the match."""
     involutions = p.involution_names()
-    elimination = _connector_elimination(p)
+    elimination = connector_closed_form(p)
 
     def normalise(w: Word) -> Word:
         return cyclic_reduce(substitute(w, elimination), involutions)

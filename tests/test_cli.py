@@ -118,12 +118,22 @@ class TestRealizeCommand:
         assert datum.d_images == (1,) * 2000 and datum.n == 2
 
     def test_out_of_range_residue_warns_and_reduces(self, tmp_path, capsys):
-        doc = dict(GENUS2_DOC, rho={"d": [5], "x": [2, 2, 2]})
-        path = write_doc(tmp_path, doc)
-        code = cli.main(["realize", path])
+        doc = dict(GENUS2_DOC, rho={"d": [5], "x": [2, 2, -2]})
+        code = cli.main(["realize", write_doc(tmp_path, doc)])
         captured = capsys.readouterr()
         assert code == 0
-        assert "reduced mod 4" in captured.err
+        assert captured.err.splitlines() == [
+            "warning: rho.d[1] = 5 reduced mod 4 to 1",
+            "warning: rho.x[3] = -2 reduced mod 4 to 2",
+        ]
+
+    def test_no_residue_warning_when_n_is_zero(self, tmp_path, capsys):
+        doc = dict(GENUS2_DOC, n=0, rho={"d": [5], "x": [2, 2, -2]})
+        code = cli.main(["realize", write_doc(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "n = 0 must be at least 2" in captured.out
+        assert captured.err == ""
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,8 +1,11 @@
 import ast
 import inspect
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+
+import pytest
 
 from necsurf import (
     CyclicGroup,
@@ -94,6 +97,14 @@ class TestKernelSignatureIndex2:
         assert report.signature == NECSignature(False, 1, (2, 2, 2))
         assert character_factors_through_image(K, theta)[0] is False
         assert reduced_area(report.signature) == 2 * reduced_area(sig)
+
+    def test_signature_metadata_disagreeing_with_generators_is_rejected(self):
+        # K's signature says x1 has order 2, its generator kind says 4: the
+        # torsion words then leave a half-integral genus
+        base = disc_group(1, (2, 2, 2))
+        K = replace(base, generators=(("x1", elliptic(4)),) + base.generators[1:])
+        with pytest.raises(ValueError, match="^non-integral genus 1/2 from area bookkeeping$"):
+            parity_kernel_report(K)
 
     def test_witness_is_reversing_kernel_element(self):
         K = disc_group(1, (2, 2, 2))

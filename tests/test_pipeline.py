@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import sys
 import tracemalloc
@@ -201,6 +203,37 @@ class TestBuildTheta:
         assert not check_homomorphism(K, theta)
 
 
+def test_each_rule_of_the_chain_has_one_owner():
+    """``presentations`` names K's and Delta's generators and solves the
+    long relator for the connector: the pipeline spells out no generator
+    name of either, ``build_theta`` folds the connector's closed form
+    instead of working out gamma mod 2, and ``lemma1_check`` certifies its
+    identities itself instead of batching them through the relator
+    matcher."""
+    tree = ast.parse(inspect.getsource(pipeline))
+    fstrings = [node for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)]
+    # the literal parts of an f-string are constants too: they are read as heads
+    parts = {id(part) for node in fstrings for part in node.values}
+    constants = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and id(node) not in parts
+    }
+    assert not constants & {"tau1", "e"}
+    heads = {
+        node.values[0].value for node in fstrings if isinstance(node.values[0], ast.Constant)
+    }
+    assert not heads & {"x", "d", "tau"}
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not any(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant) and node.right.value == 2
+        for node in ast.walk(functions["build_theta"])
+    )
+    assert "verify_derived_relators" not in {
+        node.id for node in ast.walk(functions["lemma1_check"]) if isinstance(node, ast.Name)
+    }
+
+
 class TestDeriveDeltaHat:
     def test_genus2_signature_and_correspondence(self):
         _, derived = derived_for(1, (2, 2, 2))
@@ -264,10 +297,12 @@ class TestDeriveDeltaHat:
         assert str(first) == "c1"
 
     def test_signature_attached_to_presentation(self):
+        # the report holds the signature; the presentation does not copy it
         _, derived = derived_for(2, (3, 4))
-        sig = derived.presentation.signature
+        sig = derived.report.signature
         assert sig == NECSignature(False, 2, (3, 4))
         assert reduced_area(sig) == 2 * reduced_area(derived.subgroup.base.signature)
+        assert derived.presentation.signature is None
 
 
 class TestConstructEta:
@@ -442,8 +477,9 @@ class TestLemma:
             lemma1_check(broken)
 
     def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
+        # a reducer that reduces nothing leaves tau1*delta1*tau1*delta1 non-empty
         _, derived = derived_for(1, (2, 2, 2))
-        monkeypatch.setattr(pipeline, "verify_derived_relators", unresolved_relators)
+        monkeypatch.setattr(pipeline, "cyclic_reduce", lambda w, involutions=(): w)
         with pytest.raises(
             PipelineAssertionError,
             match="conjugation identity for delta1 could not be certified",

@@ -13,7 +13,7 @@ from necsurf import (
     verify_derived_relators,
 )
 from necsurf.pipeline import _printed_relator_words, build_theta
-from necsurf.presentations import Presentation, _connector_elimination
+from necsurf.presentations import Presentation, connector_closed_form
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
 from reference import (
@@ -289,7 +289,7 @@ def test_connector_elimination_matches_relator_search(signature_battery):
     assert len(signature_battery) == 1640
     for gamma, periods in signature_battery:
         K = disc_group(gamma, periods)
-        assert _connector_elimination(K) == search_connector_elimination(K)
+        assert connector_closed_form(K) == search_connector_elimination(K)
 
 
 def test_duplicate_generator_names_rejected():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from necsurf.presentations import _connector_elimination
+from necsurf.presentations import connector_closed_form
 from necsurf.words import (
     Word,
     cyclic_reduce,
@@ -77,7 +77,7 @@ class TestInvolutionReduce:
         checked = 0
         for _, _, K, _, derived in derived_battery:
             substitution = {g.name: g.word for g in derived.subgroup.generators}
-            elimination = _connector_elimination(K)
+            elimination = connector_closed_form(K)
             involutions = K.involution_names()
             for rel in derived.presentation.relators:
                 ambient = substitute(substitute(rel, substitution), elimination)
