@@ -16,8 +16,8 @@ subgroup without theta.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
-building it; the derived relators and the lemma's conjugates are read
-that way.  The derived presentation is simplified only by freely
+building it; the derived relators and the lemma's witness row for the
+conjugated long relator are read that way.  The derived presentation is simplified only by freely
 reducing and de-duplicating the rewritten relators; nothing more
 aggressive, so the correspondence with the ambient group stays
 auditable.

@@ -1,7 +1,7 @@
 """Reference constructions kept as test oracles for the closed forms in
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
-``necsurf.presentations``, and for the integer fold of
-``necsurf.groups``.
+``necsurf.presentations``, for the integer fold of ``necsurf.groups``,
+and for the closed-form H1 of the derived kernel (``abelianization``).
 
 Element arithmetic (``identity``, ``rotation``, ``mul``, ``inverse``,
 ``order``), the word parser ``parse_word``, the reducers
@@ -12,8 +12,10 @@ methods put back on library classes."""
 
 import math
 from dataclasses import dataclass, replace
+from heapq import heapify, heappop, heappush
 from itertools import product
 
+from necsurf import abelian
 from necsurf import (
     CyclicElement,
     CyclicGroup,
@@ -390,10 +392,11 @@ def conjugate_relators(sub) -> tuple[Word, ...]:
     return tuple(relators)
 
 
-def conjugate_rewrite(sub, w: Word) -> Word:
-    """rewrite(tau_1 * w * tau_1), building the conjugate."""
-    tau1 = Word.gen(sub.base.generators_of_kind("reflection")[0])
-    return sub.rewrite(tau1 * w * tau1)
+def conjugate_rewrite(sub, w: Word, coset: int) -> Word:
+    """rewrite(u * w * u^-1) for u = 1 (coset 0) or u = tau_1 (coset 1),
+    building the freely reduced conjugate."""
+    u = Word.gen(sub.base.generators_of_kind("reflection")[0], coset)
+    return sub.rewrite(free_reduce(u * w * u.inverse()))
 
 
 # Matching by a scan over every rotation of every relator: the oracle for
@@ -487,3 +490,118 @@ def unpruned_epimorphisms(gamma, periods, order):
             continue
         found.append((d, x))
     return found
+
+
+# Abelianization of a whole presentation by unit-pivot elimination, then
+# the Smith form of the small core that is left.  ``smith_normal_form`` is
+# called through its module, so a test can record the core it receives.
+
+def _eliminate_units(
+    rows: dict[int, dict[int, int]], holders: list[set[int]]
+) -> list[tuple[int, dict[int, int]]]:
+    """Tietze elimination on sparse relator rows, in place.
+
+    While some row has a +-1 entry s at generator g, the row says
+    g = -s * (rest of the row): substitute that into every other row
+    holding g and drop the pivot row.  Rows are taken shortest first from
+    a heap that each changed row re-enters, so no step rescans the alive
+    rows; within a row the unit column held by the fewest rows is the
+    pivot (a Markowitz-style choice that limits fill-in).  ``holders[j]``
+    is the set of rows holding column j.  Returns the substitutions
+    (g, {h: coefficient}) in elimination order; each expresses g through
+    columns that were not yet eliminated when it was made.
+    """
+    substitutions: list[tuple[int, dict[int, int]]] = []
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapify(heap)
+    while heap:
+        length, r = heappop(heap)
+        row = rows.get(r)
+        if row is None or len(row) != length:
+            continue  # eliminated, or re-queued with its new length
+        units = [j for j, x in row.items() if x in (1, -1)]
+        if not units:
+            continue
+        g = min(units, key=lambda j: len(holders[j]))
+        s = row[g]
+        del rows[r]
+        for j in row:
+            holders[j].discard(r)
+        expr = {h: -s * x for h, x in row.items() if h != g}
+        substitutions.append((g, expr))
+        for t in holders[g]:
+            other = rows[t]
+            q = other.pop(g)
+            for h, x in expr.items():
+                y = other.get(h, 0) + q * x
+                if y:
+                    other[h] = y
+                    holders[h].add(t)
+                else:
+                    del other[h]
+                    holders[h].discard(t)
+            if other:
+                heappush(heap, (len(other), t))
+            else:
+                del rows[t]
+        holders[g].clear()
+    return substitutions
+
+
+def abelianization(p: Presentation) -> abelian.Abelianization:
+    """Abelianize by unit-pivot elimination, then Smith form on the core:
+    the oracle for the closed-form H1 of ``necsurf.pipeline.lemma1_check``.
+
+    Each relator becomes a sparse exponent row.  ``_eliminate_units``
+    removes one generator per +-1 pivot (after Havas, Holt and Rees,
+    "Recognizing badly presented Z-modules", 1993); each eliminated
+    generator is a coordinate of modulus 1.  A surviving generator that
+    no remaining row holds is free.  Only the columns the remaining rows
+    still hold, the core, go to ``smith_normal_form``; its diagonal gives
+    their moduli.  Coordinates run: eliminated generators, core diagonal,
+    free generators, so ``moduli`` has one entry per generator.
+    """
+    names = p.generator_names()
+    index = {g: i for i, g in enumerate(names)}
+    rows: dict[int, dict[int, int]] = {}
+    holders: list[set[int]] = [set() for _ in names]
+    for r, rel in enumerate(p.relators):
+        row = {index[g]: e for g, e in rel.exponent_sums().items() if e}
+        if row:
+            rows[r] = row
+            for j in row:
+                holders[j].add(r)
+    substitutions = _eliminate_units(rows, holders)
+
+    eliminated = {g for g, _ in substitutions}
+    core = [j for j in range(len(names)) if holders[j]]
+    free = [j for j in range(len(names)) if j not in eliminated and not holders[j]]
+    d, v = abelian.smith_normal_form([[row.get(j, 0) for j in core] for row in rows.values()])
+    diag = [d[i][i] for i in range(min(len(d), len(core)))]
+    moduli = (1,) * len(eliminated) + tuple(diag) + (0,) * (len(core) - len(diag) + len(free))
+
+    def reduced(vec: dict[int, int]) -> dict[int, int]:
+        out = {}
+        for j, x in vec.items():
+            m = moduli[j]
+            x = x % m if m > 0 else x
+            if x:
+                out[j] = x
+        return out
+
+    start = len(eliminated)
+    vectors: dict[int, dict[int, int]] = {}
+    for i, j in enumerate(core):
+        vectors[j] = reduced({start + k: x for k, x in enumerate(v[i])})
+    start += len(core)
+    for i, j in enumerate(free):
+        vectors[j] = {start + i: 1}
+    for g, expr in reversed(substitutions):
+        vec: dict[int, int] = {}
+        for h, x in expr.items():
+            for k, y in vectors[h].items():
+                vec[k] = vec.get(k, 0) + x * y
+        vectors[g] = reduced(vec)
+    return abelian.Abelianization(
+        moduli, {g: tuple(sorted(vectors[i].items())) for g, i in index.items()}
+    )

@@ -1,11 +1,11 @@
 import pytest
 
 from necsurf import (
-    Abelianization,
     CyclicGroup,
     FiniteHom,
     NECSignature,
     NotInKernelError,
+    SchreierSubgroup,
     build_theta,
     canonical_presentation,
     lemma1_check,
@@ -250,30 +250,38 @@ def test_walk_from_coset_one_must_end_there():
 def test_coset_walk_matches_built_conjugates(derived_battery, monkeypatch):
     """The relators read as walks from coset u equal the rewrites of the
     built conjugates u*R*u^-1 on all 1640 battery shapes; on every 16th,
-    each word whose class the lemma tests is rewrite(tau1*g*tau1)*g,
-    rewritten from the built conjugate, up to free reduction."""
+    the lemma's gamma + 2 witness rows are the long relator from cosets 0
+    and 1 and each x_j*x_j from coset 0, each the rewrite of its built
+    conjugate."""
     assert len(derived_battery) == 1640
     for _, _, _, _, derived in derived_battery:
         assert derived.presentation.relators == conjugate_relators(derived.subgroup)
 
-    # the lemma reads the connector product's class_of and tests every
-    # other word with is_zero: record the words both receive, in order
-    tested = []
-    for method in ("class_of", "is_zero"):
-        original = getattr(Abelianization, method)
-        monkeypatch.setattr(
-            Abelianization, method,
-            lambda self, w, original=original: tested.append(w) or original(self, w),
-        )
-    for _, _, _, _, derived in derived_battery[::16]:
-        sub = derived.subgroup
-        tested.clear()
+    # the lemma rewrites only its witness rows: record each walk it makes
+    walks = []
+    original = SchreierSubgroup.rewrite
+    monkeypatch.setattr(
+        SchreierSubgroup, "rewrite",
+        lambda self, w, coset=0: walks.append((w, coset)) or original(self, w, coset),
+    )
+    sample = derived_battery[::16]
+    recorded = []
+    for _, _, _, _, derived in sample:
+        walks.clear()
         lemma1_check(derived)
-        # the connector product first, then one word per generator
-        assert len(tested) == 1 + len(sub.generators)
-        for gen, w in zip(sub.generators, tested[1:]):
-            expected = conjugate_rewrite(sub, gen.word) * Word.gen(gen.name)
-            assert free_reduce(w) == free_reduce(expected)
+        recorded.append(list(walks))
+    monkeypatch.undo()
+
+    for (_, _, K, _, derived), rows in zip(sample, recorded):
+        xs = K.generators_of_kind("elliptic")
+        long_relator = Word(tuple((x, 1) for x in reversed(xs)) + (("e", 1),))
+        assert rows == [(long_relator, 0), (long_relator, 1)] + [
+            (Word.gen(x, 2), 0) for x in xs
+        ]
+        for w, coset in rows:
+            rewritten = derived.subgroup.rewrite(w, coset)
+            assert rewritten == conjugate_rewrite(derived.subgroup, w, coset)
+            assert rewritten in derived.presentation.relators
 
 
 def test_backward_inverts_forward(derived_battery, action_battery):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -18,6 +19,7 @@ from necsurf import (
     NECSignature,
     PipelineAssertionError,
     RelatorCertificate,
+    SchreierSubgroup,
     build_theta,
     canonical_presentation,
     check_homomorphism,
@@ -32,7 +34,7 @@ from necsurf import (
     reduced_area,
     validate_action,
 )
-from necsurf import pipeline
+from necsurf import abelian, pipeline
 from necsurf.words import Word
 from reference import (
     cayley_coset_table,
@@ -69,6 +71,14 @@ def without_relator(derived, text):
     relators = tuple(r for r in derived.presentation.relators if str(r) != text)
     assert len(relators) == len(derived.presentation.relators) - 1
     return with_presentation(derived, replace(derived.presentation, relators=relators))
+
+
+def with_generator_word(derived, name, word):
+    """``derived`` with the Schreier generator ``name`` given ``word``."""
+    generators = tuple(
+        replace(g, word=word) if g.name == name else g for g in derived.subgroup.generators
+    )
+    return replace(derived, subgroup=replace(derived.subgroup, generators=generators))
 
 
 def with_presentation(derived, presentation):
@@ -232,6 +242,33 @@ def test_each_rule_of_the_chain_has_one_owner():
     assert "verify_derived_relators" not in {
         node.id for node in ast.walk(functions["lemma1_check"]) if isinstance(node, ast.Name)
     }
+
+
+def test_lemma_abelianizes_nothing():
+    """The lemma certifies identities in K and one relator witness and reads
+    H1 off the certified signature: ``lemma1_check`` names no
+    abelianization, class test or kernel-membership error, ``pipeline``
+    takes only ``smith_normal_form`` from ``necsurf.abelian``, and the
+    elimination that abelianizes a whole presentation is not in
+    ``necsurf.abelian``."""
+    tree = ast.parse(inspect.getsource(pipeline))
+    lemma = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "lemma1_check"
+    )
+    named = {node.id for node in ast.walk(lemma) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(lemma) if isinstance(node, ast.Attribute)}
+    assert not named & {"abelianization", "class_of", "is_zero", "NotInKernelError"}
+    from_abelian = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if node.module == "abelian" or alias.name == "abelian"
+    }
+    assert from_abelian == {"smith_normal_form"}
+    defined = {
+        node.name for node in ast.parse(inspect.getsource(abelian)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"_eliminate_units", "abelianization"}
 
 
 class TestDeriveDeltaHat:
@@ -439,16 +476,18 @@ class TestLemma:
         report = lemma1_check(derived)
         assert not report.gamma_even
         assert report.connector_pair == ("f1", "f2")
-        # recorded, and in fact zero here as well
+        # recorded, and certified zero for odd gamma as well
         assert report.connector_product_zero
+        assert report.connector_product_class == (0,) * len(derived.subgroup.generators)
 
     def test_class_not_inverted_is_an_assertion(self):
-        # without delta1t*f2 the classes of f1 and its conjugate f2 are
-        # independent, so conjugation by tau1 no longer inverts f1's class
+        # delta1t*f2 is x1*e rewritten from coset 0, the first witness row
+        # that shows f1*f2 dies in H1, so tau1 no longer provably inverts f1
         _, derived = derived_for(1, (2, 2, 2))
         broken = without_relator(derived, "delta1t*f2")
         with pytest.raises(
-            PipelineAssertionError, match="does not invert the class of f1"
+            PipelineAssertionError,
+            match=r"f1\*f2: witness row delta1t\*f2 \(x1\*e from coset 0\) is not a relator",
         ):
             lemma1_check(broken)
 
@@ -456,24 +495,58 @@ class TestLemma:
         _, derived = derived_for(2, (3,))
         broken = without_relator(derived, "delta2t*delta1*e1")
         with pytest.raises(
-            PipelineAssertionError, match=r"connector product e1\*e2 has non-zero class"
+            PipelineAssertionError,
+            match=r"e1\*e2: witness row delta2t\*delta1\*e1 \(x2\*x1\*e from coset 0\)",
         ):
             lemma1_check(broken)
 
     @pytest.mark.parametrize(
-        "gamma, periods, message",
-        [
-            (1, (2, 2, 2), "does not invert the class of delta1"),
-            (3, (2, 3), "does not invert the class of delta1"),
-            (2, (2, 2), r"connector product e1\*e2 has non-zero class"),
-        ],
+        "gamma, periods, row, source",
+        [(1, (2, 2, 2), "delta1*f1", "x1*e"), (2, (3,), "delta2*delta1t*e2", "x2*x1*e")],
+        ids=["odd-gamma", "even-gamma"],
     )
-    def test_missing_delta1_relator_is_an_assertion(self, gamma, periods, message):
+    def test_missing_long_relator_from_coset_one_is_an_assertion(
+        self, gamma, periods, row, source
+    ):
+        # the witness needs the long relator rewritten from both cosets
+        _, derived = derived_for(gamma, periods)
+        with pytest.raises(
+            PipelineAssertionError,
+            match=re.escape(f"witness row {row} ({source} from coset 1) is not a relator"),
+        ):
+            lemma1_check(without_relator(derived, row))
+
+    def test_witness_rows_not_summing_to_the_connector_product_is_an_assertion(
+        self, monkeypatch
+    ):
+        # a rewriting map that appends tau1sq to every walk from coset 1,
+        # with the garbled row listed as a relator: the rows then sum to
+        # f1*f2*tau1sq
+        _, derived = derived_for(1, (2, 2, 2))
+        tau1sq = Word.gen("tau1sq")
+        relators = derived.presentation.relators + (parse_word("delta1 f1 tau1sq"),)
+        broken = with_presentation(derived, replace(derived.presentation, relators=relators))
+        original = SchreierSubgroup.rewrite
+        monkeypatch.setattr(
+            SchreierSubgroup, "rewrite",
+            lambda self, w, coset=0: original(self, w, coset) * (tau1sq if coset else Word()),
+        )
+        with pytest.raises(
+            PipelineAssertionError,
+            match=r"f1\*f2: witness rows sum to \{.*'tau1sq': 1\}, not to f1\*f2",
+        ):
+            lemma1_check(broken)
+
+    @pytest.mark.parametrize("gamma, periods", [(1, (2, 2, 2)), (3, (2, 3)), (2, (2, 2))])
+    def test_missing_delta1_relator_is_an_assertion(self, gamma, periods):
         # drop both rewrites of x1*x1 (conjugated by 1 and by tau1): the
-        # unit-pivot elimination must not hide the missing relation
+        # witness names the row it misses
         _, derived = derived_for(gamma, periods)
         broken = without_relator(without_relator(derived, "delta1t*delta1"), "delta1*delta1t")
-        with pytest.raises(PipelineAssertionError, match=message):
+        with pytest.raises(
+            PipelineAssertionError,
+            match=r"witness row delta1t\*delta1 \(x1\*x1 from coset 0\) is not a relator",
+        ):
             lemma1_check(broken)
 
     def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
@@ -487,14 +560,29 @@ class TestLemma:
             lemma1_check(derived)
 
     def test_conjugate_leaving_the_kernel_is_an_assertion(self):
+        # delta1 = x1 is not in the kernel, and tau1*x1*tau1*x1 is not 1 in K
         _, derived = derived_for(1, (2, 2, 2))
-        generators = list(derived.subgroup.generators)
-        assert generators[0].name == "delta1"
-        generators[0] = replace(generators[0], word=Word.gen("x1"))
-        broken = replace(
-            derived, subgroup=replace(derived.subgroup, generators=tuple(generators))
-        )
-        with pytest.raises(PipelineAssertionError, match="left the kernel"):
+        broken = with_generator_word(derived, "delta1", Word.gen("x1"))
+        with pytest.raises(
+            PipelineAssertionError,
+            match=r"conjugation identity for delta1 could not be certified:"
+            r" tau1\*delta1\*tau1\*delta1 does not reduce",
+        ):
+            lemma1_check(broken)
+
+    @pytest.mark.parametrize("gamma, periods", [(1, (2, 2, 2)), (2, (3,))])
+    def test_corrupt_connector_word_is_an_assertion(self, gamma, periods):
+        # give the second connector the first one's word: tau1 no longer
+        # swaps the pair, so tau1*a*tau1*b^-1 does not reduce to 1
+        _, derived = derived_for(gamma, periods)
+        a, b = lemma1_check(derived).connector_pair
+        words = {g.name: g.word for g in derived.subgroup.generators}
+        broken = with_generator_word(derived, b, words[a])
+        with pytest.raises(
+            PipelineAssertionError,
+            match=f"conjugation identity for {a} could not be certified:"
+            rf" tau1\*{a}\*tau1\*{b}\^-1 does not reduce",
+        ):
             lemma1_check(broken)
 
 
