@@ -7,7 +7,7 @@ epimorphisms, extends them to dihedral quotients, and verifies every
 step with exact arithmetic.
 """
 
-from .abelian import Abelianization, smith_normal_form
+from .abelian import Abelianization
 from .cosets import NotInKernelError, SchreierSubgroup, reidemeister_schreier
 from .groups import (
     CyclicElement,

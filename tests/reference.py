@@ -1,7 +1,8 @@
 """Reference constructions kept as test oracles for the closed forms in
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
 ``necsurf.presentations``, for the integer fold of ``necsurf.groups``,
-and for the closed-form H1 of the derived kernel (``abelianization``).
+and for the closed-form H1 of the derived kernel (``abelianization``,
+with the integer ``smith_normal_form`` it calls).
 
 Element arithmetic (``identity``, ``rotation``, ``mul``, ``inverse``,
 ``order``), the word parser ``parse_word``, the reducers
@@ -493,8 +494,85 @@ def unpruned_epimorphisms(gamma, periods, order):
 
 
 # Abelianization of a whole presentation by unit-pivot elimination, then
-# the Smith form of the small core that is left.  ``smith_normal_form`` is
-# called through its module, so a test can record the core it receives.
+# the Smith form of the small core that is left.  ``abelianization`` looks
+# ``smith_normal_form`` up in this module, so a test can record the core it
+# receives by patching it here.
+
+Matrix = list[list[int]]
+
+
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Integer Smith normal form, over Python integers so that every
+    identity is exact: return (D, V) with D diagonal, each diagonal entry
+    dividing the next, V unimodular and U*M*V = D for some unimodular U;
+    row operations act on the working matrix only, so U is never formed."""
+    a = [[int(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_sub(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
+        for t in range(cols):
+            a[i][t] -= q * a[j][t]
+
+    def col_sub(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
+        for t in range(rows):
+            a[t][i] -= q * a[t][j]
+        for t in range(cols):
+            v[t][i] -= q * v[t][j]
+
+    def swap_cols(i: int, j: int) -> None:
+        for t in range(rows):
+            a[t][i], a[t][j] = a[t][j], a[t][i]
+        for t in range(cols):
+            v[t][i], v[t][j] = v[t][j], v[t][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # smallest nonzero entry of the working submatrix becomes the pivot
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot != (t, t):
+            if pivot[0] != t:
+                a[pivot[0]], a[t] = a[t], a[pivot[0]]
+            if pivot[1] != t:
+                swap_cols(pivot[1], t)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                row_sub(i, t, a[i][t] // a[t][t])
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                col_sub(j, t, a[t][j] // a[t][t])
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # a strictly smaller pivot appeared; redo this step
+
+        # divisibility: the pivot must divide the rest of the submatrix
+        fixed = True
+        for i in range(t + 1, rows):
+            bad = next((j for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
+            if bad is not None:
+                row_sub(t, i, -1)  # row_t += row_i, exposing the bad entry
+                fixed = False
+                break
+        if not fixed:
+            continue
+        t += 1
+
+    return a, v
+
 
 def _eliminate_units(
     rows: dict[int, dict[int, int]], holders: list[set[int]]
@@ -576,7 +654,7 @@ def abelianization(p: Presentation) -> abelian.Abelianization:
     eliminated = {g for g, _ in substitutions}
     core = [j for j in range(len(names)) if holders[j]]
     free = [j for j in range(len(names)) if j not in eliminated and not holders[j]]
-    d, v = abelian.smith_normal_form([[row.get(j, 0) for j in core] for row in rows.values()])
+    d, v = smith_normal_form([[row.get(j, 0) for j in core] for row in rows.values()])
     diag = [d[i][i] for i in range(min(len(d), len(core)))]
     moduli = (1,) * len(eliminated) + tuple(diag) + (0,) * (len(core) - len(diag) + len(free))
 

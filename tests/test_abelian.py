@@ -1,22 +1,22 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import reference
 from necsurf import (
     build_theta,
     canonical_presentation,
     derive_delta_hat,
     lemma1_check,
+    pipeline,
     quotient_disc_signature,
-    smith_normal_form,
 )
-from necsurf import abelian as abelian_module
 from matrices import assert_snf_contract, integer_determinant
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
-from reference import abelianization, parse_word
+from reference import abelianization, parse_word, smith_normal_form
 
 
 class TestSmithNormalForm:
@@ -171,7 +171,7 @@ def core_shapes(monkeypatch):
         shapes.append((len(m), len(m[0]) if m else 0))
         return smith_normal_form(m)
 
-    monkeypatch.setattr(abelian_module, "smith_normal_form", recording)
+    monkeypatch.setattr(reference, "smith_normal_form", recording)
     return shapes
 
 
@@ -253,3 +253,12 @@ def test_structure_matches_closed_form(gamma, periods, core_shapes):
     factors, free = closed_form_structure(periods)
     assert (lemma.invariant_factors, lemma.free_rank) == (ab.invariant_factors, ab.free_rank)
     assert (lemma.invariant_factors, lemma.free_rank) == (factors, gamma - 1 + free)
+
+
+@given(st.lists(st.integers(2, 10**6), max_size=8))
+@example([])
+def test_torsion_factors_match_smith_diagonal(periods):
+    """The lemma's direct sum of cyclic groups, Z/(2*n_m) + the Z/n_i for
+    i != m (Z/2 when r = 0), has the invariant factors of the Smith
+    diagonal of C."""
+    assert pipeline._torsion_factors(tuple(periods)) == closed_form_structure(periods)[0]
