@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, product
 
 from .cosets import SchreierSubgroup, reidemeister_schreier
@@ -670,14 +671,21 @@ def enumerate_smooth_epimorphisms(
 
     Conditions: each elliptic image has exactly its declared order, each
     glide image is odd, the long relator sums to zero, and the images
-    generate.  The elliptic product of the candidate lists
-    (``_image_choices``) is listed once, grouped by its sum mod order; the
-    glide product is then walked in lexicographic order, and each glide
-    tuple meets only the elliptic tuples that close the long relator.  So
+    generate.  An elliptic image of period p is (order/p)*u with u a unit
+    mod p (``_image_choices``), so every elliptic tuple has the same gcd
+    with order, order / lcm(periods) (order itself when r = 0), and the
+    elliptic product is listed once, grouped by its sum mod order.  The
+    first gamma - 1 glides are walked in product order, each prefix
+    carrying its state: twice its sum mod order, and its gcd with
+    order / lcm(periods).  Each state's moves on one glide, and its block
+    of last glide values that keep the images generating, each with the
+    elliptic tuples that then close the long relator, are built once.  So
     the output is in lexicographic order over (d_1..d_gamma, x_1..x_r),
-    and the cost is (order/2)^gamma plus the elliptic product plus the
-    output; a shape with no epimorphism, as the walk of
-    ``first_smooth_epimorphism`` decides first, lists nothing at once.
+    and the cost is (order/2)^(gamma-1) prefixes, plus at most
+    order * tau(order) states of order/2 glide values each (tau counting
+    divisors), plus the elliptic product, plus the output; a shape with no
+    epimorphism, as the walk of ``first_smooth_epimorphism`` decides
+    first, lists nothing at once.
     Counts are raw, with no quotient by any equivalence.  Raises
     ``ActionValidationError``, itemised as for ``realize``, when the shape
     is not admissible (``_image_choices``).
@@ -685,18 +693,33 @@ def enumerate_smooth_epimorphisms(
     letters = _image_choices(gamma, periods, order)
     if _first_images(letters, order) is None:
         return EnumerationResult(())
-    by_sum: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    glides = letters[0][1]
+    by_sum: dict[int, list[tuple[int, ...]]] = {}
     for x_images in product(*(choices for _, choices in letters[gamma:])):
-        by_sum.setdefault(sum(x_images) % order, []).append(
-            (x_images, math.gcd(order, *x_images))
-        )
-    found = []
-    for d_images in product(*(choices for _, choices in letters[:gamma])):
-        closing = by_sum.get(-2 * sum(d_images) % order)
-        if closing:
-            d_gcd = math.gcd(order, *d_images)
-            found += [(d_images, x) for x, x_gcd in closing if math.gcd(d_gcd, x_gcd) == 1]
-    return EnumerationResult(tuple(found))
+        by_sum.setdefault(sum(x_images) % order, []).append(x_images)
+
+    @cache
+    def step(total: int, g: int) -> list[tuple[int, tuple[int, int]]]:
+        return [(v, ((total + 2 * v) % order, math.gcd(g, v))) for v in glides]
+
+    @cache
+    def block(total: int, g: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+        return [(v, xs) for v, (total_v, g_v) in step(total, g)
+                if g_v == 1 and (xs := by_sum.get(-total_v % order))]
+
+    # the first gamma - 1 glides in product order, each prefix with its
+    # state; a generator's outermost iterable is evaluated when it is made,
+    # so each level lists the one before it and only the last is lazy
+    states: Iterator[tuple[tuple[int, ...], tuple[int, int]]] = iter(
+        [((), (0, order // math.lcm(*periods)))]
+    )
+    for _ in range(gamma - 1):
+        states = ((prefix + (v,), child)
+                  for prefix, state in list(states) for v, child in step(*state))
+    return EnumerationResult(tuple([
+        (d, x) for prefix, state in states for v, xs in block(*state)
+        for d in (prefix + (v,),) for x in xs
+    ]))
 
 
 def first_smooth_epimorphism(

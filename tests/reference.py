@@ -493,6 +493,30 @@ def unpruned_epimorphisms(gamma, periods, order):
     return found
 
 
+def product_loop_epimorphisms(gamma, periods, order):
+    """The enumeration as a loop over the full glide product, for an
+    admissible shape: the oracle for the glide-prefix states of
+    ``necsurf.pipeline.enumerate_smooth_epimorphisms``.  The elliptic
+    product is grouped by its sum mod order, each tuple with its gcd with
+    order; each glide tuple in lexicographic order then meets the elliptic
+    tuples that close the long relator, keeping those whose gcds are
+    coprime."""
+    glides = [range(1, order, 2)] * gamma
+    elliptic = [[order // p * u for u in range(1, p) if math.gcd(u, p) == 1] for p in periods]
+    by_sum = {}
+    for x_images in product(*elliptic):
+        by_sum.setdefault(sum(x_images) % order, []).append(
+            (x_images, math.gcd(order, *x_images))
+        )
+    found = []
+    for d_images in product(*glides):
+        closing = by_sum.get(-2 * sum(d_images) % order)
+        if closing:
+            d_gcd = math.gcd(order, *d_images)
+            found += [(d_images, x) for x, x_gcd in closing if math.gcd(d_gcd, x_gcd) == 1]
+    return tuple(found)
+
+
 # Abelianization of a whole presentation by unit-pivot elimination, then
 # the Smith form of the small core that is left.  ``abelianization`` looks
 # ``smith_normal_form`` up in this module, so a test can record the core it

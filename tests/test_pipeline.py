@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import necsurf
 from necsurf import (
@@ -44,6 +45,7 @@ from reference import (
     mul,
     naive_theta,
     parse_word,
+    product_loop_epimorphisms,
     reduce_mod_involutions,
     rotation,
     theta_through_eta,
@@ -717,6 +719,38 @@ class TestEnumeration:
         assert enumerate_smooth_epimorphisms(gamma, (), 8).count == 0
         assert time.perf_counter() - start < 1
 
+    def test_matches_product_loop(self):
+        # the glide-prefix states list the same tuples, in the same order, as
+        # the loop over the whole glide product, and every listed elliptic
+        # tuple has the closed-form gcd order / lcm(periods)
+        battery = battery_shapes()
+        larger = [(gamma, periods, order) for gamma, periods, order in battery_shapes(3, 3, 48)
+                  if order in (16, 24, 36, 40, 48) and (order // 2) ** gamma <= 3000]
+        assert (len(battery), len(larger)) == (260, 652)
+        for shape in battery + larger:
+            listed = enumerate_smooth_epimorphisms(*shape).tuples
+            assert listed == product_loop_epimorphisms(*shape), shape
+            _, periods, order = shape
+            x_gcd = order // math.lcm(*periods)
+            assert all(math.gcd(order, *x) == x_gcd for _, x in listed), shape
+
+    def test_enumeration_works_per_state(self, monkeypatch):
+        # the walk tries at most (gamma + r) * 12 * tau(12) states of at most
+        # 6 candidates, one gcd each, and the enumeration may add two per
+        # glide prefix; the loop over all 6^5 glide tuples, with one more
+        # gcd per output pair, took 49 294
+        bound = 2 * 6**4 + 9 * 12 * 6 * 6
+        tried = 0
+
+        def gcd(*args):
+            nonlocal tried
+            tried += 1
+            return math.gcd(*args)
+
+        monkeypatch.setattr(pipeline, "math", SimpleNamespace(gcd=gcd, lcm=math.lcm))
+        assert enumerate_smooth_epimorphisms(5, (3, 6, 6, 6), 12).count == 41472
+        assert 0 < tried <= bound
+
     def test_first_is_lexicographic(self):
         result = enumerate_smooth_epimorphisms(1, (2, 2, 2), 4)
         assert result.tuples[0] == ((1,), (2, 2, 2))
@@ -796,6 +830,29 @@ class TestEnumeration:
             for d_images, x_images in listed:
                 datum = ActionDatum(gamma, periods, order // 2, d_images, x_images)
                 validate_action(datum)
+
+
+@st.composite
+def elliptic_images(draw):
+    """An even n up to 10**6, at most 4 periods dividing n, and one unit
+    mod each period."""
+    n = 2 * draw(st.integers(1, 5 * 10**5))
+    small = [p for p in range(1, math.isqrt(n) + 1) if n % p == 0]
+    divisors = sorted({d for p in small for d in (p, n // p)} - {1})
+    periods = draw(st.lists(st.sampled_from(divisors), max_size=4))
+    units = [draw(st.integers(1, p - 1).filter(lambda u, p=p: math.gcd(u, p) == 1))
+             for p in periods]
+    return n, periods, units
+
+
+@given(elliptic_images())
+@example((2, [], []))
+def test_elliptic_gcd_closed_form(case):
+    """Each elliptic image is (2n/p)*u with u a unit mod its period p, so
+    the images' gcd with 2n is 2n / lcm(periods), and 2n when r = 0."""
+    n, periods, units = case
+    images = [2 * n // p * u for p, u in zip(periods, units)]
+    assert math.gcd(2 * n, *images) == 2 * n // math.lcm(*periods)
 
 
 class TestFirstEpimorphism:
