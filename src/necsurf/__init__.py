@@ -28,6 +28,7 @@ from .pipeline import (
     LemmaReport,
     PipelineAssertionError,
     RealizationCertificate,
+    admissible_shapes,
     build_theta,
     construct_eta,
     derive_delta_hat,

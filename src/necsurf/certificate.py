@@ -13,8 +13,12 @@ JSON renders the same bytes.
 literals: ``signature_match``, ``genus_match``, the ``lemma1``
 ``conjugation_*_ok`` keys, the ``eta`` and ``theta_extension`` checks and
 check-lemma's ``inverted`` and ``certified`` are ``true``, ``area_ratio``
-is ``"2"`` and ``genus_real`` is ``genus``.  ``theta``'s
-``connector_exponent`` and ``printed_connector_valid`` are read off theta.
+is ``"2"``, ``genus_real`` is ``genus`` and ``connector_product_class`` is
+0 for each derived generator (the odd-gamma text still calls it
+"(recorded)", so that its output stays byte-identical).  ``theta``'s
+``connector_exponent`` is read off theta; ``printed_connector_valid`` and
+``gamma_even`` say it is 0, and K's first reflection is read off
+``k_presentation``.
 """
 
 from __future__ import annotations
@@ -79,9 +83,9 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
             for label, rc in cert.derived.printed_checks
         ],
         "lemma1": {
-            "gamma_even": lemma.gamma_even,
+            "gamma_even": connector_exponent == 0,
             "connector_pair": list(lemma.connector_pair),
-            "connector_product_class": list(lemma.connector_product_class),
+            "connector_product_class": [0] * len(cert.derived.subgroup.generators),
             "connector_product_zero": lemma.connector_product_zero,
             "conjugation_inversion_ok": True,
             "conjugation_certificates_ok": True,
@@ -111,6 +115,10 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
         "genus_match": True,
         "conclusion": cert.conclusion,
     }
+
+
+def _first_reflection(presentation: dict) -> str:
+    return next(g["name"] for g in presentation["generators"] if g["kind"] == "reflection")
 
 
 def _image_list(images: dict, presentation: dict) -> str:
@@ -150,7 +158,7 @@ def text(doc: dict) -> str:
         f"connector product {pair} abelianized class zero: PASS" if lemma["gamma_even"]
         else f"connector product {pair} abelianized class:"
         f" {lemma['connector_product_class']} (recorded)",
-        "conjugation by tau1 inverts every generator class: PASS"
+        f"conjugation by {_first_reflection(k_pres)} inverts every generator class: PASS"
         f" ({len(doc['correspondence'])} generators)",
         "conjugation identities certified: PASS",
         "eta images: " + _image_list(doc["eta"]["images"], doc["delta_hat_presentation"]),
@@ -169,17 +177,19 @@ def text(doc: dict) -> str:
 def lemma_report(doc: dict) -> dict:
     """The ``check-lemma`` document: the input and the lemma, with one
     inversion entry per derived kernel generator, and the identity
-    tau1*g*tau1*g certified for each glide and corner rotation g."""
+    τ₁*g*τ₁*g certified for each glide and corner rotation g, τ₁ the first
+    reflection of the document's K."""
     lemma = {
         key: value for key, value in doc["lemma1"].items()
         if key not in ("conjugation_inversion_ok", "conjugation_certificates_ok")
     }
     gens = doc["correspondence"]
+    t = _first_reflection(doc["k_presentation"])
     lemma["conjugation_inversion"] = [
         {"generator": g["name"], "inverted": True} for g in gens
     ]
     lemma["conjugation_certificates"] = [
-        {"identity": f"tau1*{g['name']}*tau1*{g['name']}", "certified": True}
+        {"identity": f"{t}*{g['name']}*{t}*{g['name']}", "certified": True}
         for g in gens if g["role"] in ("glide", "corner rotation")
     ]
     return {"input": doc["input"], "lemma1": lemma}

@@ -49,7 +49,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 
 from .cosets import SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
@@ -182,6 +182,22 @@ def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
     return errors
 
 
+def admissible_shapes(max_gamma: int, max_r: int, max_order: int) -> list[tuple]:
+    """Each (gamma, periods, 2n) that ``shape_problems`` accepts with 2n <=
+    max_order, gamma <= max_gamma and at most max_r periods dividing n; in
+    order of 2n, gamma, r, then periods."""
+    return [
+        (gamma, periods, 2 * n)
+        for n in range(1, max_order // 2 + 1)
+        for gamma in range(max_gamma + 1)
+        for r in range(max_r + 1)
+        for periods in combinations_with_replacement(
+            [p for p in range(2, n + 1) if n % p == 0], r
+        )
+        if not shape_problems(gamma, periods, n)
+    ]
+
+
 def validate_action(datum: ActionDatum) -> int:
     """Check every invariant of the action datum and return the genus of
     the acted-on surface, or raise ``ActionValidationError`` listing
@@ -253,36 +269,36 @@ class DerivedKernel:
         return self.subgroup.presentation
 
 
-def _printed_relator_words(gamma: int, periods: tuple[int, ...]) -> list[tuple[str, Word]]:
-    """The classical relator list of the derived kernel for even gamma,
-    written over the canonical derived names."""
-    r = len(periods)
-    rels: list[tuple[str, Word]] = []
-    if r >= 1:
-        rels.append((f"c1^{periods[0]}", Word.gen("c1", periods[0])))
-        for k in range(1, r):
-            w = (Word.gen(f"c{k}", -1) * Word.gen(f"c{k + 1}")) ** periods[k]
-            rels.append((f"(c{k}^-1*c{k + 1})^{periods[k]}", w))
-        rels.append(
-            (f"e1*e2^-1*c{r}", Word.gen("e1") * Word.gen("e2", -1) * Word.gen(f"c{r}"))
-        )
-    else:
-        rels.append(("e1*e2^-1", Word.gen("e1") * Word.gen("e2", -1)))
+def _printed_relator_words(
+    sub: SchreierSubgroup, periods: tuple[int, ...]
+) -> list[tuple[str, Word]]:
+    """The classical relator list of the derived kernel when theta kills
+    the connector, over the derived generators, their names read by role."""
+    deltas, cs, (e1, e2) = (
+        [g.name for g in sub.generators if g.role == role]
+        for role in ("glide", "corner rotation", "connector")
+    )
+    rels = [(f"{cs[0]}^{periods[0]}", Word.gen(cs[0], periods[0]))] if cs else []
+    rels += [(f"({a}^-1*{b})^{p}", (Word.gen(a, -1) * Word.gen(b)) ** p)
+             for a, b, p in zip(cs, cs[1:], periods[1:])]
+    closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
+    rels.append((str(closing), closing))
     # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
-    for i, sign in ((1, -1), (2, 1)):
-        letters = [(f"delta{j}", sign if j % 2 else -sign) for j in range(1, gamma + 1)]
-        rels.append((f"delta-alternation-{i}", Word((*letters, (f"e{i}", -1)))))
+    for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
+        letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
+        rels.append((f"delta-alternation-{i}", Word((*letters, (e, -1)))))
     return rels
 
 
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
-    with its torsion words and the signature read off it, and (for even
-    gamma) the certified classical relator list.  Raises ``ValueError``
-    when K has no interior cone point; every other input check is
-    ``reidemeister_schreier``'s: K has a single period cycle, theta has
-    index 2 and moves every reflection.  The signature must be
-    (gamma; -; [periods]) exactly, or ``PipelineAssertionError`` is raised."""
+    with its torsion words and the signature read off it, and (when theta's
+    bit on the connector is 0, as for even gamma) the certified classical
+    relator list.  Raises ``ValueError`` when K has no interior cone
+    point; every other input check is ``reidemeister_schreier``'s: K has a
+    single period cycle, theta has index 2 and moves every reflection.
+    The signature must be (gamma; -; [periods]) exactly, or
+    ``PipelineAssertionError`` is raised."""
     gamma = len(K.generators_of_kind("elliptic"))
     if gamma < 1:
         raise ValueError(
@@ -299,8 +315,9 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
         )
 
     printed: list[tuple[str, RelatorCertificate]] = []
-    if gamma % 2 == 0:
-        labels, words = zip(*_printed_relator_words(gamma, periods))
+    (connector,) = K.generators_of_kind("connector")
+    if not sub.parity[connector]:
+        labels, words = zip(*_printed_relator_words(sub, periods))
         certs = verify_derived_relators(K, words, {g.name: g.word for g in sub.generators})
         printed = list(zip(labels, certs))
         for label, cert in printed:
@@ -329,16 +346,13 @@ class LemmaReport:
     inverted, and ``conjugation_certificates`` labels the identity
     tau1*g*tau1*g = 1 certified in K for each glide and corner rotation g
     (the ones the certificate prints).  The connector product is certified
-    to die in H1 for both parities, so ``connector_product_class`` is the
-    zero vector, one entry per kernel generator, and
-    ``connector_product_zero`` is true; the odd-gamma certificate text
-    still calls that class "(recorded)" only so that its output stays
-    byte-identical.  ``invariant_factors`` and ``free_rank`` describe H1,
-    a direct sum of cyclic groups read off the certified signature."""
+    to die in H1 for both parities, so ``connector_product_zero`` is true
+    and ``ok``, the certificate's conclusion, returns it; both stay only
+    because bench/ reads them.  ``invariant_factors`` and ``free_rank``
+    describe H1, a direct sum of cyclic groups read off the certified
+    signature."""
 
-    gamma_even: bool
     connector_pair: tuple[str, str]
-    connector_product_class: tuple[int, ...]
     connector_product_zero: bool
     inversion_entries: tuple[str, ...]
     conjugation_certificates: tuple[str, ...]
@@ -347,7 +361,7 @@ class LemmaReport:
 
     @property
     def ok(self) -> bool:
-        return self.connector_product_zero or not self.gamma_even
+        return self.connector_product_zero
 
 
 def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
@@ -432,9 +446,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 
     sig = derived.report.signature
     return LemmaReport(
-        gamma_even=sig.genus % 2 == 0,
         connector_pair=pair,
-        connector_product_class=(0,) * len(sub.generators),
         connector_product_zero=True,
         inversion_entries=tuple(words),
         conjugation_certificates=tuple(identities),

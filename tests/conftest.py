@@ -4,10 +4,10 @@ import pytest
 from hypothesis import settings
 
 from reference import identity, mul
-from shapes import battery_shapes
 
 from necsurf import (
     NECSignature,
+    admissible_shapes,
     build_theta,
     canonical_presentation,
     derive_delta_hat,
@@ -37,7 +37,7 @@ def action_battery_data(max_gamma=5, max_r=4, max_order=12):
     """One valid action datum (the lexicographically first epimorphism)
     per admissible (gamma, periods, n) with 2n <= max_order."""
     data = []
-    for gamma, periods, order in battery_shapes(max_gamma, max_r, max_order):
+    for gamma, periods, order in admissible_shapes(max_gamma, max_r, max_order):
         datum = first_smooth_epimorphism(gamma, periods, order)
         if datum is not None:
             data.append(datum)

@@ -23,6 +23,7 @@ from necsurf import (
     PipelineAssertionError,
     RelatorCertificate,
     SchreierSubgroup,
+    admissible_shapes,
     build_theta,
     canonical_presentation,
     check_homomorphism,
@@ -37,7 +38,7 @@ from necsurf import (
     reduced_area,
     validate_action,
 )
-from necsurf import abelian, pipeline
+from necsurf import abelian, certificate, pipeline
 from necsurf.words import Word
 from reference import (
     cayley_coset_table,
@@ -51,7 +52,6 @@ from reference import (
     theta_through_eta,
     unpruned_epimorphisms,
 )
-from shapes import battery_shapes
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 GAMMA4 = ActionDatum(4, (), 2, (1, 1, 1, 1), ())
@@ -178,17 +178,11 @@ class TestValidateAction:
         # once shape_problems passes, each period divides n, so
         # 2n * area = 2n(gamma - 2) + sum(2n - 2n/n_i) is a positive even
         # integer and the genus validate_action returns always exists
-        accepted = 0
-        for n in range(2, 61, 2):
-            divisors = [p for p in range(2, n + 1) if n % p == 0]
-            for gamma in range(5):
-                for r in range(5):
-                    for periods in combinations_with_replacement(divisors, r):
-                        if not pipeline.shape_problems(gamma, periods, n):
-                            sig = NECSignature(False, gamma, periods)
-                            assert pipeline.surface_kernel_genus(sig, 2 * n) >= 2
-                            accepted += 1
-        assert accepted == 23775
+        shapes = admissible_shapes(4, 4, 120)
+        for gamma, periods, order in shapes:
+            sig = NECSignature(False, gamma, periods)
+            assert pipeline.surface_kernel_genus(sig, order) >= 2
+        assert len(shapes) == 23775
 
 
 class TestBuildTheta:
@@ -219,9 +213,12 @@ class TestBuildTheta:
 
 def test_each_rule_of_the_chain_has_one_owner():
     """``presentations`` names K's and Delta's generators and solves the
-    long relator for the connector: the pipeline spells out no generator
-    name of either, ``build_theta`` folds the connector's closed form
-    instead of working out gamma mod 2, and ``lemma1_check`` certifies its
+    long relator for the connector, and ``cosets`` names Delta-hat's: the
+    pipeline spells out no generator name of any of them, and the
+    certificate reads K's first reflection off the document.  Parity is
+    theta's bit: ``build_theta`` folds the connector's closed form,
+    ``derive_delta_hat`` reads the bit, and neither they nor
+    ``lemma1_check`` work out gamma mod 2.  ``lemma1_check`` certifies its
     identities itself instead of batching them through the relator
     matcher."""
     tree = ast.parse(inspect.getsource(pipeline))
@@ -232,20 +229,27 @@ def test_each_rule_of_the_chain_has_one_owner():
         node.value for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and id(node) not in parts
     }
-    assert not constants & {"tau1", "e"}
+    derived_names = {
+        gen.name for gamma in (1, 2) for gen in derived_for(gamma, (2, 2))[1].subgroup.generators
+    }
+    assert not constants & ({"tau1", "e"} | derived_names)
     heads = {
         node.values[0].value for node in fstrings if isinstance(node.values[0], ast.Constant)
     }
-    assert not heads & {"x", "d", "tau"}
+    stems = {name.rstrip("t0123456789") for name in derived_names} - {"tau1sq"}
+    assert stems == {"delta", "c", "e", "f"}
+    assert not heads & ({"x", "d", "tau"} | stems)
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert not any(
-        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
-        and isinstance(node.right, ast.Constant) and node.right.value == 2
-        for node in ast.walk(functions["build_theta"])
-    )
+    for name in ("build_theta", "derive_delta_hat", "lemma1_check"):
+        assert not any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2
+            for node in ast.walk(functions[name])
+        ), name
     assert "verify_derived_relators" not in {
         node.id for node in ast.walk(functions["lemma1_check"]) if isinstance(node, ast.Name)
     }
+    assert "tau1" not in inspect.getsource(certificate)
 
 
 def test_lemma_abelianizes_nothing():
@@ -396,7 +400,7 @@ class TestConstructEta:
 
 def test_closed_form_on_every_small_epimorphism(closure):
     checked = []
-    for gamma, periods, order in battery_shapes(max_gamma=3, max_r=3, max_order=8):
+    for gamma, periods, order in admissible_shapes(3, 3, 8):
         K, derived = derived_for(gamma, periods)
         dihedral = DihedralGroup(order)
         for d_images, x_images in enumerate_smooth_epimorphisms(
@@ -463,9 +467,10 @@ class TestLemma:
         )
 
     def test_even_gamma_connector_product_class_zero(self):
-        _, derived = derived_for(2, (3,))
+        K, derived = derived_for(2, (3,))
         report = lemma1_check(derived)
-        assert report.gamma_even
+        (connector,) = K.generators_of_kind("connector")
+        assert derived.subgroup.parity[connector] == 0
         assert report.connector_pair == ("e1", "e2")
         assert report.connector_product_zero
 
@@ -476,13 +481,14 @@ class TestLemma:
         assert "tau1*c1*tau1*c1" in report.conjugation_certificates
 
     def test_odd_gamma_connector_class_recorded(self):
-        _, derived = derived_for(1, (2, 2, 2))
-        report = lemma1_check(derived)
-        assert not report.gamma_even
+        cert = realize(GENUS2)
+        report = cert.lemma
         assert report.connector_pair == ("f1", "f2")
         # recorded, and certified zero for odd gamma as well
         assert report.connector_product_zero
-        assert report.connector_product_class == (0,) * len(derived.subgroup.generators)
+        lemma = certificate.document(cert, {})["lemma1"]
+        assert lemma["gamma_even"] is False
+        assert lemma["connector_product_class"] == [0] * len(cert.derived.subgroup.generators)
 
     def test_class_not_inverted_is_an_assertion(self):
         # delta1t*f2 is x1*e rewritten from coset 0, the first witness row
@@ -723,8 +729,8 @@ class TestEnumeration:
         # the glide-prefix states list the same tuples, in the same order, as
         # the loop over the whole glide product, and every listed elliptic
         # tuple has the closed-form gcd order / lcm(periods)
-        battery = battery_shapes()
-        larger = [(gamma, periods, order) for gamma, periods, order in battery_shapes(3, 3, 48)
+        battery = admissible_shapes(5, 4, 12)
+        larger = [(gamma, periods, order) for gamma, periods, order in admissible_shapes(3, 3, 48)
                   if order in (16, 24, 36, 40, 48) and (order // 2) ** gamma <= 3000]
         assert (len(battery), len(larger)) == (260, 652)
         for shape in battery + larger:
@@ -857,7 +863,7 @@ def test_elliptic_gcd_closed_form(case):
 
 class TestFirstEpimorphism:
     def test_matches_enumeration_and_brute_force(self):
-        shapes = battery_shapes()
+        shapes = admissible_shapes(5, 4, 12)
         assert len(shapes) == 260
         found = brute_checked = 0
         for gamma, periods, order in shapes:

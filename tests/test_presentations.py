@@ -242,7 +242,7 @@ def test_rotation_index_matches_linear_scan(derived_battery):
         if gamma % 2:
             continue
         sub = derived.subgroup
-        printed = [w for _, w in _printed_relator_words(gamma, periods)]
+        printed = [w for _, w in _printed_relator_words(sub, periods)]
         words = printed + [w.inverse() for w in printed]
         words += [
             Word((("tau1", 1), (g.name, 1)) * 2)
