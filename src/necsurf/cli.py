@@ -48,6 +48,7 @@ from .pipeline import (
     ActionDatum,
     ActionValidationError,
     PipelineAssertionError,
+    decimal,
     enumerate_smooth_epimorphisms,
     first_smooth_epimorphism,
     realize,
@@ -114,14 +115,15 @@ def datum_from_document(doc: dict, warn=lambda msg: None) -> ActionDatum:
         if datum is None:
             raise ActionValidationError(
                 (f"no surface-kernel epimorphism exists for gamma={gamma},"
-                 f" periods={list(periods)}, order={2 * n}",)
+                 f" periods={list(periods)}, order={decimal(2 * n)}",)
             )
         return datum
     datum = ActionDatum(gamma, periods, n, doc["rho"]["d"], doc["rho"]["x"])
     for field, reduced in (("d", datum.d_images), ("x", datum.x_images)):
         for i, (v, residue) in enumerate(zip(doc["rho"][field], reduced), start=1):
             if v != residue:
-                warn(f"warning: rho.{field}[{i}] = {v} reduced mod {datum.order} to {residue}")
+                warn(f"warning: rho.{field}[{i}] = {v} reduced mod {decimal(datum.order)}"
+                     f" to {decimal(residue)}")
     return datum
 
 
@@ -166,7 +168,9 @@ def _load_document(path: str) -> dict:
         raise InputError(f"cannot read input file {path!r}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read input file {path!r}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer literal past Python's
+        # limit on integer string conversion
         raise InputError(f"cannot parse input file {path!r}: {exc}")
     return parse_input_document(raw)
 
@@ -175,7 +179,9 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     """``realize`` and ``check-lemma``: load the input file, resolve rho,
     run the pipeline once and emit the subcommand's view of the
     certificate document, or the itemised failure on invalid input (a
-    "search" that finds no epimorphism included)."""
+    "search" that finds no epimorphism included).  A certificate holding
+    an integer longer than Python prints (``sys.get_int_max_str_digits``)
+    is an input error naming that limit."""
     doc = _load_document(args.file)
     try:
         datum = datum_from_document(doc, warn=lambda msg: print(msg, file=sys.stderr))
@@ -184,9 +190,14 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
         code, view = EXIT_INVALID, validation_failure_json(doc, exc.reasons)
         render_text = validation_failure_text
     else:
-        code, view = EXIT_OK, args.view(certificate.document(cert, doc))
-        render_text = args.render_text
-    _emit(render_json(view) if args.format == "json" else render_text(view), args.out)
+        code, render_text = EXIT_OK, args.render_text
+    try:
+        if code == EXIT_OK:
+            view = args.view(certificate.document(cert, doc))
+        text = render_json(view) if args.format == "json" else render_text(view)
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputError(f"cannot print the certificate: {exc}")
+    _emit(text, args.out)
     return code
 
 

@@ -13,9 +13,11 @@ in D_m the rotations s^r_i and reflections t*s^k_j generate one of order
 
 A ``FiniteHom`` assigns a target element to every generator of a
 presentation; constructing it checks once that each image belongs to the
-target group.  A word is evaluated by its target's ``fold``, one pass
-over the letters on plain integers (a residue sum in C_m, the product
-rule above on (eps, k) in D_m) that builds a single element at the end.
+target group.  A word is evaluated by its target's ``normal_form``, one
+pass over the letters on plain integers (a residue sum in C_m, the
+product rule above on (eps, k) in D_m) that returns the raw residue or
+(eps, k) pair; ``fold`` wraps that in an element.  Relator checks compare
+raw normal forms, so a relator builds an element only when it fails.
 """
 
 from __future__ import annotations
@@ -72,15 +74,21 @@ class CyclicGroup:
     def __contains__(self, x: object) -> bool:
         return isinstance(x, CyclicElement) and x.modulus == self.modulus
 
-    def fold(
+    def normal_form(
         self, table: dict[str, CyclicElement], letters: Iterable[tuple[str, int]]
-    ) -> CyclicElement:
-        """The product of the letters' images, ``table`` giving each
-        generator's image: the sum of +-value, reduced once."""
+    ) -> int:
+        """The product of the letters' images as a raw residue, ``table``
+        giving each generator's image: the sum of +-value, reduced once."""
         total = 0
         for g, e in letters:
             total += e * table[g].value
-        return CyclicElement(self.modulus, total)
+        return total % self.modulus
+
+    def fold(
+        self, table: dict[str, CyclicElement], letters: Iterable[tuple[str, int]]
+    ) -> CyclicElement:
+        """The product of the letters' images, as an element."""
+        return CyclicElement(self.modulus, self.normal_form(table, letters))
 
     def subgroup_order(self, elements: Iterable[CyclicElement]) -> int:
         """Order of the subgroup the elements generate: m / gcd(m, a_1, ...)."""
@@ -129,14 +137,14 @@ class DihedralGroup:
     def __contains__(self, x: object) -> bool:
         return isinstance(x, DihedralElement) and x.modulus == self.modulus
 
-    def fold(
+    def normal_form(
         self, table: dict[str, DihedralElement], letters: Iterable[tuple[str, int]]
-    ) -> DihedralElement:
-        """The product of the letters' images, ``table`` giving each
-        generator's image, by the product rule on (eps, rot): a reflection
-        t*s^k, its own inverse, toggles eps and sets rot to k - rot
-        whatever the letter's sign; a rotation s^k adds +-k to rot.
-        Reduced once, at the end."""
+    ) -> tuple[int, int]:
+        """The product of the letters' images as a raw (eps, rot) pair,
+        ``table`` giving each generator's image, by the product rule: a
+        reflection t*s^k, its own inverse, toggles eps and sets rot to
+        k - rot whatever the letter's sign; a rotation s^k adds +-k to
+        rot.  Reduced once, at the end."""
         flip = rot = 0
         for g, e in letters:
             img = table[g]
@@ -145,7 +153,13 @@ class DihedralGroup:
                 rot = img.rot - rot
             else:
                 rot += e * img.rot
-        return DihedralElement(self.modulus, flip, rot)
+        return flip, rot % self.modulus
+
+    def fold(
+        self, table: dict[str, DihedralElement], letters: Iterable[tuple[str, int]]
+    ) -> DihedralElement:
+        """The product of the letters' images, as an element."""
+        return DihedralElement(self.modulus, *self.normal_form(table, letters))
 
     def subgroup_order(self, elements: Iterable[DihedralElement]) -> int:
         """Order of the subgroup the elements generate.  Its rotations are
@@ -215,6 +229,11 @@ class FiniteHom:
         fold over the letters.  The images were checked to belong to the
         target at construction, so no letter is checked again."""
         return self.target.fold(self._by_name, word.letters)
+
+    def normal_form(self, word: Word):
+        """The image of a word as the target's raw normal form, the same
+        fold with no element built: a residue in C_m, (eps, rot) in D_m."""
+        return self.target.normal_form(self._by_name, word.letters)
 
     def image_order(self) -> int:
         return self.target.subgroup_order(v for _, v in self.images)

@@ -16,6 +16,7 @@ NEC subgroups is out of scope on purpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,14 +44,16 @@ def kernel_signature_index2(sub: SchreierSubgroup) -> KernelSignatureReport:
     K of the first one that does is the witness.  The genus is
     (area + 2 - sum(1 - 1/m)) / alpha, where the area is twice K's and
     alpha = 2 for an orientable kernel and 1 otherwise, by exact area
-    bookkeeping.
+    bookkeeping; the cone sum is summed over one common denominator, the
+    lcm of the periods.
     """
     kinds = dict(sub.presentation.generators)
     witness = next((g.word for g in sub.generators if kinds[g.name].character == -1), None)
     orientable = witness is None
     periods = tuple(sorted(n for _, n in sub.presentation.torsion_words))
 
-    cone_sum = sum(Fraction(m - 1, m) for m in periods)
+    lcm = math.lcm(*periods)
+    cone_sum = Fraction(sum((m - 1) * (lcm // m) for m in periods), lcm)
     alpha = 2 if orientable else 1
     genus, remainder = divmod(2 * reduced_area(sub.base.signature) + 2 - cone_sum, alpha)
     if remainder:

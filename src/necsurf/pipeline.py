@@ -69,7 +69,7 @@ from .signatures import (
     riemann_hurwitz_index,
     surface_kernel_genus,
 )
-from .words import Word, cyclic_reduce, substitute
+from .words import Word, cyclic_reduce_letters
 
 
 class ActionValidationError(ValueError):
@@ -118,6 +118,17 @@ class ActionDatum:
         return NECSignature(False, self.gamma, self.periods)
 
 
+def decimal(v: int) -> str:
+    """``v`` in decimal, or a note of its length when it has more digits
+    than Python converts to a string (``sys.get_int_max_str_digits``): a
+    reason naming an order 2n or a residue mod 2n, which can be one digit
+    longer than any integer in the input, still prints."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"(an integer of more than {sys.get_int_max_str_digits()} digits)"
+
+
 def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> list[str]:
     """Every way ``hom`` fails to be a surface-kernel epimorphism of
     ``pres`` onto a cyclic group C_2n, one item each and in this order:
@@ -128,23 +139,23 @@ def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> 
     orientation character factoring through the image, so with no item
     the kernel is a torsion-free Fuchsian surface group."""
     problems = [
-        f"{label} is not a homomorphism: relator {rel} maps to {value}"
+        f"{label} is not a homomorphism: relator {rel} maps to {decimal(value.value)}"
         for rel, value in check_homomorphism(pres, hom)
     ]
     if not hom.is_surjective():
-        problems.append(f"{label} is not surjective onto C_{hom.target.modulus}")
+        problems.append(f"{label} is not surjective onto C_{decimal(hom.target.modulus)}")
     for word, n in pres.torsion_words:
         image = hom.evaluate(word)
         if image.order() != n:
             problems.append(
-                f"torsion collapse: {word} image {image} has order {image.order()},"
-                f" declared {n}"
+                f"torsion collapse: {word} image {decimal(image.value)} has order"
+                f" {decimal(image.order())}, declared {n}"
             )
     for name, kind in pres.generators:
         v = hom.image_of(name).value
         if v % 2 != (kind.character == -1):
             problems.append(
-                f"orientation mismatch: {kind.kind} image {name} -> {v} is"
+                f"orientation mismatch: {kind.kind} image {name} -> {decimal(v)} is"
                 f" {'odd' if v % 2 else 'even'}"
             )
     return problems
@@ -391,8 +402,9 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     """Certify the normality lemma in one pass over the Schreier generators,
     without abelianizing the kernel.
 
-    For each generator g an identity in K reduces (``cyclic_reduce``, with
-    g's word substituted) to the empty word: tau1*g*tau1*g = 1, so
+    For each generator g an identity in K reduces to the empty word
+    (``cyclic_reduce_letters``, on one letter tuple with the words of g
+    and of the last letter spliced in): tau1*g*tau1*g = 1, so
     conjugation by tau1 sends g to g^-1, except for the connector pair
     (a, b), which tau1 swaps, tau1*a*tau1*b^-1 = 1.  So tau1 acts as -1 on
     H1 once the class of a*b is zero.  One witness shows that: the long
@@ -408,20 +420,25 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     K = sub.base
     tau1 = K.generators_of_kind("reflection")[0]
     involutions = K.involution_names()
-    words = {gen.name: gen.word for gen in sub.generators}
+    words = {gen.name: gen.word.letters for gen in sub.generators}
     a, b = pair = tuple(gen.name for gen in sub.generators if gen.role == "connector")
     last_letter = {a: (b, -1), b: (a, -1)}
-    identities: list[str] = []
-    for gen in sub.generators:
-        last = last_letter.get(gen.name, (gen.name, 1))
-        identity = Word(((tau1, 1), (gen.name, 1), (tau1, 1), last))
-        if cyclic_reduce(substitute(identity, words), involutions).letters:
+
+    def identity(name: str, last: tuple[str, int]) -> Word:
+        return Word(((tau1, 1), (name, 1), (tau1, 1), last))
+
+    for name, letters in words.items():
+        last = g, e = last_letter.get(name, (name, 1))
+        tail = words[g] if e == 1 else tuple((h, -f) for h, f in reversed(words[g]))
+        if cyclic_reduce_letters(((tau1, 1), *letters, (tau1, 1), *tail), involutions):
             raise PipelineAssertionError(
-                f"conjugation identity for {gen.name} could not be certified:"
-                f" {identity} does not reduce to 1 in K"
+                f"conjugation identity for {name} could not be certified:"
+                f" {identity(name, last)} does not reduce to 1 in K"
             )
-        if gen.role in ("glide", "corner rotation"):
-            identities.append(str(identity))
+    identities = [
+        str(identity(gen.name, (gen.name, 1)))
+        for gen in sub.generators if gen.role in ("glide", "corner rotation")
+    ]
 
     (e, solved), = connector_closed_form(K).items()
     long_relator = solved.inverse() * Word.gen(e)
@@ -663,7 +680,7 @@ def _image_choices(
         reasons = shape_problems(gamma, periods, order // 2)
     if not reasons:
         if order > sys.maxsize:
-            reasons.append(f"order {order} exceeds {sys.maxsize}, the largest order"
+            reasons.append(f"order {decimal(order)} exceeds {sys.maxsize}, the largest order"
                            " the search can index")
         if gamma > sys.maxsize:
             reasons.append(f"gamma = {gamma} exceeds {sys.maxsize}, the most glides"

@@ -153,13 +153,13 @@ def check_homomorphism(
 ) -> tuple[tuple[Word, object], ...]:
     """Evaluate every relator; images defining a homomorphism send all of
     them to the identity.  Returns the failures, each offending relator
-    with the element it evaluates to, so an empty tuple means valid."""
-    failures = []
-    for rel in p.relators:
-        value = hom.evaluate(rel)
-        if not value.is_identity():
-            failures.append((rel, value))
-    return tuple(failures)
+    with the element it evaluates to, so an empty tuple means valid.
+    Each relator is folded to the target's raw normal form and compared
+    with the empty word's; an element is built only for a failure."""
+    identity = hom.target.normal_form({}, ())
+    return tuple(
+        (rel, hom.evaluate(rel)) for rel in p.relators if hom.normal_form(rel) != identity
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ the cyclic sequence of corner-point orders (a period cycle, possibly
 empty).
 
 All area computations are exact: the canonical quantity is the reduced
-hyperbolic area mu/2pi, a `fractions.Fraction`.  Index and genus
+hyperbolic area mu/2pi, a `fractions.Fraction` whose terms are summed as
+integers over one common denominator.  Index and genus
 computations are therefore integer-exact identities, never floating
 point approximations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -141,15 +143,16 @@ def reduced_area(sig: NECSignature) -> Fraction:
     with alpha = 2 for orientable, 1 for non-orientable signatures.  The
     value is negative or zero exactly for the spherical and euclidean
     signatures; positive reduced area characterises hyperbolic groups.
+    Every term is summed as an integer over one common denominator,
+    2*lcm of all the periods, and one ``Fraction`` reduces the total.
     """
     alpha = 2 if sig.orientable else 1
-    total = Fraction(alpha * sig.genus + len(sig.period_cycles) - 2)
-    for m in sig.proper_periods:
-        total += Fraction(m - 1, m)
-    for cycle in sig.period_cycles:
-        for n in cycle:
-            total += Fraction(n - 1, 2 * n)
-    return total
+    corners = [n for cycle in sig.period_cycles for n in cycle]
+    lcm = math.lcm(*sig.proper_periods, *corners)
+    numerator = 2 * lcm * (alpha * sig.genus + len(sig.period_cycles) - 2)
+    numerator += sum(2 * (m - 1) * (lcm // m) for m in sig.proper_periods)
+    numerator += sum((n - 1) * (lcm // n) for n in corners)
+    return Fraction(numerator, 2 * lcm)
 
 
 def quotient_disc_signature(gamma: int, periods: Iterable[int]) -> NECSignature:

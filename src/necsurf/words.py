@@ -12,7 +12,9 @@ operation below builds its result's letter tuple once and makes one
 ``cyclic_reduce`` reduces a word as a cyclic word, modulo a declared set
 of involutions (generators g with g^2 = 1), under which g^-1 is rewritten
 to g and adjacent equal involutions cancel; with no involutions it is
-plain free reduction followed by trimming inverse pairs at the ends.
+plain free reduction followed by trimming inverse pairs at the ends.  Its
+core, ``cyclic_reduce_letters``, works on a bare letter tuple, for callers
+that splice words together and need only the reduced letters.
 ``least_rotation`` gives a cyclically reduced word its rotation-invariant
 key.
 """
@@ -106,26 +108,36 @@ def substitute(w: Word, mapping: dict[str, Word]) -> Word:
     return Word(tuple(out))
 
 
+def cyclic_reduce_letters(
+    letters: tuple[tuple[str, int], ...], involutions: frozenset[str] | set[str] = frozenset()
+) -> tuple[tuple[str, int], ...]:
+    """The letter-tuple core of ``cyclic_reduce``: ``letters`` reduced as a
+    cyclic word, with g^-1 read as g for each involution g."""
+    out: list[tuple[str, int]] = []
+    for letter in letters:
+        g, e = letter
+        if g in involutions:
+            if out and out[-1][0] == g:
+                out.pop()
+            else:
+                out.append(letter if e == 1 else (g, 1))
+        elif out and out[-1] == (g, -e):
+            out.pop()
+        else:
+            out.append(letter)
+    i, j = 0, len(out) - 1
+    while i < j:
+        (g1, e1), (g2, e2) = out[i], out[j]
+        if g1 != g2 or not (e1 == -e2 or g1 in involutions):
+            break
+        i, j = i + 1, j - 1
+    return tuple(out[i:j + 1])
+
+
 def cyclic_reduce(w: Word, involutions: frozenset[str] | set[str] = frozenset()) -> Word:
     """Reduce ``w`` as a cyclic word (conjugation-invariant normal form,
     up to rotation), with g^-1 read as g for each involution g."""
-    letters: list[tuple[str, int]] = []
-    for g, e in w.letters:
-        if g in involutions:
-            e = 1
-        if letters and letters[-1][0] == g:
-            top_e = letters[-1][1]
-            if top_e == -e or (g in involutions and top_e == e):
-                letters.pop()
-                continue
-        letters.append((g, e))
-    i, j = 0, len(letters) - 1
-    while i < j:
-        (g1, e1), (g2, e2) = letters[i], letters[j]
-        if g1 != g2 or not (e1 == -e2 or (g1 in involutions and e1 == e2)):
-            break
-        i, j = i + 1, j - 1
-    return Word(tuple(letters[i:j + 1]))
+    return Word(cyclic_reduce_letters(w.letters, involutions))
 
 
 def least_rotation(w: Word) -> tuple[tuple[str, int], ...]:

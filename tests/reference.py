@@ -1,8 +1,10 @@
 """Reference constructions kept as test oracles for the closed forms in
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
-``necsurf.presentations``, for the integer fold of ``necsurf.groups``,
-and for the closed-form H1 of the derived kernel (``abelianization``,
-with the integer ``smith_normal_form`` it calls).
+``necsurf.presentations``, for the integer fold of ``necsurf.groups`` and
+the relator checks built on it, for the common-denominator area sums of
+``necsurf.signatures`` and ``necsurf.kernels``, and for the closed-form
+H1 of the derived kernel (``abelianization``, with the integer
+``smith_normal_form`` it calls).
 
 Element arithmetic (``identity``, ``rotation``, ``mul``, ``inverse``,
 ``order``), the word parser ``parse_word``, the reducers
@@ -13,6 +15,7 @@ methods put back on library classes."""
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 
@@ -83,6 +86,42 @@ def element_fold(hom, word):
         img = hom.image_of(g)
         result = mul(result, img if e == 1 else inverse(img))
     return result
+
+
+def elementwise_failures(p: Presentation, hom):
+    """Each relator of ``p`` that ``element_fold`` does not send to the
+    identity, with the element it is sent to, in relator order: the
+    oracle for ``check_homomorphism``."""
+    failures = []
+    for rel in p.relators:
+        value = element_fold(hom, rel)
+        if not value.is_identity():
+            failures.append((rel, value))
+    return tuple(failures)
+
+
+# Areas one Fraction per term: the oracle for the common-denominator sums
+# of ``necsurf.signatures.reduced_area`` and ``necsurf.kernels``.
+
+def termwise_area(sig) -> Fraction:
+    """mu/2pi = alpha*g + k - 2 + sum(1 - 1/m) + (1/2) * sum over cycle
+    entries (1 - 1/n), adding one ``Fraction`` per period."""
+    alpha = 2 if sig.orientable else 1
+    total = Fraction(alpha * sig.genus + len(sig.period_cycles) - 2)
+    for m in sig.proper_periods:
+        total += Fraction(m - 1, m)
+    for cycle in sig.period_cycles:
+        for n in cycle:
+            total += Fraction(n - 1, 2 * n)
+    return total
+
+
+def termwise_kernel_genus(base, periods, orientable) -> Fraction:
+    """The genus of an index-2, reflection-free kernel of ``base`` with
+    these proper periods: (2*area(base) + 2 - sum(1 - 1/m)) / alpha, each
+    term its own ``Fraction``."""
+    cone_sum = sum((Fraction(m - 1, m) for m in periods), Fraction(0))
+    return (2 * termwise_area(base) + 2 - cone_sum) / (2 if orientable else 1)
 
 
 # Words from text, and letter-by-letter reduction: the oracle for

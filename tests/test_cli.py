@@ -370,6 +370,77 @@ def test_non_positive_n_fails_validation(tmp_path, capsys, n, fmt):
     assert "Traceback" not in captured.out + captured.err
 
 
+# n has as many digits as Python converts to a string by default, so 2n
+# and the residues mod 2n have one more
+LONG_N = 8 * 10**4299
+TOO_LONG = f"(an integer of more than {sys.get_int_max_str_digits()} digits)"
+
+
+@pytest.mark.parametrize("command", ["realize", "check-lemma"])
+def test_integer_literal_past_the_digit_limit_exits_one(tmp_path, capsys, command):
+    # json.load raises a bare ValueError, not JSONDecodeError, for it
+    path = tmp_path / "long.json"
+    path.write_text('{"gamma": 3, "periods": [], "n": ' + "1" * 5000 + ', "rho": "search"}')
+    code = cli.main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"invalid input: cannot parse input file {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_search_order_past_the_digit_limit_is_named(tmp_path, capsys, fmt):
+    doc = {"gamma": 3, "periods": [], "n": LONG_N, "rho": "search"}
+    reason = f"order {TOO_LONG} exceeds {sys.maxsize}, the largest order the search can index"
+    code = cli.main(["--format", fmt, "realize", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    if fmt == "json":
+        assert json.loads(captured.out) == {"input": doc, "errors": [reason]}
+    else:
+        assert captured.out == f"input validation failed:\n  - {reason}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_residues_past_the_digit_limit_are_named(tmp_path, capsys, fmt):
+    # -1 and -2 reduce to 2n - 1 and 2n - 2, each one digit too long; the
+    # relator sum, 2n - 4, and d1's even image are named by their length
+    doc = {"gamma": 3, "periods": [], "n": LONG_N, "rho": {"d": [-2, -1, 1], "x": []}}
+    reasons = [
+        f"rho is not a homomorphism: relator d1*d1*d2*d2*d3*d3 maps to {TOO_LONG}",
+        f"orientation mismatch: glide image d1 -> {TOO_LONG} is even",
+    ]
+    code = cli.main(["--format", fmt, "realize", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        f"warning: rho.d[{i}] = {v} reduced mod {TOO_LONG} to {TOO_LONG}"
+        for i, v in ((1, -2), (2, -1))
+    ]
+    if fmt == "json":
+        assert json.loads(captured.out) == {"input": doc, "errors": reasons}
+    else:
+        assert captured.out == "".join(
+            ["input validation failed:\n"] + [f"  - {reason}\n" for reason in reasons]
+        )
+
+
+@pytest.mark.parametrize("command", ["realize", "check-lemma"])
+def test_certificate_past_the_digit_limit_exits_one(tmp_path, capsys, command):
+    # a valid action whose genus 2n + 1 and images mod 2n are too long to print
+    doc = {"gamma": 4, "periods": [], "n": LONG_N, "rho": {"d": [1, 1, 1, LONG_N - 3], "x": []}}
+    code = cli.main([command, write_doc(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input: cannot print the certificate: ")
+    assert err.count("\n") == 1
+
+
+def test_decimal_names_the_length_past_the_limit():
+    assert pipeline.decimal(2 * LONG_N - 1) == TOO_LONG
+    assert pipeline.decimal(LONG_N) == str(LONG_N)
+
+
 @pytest.mark.parametrize("command", ["realize", "check-lemma"])
 def test_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, command):
     calls = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from necsurf import (
     CyclicGroup,
@@ -25,7 +26,13 @@ from necsurf.pipeline import _surface_kernel_problems
 from necsurf.presentations import Presentation
 from necsurf.signatures import elliptic
 from necsurf.words import Word, substitute
-from reference import character_factors_through_image, free_reduce, word_character
+from reference import (
+    character_factors_through_image,
+    free_reduce,
+    termwise_area,
+    termwise_kernel_genus,
+    word_character,
+)
 
 
 def disc_group(gamma, periods):
@@ -258,3 +265,16 @@ class TestSurfaceKernelCheck:
                             assert rho.evaluate(witness).is_identity()
                         checked += 1
         assert checked == 6864
+
+
+@given(st.integers(1, 6), st.lists(st.integers(2, 1000), max_size=8))
+def test_kernel_genus_matches_the_termwise_sum(gamma, periods):
+    # the cone sum over one common denominator against one Fraction per
+    # period; relators spell periods out, so they stay at most 1000
+    base = quotient_disc_signature(gamma, tuple(periods))
+    assume(termwise_area(base) > 0)
+    K = canonical_presentation(base)
+    report = kernel_signature_index2(reidemeister_schreier(K, build_theta(K)))
+    sig = report.signature
+    assert sig.genus == termwise_kernel_genus(base, sig.proper_periods, sig.orientable)
+    assert sorted(periods) == list(sig.proper_periods)

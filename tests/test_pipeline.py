@@ -562,7 +562,7 @@ class TestLemma:
     def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
         # a reducer that reduces nothing leaves tau1*delta1*tau1*delta1 non-empty
         _, derived = derived_for(1, (2, 2, 2))
-        monkeypatch.setattr(pipeline, "cyclic_reduce", lambda w, involutions=(): w)
+        monkeypatch.setattr(pipeline, "cyclic_reduce_letters", lambda letters, involutions=(): letters)
         with pytest.raises(
             PipelineAssertionError,
             match="conjugation identity for delta1 could not be certified",

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from necsurf import (
     CyclicGroup,
+    DihedralElement,
+    DihedralGroup,
     FiniteHom,
     NECSignature,
     UnsupportedSignatureError,
     canonical_presentation,
     check_homomorphism,
+    extend_to_dihedral,
     orientation_character,
     quotient_disc_signature,
     reidemeister_schreier,
@@ -16,8 +20,10 @@ from necsurf.pipeline import _printed_relator_words, build_theta
 from necsurf.presentations import Presentation, connector_closed_form
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
+from conftest import signature_battery_cases
 from reference import (
     cyclically_equal,
+    elementwise_failures,
     free_reduce,
     identity,
     naive_theta,
@@ -169,6 +175,62 @@ class TestCheckHomomorphism:
             K, c2, {name: identity(c2) for name in K.generator_names()}
         )
         assert not check_homomorphism(K, trivial)
+
+
+SIGNATURE_BATTERY = signature_battery_cases()
+
+
+class TestCheckHomomorphismOracle:
+    """``check_homomorphism`` compares raw normal forms and builds an
+    element only for a failure; the oracle multiplies elements letter by
+    letter.  Both must give the same failures, relators, elements and
+    order."""
+
+    def test_battery_theta_and_Theta(self, derived_battery, action_battery):
+        for _, _, K, theta, _ in derived_battery:
+            assert check_homomorphism(K, theta) == elementwise_failures(K, theta) == ()
+        for datum in action_battery:
+            K = disc_group(datum.gamma, datum.periods)
+            Theta = extend_to_dihedral(K, datum).hom
+            assert check_homomorphism(K, Theta) == elementwise_failures(K, Theta) == ()
+
+    def test_broken_Theta_and_rho(self, action_battery):
+        # Theta with the rotation x1 -> s, so x1*x1 -> s^2, and rho with d1
+        # shifted by 1, so the long relator's sum moves by 2, fail as the
+        # oracle says
+        for datum in action_battery:
+            K = disc_group(datum.gamma, datum.periods)
+            Theta = extend_to_dihedral(K, datum).hom
+            images = dict(Theta.images, x1=DihedralElement(datum.order, 0, 1))
+            broken = FiniteHom.from_dict(K, Theta.target, images)
+            failures = check_homomorphism(K, broken)
+            assert failures and failures == elementwise_failures(K, broken)
+
+            delta = canonical_presentation(datum.delta_signature())
+            c2n = CyclicGroup(datum.order)
+            values = (datum.d_images[0] + 1, *datum.d_images[1:], *datum.x_images)
+            images = dict(zip(delta.generator_names(), map(c2n.element, values)))
+            rho = FiniteHom.from_dict(delta, c2n, images)
+            failures = check_homomorphism(delta, rho)
+            assert failures and failures == elementwise_failures(delta, rho)
+
+    @given(st.data())
+    def test_arbitrary_images(self, data):
+        gamma, periods = data.draw(st.sampled_from(SIGNATURE_BATTERY))
+        crosscap = data.draw(st.booleans())
+        p = (canonical_presentation(NECSignature(False, gamma, periods)) if crosscap
+             else disc_group(gamma, periods))
+        m = data.draw(st.integers(1, 12))
+        residues = st.integers(-50, 50)
+        if data.draw(st.booleans()):
+            target = CyclicGroup(m)
+            image = st.builds(target.element, residues)
+        else:
+            target = DihedralGroup(m)
+            image = st.builds(DihedralElement, st.just(m), st.integers(0, 1), residues)
+        images = {g: data.draw(image) for g in p.generator_names()}
+        hom = FiniteHom.from_dict(p, target, images)
+        assert check_homomorphism(p, hom) == elementwise_failures(p, hom)
 
 
 class TestVerifyDerivedRelator:

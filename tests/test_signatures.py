@@ -14,6 +14,7 @@ from necsurf import (
     riemann_hurwitz_index,
     surface_kernel_genus,
 )
+from reference import termwise_area
 
 
 def crosscap(gamma, periods=()):
@@ -190,3 +191,43 @@ def test_genus_when_defined_matches_area(gamma, periods, index):
         return
     assert Fraction(2 * g - 2) == 2 * index * reduced_area(sig)
     assert g >= 2
+
+
+PERIODS = st.integers(2, 10**6)
+
+
+@st.composite
+def signatures(draw):
+    """Either orientation, genus 0-6, up to 8 proper periods and up to 3
+    period cycles, empty ones included, with periods up to 10^6."""
+    orientable = draw(st.booleans())
+    return NECSignature(
+        orientable,
+        draw(st.integers(0 if orientable else 1, 6)),
+        tuple(draw(st.lists(PERIODS, max_size=8))),
+        tuple(map(tuple, draw(st.lists(st.lists(PERIODS, max_size=4), max_size=3)))),
+    )
+
+
+@given(signatures(), signatures(), st.integers(1, 12))
+def test_areas_match_the_termwise_sum(sig, sup, multiple):
+    # the common-denominator sum against one Fraction per term, and the
+    # index and genus read off it; multiple * denominator makes the
+    # doubled area integral, so both genus outcomes are reached
+    area, sup_area = termwise_area(sig), termwise_area(sup)
+    assert reduced_area(sig) == area
+    if area > 0 and sup_area > 0:
+        assert riemann_hurwitz_index(sig, sup) == area / sup_area
+    else:
+        with pytest.raises(ValueError, match="non-positive area"):
+            riemann_hurwitz_index(sig, sup)
+    for index in (multiple, multiple * area.denominator):
+        doubled = index * area
+        if area <= 0:
+            with pytest.raises(ValueError, match="is not hyperbolic"):
+                surface_kernel_genus(sig, index)
+        elif doubled.denominator == 1 and doubled.numerator % 2 == 0:
+            assert surface_kernel_genus(sig, index) == doubled.numerator // 2 + 1
+        else:
+            with pytest.raises(NoSurfaceKernelError):
+                surface_kernel_genus(sig, index)
