@@ -282,22 +282,27 @@ class DerivedKernel:
 
 def _printed_relator_words(
     sub: SchreierSubgroup, periods: tuple[int, ...]
-) -> list[tuple[str, Word]]:
+) -> list[tuple[str, Word, int | None]]:
     """The classical relator list of the derived kernel when theta kills
-    the connector, over the derived generators, their names read by role."""
+    the connector, over the derived generators, their names read by role,
+    each with the index of its source among K's relators, which end with
+    the connector relator, the long relator and the corners: c1^(n_1) comes
+    from corner 1, (c_k^-1*c_(k+1))^p from corner k+1 and e1*e2^-1[*c_r]
+    from the connector relator; the delta-alternations are trivial (None)."""
     deltas, cs, (e1, e2) = (
         [g.name for g in sub.generators if g.role == role]
         for role in ("glide", "corner rotation", "connector")
     )
-    rels = [(f"{cs[0]}^{periods[0]}", Word.gen(cs[0], periods[0]))] if cs else []
-    rels += [(f"({a}^-1*{b})^{p}", (Word.gen(a, -1) * Word.gen(b)) ** p)
-             for a, b, p in zip(cs, cs[1:], periods[1:])]
+    corner = len(sub.base.relators) - len(periods)
+    rels = [(f"{cs[0]}^{periods[0]}", Word.gen(cs[0], periods[0]), corner)] if cs else []
+    rels += [(f"({a}^-1*{b})^{p}", (Word.gen(a, -1) * Word.gen(b)) ** p, corner + k)
+             for k, (a, b, p) in enumerate(zip(cs, cs[1:], periods[1:]), start=1)]
     closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
-    rels.append((str(closing), closing))
+    rels.append((str(closing), closing, corner - 2))
     # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
     for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
         letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
-        rels.append((f"delta-alternation-{i}", Word((*letters, (e, -1)))))
+        rels.append((f"delta-alternation-{i}", Word((*letters, (e, -1))), None))
     return rels
 
 
@@ -328,14 +333,12 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     printed: list[tuple[str, RelatorCertificate]] = []
     (connector,) = K.generators_of_kind("connector")
     if not sub.parity[connector]:
-        labels, words = zip(*_printed_relator_words(sub, periods))
-        certs = verify_derived_relators(K, words, {g.name: g.word for g in sub.generators})
-        printed = list(zip(labels, certs))
+        labels, words, sources = zip(*_printed_relator_words(sub, periods))
+        images = {g.name: g.word for g in sub.generators}
+        printed = list(zip(labels, verify_derived_relators(K, words, sources, images)))
         for label, cert in printed:
             if not cert.certified:
-                raise PipelineAssertionError(
-                    f"classical relator {label} could not be certified"
-                )
+                raise PipelineAssertionError(f"classical relator {label} could not be certified")
 
     return DerivedKernel(subgroup=sub, report=report, printed_checks=tuple(printed))
 

@@ -18,10 +18,8 @@ them by kind (``generators_of_kind``).  ``connector_closed_form`` solves
 the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
-generators are trivial in the ambient group by bounded rewriting: the
-connector is replaced by its closed form, the result is reduced freely
-and modulo the involutions, and looked up by its least rotation among the
-remaining relators and their inverses.
+generators are trivial in the ambient group by bounded rewriting, each
+against the one relator it is named to come from (or the empty word).
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ from .signatures import (
 )
 from .words import (
     Word,
-    cyclic_reduce,
+    cyclic_reduce_letters,
     least_rotation,
-    substitute,
+    substitute_letters,
 )
 
 
@@ -168,6 +166,11 @@ def check_homomorphism(
 
 @dataclass(frozen=True)
 class RelatorCertificate:
+    """The verdict on the word ``source``: "trivial", "matches-relator" or
+    "unresolved".  On a match, ``matched`` is the relator it was named to
+    come from, reduced modulo the involutions with the connector not
+    eliminated; certificates never print it, only ``status``."""
+
     source: Word
     status: str  # "trivial" | "matches-relator" | "unresolved"
     matched: Word | None = None
@@ -186,43 +189,40 @@ def connector_closed_form(p: Presentation) -> dict[str, Word]:
 
 
 def verify_derived_relators(
-    p: Presentation, words: Iterable[Word], substitution: dict[str, Word]
+    p: Presentation, words: Iterable[Word], sources: Iterable[int | None],
+    substitution: dict[str, Word],
 ) -> tuple[RelatorCertificate, ...]:
     """Certify that each of ``words`` (over derived-generator names, with
     ``substitution`` expressing those names in the ambient generators) is
-    trivial in the group presented by ``p``.
+    trivial in the group presented by ``p``, by the one relator it is
+    named to come from: ``sources`` gives, word by word, that relator's
+    index in ``p.relators``, or None for a word named trivial.
 
-    The bounded procedure: substitute, replace the connector by its
-    closed form x_1^-1...x_gamma^-1, reduce cyclically, freely and modulo
-    the involution relators, then accept an empty word or an exact cyclic
-    match with one of the remaining relators (or an inverse).  Anything
-    else is reported unresolved, never silently accepted.  The relators of
-    ``p`` are normalised once for the whole batch and indexed by the least
-    rotation of each normal form and of the cyclic reduction of its
-    inverse, first relator first, so each word costs one lookup and is
-    matched with the first relator that a scan in relator order would
-    find.
+    Each word's images are spliced into one letter tuple and reduced once,
+    cyclically, freely and modulo the involutions.  A word with a source
+    must equal that relator, reduced the same way, or its inverse, up to
+    rotation (by least rotation, unless it spells the relator letter for
+    letter): a rotation of a defining relator is trivial, so nothing is
+    eliminated.  Only a word named trivial gets the connector's closed
+    form x_1^-1...x_gamma^-1 spliced in, and must reduce to the empty
+    word.  Anything else is unresolved.  No other relator of ``p`` is read.
     """
     involutions = p.involution_names()
     elimination = connector_closed_form(p)
 
-    def normalise(w: Word) -> Word:
-        return cyclic_reduce(substitute(w, elimination), involutions)
+    def certify(word: Word, source: int | None) -> RelatorCertificate:
+        letters = substitute_letters(word.letters, substitution)
+        if source is None:
+            left = cyclic_reduce_letters(substitute_letters(letters, elimination), involutions)
+            return RelatorCertificate(word, "unresolved" if left else "trivial")
+        letters, rel = cyclic_reduce_letters(letters, involutions), p.relators[source]
+        if letters != rel.letters:
+            rel = Word(cyclic_reduce_letters(rel.letters, involutions))
+            inverse = cyclic_reduce_letters(rel.inverse().letters, involutions)
+            if len(letters) != len(rel) or least_rotation(letters) not in (
+                least_rotation(rel.letters), least_rotation(inverse)
+            ):
+                return RelatorCertificate(word, "unresolved")
+        return RelatorCertificate(word, "matches-relator", rel)
 
-    by_rotation: dict[tuple[tuple[str, int], ...], Word] = {}
-    for rel in map(normalise, p.relators):
-        if rel.letters:
-            by_rotation.setdefault(least_rotation(rel), rel)
-            inverse = cyclic_reduce(rel.inverse(), involutions)
-            by_rotation.setdefault(least_rotation(inverse), rel)
-
-    def certify(word: Word) -> RelatorCertificate:
-        normal = normalise(substitute(word, substitution))
-        if not normal.letters:
-            return RelatorCertificate(word, "trivial")
-        rel = by_rotation.get(least_rotation(normal))
-        if rel is not None:
-            return RelatorCertificate(word, "matches-relator", rel)
-        return RelatorCertificate(word, "unresolved")
-
-    return tuple(map(certify, words))
+    return tuple(certify(w, source) for w, source in zip(words, sources, strict=True))

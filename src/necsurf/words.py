@@ -9,18 +9,19 @@ raises ``ValueError`` naming it.  So every ``Word`` is hashable.  Every
 operation below builds its result's letter tuple once and makes one
 ``Word`` from it.
 
-``cyclic_reduce`` reduces a word as a cyclic word, modulo a declared set
-of involutions (generators g with g^2 = 1), under which g^-1 is rewritten
-to g and adjacent equal involutions cancel; with no involutions it is
-plain free reduction followed by trimming inverse pairs at the ends.  Its
-core, ``cyclic_reduce_letters``, works on a bare letter tuple, for callers
-that splice words together and need only the reduced letters.
-``least_rotation`` gives a cyclically reduced word its rotation-invariant
-key.
+``cyclic_reduce_letters`` reduces letters as a cyclic word, modulo a
+declared set of involutions (generators g with g^2 = 1), under which g^-1
+is rewritten to g and adjacent equal involutions cancel; with no
+involutions it is plain free reduction followed by trimming inverse
+pairs at the ends.  It and ``substitute_letters``, which splices each
+letter's image in, work on bare letters, for callers that need only the
+reduced letters.  ``least_rotation`` gives the letters of a cyclically
+reduced word their rotation-invariant key.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -96,23 +97,25 @@ def _checked_letters(letters) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-def substitute(w: Word, mapping: dict[str, Word]) -> Word:
-    """Replace each letter by its image word; unmapped names pass through."""
+def substitute_letters(letters: Iterable[tuple[str, int]], mapping: dict[str, Word]) -> list:
+    """Each letter replaced by its image's letters (inverted for an inverse
+    letter); unmapped names pass through."""
     out: list[tuple[str, int]] = []
-    for g, e in w.letters:
+    for letter in letters:
+        g, e = letter
         if g in mapping:
             image = mapping[g].letters
-            out.extend(image if e == 1 else [(h, -f) for h, f in reversed(image)])
+            out += image if e == 1 else [(h, -f) for h, f in reversed(image)]
         else:
-            out.append((g, e))
-    return Word(tuple(out))
+            out.append(letter)
+    return out
 
 
 def cyclic_reduce_letters(
-    letters: tuple[tuple[str, int], ...], involutions: frozenset[str] | set[str] = frozenset()
+    letters: Iterable[tuple[str, int]], involutions: frozenset[str] | set[str] = frozenset()
 ) -> tuple[tuple[str, int], ...]:
-    """The letter-tuple core of ``cyclic_reduce``: ``letters`` reduced as a
-    cyclic word, with g^-1 read as g for each involution g."""
+    """``letters`` reduced as a cyclic word (a conjugation-invariant normal
+    form, up to rotation), with g^-1 read as g for each involution g."""
     out: list[tuple[str, int]] = []
     for letter in letters:
         g, e = letter
@@ -134,21 +137,14 @@ def cyclic_reduce_letters(
     return tuple(out[i:j + 1])
 
 
-def cyclic_reduce(w: Word, involutions: frozenset[str] | set[str] = frozenset()) -> Word:
-    """Reduce ``w`` as a cyclic word (conjugation-invariant normal form,
-    up to rotation), with g^-1 read as g for each involution g."""
-    return Word(cyclic_reduce_letters(w.letters, involutions))
-
-
-def least_rotation(w: Word) -> tuple[tuple[str, int], ...]:
-    """The lexicographically least rotation of the letters of ``w``: two
-    words are equal up to rotation exactly when these tuples are equal.
+def least_rotation(letters: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    """The lexicographically least rotation of a letter tuple: two words
+    are equal up to rotation exactly when these tuples are equal.
 
     A two-candidate scan in linear time: rotations i and j are compared k
     letters deep, and the larger one skips past the compared block, in
     which no least rotation starts.
     """
-    letters = w.letters
     n = len(letters)
     doubled = letters + letters
     i, j, k = 0, 1, 0

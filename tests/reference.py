@@ -4,14 +4,16 @@
 the relator checks built on it, for the common-denominator area sums of
 ``necsurf.signatures`` and ``necsurf.kernels``, and for the closed-form
 H1 of the derived kernel (``abelianization``, with the integer
-``smith_normal_form`` it calls).
+``smith_normal_form`` it calls), and for the named-source relator check
+(``index_derived_relators``, matching against every relator of K).
 
 Element arithmetic (``identity``, ``rotation``, ``mul``, ``inverse``,
 ``order``), the word parser ``parse_word``, the reducers
-``reduce_mod_involutions`` and ``free_reduce``, and ``word_character``
-live only here: the library folds words and reduces them cyclically
-without them, and the tests use them as plain functions, never as
-methods put back on library classes."""
+``reduce_mod_involutions`` and ``free_reduce``, the whole-word
+``substitute`` and ``cyclic_reduce``, and ``word_character`` live only
+here: the library folds words and reduces them cyclically without them,
+and the tests use them as plain functions, never as methods put back on
+library classes."""
 
 import math
 from dataclasses import dataclass, replace
@@ -35,7 +37,7 @@ from necsurf.presentations import (
     connector_closed_form,
 )
 from necsurf.signatures import CONNECTOR, GLIDE
-from necsurf.words import Word, cyclic_reduce, substitute
+from necsurf.words import Word, cyclic_reduce_letters, least_rotation, substitute_letters
 
 
 # Element arithmetic in C_m (additive residues) and D_m (normal forms
@@ -125,8 +127,20 @@ def termwise_kernel_genus(base, periods, orientable) -> Fraction:
 
 
 # Words from text, and letter-by-letter reduction: the oracle for
-# ``necsurf.words.cyclic_reduce`` and for the free reduction that
-# ``SchreierSubgroup.rewrite`` does as it walks.
+# ``necsurf.words.cyclic_reduce_letters`` and for the free reduction that
+# ``SchreierSubgroup.rewrite`` does as it walks.  ``substitute`` and
+# ``cyclic_reduce`` are the library's letter functions on whole words.
+
+def substitute(w: Word, mapping: dict[str, Word]) -> Word:
+    """Replace each letter by its image word; unmapped names pass through."""
+    return Word(tuple(substitute_letters(w.letters, mapping)))
+
+
+def cyclic_reduce(w: Word, involutions=frozenset()) -> Word:
+    """``w`` reduced as a cyclic word, with g^-1 read as g for each
+    involution g."""
+    return Word(cyclic_reduce_letters(w.letters, involutions))
+
 
 def parse_word(text: str) -> Word:
     """Parse e.g. ``"tau1 x1^-1 e^2"`` (``*`` also accepted as separator)."""
@@ -439,8 +453,11 @@ def conjugate_rewrite(sub, w: Word, coset: int) -> Word:
     return sub.rewrite(free_reduce(u * w * u.inverse()))
 
 
-# Matching by a scan over every rotation of every relator: the oracle for
-# the least-rotation index of ``necsurf.presentations``.
+# Matching a word against every relator, with the connector eliminated:
+# the oracles for ``necsurf.presentations.verify_derived_relators``, which
+# compares each word with its one named source relator instead.  The
+# least-rotation index is checked against the scan over every rotation of
+# every relator.
 
 def cyclically_equal(
     a: Word, b: Word, involutions: frozenset[str] | set[str] = frozenset()
@@ -457,8 +474,44 @@ def cyclically_equal(
     )
 
 
+def index_derived_relators(p: Presentation, words, substitution) -> tuple:
+    """Certify each of ``words`` against every relator of ``p``: substitute,
+    replace the connector by its closed form x_1^-1...x_gamma^-1, reduce
+    cyclically, freely and modulo the involutions, then accept an empty
+    word ("trivial") or an exact cyclic match with one of the remaining
+    relators or an inverse ("matches-relator", ``matched`` that relator's
+    normal form), else "unresolved".  The relators of ``p`` are normalised
+    once for the whole batch and indexed by the least rotation of each
+    normal form and of the cyclic reduction of its inverse, first relator
+    first, so each word costs one lookup and is matched with the first
+    relator that a scan in relator order would find."""
+    involutions = p.involution_names()
+    elimination = connector_closed_form(p)
+
+    def normalise(w: Word) -> Word:
+        return cyclic_reduce(substitute(w, elimination), involutions)
+
+    by_rotation: dict[tuple[tuple[str, int], ...], Word] = {}
+    for rel in map(normalise, p.relators):
+        if rel.letters:
+            by_rotation.setdefault(least_rotation(rel.letters), rel)
+            inverse = cyclic_reduce(rel.inverse(), involutions)
+            by_rotation.setdefault(least_rotation(inverse.letters), rel)
+
+    def certify(word: Word) -> RelatorCertificate:
+        normal = normalise(substitute(word, substitution))
+        if not normal.letters:
+            return RelatorCertificate(word, "trivial")
+        rel = by_rotation.get(least_rotation(normal.letters))
+        if rel is not None:
+            return RelatorCertificate(word, "matches-relator", rel)
+        return RelatorCertificate(word, "unresolved")
+
+    return tuple(map(certify, words))
+
+
 def scan_derived_relators(p: Presentation, words, substitution) -> tuple:
-    """``verify_derived_relators`` with a linear scan: each normal form is
+    """``index_derived_relators`` with a linear scan: each normal form is
     compared, by ``cyclically_equal``, with every remaining relator and
     its inverse in relator order, and the first hit is the match."""
     involutions = p.involution_names()

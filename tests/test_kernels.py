@@ -25,10 +25,11 @@ from necsurf import kernels
 from necsurf.pipeline import _surface_kernel_problems
 from necsurf.presentations import Presentation
 from necsurf.signatures import elliptic
-from necsurf.words import Word, substitute
+from necsurf.words import Word
 from reference import (
     character_factors_through_image,
     free_reduce,
+    substitute,
     termwise_area,
     termwise_kernel_genus,
     word_character,

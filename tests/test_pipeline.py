@@ -36,9 +36,11 @@ from necsurf import (
     quotient_disc_signature,
     realize,
     reduced_area,
+    reidemeister_schreier,
     validate_action,
 )
 from necsurf import abelian, certificate, pipeline
+from necsurf.pipeline import _printed_relator_words
 from necsurf.words import Word
 from reference import (
     cayley_coset_table,
@@ -97,9 +99,26 @@ def reasons_of(datum):
     return exc.value.reasons
 
 
-def unresolved_relators(K, words, substitution):
+def unresolved_relators(K, words, sources, substitution):
     """A stand-in for ``verify_derived_relators`` that certifies nothing."""
-    return tuple(RelatorCertificate(w, "unresolved") for w in words)
+    return tuple(RelatorCertificate(w, "unresolved") for w, _ in zip(words, sources, strict=True))
+
+
+def with_printed_row(monkeypatch, index, mutate):
+    """Patch ``_printed_relator_words`` so that its row ``index`` (label,
+    word, source) is replaced by ``mutate(word, source)``, a (word,
+    source) pair; returns the row's label."""
+    labels = []
+
+    def printed(sub, periods):
+        rows = _printed_relator_words(sub, periods)
+        label, word, source = rows[index]
+        rows[index] = (label, *mutate(word, source))
+        labels.append(label)
+        return rows
+
+    monkeypatch.setattr(pipeline, "_printed_relator_words", printed)
+    return labels
 
 
 class TestValidateAction:
@@ -311,6 +330,73 @@ class TestDeriveDeltaHat:
             PipelineAssertionError, match=r"classical relator c1\^3 could not be certified"
         ):
             derive_delta_hat(K, build_theta(K))
+
+    @pytest.mark.parametrize("gamma, periods", [(2, (3, 4, 5)), (4, (3, 3, 3)), (6, ())])
+    def test_wrong_exponent_in_a_printed_word_is_an_assertion(self, monkeypatch, gamma, periods):
+        # one letter of one printed word inverted, in each word in turn;
+        # and one power too many on each corner word
+        K = disc_group(gamma, periods)
+        theta = build_theta(K)
+        rows = _printed_relator_words(reidemeister_schreier(K, theta), periods)
+        mutations = [
+            (i, lambda word, source, j=j: (
+                Word(word.letters[:j] + ((word.letters[j][0], -word.letters[j][1]),)
+                     + word.letters[j + 1:]), source))
+            for i, (_, word, _) in enumerate(rows) for j in (0, len(word) - 1)
+        ]
+        mutations += [
+            (i, lambda word, source, p=p: (word * Word(word.letters[:len(word) // p]), source))
+            for i, p in enumerate(periods)
+        ]
+        assert len(mutations) == 2 * (len(periods) + 3) + len(periods)
+        for i, mutate in mutations:
+            labels = with_printed_row(monkeypatch, i, mutate)
+            with pytest.raises(PipelineAssertionError) as exc:
+                derive_delta_hat(K, theta)
+            assert str(exc.value) == f"classical relator {labels[0]} could not be certified"
+            assert labels[0] == rows[i][0]
+
+    @pytest.mark.parametrize("gamma, periods", [(2, (3, 4, 5)), (4, (3, 3, 3))])
+    def test_wrong_named_source_is_an_assertion(self, monkeypatch, gamma, periods):
+        # corner k+1 named for corner k's word, the connector relator for
+        # a corner word, a corner for the connector word, a source for an
+        # alternation and none (trivial) for a corner word
+        K = disc_group(gamma, periods)
+        theta = build_theta(K)
+        rows = _printed_relator_words(reidemeister_schreier(K, theta), periods)
+        sources = [source for _, _, source in rows]
+        connector = sources[len(periods)]
+        assert K.relators[connector] == Word(
+            (("e", -1), (f"tau{len(periods) + 1}", 1), ("e", 1), ("tau1", -1))
+        )
+        wrong = [(k, sources[k + 1]) for k in range(len(periods) - 1)]
+        wrong += [(0, connector), (len(periods), sources[0]), (len(periods) + 1, connector),
+                  (len(periods) + 2, sources[0]), (0, None)]
+        for i, named in wrong:
+            labels = with_printed_row(monkeypatch, i, lambda word, _, named=named: (word, named))
+            with pytest.raises(PipelineAssertionError) as exc:
+                derive_delta_hat(K, theta)
+            assert str(exc.value) == f"classical relator {labels[0]} could not be certified"
+            assert labels[0] == rows[i][0]
+
+    def test_printed_words_name_their_sources(self):
+        # c1^3 from (tau1 tau2)^3, (c_k^-1*c_(k+1))^p from corner k+1,
+        # the connector word from the connector relator, the alternations
+        # from nothing
+        K = disc_group(2, (3, 4, 5))
+        sub = reidemeister_schreier(K, build_theta(K))
+        named = {
+            label: None if source is None else str(K.relators[source])
+            for label, _, source in _printed_relator_words(sub, (3, 4, 5))
+        }
+        assert named == {
+            "c1^3": "tau1*tau2*tau1*tau2*tau1*tau2",
+            "(c1^-1*c2)^4": "*".join(["tau2*tau3"] * 4),
+            "(c2^-1*c3)^5": "*".join(["tau3*tau4"] * 5),
+            "e1*e2^-1*c3": "e^-1*tau4*e*tau1^-1",
+            "delta-alternation-1": None,
+            "delta-alternation-2": None,
+        }
 
     def test_theta_of_index_one_rejected(self):
         # the index check lives in reidemeister_schreier alone

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from necsurf import (
     CyclicGroup,
@@ -13,6 +13,7 @@ from necsurf import (
     extend_to_dihedral,
     orientation_character,
     quotient_disc_signature,
+    reduced_area,
     reidemeister_schreier,
     verify_derived_relators,
 )
@@ -22,14 +23,17 @@ from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
 from conftest import signature_battery_cases
 from reference import (
+    cyclic_reduce,
     cyclically_equal,
     elementwise_failures,
     free_reduce,
     identity,
+    index_derived_relators,
     naive_theta,
     parse_word,
     scan_derived_relators,
     search_connector_elimination,
+    substitute,
     word_character,
 )
 
@@ -241,7 +245,7 @@ class TestVerifyDerivedRelator:
     def test_first_corner_power_matches_link_relator(self):
         K = disc_group(1, (2, 2, 2))
         (cert,) = verify_derived_relators(
-            K, [Word.gen("c1", 2)], self.substitution(K)
+            K, [Word.gen("c1", 2)], [source(K, "tau1 tau2 tau1 tau2")], self.substitution(K)
         )
         assert cert.certified
         assert cert.status == "matches-relator"
@@ -250,7 +254,8 @@ class TestVerifyDerivedRelator:
     def test_consecutive_corner_power(self):
         K = disc_group(1, (2, 3, 2))
         word = (Word.gen("c1", -1) * Word.gen("c2")) ** 3
-        (cert,) = verify_derived_relators(K, [word], self.substitution(K))
+        corner = source(K, "tau2 tau3 " * 3)
+        (cert,) = verify_derived_relators(K, [word], [corner], self.substitution(K))
         assert cert.certified
         assert cert.status == "matches-relator"
         assert str(cert.matched) == "tau2*tau3*tau2*tau3*tau2*tau3"
@@ -264,47 +269,153 @@ class TestVerifyDerivedRelator:
             * Word.gen("delta4")
             * Word.gen("e1", -1)
         )
-        (cert,) = verify_derived_relators(K, [word], self.substitution(K))
+        (cert,) = verify_derived_relators(K, [word], [None], self.substitution(K))
         assert cert.certified
         assert cert.status == "trivial"
+        assert cert.matched is None
 
     def test_connector_pair_relation_uses_conjugation_relator(self):
+        # e1*e2^-1*c1 spells e*tau1*e^-1*tau2 in K, a rotation of the
+        # connector relator with tau1^-1 read as tau1; e stays as it is
         K = disc_group(2, (3,))
         word = Word.gen("e1") * Word.gen("e2", -1) * Word.gen("c1")
-        (cert,) = verify_derived_relators(K, [word], self.substitution(K))
+        connector = source(K, "e^-1 tau2 e tau1^-1")
+        (cert,) = verify_derived_relators(K, [word], [connector], self.substitution(K))
         assert cert.certified
+        assert cert.status == "matches-relator"
+        assert str(cert.matched) == "e^-1*tau2*e*tau1"
 
     def test_first_relator_in_order_is_the_match(self):
-        # R1, its inverse and a rotation of it: every word below matches
-        # all three, and the match is R1, as in a scan in relator order
+        # the oracle index: R1, its inverse and a rotation of it, so every
+        # word below matches all three, and the match is R1, as in a scan
+        # in relator order
         p = Presentation(
             tuple((g, GLIDE) for g in "abc"),
             (parse_word("a b c"), parse_word("c^-1 b^-1 a^-1"), parse_word("b c a")),
         )
         words = [parse_word("c a b"), parse_word("a^-1 c^-1 b^-1"), parse_word("b c a")]
-        certs = verify_derived_relators(p, words, {})
+        certs = index_derived_relators(p, words, {})
         assert [c.matched for c in certs] == [parse_word("a b c")] * 3
         assert certs == scan_derived_relators(p, words, {})
 
     def test_nontrivial_word_is_unresolved(self):
         K = disc_group(1, (2, 2, 2))
-        (cert,) = verify_derived_relators(K, [Word.gen("c1")], self.substitution(K))
-        assert not cert.certified
-        assert cert.status == "unresolved"
+        corner = source(K, "tau1 tau2 tau1 tau2")
+        for named in (corner, None):
+            (cert,) = verify_derived_relators(K, [Word.gen("c1")], [named], self.substitution(K))
+            assert not cert.certified
+            assert cert.status == "unresolved"
+            assert cert.matched is None
+
+    def test_named_source_matches_its_rotations_and_inverse_only(self):
+        # the long relator of a crosscap group has no involution, so its
+        # inverse differs from it as a cyclic word; each spelling matches
+        # its named relator and no other
+        delta = canonical_presentation(NECSignature(False, 2, (3, 4)))
+        long = len(delta.relators) - 1
+        rel = delta.relators[long]
+        inverse = rel.inverse()
+        words = [rel, Word(rel.letters[2:] + rel.letters[:2]), inverse,
+                 Word(inverse.letters[1:] + inverse.letters[:1])]
+        certs = verify_derived_relators(delta, words, [long] * 4, {})
+        assert [c.status for c in certs] == ["matches-relator"] * 4
+        assert all(c.matched == rel for c in certs)
+        for other in [*range(long), None]:
+            certs = verify_derived_relators(delta, words, [other] * 4, {})
+            assert [c.status for c in certs] == ["unresolved"] * 4
+
+    def test_wrong_named_source_is_unresolved(self):
+        # with equal periods the corners differ only in their letters
+        K = disc_group(2, (3, 3, 3))
+        first, second = source(K, "tau1 tau2 " * 3), source(K, "tau2 tau3 " * 3)
+        connector = source(K, "e^-1 tau4 e tau1^-1")
+        corner_word = Word.gen("c1", 3)
+        next_word = (Word.gen("c1", -1) * Word.gen("c2")) ** 3
+        certs = verify_derived_relators(
+            K, [corner_word, corner_word, next_word, next_word, corner_word],
+            [first, second, second, first, connector], self.substitution(K),
+        )
+        assert [c.status for c in certs] == [
+            "matches-relator", "unresolved", "matches-relator", "unresolved", "unresolved"
+        ]
+
+    def test_one_source_per_word(self):
+        K = disc_group(2, (3,))
+        with pytest.raises(ValueError):
+            verify_derived_relators(K, [Word.gen("c1", 3)], [], self.substitution(K))
+
+
+def source(K, text):
+    """The index in K's relators of the relator spelled ``text``."""
+    return K.relators.index(parse_word(text))
+
+
+def assert_named_sources_agree(K, sub, periods):
+    """Every printed relator is certified by its named source, with the
+    status the oracle index over every relator of K gives, and its matched
+    relator, with the connector's closed form substituted and reduced, is
+    the oracle's; returns the statuses."""
+    _, words, sources = zip(*_printed_relator_words(sub, periods))
+    substitution = {g.name: g.word for g in sub.generators}
+    named = verify_derived_relators(K, words, sources, substitution)
+    index = index_derived_relators(K, words, substitution)
+    elimination = connector_closed_form(K)
+    involutions = K.involution_names()
+    for new, old in zip(named, index, strict=True):
+        assert new.certified and new.status == old.status, (str(new.source), new.status)
+        if old.matched is None:
+            assert new.matched is None
+        else:
+            assert cyclic_reduce(substitute(new.matched, elimination), involutions) == old.matched
+    return {c.status for c in named}
+
+
+def test_named_sources_agree_with_index_on_battery(derived_battery):
+    """On every signature-battery shape where theta kills the connector,
+    certifying each printed relator by its one named source agrees with
+    the oracle index over all of K's relators."""
+    shapes, statuses = 0, set()
+    for _, periods, K, _, derived in derived_battery:
+        sub = derived.subgroup
+        (connector,) = K.generators_of_kind("connector")
+        if sub.parity[connector]:
+            continue
+        statuses |= assert_named_sources_agree(K, sub, periods)
+        shapes += 1
+    # theta kills the connector exactly for even gamma
+    assert shapes == sum(gamma % 2 == 0 for gamma, *_ in derived_battery) == 659
+    assert statuses == {"matches-relator", "trivial"}
+
+
+@given(
+    st.integers(1, 32).map(lambda k: 2 * k),
+    st.lists(st.integers(2, 12), max_size=8),
+)
+@example(64, [12] * 8)
+@example(2, [12, 2, 7])
+def test_named_sources_agree_with_index(gamma, periods):
+    """The same agreement on drawn shapes: even gamma up to 64, up to 8
+    corners of periods 2..12, in any order."""
+    periods = tuple(periods)
+    assume(reduced_area(NECSignature(False, gamma, periods)) > 0)
+    K = disc_group(gamma, periods)
+    sub = reidemeister_schreier(K, build_theta(K))
+    assert not sub.parity["e"]
+    assert assert_named_sources_agree(K, sub, periods) == {"matches-relator", "trivial"}
 
 
 def test_rotation_index_matches_linear_scan(derived_battery):
-    """On every even-gamma battery shape, certifying by the least-rotation
-    index gives the (status, matched) of the scan over every rotation of
-    every relator: for the printed relators, their inverses, the
-    conjugation identities tau1*g*tau1*g and one perturbed word, which
-    stays unresolved."""
+    """On every even-gamma battery shape, certifying by the oracle's
+    least-rotation index gives the (status, matched) of the scan over
+    every rotation of every relator: for the printed relators, their
+    inverses, the conjugation identities tau1*g*tau1*g and one perturbed
+    word, which stays unresolved."""
     statuses = set()
     for gamma, periods, K, _, derived in derived_battery:
         if gamma % 2:
             continue
         sub = derived.subgroup
-        printed = [w for _, w in _printed_relator_words(sub, periods)]
+        printed = [w for _, w, _ in _printed_relator_words(sub, periods)]
         words = printed + [w.inverse() for w in printed]
         words += [
             Word((("tau1", 1), (g.name, 1)) * 2)
@@ -313,7 +424,7 @@ def test_rotation_index_matches_linear_scan(derived_battery):
         perturbed = printed[0] * Word.gen("delta1")
         words.append(perturbed)
         substitution = {g.name: g.word for g in sub.generators}
-        fast = verify_derived_relators(K, words, substitution)
+        fast = index_derived_relators(K, words, substitution)
         scan = scan_derived_relators(K, words, substitution)
         assert [(c.status, c.matched) for c in fast] == [(c.status, c.matched) for c in scan]
         assert fast[-1].status == "unresolved"
@@ -322,11 +433,11 @@ def test_rotation_index_matches_linear_scan(derived_battery):
 
 
 def test_rotation_index_matches_linear_scan_on_crosscap_groups(signature_battery):
-    """The same comparison on the crosscap groups (gamma; -; [periods]) of
-    every 8th battery shape, whose glide and elliptic generators of order
-    above 2 are not involutions, so that a relator and its inverse differ
-    as cyclic words and the inverse's rotations can only match through
-    the inverse key."""
+    """The same comparison of the oracle's index with the scan on the
+    crosscap groups (gamma; -; [periods]) of every 8th battery shape,
+    whose glide and elliptic generators of order above 2 are not
+    involutions, so that a relator and its inverse differ as cyclic words
+    and the inverse's rotations can only match through the inverse key."""
     by_inverse = 0
     for gamma, periods in signature_battery[::8]:
         delta = canonical_presentation(NECSignature(False, gamma, periods))
@@ -335,7 +446,7 @@ def test_rotation_index_matches_linear_scan_on_crosscap_groups(signature_battery
             inverse = rel.inverse()
             words += [rel, inverse, Word(inverse.letters[1:] + inverse.letters[:1])]
         words.append(delta.relators[-1] * Word.gen("d1"))
-        fast = verify_derived_relators(delta, words, {})
+        fast = index_derived_relators(delta, words, {})
         scan = scan_derived_relators(delta, words, {})
         assert [(c.status, c.matched) for c in fast] == [(c.status, c.matched) for c in scan]
         assert fast[-1].status == "unresolved"
