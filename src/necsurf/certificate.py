@@ -2,12 +2,13 @@
 
 ``document(cert, input_doc)`` is the only code that reads a
 ``RealizationCertificate`` for output; it returns the dict that
-``necsurf --format json realize`` prints, which ``json.loads`` gives back
-unchanged.  Every other view reads that dict alone: ``text`` renders the
-text certificate, ``lemma_report`` projects the ``check-lemma`` document
-and ``lemma_text`` renders that.  Images are listed in the generator order
-of the document's presentations, so a document reloaded from sorted-key
-JSON renders the same bytes.
+``necsurf --format json realize`` prints on one line with sorted keys,
+which ``json.loads`` gives back unchanged.  Every other view reads that
+dict alone: ``text`` renders the human-readable certificate,
+``lemma_report`` projects the ``check-lemma`` document and ``lemma_text``
+renders that.  Images are listed in the generator order of the
+document's presentations, so the document reloaded from that JSON renders
+the same bytes.
 
 ``realize`` raises at the first check that fails, so these keys are
 literals: ``signature_match``, ``genus_match``, the ``lemma1``

@@ -11,7 +11,8 @@ Subcommands:
   normality-lemma report.
 
 Both ``realize`` and ``check-lemma`` render ``necsurf.certificate``'s
-document: the whole of it, or its lemma projection, as JSON or text.
+document: the whole of it, or its lemma projection, as text or as JSON,
+which ``render_json`` prints, for every command, on one line with sorted keys.
 
 Input file: a JSON object {"gamma": int, "periods": [int..], "n": int,
 "rho": {"d": [int..], "x": [int..]} | "search"}.  Reading it checks only
@@ -142,7 +143,7 @@ def validation_failure_text(failure: dict) -> str:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ against the one relator it is named to come from (or the empty word).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .groups import FiniteHom
@@ -77,10 +78,29 @@ class Presentation:
         return tuple(g for g, _ in self.generators)
 
     def involution_names(self) -> frozenset[str]:
-        return frozenset(g for g, kind in self.generators if kind.is_involution)
+        return self._involutions
 
     def generators_of_kind(self, kind: str) -> tuple[str, ...]:
-        return tuple(g for g, k in self.generators if k.kind == kind)
+        return self._names_by_kind.get(kind, ())
+
+    # Computed once per presentation: the fields are frozen, and
+    # cached_property writes the instance __dict__, which the dataclass
+    # comparison and hash ignore.
+    @cached_property
+    def _involutions(self) -> frozenset[str]:
+        return frozenset(g for g, kind in self.generators if kind.is_involution)
+
+    @cached_property
+    def _names_by_kind(self) -> dict[str, tuple[str, ...]]:
+        names: dict[str, list[str]] = {}
+        for g, k in self.generators:
+            names.setdefault(k.kind, []).append(g)
+        return {kind: tuple(gs) for kind, gs in names.items()}
+
+    @cached_property
+    def _connector_closed_form(self) -> dict[str, Word]:
+        solved = Word(tuple((x, -1) for x in self.generators_of_kind("elliptic")))
+        return {e: solved for e in self.generators_of_kind("connector")}
 
 
 def orientation_character(p: Presentation) -> dict[str, int]:
@@ -183,9 +203,9 @@ class RelatorCertificate:
 def connector_closed_form(p: Presentation) -> dict[str, Word]:
     """The connector solved from the long relator x_gamma...x_2 x_1 e of
     the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1.
-    Every image of e, theta's and Theta's, is a fold over this one word."""
-    solved = Word(tuple((x, -1) for x in p.generators_of_kind("elliptic")))
-    return {e: solved for e in p.generators_of_kind("connector")}
+    Every image of e, theta's and Theta's, is a fold over this one word,
+    solved once per presentation; callers read the dict, never change it."""
+    return p._connector_closed_form
 
 
 def verify_derived_relators(

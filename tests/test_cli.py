@@ -426,10 +426,12 @@ def test_residues_past_the_digit_limit_are_named(tmp_path, capsys, fmt):
 
 
 @pytest.mark.parametrize("command", ["realize", "check-lemma"])
-def test_certificate_past_the_digit_limit_exits_one(tmp_path, capsys, command):
-    # a valid action whose genus 2n + 1 and images mod 2n are too long to print
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_certificate_past_the_digit_limit_exits_one(tmp_path, capsys, fmt, command):
+    # a valid action whose genus 2n + 1 and images mod 2n are too long to
+    # print; in JSON the json encoder raises the ValueError
     doc = {"gamma": 4, "periods": [], "n": LONG_N, "rho": {"d": [1, 1, 1, LONG_N - 3], "x": []}}
-    code = cli.main([command, write_doc(tmp_path, doc)])
+    code = cli.main(["--format", fmt, command, write_doc(tmp_path, doc)])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("invalid input: cannot print the certificate: ")
@@ -476,10 +478,14 @@ class TestEnumerateCommand:
         code = cli.main(
             ["--format", "json", "enumerate", "--gamma", "4", "--periods", "", "--order", "4"]
         )
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert code == 0
         assert doc["count"] == 16
         assert len(doc["epimorphisms"]) == 16
+        # one line with sorted keys
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
+        assert out.count("\n") == 1
 
     def test_bad_order_exits_one(self, capsys):
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2", "--order", "6"])

@@ -130,6 +130,19 @@ class TestCanonicalCrosscap:
             canonical_presentation(NECSignature(True, 0, (2,), ((2,), (2,))))
 
 
+@pytest.mark.parametrize("family", ["disc", "crosscap"])
+def test_lookups_match_a_scan_and_are_computed_once(family):
+    if family == "disc":
+        p = disc_group(3, (2, 4))
+    else:
+        p = canonical_presentation(NECSignature(False, 2, (3, 4)))
+    for kind in ("elliptic", "reflection", "glide", "connector"):
+        assert p.generators_of_kind(kind) == tuple(g for g, k in p.generators if k.kind == kind)
+    assert p.involution_names() == frozenset(g for g, k in p.generators if k.is_involution)
+    assert p.involution_names() is p.involution_names()
+    assert connector_closed_form(p) is connector_closed_form(p)
+
+
 class TestOrientationCharacter:
     def test_glide_reverses(self):
         p = canonical_presentation(NECSignature(False, 1, (2, 2, 2)))
