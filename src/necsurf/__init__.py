@@ -10,9 +10,7 @@ step with exact arithmetic.
 from .abelian import Abelianization
 from .cosets import NotInKernelError, SchreierSubgroup, reidemeister_schreier
 from .groups import (
-    CyclicElement,
     CyclicGroup,
-    DihedralElement,
     DihedralGroup,
     FiniteHom,
     GroupMismatchError,

@@ -49,7 +49,7 @@ def _presentation(p: Presentation) -> dict:
 
 
 def _images(hom) -> dict:
-    return {name: str(value) for name, value in hom.images}
+    return {name: hom.target.format(value) for name, value in hom.images}
 
 
 def document(cert: RealizationCertificate, input_doc: dict) -> dict:
@@ -58,7 +58,7 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
     datum = cert.datum
     lemma = cert.lemma
     (connector,) = cert.k_presentation.generators_of_kind("connector")
-    connector_exponent = cert.theta.image_of(connector).value
+    connector_exponent = cert.theta.image_of(connector)
     return {
         "input": input_doc,
         "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},

@@ -116,12 +116,13 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     reflections = p.generators_of_kind("reflection")
     if not reflections:
         raise ValueError("K has no reflection tau_1 to represent the second coset")
-    fixed = [tau for tau in reflections if theta.image_of(tau).is_identity()]
+    one = theta.target.identity
+    fixed = [tau for tau in reflections if theta.image_of(tau) == one]
     if fixed:
         raise ValueError(f"theta must move every reflection, and fixes {', '.join(fixed)}")
     tau1 = reflections[0]
     elliptics = p.generators_of_kind("elliptic")
-    parity = {g: int(not theta.image_of(g).is_identity()) for g in p.generator_names()}
+    parity = {g: int(theta.image_of(g) != one) for g in p.generator_names()}
     # letters of the representatives 1, tau_1 and of their inverses; only
     # the trivial pair (0, tau_1), tau_1 * tau_1^-1, would cancel, and it
     # is never built, so each generator word is freely reduced as built

@@ -1,23 +1,26 @@
 """Concrete finite groups: cyclic and dihedral groups.
 
-Cyclic groups are written additively (residues mod m).  Dihedral elements
-are normal forms t^eps * s^k in D_m of order 2m, with t*s*t = s^-1; the
-product rule is
+An element is its normal form, a plain value.  In C_m, written
+additively, it is its residue, an ``int`` in ``range(m)``.  In D_m of
+order 2m, with t*s*t = s^-1, the element t^eps * s^k is the pair
+``(eps, k)`` with eps in {0, 1} and k in ``range(m)``; the product rule is
 
     (t^e1 s^k1) (t^e2 s^k2) = t^(e1+e2) s^(k2 + (-1)^e2 * k1).
 
-The order of a generated subgroup is a gcd, never an enumeration: in C_m
-the residues a_i generate a subgroup of order m / gcd(m, a_1, ...), and
-in D_m the rotations s^r_i and reflections t*s^k_j generate one of order
-(2 if any reflection, else 1) * m / gcd(m, r_i..., k_j - k_1...).
+Each group has an ``identity``, prints an element with ``format``
+(``3`` in C_m; ``1``, ``s^k``, ``t`` or ``t*s^k`` in D_m) and tests
+membership with ``in``.  The order of a generated subgroup is a gcd,
+never an enumeration: in C_m the residues a_i generate a subgroup of
+order m / gcd(m, a_1, ...), and in D_m the rotations s^r_i and
+reflections t*s^k_j generate one of order (2 if any reflection, else 1)
+* m / gcd(m, r_i..., k_j - k_1...).
 
 A ``FiniteHom`` assigns a target element to every generator of a
 presentation; constructing it checks once that each image belongs to the
 target group.  A word is evaluated by its target's ``normal_form``, one
 pass over the letters on plain integers (a residue sum in C_m, the
-product rule above on (eps, k) in D_m) that returns the raw residue or
-(eps, k) pair; ``fold`` wraps that in an element.  Relator checks compare
-raw normal forms, so a relator builds an element only when it fails.
+product rule above on (eps, k) in D_m), so relator checks compare the
+values it returns with the target's ``identity``.
 """
 
 from __future__ import annotations
@@ -36,63 +39,50 @@ class GroupMismatchError(ValueError):
     """An element does not belong to the group it is used in."""
 
 
+def _is_residue(x: object, modulus: int) -> bool:
+    """Whether ``x`` is an ``int`` (not a ``bool``) in ``range(modulus)``."""
+    return type(x) is int and 0 <= x < modulus
+
+
 # ---------------------------------------------------------------------------
 # Cyclic groups C_m (additive residues)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CyclicElement:
+class CyclicGroup:
     modulus: int
-    value: int
+    identity = 0
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def order(self) -> int:
-        return self.modulus // math.gcd(self.value, self.modulus)
-
-    def is_identity(self) -> bool:
-        return self.value == 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class CyclicGroup:
-    modulus: int
 
     @property
     def order(self) -> int:
         return self.modulus
 
-    def element(self, value: int) -> CyclicElement:
-        return CyclicElement(self.modulus, value)
-
     def __contains__(self, x: object) -> bool:
-        return isinstance(x, CyclicElement) and x.modulus == self.modulus
+        return _is_residue(x, self.modulus)
+
+    def format(self, x: int) -> str:
+        return str(x)
+
+    def element_order(self, x: int) -> int:
+        return self.modulus // math.gcd(x, self.modulus)
 
     def normal_form(
-        self, table: dict[str, CyclicElement], letters: Iterable[tuple[str, int]]
+        self, table: dict[str, int], letters: Iterable[tuple[str, int]]
     ) -> int:
-        """The product of the letters' images as a raw residue, ``table``
-        giving each generator's image: the sum of +-value, reduced once."""
+        """The product of the letters' images, ``table`` giving each
+        generator's residue: the sum of +-residue, reduced once."""
         total = 0
         for g, e in letters:
-            total += e * table[g].value
+            total += e * table[g]
         return total % self.modulus
 
-    def fold(
-        self, table: dict[str, CyclicElement], letters: Iterable[tuple[str, int]]
-    ) -> CyclicElement:
-        """The product of the letters' images, as an element."""
-        return CyclicElement(self.modulus, self.normal_form(table, letters))
-
-    def subgroup_order(self, elements: Iterable[CyclicElement]) -> int:
+    def subgroup_order(self, elements: Iterable[int]) -> int:
         """Order of the subgroup the elements generate: m / gcd(m, a_1, ...)."""
-        return self.modulus // math.gcd(self.modulus, *(e.value for e in elements))
+        return self.modulus // math.gcd(self.modulus, *elements)
 
     def __str__(self) -> str:
         return f"C{self.modulus}"
@@ -103,71 +93,59 @@ class CyclicGroup:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DihedralElement:
-    modulus: int
-    flip: int  # eps in {0, 1}: 1 for reflections t*s^k
-    rot: int   # k in Z/m
+class DihedralGroup:
+    modulus: int  # rotation order; |D_m| = 2m
+    identity = (0, 0)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "flip", self.flip % 2)
-        object.__setattr__(self, "rot", self.rot % self.modulus)
-
-    def is_identity(self) -> bool:
-        return self.flip == 0 and self.rot == 0
-
-    def __str__(self) -> str:
-        if self.flip:
-            return "t" if self.rot == 0 else f"t*s^{self.rot}"
-        return "1" if self.rot == 0 else f"s^{self.rot}"
-
-
-@dataclass(frozen=True)
-class DihedralGroup:
-    modulus: int  # rotation order; |D_m| = 2m
 
     @property
     def order(self) -> int:
         return 2 * self.modulus
 
-    def reflection(self, k: int = 0) -> DihedralElement:
-        return DihedralElement(self.modulus, 1, k)
+    def reflection(self, k: int = 0) -> tuple[int, int]:
+        """The reflection t*s^k, k reduced mod m."""
+        return 1, k % self.modulus
 
     def __contains__(self, x: object) -> bool:
-        return isinstance(x, DihedralElement) and x.modulus == self.modulus
+        return (
+            type(x) is tuple and len(x) == 2
+            and _is_residue(x[0], 2) and _is_residue(x[1], self.modulus)
+        )
+
+    def format(self, x: tuple[int, int]) -> str:
+        flip, rot = x
+        if flip:
+            return "t" if rot == 0 else f"t*s^{rot}"
+        return "1" if rot == 0 else f"s^{rot}"
 
     def normal_form(
-        self, table: dict[str, DihedralElement], letters: Iterable[tuple[str, int]]
+        self, table: dict[str, tuple[int, int]], letters: Iterable[tuple[str, int]]
     ) -> tuple[int, int]:
-        """The product of the letters' images as a raw (eps, rot) pair,
+        """The product of the letters' images as an (eps, rot) pair,
         ``table`` giving each generator's image, by the product rule: a
         reflection t*s^k, its own inverse, toggles eps and sets rot to
         k - rot whatever the letter's sign; a rotation s^k adds +-k to
         rot.  Reduced once, at the end."""
         flip = rot = 0
         for g, e in letters:
-            img = table[g]
-            if img.flip:
+            img_flip, img_rot = table[g]
+            if img_flip:
                 flip ^= 1
-                rot = img.rot - rot
+                rot = img_rot - rot
             else:
-                rot += e * img.rot
+                rot += e * img_rot
         return flip, rot % self.modulus
 
-    def fold(
-        self, table: dict[str, DihedralElement], letters: Iterable[tuple[str, int]]
-    ) -> DihedralElement:
-        """The product of the letters' images, as an element."""
-        return DihedralElement(self.modulus, *self.normal_form(table, letters))
-
-    def subgroup_order(self, elements: Iterable[DihedralElement]) -> int:
+    def subgroup_order(self, elements: Iterable[tuple[int, int]]) -> int:
         """Order of the subgroup the elements generate.  Its rotations are
         generated by the given rotations and the differences k_j - k_1 of
         the reflections t*s^k_j; any reflection doubles the order."""
         elements = list(elements)
-        rotations = [e.rot for e in elements if not e.flip]
-        reflections = [e.rot for e in elements if e.flip]
+        rotations = [k for flip, k in elements if not flip]
+        reflections = [k for flip, k in elements if flip]
         rotations += [k - reflections[0] for k in reflections[1:]]
         rotation_order = self.modulus // math.gcd(self.modulus, *rotations)
         return rotation_order * (2 if reflections else 1)
@@ -208,7 +186,7 @@ class FiniteHom:
         for g, img in self.images:
             if img not in self.target:
                 raise GroupMismatchError(
-                    f"image {img} of generator {g} is not an element of {self.target}"
+                    f"image {img!r} of generator {g} is not an element of {self.target}"
                 )
         object.__setattr__(self, "_by_name", dict(self.images))
 
@@ -225,14 +203,10 @@ class FiniteHom:
         return self._by_name[name]
 
     def evaluate(self, word: Word):
-        """Image of a word under the homomorphism: the target's integer
-        fold over the letters.  The images were checked to belong to the
-        target at construction, so no letter is checked again."""
-        return self.target.fold(self._by_name, word.letters)
-
-    def normal_form(self, word: Word):
-        """The image of a word as the target's raw normal form, the same
-        fold with no element built: a residue in C_m, (eps, rot) in D_m."""
+        """Image of a word under the homomorphism: the target's normal
+        form of its letters, a residue in C_m, (eps, rot) in D_m.  The
+        images were checked to belong to the target at construction, so
+        no letter is checked again."""
         return self.target.normal_form(self._by_name, word.letters)
 
     def image_order(self) -> int:

@@ -139,20 +139,21 @@ def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> 
     orientation character factoring through the image, so with no item
     the kernel is a torsion-free Fuchsian surface group."""
     problems = [
-        f"{label} is not a homomorphism: relator {rel} maps to {decimal(value.value)}"
+        f"{label} is not a homomorphism: relator {rel} maps to {decimal(value)}"
         for rel, value in check_homomorphism(pres, hom)
     ]
     if not hom.is_surjective():
         problems.append(f"{label} is not surjective onto C_{decimal(hom.target.modulus)}")
     for word, n in pres.torsion_words:
         image = hom.evaluate(word)
-        if image.order() != n:
+        order = hom.target.element_order(image)
+        if order != n:
             problems.append(
-                f"torsion collapse: {word} image {decimal(image.value)} has order"
-                f" {decimal(image.order())}, declared {n}"
+                f"torsion collapse: {word} image {decimal(image)} has order"
+                f" {decimal(order)}, declared {n}"
             )
     for name, kind in pres.generators:
-        v = hom.image_of(name).value
+        v = hom.image_of(name)
         if v % 2 != (kind.character == -1):
             problems.append(
                 f"orientation mismatch: {kind.kind} image {name} -> {decimal(v)} is"
@@ -238,8 +239,8 @@ def validate_action(datum: ActionDatum) -> int:
     two_n = datum.order
     target = CyclicGroup(two_n)
     delta = canonical_presentation(sig)
-    images = dict(zip(delta.generators_of_kind("glide"), map(target.element, datum.d_images)))
-    images.update(zip(delta.generators_of_kind("elliptic"), map(target.element, datum.x_images)))
+    images = dict(zip(delta.generators_of_kind("glide"), datum.d_images))
+    images.update(zip(delta.generators_of_kind("elliptic"), datum.x_images))
     rho = FiniteHom.from_dict(delta, target, images)
 
     errors += _surface_kernel_problems(delta, rho, "rho")
@@ -254,14 +255,14 @@ def validate_action(datum: ActionDatum) -> int:
 
 def build_theta(K: Presentation) -> FiniteHom:
     """The parity map K -> C_2: interior elliptics and reflections go to
-    the non-trivial element, and the connector to the fold of its closed
-    form x_1^-1...x_gamma^-1, a^(gamma mod 2): the one image making the
+    the non-trivial element, and the connector to the normal form of its
+    closed form x_1^-1...x_gamma^-1, gamma mod 2: the one image making the
     long relator hold (so the naive image e -> 1 is valid exactly when
     gamma is even)."""
     c2 = CyclicGroup(2)
-    images = {name: c2.element(1) for name, kind in K.generators if kind.kind != "connector"}
+    images = {name: 1 for name, kind in K.generators if kind.kind != "connector"}
     for e, word in connector_closed_form(K).items():
-        images[e] = c2.fold(images, word.letters)
+        images[e] = c2.normal_form(images, word.letters)
     return FiniteHom.from_dict(K, c2, images)
 
 
@@ -495,7 +496,7 @@ class DihedralExtension:
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
     """Theta: K -> D_2n, written on K's generators from rho in closed form:
     Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j), Theta(tau_(k+1)) =
-    t*s^(x_1 + ... + x_k), and Theta(e) is the fold over e's closed form
+    t*s^(x_1 + ... + x_k), and Theta(e) is the normal form of e's closed form
     (``connector_closed_form``), forced by the long relator.
     Theta is then verified to be a homomorphism on K with image of order
     4n, so ker(Theta) has index 4n in K.  A failed check raises
@@ -509,12 +510,12 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
     )))
     images.update(zip(taus[1:], map(dihedral.reflection, accumulate(datum.x_images))))
     for e, word in connector_closed_form(K).items():
-        images[e] = dihedral.fold(images, word.letters)
+        images[e] = dihedral.normal_form(images, word.letters)
 
     hom = FiniteHom.from_dict(K, dihedral, images)
     for rel, value in check_homomorphism(K, hom):
         raise PipelineAssertionError(
-            f"Theta is not a homomorphism: relator {rel} maps to {value}"
+            f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
         )
     image_order = hom.image_order()
     if image_order != dihedral.order:
@@ -556,19 +557,19 @@ def construct_eta(
 
     images = {}
     for gen in derived.subgroup.generators:
-        value = extension.hom.evaluate(gen.word)
-        if value.flip:
+        flip, rot = extension.hom.evaluate(gen.word)
+        if flip:
             raise PipelineAssertionError(
                 f"eta: Theta sends the kernel generator {gen.name} to the"
-                f" reflection {value}"
+                f" reflection {extension.hom.target.format((flip, rot))}"
             )
-        images[gen.name] = target.element(value.rot)
+        images[gen.name] = rot
 
     hom = FiniteHom.from_dict(pres, target, images)
     problems = _surface_kernel_problems(pres, hom, "eta")
     if problems:
         raise PipelineAssertionError("eta: " + "; ".join(problems))
-    torsion_images = tuple(hom.evaluate(word).value for word, _ in pres.torsion_words)
+    torsion_images = tuple(hom.evaluate(word) for word, _ in pres.torsion_words)
     if torsion_images != datum.x_images:
         raise PipelineAssertionError(
             f"eta: torsion images {list(torsion_images)} differ from rho's elliptic"

@@ -171,12 +171,10 @@ def check_homomorphism(
 ) -> tuple[tuple[Word, object], ...]:
     """Evaluate every relator; images defining a homomorphism send all of
     them to the identity.  Returns the failures, each offending relator
-    with the element it evaluates to, so an empty tuple means valid.
-    Each relator is folded to the target's raw normal form and compared
-    with the empty word's; an element is built only for a failure."""
-    identity = hom.target.normal_form({}, ())
+    with the element it evaluates to, so an empty tuple means valid."""
+    identity = hom.target.identity
     return tuple(
-        (rel, hom.evaluate(rel)) for rel in p.relators if hom.normal_form(rel) != identity
+        (rel, value) for rel in p.relators if (value := hom.evaluate(rel)) != identity
     )
 
 
@@ -203,7 +201,7 @@ class RelatorCertificate:
 def connector_closed_form(p: Presentation) -> dict[str, Word]:
     """The connector solved from the long relator x_gamma...x_2 x_1 e of
     the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1.
-    Every image of e, theta's and Theta's, is a fold over this one word,
+    Every image of e, theta's and Theta's, is the normal form of this word,
     solved once per presentation; callers read the dict, never change it."""
     return p._connector_closed_form
 

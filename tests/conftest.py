@@ -55,7 +55,7 @@ def generated_subgroup(group, elements):
         new = []
         for b in frontier:
             for a in gens:
-                c = mul(b, a)
+                c = mul(group, b, a)
                 if c not in closure:
                     closure.add(c)
                     new.append(c)

@@ -1,19 +1,21 @@
 """Reference constructions kept as test oracles for the closed forms in
 ``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
-``necsurf.presentations``, for the integer fold of ``necsurf.groups`` and
-the relator checks built on it, for the common-denominator area sums of
+``necsurf.presentations``, for the normal forms of ``necsurf.groups`` and
+the relator checks built on them, for the common-denominator area sums of
 ``necsurf.signatures`` and ``necsurf.kernels``, and for the closed-form
 H1 of the derived kernel (``abelianization``, with the integer
 ``smith_normal_form`` it calls), and for the named-source relator check
 (``index_derived_relators``, matching against every relator of K).
 
-Element arithmetic (``identity``, ``rotation``, ``mul``, ``inverse``,
-``order``), the word parser ``parse_word``, the reducers
+Element arithmetic on plain values, a residue in C_m and a pair
+(eps, k) in D_m (``identity``, ``rotation``, ``mul``, ``inverse``,
+``order``, each given the group, and the letter-by-letter
+``element_fold``), the word parser ``parse_word``, the reducers
 ``reduce_mod_involutions`` and ``free_reduce``, the whole-word
 ``substitute`` and ``cyclic_reduce``, and ``word_character`` live only
-here: the library folds words and reduces them cyclically without them,
-and the tests use them as plain functions, never as methods put back on
-library classes."""
+here: the library evaluates words and reduces them cyclically without
+them, and the tests use them as plain functions, never as methods put
+back on library classes."""
 
 import math
 from dataclasses import dataclass, replace
@@ -23,9 +25,7 @@ from itertools import product
 
 from necsurf import abelian
 from necsurf import (
-    CyclicElement,
     CyclicGroup,
-    DihedralElement,
     DihedralGroup,
     FiniteHom,
     NotInKernelError,
@@ -40,42 +40,42 @@ from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, cyclic_reduce_letters, least_rotation, substitute_letters
 
 
-# Element arithmetic in C_m (additive residues) and D_m (normal forms
-# t^eps * s^k): the oracle for the integer folds of ``necsurf.groups``.
+# Element arithmetic in C_m (residues in range(m)) and D_m (pairs
+# (eps, k) for t^eps * s^k), one product per call: the oracle for the
+# normal forms of ``necsurf.groups``.
 
 def identity(group):
     """The identity element of C_m or D_m."""
-    if isinstance(group, CyclicGroup):
-        return group.element(0)
-    return DihedralElement(group.modulus, 0, 0)
+    return 0 if isinstance(group, CyclicGroup) else (0, 0)
 
 
 def rotation(group, k):
     """The rotation s^k of D_m."""
-    return DihedralElement(group.modulus, 0, k)
+    return 0, k % group.modulus
 
 
-def mul(a, b):
-    """The product a*b of two elements of one C_m or D_m; in D_m by
+def mul(group, a, b):
+    """The product a*b of two elements of ``group``, C_m or D_m; in D_m by
     (t^e1 s^k1) (t^e2 s^k2) = t^(e1+e2) s^(k2 + (-1)^e2 * k1)."""
-    if isinstance(a, CyclicElement):
-        return CyclicElement(a.modulus, a.value + b.value)
-    sign = -1 if b.flip else 1
-    return DihedralElement(a.modulus, a.flip + b.flip, b.rot + sign * a.rot)
+    if isinstance(group, CyclicGroup):
+        return (a + b) % group.modulus
+    (e1, k1), (e2, k2) = a, b
+    return (e1 + e2) % 2, (k2 - k1 if e2 else k2 + k1) % group.modulus
 
 
-def inverse(a):
+def inverse(group, a):
     """The inverse of an element of C_m or D_m; a reflection is its own."""
-    if isinstance(a, CyclicElement):
-        return CyclicElement(a.modulus, -a.value)
-    return a if a.flip else DihedralElement(a.modulus, 0, -a.rot)
+    if isinstance(group, CyclicGroup):
+        return -a % group.modulus
+    return a if a[0] else rotation(group, -a[1])
 
 
-def order(a):
+def order(group, a):
     """The order of an element, by multiplying by it until the identity."""
+    one = identity(group)
     power, k = a, 1
-    while not power.is_identity():
-        power, k = mul(power, a), k + 1
+    while power != one:
+        power, k = mul(group, power, a), k + 1
     return k
 
 
@@ -83,10 +83,11 @@ def element_fold(hom, word):
     """hom(word) as a product of group elements, one per letter: the
     letter's image or its inverse, multiplied on by ``mul``.  The oracle
     for ``FiniteHom.evaluate``."""
-    result = identity(hom.target)
+    group = hom.target
+    result = identity(group)
     for g, e in word.letters:
         img = hom.image_of(g)
-        result = mul(result, img if e == 1 else inverse(img))
+        result = mul(group, result, img if e == 1 else inverse(group, img))
     return result
 
 
@@ -97,7 +98,7 @@ def elementwise_failures(p: Presentation, hom):
     failures = []
     for rel in p.relators:
         value = element_fold(hom, rel)
-        if not value.is_identity():
+        if value != identity(hom.target):
             failures.append((rel, value))
     return tuple(failures)
 
@@ -207,7 +208,7 @@ def naive_theta(K):
     other generator sent to the non-trivial element of C_2."""
     c2 = CyclicGroup(2)
     return FiniteHom.from_dict(
-        K, c2, {name: c2.element(name != "e") for name in K.generator_names()}
+        K, c2, {name: int(name != "e") for name in K.generator_names()}
     )
 
 
@@ -218,9 +219,9 @@ def theta_through_eta(derived, eta, name):
     dihedral = DihedralGroup(eta.hom.target.modulus)
     if not derived.subgroup.parity[name]:
         rewritten = derived.subgroup.rewrite(Word.gen(name))
-        return rotation(dihedral, eta.hom.evaluate(rewritten).value)
+        return rotation(dihedral, eta.hom.evaluate(rewritten))
     rewritten = derived.subgroup.rewrite(Word.gen("tau1") * Word.gen(name))
-    return mul(dihedral.reflection(0), rotation(dihedral, eta.hom.evaluate(rewritten).value))
+    return mul(dihedral, (1, 0), rotation(dihedral, eta.hom.evaluate(rewritten)))
 
 
 def character_factors_through_image(p, hom):
@@ -250,7 +251,7 @@ def character_factors_through_image(p, hom):
         new = []
         for elem in frontier:
             for name, _ in p.generators:
-                nxt = mul(elem, images[name])
+                nxt = mul(hom.target, elem, images[name])
                 sign = signs[elem] * chars[name]
                 if nxt not in signs:
                     signs[nxt] = sign
@@ -289,7 +290,8 @@ def cayley_coset_table(hom: FiniteHom) -> CosetTable:
     discovered breadth-first in declared generator order, and each
     generator acts by right translation (backward: by its inverse)."""
     images = dict(hom.images)
-    one = identity(hom.target)
+    group = hom.target
+    one = identity(group)
     cosets = [one]
     seen = {one: 0}
     frontier = [one]
@@ -297,15 +299,17 @@ def cayley_coset_table(hom: FiniteHom) -> CosetTable:
         new = []
         for elem in frontier:
             for name, _ in hom.domain.generators:
-                nxt = mul(elem, images[name])
+                nxt = mul(group, elem, images[name])
                 if nxt not in seen:
                     seen[nxt] = len(cosets)
                     cosets.append(nxt)
                     new.append(nxt)
         frontier = new
     names = hom.domain.generator_names()
-    forward = {g: tuple(seen[mul(c, images[g])] for c in cosets) for g in names}
-    backward = {g: tuple(seen[mul(c, inverse(images[g]))] for c in cosets) for g in names}
+    forward = {g: tuple(seen[mul(group, c, images[g])] for c in cosets) for g in names}
+    backward = {
+        g: tuple(seen[mul(group, c, inverse(group, images[g]))] for c in cosets) for g in names
+    }
     return CosetTable(hom, tuple(cosets), forward, backward)
 
 

@@ -16,34 +16,44 @@ from necsurf.words import Word
 from reference import element_fold, identity, inverse, mul, order, parse_word, rotation
 
 
+@pytest.mark.parametrize("group", [CyclicGroup, DihedralGroup])
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_modulus_below_one_rejected(group, modulus):
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        group(modulus)
+
+
 class TestCyclic:
     def test_orders(self):
         c4 = CyclicGroup(4)
-        assert c4.element(2).order() == 2
-        assert c4.element(1).order() == 4
-        assert identity(c4).order() == 1
+        assert c4.element_order(2) == 2
+        assert c4.element_order(1) == 4
+        assert c4.element_order(identity(c4)) == 1
+        for m in range(1, 13):
+            c = CyclicGroup(m)
+            assert [c.element_order(k) for k in range(m)] == [order(c, k) for k in range(m)]
 
     def test_generated_subgroups(self):
         c4 = CyclicGroup(4)
-        assert c4.subgroup_order([c4.element(2)]) == 2
-        assert c4.subgroup_order([c4.element(1)]) == 4
+        assert c4.subgroup_order([2]) == 2
+        assert c4.subgroup_order([1]) == 4
         assert c4.subgroup_order([]) == 1
         c12 = CyclicGroup(12)
-        assert c12.subgroup_order([c12.element(8), c12.element(6)]) == 6
+        assert c12.subgroup_order([8, 6]) == 6
 
     @given(st.integers(2, 16), st.integers(), st.integers())
     def test_group_laws(self, m, a, b):
         g = CyclicGroup(m)
-        x, y = g.element(a), g.element(b)
-        assert mul(mul(x, y), inverse(x)) == mul(y, mul(x, inverse(x)))
-        assert mul(x, inverse(x)) == identity(g)
+        x, y = a % m, b % m
+        assert mul(g, mul(g, x, y), inverse(g, x)) == mul(g, y, mul(g, x, inverse(g, x)))
+        assert mul(g, x, inverse(g, x)) == identity(g)
 
 
 class TestDihedral:
     def test_reflection_conjugates_rotation_to_inverse(self):
         d4 = DihedralGroup(4)
         t, s = d4.reflection(0), rotation(d4, 1)
-        assert mul(mul(t, s), t) == rotation(d4, -1) == rotation(d4, 3)
+        assert mul(d4, mul(d4, t, s), t) == rotation(d4, -1) == rotation(d4, 3)
 
     def test_full_group_from_t_and_s(self):
         d4 = DihedralGroup(4)
@@ -57,25 +67,22 @@ class TestDihedral:
         d6 = DihedralGroup(6)
         for k in range(6):
             r = d6.reflection(k)
-            assert order(r) == 2
-            assert mul(r, r) == identity(d6)
-            assert inverse(r) == r
+            assert order(d6, r) == 2
+            assert mul(d6, r, r) == identity(d6)
+            assert inverse(d6, r) == r
 
     def test_rotation_orders(self):
         d6 = DihedralGroup(6)
-        assert order(rotation(d6, 1)) == 6
-        assert order(rotation(d6, 2)) == 3
-        assert order(rotation(d6, 3)) == 2
+        assert order(d6, rotation(d6, 1)) == 6
+        assert order(d6, rotation(d6, 2)) == 3
+        assert order(d6, rotation(d6, 3)) == 2
 
     @given(st.integers(2, 12), st.integers(0, 1), st.integers(), st.integers(0, 1), st.integers())
     def test_inverse_law(self, m, f1, k1, f2, k2):
         d = DihedralGroup(m)
-        from necsurf.groups import DihedralElement
-
-        a = DihedralElement(m, f1, k1)
-        b = DihedralElement(m, f2, k2)
-        assert inverse(mul(a, b)) == mul(inverse(b), inverse(a))
-        assert mul(a, inverse(a)) == identity(d)
+        a, b = (f1, k1 % m), (f2, k2 % m)
+        assert inverse(d, mul(d, a, b)) == mul(d, inverse(d, b), inverse(d, a))
+        assert mul(d, a, inverse(d, a)) == identity(d)
 
 
 def test_subgroup_order_matches_closure(closure):
@@ -84,7 +91,7 @@ def test_subgroup_order_matches_closure(closure):
     for m in range(1, 13):
         c, d = CyclicGroup(m), DihedralGroup(m)
         for group, elements in (
-            (c, [c.element(k) for k in range(m)]),
+            (c, list(range(m))),
             (d, [rotation(d, k) for k in range(m)] + [d.reflection(k) for k in range(m)]),
         ):
             for size in range(4):
@@ -101,16 +108,16 @@ class TestFiniteHom:
     def test_word_evaluation(self):
         p = self._free_presentation("a", "b")
         c6 = CyclicGroup(6)
-        hom = FiniteHom.from_dict(p, c6, {"a": c6.element(2), "b": c6.element(3)})
-        assert hom.evaluate(parse_word("a b")) == c6.element(5)
-        assert hom.evaluate(parse_word("a^-1")) == c6.element(4)
+        hom = FiniteHom.from_dict(p, c6, {"a": 2, "b": 3})
+        assert hom.evaluate(parse_word("a b")) == 5
+        assert hom.evaluate(parse_word("a^-1")) == 4
         assert hom.evaluate(Word()) == identity(c6)
 
     def test_surjectivity(self):
         p = self._free_presentation("a")
         c4 = CyclicGroup(4)
-        assert FiniteHom.from_dict(p, c4, {"a": c4.element(1)}).is_surjective()
-        half = FiniteHom.from_dict(p, c4, {"a": c4.element(2)})
+        assert FiniteHom.from_dict(p, c4, {"a": 1}).is_surjective()
+        half = FiniteHom.from_dict(p, c4, {"a": 2})
         assert half.image_order() == 2
         assert not half.is_surjective()
 
@@ -118,22 +125,29 @@ class TestFiniteHom:
         p = self._free_presentation("a", "b")
         c2 = CyclicGroup(2)
         with pytest.raises(ValueError, match=r"missing images for \['b'\]"):
-            FiniteHom.from_dict(p, c2, {"a": c2.element(1)})
+            FiniteHom.from_dict(p, c2, {"a": 1})
         with pytest.raises(ValueError, match=r"undeclared generators \['c'\]"):
-            FiniteHom.from_dict(
-                p, c2, {"a": c2.element(1), "b": c2.element(1), "c": c2.element(0)}
-            )
+            FiniteHom.from_dict(p, c2, {"a": 1, "b": 1, "c": 0})
         # construction itself owns the check, whatever the images' order
         with pytest.raises(ValueError, match=r"missing .*\['a'\].* undeclared .*\['c'\]"):
-            FiniteHom(p, c2, (("c", c2.element(0)), ("b", c2.element(1))))
+            FiniteHom(p, c2, (("c", 0), ("b", 1)))
 
+    # an element is a plain value, so membership is its type and range: a
+    # residue of C_m is an int (not a bool) in range(m), an element of D_m
+    # a tuple (eps, k) with eps in {0, 1} and k in range(m)
     @pytest.mark.parametrize(
         "target, image",
         [
-            (CyclicGroup(6), CyclicGroup(4).element(1)),
+            (CyclicGroup(4), 5),
+            (CyclicGroup(4), -1),
+            (CyclicGroup(2), True),
             (CyclicGroup(4), rotation(DihedralGroup(4), 1)),
+            (DihedralGroup(4), (2, 0)),
+            (DihedralGroup(4), (0, 4)),
+            (DihedralGroup(4), [1, 0]),
         ],
-        ids=["C4-image-for-C6", "D4-image-for-C4"],
+        ids=["C6-residue-for-C4", "negative-residue-for-C4", "bool-for-C2",
+             "D4-image-for-C4", "flip-2-for-D4", "rotation-m-for-D4", "list-for-D4"],
     )
     def test_image_outside_target_rejected(self, target, image):
         p = self._free_presentation("a", "b")
@@ -150,7 +164,7 @@ class TestFiniteHom:
         for m in range(1, 25):
             c, d = CyclicGroup(m), DihedralGroup(m)
             for _ in range(10):
-                cyclic = {g: c.element(rng.randrange(m)) for g in names}
+                cyclic = {g: rng.randrange(m) for g in names}
                 dihedral = {
                     g: (d.reflection if rng.random() < 0.5 else lambda k: rotation(d, k))(
                         rng.randrange(m)
@@ -168,3 +182,14 @@ class TestFiniteHom:
                         assert hom.evaluate(word) == expected, (target, images, str(word))
                         checked += 1
         assert checked == 4800
+
+
+def test_format_spells_each_element():
+    # C_m prints the residue; D_m prints t^eps * s^k with the trivial
+    # factors left out
+    for m in range(1, 13):
+        c, d = CyclicGroup(m), DihedralGroup(m)
+        assert c.format(c.identity) == "0" and d.format(d.identity) == "1"
+        assert [c.format(k) for k in range(m)] == [str(k) for k in range(m)]
+        assert [d.format((0, k)) for k in range(m)] == ["1"] + [f"s^{k}" for k in range(1, m)]
+        assert [d.format((1, k)) for k in range(m)] == ["t"] + [f"t*s^{k}" for k in range(1, m)]

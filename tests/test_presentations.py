@@ -3,7 +3,6 @@ from hypothesis import assume, example, given, strategies as st
 
 from necsurf import (
     CyclicGroup,
-    DihedralElement,
     DihedralGroup,
     FiniteHom,
     NECSignature,
@@ -31,6 +30,7 @@ from reference import (
     index_derived_relators,
     naive_theta,
     parse_word,
+    rotation,
     scan_derived_relators,
     search_connector_elimination,
     substitute,
@@ -183,7 +183,7 @@ class TestCheckHomomorphism:
         result = check_homomorphism(K, theta)
         assert result
         assert [str(rel) for rel, _ in result] == ["x1*e"]
-        assert str(result[0][1]) == "1"  # the residue a, written additively
+        assert theta.target.format(result[0][1]) == "1"  # the residue a, written additively
 
     def test_everything_to_identity_is_valid(self):
         K = disc_group(3, (2, 4))
@@ -198,10 +198,9 @@ SIGNATURE_BATTERY = signature_battery_cases()
 
 
 class TestCheckHomomorphismOracle:
-    """``check_homomorphism`` compares raw normal forms and builds an
-    element only for a failure; the oracle multiplies elements letter by
-    letter.  Both must give the same failures, relators, elements and
-    order."""
+    """``check_homomorphism`` compares each relator's normal form with
+    the identity; the oracle multiplies elements letter by letter.  Both
+    must give the same failures, relators, elements and order."""
 
     def test_battery_theta_and_Theta(self, derived_battery, action_battery):
         for _, _, K, theta, _ in derived_battery:
@@ -218,15 +217,15 @@ class TestCheckHomomorphismOracle:
         for datum in action_battery:
             K = disc_group(datum.gamma, datum.periods)
             Theta = extend_to_dihedral(K, datum).hom
-            images = dict(Theta.images, x1=DihedralElement(datum.order, 0, 1))
+            images = dict(Theta.images, x1=rotation(Theta.target, 1))
             broken = FiniteHom.from_dict(K, Theta.target, images)
             failures = check_homomorphism(K, broken)
             assert failures and failures == elementwise_failures(K, broken)
 
             delta = canonical_presentation(datum.delta_signature())
             c2n = CyclicGroup(datum.order)
-            values = (datum.d_images[0] + 1, *datum.d_images[1:], *datum.x_images)
-            images = dict(zip(delta.generator_names(), map(c2n.element, values)))
+            values = ((datum.d_images[0] + 1) % datum.order, *datum.d_images[1:], *datum.x_images)
+            images = dict(zip(delta.generator_names(), values))
             rho = FiniteHom.from_dict(delta, c2n, images)
             failures = check_homomorphism(delta, rho)
             assert failures and failures == elementwise_failures(delta, rho)
@@ -238,13 +237,13 @@ class TestCheckHomomorphismOracle:
         p = (canonical_presentation(NECSignature(False, gamma, periods)) if crosscap
              else disc_group(gamma, periods))
         m = data.draw(st.integers(1, 12))
-        residues = st.integers(-50, 50)
+        residues = st.integers(0, m - 1)
         if data.draw(st.booleans()):
             target = CyclicGroup(m)
-            image = st.builds(target.element, residues)
+            image = residues
         else:
             target = DihedralGroup(m)
-            image = st.builds(DihedralElement, st.just(m), st.integers(0, 1), residues)
+            image = st.tuples(st.integers(0, 1), residues)
         images = {g: data.draw(image) for g in p.generator_names()}
         hom = FiniteHom.from_dict(p, target, images)
         assert check_homomorphism(p, hom) == elementwise_failures(p, hom)
