@@ -39,7 +39,6 @@ from .pipeline import (
 )
 from .presentations import (
     Presentation,
-    RelatorCertificate,
     UnsupportedSignatureError,
     canonical_presentation,
     check_homomorphism,

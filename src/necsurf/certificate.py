@@ -80,8 +80,8 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
         ],
         "signature_match": True,
         "printed_relator_checks": [
-            {"relator": label, "status": rc.status}
-            for label, rc in cert.derived.printed_checks
+            {"relator": label, "status": status}
+            for label, status in cert.derived.printed_checks
         ],
         "lemma1": {
             "gamma_even": connector_exponent == 0,

@@ -203,8 +203,13 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    """``enumerate``: ``--periods`` is a comma-separated list; blank means
+    r = 0, and an empty item between, before or after commas is an error."""
     try:
-        periods = tuple(int(tok) for tok in args.periods.replace(",", " ").split())
+        items = args.periods.split(",") if args.periods.strip() else []
+        if not all(item.strip() for item in items):
+            raise ValueError(f"--periods {args.periods!r} has an empty item")
+        periods = tuple(int(tok) for item in items for tok in item.split())
         result = enumerate_smooth_epimorphisms(args.gamma, periods, args.order)
     except ValueError as exc:
         print(f"invalid enumeration request: {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport, kernel_signature_index2
 from .presentations import (
     Presentation,
-    RelatorCertificate,
     canonical_presentation,
     check_homomorphism,
     connector_closed_form,
@@ -270,11 +269,12 @@ def build_theta(K: Presentation) -> FiniteHom:
 class DerivedKernel:
     """The index-2 kernel of theta: Reidemeister-Schreier presentation
     (with canonical generator names and torsion words), the signature read
-    off it, and the certified classical relators."""
+    off it, and the certified classical relators, each label with its
+    status, "trivial" or "matches-relator"."""
 
     subgroup: SchreierSubgroup
     report: KernelSignatureReport
-    printed_checks: tuple[tuple[str, RelatorCertificate], ...]
+    printed_checks: tuple[tuple[str, str], ...]
 
     @property
     def presentation(self) -> Presentation:
@@ -283,23 +283,26 @@ class DerivedKernel:
 
 def _printed_relator_words(
     sub: SchreierSubgroup, periods: tuple[int, ...]
-) -> list[tuple[str, Word, int | None]]:
+) -> list[tuple[str, Word, tuple[int, int] | None]]:
     """The classical relator list of the derived kernel when theta kills
     the connector, over the derived generators, their names read by role,
-    each with the index of its source among K's relators, which end with
-    the connector relator, the long relator and the corners: c1^(n_1) comes
-    from corner 1, (c_k^-1*c_(k+1))^p from corner k+1 and e1*e2^-1[*c_r]
-    from the connector relator; the delta-alternations are trivial (None)."""
+    each with its source: the index of a relator of K (K's relators end
+    with the connector relator, the long relator and the corners) and the
+    rotation at which the word, spelled in K and reduced, equals it.
+    c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, letter for
+    letter; e1*e2^-1[*c_r] spells e*tau1*e^-1*tau_(r+1), the connector
+    relator e^-1*tau_(r+1)*e*tau1 read from its third letter (rotation 2),
+    for r = 0 too; the delta-alternations are trivial (None)."""
     deltas, cs, (e1, e2) = (
         [g.name for g in sub.generators if g.role == role]
         for role in ("glide", "corner rotation", "connector")
     )
     corner = len(sub.base.relators) - len(periods)
-    rels = [(f"{cs[0]}^{periods[0]}", Word.gen(cs[0], periods[0]), corner)] if cs else []
-    rels += [(f"({a}^-1*{b})^{p}", (Word.gen(a, -1) * Word.gen(b)) ** p, corner + k)
+    rels = [(f"{cs[0]}^{periods[0]}", Word.gen(cs[0], periods[0]), (corner, 0))] if cs else []
+    rels += [(f"({a}^-1*{b})^{p}", (Word.gen(a, -1) * Word.gen(b)) ** p, (corner + k, 0))
              for k, (a, b, p) in enumerate(zip(cs, cs[1:], periods[1:]), start=1)]
     closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
-    rels.append((str(closing), closing, corner - 2))
+    rels.append((str(closing), closing, (corner - 2, 2)))
     # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
     for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
         letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
@@ -331,14 +334,14 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
             f"derived kernel signature {report.signature} differs from expected {expected}"
         )
 
-    printed: list[tuple[str, RelatorCertificate]] = []
+    printed: list[tuple[str, str]] = []
     (connector,) = K.generators_of_kind("connector")
     if not sub.parity[connector]:
         labels, words, sources = zip(*_printed_relator_words(sub, periods))
         images = {g.name: g.word for g in sub.generators}
         printed = list(zip(labels, verify_derived_relators(K, words, sources, images)))
-        for label, cert in printed:
-            if not cert.certified:
+        for label, status in printed:
+            if status == "unresolved":
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
 
     return DerivedKernel(subgroup=sub, report=report, printed_checks=tuple(printed))
@@ -358,19 +361,17 @@ class LemmaReport:
     ``lemma1_check`` raises at the first check that fails, so the report
     holds what was checked, not verdicts.  ``inversion_entries`` names,
     in generator order, each generator whose class was certified to be
-    inverted, and ``conjugation_certificates`` labels the identity
-    tau1*g*tau1*g = 1 certified in K for each glide and corner rotation g
-    (the ones the certificate prints).  The connector product is certified
-    to die in H1 for both parities, so ``connector_product_zero`` is true
-    and ``ok``, the certificate's conclusion, returns it; both stay only
-    because bench/ reads them.  ``invariant_factors`` and ``free_rank``
-    describe H1, a direct sum of cyclic groups read off the certified
-    signature."""
+    inverted; the identity tau1*g*tau1*g = 1 that the certificate prints
+    for each glide and corner rotation g among them was certified in K.
+    The connector product is certified to die in H1 for both parities, so
+    ``connector_product_zero`` is true and ``ok``, the certificate's
+    conclusion, returns it; both stay only because bench/ reads them.
+    ``invariant_factors`` and ``free_rank`` describe H1, a direct sum of
+    cyclic groups read off the certified signature."""
 
     connector_pair: tuple[str, str]
     connector_product_zero: bool
     inversion_entries: tuple[str, ...]
-    conjugation_certificates: tuple[str, ...]
     invariant_factors: tuple[int, ...]
     free_rank: int
 
@@ -427,22 +428,14 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     words = {gen.name: gen.word.letters for gen in sub.generators}
     a, b = pair = tuple(gen.name for gen in sub.generators if gen.role == "connector")
     last_letter = {a: (b, -1), b: (a, -1)}
-
-    def identity(name: str, last: tuple[str, int]) -> Word:
-        return Word(((tau1, 1), (name, 1), (tau1, 1), last))
-
     for name, letters in words.items():
         last = g, e = last_letter.get(name, (name, 1))
         tail = words[g] if e == 1 else tuple((h, -f) for h, f in reversed(words[g]))
         if cyclic_reduce_letters(((tau1, 1), *letters, (tau1, 1), *tail), involutions):
             raise PipelineAssertionError(
                 f"conjugation identity for {name} could not be certified:"
-                f" {identity(name, last)} does not reduce to 1 in K"
+                f" {Word(((tau1, 1), (name, 1), (tau1, 1), last))} does not reduce to 1 in K"
             )
-    identities = [
-        str(identity(gen.name, (gen.name, 1)))
-        for gen in sub.generators if gen.role in ("glide", "corner rotation")
-    ]
 
     (e, solved), = connector_closed_form(K).items()
     long_relator = solved.inverse() * Word.gen(e)
@@ -470,7 +463,6 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
         connector_pair=pair,
         connector_product_zero=True,
         inversion_entries=tuple(words),
-        conjugation_certificates=tuple(identities),
         invariant_factors=_torsion_factors(sig.proper_periods),
         free_rank=sig.genus - 1,
     )

@@ -19,7 +19,8 @@ the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
-against the one relator it is named to come from (or the empty word).
+by one comparison: with the one relator it is named to come from, read
+from the named rotation, or with the empty word.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from .signatures import (
     NECSignature,
     elliptic,
 )
-from .words import (
-    Word,
-    cyclic_reduce_letters,
-    least_rotation,
-    substitute_letters,
-)
+from .words import Word, cyclic_reduce_letters, substitute_letters
 
 
 class UnsupportedSignatureError(ValueError):
@@ -182,22 +178,6 @@ def check_homomorphism(
 # Derived-relator certification by bounded rewriting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelatorCertificate:
-    """The verdict on the word ``source``: "trivial", "matches-relator" or
-    "unresolved".  On a match, ``matched`` is the relator it was named to
-    come from, reduced modulo the involutions with the connector not
-    eliminated; certificates never print it, only ``status``."""
-
-    source: Word
-    status: str  # "trivial" | "matches-relator" | "unresolved"
-    matched: Word | None = None
-
-    @property
-    def certified(self) -> bool:
-        return self.status != "unresolved"
-
-
 def connector_closed_form(p: Presentation) -> dict[str, Word]:
     """The connector solved from the long relator x_gamma...x_2 x_1 e of
     the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1.
@@ -207,40 +187,37 @@ def connector_closed_form(p: Presentation) -> dict[str, Word]:
 
 
 def verify_derived_relators(
-    p: Presentation, words: Iterable[Word], sources: Iterable[int | None],
+    p: Presentation, words: Iterable[Word], sources: Iterable[tuple[int, int] | None],
     substitution: dict[str, Word],
-) -> tuple[RelatorCertificate, ...]:
+) -> tuple[str, ...]:
     """Certify that each of ``words`` (over derived-generator names, with
     ``substitution`` expressing those names in the ambient generators) is
     trivial in the group presented by ``p``, by the one relator it is
     named to come from: ``sources`` gives, word by word, that relator's
-    index in ``p.relators``, or None for a word named trivial.
+    index in ``p.relators`` and the rotation at which the word spells it,
+    or None for a word named trivial.  Returns one status per word:
+    "trivial", "matches-relator" or "unresolved".
 
     Each word's images are spliced into one letter tuple and reduced once,
     cyclically, freely and modulo the involutions.  A word with a source
-    must equal that relator, reduced the same way, or its inverse, up to
-    rotation (by least rotation, unless it spells the relator letter for
-    letter): a rotation of a defining relator is trivial, so nothing is
-    eliminated.  Only a word named trivial gets the connector's closed
-    form x_1^-1...x_gamma^-1 spliced in, and must reduce to the empty
-    word.  Anything else is unresolved.  No other relator of ``p`` is read.
+    must equal that relator, reduced the same way and read from its named
+    rotation, letter for letter: a rotation of a defining relator is
+    trivial, so nothing is eliminated.  Only a word named trivial gets the
+    connector's closed form x_1^-1...x_gamma^-1 spliced in, and must
+    reduce to the empty word.  Anything else is unresolved.  No other
+    relator of ``p`` is read.
     """
     involutions = p.involution_names()
     elimination = connector_closed_form(p)
 
-    def certify(word: Word, source: int | None) -> RelatorCertificate:
+    def status(word: Word, source: tuple[int, int] | None) -> str:
         letters = substitute_letters(word.letters, substitution)
         if source is None:
             left = cyclic_reduce_letters(substitute_letters(letters, elimination), involutions)
-            return RelatorCertificate(word, "unresolved" if left else "trivial")
-        letters, rel = cyclic_reduce_letters(letters, involutions), p.relators[source]
-        if letters != rel.letters:
-            rel = Word(cyclic_reduce_letters(rel.letters, involutions))
-            inverse = cyclic_reduce_letters(rel.inverse().letters, involutions)
-            if len(letters) != len(rel) or least_rotation(letters) not in (
-                least_rotation(rel.letters), least_rotation(inverse)
-            ):
-                return RelatorCertificate(word, "unresolved")
-        return RelatorCertificate(word, "matches-relator", rel)
+            return "unresolved" if left else "trivial"
+        index, k = source
+        rel = cyclic_reduce_letters(p.relators[index].letters, involutions)
+        spelled = cyclic_reduce_letters(letters, involutions) == rel[k:] + rel[:k]
+        return "matches-relator" if spelled else "unresolved"
 
-    return tuple(certify(w, source) for w, source in zip(words, sources, strict=True))
+    return tuple(status(w, source) for w, source in zip(words, sources, strict=True))

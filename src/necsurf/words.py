@@ -15,8 +15,7 @@ is rewritten to g and adjacent equal involutions cancel; with no
 involutions it is plain free reduction followed by trimming inverse
 pairs at the ends.  It and ``substitute_letters``, which splices each
 letter's image in, work on bare letters, for callers that need only the
-reduced letters.  ``least_rotation`` gives the letters of a cyclically
-reduced word their rotation-invariant key.
+reduced letters.
 """
 
 from __future__ import annotations
@@ -136,29 +135,3 @@ def cyclic_reduce_letters(
         i, j = i + 1, j - 1
     return tuple(out[i:j + 1])
 
-
-def least_rotation(letters: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    """The lexicographically least rotation of a letter tuple: two words
-    are equal up to rotation exactly when these tuples are equal.
-
-    A two-candidate scan in linear time: rotations i and j are compared k
-    letters deep, and the larger one skips past the compared block, in
-    which no least rotation starts.
-    """
-    n = len(letters)
-    doubled = letters + letters
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = doubled[i + k], doubled[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    start = min(i, j)
-    return letters[start:] + letters[:start]

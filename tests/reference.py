@@ -31,13 +31,9 @@ from necsurf import (
     NotInKernelError,
     orientation_character,
 )
-from necsurf.presentations import (
-    Presentation,
-    RelatorCertificate,
-    connector_closed_form,
-)
+from necsurf.presentations import Presentation, connector_closed_form
 from necsurf.signatures import CONNECTOR, GLIDE
-from necsurf.words import Word, cyclic_reduce_letters, least_rotation, substitute_letters
+from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
 
 
 # Element arithmetic in C_m (residues in range(m)) and D_m (pairs
@@ -459,9 +455,9 @@ def conjugate_rewrite(sub, w: Word, coset: int) -> Word:
 
 # Matching a word against every relator, with the connector eliminated:
 # the oracles for ``necsurf.presentations.verify_derived_relators``, which
-# compares each word with its one named source relator instead.  The
-# least-rotation index is checked against the scan over every rotation of
-# every relator.
+# compares each word with its one named source relator, at its named
+# rotation, instead.  The least-rotation index is checked against the scan
+# over every rotation of every relator.
 
 def cyclically_equal(
     a: Word, b: Word, involutions: frozenset[str] | set[str] = frozenset()
@@ -479,13 +475,14 @@ def cyclically_equal(
 
 
 def index_derived_relators(p: Presentation, words, substitution) -> tuple:
-    """Certify each of ``words`` against every relator of ``p``: substitute,
-    replace the connector by its closed form x_1^-1...x_gamma^-1, reduce
-    cyclically, freely and modulo the involutions, then accept an empty
-    word ("trivial") or an exact cyclic match with one of the remaining
-    relators or an inverse ("matches-relator", ``matched`` that relator's
-    normal form), else "unresolved".  The relators of ``p`` are normalised
-    once for the whole batch and indexed by the least rotation of each
+    """Certify each of ``words`` against every relator of ``p``, as a
+    (status, matched) pair: substitute, replace the connector by its
+    closed form x_1^-1...x_gamma^-1, reduce cyclically, freely and modulo
+    the involutions, then accept an empty word ("trivial", None) or an
+    exact cyclic match with one of the remaining relators or an inverse
+    ("matches-relator", that relator's normal form), else ("unresolved",
+    None).  The relators of ``p`` are normalised once for the whole batch
+    and indexed by the least rotation (``min`` over the rotations) of each
     normal form and of the cyclic reduction of its inverse, first relator
     first, so each word costs one lookup and is matched with the first
     relator that a scan in relator order would find."""
@@ -495,21 +492,22 @@ def index_derived_relators(p: Presentation, words, substitution) -> tuple:
     def normalise(w: Word) -> Word:
         return cyclic_reduce(substitute(w, elimination), involutions)
 
+    def rotation_key(letters):
+        return min(letters[k:] + letters[:k] for k in range(len(letters)))
+
     by_rotation: dict[tuple[tuple[str, int], ...], Word] = {}
     for rel in map(normalise, p.relators):
         if rel.letters:
-            by_rotation.setdefault(least_rotation(rel.letters), rel)
+            by_rotation.setdefault(rotation_key(rel.letters), rel)
             inverse = cyclic_reduce(rel.inverse(), involutions)
-            by_rotation.setdefault(least_rotation(inverse.letters), rel)
+            by_rotation.setdefault(rotation_key(inverse.letters), rel)
 
-    def certify(word: Word) -> RelatorCertificate:
+    def certify(word: Word) -> tuple[str, Word | None]:
         normal = normalise(substitute(word, substitution))
         if not normal.letters:
-            return RelatorCertificate(word, "trivial")
-        rel = by_rotation.get(least_rotation(normal.letters))
-        if rel is not None:
-            return RelatorCertificate(word, "matches-relator", rel)
-        return RelatorCertificate(word, "unresolved")
+            return "trivial", None
+        rel = by_rotation.get(rotation_key(normal.letters))
+        return ("unresolved", None) if rel is None else ("matches-relator", rel)
 
     return tuple(map(certify, words))
 
@@ -529,16 +527,16 @@ def scan_derived_relators(p: Presentation, words, substitution) -> tuple:
     for word in words:
         normal = normalise(substitute(word, substitution))
         if not normal.letters:
-            certs.append(RelatorCertificate(word, "trivial"))
+            certs.append(("trivial", None))
             continue
         for rel in remaining:
             if cyclically_equal(normal, rel, involutions) or cyclically_equal(
                 normal, rel.inverse(), involutions
             ):
-                certs.append(RelatorCertificate(word, "matches-relator", rel))
+                certs.append(("matches-relator", rel))
                 break
         else:
-            certs.append(RelatorCertificate(word, "unresolved"))
+            certs.append(("unresolved", None))
     return tuple(certs)
 
 

@@ -531,6 +531,22 @@ class TestEnumerateCommand:
         assert captured.out == ""
         assert captured.err == f"invalid enumeration request: {reason}\n"
 
+    @pytest.mark.parametrize("periods", ["2,,3", "2,3,", ",2"])
+    def test_empty_period_item_exits_one(self, capsys, periods):
+        code = cli.main(["enumerate", "--gamma", "2", "--periods", periods, "--order", "12"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid enumeration request: --periods {periods!r} has an empty item\n"
+        )
+
+    def test_spaced_periods_are_valid(self, capsys):
+        code = cli.main(["enumerate", "--gamma", "1", "--periods", "2, 2, 2", "--order", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "d=[1] x=[2, 2, 2]" in out
+
     def test_non_integer_period_exits_one(self, capsys):
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2,a", "--order", "4"])
         err = capsys.readouterr().err

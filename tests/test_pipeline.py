@@ -21,7 +21,6 @@ from necsurf import (
     FiniteHom,
     NECSignature,
     PipelineAssertionError,
-    RelatorCertificate,
     SchreierSubgroup,
     admissible_shapes,
     build_theta,
@@ -101,7 +100,7 @@ def reasons_of(datum):
 
 def unresolved_relators(K, words, sources, substitution):
     """A stand-in for ``verify_derived_relators`` that certifies nothing."""
-    return tuple(RelatorCertificate(w, "unresolved") for w, _ in zip(words, sources, strict=True))
+    return tuple("unresolved" for _ in zip(words, sources, strict=True))
 
 
 def with_printed_row(monkeypatch, index, mutate):
@@ -317,7 +316,7 @@ class TestDeriveDeltaHat:
         _, derived = derived_for(2, (3,))
         assert derived.report.signature == NECSignature(False, 2, (3,))
         assert derived.printed_checks
-        assert all(cert.certified for _, cert in derived.printed_checks)
+        assert all(status != "unresolved" for _, status in derived.printed_checks)
         labels = [label for label, _ in derived.printed_checks]
         assert "c1^3" in labels
 
@@ -364,7 +363,7 @@ class TestDeriveDeltaHat:
         rows = _printed_relator_words(reidemeister_schreier(K, theta), periods)
         sources = [source for _, _, source in rows]
         connector = sources[len(periods)]
-        assert K.relators[connector] == Word(
+        assert K.relators[connector[0]] == Word(
             (("e", -1), (f"tau{len(periods) + 1}", 1), ("e", 1), ("tau1", -1))
         )
         wrong = [(k, sources[k + 1]) for k in range(len(periods) - 1)]
@@ -379,22 +378,40 @@ class TestDeriveDeltaHat:
 
     def test_printed_words_name_their_sources(self):
         # c1^3 from (tau1 tau2)^3, (c_k^-1*c_(k+1))^p from corner k+1,
-        # the connector word from the connector relator, the alternations
-        # from nothing
+        # both at rotation 0, the connector word from the connector
+        # relator at rotation 2, the alternations from nothing
         K = disc_group(2, (3, 4, 5))
         sub = reidemeister_schreier(K, build_theta(K))
         named = {
-            label: None if source is None else str(K.relators[source])
+            label: None if source is None else (str(K.relators[source[0]]), source[1])
             for label, _, source in _printed_relator_words(sub, (3, 4, 5))
         }
         assert named == {
-            "c1^3": "tau1*tau2*tau1*tau2*tau1*tau2",
-            "(c1^-1*c2)^4": "*".join(["tau2*tau3"] * 4),
-            "(c2^-1*c3)^5": "*".join(["tau3*tau4"] * 5),
-            "e1*e2^-1*c3": "e^-1*tau4*e*tau1^-1",
+            "c1^3": ("tau1*tau2*tau1*tau2*tau1*tau2", 0),
+            "(c1^-1*c2)^4": ("*".join(["tau2*tau3"] * 4), 0),
+            "(c2^-1*c3)^5": ("*".join(["tau3*tau4"] * 5), 0),
+            "e1*e2^-1*c3": ("e^-1*tau4*e*tau1^-1", 2),
             "delta-alternation-1": None,
             "delta-alternation-2": None,
         }
+
+    @pytest.mark.parametrize("gamma, periods, order", [(2, (3,), 12), (4, (), 4)])
+    def test_closing_row_at_another_rotation_is_an_assertion(
+        self, monkeypatch, gamma, periods, order
+    ):
+        # the closing row e1*e2^-1[*c_r] spells the connector relator from
+        # its third letter; rotation 1 spells the row's inverse and
+        # rotation 3 neither, so realize raises on each
+        datum = first_smooth_epimorphism(gamma, periods, order)
+        closing = len(periods)
+        for k in (1, 3):
+            labels = with_printed_row(
+                monkeypatch, closing, lambda word, source, k=k: (word, (source[0], k))
+            )
+            with pytest.raises(PipelineAssertionError) as exc:
+                realize(datum)
+            assert str(exc.value) == f"classical relator {labels[0]} could not be certified"
+            assert labels[0] == "e1*e2^-1" + "*c1" * bool(periods)
 
     def test_theta_of_index_one_rejected(self):
         # the index check lives in reidemeister_schreier alone
@@ -417,7 +434,7 @@ class TestDeriveDeltaHat:
         names = set(derived.presentation.generator_names())
         assert not any(n.startswith("c") for n in names)
         assert {"e1", "e2"} <= names
-        assert all(cert.certified for _, cert in derived.printed_checks)
+        assert all(status != "unresolved" for _, status in derived.printed_checks)
 
     def test_torsion_words_carry_link_periods(self):
         _, derived = derived_for(1, (2, 2, 2))
@@ -562,10 +579,17 @@ class TestLemma:
         assert report.connector_product_zero
 
     def test_conjugation_certificates(self):
-        _, derived = derived_for(1, (2, 2, 2))
-        report = lemma1_check(derived)
-        assert "tau1*delta1*tau1*delta1" in report.conjugation_certificates
-        assert "tau1*c1*tau1*c1" in report.conjugation_certificates
+        # the check-lemma view prints tau1*g*tau1*g for each glide and
+        # corner rotation g whose inversion the lemma certified
+        cert = realize(GENUS2)
+        view = certificate.lemma_report(certificate.document(cert, {}))["lemma1"]
+        identities = [c["identity"] for c in view["conjugation_certificates"]]
+        assert identities == [
+            f"tau1*{g.name}*tau1*{g.name}" for g in cert.derived.subgroup.generators
+            if g.role in ("glide", "corner rotation") and g.name in cert.lemma.inversion_entries
+        ]
+        assert "tau1*delta1*tau1*delta1" in identities
+        assert "tau1*c1*tau1*c1" in identities
 
     def test_odd_gamma_connector_class_recorded(self):
         cert = realize(GENUS2)

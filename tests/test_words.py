@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from necsurf.presentations import connector_closed_form
-from necsurf.words import Word, least_rotation
+from necsurf.words import Word
 from reference import (
     cyclic_reduce,
     cyclically_equal,
@@ -160,27 +160,6 @@ class TestCyclicWords:
     def test_inverse_not_automatically_equal(self):
         a = parse_word("a b")
         assert not cyclically_equal(a, a.inverse())
-
-    @given(words, st.integers(min_value=0, max_value=40))
-    def test_least_rotation_keys_rotations(self, w, k):
-        """Equal keys exactly when ``cyclically_equal`` holds, and the key
-        is the least rotation, on each word, a rotation of it and its
-        inverse."""
-        w = cyclic_reduce(w)
-        n = max(len(w), 1)
-        rotated = Word(w.letters[k % n:] + w.letters[:k % n])
-        assert least_rotation(rotated.letters) == least_rotation(w.letters)
-        assert least_rotation(w.letters) == min(
-            (w.letters[i:] + w.letters[:i] for i in range(n)), default=()
-        )
-        inverse = cyclic_reduce(w.inverse())
-        assert (least_rotation(inverse.letters) == least_rotation(w.letters)) == cyclically_equal(
-            inverse, w
-        )
-
-    def test_least_rotation_of_periodic_word(self):
-        w = parse_word("b a b a")
-        assert least_rotation(w.letters) == parse_word("a b a b").letters
 
 
 def test_substitute_passes_unmapped_names_through():
