@@ -203,13 +203,14 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    """``enumerate``: ``--periods`` is a comma-separated list; blank means
-    r = 0, and an empty item between, before or after commas is an error."""
+    """``enumerate``: ``--periods`` is a comma-separated list of integers,
+    one per item; blank means r = 0, and an empty item between, before or
+    after commas is an error."""
     try:
         items = args.periods.split(",") if args.periods.strip() else []
         if not all(item.strip() for item in items):
             raise ValueError(f"--periods {args.periods!r} has an empty item")
-        periods = tuple(int(tok) for item in items for tok in item.split())
+        periods = tuple(int(item) for item in items)
         result = enumerate_smooth_epimorphisms(args.gamma, periods, args.order)
     except ValueError as exc:
         print(f"invalid enumeration request: {exc}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Reidemeister-Schreier presentation of the index-2 kernel of theta.
 
-The construction derives one subgroup: the kernel of a map theta from a
-single-boundary disc-quotient group K onto C_2 that moves every
-reflection.  This module alone reads theta and checks those conditions.
+The construction derives one subgroup: the kernel of the parity map
+theta from a single-boundary disc-quotient group K onto C_2, which moves
+every reflection and every interior point; K has at least one interior
+point, and each is an involution.  This module alone reads theta and
+checks those conditions.
 The Schreier coset representatives are therefore fixed, {1, tau_1} (the
 doubled fundamental domain), and the coset of a word is the theta-parity
 bit of its prefix.  Each pair (coset c, generator g) gives the Schreier
 word rep(c) * g * rep(c xor theta(g))^-1; only (0, tau_1) is trivial.
 Every generator is born with its canonical name, role and orientation
-kind: delta_j = tau_1 x_j, c_k = tau_1 tau_(k+1), the connector pair
-e1, e2 (theta(e) = 0, gamma even) or f1, f2 (theta(e) = 1, gamma odd),
-the tau_1-conjugates delta_jt and c_kt, and tau1sq.  The kernel's torsion
-words are built here too, so ``kernels`` reads its signature off the
-subgroup without theta.
+kind: the glides delta_j = tau_1 x_j, c_k = tau_1 tau_(k+1), the connector
+pair e1, e2 (theta(e) = 0, gamma even) or f1, f2 (theta(e) = 1, gamma
+odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.  The kernel's
+torsion words are K's corners, rewritten here, so ``kernels`` reads its
+signature off the subgroup without theta.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -95,34 +97,43 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     """Presentation of ker(theta) over the coset representatives {1, tau_1},
     with its torsion words.
 
-    Raises ``ValueError`` unless ``p`` carries a signature with a single
-    period cycle, theta has image of order 2, and theta moves every
-    reflection (so tau_1 among them, and 1 and tau_1 represent the two
-    cosets).  Generators come in canonical order: delta_j, c_k, the
-    connector pair, delta_jt, c_kt, tau1sq.  Relators are the rewritten
-    conjugates u * R * u^-1 of the base relators for u = 1, then
-    u = tau_1, each read as the walk of R from coset u; free reduction
-    commutes with the walk, so no conjugate is built.  Torsion words: each
-    corner tau_k tau_(k+1) rewritten from coset 0, of its full order n_k;
-    then, for an interior elliptic x of order m whose image has order o,
-    x^o rewritten from each of the 2/o cosets, of order m/o (omitted when
-    m/o = 1).
+    Raises ``ValueError``, naming what fails, unless theta is K's parity
+    map: ``p`` carries a signature with a single period cycle, has a
+    reflection and at least one interior point, each an involution, and
+    theta has image of order 2 and moves every reflection and interior
+    point (so 1 and tau_1 represent the two cosets).  Generators come in
+    canonical order: delta_j, c_k, the connector pair, delta_jt, c_kt,
+    tau1sq.  Relators are the rewritten conjugates u * R * u^-1 of the
+    base relators for u = 1, then u = tau_1, each read as the walk of R
+    from coset u; free reduction commutes with the walk, so no conjugate
+    is built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
+    coset 0, of its full order n_k; each interior involution is moved, so
+    it leaves no period.
     """
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
-    index = theta.image_order()
-    if index != 2:
-        raise ValueError(f"theta has index {index}, expected 2")
     reflections = p.generators_of_kind("reflection")
     if not reflections:
         raise ValueError("K has no reflection tau_1 to represent the second coset")
-    one = theta.target.identity
-    fixed = [tau for tau in reflections if theta.image_of(tau) == one]
-    if fixed:
-        raise ValueError(f"theta must move every reflection, and fixes {', '.join(fixed)}")
-    tau1 = reflections[0]
     elliptics = p.generators_of_kind("elliptic")
+    if not elliptics:
+        raise ValueError(
+            "K needs at least one interior cone point (the kernel is orientable otherwise)"
+        )
+    higher = [x for x in elliptics if x not in p.involution_names()]
+    if higher:
+        raise ValueError(f"every interior point must be an involution, unlike {', '.join(higher)}")
+    index = theta.image_order()
+    if index != 2:
+        raise ValueError(f"theta has index {index}, expected 2")
+    one = theta.target.identity
     parity = {g: int(theta.image_of(g) != one) for g in p.generator_names()}
+    fixed = [g for g in reflections + elliptics if not parity[g]]
+    if fixed:
+        raise ValueError(
+            f"theta must move every reflection and interior point, and fixes {', '.join(fixed)}"
+        )
+    tau1 = reflections[0]
     # letters of the representatives 1, tau_1 and of their inverses; only
     # the trivial pair (0, tau_1), tau_1 * tau_1^-1, would cancel, and it
     # is never built, so each generator word is freely reduced as built
@@ -165,14 +176,8 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
                 relators.append(rewritten)
 
     corners = zip(reflections, reflections[1:], p.signature.period_cycles[0])
-    torsion = [(subgroup.rewrite(Word(((a, 1), (b, 1)))), n) for a, b, n in corners]
-    kinds = dict(p.generators)
-    for x in elliptics:
-        o = 1 + parity[x]
-        period = kinds[x].order // o
-        if period > 1:
-            torsion += [(subgroup.rewrite(Word.gen(x, o), c), period) for c in range(2 // o)]
+    torsion = tuple((subgroup.rewrite(Word(((a, 1), (b, 1)))), n) for a, b, n in corners)
 
     return replace(
-        subgroup, presentation=Presentation(derived.generators, tuple(relators), tuple(torsion))
+        subgroup, presentation=Presentation(derived.generators, tuple(relators), torsion)
     )

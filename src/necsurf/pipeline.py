@@ -314,17 +314,11 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
     with its torsion words and the signature read off it, and (when theta's
     bit on the connector is 0, as for even gamma) the certified classical
-    relator list.  Raises ``ValueError`` when K has no interior cone
-    point; every other input check is ``reidemeister_schreier``'s: K has a
-    single period cycle, theta has index 2 and moves every reflection.
-    The signature must be (gamma; -; [periods]) exactly, or
+    relator list.  Every input check is ``reidemeister_schreier``'s: theta
+    must be K's parity map, and K needs an interior cone point.  The
+    signature must be (gamma; -; [periods]) exactly, or
     ``PipelineAssertionError`` is raised."""
     gamma = len(K.generators_of_kind("elliptic"))
-    if gamma < 1:
-        raise ValueError(
-            "derive_delta_hat needs at least one interior cone point"
-            " (the kernel is orientable otherwise)"
-        )
     sub = reidemeister_schreier(K, theta)
     report = kernel_signature_index2(sub)
     periods = K.signature.period_cycles[0]

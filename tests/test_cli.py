@@ -547,6 +547,16 @@ class TestEnumerateCommand:
         assert code == 0
         assert "d=[1] x=[2, 2, 2]" in out
 
+    def test_space_separated_periods_exit_one(self, capsys):
+        # each comma item is one integer: "2 3" is not read as (2, 3)
+        code = cli.main(["enumerate", "--gamma", "2", "--periods", "2 3", "--order", "12"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("invalid enumeration request: ")
+        assert "'2 3'" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_non_integer_period_exits_one(self, capsys):
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2,a", "--order", "4"])
         err = capsys.readouterr().err

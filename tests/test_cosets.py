@@ -233,6 +233,30 @@ def test_closed_form_matches_reference(derived_battery):
             assert sub.rewrite(w) == translate(ref.rewrite(w))
 
 
+def test_roles_agree_with_orientation(derived_battery):
+    """On every battery shape each Schreier generator's role agrees with
+    its orientation kind: every glide and its tau1-conjugate reverses
+    orientation; every corner rotation, its tau1-conjugate and tau1sq
+    preserve it; the connector pair reverses it exactly when theta's bit
+    on the connector is 1."""
+    checked = 0
+    for _, _, K, _, derived in derived_battery:
+        sub = derived.subgroup
+        (connector,) = K.generators_of_kind("connector")
+        kinds = dict(sub.presentation.generators)
+        for gen in sub.generators:
+            reverses = kinds[gen.name].character == -1
+            if gen.role.startswith("glide"):
+                assert reverses, gen
+            elif gen.role == "connector":
+                assert reverses == bool(sub.parity[connector]), gen
+            else:
+                assert gen.role.startswith("corner rotation") or gen.name == "tau1sq", gen
+                assert not reverses, gen
+            checked += 1
+    assert checked == 26330
+
+
 def test_walk_from_coset_one_must_end_there():
     K = disc_group(2, (2,))
     sub = reidemeister_schreier(K, build_theta(K))

@@ -15,6 +15,7 @@ from necsurf import (
     build_theta,
     canonical_presentation,
     check_homomorphism,
+    derive_delta_hat,
     kernel_signature_index2,
     quotient_disc_signature,
     reduced_area,
@@ -84,9 +85,10 @@ class TestKernelSignatureIndex2:
         # period: the one period 2 is the corner's
         assert report.signature.proper_periods == K.signature.period_cycles[0] == (2,)
 
-    def test_moved_interior_point_of_order_four_halves(self):
-        # (0; +; [4]; {(2, 2)}) written by hand: theta moves x1, so x1^2
-        # lies in the kernel and leaves one cone point of order 4/2 = 2
+    def test_interior_point_of_order_four_is_rejected(self):
+        # (0; +; [4]; {(2, 2)}) written by hand: theta moves x1, whose
+        # square would leave a cone point of order 2 in the kernel; only
+        # involutions are accepted, so the input is rejected, naming x1
         base = disc_group(1, (2, 2))
         sig = NECSignature(True, 0, (4,), ((2, 2),))
         K = Presentation(
@@ -96,91 +98,81 @@ class TestKernelSignatureIndex2:
         )
         theta = build_theta(K)
         assert not check_homomorphism(K, theta)
-        sub = reidemeister_schreier(K, theta)
-        words = {g.name: g.word for g in sub.generators}
-        torsion = [(str(free_reduce(substitute(w, words))), n)
-                   for w, n in sub.presentation.torsion_words]
-        assert torsion == [("tau1*tau2", 2), ("tau2*tau3", 2), ("x1*x1", 2)]
-        report = kernel_signature_index2(sub)
-        assert report.signature == NECSignature(False, 1, (2, 2, 2))
-        assert character_factors_through_image(K, theta)[0] is False
-        assert reduced_area(report.signature) == 2 * reduced_area(sig)
+        assert theta.image_of("x1") == 1
+        with pytest.raises(ValueError, match="involution, unlike x1$") as rs:
+            reidemeister_schreier(K, theta)
+        with pytest.raises(ValueError) as derived:
+            derive_delta_hat(K, theta)
+        assert str(derived.value) == str(rs.value)
 
     def test_signature_metadata_disagreeing_with_generators_is_rejected(self):
         # K's signature says x1 has order 2, its generator kind says 4: the
-        # torsion words then leave a half-integral genus
+        # involution check rejects K, naming x1
         base = disc_group(1, (2, 2, 2))
         K = replace(base, generators=(("x1", elliptic(4)),) + base.generators[1:])
-        with pytest.raises(ValueError, match="^non-integral genus 1/2 from area bookkeeping$"):
+        with pytest.raises(ValueError, match="involution, unlike x1$"):
             parity_kernel_report(K)
+        # torsion words disagreeing with K's signature (x1^2 of order 2 as
+        # one more cone point) leave a half-integral genus
+        sub = reidemeister_schreier(base, build_theta(base))
+        extra = (sub.rewrite(Word.gen("x1", 2)), 2)
+        torsion = sub.presentation.torsion_words + (extra,)
+        bad = replace(sub, presentation=replace(sub.presentation, torsion_words=torsion))
+        with pytest.raises(ValueError, match="^non-integral genus 1/2 from area bookkeeping$"):
+            kernel_signature_index2(bad)
 
-    def test_witness_is_reversing_kernel_element(self):
-        K = disc_group(1, (2, 2, 2))
-        theta = build_theta(K)
-        report = kernel_signature_index2(reidemeister_schreier(K, theta))
-        assert str(report.witness) == "tau1*x1"
-        assert word_character(K, report.witness) == -1
-        assert theta.evaluate(report.witness) == 0
-
-    def test_orientable_double_of_pure_boundary_quotient(self):
+    def test_pure_boundary_quotient_is_rejected(self):
         # no interior cone points: the character factors through C2 and
-        # the kernel is the orientable double
+        # the kernel would be the orientable double, which the construction
+        # never derives
         K = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
         theta = build_theta(K)
         assert not check_homomorphism(K, theta)
-        report = kernel_signature_index2(reidemeister_schreier(K, theta))
-        assert report.signature.orientable
-        assert report.witness is None
-        assert report.signature == NECSignature(True, 0, (3, 3))
+        assert character_factors_through_image(K, theta)[0] is True
+        with pytest.raises(ValueError, match="at least one interior cone point") as rs:
+            reidemeister_schreier(K, theta)
+        with pytest.raises(ValueError) as derived:
+            derive_delta_hat(K, theta)
+        assert str(derived.value) == str(rs.value)
 
     def test_orientability_matches_walk(self, derived_battery):
-        # the orientability and witness read off the Schreier generators
-        # against the Cayley-graph walk, and the torsion words against the
-        # image-order rule: on every battery kernel, on the gamma=0
-        # orientable double and, for gamma <= 2, on every other choice of
-        # theta on the interior involutions (the connector image follows
-        # from the long relator)
+        # the orientability read off the Schreier generators against the
+        # Cayley-graph walk, and the torsion words against K's corners, on
+        # every battery kernel; for gamma <= 2, every other choice of theta
+        # on the interior involutions (the connector image follows from the
+        # long relator) is a homomorphism that reidemeister_schreier
+        # rejects, naming the points it fixes
         c2 = CyclicGroup(2)
-        double = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
-        cases = [(double, build_theta(double), None)]
+        kernels_checked = rejected = 0
         for gamma, _, K, theta, derived in derived_battery:
-            cases.append((K, theta, derived.subgroup))
+            sub = derived.subgroup
+            report = kernel_signature_index2(sub)
+            factors, _ = character_factors_through_image(K, theta)
+            assert report.signature.orientable == factors is False
+
+            taus = K.generators_of_kind("reflection")
+            expected = [(Word.gen(a) * Word.gen(b), n)
+                        for a, b, n in zip(taus, taus[1:], K.signature.period_cycles[0])]
+            words = {g.name: g.word for g in sub.generators}
+            torsion = [(free_reduce(substitute(w, words)), n)
+                       for w, n in sub.presentation.torsion_words]
+            assert torsion == expected
+            assert report.signature.proper_periods == tuple(sorted(n for _, n in expected))
+            kernels_checked += 1
+
             for xs in product((0, 1), repeat=gamma if gamma <= 2 else 0):
                 if not all(xs):
                     images = dict(theta.images) | {
                         f"x{j}": v for j, v in enumerate(xs, start=1)
                     }
                     images["e"] = sum(xs) % 2
-                    cases.append((K, FiniteHom.from_dict(K, c2, images), None))
-        orientable = 0
-        for K, theta, sub in cases:
-            assert not check_homomorphism(K, theta)
-            sub = sub or reidemeister_schreier(K, theta)
-            report = kernel_signature_index2(sub)
-            factors, _ = character_factors_through_image(K, theta)
-            assert report.signature.orientable == factors
-            if report.witness is not None:
-                assert theta.evaluate(report.witness) == 0
-                assert word_character(K, report.witness) == -1
-            orientable += report.signature.orientable
-
-            # one torsion word per corner at full order, then two of order
-            # 2 for each interior involution theta fixes: x and its
-            # tau1-conjugate, as words of K
-            taus = K.generators_of_kind("reflection")
-            fixed = [x for x in K.generators_of_kind("elliptic")
-                     if theta.image_of(x) == 0]
-            tau1 = Word.gen("tau1")
-            expected = [(Word.gen(a) * Word.gen(b), n)
-                        for a, b, n in zip(taus, taus[1:], K.signature.period_cycles[0])]
-            for x in fixed:
-                expected += [(Word.gen(x), 2), (tau1 * Word.gen(x) * tau1.inverse(), 2)]
-            words = {g.name: g.word for g in sub.generators}
-            torsion = [(free_reduce(substitute(w, words)), n)
-                       for w, n in sub.presentation.torsion_words]
-            assert torsion == expected
-            assert report.signature.proper_periods == tuple(sorted(n for _, n in expected))
-        assert (len(cases), orientable) == (2949, 651)
+                    variant = FiniteHom.from_dict(K, c2, images)
+                    assert not check_homomorphism(K, variant)
+                    fixed = ", ".join(f"x{j}" for j, v in enumerate(xs, start=1) if not v)
+                    with pytest.raises(ValueError, match=f"and interior point, and fixes {fixed}$"):
+                        reidemeister_schreier(K, variant)
+                    rejected += 1
+        assert (kernels_checked, rejected) == (1640, 1308)
 
 
 def test_kernels_reads_no_theta():

@@ -428,6 +428,20 @@ class TestDeriveDeltaHat:
         with pytest.raises(ValueError, match="fixes tau1$"):
             derive_delta_hat(K, FiniteHom.from_dict(K, c2, images))
 
+    def test_theta_fixing_an_interior_point_rejected(self):
+        K = disc_group(2, (2,))
+        c2 = CyclicGroup(2)
+        images = dict(build_theta(K).images) | {"x1": 0, "e": 1}
+        theta = FiniteHom.from_dict(K, c2, images)
+        message = "^theta must move every reflection and interior point, and fixes x1$"
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError, match=message):
+                derive(K, theta)
+
+    def test_input_checks_are_reidemeister_schreiers(self):
+        # derive_delta_hat raises no ValueError of its own
+        assert "ValueError" not in inspect.getsource(derive_delta_hat)
+
     def test_gamma4_no_corner_generators(self):
         _, derived = derived_for(4, ())
         assert derived.report.signature == NECSignature(False, 4, ())
