@@ -26,6 +26,7 @@ from .pipeline import (
     LemmaReport,
     PipelineAssertionError,
     RealizationCertificate,
+    ShapeCertificate,
     admissible_shapes,
     build_theta,
     construct_eta,
@@ -35,6 +36,7 @@ from .pipeline import (
     first_smooth_epimorphism,
     lemma1_check,
     realize,
+    shape_certificate,
     validate_action,
 )
 from .presentations import (

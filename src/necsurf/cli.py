@@ -205,13 +205,20 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     """``enumerate``: ``--periods`` is a comma-separated list of integers,
     one per item; blank means r = 0, and an empty item between, before or
-    after commas is an error."""
+    after commas is an error, and so is an item that ``int`` cannot read,
+    which the message names."""
     try:
         items = args.periods.split(",") if args.periods.strip() else []
         if not all(item.strip() for item in items):
             raise ValueError(f"--periods {args.periods!r} has an empty item")
-        periods = tuple(int(item) for item in items)
-        result = enumerate_smooth_epimorphisms(args.gamma, periods, args.order)
+        periods = []
+        for item in items:
+            try:
+                periods.append(int(item))
+            except ValueError:
+                raise ValueError(f"--periods {args.periods!r} has an item that is not an"
+                                 f" integer: {item.strip()!r}") from None
+        result = enumerate_smooth_epimorphisms(args.gamma, tuple(periods), args.order)
     except ValueError as exc:
         print(f"invalid enumeration request: {exc}", file=sys.stderr)
         return EXIT_INVALID

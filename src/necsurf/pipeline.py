@@ -36,6 +36,17 @@ The chain constructed and verified here:
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
 
+Steps 2 to 4 depend only on the quotient shape (gamma; -; [n_1..n_r]),
+not on rho or n, so ``realize`` runs in two stages: validation first,
+then ``shape_certificate(gamma, periods)``, which builds and checks K,
+theta, the derived kernel and the lemma report and is memoised for the
+``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
+A sweep over the epimorphisms of one shape derives that shape once.  The
+memo holds each shape's objects, which no later step mutates: measured
+with tracemalloc, about 26 KB per shape of the 126-action battery (37 KB
+at most), 100 KB at gamma = 40 and 13 MB at gamma = 5120, so at most 16
+times the largest shape built.
+
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
 raises ``PipelineAssertionError`` instead of producing a weakened
@@ -48,7 +59,7 @@ import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product
 
 from .cosets import SchreierSubgroup, reidemeister_schreier
@@ -463,6 +474,56 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 
 
 # ---------------------------------------------------------------------------
+# The shape stage: everything that depends on (gamma, periods) alone
+# ---------------------------------------------------------------------------
+
+SHAPE_MEMO_SIZE = 16
+
+
+@dataclass(frozen=True)
+class ShapeCertificate:
+    """K, theta, the derived kernel and the lemma report of one quotient
+    shape (gamma; -; [n_1..n_r]), each checked; shared by every
+    certificate of that shape and never mutated."""
+
+    k_presentation: Presentation
+    theta: FiniteHom
+    derived: DerivedKernel
+    lemma: LemmaReport
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
+    """The rho-independent stage of ``realize``, in its order: K and
+    theta, theta a homomorphism, the area ratio of (gamma; -; [periods])
+    over K equal to 2, ``derive_delta_hat`` and ``lemma1_check``.  A failed
+    check raises ``PipelineAssertionError``.
+
+    Memoised for the ``SHAPE_MEMO_SIZE`` most recent shapes; a call that
+    raises is not memoised, so it raises again on the next call.  The
+    shape is not checked here: ``realize`` calls this only after
+    ``validate_action`` has accepted the datum."""
+    delta_sig = NECSignature(False, gamma, periods)
+    k_sig = quotient_disc_signature(gamma, periods)
+    K = canonical_presentation(k_sig)
+
+    theta = build_theta(K)
+    if check_homomorphism(K, theta):
+        raise PipelineAssertionError("parity map theta is not a homomorphism")
+
+    area_ratio = riemann_hurwitz_index(delta_sig, k_sig)
+    if area_ratio != 2:
+        raise PipelineAssertionError(
+            f"area ratio of {delta_sig} over {k_sig} is {area_ratio}, expected 2"
+        )
+
+    derived = derive_delta_hat(K, theta)
+    return ShapeCertificate(
+        k_presentation=K, theta=theta, derived=derived, lemma=lemma1_check(derived)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Theta on K, and eta as its restriction to the derived kernel
 # ---------------------------------------------------------------------------
 
@@ -470,7 +531,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 class DihedralExtension:
     """Theta: K -> D_2n.  ``reflection_rotation`` is always 0 and
     ``kernel_index`` always equals ``image_order``: both stay only because
-    bench/workloads.py and bench/layers.py read them, until ROADMAP item 1
+    bench/workloads.py and bench/layers.py read them, until ROADMAP item 12
     deletes them."""
 
     hom: FiniteHom
@@ -519,7 +580,7 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
 @dataclass(frozen=True)
 class EtaResult:
     """eta onto C_2n.  ``unit`` is always 1: it stays only because
-    bench/workloads.py reads it, until ROADMAP item 1 deletes it."""
+    bench/workloads.py reads it, until ROADMAP item 12 deletes it."""
 
     hom: FiniteHom
     unit: int
@@ -593,33 +654,26 @@ class RealizationCertificate:
 
 
 def realize(datum: ActionDatum) -> RealizationCertificate:
-    """Run the full chain and emit the certificate.
+    """Run the full chain and emit the certificate, in two stages.
+
+    ``validate_action`` runs first, on every call, so invalid input never
+    reaches the shape stage.  ``shape_certificate(gamma, periods)`` then
+    gives K, theta, the derived kernel and the lemma report, built and
+    checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
+    most recent shapes.  The rho stage follows: ``extend_to_dihedral``,
+    ``construct_eta`` and the genus bookkeeping.
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the
     construction guarantees success.
     """
     genus = validate_action(datum)
-    delta_sig = datum.delta_signature()
-    k_sig = quotient_disc_signature(datum.gamma, datum.periods)
-    K = canonical_presentation(k_sig)
-
-    theta = build_theta(K)
-    if check_homomorphism(K, theta):
-        raise PipelineAssertionError("parity map theta is not a homomorphism")
-
-    area_ratio = riemann_hurwitz_index(delta_sig, k_sig)
-    if area_ratio != 2:
-        raise PipelineAssertionError(
-            f"area ratio of {delta_sig} over {k_sig} is {area_ratio}, expected 2"
-        )
-
-    derived = derive_delta_hat(K, theta)
-    lemma = lemma1_check(derived)
+    shape = shape_certificate(datum.gamma, datum.periods)
+    K, derived = shape.k_presentation, shape.derived
     extension = extend_to_dihedral(K, datum)
     eta = construct_eta(derived, extension, datum)
 
-    genus_real = surface_kernel_genus(k_sig, extension.kernel_index)
+    genus_real = surface_kernel_genus(K.signature, extension.kernel_index)
     genus_via_kernel = surface_kernel_genus(derived.report.signature, datum.order)
     if genus_real != genus or genus_via_kernel != genus:
         raise PipelineAssertionError(
@@ -631,9 +685,9 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
         datum=datum,
         genus=genus,
         k_presentation=K,
-        theta=theta,
+        theta=shape.theta,
         derived=derived,
-        lemma=lemma,
+        lemma=shape.lemma,
         eta=eta,
         extension=extension,
     )

@@ -14,6 +14,7 @@ from necsurf import (
     first_smooth_epimorphism,
     quotient_disc_signature,
     reduced_area,
+    shape_certificate,
 )
 
 settings.register_profile("repro", derandomize=True, max_examples=100)
@@ -61,6 +62,13 @@ def generated_subgroup(group, elements):
                     new.append(c)
         frontier = new
     return frozenset(closure)
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_memo():
+    """Each test starts with an empty shape memo, so a test that patches a
+    step of the shape stage sees that step run."""
+    shape_certificate.cache_clear()
 
 
 @pytest.fixture(scope="session")

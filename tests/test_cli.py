@@ -553,16 +553,21 @@ class TestEnumerateCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("invalid enumeration request: ")
-        assert "'2 3'" in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err == (
+            "invalid enumeration request: --periods '2 3' has an item that is not an"
+            " integer: '2 3'\n"
+        )
 
     def test_non_integer_period_exits_one(self, capsys):
-        code = cli.main(["enumerate", "--gamma", "1", "--periods", "2,a", "--order", "4"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("invalid enumeration request: ")
-        assert err.count("\n") == 1
+        for periods in ("2,a", "2, a "):
+            code = cli.main(["enumerate", "--gamma", "1", "--periods", periods, "--order", "4"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == (
+                f"invalid enumeration request: --periods {periods!r} has an item that is not an"
+                " integer: 'a'\n"
+            )
 
 
 class TestCheckLemmaCommand:

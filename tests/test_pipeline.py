@@ -405,6 +405,7 @@ class TestDeriveDeltaHat:
         datum = first_smooth_epimorphism(gamma, periods, order)
         closing = len(periods)
         for k in (1, 3):
+            pipeline.shape_certificate.cache_clear()
             labels = with_printed_row(
                 monkeypatch, closing, lambda word, source, k=k: (word, (source[0], k))
             )
@@ -834,6 +835,88 @@ class TestRealize:
             PipelineAssertionError, match="genus bookkeeping disagrees: 2 vs 3 vs 2"
         ):
             realize(GENUS2)
+
+
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that counts its calls; returns
+    the list the calls' arguments are appended to."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def negated(datum):
+    """rho followed by the automorphism u -> -u of C_2n: another
+    surface-kernel epimorphism of the same shape, never equal to rho,
+    since the glide images are odd and n is even."""
+    return ActionDatum(datum.gamma, datum.periods, datum.n,
+                       tuple(-d for d in datum.d_images), tuple(-x for x in datum.x_images))
+
+
+class TestShapeMemo:
+    def test_one_shape_is_derived_once(self, monkeypatch):
+        derivations = counting(monkeypatch, pipeline, "reidemeister_schreier")
+        lemmas = counting(monkeypatch, pipeline, "lemma1_check")
+        tuples = enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples
+        assert len(tuples) == 288
+        for d, x in tuples:
+            assert realize(ActionDatum(3, (3, 6), 6, d, x)).conclusion
+        assert len(derivations) == len(lemmas) == 1
+        info = pipeline.shape_certificate.cache_info()
+        assert (info.misses, info.hits) == (1, 287)
+
+    def test_bounded_by_a_module_constant(self):
+        assert pipeline.SHAPE_MEMO_SIZE == 16
+        assert pipeline.shape_certificate.cache_info().maxsize == 16
+
+    def test_warm_and_cold_documents_agree_on_battery(self, action_battery):
+        # the memo is warmed by another rho of the same shape, so a warm
+        # certificate shares every shape object with a certificate of
+        # different branch data
+        for datum in action_battery:
+            pipeline.shape_certificate.cache_clear()
+            other = realize(negated(datum))
+            warm = realize(datum)
+            assert pipeline.shape_certificate.cache_info().hits == 1
+            assert warm.derived is other.derived and warm.lemma is other.lemma
+            pipeline.shape_certificate.cache_clear()
+            cold = realize(datum)
+            assert cold.derived is not warm.derived
+            assert certificate.document(warm, {}) == certificate.document(cold, {})
+
+    def test_a_failed_stage_is_not_memoised(self, monkeypatch):
+        lemma1 = pipeline.lemma1_check
+        calls = []
+
+        def fails_once(derived):
+            calls.append(derived)
+            if len(calls) == 1:
+                raise PipelineAssertionError("lemma failed once")
+            return lemma1(derived)
+
+        monkeypatch.setattr(pipeline, "lemma1_check", fails_once)
+        with pytest.raises(PipelineAssertionError, match="^lemma failed once$"):
+            realize(GENUS2)
+        assert pipeline.shape_certificate.cache_info().currsize == 0
+        assert realize(GENUS2).conclusion
+        assert len(calls) == 2
+        assert pipeline.shape_certificate.cache_info().currsize == 1
+
+    def test_invalid_input_never_reaches_the_memo(self):
+        realize(GENUS2)
+        before = pipeline.shape_certificate.cache_info()
+        for bad in (ActionDatum(1, (2, 4), 2, (1,), (2, 2)),  # a period that exceeds n
+                    ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 0))):  # a torsion collapse
+            with pytest.raises(ActionValidationError):
+                realize(bad)
+        assert pipeline.shape_certificate.cache_info() == before
+        assert before.currsize == 1
 
 
 class TestEnumeration:
