@@ -15,7 +15,7 @@ from .groups import (
     FiniteHom,
     GroupMismatchError,
 )
-from .kernels import KernelSignatureReport, kernel_signature_index2
+from .kernels import KernelSignatureReport
 from .pipeline import (
     ActionDatum,
     ActionValidationError,
@@ -57,7 +57,6 @@ from .signatures import (
     elliptic,
     quotient_disc_signature,
     reduced_area,
-    riemann_hurwitz_index,
     surface_kernel_genus,
 )
 from .words import Word

@@ -13,8 +13,9 @@ Every generator is born with its canonical name, role and orientation
 kind: the glides delta_j = tau_1 x_j, c_k = tau_1 tau_(k+1), the connector
 pair e1, e2 (theta(e) = 0, gamma even) or f1, f2 (theta(e) = 1, gamma
 odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.  The kernel's
-torsion words are K's corners, rewritten here, so ``kernels`` reads its
-signature off the subgroup without theta.
+torsion words are K's corners, rewritten here, so
+``pipeline.derive_delta_hat`` checks its claimed signature against the
+subgroup without theta.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without

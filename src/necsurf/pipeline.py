@@ -17,9 +17,10 @@ The chain constructed and verified here:
    fixed coset representatives {1, tau1}: each generator is born with its
    canonical name (delta_j = tau1*x_j, c_k = tau1*tau_(k+1), the connector
    pair, their tau1-conjugates, tau1sq) and kernel words are rewritten by
-   walking theta's parity bit; read its signature off the derived
-   subgroup and its torsion words in closed form and check it reproduces
-   (gamma; -; [n_1..n_r]) exactly;
+   walking theta's parity bit; claim its signature (gamma; -; [n_1..n_r])
+   and check the claim in O(gamma + r): the torsion words' orders are the
+   periods, some Schreier generator reverses orientation, and the claimed
+   reduced area is twice K's (Riemann-Hurwitz at index 2);
 4. certify, in one pass over the Schreier generators, that conjugation by
    the first reflection inverts the kernel's abelianization H1 (so every
    homomorphism to an abelian group has normal kernel in K): tau1*g*tau1*g
@@ -64,7 +65,7 @@ from itertools import accumulate, combinations_with_replacement, product
 
 from .cosets import SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
-from .kernels import KernelSignatureReport, kernel_signature_index2
+from .kernels import KernelSignatureReport
 from .presentations import (
     Presentation,
     canonical_presentation,
@@ -76,7 +77,6 @@ from .signatures import (
     NECSignature,
     quotient_disc_signature,
     reduced_area,
-    riemann_hurwitz_index,
     surface_kernel_genus,
 )
 from .words import Word, cyclic_reduce_letters
@@ -279,9 +279,9 @@ def build_theta(K: Presentation) -> FiniteHom:
 @dataclass(frozen=True)
 class DerivedKernel:
     """The index-2 kernel of theta: Reidemeister-Schreier presentation
-    (with canonical generator names and torsion words), the signature read
-    off it, and the certified classical relators, each label with its
-    status, "trivial" or "matches-relator"."""
+    (with canonical generator names and torsion words), the signature
+    claimed for it and checked, and the certified classical relators, each
+    label with its status, "trivial" or "matches-relator"."""
 
     subgroup: SchreierSubgroup
     report: KernelSignatureReport
@@ -323,21 +323,35 @@ def _printed_relator_words(
 
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
-    with its torsion words and the signature read off it, and (when theta's
+    with its torsion words and its claimed signature, and (when theta's
     bit on the connector is 0, as for even gamma) the certified classical
-    relator list.  Every input check is ``reidemeister_schreier``'s: theta
-    must be K's parity map, and K needs an interior cone point.  The
-    signature must be (gamma; -; [periods]) exactly, or
-    ``PipelineAssertionError`` is raised."""
-    gamma = len(K.generators_of_kind("elliptic"))
+    relator list.  Every input check is ``reidemeister_schreier``'s, and
+    runs first: theta must be K's parity map, and K needs an interior cone
+    point.
+
+    The claim is Delta's signature (gamma; -; [sorted periods]), so the
+    two groups are isomorphic (Macbeath, Canad. J. Math. 19, 1967).  The
+    kernel has no reflection, so no boundary, and three O(gamma + r) facts
+    fix the rest: the torsion words' orders are the periods, as a
+    multiset; some Schreier generator has orientation character -1; and
+    the claimed reduced area is twice K's (Riemann-Hurwitz at index 2),
+    which with the periods and the sign fixes the genus.  The area check
+    multiplies, so it holds where K's area is 0.  A fact that fails raises
+    ``PipelineAssertionError`` naming the claimed signature."""
     sub = reidemeister_schreier(K, theta)
-    report = kernel_signature_index2(sub)
     periods = K.signature.period_cycles[0]
-    expected = NECSignature(False, gamma, tuple(sorted(periods)))
-    if report.signature != expected:
+    claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
+    unproved = f"derived kernel signature {claim} not certified"
+    orders = sorted(n for _, n in sub.presentation.torsion_words)
+    if orders != list(claim.proper_periods):
         raise PipelineAssertionError(
-            f"derived kernel signature {report.signature} differs from expected {expected}"
+            f"{unproved}: torsion word orders {orders} are not the periods"
         )
+    if all(kind.character == 1 for _, kind in sub.presentation.generators):
+        raise PipelineAssertionError(f"{unproved}: no Schreier generator reverses orientation")
+    area, k_area = reduced_area(claim), reduced_area(K.signature)
+    if area != 2 * k_area:
+        raise PipelineAssertionError(f"{unproved}: reduced area {area} is not twice K's {k_area}")
 
     printed: list[tuple[str, str]] = []
     (connector,) = K.generators_of_kind("connector")
@@ -349,7 +363,9 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
             if status == "unresolved":
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
 
-    return DerivedKernel(subgroup=sub, report=report, printed_checks=tuple(printed))
+    return DerivedKernel(
+        subgroup=sub, report=KernelSignatureReport(claim), printed_checks=tuple(printed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +511,18 @@ class ShapeCertificate:
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     """The rho-independent stage of ``realize``, in its order: K and
-    theta, theta a homomorphism, the area ratio of (gamma; -; [periods])
-    over K equal to 2, ``derive_delta_hat`` and ``lemma1_check``.  A failed
-    check raises ``PipelineAssertionError``.
+    theta, theta a homomorphism, ``derive_delta_hat`` (which claims and
+    checks the kernel's signature, the index-2 area identity included) and
+    ``lemma1_check``.  A failed check raises ``PipelineAssertionError``.
 
     Memoised for the ``SHAPE_MEMO_SIZE`` most recent shapes; a call that
     raises is not memoised, so it raises again on the next call.  The
     shape is not checked here: ``realize`` calls this only after
     ``validate_action`` has accepted the datum."""
-    delta_sig = NECSignature(False, gamma, periods)
-    k_sig = quotient_disc_signature(gamma, periods)
-    K = canonical_presentation(k_sig)
-
+    K = canonical_presentation(quotient_disc_signature(gamma, periods))
     theta = build_theta(K)
     if check_homomorphism(K, theta):
         raise PipelineAssertionError("parity map theta is not a homomorphism")
-
-    area_ratio = riemann_hurwitz_index(delta_sig, k_sig)
-    if area_ratio != 2:
-        raise PipelineAssertionError(
-            f"area ratio of {delta_sig} over {k_sig} is {area_ratio}, expected 2"
-        )
 
     derived = derive_delta_hat(K, theta)
     return ShapeCertificate(

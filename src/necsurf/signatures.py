@@ -191,14 +191,3 @@ def surface_kernel_genus(sig: NECSignature, index: int) -> int:
         )
     return doubled.numerator // 2 + 1
 
-
-def riemann_hurwitz_index(sub: NECSignature, sup: NECSignature) -> Fraction:
-    """Ratio of reduced areas, the index a subgroup of this signature
-    would have inside a group of the super-signature."""
-    sub_area = reduced_area(sub)
-    sup_area = reduced_area(sup)
-    if sub_area <= 0:
-        raise ValueError(f"subgroup signature {sub} has non-positive area {sub_area}")
-    if sup_area <= 0:
-        raise ValueError(f"supergroup signature {sup} has non-positive area {sup_area}")
-    return sub_area / sup_area

@@ -1,11 +1,13 @@
 """Reference constructions kept as test oracles for the closed forms in
-``necsurf.cosets``, ``necsurf.pipeline``, ``necsurf.kernels`` and
-``necsurf.presentations``, for the normal forms of ``necsurf.groups`` and
-the relator checks built on them, for the common-denominator area sums of
-``necsurf.signatures`` and ``necsurf.kernels``, and for the closed-form
-H1 of the derived kernel (``abelianization``, with the integer
-``smith_normal_form`` it calls), and for the named-source relator check
-(``index_derived_relators``, matching against every relator of K).
+``necsurf.cosets``, ``necsurf.pipeline`` and ``necsurf.presentations``,
+for the normal forms of ``necsurf.groups`` and the relator checks built
+on them, for the common-denominator area sums of ``necsurf.signatures``,
+for the signature ``pipeline.derive_delta_hat`` claims for the derived
+kernel (``kernel_signature_index2``, the general index-2 computation),
+and for the closed-form H1 of the derived kernel (``abelianization``,
+with the integer ``smith_normal_form`` it calls), and for the
+named-source relator check (``index_derived_relators``, matching against
+every relator of K).
 
 Element arithmetic on plain values, a residue in C_m and a pair
 (eps, k) in D_m (``identity``, ``rotation``, ``mul``, ``inverse``,
@@ -28,9 +30,12 @@ from necsurf import (
     CyclicGroup,
     DihedralGroup,
     FiniteHom,
+    NECSignature,
     NotInKernelError,
     orientation_character,
+    reduced_area,
 )
+from necsurf.kernels import KernelSignatureReport
 from necsurf.presentations import Presentation, connector_closed_form
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
@@ -100,7 +105,8 @@ def elementwise_failures(p: Presentation, hom):
 
 
 # Areas one Fraction per term: the oracle for the common-denominator sums
-# of ``necsurf.signatures.reduced_area`` and ``necsurf.kernels``.
+# of ``necsurf.signatures.reduced_area``, and the derived kernel's genus
+# by the same bookkeeping.
 
 def termwise_area(sig) -> Fraction:
     """mu/2pi = alpha*g + k - 2 + sum(1 - 1/m) + (1/2) * sum over cycle
@@ -121,6 +127,37 @@ def termwise_kernel_genus(base, periods, orientable) -> Fraction:
     term its own ``Fraction``."""
     cone_sum = sum((Fraction(m - 1, m) for m in periods), Fraction(0))
     return (2 * termwise_area(base) + 2 - cone_sum) / (2 if orientable else 1)
+
+
+# The signature of the derived kernel read off its Schreier subgroup by the
+# general index-2 formula: the oracle for the signature that
+# ``necsurf.pipeline.derive_delta_hat`` claims.
+
+def kernel_signature_index2(sub) -> KernelSignatureReport:
+    """Signature of the index-2 kernel ``sub`` that ``reidemeister_schreier``
+    returns.
+
+    With the reflections gone the kernel has no boundary, and its proper
+    periods are the orders of its torsion words.  It is orientable exactly
+    when no Schreier generator has orientation character -1.  The genus is
+    (area - cone) / alpha, where the area is twice K's, cone is the reduced
+    area -2 + sum(1 - 1/m) of the sphere with the kernel's cone points,
+    and alpha = 2 for an orientable kernel and 1 otherwise, by exact area
+    bookkeeping.
+    """
+    orientable = all(kind.character == 1 for _, kind in sub.presentation.generators)
+    periods = tuple(sorted(n for _, n in sub.presentation.torsion_words))
+
+    alpha = 2 if orientable else 1
+    cone = reduced_area(NECSignature(True, 0, periods))
+    genus, remainder = divmod(2 * reduced_area(sub.base.signature) - cone, alpha)
+    if remainder:
+        raise ValueError(f"non-integral genus {genus + remainder / alpha} from area bookkeeping")
+
+    signature = NECSignature(
+        orientable=orientable, genus=genus, proper_periods=periods, period_cycles=()
+    )
+    return KernelSignatureReport(signature=signature)
 
 
 # Words from text, and letter-by-letter reduction: the oracle for

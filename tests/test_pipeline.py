@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
@@ -40,6 +41,7 @@ from necsurf import (
 )
 from necsurf import abelian, certificate, pipeline
 from necsurf.pipeline import _printed_relator_words
+from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
 from reference import (
     cayley_coset_table,
@@ -89,6 +91,29 @@ def with_generator_word(derived, name, word):
 def with_presentation(derived, presentation):
     """``derived`` with its Schreier subgroup's presentation replaced."""
     return replace(derived, subgroup=replace(derived.subgroup, presentation=presentation))
+
+
+def with_rs_presentation(monkeypatch, mutate):
+    """Patch ``pipeline.reidemeister_schreier`` so that the subgroup it
+    returns has its presentation replaced by ``mutate(presentation)``."""
+    rs = pipeline.reidemeister_schreier
+
+    def mutated(K, theta):
+        sub = rs(K, theta)
+        return replace(sub, presentation=mutate(sub.presentation))
+
+    monkeypatch.setattr(pipeline, "reidemeister_schreier", mutated)
+
+
+def assert_claim_refused(reason):
+    """``derive_delta_hat`` on GENUS2's K and ``realize(GENUS2)`` each
+    raise ``PipelineAssertionError`` naming the claimed signature and
+    ``reason``."""
+    K = disc_group(1, (2, 2, 2))
+    for run in (lambda: derive_delta_hat(K, build_theta(K)), lambda: realize(GENUS2)):
+        with pytest.raises(PipelineAssertionError) as exc:
+            run()
+        assert str(exc.value) == f"derived kernel signature (1;−;[2,2,2]) not certified: {reason}"
 
 
 def reasons_of(datum):
@@ -439,6 +464,29 @@ class TestDeriveDeltaHat:
             with pytest.raises(ValueError, match=message):
                 derive(K, theta)
 
+    def test_torsion_word_of_another_order_refuses_the_claim(self, monkeypatch):
+        def mutate(pres):
+            (word, n), *rest = pres.torsion_words
+            return replace(pres, torsion_words=((word, n + 1), *rest))
+
+        with_rs_presentation(monkeypatch, mutate)
+        assert_claim_refused("torsion word orders [2, 2, 3] are not the periods")
+
+    def test_orientable_kernel_refuses_the_claim(self, monkeypatch):
+        def mutate(pres):
+            return replace(pres, generators=tuple((name, CONNECTOR) for name, _ in pres.generators))
+
+        with_rs_presentation(monkeypatch, mutate)
+        assert_claim_refused("no Schreier generator reverses orientation")
+
+    def test_area_of_k_patched_off_refuses_the_claim(self, monkeypatch):
+        # K is the one signature with a boundary; validation reads only Delta's
+        area = pipeline.reduced_area
+        monkeypatch.setattr(
+            pipeline, "reduced_area", lambda sig: 0 if sig.period_cycles else area(sig)
+        )
+        assert_claim_refused("reduced area 1/2 is not twice K's 0")
+
     def test_input_checks_are_reidemeister_schreiers(self):
         # derive_delta_hat raises no ValueError of its own
         assert "ValueError" not in inspect.getsource(derive_delta_hat)
@@ -739,6 +787,25 @@ class TestExtendToDihedral:
         flip, rot = ext.hom.image_of("tau1")
         assert flip == 1 and rot == ext.reflection_rotation
 
+    def test_relator_not_mapped_to_one_is_an_assertion(self):
+        # x_1 = 1 is odd: Theta(tau2) = t*s, and the connector relator
+        # e^-1*tau4*e*tau1^-1 maps to s^3
+        K = disc_group(1, (2, 2, 2))
+        with pytest.raises(
+            PipelineAssertionError,
+            match=r"^Theta is not a homomorphism: relator e\^-1\*tau4\*e\*tau1\^-1 maps to s\^3$",
+        ):
+            extend_to_dihedral(K, ActionDatum(1, (2, 2, 2), 2, (1,), (1, 2, 2)))
+
+    def test_image_of_the_wrong_order_is_an_assertion(self):
+        # every reflection image has an even rotation, so the relators hold
+        # but the image is D_8's index-2 subgroup of order 8
+        K = disc_group(1, (2, 2, 2))
+        with pytest.raises(
+            PipelineAssertionError, match="^Theta image has order 8, expected 4n = 16$"
+        ):
+            extend_to_dihedral(K, ActionDatum(1, (2, 2, 2), 4, (2,), (4, 4, 4)))
+
     def test_gamma4_extension_index8(self):
         K, _ = derived_for(4, ())
         ext = extend_to_dihedral(K, GAMMA4)
@@ -818,8 +885,32 @@ class TestRealize:
         assert any("n_2" in reason for reason in exc.value.reasons)
 
     def test_area_ratio_other_than_two_is_an_assertion(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "riemann_hurwitz_index", lambda sup, sub: 3)
-        with pytest.raises(PipelineAssertionError, match="area ratio .* is 3, expected 2"):
+        # Delta's area made three times K's: the claim is refused
+        area = pipeline.reduced_area
+        monkeypatch.setattr(
+            pipeline,
+            "reduced_area",
+            lambda sig: area(sig) * (1 if sig.period_cycles else Fraction(3, 2)),
+        )
+        with pytest.raises(
+            PipelineAssertionError, match="reduced area 3/4 is not twice K's 1/4$"
+        ):
+            realize(GENUS2)
+
+    def test_parity_map_not_a_homomorphism_is_an_assertion(self, monkeypatch):
+        # theta's bit on the connector flipped breaks the long relator
+        build = pipeline.build_theta
+
+        def flipped(K):
+            theta = build(K)
+            (e,) = K.generators_of_kind("connector")
+            images = dict(theta.images) | {e: 1 - theta.image_of(e)}
+            return FiniteHom.from_dict(K, theta.target, images)
+
+        monkeypatch.setattr(pipeline, "build_theta", flipped)
+        with pytest.raises(
+            PipelineAssertionError, match="^parity map theta is not a homomorphism$"
+        ):
             realize(GENUS2)
 
     def test_genus_disagreement_is_an_assertion(self, monkeypatch):

@@ -11,7 +11,6 @@ from necsurf import (
     GeneratorKind,
     quotient_disc_signature,
     reduced_area,
-    riemann_hurwitz_index,
     surface_kernel_genus,
 )
 from reference import termwise_area
@@ -104,23 +103,6 @@ class TestSurfaceKernelGenus:
                     assert got >= 2
 
 
-class TestRiemannHurwitzIndex:
-    def test_index_two_pair(self):
-        sub = crosscap(1, (2, 2, 2))
-        sup = NECSignature(True, 0, (2,), ((2, 2, 2),))
-        assert riemann_hurwitz_index(sub, sup) == 2
-
-    def test_identity(self):
-        sig = crosscap(1, (2, 2, 2))
-        assert riemann_hurwitz_index(sig, sig) == 1
-
-    def test_zero_area_rejected(self):
-        with pytest.raises(ValueError):
-            riemann_hurwitz_index(crosscap(2), crosscap(1, (2, 2, 2)))
-        with pytest.raises(ValueError):
-            riemann_hurwitz_index(crosscap(1, (2, 2, 2)), crosscap(2))
-
-
 def test_doubling_identity_exhaustive():
     # disc quotient has exactly half the area of its crosscap double,
     # across the whole small-parameter range
@@ -209,18 +191,13 @@ def signatures(draw):
     )
 
 
-@given(signatures(), signatures(), st.integers(1, 12))
-def test_areas_match_the_termwise_sum(sig, sup, multiple):
+@given(signatures(), st.integers(1, 12))
+def test_areas_match_the_termwise_sum(sig, multiple):
     # the common-denominator sum against one Fraction per term, and the
-    # index and genus read off it; multiple * denominator makes the
-    # doubled area integral, so both genus outcomes are reached
-    area, sup_area = termwise_area(sig), termwise_area(sup)
+    # genus read off it; multiple * denominator makes the doubled area
+    # integral, so both genus outcomes are reached
+    area = termwise_area(sig)
     assert reduced_area(sig) == area
-    if area > 0 and sup_area > 0:
-        assert riemann_hurwitz_index(sig, sup) == area / sup_area
-    else:
-        with pytest.raises(ValueError, match="non-positive area"):
-            riemann_hurwitz_index(sig, sup)
     for index in (multiple, multiple * area.denominator):
         doubled = index * area
         if area <= 0:
