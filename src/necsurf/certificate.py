@@ -11,15 +11,17 @@ document's presentations, so the document reloaded from that JSON renders
 the same bytes.
 
 ``realize`` raises at the first check that fails, so these keys are
-literals: ``signature_match``, ``genus_match``, the ``lemma1``
-``conjugation_*_ok`` keys, the ``eta`` and ``theta_extension`` checks and
-check-lemma's ``inverted`` and ``certified`` are ``true``, ``area_ratio``
-is ``"2"``, ``genus_real`` is ``genus`` and ``connector_product_class`` is
-0 for each derived generator (the odd-gamma text still calls it
-"(recorded)", so that its output stays byte-identical).  ``theta``'s
-``connector_exponent`` is read off theta; ``printed_connector_valid`` and
-``gamma_even`` say it is 0, and K's first reflection is read off
-``k_presentation``.
+literals: ``signature_match``, ``genus_match``, ``conclusion``, the
+``lemma1`` ``connector_product_zero`` and ``conjugation_*_ok`` keys, the
+``eta`` and ``theta_extension`` checks and check-lemma's ``inverted`` and
+``certified`` are ``true``, ``area_ratio`` is ``"2"``, ``eta``'s ``unit``
+is 1, ``theta_extension``'s ``reflection_rotation`` is 0 and its
+``kernel_index`` is ``image_order``, ``genus_real`` is ``genus`` and
+``connector_product_class`` is 0 for each derived generator (the
+odd-gamma text still calls it "(recorded)", so that its output stays
+byte-identical).  ``theta``'s ``connector_exponent`` is read off theta;
+``printed_connector_valid`` and ``gamma_even`` say it is 0, and K's first
+reflection is read off ``k_presentation``.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
             "printed_connector_valid": connector_exponent == 0,
         },
         "area_ratio": "2",
-        "delta_hat_signature": _signature(cert.derived.report.signature),
+        "delta_hat_signature": _signature(cert.derived.signature),
         "delta_hat_presentation": _presentation(cert.derived.presentation),
         "correspondence": [
             {"name": g.name, "role": g.role, "word": str(g.word)}
@@ -87,7 +89,7 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
             "gamma_even": connector_exponent == 0,
             "connector_pair": list(lemma.connector_pair),
             "connector_product_class": [0] * len(cert.derived.subgroup.generators),
-            "connector_product_zero": lemma.connector_product_zero,
+            "connector_product_zero": True,
             "conjugation_inversion_ok": True,
             "conjugation_certificates_ok": True,
             "abelianization": {
@@ -97,7 +99,7 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
         },
         "eta": {
             "images": _images(cert.eta.hom),
-            "unit": cert.eta.unit,
+            "unit": 1,
             "torsion_images": list(cert.eta.torsion_images),
             "surjective": True,
             "parity_ok": True,
@@ -106,15 +108,15 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
         },
         "theta_extension": {
             "images": _images(cert.extension.hom),
-            "reflection_rotation": cert.extension.reflection_rotation,
+            "reflection_rotation": 0,
             "surjective": True,
             "restriction_agrees": True,
             "image_order": cert.extension.image_order,
-            "kernel_index": cert.extension.kernel_index,
+            "kernel_index": cert.extension.image_order,
         },
         "genus_real": cert.genus,
         "genus_match": True,
-        "conclusion": cert.conclusion,
+        "conclusion": True,
     }
 
 

@@ -79,7 +79,7 @@ from .signatures import (
     reduced_area,
     surface_kernel_genus,
 )
-from .words import Word, cyclic_reduce_letters
+from .words import Word, cyclic_reduce_letters, substitute_letters
 
 
 class ActionValidationError(ValueError):
@@ -284,12 +284,16 @@ class DerivedKernel:
     label with its status, "trivial" or "matches-relator"."""
 
     subgroup: SchreierSubgroup
-    report: KernelSignatureReport
+    signature: NECSignature
     printed_checks: tuple[tuple[str, str], ...]
 
     @property
     def presentation(self) -> Presentation:
         return self.subgroup.presentation
+
+    @property
+    def report(self) -> KernelSignatureReport:  # bench/workloads.py:234, 262; ROADMAP item 12
+        return KernelSignatureReport(self.signature)
 
 
 def _printed_relator_words(
@@ -363,9 +367,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
             if status == "unresolved":
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
 
-    return DerivedKernel(
-        subgroup=sub, report=KernelSignatureReport(claim), printed_checks=tuple(printed)
-    )
+    return DerivedKernel(subgroup=sub, signature=claim, printed_checks=tuple(printed))
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +387,16 @@ class LemmaReport:
     inverted; the identity tau1*g*tau1*g = 1 that the certificate prints
     for each glide and corner rotation g among them was certified in K.
     The connector product is certified to die in H1 for both parities, so
-    ``connector_product_zero`` is true and ``ok``, the certificate's
-    conclusion, returns it; both stay only because bench/ reads them.
+    ``connector_product_zero`` and ``ok`` are constants kept for bench/.
     ``invariant_factors`` and ``free_rank`` describe H1, a direct sum of
     cyclic groups read off the certified signature."""
 
     connector_pair: tuple[str, str]
-    connector_product_zero: bool
     inversion_entries: tuple[str, ...]
     invariant_factors: tuple[int, ...]
     free_rank: int
 
-    @property
-    def ok(self) -> bool:
-        return self.connector_product_zero
+    connector_product_zero = ok = True  # bench/workloads.py:265; ROADMAP item 12
 
 
 def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
@@ -428,9 +426,9 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     """Certify the normality lemma in one pass over the Schreier generators,
     without abelianizing the kernel.
 
-    For each generator g an identity in K reduces to the empty word
-    (``cyclic_reduce_letters``, on one letter tuple with the words of g
-    and of the last letter spliced in): tau1*g*tau1*g = 1, so
+    For each generator g an identity, spelled in K by
+    ``substitute_letters``, reduces to the empty word
+    (``cyclic_reduce_letters``): tau1*g*tau1*g = 1, so
     conjugation by tau1 sends g to g^-1, except for the connector pair
     (a, b), which tau1 swaps, tau1*a*tau1*b^-1 = 1.  So tau1 acts as -1 on
     H1 once the class of a*b is zero.  One witness shows that: the long
@@ -446,16 +444,15 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     K = sub.base
     tau1 = K.generators_of_kind("reflection")[0]
     involutions = K.involution_names()
-    words = {gen.name: gen.word.letters for gen in sub.generators}
+    images = {gen.name: gen.word for gen in sub.generators}
     a, b = pair = tuple(gen.name for gen in sub.generators if gen.role == "connector")
     last_letter = {a: (b, -1), b: (a, -1)}
-    for name, letters in words.items():
-        last = g, e = last_letter.get(name, (name, 1))
-        tail = words[g] if e == 1 else tuple((h, -f) for h, f in reversed(words[g]))
-        if cyclic_reduce_letters(((tau1, 1), *letters, (tau1, 1), *tail), involutions):
+    for name in images:
+        identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
+        if cyclic_reduce_letters(substitute_letters(identity, images), involutions):
             raise PipelineAssertionError(
                 f"conjugation identity for {name} could not be certified:"
-                f" {Word(((tau1, 1), (name, 1), (tau1, 1), last))} does not reduce to 1 in K"
+                f" {Word(identity)} does not reduce to 1 in K"
             )
 
     (e, solved), = connector_closed_form(K).items()
@@ -479,11 +476,10 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
             f"connector product {a}*{b}: witness rows sum to {sums}, not to {a}*{b}"
         )
 
-    sig = derived.report.signature
+    sig = derived.signature
     return LemmaReport(
         connector_pair=pair,
-        connector_product_zero=True,
-        inversion_entries=tuple(words),
+        inversion_entries=tuple(images),
         invariant_factors=_torsion_factors(sig.proper_periods),
         free_rank=sig.genus - 1,
     )
@@ -536,15 +532,16 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
 
 @dataclass(frozen=True)
 class DihedralExtension:
-    """Theta: K -> D_2n.  ``reflection_rotation`` is always 0 and
-    ``kernel_index`` always equals ``image_order``: both stay only because
-    bench/workloads.py and bench/layers.py read them, until ROADMAP item 12
-    deletes them."""
+    """Theta: K -> D_2n and its image order 4n, the index of ker(Theta) in
+    K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/."""
 
     hom: FiniteHom
-    reflection_rotation: int
     image_order: int
-    kernel_index: int
+    reflection_rotation = 0  # bench/layers.py:63; ROADMAP item 12
+
+    @property
+    def kernel_index(self) -> int:  # bench/workloads.py:240; ROADMAP item 12
+        return self.image_order
 
 
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
@@ -576,22 +573,17 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
         raise PipelineAssertionError(
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
-    return DihedralExtension(
-        hom=hom,
-        reflection_rotation=0,
-        image_order=image_order,
-        kernel_index=image_order,
-    )
+    return DihedralExtension(hom, image_order)
 
 
 @dataclass(frozen=True)
 class EtaResult:
-    """eta onto C_2n.  ``unit`` is always 1: it stays only because
-    bench/workloads.py reads it, until ROADMAP item 12 deletes it."""
+    """eta onto C_2n and its torsion images, rho's elliptic images (the
+    branch match has unit 1; ``unit`` is a constant kept for bench/)."""
 
     hom: FiniteHom
-    unit: int
     torsion_images: tuple[int, ...]
+    unit = 1  # bench/workloads.py:241; ROADMAP item 12
 
 
 def construct_eta(
@@ -629,7 +621,7 @@ def construct_eta(
             f"eta: torsion images {list(torsion_images)} differ from rho's elliptic"
             f" images {list(datum.x_images)}"
         )
-    return EtaResult(hom=hom, unit=1, torsion_images=torsion_images)
+    return EtaResult(hom=hom, torsion_images=torsion_images)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +636,7 @@ class RealizationCertificate:
     quotient signature is ``datum.delta_signature()``, K's is
     ``k_presentation.signature``, theta's connector exponent is its image
     of the connector, the area ratio is 2, and the real surface has genus
-    ``genus``."""
+    ``genus``.  ``conclusion`` is a constant kept for bench/."""
 
     datum: ActionDatum
     genus: int
@@ -655,9 +647,7 @@ class RealizationCertificate:
     eta: EtaResult
     extension: DihedralExtension
 
-    @property
-    def conclusion(self) -> bool:
-        return self.lemma.ok
+    conclusion = True  # bench/workloads.py:243; ROADMAP item 12
 
 
 def realize(datum: ActionDatum) -> RealizationCertificate:
@@ -668,7 +658,9 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     gives K, theta, the derived kernel and the lemma report, built and
     checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
     most recent shapes.  The rho stage follows: ``extend_to_dihedral``,
-    ``construct_eta`` and the genus bookkeeping.
+    ``construct_eta`` and the genus bookkeeping: validation's genus, read
+    off Delta, against Riemann-Hurwitz for ker(Theta) at index
+    ``image_order`` in K.
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the
@@ -680,13 +672,9 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     extension = extend_to_dihedral(K, datum)
     eta = construct_eta(derived, extension, datum)
 
-    genus_real = surface_kernel_genus(K.signature, extension.kernel_index)
-    genus_via_kernel = surface_kernel_genus(derived.report.signature, datum.order)
-    if genus_real != genus or genus_via_kernel != genus:
-        raise PipelineAssertionError(
-            f"genus bookkeeping disagrees: {genus} vs {genus_real}"
-            f" vs {genus_via_kernel}"
-        )
+    genus_real = surface_kernel_genus(K.signature, extension.image_order)
+    if genus_real != genus:
+        raise PipelineAssertionError(f"genus bookkeeping disagrees: {genus} vs {genus_real}")
 
     return RealizationCertificate(
         datum=datum,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import re
@@ -7,6 +8,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
@@ -18,10 +20,16 @@ from necsurf import (
     ActionDatum,
     ActionValidationError,
     CyclicGroup,
+    DerivedKernel,
+    DihedralExtension,
     DihedralGroup,
+    EtaResult,
     FiniteHom,
+    KernelSignatureReport,
+    LemmaReport,
     NECSignature,
     PipelineAssertionError,
+    RealizationCertificate,
     SchreierSubgroup,
     admissible_shapes,
     build_theta,
@@ -318,6 +326,46 @@ def test_lemma_abelianizes_nothing():
     defined |= {target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}
     assert defined == {"Abelianization"}
     assert not hasattr(necsurf, "smith_normal_form")
+
+
+def test_result_types_hold_only_values_that_vary():
+    """The result types' fields are the values that vary with the input.
+    What holds one value, or repeats a field, is a class constant or a
+    property kept for the benchmark alone: no module of ``necsurf`` reads
+    it, and ``certificate.document`` writes its JSON key as a literal
+    that agrees with it."""
+    fields = {
+        cls.__name__: {field.name for field in dataclasses.fields(cls)}
+        for cls in (DihedralExtension, EtaResult, LemmaReport, RealizationCertificate,
+                    DerivedKernel)
+    }
+    assert fields == {
+        "DihedralExtension": {"hom", "image_order"},
+        "EtaResult": {"hom", "torsion_images"},
+        "LemmaReport": {"connector_pair", "inversion_entries", "invariant_factors", "free_rank"},
+        "RealizationCertificate": {"datum", "genus", "k_presentation", "theta", "derived",
+                                   "lemma", "eta", "extension"},
+        "DerivedKernel": {"subgroup", "signature", "printed_checks"},
+    }
+    shims = {"reflection_rotation", "kernel_index", "unit", "connector_product_zero", "ok",
+             "conclusion", "report"}
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(Path(necsurf.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in shims
+    ]
+    assert reads == []
+
+    cert = realize(GENUS2)
+    doc = certificate.document(cert, {})
+    ext, eta, lemma = cert.extension, cert.eta, cert.lemma
+    assert doc["theta_extension"]["reflection_rotation"] == ext.reflection_rotation == 0
+    assert doc["theta_extension"]["kernel_index"] == ext.kernel_index == ext.image_order == 8
+    assert doc["eta"]["unit"] == eta.unit == 1
+    assert doc["lemma1"]["connector_product_zero"] is lemma.connector_product_zero is True
+    assert lemma.ok is True and doc["conclusion"] is cert.conclusion is True
+    assert cert.derived.report == KernelSignatureReport(cert.derived.signature)
 
 
 class TestDeriveDeltaHat:
@@ -923,7 +971,7 @@ class TestRealize:
             lambda sig, order: genus(sig, order) + (1 if sig.period_cycles else 0),
         )
         with pytest.raises(
-            PipelineAssertionError, match="genus bookkeeping disagrees: 2 vs 3 vs 2"
+            PipelineAssertionError, match="genus bookkeeping disagrees: 2 vs 3$"
         ):
             realize(GENUS2)
 
