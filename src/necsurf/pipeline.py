@@ -7,8 +7,8 @@ epimorphism rho onto C_2n.
 
 The chain constructed and verified here:
 
-1. validate the action datum and compute the genus of the acted-on
-   surface by exact Riemann-Hurwitz arithmetic;
+1. validate the action datum, rho by closed-form conditions in O(gamma + r)
+   integers, and compute the genus by exact Riemann-Hurwitz arithmetic;
 2. build the bordered disc-quotient group K (gamma interior order-2
    points, corner orders n_1..n_r) and the parity map theta: K -> C_2
    sending each interior point and reflection to the non-trivial element
@@ -61,7 +61,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product, repeat
 
 from .cosets import SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
@@ -71,6 +71,7 @@ from .presentations import (
     canonical_presentation,
     check_homomorphism,
     connector_closed_form,
+    crosscap_names,
     verify_derived_relators,
 )
 from .signatures import (
@@ -140,8 +141,9 @@ def decimal(v: int) -> str:
 
 
 def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> list[str]:
-    """Every way ``hom`` fails to be a surface-kernel epimorphism of
-    ``pres`` onto a cyclic group C_2n, one item each and in this order:
+    """Every way ``hom`` (eta, on the derived kernel) fails to be a
+    surface-kernel epimorphism of ``pres`` onto a cyclic group C_2n, one
+    item each and in this order:
     relators that do not map to the identity, non-surjectivity (the image
     order is a gcd), torsion words whose image has lost order, and images
     whose parity differs from their generator's orientation character.
@@ -227,11 +229,13 @@ def validate_action(datum: ActionDatum) -> int:
 
     The quotient data are checked by ``shape_problems`` and rho's lengths
     (gamma glide images, one elliptic image per period) with them; when
-    all of those hold, rho is checked item by item by
-    ``_surface_kernel_problems``.  The genus then follows from
-    Riemann-Hurwitz, 2g - 2 = 2n * area, whose right side is a positive
-    even integer for every shape ``shape_problems`` accepts, since each
-    period divides n.
+    all of those hold, rho is checked in O(gamma + r) integers, with the
+    reasons and order of ``_surface_kernel_problems`` on Delta: each
+    relator x_k^(n_k), then x_1...x_r d_1^2...d_gamma^2, whose image
+    (n_k * x_k, sum(x) + 2 sum(d)) is not 0 mod 2n, spelled out only then;
+    gcd(2n, d.., x..) != 1; each x_k of order 2n / gcd(x_k, 2n) != n_k;
+    each even glide and odd elliptic image.  The genus is
+    1 + n(gamma - 2) + sum(n - n/n_k), Riemann-Hurwitz's 2g - 2 = 2n * area.
     """
     errors = shape_problems(datum.gamma, datum.periods, datum.n)
     if len(datum.d_images) != max(datum.gamma, 0):
@@ -245,18 +249,30 @@ def validate_action(datum: ActionDatum) -> int:
     if errors:
         raise ActionValidationError(tuple(errors))
 
-    sig = datum.delta_signature()
-    two_n = datum.order
-    target = CyclicGroup(two_n)
-    delta = canonical_presentation(sig)
-    images = dict(zip(delta.generators_of_kind("glide"), datum.d_images))
-    images.update(zip(delta.generators_of_kind("elliptic"), datum.x_images))
-    rho = FiniteHom.from_dict(delta, target, images)
-
-    errors += _surface_kernel_problems(delta, rho, "rho")
+    n, two_n, periods = datum.n, datum.order, datum.periods
+    ds, xs = crosscap_names(datum.gamma, len(periods))
+    d_images, x_images = datum.d_images, datum.x_images
+    # each relator's letters are an iterator, spelled out only if it fails
+    relators = [(p * v, repeat(x, p)) for x, p, v in zip(xs, periods, x_images)]
+    long_relator = [*xs, *(d for d in ds for _ in range(2))]
+    relators.append((sum(x_images) + 2 * sum(d_images), long_relator))
+    for value, letters in relators:
+        if value := value % two_n:
+            errors.append(f"rho is not a homomorphism: relator {'*'.join(letters)}"
+                          f" maps to {decimal(value)}")
+    if math.gcd(two_n, *d_images, *x_images) != 1:
+        errors.append(f"rho is not surjective onto C_{decimal(two_n)}")
+    for x, p, v in zip(xs, periods, x_images):
+        if (order := two_n // math.gcd(v, two_n)) != p:
+            errors.append(f"torsion collapse: {x} image {decimal(v)} has order"
+                          f" {decimal(order)}, declared {p}")
+    errors += [f"orientation mismatch: glide image {d} -> {decimal(v)} is even"
+               for d, v in zip(ds, d_images) if v % 2 == 0]
+    errors += [f"orientation mismatch: elliptic image {x} -> {decimal(v)} is odd"
+               for x, v in zip(xs, x_images) if v % 2]
     if errors:
         raise ActionValidationError(tuple(errors))
-    return surface_kernel_genus(sig, two_n)
+    return 1 + n * (datum.gamma - 2) + sum(n - n // p for p in periods)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Two canonical families are built here:
   x_i^{n_i} and x_1...x_r d_1^2...d_gamma^2.
 
 This module alone spells out these generator names; everyone else takes
-them by kind (``generators_of_kind``).  ``connector_closed_form`` solves
-the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
+them by kind (``generators_of_kind``), or the crosscap group's from
+``crosscap_names`` without building the group.  ``connector_closed_form``
+solves the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
@@ -141,11 +142,15 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     return Presentation(tuple(generators), tuple(relators), signature=sig)
 
 
+def crosscap_names(gamma: int, r: int) -> tuple[list[str], list[str]]:
+    """The crosscap group's glide names d_1..d_gamma and elliptic names
+    x_1..x_r, in generator order."""
+    return [f"d{j}" for j in range(1, gamma + 1)], [f"x{i}" for i in range(1, r + 1)]
+
+
 def _crosscap_presentation(sig: NECSignature) -> Presentation:
-    gamma = sig.genus
     periods = sig.proper_periods
-    ds = [f"d{j}" for j in range(1, gamma + 1)]
-    xs = [f"x{i}" for i in range(1, len(periods) + 1)]
+    ds, xs = crosscap_names(sig.genus, len(periods))
     generators = [(d, GLIDE) for d in ds] + [
         (x, elliptic(n)) for x, n in zip(xs, periods)
     ]

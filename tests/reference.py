@@ -5,9 +5,11 @@ on them, for the common-denominator area sums of ``necsurf.signatures``,
 for the signature ``pipeline.derive_delta_hat`` claims for the derived
 kernel (``kernel_signature_index2``, the general index-2 computation),
 and for the closed-form H1 of the derived kernel (``abelianization``,
-with the integer ``smith_normal_form`` it calls), and for the
+with the integer ``smith_normal_form`` it calls), for the
 named-source relator check (``index_derived_relators``, matching against
-every relator of K).
+every relator of K), and for the closed-form check of rho in
+``pipeline.validate_action`` (``rho_problems_by_presentation``, on Delta's
+presentation).
 
 Element arithmetic on plain values, a residue in C_m and a pair
 (eps, k) in D_m (``identity``, ``rotation``, ``mul``, ``inverse``,
@@ -25,15 +27,17 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 
-from necsurf import abelian
+from necsurf import abelian, pipeline
 from necsurf import (
     CyclicGroup,
     DihedralGroup,
     FiniteHom,
     NECSignature,
     NotInKernelError,
+    canonical_presentation,
     orientation_character,
     reduced_area,
+    surface_kernel_genus,
 )
 from necsurf.kernels import KernelSignatureReport
 from necsurf.presentations import Presentation, connector_closed_form
@@ -599,6 +603,23 @@ def search_connector_elimination(p: Presentation) -> dict[str, Word] | None:
             replacement = replacement.inverse()
         return {e: replacement}
     return None
+
+
+# rho checked on Delta's presentation: the oracle for the closed-form
+# conditions of ``necsurf.pipeline.validate_action``.
+
+def rho_problems_by_presentation(datum):
+    """The reasons and the genus of the presentation-based check of rho:
+    Delta built by ``canonical_presentation``, rho as a ``FiniteHom`` on
+    it, the reasons of ``pipeline._surface_kernel_problems`` and the genus
+    of ``surface_kernel_genus`` at index 2n.  For a datum whose shape and
+    image counts ``validate_action`` accepts."""
+    sig = datum.delta_signature()
+    delta = canonical_presentation(sig)
+    images = dict(zip(delta.generators_of_kind("glide"), datum.d_images))
+    images.update(zip(delta.generators_of_kind("elliptic"), datum.x_images))
+    rho = FiniteHom.from_dict(delta, CyclicGroup(datum.order), images)
+    return pipeline._surface_kernel_problems(delta, rho, "rho"), surface_kernel_genus(sig, datum.order)
 
 
 # The unpruned product-space filter: the oracle for the pruned search in

@@ -1,0 +1,60 @@
+"""The merge step of scripts/bench_trajectory.py, with stubbed runners: no
+workload and no test suite is run from here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def trajectory():
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectory", ROOT / "scripts" / "bench_trajectory.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RESULT = {"correct": True, "attempted": 3, "failed": 0,
+          "metrics": {"cases_per_ref": {"value": 2.5, "unit": "1/ref"}}}
+
+
+def stub_record(trajectory, tag, calls=None):
+    def runner(workload, seconds):
+        if calls is not None:
+            calls.append((workload, seconds))
+        return RESULT
+
+    return trajectory.collect(tag, 0.5, workload_runner=runner,
+                              tier1_runner=lambda: (6.0, 0), time_reference=lambda: 0.002)
+
+
+def test_collect_records_each_workload_and_tier1_in_ref(trajectory):
+    calls = []
+    record = stub_record(trajectory, "new", calls)
+    assert calls == [(w, 0.5) for w in trajectory.WORKLOADS]
+    assert record["workloads"] == {w: RESULT for w in trajectory.WORKLOADS}
+    assert record["tier1"] == {"seconds": 6.0, "ref": 3000.0, "reference_s": 0.002, "exit_code": 0}
+    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "necsurf").glob("*.py"))
+    assert record["src_lines"] == lines and record["seed"] == 1 and record["tag"] == "new"
+
+
+def test_main_writes_the_parent_numbers_beside_the_new_ones(trajectory, tmp_path, monkeypatch):
+    record = stub_record(trajectory, "new")
+    parent = {**stub_record(trajectory, "old"), "parent": {"tag": "older"}}
+    (tmp_path / "BENCH_old.json").write_text(json.dumps(parent))
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(trajectory, "collect", lambda tag, seconds: {**record, "tag": tag})
+    assert trajectory.main(["--tag", "new", "--parent", "old"]) == 0
+    written = json.loads((tmp_path / "BENCH_new.json").read_text())
+    assert written == {**record, "parent": {k: v for k, v in parent.items() if k != "parent"}}
+    assert written["parent"]["tag"] == "old"
+
+
+def test_time_reference_is_the_benchmarks_own(trajectory):
+    assert trajectory._time_reference().__code__.co_filename == str(ROOT / "bench" / "run.py")

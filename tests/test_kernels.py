@@ -201,8 +201,10 @@ def test_kernels_reads_no_theta():
 
 
 class TestSurfaceKernelCheck:
-    """The surface-kernel conditions on rho that ``validate_action`` checks
-    item by item, read off the primitives it uses."""
+    """The surface-kernel conditions on a map from a presentation, which
+    ``construct_eta`` checks for eta and the oracle
+    ``rho_problems_by_presentation`` for rho, read off the primitives
+    ``_surface_kernel_problems`` uses."""
 
     def test_valid_genus2_epimorphism(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (1,), (2, 2, 2))

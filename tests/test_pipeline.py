@@ -59,6 +59,7 @@ from reference import (
     parse_word,
     product_loop_epimorphisms,
     reduce_mod_involutions,
+    rho_problems_by_presentation,
     rotation,
     theta_through_eta,
     unpruned_epimorphisms,
@@ -234,6 +235,108 @@ class TestValidateAction:
             sig = NECSignature(False, gamma, periods)
             assert pipeline.surface_kernel_genus(sig, order) >= 2
         assert len(shapes) == 23775
+
+
+def closed_form_check(datum):
+    """``validate_action``'s reasons (none when it accepts) and its genus
+    (None when it refuses)."""
+    try:
+        return [], validate_action(datum)
+    except ActionValidationError as exc:
+        return list(exc.reasons), None
+
+
+def assert_agrees_with_presentation_check(datum):
+    """``validate_action`` gives the oracle's reasons, item for item and in
+    order, and when there are none, its genus."""
+    problems, genus = rho_problems_by_presentation(datum)
+    assert closed_form_check(datum) == (problems, None if problems else genus), datum
+
+
+def rho_mutations(datum):
+    """``datum`` with each glide image + 1, each elliptic image + 1, each
+    elliptic image doubled, and x_1 + 2."""
+    d, x = datum.d_images, datum.x_images
+    images = [(d[:j] + (v + 1,) + d[j + 1:], x) for j, v in enumerate(d)]
+    images += [(d, x[:k] + (v + 1,) + x[k + 1:]) for k, v in enumerate(x)]
+    images += [(d, x[:k] + (2 * v,) + x[k + 1:]) for k, v in enumerate(x)]
+    images += [(d, (x[0] + 2,) + x[1:])] if x else []
+    return [replace(datum, d_images=d_images, x_images=x_images) for d_images, x_images in images]
+
+
+RESIDUE_SHAPES = admissible_shapes(4, 3, 24)
+
+
+@st.composite
+def raw_residues(draw):
+    """A datum on a shape of ``RESIDUE_SHAPES`` with any residues mod 2n."""
+    gamma, periods, order = draw(st.sampled_from(RESIDUE_SHAPES))
+    images = draw(st.lists(st.integers(0, order - 1), min_size=gamma + len(periods),
+                           max_size=gamma + len(periods)))
+    return ActionDatum(gamma, periods, order // 2, tuple(images[:gamma]), tuple(images[gamma:]))
+
+
+class TestClosedFormRhoCheck:
+    """``validate_action`` checks rho by four closed-form conditions; the
+    presentation-based check it replaced is the oracle."""
+
+    def test_battery_and_its_mutations_agree(self, action_battery):
+        mutants = 0
+        heads = set()
+        for datum in action_battery:
+            assert_agrees_with_presentation_check(datum)
+            for mutant in rho_mutations(datum):
+                assert_agrees_with_presentation_check(mutant)
+                heads |= {reason.split(":")[0] for reason in closed_form_check(mutant)[0]}
+                mutants += 1
+        assert len(action_battery) == 126 and mutants == 1258
+        assert heads == {"rho is not a homomorphism", "torsion collapse", "orientation mismatch"} | {
+            f"rho is not surjective onto C_{order}" for order in (4, 8, 12)
+        }
+
+    @given(raw_residues())
+    def test_raw_residues_agree(self, datum):
+        assert_agrees_with_presentation_check(datum)
+
+    def test_accepts_exactly_the_searched_epimorphisms(self):
+        shapes = [
+            (gamma, periods, order) for gamma, periods, order in admissible_shapes(5, 4, 12)
+            if order ** (gamma + len(periods)) <= 5000
+        ]
+        for gamma, periods, order in shapes:
+            accepted = []
+            for images in product(range(order), repeat=gamma + len(periods)):
+                datum = ActionDatum(gamma, periods, order // 2, images[:gamma], images[gamma:])
+                if not closed_form_check(datum)[0]:
+                    accepted.append((datum.d_images, datum.x_images))
+            assert accepted == list(enumerate_smooth_epimorphisms(gamma, periods, order).tuples)
+        assert len(shapes) == 39
+
+    def test_builds_no_presentation(self):
+        tree = ast.parse(inspect.getsource(validate_action))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {
+            "canonical_presentation", "FiniteHom", "check_homomorphism",
+            "_surface_kernel_problems", "surface_kernel_genus",
+        }
+
+    def test_invalid_rho_at_huge_periods_is_refused_in_constant_memory(self):
+        # the relators x_k^(2^24) hold, so none of them is spelled out
+        m = 2**24
+        datum = ActionDatum(1, (m, m, m), m, (1,), (4, 2, 2 * m - 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ActionValidationError) as exc:
+                validate_action(datum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.reasons == (
+            "torsion collapse: x1 image 4 has order 8388608, declared 16777216",
+            "torsion collapse: x3 image 33554424 has order 4194304, declared 16777216",
+        )
+        assert peak < 64 * 1024
 
 
 class TestBuildTheta:
