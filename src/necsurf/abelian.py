@@ -6,13 +6,10 @@ oracles in ``tests/reference.py``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word
+from .words import Record, Word
 
 
-@dataclass(frozen=True)
-class Abelianization:
+class Abelianization(Record):
     """Abelianization of a presentation, with canonical coordinates, as
     the test oracle ``abelianization`` in ``tests/reference.py`` builds it.
 
@@ -24,8 +21,12 @@ class Abelianization:
     abelian group.
     """
 
-    moduli: tuple[int, ...]
-    rows: dict[str, tuple[tuple[int, int], ...]]
+    __slots__ = ("moduli", "rows")
+
+    def __init__(
+        self, moduli: tuple[int, ...], rows: dict[str, tuple[tuple[int, int], ...]]
+    ) -> None:
+        self._assign(moduli, rows)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:

@@ -42,7 +42,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any
 
 from . import certificate
 from .pipeline import (
@@ -68,7 +67,7 @@ class InputError(ValueError):
     pass
 
 
-def _require(doc: dict, path: str, kind: type) -> Any:
+def _require(doc: dict, path: str, kind: type) -> object:
     """The value of the field at ``path`` ("n", or "rho.d" inside the rho
     object ``doc``), checked to be of ``kind``; a message names the path."""
     field = path.rpartition(".")[2]
@@ -90,7 +89,7 @@ def _int_list(doc: dict, path: str) -> list[int]:
     return values
 
 
-def parse_input_document(doc: Any) -> dict:
+def parse_input_document(doc: object) -> dict:
     """Validate field presence and JSON types of an action-input document.
     Every value check, rho's lengths included, is ``validate_action``'s."""
     if not isinstance(doc, dict):

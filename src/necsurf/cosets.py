@@ -28,43 +28,44 @@ auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import prod
 
 from .groups import FiniteHom
 from .presentations import Presentation, orientation_character
 from .signatures import CONNECTOR, GLIDE
-from .words import Word
+from .words import Record, Word
 
 
 class NotInKernelError(ValueError):
     """A word handed to the rewriting map does not lie in the kernel."""
 
 
-@dataclass(frozen=True)
-class SchreierGenerator:
-    """One non-trivial Schreier generator rep(c) * g * rep(c g)^-1.  Its
-    pair (coset c, generator g) is the key of its name in
-    ``SchreierSubgroup.pair_names``."""
+class SchreierGenerator(Record):
+    """One non-trivial Schreier generator rep(c) * g * rep(c g)^-1, its
+    ``word`` freely reduced in the ambient generators.  Its pair (coset c,
+    generator g) is the key of its name in ``SchreierSubgroup.pair_names``."""
 
-    name: str
-    word: Word          # freely reduced word in the ambient generators
-    role: str
+    __slots__ = ("name", "word", "role")
+
+    def __init__(self, name: str, word: Word, role: str) -> None:
+        self._assign(name, word, role)
 
 
-@dataclass(frozen=True)
-class SchreierSubgroup:
+class SchreierSubgroup(Record):
     """Reidemeister-Schreier data for ker(theta): generators, derived
     presentation (with its torsion words) and the rewriting map into it.
     ``pair_names`` names the Schreier generator of each (coset, generator)
     pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
     bit on each generator."""
 
-    base: Presentation
-    generators: tuple[SchreierGenerator, ...]
-    presentation: Presentation
-    pair_names: dict[tuple[int, str], str | None]
-    parity: dict[str, int]
+    __slots__ = ("base", "generators", "presentation", "pair_names", "parity")
+
+    def __init__(
+        self, base: Presentation, generators: tuple[SchreierGenerator, ...],
+        presentation: Presentation, pair_names: dict[tuple[int, str], str | None],
+        parity: dict[str, int],
+    ) -> None:
+        self._assign(base, generators, presentation, pair_names, parity)
 
     def rewrite(self, w: Word, coset: int = 0) -> Word:
         """Express a word in the Schreier generators by walking the parity
@@ -179,6 +180,5 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     corners = zip(reflections, reflections[1:], p.signature.period_cycles[0])
     torsion = tuple((subgroup.rewrite(Word(((a, 1), (b, 1)))), n) for a, b, n in corners)
 
-    return replace(
-        subgroup, presentation=Presentation(derived.generators, tuple(relators), torsion)
-    )
+    presentation = Presentation(derived.generators, tuple(relators), torsion)
+    return SchreierSubgroup(p, subgroup.generators, presentation, pair_names, parity)

@@ -26,13 +26,9 @@ values it returns with the target's ``identity``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from collections.abc import Iterable
 
-from .words import Word
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from .presentations import Presentation
+from .words import Record, Word
 
 
 class GroupMismatchError(ValueError):
@@ -48,14 +44,14 @@ def _is_residue(x: object, modulus: int) -> bool:
 # Cyclic groups C_m (additive residues)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclicGroup:
-    modulus: int
+class CyclicGroup(Record):
+    __slots__ = ("modulus",)
     identity = 0
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, modulus: int) -> None:
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
+        self._assign(modulus)
 
     @property
     def order(self) -> int:
@@ -92,14 +88,14 @@ class CyclicGroup:
 # Dihedral groups D_m of order 2m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DihedralGroup:
-    modulus: int  # rotation order; |D_m| = 2m
+class DihedralGroup(Record):
+    __slots__ = ("modulus",)  # rotation order; |D_m| = 2m
     identity = (0, 0)
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, modulus: int) -> None:
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
+        self._assign(modulus)
 
     @property
     def order(self) -> int:
@@ -158,37 +154,39 @@ class DihedralGroup:
 # Homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteHom:
+class FiniteHom(Record):
     """A homomorphism from a finitely presented group to a finite group,
     given by its generator images.  Construction checks that exactly the
     domain's generators have images (else ``ValueError`` names the missing
     and the undeclared ones) and that every image is an element of
     ``target`` (else ``GroupMismatchError`` names the generator); whether
     the images actually satisfy the relators is checked by
-    ``presentations.check_homomorphism``."""
+    ``presentations.check_homomorphism``.  The name -> image lookup is a
+    slot outside ``_fields``, so comparison and hashing ignore it."""
 
-    domain: "Presentation"
-    target: CyclicGroup | DihedralGroup
-    images: tuple[tuple[str, object], ...]
-    _by_name: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("domain", "target", "images", "_by_name")
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
-        names = {g for g, _ in self.domain.generators}
-        assigned = {g for g, _ in self.images}
+    def __init__(
+        self, domain: "Presentation", target: CyclicGroup | DihedralGroup,
+        images: Iterable[tuple[str, object]],
+    ) -> None:
+        images = tuple(images)
+        names = {g for g, _ in domain.generators}
+        assigned = {g for g, _ in images}
         if names != assigned:
             raise ValueError(
                 f"generator images do not match the domain: missing images for"
                 f" {sorted(names - assigned)}, images for undeclared generators"
                 f" {sorted(assigned - names)}"
             )
-        for g, img in self.images:
-            if img not in self.target:
+        for g, img in images:
+            if img not in target:
                 raise GroupMismatchError(
-                    f"image {img!r} of generator {g} is not an element of {self.target}"
+                    f"image {img!r} of generator {g} is not an element of {target}"
                 )
-        object.__setattr__(self, "_by_name", dict(self.images))
+        self._assign(domain, target, images)
+        object.__setattr__(self, "_by_name", dict(images))
 
     @classmethod
     def from_dict(cls, domain, target, images: dict) -> "FiniteHom":

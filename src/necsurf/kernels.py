@@ -7,13 +7,14 @@ index-2 computation is now a test oracle in ``tests/reference.py``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .signatures import NECSignature
+from .words import Record
 
 
-@dataclass(frozen=True)
-class KernelSignatureReport:
+class KernelSignatureReport(Record):
     """The kernel's signature."""
 
-    signature: NECSignature
+    __slots__ = ("signature",)
+
+    def __init__(self, signature: NECSignature) -> None:
+        self._assign(signature)

@@ -44,8 +44,8 @@ theta, the derived kernel and the lemma report and is memoised for the
 ``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
 A sweep over the epimorphisms of one shape derives that shape once.  The
 memo holds each shape's objects, which no later step mutates: measured
-with tracemalloc, about 26 KB per shape of the 126-action battery (37 KB
-at most), 100 KB at gamma = 40 and 13 MB at gamma = 5120, so at most 16
+with tracemalloc, about 23 KB per shape of the 126-action battery (32 KB
+at most), 88 KB at gamma = 40 and 11 MB at gamma = 5120, so at most 16
 times the largest shape built.
 
 Every map the mathematics fixes is built in closed form and then
@@ -58,8 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product, repeat
 
@@ -80,7 +79,7 @@ from .signatures import (
     reduced_area,
     surface_kernel_genus,
 )
-from .words import Word, cyclic_reduce_letters, substitute_letters
+from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
 
 class ActionValidationError(ValueError):
@@ -100,26 +99,22 @@ class PipelineAssertionError(RuntimeError):
 # Action data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionDatum:
+class ActionDatum(Record):
     """Quotient data of a cyclic orientation-reversing action: gamma
     crosscaps, cone orders, n (the action has order 2n), and the images
     of the glide and elliptic generators under rho: Delta -> C_2n, as
     residues reduced mod 2n (when n >= 1; otherwise validation rejects n)."""
 
-    gamma: int
-    periods: tuple[int, ...]
-    n: int
-    d_images: tuple[int, ...]
-    x_images: tuple[int, ...]
+    __slots__ = ("gamma", "periods", "n", "d_images", "x_images")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "periods", tuple(self.periods))
-        for field in ("d_images", "x_images"):
-            values = tuple(getattr(self, field))
-            if self.n >= 1:
-                values = tuple(v % self.order for v in values)
-            object.__setattr__(self, field, values)
+    def __init__(
+        self, gamma: int, periods: Iterable[int], n: int, d_images: Iterable[int],
+        x_images: Iterable[int],
+    ) -> None:
+        d_images, x_images = tuple(d_images), tuple(x_images)
+        if n >= 1:
+            d_images, x_images = (tuple(v % (2 * n) for v in vs) for vs in (d_images, x_images))
+        self._assign(gamma, tuple(periods), n, d_images, x_images)
 
     @property
     def order(self) -> int:
@@ -292,16 +287,19 @@ def build_theta(K: Presentation) -> FiniteHom:
     return FiniteHom.from_dict(K, c2, images)
 
 
-@dataclass(frozen=True)
-class DerivedKernel:
+class DerivedKernel(Record):
     """The index-2 kernel of theta: Reidemeister-Schreier presentation
     (with canonical generator names and torsion words), the signature
     claimed for it and checked, and the certified classical relators, each
     label with its status, "trivial" or "matches-relator"."""
 
-    subgroup: SchreierSubgroup
-    signature: NECSignature
-    printed_checks: tuple[tuple[str, str], ...]
+    __slots__ = ("subgroup", "signature", "printed_checks")
+
+    def __init__(
+        self, subgroup: SchreierSubgroup, signature: NECSignature,
+        printed_checks: tuple[tuple[str, str], ...],
+    ) -> None:
+        self._assign(subgroup, signature, printed_checks)
 
     @property
     def presentation(self) -> Presentation:
@@ -390,8 +388,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
 # Lemma: conjugation by tau1 inverts the abelianized kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record):
     """Evidence that ker(zeta) is normal in K for every homomorphism zeta
     of the derived kernel to an abelian group: conjugation by the first
     reflection tau1 acts as -1 on the kernel's abelianization H1, for
@@ -407,10 +404,13 @@ class LemmaReport:
     ``invariant_factors`` and ``free_rank`` describe H1, a direct sum of
     cyclic groups read off the certified signature."""
 
-    connector_pair: tuple[str, str]
-    inversion_entries: tuple[str, ...]
-    invariant_factors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("connector_pair", "inversion_entries", "invariant_factors", "free_rank")
+
+    def __init__(
+        self, connector_pair: tuple[str, str], inversion_entries: tuple[str, ...],
+        invariant_factors: tuple[int, ...], free_rank: int,
+    ) -> None:
+        self._assign(connector_pair, inversion_entries, invariant_factors, free_rank)
 
     connector_product_zero = ok = True  # bench/workloads.py:265; ROADMAP item 12
 
@@ -508,16 +508,18 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 SHAPE_MEMO_SIZE = 16
 
 
-@dataclass(frozen=True)
-class ShapeCertificate:
+class ShapeCertificate(Record):
     """K, theta, the derived kernel and the lemma report of one quotient
     shape (gamma; -; [n_1..n_r]), each checked; shared by every
     certificate of that shape and never mutated."""
 
-    k_presentation: Presentation
-    theta: FiniteHom
-    derived: DerivedKernel
-    lemma: LemmaReport
+    __slots__ = ("k_presentation", "theta", "derived", "lemma")
+
+    def __init__(
+        self, k_presentation: Presentation, theta: FiniteHom, derived: DerivedKernel,
+        lemma: LemmaReport,
+    ) -> None:
+        self._assign(k_presentation, theta, derived, lemma)
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
@@ -546,18 +548,19 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
 # Theta on K, and eta as its restriction to the derived kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DihedralExtension:
+class DihedralExtension(Record):
     """Theta: K -> D_2n and its image order 4n, the index of ker(Theta) in
     K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/."""
 
-    hom: FiniteHom
-    image_order: int
+    __slots__ = ("hom", "image_order")
     reflection_rotation = 0  # bench/layers.py:63; ROADMAP item 12
 
     @property
     def kernel_index(self) -> int:  # bench/workloads.py:240; ROADMAP item 12
         return self.image_order
+
+    def __init__(self, hom: FiniteHom, image_order: int) -> None:
+        self._assign(hom, image_order)
 
 
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
@@ -592,14 +595,15 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
     return DihedralExtension(hom, image_order)
 
 
-@dataclass(frozen=True)
-class EtaResult:
+class EtaResult(Record):
     """eta onto C_2n and its torsion images, rho's elliptic images (the
     branch match has unit 1; ``unit`` is a constant kept for bench/)."""
 
-    hom: FiniteHom
-    torsion_images: tuple[int, ...]
+    __slots__ = ("hom", "torsion_images")
     unit = 1  # bench/workloads.py:241; ROADMAP item 12
+
+    def __init__(self, hom: FiniteHom, torsion_images: tuple[int, ...]) -> None:
+        self._assign(hom, torsion_images)
 
 
 def construct_eta(
@@ -644,8 +648,7 @@ def construct_eta(
 # End-to-end realization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(Record):
     """Complete audit trail: every object of the construction,
     re-checkable without recomputation.  ``realize`` raises at the first
     check that fails, so a certificate holds values, not verdicts: the
@@ -654,16 +657,15 @@ class RealizationCertificate:
     of the connector, the area ratio is 2, and the real surface has genus
     ``genus``.  ``conclusion`` is a constant kept for bench/."""
 
-    datum: ActionDatum
-    genus: int
-    k_presentation: Presentation
-    theta: FiniteHom
-    derived: DerivedKernel
-    lemma: LemmaReport
-    eta: EtaResult
-    extension: DihedralExtension
-
+    __slots__ = ("datum", "genus", "k_presentation", "theta", "derived", "lemma", "eta",
+                 "extension")
     conclusion = True  # bench/workloads.py:243; ROADMAP item 12
+
+    def __init__(
+        self, datum: ActionDatum, genus: int, k_presentation: Presentation, theta: FiniteHom,
+        derived: DerivedKernel, lemma: LemmaReport, eta: EtaResult, extension: DihedralExtension,
+    ) -> None:
+        self._assign(datum, genus, k_presentation, theta, derived, lemma, eta, extension)
 
 
 def realize(datum: ActionDatum) -> RealizationCertificate:
@@ -708,9 +710,11 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
 # Surface-kernel epimorphisms onto C_2n: the first one, and all of them
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    tuples: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+class EnumerationResult(Record):
+    __slots__ = ("tuples",)
+
+    def __init__(self, tuples: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]) -> None:
+        self._assign(tuples)
 
     @property
     def count(self) -> int:
@@ -747,6 +751,13 @@ def _image_choices(
     ]
 
 
+def _parity_obstructed(gamma: int, periods: tuple[int, ...], order: int) -> bool:
+    """Whether gamma + #{k : n/n_k odd} is odd, with 2n = order, which
+    leaves no epimorphism (``first_smooth_epimorphism`` says why)."""
+    n = order // 2
+    return (gamma + sum(n // p % 2 for p in periods)) % 2 == 1
+
+
 def enumerate_smooth_epimorphisms(
     gamma: int, periods: tuple[int, ...], order: int
 ) -> EnumerationResult:
@@ -768,14 +779,14 @@ def enumerate_smooth_epimorphisms(
     and the cost is (order/2)^(gamma-1) prefixes, plus at most
     order * tau(order) states of order/2 glide values each (tau counting
     divisors), plus the elliptic product, plus the output; a shape with no
-    epimorphism, as the walk of ``first_smooth_epimorphism`` decides
-    first, lists nothing at once.
+    epimorphism lists nothing at once, as ``first_smooth_epimorphism``
+    decides first: by parity (``_parity_obstructed``), else by its walk.
     Counts are raw, with no quotient by any equivalence.  Raises
     ``ActionValidationError``, itemised as for ``realize``, when the shape
     is not admissible (``_image_choices``).
     """
     letters = _image_choices(gamma, periods, order)
-    if _first_images(letters, order) is None:
+    if _parity_obstructed(gamma, periods, order) or _first_images(letters, order) is None:
         return EnumerationResult(())
     glides = letters[0][1]
     by_sum: dict[int, list[tuple[int, ...]]] = {}
@@ -812,8 +823,14 @@ def first_smooth_epimorphism(
     """Lexicographically first surface-kernel epimorphism, as an action
     datum, or None when there is none.
 
-    A depth-first walk over the letters d_1..d_gamma, x_1..x_r, trying each
-    letter's candidates (``_image_choices``) in increasing order.  The
+    None at once, after ``_image_choices``' reasons, when gamma +
+    #{k : n/n_k odd} is odd (``_parity_obstructed``).  Each glide image is
+    odd, and each x_k = 2*(n/n_k)*u_k with u_k a unit mod n_k, so u_k is
+    odd where n/n_k is (n_k is then even).  Halved, the long relator reads
+    sum(d) + sum((n/n_k)*u_k) = 0 mod n, with n even, so it needs an even
+    number of odd terms.  Otherwise a depth-first walk over the
+    letters d_1..d_gamma, x_1..x_r, trying each letter's candidates
+    (``_image_choices``) in increasing order.  The
     state after k letters is (k, relator sum mod order, gcd of order and
     the images so far), and a state found to have no completion is never
     expanded again.  So the walk expands each state at most once: at most
@@ -823,7 +840,8 @@ def first_smooth_epimorphism(
     ``ActionValidationError`` on the shapes ``enumerate_smooth_epimorphisms``
     rejects, with the same reasons.
     """
-    images = _first_images(_image_choices(gamma, periods, order), order)
+    letters = _image_choices(gamma, periods, order)
+    images = None if _parity_obstructed(gamma, periods, order) else _first_images(letters, order)
     if images is None:
         return None
     return ActionDatum(gamma, periods, order // 2, images[:gamma], images[gamma:])

@@ -26,9 +26,7 @@ from the named rotation, or with the empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from collections.abc import Iterable
 
 from .groups import FiniteHom
 from .signatures import (
@@ -39,65 +37,65 @@ from .signatures import (
     NECSignature,
     elliptic,
 )
-from .words import Word, cyclic_reduce_letters, substitute_letters
+from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
 
 class UnsupportedSignatureError(ValueError):
     """The signature does not belong to a supported presentation family."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Named generators with geometric kinds, plus relator words.
 
     ``torsion_words`` designates the words generating the maximal finite
     cyclic subgroups up to conjugacy, with their orders; surface-kernel
     checks test exactly these.  ``signature`` carries the NEC signature
     the presentation was built from, when one is known.
+
+    The involution names, the names of each kind and the connector's
+    closed form are computed on first use and kept in slots outside
+    ``_fields``, so comparison and hashing ignore them.
     """
 
-    generators: tuple[tuple[str, GeneratorKind], ...]
-    relators: tuple[Word, ...]
-    torsion_words: tuple[tuple[Word, int], ...] = ()
-    signature: NECSignature | None = None
+    __slots__ = ("generators", "relators", "torsion_words", "signature",
+                 "_involutions", "_names_by_kind", "_closed_form")
+    _fields = __slots__[:4]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(self.relators))
-        object.__setattr__(
-            self, "torsion_words", tuple((w, n) for w, n in self.torsion_words)
-        )
-        names = [g for g, _ in self.generators]
+    def __init__(
+        self, generators: Iterable[tuple[str, GeneratorKind]], relators: Iterable[Word],
+        torsion_words: Iterable[tuple[Word, int]] = (), signature: NECSignature | None = None,
+    ) -> None:
+        generators = tuple(generators)
+        names = [g for g, _ in generators]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
+        self._assign(generators, tuple(relators), tuple((w, n) for w, n in torsion_words),
+                         signature)
+
+    def _keep(self, slot: str, value):
+        """``value``, kept in ``slot`` for the next use."""
+        object.__setattr__(self, slot, value)
+        return value
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.generators)
 
     def involution_names(self) -> frozenset[str]:
-        return self._involutions
+        try:
+            return self._involutions
+        except AttributeError:
+            return self._keep("_involutions", frozenset(
+                g for g, kind in self.generators if kind.is_involution))
 
     def generators_of_kind(self, kind: str) -> tuple[str, ...]:
-        return self._names_by_kind.get(kind, ())
-
-    # Computed once per presentation: the fields are frozen, and
-    # cached_property writes the instance __dict__, which the dataclass
-    # comparison and hash ignore.
-    @cached_property
-    def _involutions(self) -> frozenset[str]:
-        return frozenset(g for g, kind in self.generators if kind.is_involution)
-
-    @cached_property
-    def _names_by_kind(self) -> dict[str, tuple[str, ...]]:
-        names: dict[str, list[str]] = {}
-        for g, k in self.generators:
-            names.setdefault(k.kind, []).append(g)
-        return {kind: tuple(gs) for kind, gs in names.items()}
-
-    @cached_property
-    def _connector_closed_form(self) -> dict[str, Word]:
-        solved = Word(tuple((x, -1) for x in self.generators_of_kind("elliptic")))
-        return {e: solved for e in self.generators_of_kind("connector")}
+        try:
+            by_kind = self._names_by_kind
+        except AttributeError:
+            names: dict[str, list[str]] = {}
+            for g, k in self.generators:
+                names.setdefault(k.kind, []).append(g)
+            by_kind = self._keep("_names_by_kind", {k: tuple(gs) for k, gs in names.items()})
+        return by_kind.get(kind, ())
 
 
 def orientation_character(p: Presentation) -> dict[str, int]:
@@ -188,7 +186,11 @@ def connector_closed_form(p: Presentation) -> dict[str, Word]:
     the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1.
     Every image of e, theta's and Theta's, is the normal form of this word,
     solved once per presentation; callers read the dict, never change it."""
-    return p._connector_closed_form
+    try:
+        return p._closed_form
+    except AttributeError:
+        solved = Word(tuple((x, -1) for x in p.generators_of_kind("elliptic")))
+        return p._keep("_closed_form", {e: solved for e in p.generators_of_kind("connector")})
 
 
 def verify_derived_relators(

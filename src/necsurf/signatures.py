@@ -20,9 +20,10 @@ point approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
+
+from .words import Record
 
 
 class NoSurfaceKernelError(ValueError):
@@ -36,8 +37,7 @@ class NoSurfaceKernelError(ValueError):
 _KINDS = ("elliptic", "reflection", "glide", "connector")
 
 
-@dataclass(frozen=True)
-class GeneratorKind:
+class GeneratorKind(Record):
     """Geometric type of a canonical NEC generator.
 
     The kind fixes the orientation character: reflections and glide
@@ -46,17 +46,17 @@ class GeneratorKind:
     their finite order.
     """
 
-    kind: str
-    order: int | None = None
+    __slots__ = ("kind", "order")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "elliptic":
-            if self.order is None or self.order < 2:
+    def __init__(self, kind: str, order: int | None = None) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == "elliptic":
+            if order is None or order < 2:
                 raise ValueError("elliptic generators need an order >= 2")
-        elif self.order is not None:
-            raise ValueError(f"{self.kind} generators carry no order")
+        elif order is not None:
+            raise ValueError(f"{kind} generators carry no order")
+        self._assign(kind, order)
 
     @property
     def character(self) -> int:
@@ -82,8 +82,7 @@ CONNECTOR = GeneratorKind("connector")
 # Signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NECSignature:
+class NECSignature(Record):
     """Combinatorial signature of a cocompact NEC group.
 
     ``orientable`` is the sign (+ or -), ``genus`` the orbifold genus
@@ -93,27 +92,26 @@ class NECSignature:
     corner points and is distinct from having no cycle at all.
     """
 
-    orientable: bool
-    genus: int
-    proper_periods: tuple[int, ...] = ()
-    period_cycles: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("orientable", "genus", "proper_periods", "period_cycles")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "proper_periods", tuple(self.proper_periods))
-        object.__setattr__(
-            self, "period_cycles", tuple(tuple(c) for c in self.period_cycles)
-        )
-        if self.genus < 0:
+    def __init__(
+        self, orientable: bool, genus: int, proper_periods: Iterable[int] = (),
+        period_cycles: Iterable[Iterable[int]] = (),
+    ) -> None:
+        proper_periods = tuple(proper_periods)
+        period_cycles = tuple(tuple(c) for c in period_cycles)
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValueError("a non-orientable signature needs genus >= 1")
-        for m in self.proper_periods:
+        for m in proper_periods:
             if m < 2:
                 raise ValueError(f"proper period {m} < 2")
-        for cycle in self.period_cycles:
+        for cycle in period_cycles:
             for n in cycle:
                 if n < 2:
                     raise ValueError(f"link period {n} < 2")
+        self._assign(orientable, genus, proper_periods, period_cycles)
 
     @property
     def sign(self) -> str:

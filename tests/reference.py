@@ -9,7 +9,8 @@ with the integer ``smith_normal_form`` it calls), for the
 named-source relator check (``index_derived_relators``, matching against
 every relator of K), and for the closed-form check of rho in
 ``pipeline.validate_action`` (``rho_problems_by_presentation``, on Delta's
-presentation).
+presentation).  ``replace`` rebuilds a result with some of its fields
+changed, through the constructor.
 
 Element arithmetic on plain values, a residue in C_m and a pair
 (eps, k) in D_m (``identity``, ``rotation``, ``mul``, ``inverse``,
@@ -21,8 +22,9 @@ here: the library evaluates words and reduces them cyclically without
 them, and the tests use them as plain functions, never as methods put
 back on library classes."""
 
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
@@ -43,6 +45,15 @@ from necsurf.kernels import KernelSignatureReport
 from necsurf.presentations import Presentation, connector_closed_form
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
+
+
+def replace(obj, **changes):
+    """A new ``type(obj)`` built by its constructor from ``obj``'s values,
+    with ``changes`` in place of some: each constructor parameter is read
+    off ``obj`` as the attribute of that name.  A change naming no
+    parameter raises ``TypeError``, as the constructor does."""
+    values = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    return type(obj)(**{**values, **changes})
 
 
 # Element arithmetic in C_m (residues in range(m)) and D_m (pairs

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -266,6 +267,18 @@ def test_failed_search_uses_the_failure_output(tmp_path, capsys, command, fmt):
         assert json.loads(captured.out) == {"input": doc, "errors": [reason]}
     else:
         assert captured.out == f"input validation failed:\n  - {reason}\n"
+
+
+@pytest.mark.parametrize("n", [4000, 10**6])
+def test_parity_obstructed_search_exits_at_once(tmp_path, capsys, n):
+    # three odd glide images never sum to 0 mod n: no epimorphism, at any n
+    path = write_doc(tmp_path, {"gamma": 3, "periods": [], "n": n, "rho": "search"})
+    started = time.perf_counter()
+    code = cli.main(["realize", path])
+    assert time.perf_counter() - started < 1
+    reason = f"no surface-kernel epimorphism exists for gamma=3, periods=[], order={2 * n}"
+    assert code == 1
+    assert capsys.readouterr().out == f"input validation failed:\n  - {reason}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import ast
 import inspect
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +29,7 @@ from reference import (
     character_factors_through_image,
     free_reduce,
     kernel_signature_index2,
+    replace,
     substitute,
     termwise_area,
     termwise_kernel_genus,

@@ -1,12 +1,10 @@
 import ast
-import dataclasses
 import inspect
 import math
 import re
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from itertools import combinations_with_replacement, product
@@ -59,6 +57,7 @@ from reference import (
     parse_word,
     product_loop_epimorphisms,
     reduce_mod_involutions,
+    replace,
     rho_problems_by_presentation,
     rotation,
     theta_through_eta,
@@ -438,7 +437,7 @@ def test_result_types_hold_only_values_that_vary():
     it, and ``certificate.document`` writes its JSON key as a literal
     that agrees with it."""
     fields = {
-        cls.__name__: {field.name for field in dataclasses.fields(cls)}
+        cls.__name__: set(inspect.signature(cls).parameters)
         for cls in (DihedralExtension, EtaResult, LemmaReport, RealizationCertificate,
                     DerivedKernel)
     }
@@ -1335,8 +1334,10 @@ class TestFirstEpimorphism:
     def test_infeasible_walk_expands_each_state_once(self, monkeypatch, gamma):
         # every candidate tried costs one gcd; the walk has at most
         # gamma * 8 * tau(8) states, each trying the 4 odd residues, where
-        # a walk without the memo would try about 4^gamma
+        # a walk without the memo would try about 4^gamma.  Odd gamma with
+        # no periods is parity-obstructed, so the walk is called directly.
         bound = gamma * 8 * 4 * 4
+        letters = pipeline._image_choices(gamma, (), 8)
         tried = 0
 
         def gcd(*args):
@@ -1347,12 +1348,35 @@ class TestFirstEpimorphism:
             return math.gcd(*args)
 
         monkeypatch.setattr(pipeline, "math", SimpleNamespace(gcd=gcd))
-        assert first_smooth_epimorphism(gamma, (), 8) is None
+        assert pipeline._first_images(letters, 8) is None
         assert tried > 0
 
     def test_deep_infeasible_walk_needs_no_recursion(self):
         # odd gamma at 2n = 4: the walk backtracks through all 2001 letters
+        assert pipeline._first_images(pipeline._image_choices(2001, (), 4), 4) is None
         assert first_smooth_epimorphism(2001, (), 4) is None
+
+    def test_parity_obstruction_agrees_with_the_walk(self):
+        # gamma + #{k : n/n_k odd} odd leaves no epimorphism: on every shape
+        # with 2n <= 24 the walk finds none there, and both searches answer
+        # as the walk does everywhere
+        obstructed = 0
+        for gamma, periods, order in admissible_shapes(6, 4, 24):
+            walk = pipeline._first_images(pipeline._image_choices(gamma, periods, order), order)
+            datum = first_smooth_epimorphism(gamma, periods, order)
+            assert (datum is None) == (walk is None), (gamma, periods, order)
+            if pipeline._parity_obstructed(gamma, periods, order):
+                obstructed += 1
+                assert walk is None, (gamma, periods, order)
+                assert enumerate_smooth_epimorphisms(gamma, periods, order).count == 0
+        assert obstructed == 733
+
+    @pytest.mark.parametrize("n", [4000, 10**6])
+    def test_parity_obstructed_search_answers_at_once(self, n):
+        started = time.perf_counter()
+        assert first_smooth_epimorphism(3, (), 2 * n) is None
+        assert enumerate_smooth_epimorphisms(3, (), 2 * n).count == 0
+        assert time.perf_counter() - started < 1
 
 
 def test_battery_subsample_round_trip(action_battery):
