@@ -51,11 +51,18 @@ def _env() -> dict:
 
 
 def run_workload(workload: str, seconds: float) -> dict:
-    """The last line of bench/run.py's standard output on ``workload``."""
+    """The last line of bench/run.py's standard output on ``workload``.
+    A child that prints no JSON line raises ``RuntimeError`` naming the
+    workload, its exit code and the last ten lines of its standard error."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(SEED), "--seconds", str(seconds)]
-    out = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    done = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True, text=True)
+    try:
+        return json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        tail = "\n".join(done.stderr.strip().splitlines()[-10:])
+        raise RuntimeError(f"workload {workload} printed no result (exit code"
+                           f" {done.returncode}); its stderr ends:\n{tail}") from None
 
 
 def run_tier1() -> tuple[float, int]:

@@ -15,25 +15,33 @@ pair e1, e2 (theta(e) = 0, gamma even) or f1, f2 (theta(e) = 1, gamma
 odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.  The kernel's
 torsion words are K's corners, rewritten here, so
 ``pipeline.derive_delta_hat`` checks its claimed signature against the
-subgroup without theta.
+subgroup without theta.  The periods enter only K's last r relators, the
+corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
+else is derived once per frame: K's generators with their kinds, theta's
+parity and the other relators, memoised by value (``schreier_frame``).
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
 building it; the derived relators and the lemma's witness row for the
-conjugated long relator are read that way.  The derived presentation is simplified only by freely
-reducing and de-duplicating the rewritten relators; nothing more
-aggressive, so the correspondence with the ambient group stays
-auditable.
+conjugated long relator are read that way, and a corner's as a power.
+The derived presentation is simplified only by freely reducing and
+de-duplicating the rewritten relators; nothing more aggressive, so the
+correspondence with the ambient group stays auditable.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 from .groups import FiniteHom
-from .presentations import Presentation, orientation_character
-from .signatures import CONNECTOR, GLIDE
+from .presentations import Presentation
+from .signatures import CONNECTOR, GLIDE, GeneratorKind
 from .words import Record, Word
+
+# the size of each memo: ``schreier_frame`` here, and in ``pipeline`` the
+# shapes and the lemma's conjugation identities
+SHAPE_MEMO_SIZE = 16
 
 
 class NotInKernelError(ValueError):
@@ -56,12 +64,13 @@ class SchreierSubgroup(Record):
     presentation (with its torsion words) and the rewriting map into it.
     ``pair_names`` names the Schreier generator of each (coset, generator)
     pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
-    bit on each generator."""
+    bit on each generator.  A frame's subgroup (``schreier_frame``) has no
+    ``base`` and no relators."""
 
     __slots__ = ("base", "generators", "presentation", "pair_names", "parity")
 
     def __init__(
-        self, base: Presentation, generators: tuple[SchreierGenerator, ...],
+        self, base: Presentation | None, generators: tuple[SchreierGenerator, ...],
         presentation: Presentation, pair_names: dict[tuple[int, str], str | None],
         parity: dict[str, int],
     ) -> None:
@@ -110,7 +119,9 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     from coset u; free reduction commutes with the walk, so no conjugate
     is built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
     coset 0, of its full order n_k; each interior involution is moved, so
-    it leaves no period.
+    it leaves no period.  The checks run on every call; all else comes
+    from ``schreier_frame`` but the rewrites of the last r relators of
+    ``p`` (r periods), and the de-duplication of the relators.
     """
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
@@ -135,6 +146,47 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
         raise ValueError(
             f"theta must move every reflection and interior point, and fixes {', '.join(fixed)}"
         )
+    cycle = p.signature.period_cycles[0]
+    prefix = p.relators[:len(p.relators) - len(cycle)]
+    frame, heads, corners = schreier_frame(
+        p.generators, prefix, tuple(parity[g] for g in p.generator_names()))
+    relators: list[Word] = []
+    seen_relators: set[tuple[tuple[str, int], ...]] = set()
+    for u, head in enumerate(heads):
+        tail = (_rewrite_corner(frame, corners, rel, u) for rel in p.relators[len(prefix):])
+        for rewritten in (*head, *tail):
+            if rewritten.letters and rewritten.letters not in seen_relators:
+                seen_relators.add(rewritten.letters)
+                relators.append(rewritten)
+    torsion = zip((w for w, _ in corners.values()), cycle)
+    presentation = Presentation(frame.presentation.generators, relators, torsion)
+    return SchreierSubgroup(p, frame.generators, presentation, frame.pair_names, frame.parity)
+
+
+def _rewrite_corner(frame: SchreierSubgroup, corners: dict, rel: Word, u: int) -> Word:
+    """``frame.rewrite(rel, u)``, read as w^m when ``rel`` is the m-th power
+    of a corner tau_k*tau_(k+1) whose rewrite w from coset u (``corners``)
+    is cyclically reduced: rewriting is a homomorphism on kernel words, and
+    w^m is then freely reduced."""
+    unit, m = rel.letters[:2], len(rel) // 2
+    w = corners[unit][u].letters if unit in corners and rel.letters == unit * m else ()
+    return Word(w * m) if w and w[0] != (w[-1][0], -w[-1][1]) else frame.rewrite(rel, u)
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def schreier_frame(
+    generators: tuple[tuple[str, GeneratorKind], ...], prefix: tuple[Word, ...],
+    parity_bits: tuple[int, ...],
+) -> tuple[SchreierSubgroup, tuple[tuple[Word, ...], ...], dict]:
+    """What ``reidemeister_schreier`` derives without the periods: the
+    Schreier generators, their kinds and the rewriting map, as a subgroup;
+    the rewrites of ``prefix`` from cosets 0 and 1; and the rewrites of
+    each corner tau_k*tau_(k+1) from both cosets, keyed by its letters.
+    It reads only its arguments, theta's bits in generator order among
+    them, so an altered input misses the memo of ``SHAPE_MEMO_SIZE`` keys."""
+    reflections, elliptics, connectors = ([g for g, kind in generators if kind.kind == k]
+                                          for k in ("reflection", "elliptic", "connector"))
+    parity = dict(zip((g for g, _ in generators), parity_bits))
     tau1 = reflections[0]
     # letters of the representatives 1, tau_1 and of their inverses; only
     # the trivial pair (0, tau_1), tau_1 * tau_1^-1, would cancel, and it
@@ -145,40 +197,23 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     pairs = [(1, x, f"delta{j}", "glide") for j, x in enumerate(elliptics, start=1)]
     pairs += [(1, t, f"c{k}", "corner rotation") for k, t in enumerate(reflections[1:], start=1)]
     conjugates = [(0, g, name + "t", role + " (tau1-conjugate)") for _, g, name, role in pairs]
-    for e in p.generators_of_kind("connector"):
+    for e in connectors:
         letter = "ef"[parity[e]]
         pairs += [(0, e, f"{letter}1", "connector"), (1, e, f"{letter}2", "connector")]
     conjugates.append((1, tau1, "tau1sq", "reflection square (trivial in K)"))
 
     pair_names: dict[tuple[int, str], str | None] = {(0, tau1): None}
-    generators: list[SchreierGenerator] = []
+    schreier: list[SchreierGenerator] = []
     for coset, g, name, role in pairs + conjugates:
         word = Word(reps[coset] + ((g, 1),) + rep_inverses[coset ^ parity[g]])
         pair_names[(coset, g)] = name
-        generators.append(SchreierGenerator(name, word, role))
+        schreier.append(SchreierGenerator(name, word, role))
 
-    chars = orientation_character(p)
-    derived = Presentation(
-        tuple(
-            (gen.name, GLIDE if prod(chars[g] for g, _ in gen.word.letters) == -1
-             else CONNECTOR)
-            for gen in generators
-        ),
-        (),
-    )
-    subgroup = SchreierSubgroup(p, tuple(generators), derived, pair_names, parity)
-
-    relators: list[Word] = []
-    seen_relators: set[tuple[tuple[str, int], ...]] = set()
-    for u in (0, 1):
-        for rel in p.relators:
-            rewritten = subgroup.rewrite(rel, u)
-            if rewritten.letters and rewritten.letters not in seen_relators:
-                seen_relators.add(rewritten.letters)
-                relators.append(rewritten)
-
-    corners = zip(reflections, reflections[1:], p.signature.period_cycles[0])
-    torsion = tuple((subgroup.rewrite(Word(((a, 1), (b, 1)))), n) for a, b, n in corners)
-
-    presentation = Presentation(derived.generators, tuple(relators), torsion)
-    return SchreierSubgroup(p, subgroup.generators, presentation, pair_names, parity)
+    chars = {g: kind.character for g, kind in generators}
+    kinds = ((gen.name, GLIDE if prod(chars[g] for g, _ in gen.word.letters) == -1
+              else CONNECTOR) for gen in schreier)
+    subgroup = SchreierSubgroup(None, tuple(schreier), Presentation(kinds, ()), pair_names, parity)
+    heads = tuple(tuple(subgroup.rewrite(rel, u) for rel in prefix) for u in (0, 1))
+    units = (((a, 1), (b, 1)) for a, b in zip(reflections, reflections[1:]))
+    return subgroup, heads, {
+        unit: (subgroup.rewrite(Word(unit)), subgroup.rewrite(Word(unit), 1)) for unit in units}

@@ -42,11 +42,18 @@ not on rho or n, so ``realize`` runs in two stages: validation first,
 then ``shape_certificate(gamma, periods)``, which builds and checks K,
 theta, the derived kernel and the lemma report and is memoised for the
 ``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
-A sweep over the epimorphisms of one shape derives that shape once.  The
-memo holds each shape's objects, which no later step mutates: measured
-with tracemalloc, about 23 KB per shape of the 126-action battery (32 KB
-at most), 88 KB at gamma = 40 and 11 MB at gamma = 5120, so at most 16
-times the largest shape built.
+A sweep over the epimorphisms of one shape derives that shape once.
+Below it, what the periods do not enter is memoised per frame (gamma, r),
+keyed by value: ``cosets.schreier_frame`` holds the Schreier generators,
+their kinds, theta's parity and the rewrites of every relator of K but
+the r corners, and ``conjugation_identities`` the lemma's certified
+identities; a shape then rewrites only its corners and the lemma's
+witness rows.  Each memo keeps its 16 most recent keys, and no later step
+mutates what they hold.  Measured with tracemalloc, a frame retains
+about 19 KB on the 126-action battery (26 KB at most), 86 KB at gamma =
+40 and 10.4 MB at gamma = 5120; a shape retains 5 KB beyond its frame
+(7 KB at most), 10 KB and 1 MB.  So the memos hold at most 16 frames
+plus 16 shapes, each shape with the one frame whose objects it shares.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -62,7 +69,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product, repeat
 
-from .cosets import SchreierSubgroup, reidemeister_schreier
+from .cosets import SHAPE_MEMO_SIZE, SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
@@ -438,6 +445,28 @@ def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d for d in chain if d > 1)
 
 
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def conjugation_identities(
+    tau1: str, involutions: frozenset[str], images: tuple[tuple[str, tuple], ...],
+    pair: tuple[str, str],
+) -> None:
+    """Certify that tau1*g*tau1*g reduces to 1 in K for each generator g,
+    its word's letters in ``images``, but tau1*a*tau1*b^-1 for the
+    connector ``pair`` (a, b), which tau1 swaps; raise at the first that
+    does not.  Memoised by value for the ``SHAPE_MEMO_SIZE`` most recent
+    keys; a call that raises is not memoised."""
+    a, b = pair
+    last_letter = {a: (b, -1), b: (a, -1)}
+    substitution = {name: Word(letters) for name, letters in images}
+    for name in substitution:
+        identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
+        if cyclic_reduce_letters(substitute_letters(identity, substitution), involutions):
+            raise PipelineAssertionError(
+                f"conjugation identity for {name} could not be certified:"
+                f" {Word(identity)} does not reduce to 1 in K"
+            )
+
+
 def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     """Certify the normality lemma in one pass over the Schreier generators,
     without abelianizing the kernel.
@@ -451,6 +480,8 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     relator L rewritten from cosets 0 and 1, minus x_j*x_j rewritten from
     coset 0 for each interior point x_j, has the exponent sums of a*b, and
     each of these gamma + 2 rows is a relator of the derived presentation.
+    The identities are memoised by value (``conjugation_identities``); the
+    rows are rewritten, and found among the relators, on every call.
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
@@ -458,28 +489,20 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     sub = derived.subgroup
     K = sub.base
-    tau1 = K.generators_of_kind("reflection")[0]
-    involutions = K.involution_names()
-    images = {gen.name: gen.word for gen in sub.generators}
+    images = tuple((gen.name, gen.word.letters) for gen in sub.generators)
     a, b = pair = tuple(gen.name for gen in sub.generators if gen.role == "connector")
-    last_letter = {a: (b, -1), b: (a, -1)}
-    for name in images:
-        identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
-        if cyclic_reduce_letters(substitute_letters(identity, images), involutions):
-            raise PipelineAssertionError(
-                f"conjugation identity for {name} could not be certified:"
-                f" {Word(identity)} does not reduce to 1 in K"
-            )
+    conjugation_identities(
+        K.generators_of_kind("reflection")[0], K.involution_names(), images, pair)
 
     (e, solved), = connector_closed_form(K).items()
     long_relator = solved.inverse() * Word.gen(e)
     rows = [(1, long_relator, 0), (1, long_relator, 1)]
     rows += [(-1, Word.gen(x, 2), 0) for x in K.generators_of_kind("elliptic")]
-    relators = set(derived.presentation.relators)
+    relators = {rel.letters for rel in derived.presentation.relators}
     sums: dict[str, int] = {}
     for sign, word, coset in rows:
         row = sub.rewrite(word, coset)
-        if row not in relators:
+        if row.letters not in relators:
             raise PipelineAssertionError(
                 f"connector product {a}*{b}: witness row {row} ({word} from coset"
                 f" {coset}) is not a relator of the derived kernel"
@@ -495,7 +518,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     sig = derived.signature
     return LemmaReport(
         connector_pair=pair,
-        inversion_entries=tuple(images),
+        inversion_entries=tuple(name for name, _ in images),
         invariant_factors=_torsion_factors(sig.proper_periods),
         free_rank=sig.genus - 1,
     )
@@ -504,9 +527,6 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # The shape stage: everything that depends on (gamma, periods) alone
 # ---------------------------------------------------------------------------
-
-SHAPE_MEMO_SIZE = 16
-
 
 class ShapeCertificate(Record):
     """K, theta, the derived kernel and the lemma report of one quotient
@@ -675,10 +695,11 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     reaches the shape stage.  ``shape_certificate(gamma, periods)`` then
     gives K, theta, the derived kernel and the lemma report, built and
     checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
-    most recent shapes.  The rho stage follows: ``extend_to_dihedral``,
-    ``construct_eta`` and the genus bookkeeping: validation's genus, read
-    off Delta, against Riemann-Hurwitz for ker(Theta) at index
-    ``image_order`` in K.
+    most recent shapes; a new shape reuses the memoised frame of its
+    (gamma, r) and rewrites only its corners.  The rho stage follows:
+    ``extend_to_dihedral``, ``construct_eta`` and the genus bookkeeping:
+    validation's genus, read off Delta, against Riemann-Hurwitz for
+    ker(Theta) at index ``image_order`` in K.
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the

@@ -10,8 +10,10 @@ from necsurf import (
     admissible_shapes,
     build_theta,
     canonical_presentation,
+    cosets,
     derive_delta_hat,
     first_smooth_epimorphism,
+    pipeline,
     quotient_disc_signature,
     reduced_area,
     shape_certificate,
@@ -66,9 +68,13 @@ def generated_subgroup(group, elements):
 
 @pytest.fixture(autouse=True)
 def cold_shape_memo():
-    """Each test starts with an empty shape memo, so a test that patches a
-    step of the shape stage sees that step run."""
+    """Each test starts with every memo of the shape stage empty (the
+    shapes, the Reidemeister-Schreier frames and the lemma's conjugation
+    identities), so a test that patches a step of the shape stage sees
+    that step run."""
     shape_certificate.cache_clear()
+    cosets.schreier_frame.cache_clear()
+    pipeline.conjugation_identities.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ workload and no test suite is run from here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,36 @@ def test_main_writes_the_parent_numbers_beside_the_new_ones(trajectory, tmp_path
 
 def test_time_reference_is_the_benchmarks_own(trajectory):
     assert trajectory._time_reference().__code__.co_filename == str(ROOT / "bench" / "run.py")
+
+
+def stub_child(trajectory, monkeypatch, returncode, stdout, stderr):
+    """Make ``subprocess.run`` in the script return one finished child."""
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        return subprocess.CompletedProcess(argv, returncode, stdout, stderr)
+
+    monkeypatch.setattr(trajectory.subprocess, "run", run)
+    return calls
+
+
+def test_run_workload_reads_the_last_line(trajectory, monkeypatch):
+    calls = stub_child(trajectory, monkeypatch, 0, "progress\n" + json.dumps(RESULT) + "\n", "")
+    assert trajectory.run_workload("signature-battery", 2) == RESULT
+    assert calls[0][1:] == ["bench/run.py", "--workload", "signature-battery",
+                            "--seed", "1", "--seconds", "2"]
+
+
+@pytest.mark.parametrize("stdout", ["", "not json\n"], ids=["silent", "garbled"])
+def test_a_crashed_workload_is_named_with_its_exit_code_and_stderr(
+    trajectory, monkeypatch, stdout
+):
+    stderr = "".join(f"line {i}\n" for i in range(20)) + "MemoryError: out of memory\n"
+    stub_child(trajectory, monkeypatch, 137, stdout, stderr)
+    with pytest.raises(RuntimeError) as raised:
+        trajectory.run_workload("scaling-ladder", 2)
+    message = str(raised.value)
+    assert message.startswith("workload scaling-ladder printed no result (exit code 137)")
+    assert message.endswith("line 19\nMemoryError: out of memory")
+    assert "line 10\n" not in message and "line 11\n" in message

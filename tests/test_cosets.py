@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from necsurf import (
@@ -8,10 +10,12 @@ from necsurf import (
     SchreierSubgroup,
     build_theta,
     canonical_presentation,
+    derive_delta_hat,
     lemma1_check,
     quotient_disc_signature,
     reidemeister_schreier,
 )
+from necsurf import cosets, pipeline
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -319,3 +323,86 @@ def test_backward_inverts_forward(derived_battery, action_battery):
         for g, perm in table.forward.items():
             assert sorted(perm) == list(range(table.index))
             assert all(table.backward[g][j] == i for i, j in enumerate(perm))
+
+
+class TestSchreierFrame:
+    """The per-(gamma, r) frame of ``reidemeister_schreier``: memoised by
+    value, it changes no derived presentation, only what is recomputed."""
+
+    def test_a_warm_derivation_builds_one_presentation(self, monkeypatch):
+        (K, theta), (other, other_theta) = (
+            (K, build_theta(K)) for K in (disc_group(2, (3, 4)), disc_group(2, (5, 6))))
+        built = []
+        init = Presentation.__init__
+        monkeypatch.setattr(
+            Presentation, "__init__",
+            lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+        )
+        reidemeister_schreier(K, theta)
+        assert len(built) == 2  # the frame's relator-free presentation, and the kernel's
+        built.clear()
+        reidemeister_schreier(other, other_theta)
+        assert len(built) == 1
+        assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_warm_results_equal_cold_ones_on_the_signature_battery(self, signature_battery):
+        # the r values of each gamma are interleaved, so a frame is reused
+        # after the frames of other (gamma, r) were derived
+        counts, rank = Counter(), {}
+        for gamma, periods in signature_battery:
+            rank[gamma, periods] = counts[gamma, len(periods)]
+            counts[gamma, len(periods)] += 1
+        order = sorted(signature_battery, key=lambda case: (case[0], rank[case], len(case[1])))
+        assert len(order) == 1640 and len(counts) == 22
+
+        def derive_and_check(gamma, periods):
+            K = disc_group(gamma, periods)
+            derived = derive_delta_hat(K, build_theta(K))
+            return derived, lemma1_check(derived)
+
+        warm = [derive_and_check(*case) for case in order]
+        for memo in (cosets.schreier_frame, pipeline.conjugation_identities):
+            assert memo.cache_info()[:2] == (1640 - 22, 22)  # (hits, misses)
+        for case, (derived, lemma) in zip(order, warm):
+            cosets.schreier_frame.cache_clear()
+            pipeline.conjugation_identities.cache_clear()
+            cold, cold_lemma = derive_and_check(*case)
+            sub, cold_sub = derived.subgroup, cold.subgroup
+            assert sub.generators == cold_sub.generators
+            assert sub.presentation.generators == cold_sub.presentation.generators
+            assert sub.presentation.relators == cold_sub.presentation.relators
+            assert sub.presentation.torsion_words == cold_sub.presentation.torsion_words
+            assert (sub.pair_names, sub.parity) == (cold_sub.pair_names, cold_sub.parity)
+            assert derived == cold and lemma == cold_lemma
+
+    @pytest.mark.parametrize("altered_to, missing", [
+        ((), {"c1t*c1", "c1*c1t"}),
+        ((Word.gen("tau2", -2),), {"c1t*c1", "c1*c1t"}),
+    ], ids=["tau2-squared-dropped", "tau2-squared-inverted"])
+    def test_an_altered_relator_misses_the_frame(self, altered_to, missing):
+        K = disc_group(2, (3, 4))
+        canonical = reidemeister_schreier(K, build_theta(K))
+        i = K.relators.index(Word.gen("tau2", 2))
+        altered_K = Presentation(
+            K.generators, K.relators[:i] + altered_to + K.relators[i + 1:], signature=K.signature)
+        altered = reidemeister_schreier(altered_K, build_theta(altered_K))
+        assert cosets.schreier_frame.cache_info()[:2] == (0, 2)  # (hits, misses)
+        assert altered.presentation.relators == conjugate_relators(altered)
+        names = {str(w) for w in canonical.presentation.relators}
+        assert names - {str(w) for w in altered.presentation.relators} == missing
+        assert altered.generators == canonical.generators
+        assert altered.generators is not canonical.generators
+        assert reidemeister_schreier(K, build_theta(K)).generators is canonical.generators
+
+    def test_a_corner_that_is_not_a_power_of_its_unit_is_walked(self):
+        # (tau3*tau2)^4 in place of (tau2*tau3)^4: the frame is the
+        # canonical one, and the corner is rewritten letter by letter
+        K = disc_group(2, (3, 4))
+        canonical = reidemeister_schreier(K, build_theta(K))
+        swapped = Presentation(
+            K.generators, K.relators[:-1] + (parse_word("tau3 tau2") ** 4,), signature=K.signature)
+        sub = reidemeister_schreier(swapped, build_theta(swapped))
+        assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert sub.generators is canonical.generators
+        assert sub.presentation.relators == conjugate_relators(sub)
+        assert sub.presentation.relators != canonical.presentation.relators

@@ -45,7 +45,7 @@ from necsurf import (
     reidemeister_schreier,
     validate_action,
 )
-from necsurf import abelian, certificate, pipeline
+from necsurf import abelian, certificate, cosets, pipeline
 from necsurf.pipeline import _printed_relator_words
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -920,6 +920,54 @@ class TestLemma:
             lemma1_check(broken)
 
 
+# Each data-tamper case of TestLemma: (shape, tamper of its derived
+# kernel, the message lemma1_check raises with)
+LEMMA_TAMPERS = [
+    pytest.param((1, (2, 2, 2)), lambda d: without_relator(d, "delta1t*f2"),
+                 r"f1\*f2: witness row delta1t\*f2 \(x1\*e from coset 0\) is not a relator",
+                 id="class-not-inverted"),
+    pytest.param((2, (3,)), lambda d: without_relator(d, "delta2t*delta1*e1"),
+                 r"e1\*e2: witness row delta2t\*delta1\*e1 \(x2\*x1\*e from coset 0\)",
+                 id="nonzero-connector-product"),
+    pytest.param((1, (2, 2, 2)), lambda d: without_relator(d, "delta1*f1"),
+                 re.escape("witness row delta1*f1 (x1*e from coset 1) is not a relator"),
+                 id="long-relator-from-coset-one-odd-gamma"),
+    pytest.param((2, (3,)), lambda d: without_relator(d, "delta2*delta1t*e2"),
+                 re.escape("witness row delta2*delta1t*e2 (x2*x1*e from coset 1) is not a relator"),
+                 id="long-relator-from-coset-one-even-gamma"),
+    *(pytest.param(
+        shape, lambda d: without_relator(without_relator(d, "delta1t*delta1"), "delta1*delta1t"),
+        r"witness row delta1t\*delta1 \(x1\*x1 from coset 0\) is not a relator",
+        id=f"missing-delta1-relator-{shape}")
+      for shape in ((1, (2, 2, 2)), (3, (2, 3)), (2, (2, 2)))),
+    pytest.param((1, (2, 2, 2)), lambda d: with_generator_word(d, "delta1", Word.gen("x1")),
+                 r"conjugation identity for delta1 could not be certified:"
+                 r" tau1\*delta1\*tau1\*delta1 does not reduce",
+                 id="conjugate-leaving-the-kernel"),
+    *(pytest.param(
+        shape, lambda d, a=a, b=b: with_generator_word(d, b, generator_word(d, a)),
+        rf"conjugation identity for {a} could not be certified: tau1\*{a}\*tau1\*{b}\^-1",
+        id=f"corrupt-connector-word-{shape}")
+      for shape, a, b in (((1, (2, 2, 2)), "f1", "f2"), ((2, (3,)), "e1", "e2"))),
+]
+
+
+def generator_word(derived, name):
+    return next(g.word for g in derived.subgroup.generators if g.name == name)
+
+
+@pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
+def test_tampered_lemma_data_raise_after_the_memo_is_warm(shape, tamper, message):
+    # every memo is warmed by the untampered shape first: the shape stage
+    # and a second derivation, which reuses the frame
+    certified = pipeline.shape_certificate(*shape)
+    _, derived = derived_for(*shape)
+    assert derived == certified.derived and lemma1_check(derived) == certified.lemma
+    assert pipeline.conjugation_identities.cache_info()[:2] == (1, 1)  # (hits, misses)
+    with pytest.raises(PipelineAssertionError, match=message):
+        lemma1_check(tamper(derived))
+
+
 class TestExtendToDihedral:
     def test_genus2_extension(self, closure):
         K, derived = derived_for(1, (2, 2, 2))
@@ -1148,6 +1196,24 @@ class TestShapeMemo:
         assert realize(GENUS2).conclusion
         assert len(calls) == 2
         assert pipeline.shape_certificate.cache_info().currsize == 1
+
+    def test_every_memo_has_the_same_bound(self):
+        for memo in (pipeline.shape_certificate, cosets.schreier_frame,
+                     pipeline.conjugation_identities):
+            assert memo.cache_info().maxsize == pipeline.SHAPE_MEMO_SIZE
+
+    def test_shapes_of_one_frame_derive_it_once(self):
+        # (5; -; [p]) for p = 2, 3, 6: three shapes, one frame.  At 2n = 12,
+        # (5; -; [3]) has no epimorphism (5 + 0 is odd), so its shape stage
+        # is called directly; the other two are then realized from the memo
+        for p in (2, 3, 6):
+            pipeline.shape_certificate(5, (p,))
+        assert first_smooth_epimorphism(5, (3,), 12) is None
+        for p in (2, 6):
+            assert realize(first_smooth_epimorphism(5, (p,), 12)).conclusion
+        assert pipeline.shape_certificate.cache_info()[:2] == (2, 3)  # (hits, misses)
+        assert cosets.schreier_frame.cache_info().misses == 1
+        assert pipeline.conjugation_identities.cache_info().misses == 1
 
     def test_invalid_input_never_reaches_the_memo(self):
         realize(GENUS2)
