@@ -17,8 +17,12 @@ torsion words are K's corners, rewritten here, so
 ``pipeline.derive_delta_hat`` checks its claimed signature against the
 subgroup without theta.  The periods enter only K's last r relators, the
 corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
-else is derived once per frame: K's generators with their kinds, theta's
-parity and the other relators, memoised by value (``schreier_frame``).
+else is derived once per frame (gamma, r): the Schreier generators from
+K's generators with their kinds and theta's parity, and the rewrites of
+the other relators, memoised by value (``schreier_frame``) for
+``SHAPE_MEMO_SIZE`` keys, the bound every memo of the shape stage shares
+(``presentations`` defines it, as its own memo is the lowest); per shape,
+only the corners are rewritten.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -35,13 +39,9 @@ from functools import lru_cache
 from math import prod
 
 from .groups import FiniteHom
-from .presentations import Presentation
+from .presentations import SHAPE_MEMO_SIZE, Presentation
 from .signatures import CONNECTOR, GLIDE, GeneratorKind
 from .words import Record, Word
-
-# the size of each memo: ``schreier_frame`` here, and in ``pipeline`` the
-# shapes and the lemma's conjugation identities
-SHAPE_MEMO_SIZE = 16
 
 
 class NotInKernelError(ValueError):

@@ -43,17 +43,24 @@ then ``shape_certificate(gamma, periods)``, which builds and checks K,
 theta, the derived kernel and the lemma report and is memoised for the
 ``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
 A sweep over the epimorphisms of one shape derives that shape once.
-Below it, what the periods do not enter is memoised per frame (gamma, r),
-keyed by value: ``cosets.schreier_frame`` holds the Schreier generators,
-their kinds, theta's parity and the rewrites of every relator of K but
-the r corners, and ``conjugation_identities`` the lemma's certified
-identities; a shape then rewrites only its corners and the lemma's
-witness rows.  Each memo keeps its 16 most recent keys, and no later step
-mutates what they hold.  Measured with tracemalloc, a frame retains
-about 19 KB on the 126-action battery (26 KB at most), 86 KB at gamma =
-40 and 10.4 MB at gamma = 5120; a shape retains 5 KB beyond its frame
-(7 KB at most), 10 KB and 1 MB.  So the memos hold at most 16 frames
-plus 16 shapes, each shape with the one frame whose objects it shares.
+Below it, every fact the periods do not enter is certified once per
+frame (gamma, r), each memo keyed by the value of all it reads: K's
+generators and relators but the r corners
+(``presentations._disc_quotient_frame``); the Schreier generators, their
+kinds, theta's parity and the rewrites of those relators
+(``cosets.schreier_frame``); the classical relators of the derived
+kernel, each corner's by its unit (``presentations.relator_statuses``);
+and the lemma's identities and witness rows (``conjugation_identities``,
+``connector_witness``).  A new shape in a warm frame spells and rewrites
+its corners, checks each corner relator against its unit's power, checks
+the claimed signature, looks the witness rows up among its relators and
+reads H1 off its periods.  Each memo keeps its 16 most recent keys, and
+no later step mutates what they hold.  Measured with tracemalloc, a
+frame retains about 25 KB on the 126-action battery (32 KB at most),
+114 KB at gamma = 40 and 13.9 MB at gamma = 5120; a shape retains 5 KB
+beyond its frame (6 KB at most), 7 KB and 0.6 MB.  So the memos hold at
+most 16 frames plus 16 shapes, each shape with the one frame whose
+objects it shares.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -69,10 +76,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product, repeat
 
-from .cosets import SHAPE_MEMO_SIZE, SchreierSubgroup, reidemeister_schreier
+from .cosets import SchreierSubgroup, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
+    SHAPE_MEMO_SIZE,
     Presentation,
     canonical_presentation,
     check_homomorphism,
@@ -325,18 +333,20 @@ def _printed_relator_words(
     each with its source: the index of a relator of K (K's relators end
     with the connector relator, the long relator and the corners) and the
     rotation at which the word, spelled in K and reduced, equals it.
-    c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, letter for
-    letter; e1*e2^-1[*c_r] spells e*tau1*e^-1*tau_(r+1), the connector
-    relator e^-1*tau_(r+1)*e*tau1 read from its third letter (rotation 2),
-    for r = 0 too; the delta-alternations are trivial (None)."""
-    deltas, cs, (e1, e2) = (
-        [g.name for g in sub.generators if g.role == role]
-        for role in ("glide", "corner rotation", "connector")
-    )
+    c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, the p-th
+    power of a unit that spells tau_k*tau_(k+1); e1*e2^-1[*c_r] spells
+    e*tau1*e^-1*tau_(r+1), the connector relator e^-1*tau_(r+1)*e*tau1
+    read from its third letter (rotation 2), for r = 0 too; the
+    delta-alternations are trivial (None)."""
+    names: dict[str, list[str]] = {}
+    for g in sub.generators:
+        names.setdefault(g.role, []).append(g.name)
+    deltas, cs, (e1, e2) = names["glide"], names.get("corner rotation", []), names["connector"]
     corner = len(sub.base.relators) - len(periods)
-    rels = [(f"{cs[0]}^{periods[0]}", Word.gen(cs[0], periods[0]), (corner, 0))] if cs else []
-    rels += [(f"({a}^-1*{b})^{p}", (Word.gen(a, -1) * Word.gen(b)) ** p, (corner + k, 0))
-             for k, (a, b, p) in enumerate(zip(cs, cs[1:], periods[1:]), start=1)]
+    units = [(c, ((c, 1),)) for c in cs[:1]]
+    units += [(f"({a}^-1*{b})", ((a, -1), (b, 1))) for a, b in zip(cs, cs[1:])]
+    rels = [(f"{text}^{p}", Word(unit * p), (corner + k, 0))
+            for k, ((text, unit), p) in enumerate(zip(units, periods))]
     closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
     rels.append((str(closing), closing, (corner - 2, 2)))
     # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
@@ -362,7 +372,14 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     the claimed reduced area is twice K's (Riemann-Hurwitz at index 2),
     which with the periods and the sign fixes the genus.  The area check
     multiplies, so it holds where K's area is 0.  A fact that fails raises
-    ``PipelineAssertionError`` naming the claimed signature."""
+    ``PipelineAssertionError`` naming the claimed signature.
+
+    The classical relators are certified by ``verify_derived_relators``:
+    the closing row and the delta-alternations do not read the periods,
+    and a corner row c^p is certified by its unit c, which spells
+    tau_k*tau_(k+1), once K's corner is checked to be that unit's p-th
+    power; so the certificate is memoised per frame (gamma, r), and a
+    shape of a warm frame checks only its r corners."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
@@ -467,6 +484,41 @@ def conjugation_identities(
             )
 
 
+def _witness_words(
+    elliptics: tuple[str, ...], connector: str, solved: Word
+) -> list[tuple[int, Word, int]]:
+    """The words the witness rows of the connector product are read from,
+    each with its sign and coset: the long relator L = (e's closed form
+    ``solved``)^-1 * e from cosets 0 and 1, plus, then x_j*x_j from coset
+    0 for each interior point x_j, minus."""
+    long_relator = solved.inverse() * Word.gen(connector)
+    return [(1, long_relator, 0), (1, long_relator, 1)] + [
+        (-1, Word.gen(x, 2), 0) for x in elliptics]
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def connector_witness(
+    elliptics: tuple[str, ...], connector: str, solved: Word,
+    pair_names: tuple[tuple, tuple], parity: tuple[tuple, tuple],
+) -> tuple[tuple[tuple, ...], tuple[tuple[str, int], ...]]:
+    """The letters of each witness row (``_witness_words`` rewritten), and
+    the signed sum of the rows' exponent sums without zeros, as (generator,
+    sum) pairs in order of first appearance.  The rewriting map is the one
+    ``pair_names`` and ``parity`` give, each as its keys and its values,
+    the only fields ``SchreierSubgroup.rewrite`` reads.  Memoised by value
+    for the ``SHAPE_MEMO_SIZE`` most recent keys; a call that raises is not
+    memoised."""
+    rewriting = SchreierSubgroup(
+        None, (), Presentation((), ()), dict(zip(*pair_names)), dict(zip(*parity)))
+    rows, sums = [], {}
+    for sign, word, coset in _witness_words(elliptics, connector, solved):
+        row = rewriting.rewrite(word, coset)
+        rows.append(row.letters)
+        for g, x in row.exponent_sums().items():
+            sums[g] = sums.get(g, 0) + sign * x
+    return tuple(rows), tuple((g, x) for g, x in sums.items() if x)
+
+
 def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     """Certify the normality lemma in one pass over the Schreier generators,
     without abelianizing the kernel.
@@ -480,8 +532,13 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     relator L rewritten from cosets 0 and 1, minus x_j*x_j rewritten from
     coset 0 for each interior point x_j, has the exponent sums of a*b, and
     each of these gamma + 2 rows is a relator of the derived presentation.
-    The identities are memoised by value (``conjugation_identities``); the
-    rows are rewritten, and found among the relators, on every call.
+
+    None of this reads the periods, so it is certified once per frame
+    (gamma, r), memoised by value: the identities by
+    ``conjugation_identities``, the witness rows and their exponent sums
+    by ``connector_witness``.  Per call, each row is looked up among the
+    relators of the ``derived`` it is given, and the sums are compared
+    with a*b's.
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
@@ -494,23 +551,21 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     conjugation_identities(
         K.generators_of_kind("reflection")[0], K.involution_names(), images, pair)
 
+    elliptics = K.generators_of_kind("elliptic")
     (e, solved), = connector_closed_form(K).items()
-    long_relator = solved.inverse() * Word.gen(e)
-    rows = [(1, long_relator, 0), (1, long_relator, 1)]
-    rows += [(-1, Word.gen(x, 2), 0) for x in K.generators_of_kind("elliptic")]
+    pair_names, parity = sub.pair_names, sub.parity
+    rows, sums = connector_witness(
+        elliptics, e, solved, (tuple(pair_names), tuple(pair_names.values())),
+        (tuple(parity), tuple(parity.values())))
     relators = {rel.letters for rel in derived.presentation.relators}
-    sums: dict[str, int] = {}
-    for sign, word, coset in rows:
-        row = sub.rewrite(word, coset)
-        if row.letters not in relators:
+    for i, row in enumerate(rows):
+        if row not in relators:
+            _, word, coset = _witness_words(elliptics, e, solved)[i]
             raise PipelineAssertionError(
-                f"connector product {a}*{b}: witness row {row} ({word} from coset"
+                f"connector product {a}*{b}: witness row {Word(row)} ({word} from coset"
                 f" {coset}) is not a relator of the derived kernel"
             )
-        for g, x in row.exponent_sums().items():
-            sums[g] = sums.get(g, 0) + sign * x
-    sums = {g: x for g, x in sums.items() if x}
-    if sums != {a: 1, b: 1}:
+    if (sums := dict(sums)) != {a: 1, b: 1}:
         raise PipelineAssertionError(
             f"connector product {a}*{b}: witness rows sum to {sums}, not to {a}*{b}"
         )
@@ -695,8 +750,8 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     reaches the shape stage.  ``shape_certificate(gamma, periods)`` then
     gives K, theta, the derived kernel and the lemma report, built and
     checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
-    most recent shapes; a new shape reuses the memoised frame of its
-    (gamma, r) and rewrites only its corners.  The rho stage follows:
+    most recent shapes; a new shape reuses the certificates of its frame
+    (gamma, r) and checks only its corners.  The rho stage follows:
     ``extend_to_dihedral``, ``construct_eta`` and the genus bookkeeping:
     validation's genus, read off Delta, against Riemann-Hurwitz for
     ker(Theta) at index ``image_order`` in K.

@@ -17,16 +17,23 @@ This module alone spells out these generator names; everyone else takes
 them by kind (``generators_of_kind``), or the crosscap group's from
 ``crosscap_names`` without building the group.  ``connector_closed_form``
 solves the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
+The disc-quotient group's generators and every relator but its corners
+are built once per frame (gamma, r) (``_disc_quotient_frame``), and each
+group of the frame shares them.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
 by one comparison: with the one relator it is named to come from, read
-from the named rotation, or with the empty word.
+from the named rotation, or with the empty word.  A word named for a
+corner (tau_k tau_(k+1))^(n_k) that is the n_k-th power of a unit is
+certified by its unit, so what is certified does not depend on the
+periods, and the statuses are memoised by value (``relator_statuses``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 
 from .groups import FiniteHom
 from .signatures import (
@@ -38,6 +45,13 @@ from .signatures import (
     elliptic,
 )
 from .words import Record, Word, cyclic_reduce_letters, substitute_letters
+
+# the size of each memo of the shape stage, one entry per key: per frame
+# (gamma, r), ``_disc_quotient_frame`` and ``relator_statuses`` here,
+# ``cosets.schreier_frame`` and, in ``pipeline``, the lemma's
+# ``conjugation_identities`` and ``connector_witness``; per shape,
+# ``pipeline.shape_certificate``
+SHAPE_MEMO_SIZE = 16
 
 
 class UnsupportedSignatureError(ValueError):
@@ -120,9 +134,22 @@ def canonical_presentation(sig: NECSignature) -> Presentation:
 
 
 def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
-    gamma = len(sig.proper_periods)
     cycle = sig.period_cycles[0]
-    r = len(cycle)
+    frame = _disc_quotient_frame(len(sig.proper_periods), len(cycle))
+    taus = frame.generators_of_kind("reflection")
+    corners = [Word(((taus[k], 1), (taus[k + 1], 1)) * n) for k, n in enumerate(cycle)]
+    p = Presentation(frame.generators, frame.relators + tuple(corners), signature=sig)
+    for slot in ("_involutions", "_names_by_kind", "_closed_form"):
+        p._keep(slot, getattr(frame, slot))
+    return p
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _disc_quotient_frame(gamma: int, r: int) -> Presentation:
+    """The disc-quotient group with gamma interior points and r corners
+    without its corner relators, with its involutions, its names by kind
+    and the connector's closed form computed: what every K of the frame
+    (gamma, r) shares, as none of it reads the periods."""
     xs = [f"x{i}" for i in range(1, gamma + 1)]
     taus = [f"tau{j}" for j in range(1, r + 2)]
     generators = (
@@ -135,9 +162,11 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     relators += [Word.gen(t, 2) for t in taus]
     relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
     relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
-    for k, n in enumerate(cycle):
-        relators.append(Word(((taus[k], 1), (taus[k + 1], 1)) * n))
-    return Presentation(tuple(generators), tuple(relators), signature=sig)
+    frame = Presentation(tuple(generators), tuple(relators))
+    # the lookups each K of the frame takes over
+    frame.involution_names()
+    connector_closed_form(frame)
+    return frame
 
 
 def crosscap_names(gamma: int, r: int) -> tuple[list[str], list[str]]:
@@ -213,18 +242,60 @@ def verify_derived_relators(
     connector's closed form x_1^-1...x_gamma^-1 spliced in, and must
     reduce to the empty word.  Anything else is unresolved.  No other
     relator of ``p`` is read.
-    """
-    involutions = p.involution_names()
-    elimination = connector_closed_form(p)
 
-    def status(word: Word, source: tuple[int, int] | None) -> str:
-        letters = substitute_letters(word.letters, substitution)
-        if source is None:
-            left = cyclic_reduce_letters(substitute_letters(letters, elimination), involutions)
+    A relator named at rotation 0 that is U^m, m >= 2, for its first two
+    letters U, two distinct generators (a corner (tau_k tau_(k+1))^(n_k)),
+    is compared by its unit when the word is u^m: u against U.  Reduction
+    commutes with these powers: U^m reduces to the m-th power of U's
+    reduction, which is cyclically reduced of length 2, and u^m to the
+    m-th power of u's whenever that has length 2 or more.  So u^m matches
+    U^m exactly when u matches U, and each status is the whole word's.
+    What is compared no longer reads the periods, so the statuses are
+    memoised by value (``relator_statuses``): one entry per frame (gamma,
+    r) serves every shape of the frame.
+    """
+    relators = p.relators
+    items = []
+    for word, source in zip(words, sources, strict=True):
+        letters = word.letters
+        if source is not None:
+            index, k = source
+            rel = relators[index].letters
+            unit, m = rel[:2], len(rel) // 2
+            if (k == 0 and m > 1 and unit[0][0] != unit[1][0] and rel == unit * m
+                    and letters == (root := letters[:len(letters) // m]) * m):
+                letters, rel = root, unit
+            source = (rel, k)
+        items.append((letters, source))
+    closed_form = connector_closed_form(p)
+    return relator_statuses(
+        tuple(items), (tuple(substitution), tuple(w.letters for w in substitution.values())),
+        p.involution_names(), (tuple(closed_form), tuple(w.letters for w in closed_form.values())),
+    )
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def relator_statuses(
+    items: tuple[tuple[tuple, tuple | None], ...], images: tuple[tuple, tuple],
+    involutions: frozenset[str], elimination: tuple[tuple, tuple],
+) -> tuple[str, ...]:
+    """The status of each (word letters, (relator letters, rotation) or
+    None) of ``items``, as ``verify_derived_relators`` defines it: the
+    derived generators and their letters are ``images``, the connector and
+    its closed form's letters ``elimination``.  It reads only its
+    arguments, so it is memoised by value for the ``SHAPE_MEMO_SIZE`` most
+    recent keys."""
+    substitution = {g: Word(letters) for g, letters in zip(*images)}
+    closed_form = {e: Word(letters) for e, letters in zip(*elimination)}
+
+    def status(letters: tuple, named: tuple | None) -> str:
+        letters = substitute_letters(letters, substitution)
+        if named is None:
+            left = cyclic_reduce_letters(substitute_letters(letters, closed_form), involutions)
             return "unresolved" if left else "trivial"
-        index, k = source
-        rel = cyclic_reduce_letters(p.relators[index].letters, involutions)
+        rel, k = named
+        rel = cyclic_reduce_letters(rel, involutions)
         spelled = cyclic_reduce_letters(letters, involutions) == rel[k:] + rel[:k]
         return "matches-relator" if spelled else "unresolved"
 
-    return tuple(status(w, source) for w, source in zip(words, sources, strict=True))
+    return tuple(status(*item) for item in items)

@@ -15,7 +15,7 @@ from necsurf import (
     quotient_disc_signature,
     reidemeister_schreier,
 )
-from necsurf import cosets, pipeline
+from necsurf import cosets, pipeline, presentations
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -276,7 +276,7 @@ def test_coset_walk_matches_built_conjugates(derived_battery, monkeypatch):
     built conjugates u*R*u^-1 on all 1640 battery shapes; on every 16th,
     the lemma's gamma + 2 witness rows are the long relator from cosets 0
     and 1 and each x_j*x_j from coset 0, each the rewrite of its built
-    conjugate."""
+    conjugate (each lemma call with its frame's witness memo cleared)."""
     assert len(derived_battery) == 1640
     for _, _, _, _, derived in derived_battery:
         assert derived.presentation.relators == conjugate_relators(derived.subgroup)
@@ -292,6 +292,7 @@ def test_coset_walk_matches_built_conjugates(derived_battery, monkeypatch):
     recorded = []
     for _, _, _, _, derived in sample:
         walks.clear()
+        pipeline.connector_witness.cache_clear()  # a warm frame rewrites nothing
         lemma1_check(derived)
         recorded.append(list(walks))
     monkeypatch.undo()
@@ -345,9 +346,12 @@ class TestSchreierFrame:
         assert len(built) == 1
         assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
 
-    def test_warm_results_equal_cold_ones_on_the_signature_battery(self, signature_battery):
+    def test_warm_results_equal_cold_ones_on_the_signature_battery(
+        self, signature_battery, monkeypatch
+    ):
         # the r values of each gamma are interleaved, so a frame is reused
-        # after the frames of other (gamma, r) were derived
+        # after the frames of other (gamma, r) were derived; each memo of a
+        # frame misses once per frame, and the cold run clears them all
         counts, rank = Counter(), {}
         for gamma, periods in signature_battery:
             rank[gamma, periods] = counts[gamma, len(periods)]
@@ -355,17 +359,37 @@ class TestSchreierFrame:
         order = sorted(signature_battery, key=lambda case: (case[0], rank[case], len(case[1])))
         assert len(order) == 1640 and len(counts) == 22
 
+        # the lemma's walks, counted per case: only the first shape of a
+        # frame rewrites the witness rows
+        walks, rewrite = [], SchreierSubgroup.rewrite
+        monkeypatch.setattr(
+            SchreierSubgroup, "rewrite",
+            lambda self, w, coset=0: walks.append(w) or rewrite(self, w, coset))
+
         def derive_and_check(gamma, periods):
             K = disc_group(gamma, periods)
             derived = derive_delta_hat(K, build_theta(K))
+            walks.clear()
             return derived, lemma1_check(derived)
 
-        warm = [derive_and_check(*case) for case in order]
-        for memo in (cosets.schreier_frame, pipeline.conjugation_identities):
+        warm, walked = [], []
+        for case in order:
+            warm.append(derive_and_check(*case))
+            walked.append(bool(walks))
+        monkeypatch.undo()
+        frames = [(gamma, len(periods)) for gamma, periods in order]
+        assert walked == [frames.index(frame) == i for i, frame in enumerate(frames)]
+        frame_memos = (presentations._disc_quotient_frame, cosets.schreier_frame,
+                       pipeline.conjugation_identities, pipeline.connector_witness)
+        for memo in frame_memos:
             assert memo.cache_info()[:2] == (1640 - 22, 22)  # (hits, misses)
+        # the classical relators are printed for even gamma alone: 9 frames,
+        # gamma = 2 with r = 1..4 and gamma = 4 with r = 0..4
+        assert presentations.relator_statuses.cache_info()[:2] == (659 - 9, 9)
+
         for case, (derived, lemma) in zip(order, warm):
-            cosets.schreier_frame.cache_clear()
-            pipeline.conjugation_identities.cache_clear()
+            for memo in (*frame_memos, presentations.relator_statuses):
+                memo.cache_clear()
             cold, cold_lemma = derive_and_check(*case)
             sub, cold_sub = derived.subgroup, cold.subgroup
             assert sub.generators == cold_sub.generators

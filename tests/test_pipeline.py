@@ -45,7 +45,7 @@ from necsurf import (
     reidemeister_schreier,
     validate_action,
 )
-from necsurf import abelian, certificate, cosets, pipeline
+from necsurf import abelian, certificate, cosets, pipeline, presentations
 from necsurf.pipeline import _printed_relator_words
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -589,6 +589,22 @@ class TestDeriveDeltaHat:
             assert str(exc.value) == f"classical relator {labels[0]} could not be certified"
             assert labels[0] == "e1*e2^-1" + "*c1" * bool(periods)
 
+    @pytest.mark.parametrize("sibling, gamma, periods", [
+        ((2, (3, 3, 3)), 2, (3, 4, 5)), ((4, (2, 2, 2)), 4, (3, 3, 3)), ((6, ()), 6, ()),
+    ])
+    def test_printed_row_mutations_raise_in_a_warm_frame(
+        self, monkeypatch, sibling, gamma, periods
+    ):
+        # every mutation of the two tests above, after a shape of the same
+        # frame (gamma, r) certified the frame's classical relators; with
+        # r = 0 the frame has one shape, which warms it
+        derived_for(*sibling)
+        derived_for(gamma, periods)
+        assert presentations.relator_statuses.cache_info()[:2] == (1, 1)  # (hits, misses)
+        self.test_wrong_exponent_in_a_printed_word_is_an_assertion(monkeypatch, gamma, periods)
+        if periods:
+            self.test_wrong_named_source_is_an_assertion(monkeypatch, gamma, periods)
+
     def test_theta_of_index_one_rejected(self):
         # the index check lives in reidemeister_schreier alone
         K = disc_group(2, (2,))
@@ -968,6 +984,25 @@ def test_tampered_lemma_data_raise_after_the_memo_is_warm(shape, tamper, message
         lemma1_check(tamper(derived))
 
 
+# a shape of the same frame (gamma, r) as each shape of LEMMA_TAMPERS
+SIBLINGS = {(1, (2, 2, 2)): (1, (2, 2, 3)), (2, (3,)): (2, (4,)), (3, (2, 3)): (3, (2, 2)),
+            (2, (2, 2)): (2, (3, 3))}
+
+
+@pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
+def test_tampered_lemma_data_raise_in_a_warm_frame(shape, tamper, message):
+    # a sibling shape warms every memo of the frame, the lemma's
+    # identities and witness rows among them; the tampered shape's own
+    # lemma then hits both, and its tampered data still raise
+    pipeline.shape_certificate(*SIBLINGS[shape])
+    _, derived = derived_for(*shape)
+    lemma1_check(derived)
+    for memo in (pipeline.conjugation_identities, pipeline.connector_witness):
+        assert memo.cache_info()[:2] == (1, 1)  # (hits, misses)
+    with pytest.raises(PipelineAssertionError, match=message):
+        lemma1_check(tamper(derived))
+
+
 class TestExtendToDihedral:
     def test_genus2_extension(self, closure):
         K, derived = derived_for(1, (2, 2, 2))
@@ -1198,8 +1233,9 @@ class TestShapeMemo:
         assert pipeline.shape_certificate.cache_info().currsize == 1
 
     def test_every_memo_has_the_same_bound(self):
-        for memo in (pipeline.shape_certificate, cosets.schreier_frame,
-                     pipeline.conjugation_identities):
+        for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame,
+                     cosets.schreier_frame, presentations.relator_statuses,
+                     pipeline.conjugation_identities, pipeline.connector_witness):
             assert memo.cache_info().maxsize == pipeline.SHAPE_MEMO_SIZE
 
     def test_shapes_of_one_frame_derive_it_once(self):
@@ -1212,8 +1248,22 @@ class TestShapeMemo:
         for p in (2, 6):
             assert realize(first_smooth_epimorphism(5, (p,), 12)).conclusion
         assert pipeline.shape_certificate.cache_info()[:2] == (2, 3)  # (hits, misses)
-        assert cosets.schreier_frame.cache_info().misses == 1
-        assert pipeline.conjugation_identities.cache_info().misses == 1
+        for memo in (presentations._disc_quotient_frame, cosets.schreier_frame,
+                     pipeline.conjugation_identities, pipeline.connector_witness):
+            assert memo.cache_info().misses == 1
+        # odd gamma prints no classical relators
+        assert presentations.relator_statuses.cache_info()[:2] == (0, 0)
+
+    def test_even_gamma_shapes_of_one_frame_certify_it_once(self):
+        # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
+        # above, which also prints its classical relators
+        for p in (2, 3, 6):
+            K = disc_group(4, (p,))
+            assert lemma1_check(derive_delta_hat(K, build_theta(K))).ok
+        for memo in (presentations._disc_quotient_frame, cosets.schreier_frame,
+                     presentations.relator_statuses, pipeline.conjugation_identities,
+                     pipeline.connector_witness):
+            assert memo.cache_info()[:2] == (2, 1)  # (hits, misses)
 
     def test_invalid_input_never_reaches_the_memo(self):
         realize(GENUS2)
