@@ -333,8 +333,8 @@ def _printed_relator_words(
     each with its source: the index of a relator of K (K's relators end
     with the connector relator, the long relator and the corners) and the
     rotation at which the word, spelled in K and reduced, equals it.
-    c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, the p-th
-    power of a unit that spells tau_k*tau_(k+1); e1*e2^-1[*c_r] spells
+    c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, each the
+    power of a unit that spells the corner's tau_j*tau_(j+1); e1*e2^-1[*c_r] spells
     e*tau1*e^-1*tau_(r+1), the connector relator e^-1*tau_(r+1)*e*tau1
     read from its third letter (rotation 2), for r = 0 too; the
     delta-alternations are trivial (None)."""
