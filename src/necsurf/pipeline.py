@@ -383,17 +383,19 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
-    unproved = f"derived kernel signature {claim} not certified"
+
+    def unproved(reason: str) -> PipelineAssertionError:
+        # the claim is printed only when a fact fails
+        return PipelineAssertionError(f"derived kernel signature {claim} not certified: {reason}")
+
     orders = sorted(n for _, n in sub.presentation.torsion_words)
     if orders != list(claim.proper_periods):
-        raise PipelineAssertionError(
-            f"{unproved}: torsion word orders {orders} are not the periods"
-        )
+        raise unproved(f"torsion word orders {orders} are not the periods")
     if all(kind.character == 1 for _, kind in sub.presentation.generators):
-        raise PipelineAssertionError(f"{unproved}: no Schreier generator reverses orientation")
+        raise unproved("no Schreier generator reverses orientation")
     area, k_area = reduced_area(claim), reduced_area(K.signature)
     if area != 2 * k_area:
-        raise PipelineAssertionError(f"{unproved}: reduced area {area} is not twice K's {k_area}")
+        raise unproved(f"reduced area {area} is not twice K's {k_area}")
 
     printed: list[tuple[str, str]] = []
     (connector,) = K.generators_of_kind("connector")
