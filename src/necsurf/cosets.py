@@ -17,17 +17,18 @@ torsion words are K's corners, rewritten here, so
 ``pipeline.derive_delta_hat`` checks its claimed signature against the
 subgroup without theta.  The periods enter only K's last r relators, the
 corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
-else is derived once per frame (gamma, r): the Schreier generators from
-K's generators with their kinds and theta's parity, and the rewrites of
-the other relators, memoised by value (``schreier_frame``) for
-``SHAPE_MEMO_SIZE`` keys, the bound every memo of the shape stage shares
-(``presentations`` defines it, as its own memo is the lowest); per shape,
-only the corners are rewritten.
+else is derived once per frame (gamma, r), a ``SchreierFrame``: the
+Schreier generators from K's generators with their kinds and theta's
+parity, the rewrites of the other relators, and the lemma's witness rows
+among them, memoised by value (``schreier_frame``) for ``SHAPE_MEMO_SIZE``
+keys, the bound each of the four memos of the shape stage shares
+(``presentations`` defines it, as its own memo is the lowest).  Each
+subgroup keeps its frame, and per shape only the corners are rewritten.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
-building it; the derived relators and the lemma's witness row for the
-conjugated long relator are read that way, and a corner's as a power.
+building it; the derived relators, the witness row for the conjugated
+long relator among them, are read that way, and a corner's as a power.
 The derived presentation is simplified only by freely reducing and
 de-duplicating the rewritten relators; nothing more aggressive, so the
 correspondence with the ambient group stays auditable.
@@ -64,17 +65,23 @@ class SchreierSubgroup(Record):
     presentation (with its torsion words) and the rewriting map into it.
     ``pair_names`` names the Schreier generator of each (coset, generator)
     pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
-    bit on each generator.  A frame's subgroup (``schreier_frame``) has no
-    ``base`` and no relators."""
+    bit on each generator.  ``frame`` is the ``SchreierFrame`` the subgroup
+    was derived in, a slot outside ``_fields`` that a copy keeps; a frame's
+    own subgroup has no ``base``, no relators and no ``frame``."""
 
-    __slots__ = ("base", "generators", "presentation", "pair_names", "parity")
+    __slots__ = ("base", "generators", "presentation", "pair_names", "parity", "frame")
+    _fields = __slots__[:5]
 
     def __init__(
         self, base: Presentation | None, generators: tuple[SchreierGenerator, ...],
         presentation: Presentation, pair_names: dict[tuple[int, str], str | None],
-        parity: dict[str, int],
+        parity: dict[str, int], frame: SchreierFrame | None = None,
     ) -> None:
         self._assign(base, generators, presentation, pair_names, parity)
+        self._keep("frame", frame)
+
+    def __reduce__(self):
+        return type(self), (*self._values(), self.frame)
 
     def rewrite(self, w: Word, coset: int = 0) -> Word:
         """Express a word in the Schreier generators by walking the parity
@@ -102,6 +109,32 @@ class SchreierSubgroup(Record):
                 f"{w} is not in the kernel (the walk from coset {start} ends at coset {coset})"
             )
         return Word(tuple(out))
+
+
+class SchreierFrame(Record):
+    """What ``reidemeister_schreier`` derives without the periods, once per
+    frame (gamma, r) (``schreier_frame``): ``subgroup`` holds the Schreier
+    generators, their kinds and the rewriting map; ``heads`` the rewrites
+    of K's relators but the corners from cosets 0 and 1; ``corners`` the
+    rewrites of each corner tau_k*tau_(k+1) from both cosets, keyed by its
+    letters.  ``witness`` is the lemma's witness for the connector product,
+    each row with K's relator it rewrites and its coset: the long relator
+    x_gamma...x_1*e from cosets 0 and 1, then x_j*x_j from coset 0 for
+    each interior point x_j, each row the head itself; ``sums`` is the
+    rows' exponent sums added, the last gamma subtracted, without zeros.
+    ``pipeline.lemma1_check`` keeps ``subgroup.generators`` in ``inverted``
+    once it has certified their tau_1-identities."""
+
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "inverted")
+    _fields = __slots__[:5]
+
+    def __init__(
+        self, subgroup: SchreierSubgroup, heads: tuple[tuple[Word, ...], ...],
+        corners: dict[tuple, tuple[Word, Word]], witness: tuple[tuple[Word, Word, int], ...],
+        sums: dict[str, int],
+    ) -> None:
+        self._assign(subgroup, heads, corners, witness, sums)
+        self._keep("inverted", None)
 
 
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
@@ -148,19 +181,19 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
         )
     cycle = p.signature.period_cycles[0]
     prefix = p.relators[:len(p.relators) - len(cycle)]
-    frame, heads, corners = schreier_frame(
-        p.generators, prefix, tuple(parity[g] for g in p.generator_names()))
+    frame = schreier_frame(p.generators, prefix, tuple(parity[g] for g in p.generator_names()))
+    sub, corners = frame.subgroup, frame.corners
     relators: list[Word] = []
     seen_relators: set[tuple[tuple[str, int], ...]] = set()
-    for u, head in enumerate(heads):
-        tail = (_rewrite_corner(frame, corners, rel, u) for rel in p.relators[len(prefix):])
+    for u, head in enumerate(frame.heads):
+        tail = (_rewrite_corner(sub, corners, rel, u) for rel in p.relators[len(prefix):])
         for rewritten in (*head, *tail):
             if rewritten.letters and rewritten.letters not in seen_relators:
                 seen_relators.add(rewritten.letters)
                 relators.append(rewritten)
     torsion = zip((w for w, _ in corners.values()), cycle)
-    presentation = Presentation(frame.presentation.generators, relators, torsion)
-    return SchreierSubgroup(p, frame.generators, presentation, frame.pair_names, frame.parity)
+    presentation = Presentation(sub.presentation.generators, relators, torsion)
+    return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
 def _rewrite_corner(frame: SchreierSubgroup, corners: dict, rel: Word, u: int) -> Word:
@@ -177,13 +210,12 @@ def _rewrite_corner(frame: SchreierSubgroup, corners: dict, rel: Word, u: int) -
 def schreier_frame(
     generators: tuple[tuple[str, GeneratorKind], ...], prefix: tuple[Word, ...],
     parity_bits: tuple[int, ...],
-) -> tuple[SchreierSubgroup, tuple[tuple[Word, ...], ...], dict]:
-    """What ``reidemeister_schreier`` derives without the periods: the
-    Schreier generators, their kinds and the rewriting map, as a subgroup;
-    the rewrites of ``prefix`` from cosets 0 and 1; and the rewrites of
-    each corner tau_k*tau_(k+1) from both cosets, keyed by its letters.
-    It reads only its arguments, theta's bits in generator order among
-    them, so an altered input misses the memo of ``SHAPE_MEMO_SIZE`` keys."""
+) -> SchreierFrame:
+    """The ``SchreierFrame`` of K's generators with their kinds, K's
+    relators but the corners (``prefix``) and theta's bits in generator
+    order.  It reads only its arguments, so an altered input misses the
+    memo of ``SHAPE_MEMO_SIZE`` keys.  A witness row whose relator
+    ``prefix`` lacks is rewritten here."""
     reflections, elliptics, connectors = ([g for g, kind in generators if kind.kind == k]
                                           for k in ("reflection", "elliptic", "connector"))
     parity = dict(zip((g for g, _ in generators), parity_bits))
@@ -215,5 +247,19 @@ def schreier_frame(
     subgroup = SchreierSubgroup(None, tuple(schreier), Presentation(kinds, ()), pair_names, parity)
     heads = tuple(tuple(subgroup.rewrite(rel, u) for rel in prefix) for u in (0, 1))
     units = (((a, 1), (b, 1)) for a, b in zip(reflections, reflections[1:]))
-    return subgroup, heads, {
+    corners = {
         unit: (subgroup.rewrite(Word(unit)), subgroup.rewrite(Word(unit), 1)) for unit in units}
+
+    index = {rel: i for i, rel in enumerate(prefix)}
+    words = [(1, Word((*((x, 1) for x in reversed(elliptics)), (e, 1))), u)
+             for e in connectors for u in (0, 1)]
+    words += [(-1, Word.gen(x, 2), 0) for x in elliptics]
+    witness, sums = [], {}
+    for sign, word, u in words:
+        i = index.get(word)
+        row, word = (subgroup.rewrite(word, u), word) if i is None else (heads[u][i], prefix[i])
+        witness.append((row, word, u))
+        for g, x in row.exponent_sums().items():
+            sums[g] = sums.get(g, 0) + sign * x
+    return SchreierFrame(subgroup, heads, corners, tuple(witness),
+                         {g: x for g, x in sums.items() if x})

@@ -47,20 +47,22 @@ Below it, every fact the periods do not enter is certified once per
 frame (gamma, r), each memo keyed by the value of all it reads: K's
 generators and relators but the r corners
 (``presentations._disc_quotient_frame``); the Schreier generators, their
-kinds, theta's parity and the rewrites of those relators
-(``cosets.schreier_frame``); the classical relators of the derived
-kernel, each corner's by its unit (``presentations.relator_statuses``);
-and the lemma's identities and witness rows (``conjugation_identities``,
-``connector_witness``).  A new shape in a warm frame spells and rewrites
-its corners, checks each corner relator against its unit's power, checks
-the claimed signature, looks the witness rows up among its relators and
-reads H1 off its periods.  Each memo keeps its 16 most recent keys, and
-no later step mutates what they hold.  Measured with tracemalloc, a
-frame retains about 25 KB on the 126-action battery (32 KB at most),
-114 KB at gamma = 40 and 13.9 MB at gamma = 5120; a shape retains 5 KB
-beyond its frame (6 KB at most), 7 KB and 0.6 MB.  So the memos hold at
-most 16 frames plus 16 shapes, each shape with the one frame whose
-objects it shares.
+kinds, theta's parity and the rewrites of those relators, the lemma's
+witness rows among them with their exponent sums
+(``cosets.schreier_frame``, whose frame also keeps the lemma's certified
+identities); and the classical relators of the derived kernel, each
+corner's by its unit (``presentations.relator_statuses``).  With
+``shape_certificate`` these are the four memos of the shape stage.  A
+new shape in a warm frame spells and rewrites its corners, checks each
+corner relator against its unit's power, checks the claimed signature,
+looks the witness rows up among its relators and reads H1 off its
+periods.  Each memo keeps its 16 most recent keys, and no later step
+mutates what they hold.  Measured with tracemalloc, a frame retains
+about 22 KB on the 126-action battery (28 KB at most), 97 KB at
+gamma = 40 and 11.8 MB at gamma = 5120; a shape retains 5 KB beyond its
+frame (6 KB at most), 7 KB and 0.6 MB.  So the memos hold at most 16
+frames plus 16 shapes, each shape with the one frame whose objects it
+shares.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -464,63 +466,6 @@ def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d for d in chain if d > 1)
 
 
-@lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def conjugation_identities(
-    tau1: str, involutions: frozenset[str], images: tuple[tuple[str, tuple], ...],
-    pair: tuple[str, str],
-) -> None:
-    """Certify that tau1*g*tau1*g reduces to 1 in K for each generator g,
-    its word's letters in ``images``, but tau1*a*tau1*b^-1 for the
-    connector ``pair`` (a, b), which tau1 swaps; raise at the first that
-    does not.  Memoised by value for the ``SHAPE_MEMO_SIZE`` most recent
-    keys; a call that raises is not memoised."""
-    a, b = pair
-    last_letter = {a: (b, -1), b: (a, -1)}
-    substitution = {name: Word(letters) for name, letters in images}
-    for name in substitution:
-        identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
-        if cyclic_reduce_letters(substitute_letters(identity, substitution), involutions):
-            raise PipelineAssertionError(
-                f"conjugation identity for {name} could not be certified:"
-                f" {Word(identity)} does not reduce to 1 in K"
-            )
-
-
-def _witness_words(
-    elliptics: tuple[str, ...], connector: str, solved: Word
-) -> list[tuple[int, Word, int]]:
-    """The words the witness rows of the connector product are read from,
-    each with its sign and coset: the long relator L = (e's closed form
-    ``solved``)^-1 * e from cosets 0 and 1, plus, then x_j*x_j from coset
-    0 for each interior point x_j, minus."""
-    long_relator = solved.inverse() * Word.gen(connector)
-    return [(1, long_relator, 0), (1, long_relator, 1)] + [
-        (-1, Word.gen(x, 2), 0) for x in elliptics]
-
-
-@lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def connector_witness(
-    elliptics: tuple[str, ...], connector: str, solved: Word,
-    pair_names: tuple[tuple, tuple], parity: tuple[tuple, tuple],
-) -> tuple[tuple[tuple, ...], tuple[tuple[str, int], ...]]:
-    """The letters of each witness row (``_witness_words`` rewritten), and
-    the signed sum of the rows' exponent sums without zeros, as (generator,
-    sum) pairs in order of first appearance.  The rewriting map is the one
-    ``pair_names`` and ``parity`` give, each as its keys and its values,
-    the only fields ``SchreierSubgroup.rewrite`` reads.  Memoised by value
-    for the ``SHAPE_MEMO_SIZE`` most recent keys; a call that raises is not
-    memoised."""
-    rewriting = SchreierSubgroup(
-        None, (), Presentation((), ()), dict(zip(*pair_names)), dict(zip(*parity)))
-    rows, sums = [], {}
-    for sign, word, coset in _witness_words(elliptics, connector, solved):
-        row = rewriting.rewrite(word, coset)
-        rows.append(row.letters)
-        for g, x in row.exponent_sums().items():
-            sums[g] = sums.get(g, 0) + sign * x
-    return tuple(rows), tuple((g, x) for g, x in sums.items() if x)
-
-
 def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     """Certify the normality lemma in one pass over the Schreier generators,
     without abelianizing the kernel.
@@ -536,46 +481,53 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     each of these gamma + 2 rows is a relator of the derived presentation.
 
     None of this reads the periods, so it is certified once per frame
-    (gamma, r), memoised by value: the identities by
-    ``conjugation_identities``, the witness rows and their exponent sums
-    by ``connector_witness``.  Per call, each row is looked up among the
-    relators of the ``derived`` it is given, and the sums are compared
-    with a*b's.
+    (gamma, r), on the ``cosets.SchreierFrame`` the subgroup keeps: the
+    witness rows are the frame's own rewrites of K's relators, with their
+    exponent sums, and the first lemma that reads the frame certifies the
+    identities and keeps the generators as ``inverted``.  A subgroup whose
+    generators are not the frame's has its own words certified.  The frame
+    is held by ``cosets.schreier_frame``, one of the four memos of the
+    shape stage, and the lemma hashes no key of it.  Per call, each row is
+    looked up among the relators of the ``derived`` it is given, and the
+    sums are compared with a*b's.
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
     signature (Macbeath, Canad. J. Math. 19, 1967): Z^(gamma-1) plus the
     finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     sub = derived.subgroup
-    K = sub.base
-    images = tuple((gen.name, gen.word.letters) for gen in sub.generators)
-    a, b = pair = tuple(gen.name for gen in sub.generators if gen.role == "connector")
-    conjugation_identities(
-        K.generators_of_kind("reflection")[0], K.involution_names(), images, pair)
+    K, frame, generators = sub.base, sub.frame, sub.generators
+    a, b = pair = tuple(gen.name for gen in generators if gen.role == "connector")
+    if frame.inverted is not generators:
+        tau1, involutions = K.generators_of_kind("reflection")[0], K.involution_names()
+        last_letter = {a: (b, -1), b: (a, -1)}
+        substitution = {gen.name: gen.word for gen in generators}
+        for name in substitution:
+            identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
+            if cyclic_reduce_letters(substitute_letters(identity, substitution), involutions):
+                raise PipelineAssertionError(
+                    f"conjugation identity for {name} could not be certified:"
+                    f" {Word(identity)} does not reduce to 1 in K"
+                )
+        if generators is frame.subgroup.generators:
+            frame._keep("inverted", generators)
 
-    elliptics = K.generators_of_kind("elliptic")
-    (e, solved), = connector_closed_form(K).items()
-    pair_names, parity = sub.pair_names, sub.parity
-    rows, sums = connector_witness(
-        elliptics, e, solved, (tuple(pair_names), tuple(pair_names.values())),
-        (tuple(parity), tuple(parity.values())))
     relators = {rel.letters for rel in derived.presentation.relators}
-    for i, row in enumerate(rows):
-        if row not in relators:
-            _, word, coset = _witness_words(elliptics, e, solved)[i]
+    for row, word, coset in frame.witness:
+        if row.letters not in relators:
             raise PipelineAssertionError(
-                f"connector product {a}*{b}: witness row {Word(row)} ({word} from coset"
+                f"connector product {a}*{b}: witness row {row} ({word} from coset"
                 f" {coset}) is not a relator of the derived kernel"
             )
-    if (sums := dict(sums)) != {a: 1, b: 1}:
+    if frame.sums != {a: 1, b: 1}:
         raise PipelineAssertionError(
-            f"connector product {a}*{b}: witness rows sum to {sums}, not to {a}*{b}"
+            f"connector product {a}*{b}: witness rows sum to {frame.sums}, not to {a}*{b}"
         )
 
     sig = derived.signature
     return LemmaReport(
         connector_pair=pair,
-        inversion_entries=tuple(name for name, _ in images),
+        inversion_entries=tuple(gen.name for gen in generators),
         invariant_factors=_torsion_factors(sig.proper_periods),
         free_rank=sig.genus - 1,
     )

@@ -46,11 +46,10 @@ from .signatures import (
 )
 from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
-# the size of each memo of the shape stage, one entry per key: per frame
-# (gamma, r), ``_disc_quotient_frame`` and ``relator_statuses`` here,
-# ``cosets.schreier_frame`` and, in ``pipeline``, the lemma's
-# ``conjugation_identities`` and ``connector_witness``; per shape,
-# ``pipeline.shape_certificate``
+# the size of each of the four memos of the shape stage, one entry per
+# key: per frame (gamma, r), ``_disc_quotient_frame`` and
+# ``relator_statuses`` here and ``cosets.schreier_frame``, which also holds
+# the lemma's witness; per shape, ``pipeline.shape_certificate``
 SHAPE_MEMO_SIZE = 16
 
 
@@ -85,11 +84,6 @@ class Presentation(Record):
             raise ValueError("duplicate generator names")
         self._assign(generators, tuple(relators), tuple((w, n) for w, n in torsion_words),
                          signature)
-
-    def _keep(self, slot: str, value):
-        """``value``, kept in ``slot`` for the next use."""
-        object.__setattr__(self, slot, value)
-        return value
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.generators)

@@ -30,7 +30,8 @@ class Record:
     them in that order and stores them with ``_assign(self, *fields)``.
     Assigning or deleting an attribute raises ``AttributeError``; two
     records are equal, and hash alike, when they are of one class with
-    equal fields; ``repr`` is ``Class(field=value, ...)``."""
+    equal fields; ``repr`` is ``Class(field=value, ...)``.  A slot outside
+    ``_fields`` is set with ``_keep``, and all of these ignore it."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -47,6 +48,11 @@ class Record:
         exec(f"def _assign(self, {', '.join(cls._fields)}):{sets or ' pass'}\n"
              f"def _values(self): return ({values})", namespace)
         cls._assign, cls._values = namespace["_assign"], namespace["_values"]
+
+    def _keep(self, slot: str, value):
+        """``value``, kept in ``slot`` for the next use."""
+        object.__setattr__(self, slot, value)
+        return value
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -13,7 +13,6 @@ from necsurf import (
     cosets,
     derive_delta_hat,
     first_smooth_epimorphism,
-    pipeline,
     presentations,
     quotient_disc_signature,
     reduced_area,
@@ -71,15 +70,13 @@ def generated_subgroup(group, elements):
 def cold_shape_memo():
     """Each test starts with every memo of the shape stage empty (the
     shapes; per frame, K's generators and relators but the corners, the
-    Reidemeister-Schreier frames, the statuses of the classical
-    relators, and the lemma's conjugation identities and witness rows),
+    Reidemeister-Schreier frames with the lemma's witness rows and
+    certified identities, and the statuses of the classical relators),
     so a test that patches a step of the shape stage sees that step run."""
     shape_certificate.cache_clear()
     presentations._disc_quotient_frame.cache_clear()
     cosets.schreier_frame.cache_clear()
     presentations.relator_statuses.cache_clear()
-    pipeline.conjugation_identities.cache_clear()
-    pipeline.connector_witness.cache_clear()
 
 
 @pytest.fixture(scope="session")

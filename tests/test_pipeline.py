@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import math
 import re
@@ -870,17 +871,16 @@ class TestLemma:
         self, monkeypatch
     ):
         # a rewriting map that appends tau1sq to every walk from coset 1,
-        # with the garbled row listed as a relator: the rows then sum to
-        # f1*f2*tau1sq
-        _, derived = derived_for(1, (2, 2, 2))
+        # in place while the frame is derived, so the garbled row is listed
+        # as a relator: the rows then sum to f1*f2*tau1sq
         tau1sq = Word.gen("tau1sq")
-        relators = derived.presentation.relators + (parse_word("delta1 f1 tau1sq"),)
-        broken = with_presentation(derived, replace(derived.presentation, relators=relators))
         original = SchreierSubgroup.rewrite
         monkeypatch.setattr(
             SchreierSubgroup, "rewrite",
             lambda self, w, coset=0: original(self, w, coset) * (tau1sq if coset else Word()),
         )
+        _, broken = derived_for(1, (2, 2, 2))
+        assert parse_word("delta1 f1 tau1sq") in broken.presentation.relators
         with pytest.raises(
             PipelineAssertionError,
             match=r"f1\*f2: witness rows sum to \{.*'tau1sq': 1\}, not to f1\*f2",
@@ -979,7 +979,8 @@ def test_tampered_lemma_data_raise_after_the_memo_is_warm(shape, tamper, message
     certified = pipeline.shape_certificate(*shape)
     _, derived = derived_for(*shape)
     assert derived == certified.derived and lemma1_check(derived) == certified.lemma
-    assert pipeline.conjugation_identities.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert derived.subgroup.frame.inverted is derived.subgroup.generators
     with pytest.raises(PipelineAssertionError, match=message):
         lemma1_check(tamper(derived))
 
@@ -991,14 +992,53 @@ SIBLINGS = {(1, (2, 2, 2)): (1, (2, 2, 3)), (2, (3,)): (2, (4,)), (3, (2, 3)): (
 
 @pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
 def test_tampered_lemma_data_raise_in_a_warm_frame(shape, tamper, message):
-    # a sibling shape warms every memo of the frame, the lemma's
-    # identities and witness rows among them; the tampered shape's own
-    # lemma then hits both, and its tampered data still raise
-    pipeline.shape_certificate(*SIBLINGS[shape])
+    # a sibling shape warms every memo of the frame, and its lemma
+    # certifies the frame's identities; the tampered shape's own lemma
+    # then reads both from the frame, and its tampered data still raise
+    sibling = pipeline.shape_certificate(*SIBLINGS[shape])
     _, derived = derived_for(*shape)
     lemma1_check(derived)
-    for memo in (pipeline.conjugation_identities, pipeline.connector_witness):
-        assert memo.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert derived.subgroup.frame is sibling.derived.subgroup.frame
+    assert derived.subgroup.frame.inverted is derived.subgroup.generators
+    with pytest.raises(PipelineAssertionError, match=message):
+        lemma1_check(tamper(derived))
+
+
+@pytest.mark.parametrize("shape", [(1, (2, 2, 2)), (2, (3,)), (5, ())])
+def test_witness_rows_are_the_frames_own_rewrites(shape):
+    # each row the lemma looks up is the object the frame rewrote K's
+    # relator into, and each source is K's relator itself: nothing is
+    # stored twice
+    K, derived = derived_for(*shape)
+    frame = derived.subgroup.frame
+    prefix = len(K.relators) - len(shape[1])
+    assert len(frame.witness) == shape[0] + 2
+    for row, word, coset in frame.witness:
+        i = K.relators.index(word)
+        assert i < prefix and word is K.relators[i]
+        assert row is frame.heads[coset][i]
+    assert lemma1_check(derived).ok
+
+
+@pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
+def test_lemma_reads_its_frame_after_the_memo_evicts_it(
+    signature_battery, shape, tamper, message
+):
+    # the subgroup carries its frame, so the lemma never looks it up: after
+    # 16 other frames evict it from the memo, the lemma still certifies the
+    # shape, with the report of a fresh derivation, and a deep copy too
+    _, derived = derived_for(*shape)
+    others = {}
+    for gamma, periods in signature_battery:
+        if (gamma, len(periods)) != (shape[0], len(shape[1])):
+            others.setdefault((gamma, len(periods)), periods)
+    for gamma, r in list(others)[:16]:
+        derived_for(gamma, others[gamma, r])
+    report = lemma1_check(derived)
+    _, again = derived_for(*shape)
+    assert again.subgroup.frame is not derived.subgroup.frame  # the memo missed
+    assert report == lemma1_check(again) == lemma1_check(copy.deepcopy(derived))
     with pytest.raises(PipelineAssertionError, match=message):
         lemma1_check(tamper(derived))
 
@@ -1234,8 +1274,7 @@ class TestShapeMemo:
 
     def test_every_memo_has_the_same_bound(self):
         for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame,
-                     cosets.schreier_frame, presentations.relator_statuses,
-                     pipeline.conjugation_identities, pipeline.connector_witness):
+                     cosets.schreier_frame, presentations.relator_statuses):
             assert memo.cache_info().maxsize == pipeline.SHAPE_MEMO_SIZE
 
     def test_shapes_of_one_frame_derive_it_once(self):
@@ -1248,22 +1287,31 @@ class TestShapeMemo:
         for p in (2, 6):
             assert realize(first_smooth_epimorphism(5, (p,), 12)).conclusion
         assert pipeline.shape_certificate.cache_info()[:2] == (2, 3)  # (hits, misses)
-        for memo in (presentations._disc_quotient_frame, cosets.schreier_frame,
-                     pipeline.conjugation_identities, pipeline.connector_witness):
+        for memo in (presentations._disc_quotient_frame, cosets.schreier_frame):
             assert memo.cache_info().misses == 1
+        # the lemma's witness rows and identities live on that one frame
+        frame, *others = (pipeline.shape_certificate(5, (p,)).derived.subgroup.frame
+                          for p in (2, 3, 6))
+        assert all(other is frame for other in others)
+        assert frame.inverted is frame.subgroup.generators
         # odd gamma prints no classical relators
         assert presentations.relator_statuses.cache_info()[:2] == (0, 0)
 
     def test_even_gamma_shapes_of_one_frame_certify_it_once(self):
         # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
         # above, which also prints its classical relators
+        frames = []
         for p in (2, 3, 6):
             K = disc_group(4, (p,))
-            assert lemma1_check(derive_delta_hat(K, build_theta(K))).ok
+            derived = derive_delta_hat(K, build_theta(K))
+            assert lemma1_check(derived).ok
+            frames.append(derived.subgroup.frame)
         for memo in (presentations._disc_quotient_frame, cosets.schreier_frame,
-                     presentations.relator_statuses, pipeline.conjugation_identities,
-                     pipeline.connector_witness):
+                     presentations.relator_statuses):
             assert memo.cache_info()[:2] == (2, 1)  # (hits, misses)
+        frame, *others = frames
+        assert all(other is frame for other in others)
+        assert frame.inverted is frame.subgroup.generators
 
     def test_invalid_input_never_reaches_the_memo(self):
         realize(GENUS2)

@@ -45,6 +45,7 @@ def _instances():
         cert.extension.hom.target,
         cert.derived,
         sub,
+        sub.frame,
         sub.generators[0],
         sub.generators[0].word,
         cert.lemma,
@@ -74,7 +75,7 @@ def _fields(obj):
 
 def test_one_instance_of_each_record_class():
     assert sorted(IDS) == sorted(cls.__name__ for cls in _record_classes())
-    assert len(IDS) == 19
+    assert len(IDS) == 20
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=IDS)
