@@ -867,6 +867,21 @@ class TestLemma:
         ):
             lemma1_check(without_relator(derived, row))
 
+    def test_k_without_its_long_relator_is_an_assertion(self):
+        # the frame has no head to read the long relator's rows from, so it
+        # rewrites them, and the lemma finds the first missing from the
+        # derived kernel
+        K = disc_group(1, (2, 2, 2))
+        long_relator = parse_word("x1 e")
+        relators = tuple(rel for rel in K.relators if rel != long_relator)
+        assert len(relators) == len(K.relators) - 1
+        derived = derive_delta_hat(replace(K, relators=relators), build_theta(K))
+        with pytest.raises(
+            PipelineAssertionError,
+            match=re.escape("witness row delta1t*f2 (x1*e from coset 0) is not a relator"),
+        ):
+            lemma1_check(derived)
+
     def test_witness_rows_not_summing_to_the_connector_product_is_an_assertion(
         self, monkeypatch
     ):
