@@ -123,9 +123,11 @@ class SchreierFrame(Record):
     each interior point x_j, each row the head itself; ``sums`` is the
     rows' exponent sums added, the last gamma subtracted, without zeros.
     ``pipeline.lemma1_check`` keeps ``subgroup.generators`` in ``inverted``
-    once it has certified their tau_1-identities."""
+    once it has certified their tau_1-identities, and
+    ``pipeline.construct_eta`` the folds of the heads and corners under
+    eta in ``folds``."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "inverted")
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "inverted", "folds")
     _fields = __slots__[:5]
 
     def __init__(
@@ -135,6 +137,7 @@ class SchreierFrame(Record):
     ) -> None:
         self._assign(subgroup, heads, corners, witness, sums)
         self._keep("inverted", None)
+        self._keep("folds", None)
 
 
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
@@ -193,6 +196,7 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
                 relators.append(rewritten)
     torsion = zip((w for w, _ in corners.values()), cycle)
     presentation = Presentation(sub.presentation.generators, relators, torsion)
+    presentation._keep("_frame", frame)
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 

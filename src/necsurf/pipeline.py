@@ -32,7 +32,15 @@ The chain constructed and verified here:
 5. write Theta: K -> D_2n on K's generators from rho in closed form, with
    Theta(tau1) = t, and read eta off it as its restriction to the derived
    kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
-   eta(c_k) = x_1 + ... + x_k (branch data matched exactly, in order);
+   eta(c_k) = x_1 + ... + x_k (branch data matched exactly, in order).
+   Their relators are certified once per frame (gamma, r), for every rho
+   at once: folded under a symbolic Theta, whose rotations are integer
+   linear forms in rho's images, each relator of K maps to 0, +-R or
+   +-n_k*x_k, R = 2(d_1 + ... + d_gamma) + x_1 + ... + x_r, and so does
+   each relator of the derived kernel under the symbolic eta.  R and each
+   n_k*x_k vanish for a validated rho, so per rho only they are evaluated,
+   with the images, |Theta(K)| = 4n and eta's surjectivity (gcds), its
+   parities and torsion orders, all in O(gamma + r);
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
@@ -56,13 +64,17 @@ corner's by its unit (``presentations.relator_statuses``).  With
 new shape in a warm frame spells and rewrites its corners, checks each
 corner relator against its unit's power, checks the claimed signature,
 looks the witness rows up among its relators and reads H1 off its
-periods.  Each memo keeps its 16 most recent keys, and no later step
-mutates what they hold.  Measured with tracemalloc, a frame retains
-about 22 KB on the 126-action battery (28 KB at most), 97 KB at
-gamma = 40 and 11.8 MB at gamma = 5120; a shape retains 5 KB beyond its
-frame (6 KB at most), 7 KB and 0.6 MB.  So the memos hold at most 16
-frames plus 16 shapes, each shape with the one frame whose objects it
-shares.
+periods.  The first ``realize`` that reads a frame also folds it (step
+5): the frame of K keeps the tags of Theta's folds (``_theta_folds``),
+and the ``cosets.SchreierFrame`` the tags of eta's folds and eta's
+images (``_eta_folds``); ``derive_delta_hat`` and ``lemma1_check`` never
+fold.  Each memo keeps its 16 most recent keys, and no later step
+changes what they hold; a frame only gains what is certified on it.
+Measured with tracemalloc, a frame retains about 24 KB on the 126-action
+battery (31 KB at most), 101 KB at gamma = 40 and 12.3 MB at
+gamma = 5120, its folds included; a shape retains 5 KB beyond its frame
+(6 KB at most), 7 KB and 0.6 MB.  So the memos hold at most 16 frames
+plus 16 shapes, each shape with the one frame whose objects it shares.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -152,40 +164,6 @@ def decimal(v: int) -> str:
         return f"(an integer of more than {sys.get_int_max_str_digits()} digits)"
 
 
-def _surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> list[str]:
-    """Every way ``hom`` (eta, on the derived kernel) fails to be a
-    surface-kernel epimorphism of ``pres`` onto a cyclic group C_2n, one
-    item each and in this order:
-    relators that do not map to the identity, non-surjectivity (the image
-    order is a gcd), torsion words whose image has lost order, and images
-    whose parity differs from their generator's orientation character.
-    For a surjective map onto C_2n the last condition is exactly the
-    orientation character factoring through the image, so with no item
-    the kernel is a torsion-free Fuchsian surface group."""
-    problems = [
-        f"{label} is not a homomorphism: relator {rel} maps to {decimal(value)}"
-        for rel, value in check_homomorphism(pres, hom)
-    ]
-    if not hom.is_surjective():
-        problems.append(f"{label} is not surjective onto C_{decimal(hom.target.modulus)}")
-    for word, n in pres.torsion_words:
-        image = hom.evaluate(word)
-        order = hom.target.element_order(image)
-        if order != n:
-            problems.append(
-                f"torsion collapse: {word} image {decimal(image)} has order"
-                f" {decimal(order)}, declared {n}"
-            )
-    for name, kind in pres.generators:
-        v = hom.image_of(name)
-        if v % 2 != (kind.character == -1):
-            problems.append(
-                f"orientation mismatch: {kind.kind} image {name} -> {decimal(v)} is"
-                f" {'odd' if v % 2 else 'even'}"
-            )
-    return problems
-
-
 def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
     """Each violation of the rho-independent invariants, one item each: n
     even and at least 2, gamma at least 1, each period at least 2, dividing
@@ -242,9 +220,10 @@ def validate_action(datum: ActionDatum) -> int:
     The quotient data are checked by ``shape_problems`` and rho's lengths
     (gamma glide images, one elliptic image per period) with them; when
     all of those hold, rho is checked in O(gamma + r) integers, with the
-    reasons and order of ``_surface_kernel_problems`` on Delta: each
-    relator x_k^(n_k), then x_1...x_r d_1^2...d_gamma^2, whose image
-    (n_k * x_k, sum(x) + 2 sum(d)) is not 0 mod 2n, spelled out only then;
+    reasons and order of ``construct_eta``'s surface-kernel check, read on
+    Delta: each relator x_k^(n_k), then x_1...x_r d_1^2...d_gamma^2, whose
+    image (n_k * x_k, sum(x) + 2 sum(d)) is not 0 mod 2n, spelled out only
+    then, as is every name a reason prints;
     gcd(2n, d.., x..) != 1; each x_k of order 2n / gcd(x_k, 2n) != n_k;
     each even glide and odd elliptic image.  The genus is
     1 + n(gamma - 2) + sum(n - n/n_k), Riemann-Hurwitz's 2g - 2 = 2n * area.
@@ -262,26 +241,39 @@ def validate_action(datum: ActionDatum) -> int:
         raise ActionValidationError(tuple(errors))
 
     n, two_n, periods = datum.n, datum.order, datum.periods
-    ds, xs = crosscap_names(datum.gamma, len(periods))
     d_images, x_images = datum.d_images, datum.x_images
-    # each relator's letters are an iterator, spelled out only if it fails
-    relators = [(p * v, repeat(x, p)) for x, p, v in zip(xs, periods, x_images)]
-    long_relator = [*xs, *(d for d in ds for _ in range(2))]
-    relators.append((sum(x_images) + 2 * sum(d_images), long_relator))
-    for value, letters in relators:
-        if value := value % two_n:
-            errors.append(f"rho is not a homomorphism: relator {'*'.join(letters)}"
-                          f" maps to {decimal(value)}")
+    names: list[list[str]] = []
+
+    def spelled() -> list[list[str]]:
+        # Delta's names, spelled only for a reason that prints one
+        if not names:
+            names.extend(crosscap_names(datum.gamma, len(periods)))
+        return names
+
+    # each failing relator, x_k^(n_k) by k and then the long relator, with
+    # its image; its letters are spelled out only then
+    failed = [(k, value) for k, (p, v) in enumerate(zip(periods, x_images))
+              if (value := p * v % two_n)]
+    if value := (sum(x_images) + 2 * sum(d_images)) % two_n:
+        failed.append((None, value))
+    for k, value in failed:
+        ds, xs = spelled()
+        if k is None:
+            letters = [*xs, *(d for d in ds for _ in range(2))]
+        else:
+            letters = repeat(xs[k], periods[k])
+        errors.append(f"rho is not a homomorphism: relator {'*'.join(letters)}"
+                      f" maps to {decimal(value)}")
     if math.gcd(two_n, *d_images, *x_images) != 1:
         errors.append(f"rho is not surjective onto C_{decimal(two_n)}")
-    for x, p, v in zip(xs, periods, x_images):
+    for k, (p, v) in enumerate(zip(periods, x_images)):
         if (order := two_n // math.gcd(v, two_n)) != p:
-            errors.append(f"torsion collapse: {x} image {decimal(v)} has order"
+            errors.append(f"torsion collapse: {spelled()[1][k]} image {decimal(v)} has order"
                           f" {decimal(order)}, declared {p}")
-    errors += [f"orientation mismatch: glide image {d} -> {decimal(v)} is even"
-               for d, v in zip(ds, d_images) if v % 2 == 0]
-    errors += [f"orientation mismatch: elliptic image {x} -> {decimal(v)} is odd"
-               for x, v in zip(xs, x_images) if v % 2]
+    errors += [f"orientation mismatch: glide image {spelled()[0][j]} -> {decimal(v)} is even"
+               for j, v in enumerate(d_images) if v % 2 == 0]
+    errors += [f"orientation mismatch: elliptic image {spelled()[1][k]} -> {decimal(v)} is odd"
+               for k, v in enumerate(x_images) if v % 2]
     if errors:
         raise ActionValidationError(tuple(errors))
     return 1 + n * (datum.gamma - 2) + sum(n - n // p for p in periods)
@@ -579,9 +571,14 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
 
 class DihedralExtension(Record):
     """Theta: K -> D_2n and its image order 4n, the index of ker(Theta) in
-    K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/."""
+    K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/.
+    ``rho``, outside ``_fields``, is the datum whose closed form Theta is
+    when ``extend_to_dihedral`` read its relators off K's frame, and None
+    for a rebuilt or copied extension, whose eta ``construct_eta`` reads
+    off Theta's images and walks."""
 
-    __slots__ = ("hom", "image_order")
+    __slots__ = ("hom", "image_order", "rho")
+    _fields = __slots__[:2]
     reflection_rotation = 0  # bench/layers.py:63; ROADMAP item 12
 
     @property
@@ -590,29 +587,208 @@ class DihedralExtension(Record):
 
     def __init__(self, hom: FiniteHom, image_order: int) -> None:
         self._assign(hom, image_order)
+        self._keep("rho", None)
+
+
+class _Forms:
+    """D_2n with symbolic rotations, each an integer linear form in rho's
+    images: a dict from variable to nonzero coefficient, where variable
+    j >= 1 is d_j and variable -k is x_1 + ... + x_k, the rotation of
+    Theta(tau_(k+1)), so every generator's image but the connector's has
+    one term.  An element is (flip, form), as (eps, k) is in
+    ``groups.DihedralGroup``, which ``reflection`` and ``normal_form``
+    mirror."""
+
+    @staticmethod
+    def reflection(form) -> tuple[int, dict]:
+        return 1, form or {}
+
+    @staticmethod
+    def normal_form(table: dict, letters: Iterable[tuple[str, int]]) -> tuple[int, dict]:
+        return next(_Forms.folds(table, (letters,)))
+
+    @staticmethod
+    def folds(table: dict, words: Iterable) -> Iterator[tuple[int, dict]]:
+        """The normal form of each word's letters, by the product rule with
+        a running sign: the rotation is sign*acc; a reflection t*s^f sends
+        it to f - sign*acc, so acc gains -sign*f and the sign turns; a
+        rotation s^f adds e*sign*f.  Each letter costs its image's terms,
+        and nothing is negated but at the end."""
+        for letters in words:
+            flip, sign, acc = 0, 1, {}
+            for g, e in letters:
+                img_flip, img = table[g]
+                step = -sign if img_flip else sign * e
+                for v, c in img.items():
+                    if c := acc.get(v, 0) + step * c:
+                        acc[v] = c
+                    else:
+                        del acc[v]
+                if img_flip:
+                    flip, sign = flip ^ 1, -sign
+            yield flip, acc if sign == 1 else {v: -c for v, c in acc.items()}
+
+
+def _theta_images(K: Presentation, target, glides: Iterable, sums: Iterable) -> dict:
+    """Theta on K's generators in closed form, in ``target``: tau1 -> t,
+    x_j -> t*s^(glides[j]), tau_(k+1) -> t*s^(sums[k]) and e -> the normal
+    form of e's closed form (``connector_closed_form``), forced by the long
+    relator.  ``extend_to_dihedral`` reads it in D_2n at (-1)^j d_j and
+    x_1 + ... + x_k, and ``_symbolic_theta`` in ``_Forms`` at the
+    variables, so the folds certify the images rho is given."""
+    taus = K.generators_of_kind("reflection")
+    images = {taus[0]: target.reflection(0)}
+    images.update(zip(K.generators_of_kind("elliptic"), map(target.reflection, glides)))
+    images.update(zip(taus[1:], map(target.reflection, sums)))
+    for e, word in connector_closed_form(K).items():
+        images[e] = target.normal_form(images, word.letters)
+    return images
+
+
+def _symbolic_theta(K: Presentation) -> tuple[dict, int, int]:
+    """Theta's images on K's generators in ``_Forms``, with gamma and r."""
+    gamma, r = len(K.generators_of_kind("elliptic")), len(K.generators_of_kind("reflection")) - 1
+    glides = ({j: (-1) ** j} for j in range(1, gamma + 1))
+    return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1))), gamma, r
+
+
+_ZERO = (0, 0)
+
+
+def _certified_tags(
+    table: dict, rows: Iterable[tuple[Sequence[Word], int, int]], gamma: int, r: int, label: str,
+) -> tuple[tuple[int, int], ...]:
+    """The tag of the fold of each word of ``rows`` under the symbolic
+    ``table``, in order: (sign, k) for sign * R, R = 2(d_1 + ... + d_gamma)
+    + x_1 + ... + x_r, when k = 0, for sign * x_k when k >= 1, and (0, 0)
+    for 0.  A row is (words, power, k): a relator of K or of the derived
+    kernel, the power 1 of its word, may fold to 0 or +-R (k = 0), and the
+    k-th corner, the power n_k of its unit, to 0 or +-x_k.  Any other fold
+    raises ``PipelineAssertionError`` naming the relator."""
+    out = []
+    for words, power, k in rows:
+        if k:
+            expected = {-k: 1, 1 - k: -1} if k > 1 else {-1: 1}
+        else:
+            expected = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
+        negated = {v: -c for v, c in expected.items()}
+        for word, (flip, form) in zip(words, _Forms.folds(table, (w.letters for w in words))):
+            if flip or form and form != expected and form != negated:
+                raise PipelineAssertionError(
+                    f"{label} is not a homomorphism: relator {word ** power} folds to"
+                    f" {'a reflection' if flip else 'a rotation'} other than 1, s^(+-R)"
+                    " and s^(+-n_k*x_k)"
+                )
+            out.append((1, k) if form == expected else (-1, k) if form else _ZERO)
+    return tuple(out)
+
+
+def _unit_rows(units: Iterable[Word], periods: tuple[int, ...]) -> list:
+    """The rows of ``_certified_tags`` for the corners: the k-th unit, of
+    power n_k."""
+    return [((unit,), p, k) for k, (unit, p) in enumerate(zip(units, periods), start=1)]
+
+
+def _theta_folds(K: Presentation) -> tuple | None:
+    """The tags of K's relators under Theta, certified once per frame
+    (gamma, r) and kept on it: each relator of the frame
+    (``presentations._disc_quotient_frame``, K's relators but the corners)
+    folds to 0 or +-R, and each corner unit tau_k*tau_(k+1) to 0 or
+    +-x_k, so K's corner (tau_k*tau_(k+1))^(n_k) to 0 or +-n_k*x_k:
+    (relator tags, unit tags).  None for a K that is not its frame's own,
+    such as a rebuilt one."""
+    frame = getattr(K, "_frame", None)
+    if frame is None:
+        return None
+    try:
+        return frame._folds
+    except AttributeError:
+        pass
+    table, gamma, r = _symbolic_theta(frame)
+    taus = frame.generators_of_kind("reflection")
+    units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
+    rows = [(frame.relators, 1, 0), *_unit_rows(units, K.signature.period_cycles[0])]
+    tags = _certified_tags(table, rows, gamma, r, "Theta")
+    m = len(frame.relators)
+    return frame._keep("_folds", (tags[:m], tags[m:]))
+
+
+def _eta_folds(derived: DerivedKernel) -> tuple | None:
+    """The tags of the derived kernel's relators under eta, certified once
+    per frame (gamma, r) and kept on its ``cosets.SchreierFrame``: eta on
+    each Schreier generator is the rotation Theta folds its word to; each
+    head, a relator of K rewritten from coset u, folds to 0 or +-R, and
+    each corner unit's rewrite from coset u to 0 or +-x_k, so its row to 0
+    or +-n_k*x_k.  Returns eta's images, the one-term forms as a tuple of
+    names, one of variables and one of coefficients and the other
+    generators as (name, word), and by coset (head tags, unit tags); the
+    unit tags of coset 0 are the torsion words'.  None for a derived
+    kernel that is not its frame's own: a rebuilt presentation, or other
+    generators."""
+    sub, pres = derived.subgroup, derived.presentation
+    frame = sub.frame
+    if (frame is None or getattr(pres, "_frame", None) is not frame
+            or sub.generators is not frame.subgroup.generators):
+        return None
+    if frame.folds is None:
+        theta, gamma, r = _symbolic_theta(sub.base)
+        words = (gen.word.letters for gen in sub.generators)
+        eta = dict(zip((gen.name for gen in sub.generators), _Forms.folds(theta, words)))
+        for name, (flip, _) in eta.items():
+            if flip:
+                raise PipelineAssertionError(
+                    f"eta: Theta sends the kernel generator {name} to a reflection")
+        periods, folds = sub.base.signature.period_cycles[0], []
+        for u, head in enumerate(frame.heads):
+            units = _unit_rows([pair[u] for pair in frame.corners.values()], periods)
+            tags = _certified_tags(eta, [(head, 1, 0), *units], gamma, r, "eta: eta")
+            folds.append((tags[:len(head)], tags[len(head):]))
+        # eta's one-term images as names, variables and coefficients; the
+        # others (the connector pair's, gamma terms, and tau1sq's) by word
+        singles = [(g, v, c) for g, (_, form) in eta.items() if len(form) == 1
+                   for v, c in form.items()]
+        others = tuple((g.name, g.word) for g in sub.generators if len(eta[g.name][1]) != 1)
+        frame._keep("folds", ((tuple(zip(*singles)), others), tuple(folds)))
+    return frame.folds
+
+
+def _folds_vanish(datum: ActionDatum, periods: tuple[int, ...]) -> bool:
+    """Whether R = 2(d_1 + ... + d_gamma) + x_1 + ... + x_r and each
+    n_k*x_k vanish mod 2n at rho: then every relator whose fold is 0,
+    +-R or +-n_k*x_k maps to the identity."""
+    two_n, xs = datum.order, datum.x_images
+    return (2 * sum(datum.d_images) + sum(xs)) % two_n == 0 and not any(
+        p * x % two_n for p, x in zip(periods, xs))
+
+
+def _unmapped_relators(pres: Presentation, hom: FiniteHom, by_frame: bool) -> tuple:
+    """The relators of ``pres`` that ``hom`` does not send to the identity,
+    each with its image, as ``check_homomorphism`` gives them: none when
+    ``by_frame`` (the frame's folds and ``_folds_vanish`` show each maps to
+    the identity), else every relator walked."""
+    return () if by_frame else check_homomorphism(pres, hom)
 
 
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
-    """Theta: K -> D_2n, written on K's generators from rho in closed form:
-    Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j), Theta(tau_(k+1)) =
-    t*s^(x_1 + ... + x_k), and Theta(e) is the normal form of e's closed form
-    (``connector_closed_form``), forced by the long relator.
+    """Theta: K -> D_2n, written on K's generators from rho in closed form
+    (``_theta_images``): Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j),
+    Theta(tau_(k+1)) = t*s^(x_1 + ... + x_k), and Theta(e) the normal form
+    of e's closed form, forced by the long relator.
     Theta is then verified to be a homomorphism on K with image of order
-    4n, so ker(Theta) has index 4n in K.  A failed check raises
-    ``PipelineAssertionError`` naming it.
+    4n, so ker(Theta) has index 4n in K.  The relators are read off K's
+    frame (``_theta_folds``): each folds to 0, +-R or +-n_k*x_k, so they
+    all hold once R and each n_k*x_k vanish at rho, O(gamma + r) integers,
+    and the result keeps rho.  A K that is not its frame's own, or a
+    rho for which they do not vanish, has every relator walked.  The image
+    order is a gcd.  A failed check raises ``PipelineAssertionError``
+    naming it: the first relator that does not hold, with its image.
     """
     dihedral = DihedralGroup(datum.order)
-    taus = K.generators_of_kind("reflection")
-    images = {taus[0]: dihedral.reflection(0)}
-    images.update(zip(K.generators_of_kind("elliptic"), (
-        dihedral.reflection((-1) ** j * d) for j, d in enumerate(datum.d_images, start=1)
-    )))
-    images.update(zip(taus[1:], map(dihedral.reflection, accumulate(datum.x_images))))
-    for e, word in connector_closed_form(K).items():
-        images[e] = dihedral.normal_form(images, word.letters)
-
-    hom = FiniteHom.from_dict(K, dihedral, images)
-    for rel, value in check_homomorphism(K, hom):
+    glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
+    hom = FiniteHom.from_dict(
+        K, dihedral, _theta_images(K, dihedral, glides, accumulate(datum.x_images)))
+    by_frame = _theta_folds(K) is not None and _folds_vanish(datum, K.signature.period_cycles[0])
+    for rel, value in _unmapped_relators(K, hom, by_frame):
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
         )
@@ -621,7 +797,10 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
         raise PipelineAssertionError(
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
-    return DihedralExtension(hom, image_order)
+    extension = DihedralExtension(hom, image_order)
+    if by_frame:
+        extension._keep("rho", datum)
+    return extension
 
 
 class EtaResult(Record):
@@ -642,29 +821,59 @@ def construct_eta(
     branch data of rho: the restriction of Theta, eta(g) = the rotation
     Theta(g.word) for each kernel generator g.
 
-    The result is verified: every image is a rotation, eta passes the
-    same surface-kernel checks as rho (``_surface_kernel_problems``), and
-    the torsion images equal rho's elliptic images in order.  A failed
-    check raises ``PipelineAssertionError`` naming it.
+    The result is verified to be a surface-kernel epimorphism, with every
+    reason found, in this order: relators that do not map to the identity,
+    non-surjectivity (a gcd), torsion words whose image has lost order,
+    and images whose parity differs from their generator's orientation
+    character; then its torsion images must equal rho's elliptic images in
+    order.  When the extension keeps the rho it was read at, on the
+    kernel's own K, and the kernel is its frame's own, eta is read off the
+    frame (``_eta_folds``): each image is its certified one-term form at
+    that rho, or Theta's on its word, certified to be a rotation, and the
+    relators hold, as R and each n_k*x_k vanish there.  Otherwise
+    each image is Theta's on the generator's word, which must be a
+    rotation, and every relator is walked.  A failed check raises
+    ``PipelineAssertionError`` naming it.
     """
     target = CyclicGroup(datum.order)
-    pres = derived.presentation
+    sub, pres = derived.subgroup, derived.presentation
+    rho = extension.rho
+    folds = _eta_folds(derived) if rho is not None and extension.hom.domain is sub.base else None
 
-    images = {}
-    for gen in derived.subgroup.generators:
-        flip, rot = extension.hom.evaluate(gen.word)
-        if flip:
-            raise PipelineAssertionError(
-                f"eta: Theta sends the kernel generator {gen.name} to the"
-                f" reflection {extension.hom.target.format((flip, rot))}"
-            )
-        images[gen.name] = rot
+    if folds is not None:
+        # each variable's value: d_j at j, x_1 + ... + x_k at -k
+        values = [0, *rho.d_images, *reversed(list(accumulate(rho.x_images)))]
+        (names, variables, coefficients), others = folds[0]
+        modulus = extension.hom.target.modulus
+        images = {g: c * values[v] % modulus for g, v, c in zip(names, variables, coefficients)}
+        images.update((g, extension.hom.evaluate(word)[1]) for g, word in others)
+    else:
+        images = {}
+        for gen in sub.generators:
+            flip, rot = extension.hom.evaluate(gen.word)
+            if flip:
+                raise PipelineAssertionError(
+                    f"eta: Theta sends the kernel generator {gen.name} to the"
+                    f" reflection {extension.hom.target.format((flip, rot))}"
+                )
+            images[gen.name] = rot
 
     hom = FiniteHom.from_dict(pres, target, images)
-    problems = _surface_kernel_problems(pres, hom, "eta")
+    problems = [f"eta is not a homomorphism: relator {rel} maps to {decimal(value)}"
+                for rel, value in _unmapped_relators(pres, hom, folds is not None)]
+    if not hom.is_surjective():
+        problems.append(f"eta is not surjective onto C_{decimal(target.modulus)}")
+    torsion_images = tuple(hom.evaluate(word) for word, _ in pres.torsion_words)
+    for (word, n), image in zip(pres.torsion_words, torsion_images):
+        if (order := target.element_order(image)) != n:
+            problems.append(f"torsion collapse: {word} image {decimal(image)} has order"
+                            f" {decimal(order)}, declared {n}")
+    for name, kind in pres.generators:
+        if (v := images[name]) % 2 != (kind.character == -1):
+            problems.append(f"orientation mismatch: {kind.kind} image {name} -> {decimal(v)} is"
+                            f" {'odd' if v % 2 else 'even'}")
     if problems:
         raise PipelineAssertionError("eta: " + "; ".join(problems))
-    torsion_images = tuple(hom.evaluate(word) for word, _ in pres.torsion_words)
     if torsion_images != datum.x_images:
         raise PipelineAssertionError(
             f"eta: torsion images {list(torsion_images)} differ from rho's elliptic"
@@ -708,7 +917,10 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     (gamma, r) and checks only its corners.  The rho stage follows:
     ``extend_to_dihedral``, ``construct_eta`` and the genus bookkeeping:
     validation's genus, read off Delta, against Riemann-Hurwitz for
-    ker(Theta) at index ``image_order`` in K.
+    ker(Theta) at index ``image_order`` in K.  The shape's K and derived
+    kernel are their frame's own, so both read their relators off the
+    frame's folds, made by the first call that reads the frame, and a
+    warm call walks no relator: its rho stage is O(gamma + r).
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the

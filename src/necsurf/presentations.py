@@ -67,11 +67,17 @@ class Presentation(Record):
 
     The involution names, the names of each kind and the connector's
     closed form are computed on first use and kept in slots outside
-    ``_fields``, so comparison and hashing ignore them.
+    ``_fields``, so comparison and hashing ignore them.  So is ``_frame``:
+    a disc-quotient group built by ``canonical_presentation`` keeps the
+    frame (``_disc_quotient_frame``) whose generators and relators it
+    shares, and a derived presentation the ``cosets.SchreierFrame`` it was
+    derived in; a rebuilt or copied presentation keeps none.  A frame
+    keeps the fold of its relators under Theta in ``_folds``
+    (``pipeline``).
     """
 
     __slots__ = ("generators", "relators", "torsion_words", "signature",
-                 "_involutions", "_names_by_kind", "_closed_form")
+                 "_involutions", "_names_by_kind", "_closed_form", "_frame", "_folds")
     _fields = __slots__[:4]
 
     def __init__(
@@ -135,6 +141,7 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     p = Presentation(frame.generators, frame.relators + tuple(corners), signature=sig)
     for slot in ("_involutions", "_names_by_kind", "_closed_form"):
         p._keep(slot, getattr(frame, slot))
+    p._keep("_frame", frame)
     return p
 
 

@@ -7,9 +7,11 @@ kernel (``kernel_signature_index2``, the general index-2 computation),
 and for the closed-form H1 of the derived kernel (``abelianization``,
 with the integer ``smith_normal_form`` it calls), for the
 named-source relator check (``index_derived_relators``, matching against
-every relator of K), and for the closed-form check of rho in
+every relator of K), for the closed-form check of rho in
 ``pipeline.validate_action`` (``rho_problems_by_presentation``, on Delta's
-presentation).  ``replace`` rebuilds a result with some of its fields
+presentation) and for eta's checks in ``pipeline.construct_eta``, which
+read the relators off the frame (``surface_kernel_problems``, every
+relator walked).  ``replace`` rebuilds a result with some of its fields
 changed, through the constructor.
 
 Element arithmetic on plain values, a residue in C_m and a pair
@@ -37,6 +39,7 @@ from necsurf import (
     NECSignature,
     NotInKernelError,
     canonical_presentation,
+    check_homomorphism,
     orientation_character,
     reduced_area,
     surface_kernel_genus,
@@ -616,13 +619,52 @@ def search_connector_elimination(p: Presentation) -> dict[str, Word] | None:
     return None
 
 
+# The surface-kernel conditions with every relator walked: the oracle for
+# the frame-read checks of ``necsurf.pipeline.construct_eta``.
+
+def surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> list[str]:
+    """Every way ``hom`` fails to be a surface-kernel epimorphism of
+    ``pres`` onto a cyclic group C_2n, one item each and in this order,
+    every relator walked: the oracle for the reasons of
+    ``pipeline.construct_eta``, and of ``pipeline.validate_action`` through
+    ``rho_problems_by_presentation``:
+    relators that do not map to the identity, non-surjectivity (the image
+    order is a gcd), torsion words whose image has lost order, and images
+    whose parity differs from their generator's orientation character.
+    For a surjective map onto C_2n the last condition is exactly the
+    orientation character factoring through the image, so with no item
+    the kernel is a torsion-free Fuchsian surface group."""
+    problems = [
+        f"{label} is not a homomorphism: relator {rel} maps to {pipeline.decimal(value)}"
+        for rel, value in check_homomorphism(pres, hom)
+    ]
+    if not hom.is_surjective():
+        problems.append(f"{label} is not surjective onto C_{pipeline.decimal(hom.target.modulus)}")
+    for word, n in pres.torsion_words:
+        image = hom.evaluate(word)
+        order = hom.target.element_order(image)
+        if order != n:
+            problems.append(
+                f"torsion collapse: {word} image {pipeline.decimal(image)} has order"
+                f" {pipeline.decimal(order)}, declared {n}"
+            )
+    for name, kind in pres.generators:
+        v = hom.image_of(name)
+        if v % 2 != (kind.character == -1):
+            problems.append(
+                f"orientation mismatch: {kind.kind} image {name} -> {pipeline.decimal(v)} is"
+                f" {'odd' if v % 2 else 'even'}"
+            )
+    return problems
+
+
 # rho checked on Delta's presentation: the oracle for the closed-form
 # conditions of ``necsurf.pipeline.validate_action``.
 
 def rho_problems_by_presentation(datum):
     """The reasons and the genus of the presentation-based check of rho:
     Delta built by ``canonical_presentation``, rho as a ``FiniteHom`` on
-    it, the reasons of ``pipeline._surface_kernel_problems`` and the genus
+    it, the reasons of ``surface_kernel_problems`` and the genus
     of ``surface_kernel_genus`` at index 2n.  For a datum whose shape and
     image counts ``validate_action`` accepts."""
     sig = datum.delta_signature()
@@ -630,7 +672,7 @@ def rho_problems_by_presentation(datum):
     images = dict(zip(delta.generators_of_kind("glide"), datum.d_images))
     images.update(zip(delta.generators_of_kind("elliptic"), datum.x_images))
     rho = FiniteHom.from_dict(delta, CyclicGroup(datum.order), images)
-    return pipeline._surface_kernel_problems(delta, rho, "rho"), surface_kernel_genus(sig, datum.order)
+    return surface_kernel_problems(delta, rho, "rho"), surface_kernel_genus(sig, datum.order)
 
 
 # The unpruned product-space filter: the oracle for the pruned search in

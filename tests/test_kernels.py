@@ -21,7 +21,6 @@ from necsurf import (
     surface_kernel_genus,
 )
 from necsurf import kernels, pipeline
-from necsurf.pipeline import _surface_kernel_problems
 from necsurf.presentations import Presentation
 from necsurf.signatures import elliptic
 from necsurf.words import Word
@@ -31,6 +30,7 @@ from reference import (
     kernel_signature_index2,
     replace,
     substitute,
+    surface_kernel_problems,
     termwise_area,
     termwise_kernel_genus,
     word_character,
@@ -204,7 +204,7 @@ class TestSurfaceKernelCheck:
     """The surface-kernel conditions on a map from a presentation, which
     ``construct_eta`` checks for eta and the oracle
     ``rho_problems_by_presentation`` for rho, read off the primitives
-    ``_surface_kernel_problems`` uses."""
+    ``surface_kernel_problems`` uses."""
 
     def test_valid_genus2_epimorphism(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (1,), (2, 2, 2))
@@ -212,7 +212,7 @@ class TestSurfaceKernelCheck:
         assert rho.image_order() == 4 and rho.is_surjective()
         assert all(rho.target.element_order(rho.evaluate(w)) == n for w, n in delta.torsion_words)
         assert character_factors_through_image(delta, rho) == (True, None)
-        assert _surface_kernel_problems(delta, rho, "rho") == []
+        assert surface_kernel_problems(delta, rho, "rho") == []
         assert surface_kernel_genus(delta.signature, rho.image_order()) == 2
 
     def test_torsion_collapse_detected(self):
@@ -220,7 +220,7 @@ class TestSurfaceKernelCheck:
         orders = [rho.target.element_order(rho.evaluate(w)) for w, _ in delta.torsion_words]
         assert orders == [1, 2, 2]
         assert "torsion collapse: x1 image 0 has order 1, declared 2" in (
-            _surface_kernel_problems(delta, rho, "rho")
+            surface_kernel_problems(delta, rho, "rho")
         )
 
     def test_even_glide_image_breaks_orientation(self):
@@ -229,7 +229,7 @@ class TestSurfaceKernelCheck:
         assert not factors
         assert word_character(delta, witness) == -1
         assert "orientation mismatch: glide image d1 -> 2 is even" in (
-            _surface_kernel_problems(delta, rho, "rho")
+            surface_kernel_problems(delta, rho, "rho")
         )
 
     def test_non_surjective_is_reported(self):
@@ -258,7 +258,7 @@ class TestSurfaceKernelCheck:
                         factors, witness = character_factors_through_image(delta, rho)
                         parity = all(v % 2 for v in d) and not any(v % 2 for v in x)
                         assert factors == parity
-                        problems = _surface_kernel_problems(delta, rho, "rho")
+                        problems = surface_kernel_problems(delta, rho, "rho")
                         mismatch = any(
                             p.startswith("orientation mismatch") for p in problems
                         )
