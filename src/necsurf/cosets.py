@@ -123,11 +123,11 @@ class SchreierFrame(Record):
     each interior point x_j, each row the head itself; ``sums`` is the
     rows' exponent sums added, the last gamma subtracted, without zeros.
     ``pipeline.lemma1_check`` keeps ``subgroup.generators`` in ``inverted``
-    once it has certified their tau_1-identities, and
-    ``pipeline.construct_eta`` the folds of the heads and corners under
-    eta in ``folds``."""
+    once it has certified their tau_1-identities, and ``pipeline`` eta's
+    images as forms in ``eta`` once it has certified the heads and corners
+    under them."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "inverted", "folds")
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "inverted", "eta")
     _fields = __slots__[:5]
 
     def __init__(
@@ -137,7 +137,7 @@ class SchreierFrame(Record):
     ) -> None:
         self._assign(subgroup, heads, corners, witness, sums)
         self._keep("inverted", None)
-        self._keep("folds", None)
+        self._keep("eta", None)
 
 
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:

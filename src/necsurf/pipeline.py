@@ -34,13 +34,16 @@ The chain constructed and verified here:
    kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
    eta(c_k) = x_1 + ... + x_k (branch data matched exactly, in order).
    Their relators are certified once per frame (gamma, r), for every rho
-   at once: folded under a symbolic Theta, whose rotations are integer
-   linear forms in rho's images, each relator of K maps to 0, +-R or
-   +-n_k*x_k, R = 2(d_1 + ... + d_gamma) + x_1 + ... + x_r, and so does
-   each relator of the derived kernel under the symbolic eta.  R and each
-   n_k*x_k vanish for a validated rho, so per rho only they are evaluated,
-   with the images, |Theta(K)| = 4n and eta's surjectivity (gcds), its
-   parities and torsion orders, all in O(gamma + r);
+   at once, by folding them under a symbolic Theta, whose rotations are
+   integer linear forms in rho's images: a relator that folds to the
+   identity holds at every rho.  Of K's relators but the corners only the
+   connector relator does not (it folds to +-R, R = 2(d_1 + ... +
+   d_gamma) + x_1 + ... + x_r), and each corner unit folds to x_k, so per
+   rho Theta walks that one relator, four letters, and reads each corner
+   off its unit.  Each relator of the derived kernel folds under the
+   symbolic eta as the relator of K it rewrites, so eta walks none.  With
+   the images, |Theta(K)| = 4n and eta's surjectivity (gcds), its
+   parities and torsion orders, a rho costs O(gamma + r);
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
@@ -65,14 +68,14 @@ new shape in a warm frame spells and rewrites its corners, checks each
 corner relator against its unit's power, checks the claimed signature,
 looks the witness rows up among its relators and reads H1 off its
 periods.  The first ``realize`` that reads a frame also folds it (step
-5): the frame of K keeps the tags of Theta's folds (``_theta_folds``),
-and the ``cosets.SchreierFrame`` the tags of eta's folds and eta's
-images (``_eta_folds``); ``derive_delta_hat`` and ``lemma1_check`` never
-fold.  Each memo keeps its 16 most recent keys, and no later step
+5): the frame of K keeps the relators Theta walks and the corner units
+(``_theta_residual``), and the ``cosets.SchreierFrame`` eta's images as
+forms (``_eta_images``); ``derive_delta_hat`` and ``lemma1_check``
+never fold.  Each memo keeps its 16 most recent keys, and no later step
 changes what they hold; a frame only gains what is certified on it.
-Measured with tracemalloc, a frame retains about 24 KB on the 126-action
-battery (31 KB at most), 101 KB at gamma = 40 and 12.3 MB at
-gamma = 5120, its folds included; a shape retains 5 KB beyond its frame
+Measured with tracemalloc, a frame retains about 23 KB on the 126-action
+battery (30 KB at most), 99 KB at gamma = 40 and 12.2 MB at
+gamma = 5120, its certificates included; a shape retains 5 KB beyond its frame
 (6 KB at most), 7 KB and 0.6 MB.  So the memos hold at most 16 frames
 plus 16 shapes, each shape with the one frame whose objects it shares.
 
@@ -573,9 +576,9 @@ class DihedralExtension(Record):
     """Theta: K -> D_2n and its image order 4n, the index of ker(Theta) in
     K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/.
     ``rho``, outside ``_fields``, is the datum whose closed form Theta is
-    when ``extend_to_dihedral`` read its relators off K's frame, and None
-    for a rebuilt or copied extension, whose eta ``construct_eta`` reads
-    off Theta's images and walks."""
+    when ``extend_to_dihedral`` checked it on K's frame certificate, and
+    None for a rebuilt or copied extension, whose eta ``construct_eta``
+    reads off Theta's images and walks."""
 
     __slots__ = ("hom", "image_order", "rho")
     _fields = __slots__[:2]
@@ -629,6 +632,31 @@ class _Forms:
             yield flip, acc if sign == 1 else {v: -c for v, c in acc.items()}
 
 
+def _cyclic_folds(table: dict, words: Iterable) -> Iterator[dict]:
+    """The rotation each word's letters fold to in C_2n with symbolic
+    rotations, ``table`` giving each generator's image as a form, or as
+    one (variable, coefficient) pair when it has one term, as most of
+    eta's images have: the sum of the letters' images times their
+    exponents."""
+    for letters in words:
+        acc = {}
+        for g, e in letters:
+            img = table[g]
+            if type(img) is tuple:
+                v, c = img
+                if c := acc.get(v, 0) + e * c:
+                    acc[v] = c
+                else:
+                    del acc[v]
+                continue
+            for v, c in img.items():
+                if c := acc.get(v, 0) + e * c:
+                    acc[v] = c
+                else:
+                    del acc[v]
+        yield acc
+
+
 def _theta_images(K: Presentation, target, glides: Iterable, sums: Iterable) -> dict:
     """Theta on K's generators in closed form, in ``target``: tau1 -> t,
     x_j -> t*s^(glides[j]), tau_(k+1) -> t*s^(sums[k]) and e -> the normal
@@ -645,58 +673,23 @@ def _theta_images(K: Presentation, target, glides: Iterable, sums: Iterable) -> 
     return images
 
 
-def _symbolic_theta(K: Presentation) -> tuple[dict, int, int]:
-    """Theta's images on K's generators in ``_Forms``, with gamma and r."""
+def _symbolic_theta(K: Presentation) -> dict:
+    """Theta's images on K's generators in ``_Forms``."""
     gamma, r = len(K.generators_of_kind("elliptic")), len(K.generators_of_kind("reflection")) - 1
-    glides = ({j: (-1) ** j} for j in range(1, gamma + 1))
-    return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1))), gamma, r
+    glides = ({j: -1 if j % 2 else 1} for j in range(1, gamma + 1))
+    return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1)))
 
 
-_ZERO = (0, 0)
-
-
-def _certified_tags(
-    table: dict, rows: Iterable[tuple[Sequence[Word], int, int]], gamma: int, r: int, label: str,
-) -> tuple[tuple[int, int], ...]:
-    """The tag of the fold of each word of ``rows`` under the symbolic
-    ``table``, in order: (sign, k) for sign * R, R = 2(d_1 + ... + d_gamma)
-    + x_1 + ... + x_r, when k = 0, for sign * x_k when k >= 1, and (0, 0)
-    for 0.  A row is (words, power, k): a relator of K or of the derived
-    kernel, the power 1 of its word, may fold to 0 or +-R (k = 0), and the
-    k-th corner, the power n_k of its unit, to 0 or +-x_k.  Any other fold
-    raises ``PipelineAssertionError`` naming the relator."""
-    out = []
-    for words, power, k in rows:
-        if k:
-            expected = {-k: 1, 1 - k: -1} if k > 1 else {-1: 1}
-        else:
-            expected = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
-        negated = {v: -c for v, c in expected.items()}
-        for word, (flip, form) in zip(words, _Forms.folds(table, (w.letters for w in words))):
-            if flip or form and form != expected and form != negated:
-                raise PipelineAssertionError(
-                    f"{label} is not a homomorphism: relator {word ** power} folds to"
-                    f" {'a reflection' if flip else 'a rotation'} other than 1, s^(+-R)"
-                    " and s^(+-n_k*x_k)"
-                )
-            out.append((1, k) if form == expected else (-1, k) if form else _ZERO)
-    return tuple(out)
-
-
-def _unit_rows(units: Iterable[Word], periods: tuple[int, ...]) -> list:
-    """The rows of ``_certified_tags`` for the corners: the k-th unit, of
-    power n_k."""
-    return [((unit,), p, k) for k, (unit, p) in enumerate(zip(units, periods), start=1)]
-
-
-def _theta_folds(K: Presentation) -> tuple | None:
-    """The tags of K's relators under Theta, certified once per frame
-    (gamma, r) and kept on it: each relator of the frame
-    (``presentations._disc_quotient_frame``, K's relators but the corners)
-    folds to 0 or +-R, and each corner unit tau_k*tau_(k+1) to 0 or
-    +-x_k, so K's corner (tau_k*tau_(k+1))^(n_k) to 0 or +-n_k*x_k:
-    (relator tags, unit tags).  None for a K that is not its frame's own,
-    such as a rebuilt one."""
+def _theta_residual(K: Presentation) -> tuple[Presentation, tuple[Word, ...]] | None:
+    """The relators of K that Theta does not send to the identity for
+    every rho, certified once per frame (gamma, r) and kept on it: the
+    relators of the frame (``presentations._disc_quotient_frame``, K's
+    relators but the corners) whose fold under the symbolic Theta is not
+    the identity, in order, as a presentation; and the corner units
+    tau_k*tau_(k+1), each certified to fold to a rotation, so that K's
+    corner, the n_k-th power of its unit, maps to that rotation times
+    n_k.  None for a K that is not its frame's own, such as a rebuilt one.
+    """
     frame = getattr(K, "_frame", None)
     if frame is None:
         return None
@@ -704,69 +697,72 @@ def _theta_folds(K: Presentation) -> tuple | None:
         return frame._folds
     except AttributeError:
         pass
-    table, gamma, r = _symbolic_theta(frame)
+    table = _symbolic_theta(frame)
     taus = frame.generators_of_kind("reflection")
-    units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
-    rows = [(frame.relators, 1, 0), *_unit_rows(units, K.signature.period_cycles[0])]
-    tags = _certified_tags(table, rows, gamma, r, "Theta")
-    m = len(frame.relators)
-    return frame._keep("_folds", (tags[:m], tags[m:]))
+    units = tuple(Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:]))
+    for unit, (flip, _) in zip(units, _Forms.folds(table, (u.letters for u in units))):
+        if flip:
+            raise PipelineAssertionError(f"Theta sends the corner unit {unit} to a reflection")
+    folds = _Forms.folds(table, (rel.letters for rel in frame.relators))
+    residual = [rel for rel, (flip, form) in zip(frame.relators, folds) if flip or form]
+    return frame._keep("_folds", (Presentation(frame.generators, residual), units))
 
 
-def _eta_folds(derived: DerivedKernel) -> tuple | None:
-    """The tags of the derived kernel's relators under eta, certified once
-    per frame (gamma, r) and kept on its ``cosets.SchreierFrame``: eta on
-    each Schreier generator is the rotation Theta folds its word to; each
-    head, a relator of K rewritten from coset u, folds to 0 or +-R, and
-    each corner unit's rewrite from coset u to 0 or +-x_k, so its row to 0
-    or +-n_k*x_k.  Returns eta's images, the one-term forms as a tuple of
-    names, one of variables and one of coefficients and the other
-    generators as (name, word), and by coset (head tags, unit tags); the
-    unit tags of coset 0 are the torsion words'.  None for a derived
-    kernel that is not its frame's own: a rebuilt presentation, or other
-    generators."""
+def _eta_images(derived: DerivedKernel) -> tuple | None:
+    """eta's images as forms, certified once per frame (gamma, r) and kept
+    on its ``cosets.SchreierFrame``: eta on each Schreier generator is the
+    rotation Theta folds its word to, and each head (a relator of K
+    rewritten from coset u) and each corner unit's rewrite from coset u
+    folds under eta as its source folds under Theta, conjugated by the
+    coset's representative (1 or tau1, which negates a rotation).  So
+    eta sends every relator of the derived kernel to the identity at each
+    rho at which Theta is a homomorphism.  Returns the one-term images
+    as a tuple of names, one of variables and one of coefficients, and the
+    other generators as (name, word).  None for a derived kernel that is
+    not its frame's own: a rebuilt presentation, or other generators.
+    Called only once K's frame is certified (``_theta_residual``)."""
     sub, pres = derived.subgroup, derived.presentation
     frame = sub.frame
     if (frame is None or getattr(pres, "_frame", None) is not frame
             or sub.generators is not frame.subgroup.generators):
         return None
-    if frame.folds is None:
-        theta, gamma, r = _symbolic_theta(sub.base)
+    if frame.eta is None:
+        K_frame = sub.base._frame
+        theta = _symbolic_theta(K_frame)
+        # eta's images, and its one-term ones as names, variables and
+        # coefficients; the others (the connector pair's, gamma terms, and
+        # tau1sq's) are read by word
+        eta, singles, others = {}, [], []
         words = (gen.word.letters for gen in sub.generators)
-        eta = dict(zip((gen.name for gen in sub.generators), _Forms.folds(theta, words)))
-        for name, (flip, _) in eta.items():
+        for gen, (flip, form) in zip(sub.generators, _Forms.folds(theta, words)):
             if flip:
                 raise PipelineAssertionError(
-                    f"eta: Theta sends the kernel generator {name} to a reflection")
-        periods, folds = sub.base.signature.period_cycles[0], []
+                    f"eta: Theta sends the kernel generator {gen.name} to a reflection")
+            if len(form) == 1:
+                [eta[gen.name]] = form.items()
+                singles.append((gen.name, *eta[gen.name]))
+            else:
+                eta[gen.name] = form
+                others.append((gen.name, gen.word))
+        # each source's fold under Theta; None for the identity
+        residual, units = K_frame._folds
+        moved = (*residual.relators, *units)
+        folds = dict(zip(map(id, moved), _Forms.folds(theta, (w.letters for w in moved))))
+        sources = (*K_frame.relators, *units)
+        expected = [folds.get(id(w)) for w in sources]
         for u, head in enumerate(frame.heads):
-            units = _unit_rows([pair[u] for pair in frame.corners.values()], periods)
-            tags = _certified_tags(eta, [(head, 1, 0), *units], gamma, r, "eta: eta")
-            folds.append((tags[:len(head)], tags[len(head):]))
-        # eta's one-term images as names, variables and coefficients; the
-        # others (the connector pair's, gamma terms, and tau1sq's) by word
-        singles = [(g, v, c) for g, (_, form) in eta.items() if len(form) == 1
-                   for v, c in form.items()]
-        others = tuple((g.name, g.word) for g in sub.generators if len(eta[g.name][1]) != 1)
-        frame._keep("folds", ((tuple(zip(*singles)), others), tuple(folds)))
-    return frame.folds
-
-
-def _folds_vanish(datum: ActionDatum, periods: tuple[int, ...]) -> bool:
-    """Whether R = 2(d_1 + ... + d_gamma) + x_1 + ... + x_r and each
-    n_k*x_k vanish mod 2n at rho: then every relator whose fold is 0,
-    +-R or +-n_k*x_k maps to the identity."""
-    two_n, xs = datum.order, datum.x_images
-    return (2 * sum(datum.d_images) + sum(xs)) % two_n == 0 and not any(
-        p * x % two_n for p, x in zip(periods, xs))
-
-
-def _unmapped_relators(pres: Presentation, hom: FiniteHom, by_frame: bool) -> tuple:
-    """The relators of ``pres`` that ``hom`` does not send to the identity,
-    each with its image, as ``check_homomorphism`` gives them: none when
-    ``by_frame`` (the frame's folds and ``_folds_vanish`` show each maps to
-    the identity), else every relator walked."""
-    return () if by_frame else check_homomorphism(pres, hom)
+            rows = (*head, *(frame.corners[unit.letters][u] for unit in units))
+            for row, source, want, form in zip(
+                    rows, sources, expected, _cyclic_folds(eta, (w.letters for w in rows))):
+                if form or want:
+                    want_flip, want_form = want or (0, {})
+                    if u:  # conjugation by tau1 negates the rotation
+                        want_form = {v: -c for v, c in want_form.items()}
+                    if want_flip or form != want_form:
+                        raise PipelineAssertionError(f"eta: relator {row} from coset {u} does"
+                                                     f" not fold as Theta folds {source}")
+        frame._keep("eta", (tuple(zip(*singles)), tuple(others)))
+    return frame.eta
 
 
 def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
@@ -775,20 +771,30 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
     Theta(tau_(k+1)) = t*s^(x_1 + ... + x_k), and Theta(e) the normal form
     of e's closed form, forced by the long relator.
     Theta is then verified to be a homomorphism on K with image of order
-    4n, so ker(Theta) has index 4n in K.  The relators are read off K's
-    frame (``_theta_folds``): each folds to 0, +-R or +-n_k*x_k, so they
-    all hold once R and each n_k*x_k vanish at rho, O(gamma + r) integers,
-    and the result keeps rho.  A K that is not its frame's own, or a
-    rho for which they do not vanish, has every relator walked.  The image
-    order is a gcd.  A failed check raises ``PipelineAssertionError``
+    4n, so ker(Theta) has index 4n in K.  Only the relators that the frame
+    of K does not certify for every rho are walked (``_theta_residual``):
+    the connector relator e^-1*tau_(r+1)*e*tau1^-1, four letters, and each
+    corner by its unit, one rotation times n_k; the result then keeps
+    rho.  A K that is not its frame's own has every relator walked.  The
+    image order is a gcd.  A failed check raises ``PipelineAssertionError``
     naming it: the first relator that does not hold, with its image.
     """
     dihedral = DihedralGroup(datum.order)
     glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
     hom = FiniteHom.from_dict(
         K, dihedral, _theta_images(K, dihedral, glides, accumulate(datum.x_images)))
-    by_frame = _theta_folds(K) is not None and _folds_vanish(datum, K.signature.period_cycles[0])
-    for rel, value in _unmapped_relators(K, hom, by_frame):
+    certified = _theta_residual(K)
+    if certified is None:
+        unmapped = check_homomorphism(K, hom)
+    else:
+        residual, units = certified
+        corners = K.relators[len(K.relators) - len(units):]
+        rotations = (hom.evaluate(unit)[1] for unit in units)
+        unmapped = check_homomorphism(residual, hom) + tuple(
+            (corner, (0, value)) for corner, n, rotation
+            in zip(corners, K.signature.period_cycles[0], rotations)
+            if (value := n * rotation % dihedral.modulus))
+    for rel, value in unmapped:
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
         )
@@ -798,7 +804,7 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
     extension = DihedralExtension(hom, image_order)
-    if by_frame:
+    if certified is not None:
         extension._keep("rho", datum)
     return extension
 
@@ -826,24 +832,25 @@ def construct_eta(
     non-surjectivity (a gcd), torsion words whose image has lost order,
     and images whose parity differs from their generator's orientation
     character; then its torsion images must equal rho's elliptic images in
-    order.  When the extension keeps the rho it was read at, on the
+    order.  When the extension keeps the rho it was checked at, on the
     kernel's own K, and the kernel is its frame's own, eta is read off the
-    frame (``_eta_folds``): each image is its certified one-term form at
-    that rho, or Theta's on its word, certified to be a rotation, and the
-    relators hold, as R and each n_k*x_k vanish there.  Otherwise
-    each image is Theta's on the generator's word, which must be a
-    rotation, and every relator is walked.  A failed check raises
-    ``PipelineAssertionError`` naming it.
+    frame (``_eta_images``): each image is its certified one-term form at
+    that rho, or Theta's on its word, certified to be a rotation, and no
+    relator is walked: each folds as the relator of K it rewrites, which
+    Theta sends to the identity at that rho.  Otherwise each image is
+    Theta's on the generator's word, which must be a rotation, and every
+    relator is walked.  A failed check raises ``PipelineAssertionError``
+    naming it.
     """
     target = CyclicGroup(datum.order)
     sub, pres = derived.subgroup, derived.presentation
     rho = extension.rho
-    folds = _eta_folds(derived) if rho is not None and extension.hom.domain is sub.base else None
+    forms = _eta_images(derived) if rho is not None and extension.hom.domain is sub.base else None
 
-    if folds is not None:
+    if forms is not None:
         # each variable's value: d_j at j, x_1 + ... + x_k at -k
         values = [0, *rho.d_images, *reversed(list(accumulate(rho.x_images)))]
-        (names, variables, coefficients), others = folds[0]
+        (names, variables, coefficients), others = forms
         modulus = extension.hom.target.modulus
         images = {g: c * values[v] % modulus for g, v, c in zip(names, variables, coefficients)}
         images.update((g, extension.hom.evaluate(word)[1]) for g, word in others)
@@ -859,8 +866,9 @@ def construct_eta(
             images[gen.name] = rot
 
     hom = FiniteHom.from_dict(pres, target, images)
+    unmapped = check_homomorphism(pres, hom) if forms is None else ()
     problems = [f"eta is not a homomorphism: relator {rel} maps to {decimal(value)}"
-                for rel, value in _unmapped_relators(pres, hom, folds is not None)]
+                for rel, value in unmapped]
     if not hom.is_surjective():
         problems.append(f"eta is not surjective onto C_{decimal(target.modulus)}")
     torsion_images = tuple(hom.evaluate(word) for word, _ in pres.torsion_words)
@@ -919,8 +927,10 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     validation's genus, read off Delta, against Riemann-Hurwitz for
     ker(Theta) at index ``image_order`` in K.  The shape's K and derived
     kernel are their frame's own, so both read their relators off the
-    frame's folds, made by the first call that reads the frame, and a
-    warm call walks no relator: its rho stage is O(gamma + r).
+    frame's certificates, made by the first call that reads the frame:
+    a warm call walks one relator of K, four letters, reads each corner
+    off its unit, and walks no relator of the derived kernel, so its rho
+    stage is O(gamma + r).
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the

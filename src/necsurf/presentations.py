@@ -72,8 +72,8 @@ class Presentation(Record):
     frame (``_disc_quotient_frame``) whose generators and relators it
     shares, and a derived presentation the ``cosets.SchreierFrame`` it was
     derived in; a rebuilt or copied presentation keeps none.  A frame
-    keeps the fold of its relators under Theta in ``_folds``
-    (``pipeline``).
+    keeps in ``_folds`` what ``pipeline`` certifies on it under Theta: the
+    relators Theta must walk per rho, and the corner units.
     """
 
     __slots__ = ("generators", "relators", "torsion_words", "signature",

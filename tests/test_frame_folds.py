@@ -1,10 +1,10 @@
 """Theta and eta certified once per frame (gamma, r): each relator of K
 folds under a symbolic Theta, and each relator of the derived kernel
 under a symbolic eta, to 0, +-R or +-n_k*x_k, R = 2(d_1 + ... + d_gamma)
-+ x_1 + ... + x_r, so a validated rho needs no relator walk."""
++ x_1 + ... + x_r.  Per rho, Theta walks only K's relators whose fold is
+not 0, the connector relator, and reads each corner off its unit; eta
+walks none."""
 
-import ast
-import inspect
 import re
 import sys
 import tracemalloc
@@ -21,6 +21,7 @@ from necsurf import (
     admissible_shapes,
     build_theta,
     canonical_presentation,
+    check_homomorphism,
     construct_eta,
     cosets,
     derive_delta_hat,
@@ -49,38 +50,51 @@ def frame_shapes():
     return [(gamma, (4,) * r) for gamma in range(1, 9) for r in range(6)]
 
 
+def forms(table, words):
+    return list(pipeline._Forms.folds(table, (w.letters for w in words)))
+
+
+def minus(form):
+    return {v: -c for v, c in form.items()}
+
+
 @pytest.mark.parametrize("shape", frame_shapes(), ids=str)
-def test_every_fold_has_its_expected_tag(shape):
-    # tag (s, 0) is s*R, (s, k) is s*x_k and (0, 0) is 0; the connector
-    # relator e^-1*tau_(r+1)*e*tau1^-1 is the one that folds to +-R
+def test_every_fold_has_its_expected_form(shape):
+    # in the variables of the symbolic Theta (j for d_j, -k for
+    # x_1 + ... + x_k): x_k, R = 2(d_1 + ... + d_gamma) + x_1 + ... + x_r
     gamma, periods = shape
     r = len(periods)
     K, derived = derived_for(*shape)
-    relator_tags, unit_tags = pipeline._theta_folds(K)
-    sign = 1 if gamma % 2 else -1
-    zero = [(0, 0)] * (gamma + r + 1)
-    assert relator_tags == (*zero, (sign, 0), (0, 0))
-    assert unit_tags == tuple((1, k) for k in range(1, r + 1))
-    frame = derived.subgroup.frame
-    images, by_coset = pipeline._eta_folds(derived)
-    assert by_coset == ((relator_tags, unit_tags),
-                        ((*zero, (-sign, 0), (0, 0)), tuple((-1, k) for k in range(1, r + 1))))
-    # each torsion word is the corner unit's rewrite from coset 0: exactly x_k
+    x = [None] + [{-k: 1, 1 - k: -1} if k > 1 else {-1: 1} for k in range(1, r + 1)]
+    R = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
+    sign_R = R if gamma % 2 else minus(R)
+    frame = K._frame
+    theta = pipeline._symbolic_theta(frame)
+    # every relator of K but the corners folds to 1 except the connector
+    # relator e^-1*tau_(r+1)*e*tau1^-1, to +-R; each corner unit to x_k
+    zero = [(0, {})] * (gamma + r + 1)
+    assert forms(theta, frame.relators) == [*zero, (0, sign_R), (0, {})]
+    taus = frame.generators_of_kind("reflection")
+    units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
+    assert forms(theta, units) == [(0, x[k]) for k in range(1, r + 1)]
+    residual, kept_units = pipeline._theta_residual(K)
+    assert residual.relators == (frame.relators[gamma + r + 1],)
+    assert kept_units == tuple(units)
+    # every Schreier generator folds to a rotation; under eta each head
+    # folds as its source under Theta, negated from coset 1, and so does
+    # each corner unit's rewrite; the torsion words are exactly x_k
+    sub = derived.subgroup
+    eta = dict(zip((g.name for g in sub.generators), forms(theta, [g.word for g in sub.generators])))
+    assert all(flip == 0 for flip, _ in eta.values())
+    for u in (0, 1):
+        heads = forms(eta, sub.frame.heads[u])
+        assert heads == [*zero, (0, sign_R if u == 0 else minus(sign_R)), (0, {})]
+        rows = forms(eta, [sub.frame.corners[unit.letters][u] for unit in units])
+        assert rows == [(0, x[k] if u == 0 else minus(x[k])) for k in range(1, r + 1)]
     torsion = [word for word, _ in derived.presentation.torsion_words]
-    assert all(w is pair[0] for w, pair in zip(torsion, frame.corners.values(), strict=True))
-    # every Schreier generator folds to a rotation: eta has an image for each
-    (names, _, _), others = images
-    assert sorted([*names, *(g for g, _ in others)]) == sorted(
-        g.name for g in derived.subgroup.generators)
-    assert K._frame._folds is pipeline._theta_folds(K)
-    assert frame.folds is pipeline._eta_folds(derived)
-
-
-def tag_value(tag, power, datum):
-    """The rotation a relator with this tag and power maps to at rho."""
-    sign, k = tag
-    base = 2 * sum(datum.d_images) + sum(datum.x_images) if k == 0 else datum.x_images[k - 1]
-    return sign * power * base % datum.order
+    assert forms(eta, torsion) == [(0, x[k]) for k in range(1, r + 1)]
+    assert pipeline._eta_images(derived) is sub.frame.eta is not None
+    assert K._frame._folds is pipeline._theta_residual(K)
 
 
 def numeric_theta(K, datum):
@@ -98,29 +112,36 @@ def perturbed(datum):
 
 
 def assert_verdicts_agree(K, derived, datum):
-    """Relator by relator, the frame's tags read at rho agree with the
-    walk: K's relators under Theta, and the derived kernel's relators,
-    each with its head or corner row, under eta = Theta on the words."""
-    relator_tags, unit_tags = pipeline._theta_folds(K)
+    """Relator by relator, the frame's verdict at rho agrees with the walk.
+    Under Theta: each relator the frame does not keep maps to 1, and each
+    corner to its unit's rotation times n_k, so the relators that fail are
+    the walk's.  Under eta = Theta on the generators' words: each relator
+    of the derived kernel, a head or a corner row, maps to its source's
+    image under Theta, negated from coset 1."""
+    residual, units = pipeline._theta_residual(K)
     theta = numeric_theta(K, datum)
     periods = K.signature.period_cycles[0]
-    tags = [(t, 1) for t in relator_tags] + list(zip(unit_tags, periods))
-    assert len(tags) == len(K.relators)
-    for rel, (tag, power) in zip(K.relators, tags):
-        assert theta.evaluate(rel) == (0, tag_value(tag, power, datum)), (datum, str(rel))
+    m = len(K.relators) - len(units)
+    kept = {rel.letters for rel in residual.relators}
+    rotations = [theta.evaluate(unit)[1] for unit in units]
+    for rel in K.relators[:m]:
+        assert rel.letters in kept or theta.evaluate(rel) == (0, 0), (datum, str(rel))
+    for rel, n, rotation in zip(K.relators[m:], periods, rotations, strict=True):
+        assert theta.evaluate(rel) == (0, n * rotation % datum.order), (datum, str(rel))
+    walked = check_homomorphism(K, theta)
+    assert {str(rel) for rel, _ in walked} <= {str(rel) for rel in (*residual.relators, *K.relators[m:])}
+
     sub = derived.subgroup
     frame = sub.frame
     assert all(theta.evaluate(g.word)[0] == 0 for g in sub.generators)
     eta = {g.name: theta.evaluate(g.word)[1] for g in sub.generators}
     expected = {}
-    _, by_coset = pipeline._eta_folds(derived)
-    m = len(K.relators) - len(periods)
-    for u, (head_tags, corner_tags) in enumerate(by_coset):
-        for row, tag in zip(frame.heads[u], head_tags):
-            expected.setdefault(row.letters, tag_value(tag, 1, datum))
-        for rel, tag, p in zip(K.relators[m:], corner_tags, periods):
+    for u, sign in ((0, 1), (1, -1)):
+        for row, rel in zip(frame.heads[u], K.relators[:m]):
+            expected.setdefault(row.letters, sign * theta.evaluate(rel)[1] % datum.order)
+        for rel, unit, n, rotation in zip(K.relators[m:], units, periods, rotations):
             row = cosets._rewrite_corner(frame.subgroup, frame.corners, rel, u)
-            expected.setdefault(row.letters, tag_value(tag, p, datum))
+            expected.setdefault(row.letters, sign * n * rotation % datum.order)
     for rel in derived.presentation.relators:
         value = sum(e * eta[g] for g, e in rel.letters) % datum.order
         assert expected[rel.letters] == value, (datum, str(rel))
@@ -139,6 +160,43 @@ def test_verdicts_agree_with_the_walk_on_every_small_epimorphism_and_the_battery
         construct_eta(derived, extension, datum)
         assert_verdicts_agree(K, derived, datum)
         assert_verdicts_agree(K, derived, perturbed(datum))
+        # extend_to_dihedral names the walk's first failing relator
+        wrong = perturbed(datum)
+        walked = check_homomorphism(K, numeric_theta(K, wrong))
+        try:
+            extend_to_dihedral(K, wrong)
+            assert not walked, (wrong, walked)
+        except PipelineAssertionError as exc:
+            if walked:
+                rel, value = walked[0]
+                assert str(exc) == (f"Theta is not a homomorphism: relator {rel} maps to"
+                                    f" {DihedralGroup(wrong.order).format(value)}")
+            else:
+                assert str(exc).startswith("Theta image has order"), (wrong, str(exc))
+
+
+def test_a_corner_that_fails_is_named_with_its_image():
+    # R vanishes at this rho, and x_1 = 1 has order 4, not n_1 = 2
+    K, _ = derived_for(1, (2, 2, 2))
+    with pytest.raises(PipelineAssertionError, match=(
+        r"^Theta is not a homomorphism: relator tau1\*tau2\*tau1\*tau2 maps to s\^2$"
+    )):
+        extend_to_dihedral(K, ActionDatum(1, (2, 2, 2), 2, (1,), (1, 1, 0)))
+
+
+def test_a_rebuilt_k_and_its_kernel_are_walked_in_full(monkeypatch):
+    walks = []
+    check = pipeline.check_homomorphism
+    monkeypatch.setattr(pipeline, "check_homomorphism", lambda *a: walks.append(a) or check(*a))
+    K, _ = derived_for(1, (2, 2, 2))
+    realize(GENUS2)  # the frame is certified
+    rebuilt = replace(K)
+    derived = derive_delta_hat(rebuilt, build_theta(rebuilt))
+    walks.clear()
+    extension = extend_to_dihedral(rebuilt, GENUS2)
+    assert extension.rho is None
+    construct_eta(derived, extension, GENUS2)
+    assert [p for p, _ in walks] == [rebuilt, derived.presentation]
 
 
 def flipped_glide(images):
@@ -167,36 +225,52 @@ def wrong_connector(images):
     return mutate
 
 
-@pytest.mark.parametrize("mutation, named", [
-    (flipped_glide, "e^-1*tau{t}*e*tau1^-1"),
-    (dropped_x1, "tau2*tau3*tau2*tau3"),
-    (wrong_connector, "e^-1*tau{t}*e*tau1^-1"),
-])
-@pytest.mark.parametrize("datum", [GENUS2, ActionDatum(2, (2, 2), 2, (1, 1), (2, 2))],
-                         ids=["odd-gamma", "even-gamma"])
-def test_a_wrong_closed_form_fails_the_fold_and_names_the_relator(
-    monkeypatch, mutation, named, datum
+# (mutation, odd-gamma datum, even-gamma datum, the relator named, its
+# image): a datum at which the mutated Theta is not a homomorphism
+MUTATIONS = [
+    (flipped_glide, ActionDatum(1, (2, 4), 4, (1,), (4, 2)), ActionDatum(2, (2,), 4, (1, 1), (4,)),
+     ("e^-1*tau3*e*tau1^-1", "s^4"), ("e^-1*tau2*e*tau1^-1", "s^4")),
+    (dropped_x1, ActionDatum(3, (2,), 2, (1, 1, 1), (2,)), ActionDatum(2, (2,), 4, (1, 1), (4,)),
+     ("e^-1*tau2*e*tau1^-1", "s^2"), ("e^-1*tau2*e*tau1^-1", "s^4")),
+    (wrong_connector, GENUS2, ActionDatum(2, (2, 2), 2, (1, 1), (2, 2)),
+     ("e^-1*tau4*e*tau1^-1", "s^2"), ("x2*x1*e", "t*s^2")),
+]
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["odd-gamma", "even-gamma"])
+@pytest.mark.parametrize("mutation, odd, even, odd_named, even_named", MUTATIONS,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_a_wrong_closed_form_fails_and_names_the_relator(
+    monkeypatch, parity, mutation, odd, even, odd_named, even_named
 ):
-    # the mutation changes Theta's images for the fold and for rho alike
+    # the mutation changes Theta's images for the frame and for rho alike;
+    # the frame keeps what its folds give, and rho's walk of them fails
+    datum, (relator, image) = (odd, odd_named) if parity == 0 else (even, even_named)
+    assert datum.gamma % 2 != parity and validate_action(datum)
+    realize(datum)
     monkeypatch.setattr(pipeline, "_theta_images", mutation(pipeline._theta_images))
-    relator = named.format(t=len(datum.periods) + 1)
+    pipeline.shape_certificate.cache_clear()
+    presentations._disc_quotient_frame.cache_clear()
     with pytest.raises(PipelineAssertionError, match=(
-        rf"^Theta is not a homomorphism: relator {re.escape(relator)} folds to a"
+        rf"^Theta is not a homomorphism: relator {re.escape(relator)} maps to {re.escape(image)}$"
     )):
         realize(datum)
-    K = pipeline.shape_certificate(datum.gamma, datum.periods).k_presentation
-    assert relator in {str(rel) for rel in K.relators}
-    assert not hasattr(K._frame, "_folds")  # a frame that fails is not kept
 
 
-def test_a_failing_fold_says_what_it_folds_to():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "_theta_images", flipped_glide(pipeline._theta_images))
-        with pytest.raises(PipelineAssertionError) as exc:
-            realize(GENUS2)
+def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator():
+    # a certificate of K's frame that keeps no relator to walk still
+    # passes a valid rho, but the rewrites of the connector relator fold
+    # to +-R under eta, not to the identity the certificate claims
+    K, derived = derived_for(1, (2, 2, 2))
+    residual, units = pipeline._theta_residual(K)
+    K._frame._keep("_folds", (replace(residual, relators=()), units))
+    extension = extend_to_dihedral(K, GENUS2)
+    assert extension.rho is GENUS2
+    with pytest.raises(PipelineAssertionError) as exc:
+        construct_eta(derived, extension, GENUS2)
     assert str(exc.value) == (
-        "Theta is not a homomorphism: relator e^-1*tau4*e*tau1^-1 folds to a rotation other"
-        " than 1, s^(+-R) and s^(+-n_k*x_k)"
+        "eta: relator f2^-1*c3*f1 from coset 0 does not fold as Theta folds"
+        " e^-1*tau4*e*tau1^-1"
     )
 
 
@@ -250,7 +324,7 @@ TAMPERS = [
 def test_tampers_raise_in_a_certified_frame(tamper, message):
     sibling = realize(first_smooth_epimorphism(1, (2, 2, 4), 8))
     assert hasattr(sibling.k_presentation._frame, "_folds")
-    assert sibling.derived.subgroup.frame.folds is not None
+    assert sibling.derived.subgroup.frame.eta is not None
     with pytest.raises(PipelineAssertionError, match=message):
         tamper()
     assert cosets.schreier_frame.cache_info().misses == 1
@@ -265,7 +339,7 @@ def test_walked_eta_reasons_are_the_oracles():
                           relators=(*derived.presentation.relators, Word.gen("c1")))
     broken = replace(derived, subgroup=replace(derived.subgroup, presentation=broken_pres))
     extension = extend_to_dihedral(K, GENUS2)
-    assert pipeline._eta_folds(broken) is None
+    assert pipeline._eta_images(broken) is None
     images = {g.name: extension.hom.evaluate(g.word)[1] for g in derived.subgroup.generators}
     eta = FiniteHom.from_dict(broken_pres, CyclicGroup(4), images)
     reasons = surface_kernel_problems(broken_pres, eta, "eta")
@@ -275,25 +349,24 @@ def test_walked_eta_reasons_are_the_oracles():
     assert str(exc.value) == "eta: " + "; ".join(reasons)
 
 
-def test_a_warm_realize_walks_no_relator(monkeypatch):
+def test_a_warm_realize_walks_only_the_connector_relator(monkeypatch):
     walks = []
     check = pipeline.check_homomorphism
     monkeypatch.setattr(pipeline, "check_homomorphism", lambda *a: walks.append(a) or check(*a))
     tuples = enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples
     for d, x in tuples:
         assert realize(ActionDatum(3, (3, 6), 6, d, x)).extension.rho is not None
-    # theta's check in the shape stage, once
-    assert len(walks) == pipeline.shape_certificate.cache_info().misses == 1
+    # theta's check in the shape stage walks K once; then each rho walks
+    # one relator of K under Theta, and none of the derived kernel
+    K = pipeline.shape_certificate(3, (3, 6)).k_presentation
+    assert pipeline.shape_certificate.cache_info().misses == 1
+    assert walks[0][0] is K
+    assert [[str(rel) for rel in p.relators] for p, _ in walks[1:]] == (
+        [["e^-1*tau3*e*tau1^-1"]] * len(tuples))
     assert presentations._disc_quotient_frame.cache_info().misses == 1
 
 
-def test_the_rho_stage_calls_no_walk_directly():
-    tree = ast.parse(inspect.getsource(pipeline))
-    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    for name in ("realize", "extend_to_dihedral", "construct_eta"):
-        called = {node.func.id for node in ast.walk(functions[name])
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert not called & {"check_homomorphism", "_surface_kernel_problems"}, name
+def test_the_surface_kernel_walk_moved_to_the_tests():
     assert not hasattr(pipeline, "_surface_kernel_problems")
 
 

@@ -318,7 +318,7 @@ class TestClosedFormRhoCheck:
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not named & {
             "canonical_presentation", "FiniteHom", "check_homomorphism",
-            "_unmapped_relators", "surface_kernel_genus",
+            "_theta_residual", "surface_kernel_genus",
         }
 
     def test_invalid_rho_at_huge_periods_is_refused_in_constant_memory(self):
