@@ -20,10 +20,10 @@ corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
 else is derived once per frame (gamma, r), a ``SchreierFrame``: the
 Schreier generators from K's generators with their kinds and theta's
 parity, the rewrites of the other relators, and the lemma's witness rows
-among them, memoised by value (``schreier_frame``) for ``SHAPE_MEMO_SIZE``
-keys, the bound each of the four memos of the shape stage shares
-(``presentations`` defines it, as its own memo is the lowest).  Each
-subgroup keeps its frame, and per shape only the corners are rewritten.
+among them.  K's frame (``presentations.Frame``) keeps it, so it lives
+exactly as long as that frame does in its memo; a K that differs from
+its frame gets a frame of its own, kept nowhere.  Each subgroup keeps
+its frame, and per shape only the corners are rewritten.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -36,11 +36,10 @@ correspondence with the ambient group stays auditable.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
 from .groups import FiniteHom
-from .presentations import SHAPE_MEMO_SIZE, Presentation
+from .presentations import Presentation, _disc_quotient_frame
 from .signatures import CONNECTOR, GLIDE, GeneratorKind
 from .words import Record, Word
 
@@ -122,13 +121,9 @@ class SchreierFrame(Record):
     x_gamma...x_1*e from cosets 0 and 1, then x_j*x_j from coset 0 for
     each interior point x_j, each row the head itself; ``sums`` is the
     rows' exponent sums added, the last gamma subtracted, without zeros.
-    ``pipeline.lemma1_check`` keeps ``subgroup.generators`` in ``inverted``
-    once it has certified their tau_1-identities, and ``pipeline`` eta's
-    images as forms in ``eta`` once it has certified the heads and corners
-    under them."""
+    What is certified on it is kept on K's frame, which keeps it."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "inverted", "eta")
-    _fields = __slots__[:5]
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums")
 
     def __init__(
         self, subgroup: SchreierSubgroup, heads: tuple[tuple[Word, ...], ...],
@@ -136,8 +131,6 @@ class SchreierFrame(Record):
         sums: dict[str, int],
     ) -> None:
         self._assign(subgroup, heads, corners, witness, sums)
-        self._keep("inverted", None)
-        self._keep("eta", None)
 
 
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
@@ -156,8 +149,14 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     is built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
     coset 0, of its full order n_k; each interior involution is moved, so
     it leaves no period.  The checks run on every call; all else comes
-    from ``schreier_frame`` but the rewrites of the last r relators of
-    ``p`` (r periods), and the de-duplication of the relators.
+    from the ``SchreierFrame`` but the rewrites of the last r relators of
+    ``p`` (r periods), and the de-duplication of the relators.  The frame
+    is the one K's frame (gamma, r) keeps when ``p``'s generators, its
+    relators but the last r and theta's bits equal the frame's, a tuple
+    comparison that the objects a canonical K shares cut short; the first
+    ``p`` equal to K's frame but for theta's bits has it derived and kept,
+    and the presentation derived in it keeps K's frame.  Any other ``p``
+    has a frame derived that nothing keeps.
     """
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
@@ -184,7 +183,13 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
         )
     cycle = p.signature.period_cycles[0]
     prefix = p.relators[:len(p.relators) - len(cycle)]
-    frame = schreier_frame(p.generators, prefix, tuple(parity[g] for g in p.generator_names()))
+    owner = _disc_quotient_frame(len(elliptics), len(cycle))
+    frame = owner.schreier
+    if frame is None and (p.generators, prefix) == (owner.generators, owner.relators):
+        frame = owner._keep("schreier", schreier_frame(p.generators, prefix, parity))
+    elif frame is None or (p.generators, prefix, parity) != (
+            owner.generators, owner.relators, frame.subgroup.parity):
+        frame, owner = schreier_frame(p.generators, prefix, parity), None
     sub, corners = frame.subgroup, frame.corners
     relators: list[Word] = []
     seen_relators: set[tuple[tuple[str, int], ...]] = set()
@@ -196,7 +201,8 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
                 relators.append(rewritten)
     torsion = zip((w for w, _ in corners.values()), cycle)
     presentation = Presentation(sub.presentation.generators, relators, torsion)
-    presentation._keep("_frame", frame)
+    if owner is not None:
+        presentation._keep("_frame", owner)
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
@@ -210,19 +216,16 @@ def _rewrite_corner(frame: SchreierSubgroup, corners: dict, rel: Word, u: int) -
     return Word(w * m) if w and w[0] != (w[-1][0], -w[-1][1]) else frame.rewrite(rel, u)
 
 
-@lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def schreier_frame(
     generators: tuple[tuple[str, GeneratorKind], ...], prefix: tuple[Word, ...],
-    parity_bits: tuple[int, ...],
+    parity: dict[str, int],
 ) -> SchreierFrame:
     """The ``SchreierFrame`` of K's generators with their kinds, K's
-    relators but the corners (``prefix``) and theta's bits in generator
-    order.  It reads only its arguments, so an altered input misses the
-    memo of ``SHAPE_MEMO_SIZE`` keys.  A witness row whose relator
+    relators but the corners (``prefix``) and theta's bit on each
+    generator; it reads only its arguments.  A witness row whose relator
     ``prefix`` lacks is rewritten here."""
     reflections, elliptics, connectors = ([g for g, kind in generators if kind.kind == k]
                                           for k in ("reflection", "elliptic", "connector"))
-    parity = dict(zip((g for g, _ in generators), parity_bits))
     tau1 = reflections[0]
     # letters of the representatives 1, tau_1 and of their inverses; only
     # the trivial pair (0, tau_1), tau_1 * tau_1^-1, would cancel, and it

@@ -40,10 +40,11 @@ The chain constructed and verified here:
    connector relator does not (it folds to +-R, R = 2(d_1 + ... +
    d_gamma) + x_1 + ... + x_r), and each corner unit folds to x_k, so per
    rho Theta walks that one relator, four letters, and reads each corner
-   off its unit.  Each relator of the derived kernel folds under the
-   symbolic eta as the relator of K it rewrites, so eta walks none.  With
-   the images, |Theta(K)| = 4n and eta's surjectivity (gcds), its
-   parities and torsion orders, a rho costs O(gamma + r);
+   off the images of its two reflections.  Each relator of the derived
+   kernel folds under the symbolic eta as the relator of K it rewrites,
+   so eta walks none.  With the images, |Theta(K)| = 4n and eta's
+   surjectivity (gcds), its parities and torsion orders, a rho costs
+   O(gamma + r);
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
@@ -55,28 +56,27 @@ theta, the derived kernel and the lemma report and is memoised for the
 ``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
 A sweep over the epimorphisms of one shape derives that shape once.
 Below it, every fact the periods do not enter is certified once per
-frame (gamma, r), each memo keyed by the value of all it reads: K's
-generators and relators but the r corners
-(``presentations._disc_quotient_frame``); the Schreier generators, their
-kinds, theta's parity and the rewrites of those relators, the lemma's
-witness rows among them with their exponent sums
-(``cosets.schreier_frame``, whose frame also keeps the lemma's certified
-identities); and the classical relators of the derived kernel, each
-corner's by its unit (``presentations.relator_statuses``).  With
-``shape_certificate`` these are the four memos of the shape stage.  A
-new shape in a warm frame spells and rewrites its corners, checks each
-corner relator against its unit's power, checks the claimed signature,
-looks the witness rows up among its relators and reads H1 off its
-periods.  The first ``realize`` that reads a frame also folds it (step
-5): the frame of K keeps the relators Theta walks and the corner units
-(``_theta_residual``), and the ``cosets.SchreierFrame`` eta's images as
-forms (``_eta_images``); ``derive_delta_hat`` and ``lemma1_check``
-never fold.  Each memo keeps its 16 most recent keys, and no later step
-changes what they hold; a frame only gains what is certified on it.
-Measured with tracemalloc, a frame retains about 23 KB on the 126-action
-battery (30 KB at most), 99 KB at gamma = 40 and 12.2 MB at
-gamma = 5120, its certificates included; a shape retains 5 KB beyond its frame
-(6 KB at most), 7 KB and 0.6 MB.  So the memos hold at most 16 frames
+frame (gamma, r) and kept on K's frame, a ``presentations.Frame``
+memoised by the two ints (``presentations._disc_quotient_frame``): K's
+generators and relators but the r corners; the ``cosets.SchreierFrame``,
+with the Schreier generators, their kinds, theta's parity, the rewrites
+of those relators and the lemma's witness rows among them with their
+exponent sums; the lemma's certified identities; and the statuses of the
+classical relators of the derived kernel after its corners.  With
+``shape_certificate`` these are the two memos of the shape stage, and
+no memo key holds a word.  A new shape in a warm frame spells and
+rewrites its corners, checks each corner relator against its unit's
+power, checks the claimed signature, looks the witness rows up among its
+relators and reads H1 off its periods.  The first ``realize`` that reads
+a frame also folds it (step 5): the frame keeps the relators Theta walks
+(``_theta_residual``) and eta's images as forms (``_eta_images``);
+``derive_delta_hat`` and ``lemma1_check`` never fold.  Each memo keeps
+its 16 most recent keys, and evicting a frame evicts all it certified;
+a frame only gains what is certified on it.
+Measured with tracemalloc, a frame retains about 21 KB on the 126-action
+battery (27 KB at most), 98 KB at gamma = 40 and 12.0 MB at
+gamma = 5120, its certificates included; a shape retains 5 KB beyond
+its frame (7 KB at most), 7 KB and 0.6 MB.  So the memos hold at most 16 frames
 plus 16 shapes, each shape with the one frame whose objects it shares.
 
 Every map the mathematics fixes is built in closed form and then
@@ -371,12 +371,12 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     multiplies, so it holds where K's area is 0.  A fact that fails raises
     ``PipelineAssertionError`` naming the claimed signature.
 
-    The classical relators are certified by ``verify_derived_relators``:
-    the closing row and the delta-alternations do not read the periods,
-    and a corner row c^p is certified by its unit c, which spells
-    tau_k*tau_(k+1), once K's corner is checked to be that unit's p-th
-    power; so the certificate is memoised per frame (gamma, r), and a
-    shape of a warm frame checks only its r corners."""
+    The classical relators are certified by ``verify_derived_relators``,
+    a corner row c^p by its unit c, which spells tau_k*tau_(k+1), once
+    K's corner is checked to be that unit's p-th power.  The closing row
+    and the delta-alternations do not read the periods, so K's frame
+    keeps them with their statuses, and a shape whose rows after the
+    corners equal the frame's checks only its r corners."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
@@ -399,7 +399,14 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     if not sub.parity[connector]:
         labels, words, sources = zip(*_printed_relator_words(sub, periods))
         images = {g.name: g.word for g in sub.generators}
-        printed = list(zip(labels, verify_derived_relators(K, words, sources, images)))
+        r, frame = len(periods), getattr(sub.presentation, "_frame", None)
+        corners = verify_derived_relators(K, words[:r], sources[:r], images)
+        rows, kept = (words[r:], sources[r:]), getattr(frame, "statuses", None)
+        if kept is None or kept[0] != rows:
+            kept = rows, verify_derived_relators(K, *rows, images)
+            if frame is not None and frame.statuses is None and "unresolved" not in kept[1]:
+                frame._keep("statuses", kept)
+        printed = list(zip(labels, corners + kept[1]))
         for label, status in printed:
             if status == "unresolved":
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
@@ -476,15 +483,14 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     each of these gamma + 2 rows is a relator of the derived presentation.
 
     None of this reads the periods, so it is certified once per frame
-    (gamma, r), on the ``cosets.SchreierFrame`` the subgroup keeps: the
-    witness rows are the frame's own rewrites of K's relators, with their
-    exponent sums, and the first lemma that reads the frame certifies the
-    identities and keeps the generators as ``inverted``.  A subgroup whose
-    generators are not the frame's has its own words certified.  The frame
-    is held by ``cosets.schreier_frame``, one of the four memos of the
-    shape stage, and the lemma hashes no key of it.  Per call, each row is
-    looked up among the relators of the ``derived`` it is given, and the
-    sums are compared with a*b's.
+    (gamma, r): the witness rows are the own rewrites of K's relators of
+    the ``cosets.SchreierFrame`` the subgroup keeps, with their exponent
+    sums, and the first lemma that reads K's frame, which the derived
+    presentation keeps, certifies the identities and keeps the generators
+    there as ``inverted``.  A subgroup whose generators are not the
+    frame's has its own words certified.  The lemma looks up no memo.
+    Per call, each row is looked up among the relators of the ``derived``
+    it is given, and the sums are compared with a*b's.
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
@@ -492,8 +498,9 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     sub = derived.subgroup
     K, frame, generators = sub.base, sub.frame, sub.generators
+    owner = getattr(derived.presentation, "_frame", None)
     a, b = pair = tuple(gen.name for gen in generators if gen.role == "connector")
-    if frame.inverted is not generators:
+    if getattr(owner, "inverted", None) is not generators:
         tau1, involutions = K.generators_of_kind("reflection")[0], K.involution_names()
         last_letter = {a: (b, -1), b: (a, -1)}
         substitution = {gen.name: gen.word for gen in generators}
@@ -504,8 +511,8 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
                     f"conjugation identity for {name} could not be certified:"
                     f" {Word(identity)} does not reduce to 1 in K"
                 )
-        if generators is frame.subgroup.generators:
-            frame._keep("inverted", generators)
+        if owner is not None and generators is owner.schreier.subgroup.generators:
+            owner._keep("inverted", generators)
 
     relators = {rel.letters for rel in derived.presentation.relators}
     for row, word, coset in frame.witness:
@@ -632,31 +639,6 @@ class _Forms:
             yield flip, acc if sign == 1 else {v: -c for v, c in acc.items()}
 
 
-def _cyclic_folds(table: dict, words: Iterable) -> Iterator[dict]:
-    """The rotation each word's letters fold to in C_2n with symbolic
-    rotations, ``table`` giving each generator's image as a form, or as
-    one (variable, coefficient) pair when it has one term, as most of
-    eta's images have: the sum of the letters' images times their
-    exponents."""
-    for letters in words:
-        acc = {}
-        for g, e in letters:
-            img = table[g]
-            if type(img) is tuple:
-                v, c = img
-                if c := acc.get(v, 0) + e * c:
-                    acc[v] = c
-                else:
-                    del acc[v]
-                continue
-            for v, c in img.items():
-                if c := acc.get(v, 0) + e * c:
-                    acc[v] = c
-                else:
-                    del acc[v]
-        yield acc
-
-
 def _theta_images(K: Presentation, target, glides: Iterable, sums: Iterable) -> dict:
     """Theta on K's generators in closed form, in ``target``: tau1 -> t,
     x_j -> t*s^(glides[j]), tau_(k+1) -> t*s^(sums[k]) and e -> the normal
@@ -680,55 +662,50 @@ def _symbolic_theta(K: Presentation) -> dict:
     return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1)))
 
 
-def _theta_residual(K: Presentation) -> tuple[Presentation, tuple[Word, ...]] | None:
+def _theta_residual(K: Presentation) -> Presentation | None:
     """The relators of K that Theta does not send to the identity for
     every rho, certified once per frame (gamma, r) and kept on it: the
     relators of the frame (``presentations._disc_quotient_frame``, K's
     relators but the corners) whose fold under the symbolic Theta is not
-    the identity, in order, as a presentation; and the corner units
-    tau_k*tau_(k+1), each certified to fold to a rotation, so that K's
-    corner, the n_k-th power of its unit, maps to that rotation times
-    n_k.  None for a K that is not its frame's own, such as a rebuilt one.
-    """
+    the identity, in order, as a presentation.  Each reflection is
+    certified to map to a reflection, so that each corner unit
+    tau_k*tau_(k+1) maps to a rotation, read off the two images.  None
+    for a K that is not its frame's own, such as a rebuilt one."""
     frame = getattr(K, "_frame", None)
     if frame is None:
         return None
-    try:
-        return frame._folds
-    except AttributeError:
-        pass
-    table = _symbolic_theta(frame)
-    taus = frame.generators_of_kind("reflection")
-    units = tuple(Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:]))
-    for unit, (flip, _) in zip(units, _Forms.folds(table, (u.letters for u in units))):
-        if flip:
-            raise PipelineAssertionError(f"Theta sends the corner unit {unit} to a reflection")
-    folds = _Forms.folds(table, (rel.letters for rel in frame.relators))
-    residual = [rel for rel, (flip, form) in zip(frame.relators, folds) if flip or form]
-    return frame._keep("_folds", (Presentation(frame.generators, residual), units))
+    if frame.folds is None:
+        table = _symbolic_theta(frame)
+        for tau in frame.generators_of_kind("reflection"):
+            if not table[tau][0]:
+                raise PipelineAssertionError(f"Theta sends the reflection {tau} to a rotation")
+        folds = _Forms.folds(table, (rel.letters for rel in frame.relators))
+        residual = [rel for rel, (flip, form) in zip(frame.relators, folds) if flip or form]
+        frame._keep("folds", Presentation(frame.generators, residual))
+    return frame.folds
 
 
 def _eta_images(derived: DerivedKernel) -> tuple | None:
     """eta's images as forms, certified once per frame (gamma, r) and kept
-    on its ``cosets.SchreierFrame``: eta on each Schreier generator is the
-    rotation Theta folds its word to, and each head (a relator of K
-    rewritten from coset u) and each corner unit's rewrite from coset u
-    folds under eta as its source folds under Theta, conjugated by the
-    coset's representative (1 or tau1, which negates a rotation).  So
-    eta sends every relator of the derived kernel to the identity at each
-    rho at which Theta is a homomorphism.  Returns the one-term images
-    as a tuple of names, one of variables and one of coefficients, and the
-    other generators as (name, word).  None for a derived kernel that is
-    not its frame's own: a rebuilt presentation, or other generators.
+    on K's frame: eta on each Schreier generator is the rotation Theta
+    folds its word to, and each head (a relator of K rewritten from coset
+    u) and each corner unit's rewrite from coset u folds under eta as its
+    source folds under Theta, conjugated by the coset's representative (1
+    or tau1, which negates a rotation).  So eta sends every relator of the
+    derived kernel to the identity at each rho at which Theta is a
+    homomorphism.  Returns the one-term images as a tuple of names, one of
+    variables and one of coefficients, and the other generators as (name,
+    word).  None for a derived kernel that is not its frame's own: a
+    rebuilt presentation, other generators, or a frame that is not K's.
     Called only once K's frame is certified (``_theta_residual``)."""
-    sub, pres = derived.subgroup, derived.presentation
-    frame = sub.frame
-    if (frame is None or getattr(pres, "_frame", None) is not frame
-            or sub.generators is not frame.subgroup.generators):
+    sub = derived.subgroup
+    frame, schreier = getattr(sub.base, "_frame", None), sub.frame
+    if (frame is None or getattr(derived.presentation, "_frame", None) is not frame
+            or schreier is not frame.schreier
+            or sub.generators is not schreier.subgroup.generators):
         return None
     if frame.eta is None:
-        K_frame = sub.base._frame
-        theta = _symbolic_theta(K_frame)
+        theta = _symbolic_theta(frame)
         # eta's images, and its one-term ones as names, variables and
         # coefficients; the others (the connector pair's, gamma terms, and
         # tau1sq's) are read by word
@@ -738,22 +715,23 @@ def _eta_images(derived: DerivedKernel) -> tuple | None:
             if flip:
                 raise PipelineAssertionError(
                     f"eta: Theta sends the kernel generator {gen.name} to a reflection")
+            eta[gen.name] = 0, form
             if len(form) == 1:
-                [eta[gen.name]] = form.items()
-                singles.append((gen.name, *eta[gen.name]))
+                [(v, c)] = form.items()
+                singles.append((gen.name, v, c))
             else:
-                eta[gen.name] = form
                 others.append((gen.name, gen.word))
         # each source's fold under Theta; None for the identity
-        residual, units = K_frame._folds
-        moved = (*residual.relators, *units)
+        taus = frame.generators_of_kind("reflection")
+        units = tuple(Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:]))
+        moved = (*frame.folds.relators, *units)
         folds = dict(zip(map(id, moved), _Forms.folds(theta, (w.letters for w in moved))))
-        sources = (*K_frame.relators, *units)
+        sources = (*frame.relators, *units)
         expected = [folds.get(id(w)) for w in sources]
-        for u, head in enumerate(frame.heads):
-            rows = (*head, *(frame.corners[unit.letters][u] for unit in units))
-            for row, source, want, form in zip(
-                    rows, sources, expected, _cyclic_folds(eta, (w.letters for w in rows))):
+        for u, head in enumerate(schreier.heads):
+            rows = (*head, *(schreier.corners[unit.letters][u] for unit in units))
+            for row, source, want, (_, form) in zip(
+                    rows, sources, expected, _Forms.folds(eta, (w.letters for w in rows))):
                 if form or want:
                     want_flip, want_form = want or (0, {})
                     if u:  # conjugation by tau1 negates the rotation
@@ -773,27 +751,28 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
     Theta is then verified to be a homomorphism on K with image of order
     4n, so ker(Theta) has index 4n in K.  Only the relators that the frame
     of K does not certify for every rho are walked (``_theta_residual``):
-    the connector relator e^-1*tau_(r+1)*e*tau1^-1, four letters, and each
-    corner by its unit, one rotation times n_k; the result then keeps
-    rho.  A K that is not its frame's own has every relator walked.  The
-    image order is a gcd.  A failed check raises ``PipelineAssertionError``
+    the connector relator e^-1*tau_(r+1)*e*tau1^-1, four letters; each
+    corner maps to n_k times its unit's rotation, b - a for the
+    reflections Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b; the
+    result then keeps rho.  A K that is not its frame's own has every
+    relator walked.  The image order is a gcd.  A failed check raises ``PipelineAssertionError``
     naming it: the first relator that does not hold, with its image.
     """
     dihedral = DihedralGroup(datum.order)
     glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
     hom = FiniteHom.from_dict(
         K, dihedral, _theta_images(K, dihedral, glides, accumulate(datum.x_images)))
-    certified = _theta_residual(K)
-    if certified is None:
+    residual = _theta_residual(K)
+    if residual is None:
         unmapped = check_homomorphism(K, hom)
     else:
-        residual, units = certified
-        corners = K.relators[len(K.relators) - len(units):]
-        rotations = (hom.evaluate(unit)[1] for unit in units)
+        cycle = K.signature.period_cycles[0]
+        corners = K.relators[len(K.relators) - len(cycle):]
+        rotations = [hom.image_of(tau)[1] for tau in K.generators_of_kind("reflection")]
         unmapped = check_homomorphism(residual, hom) + tuple(
-            (corner, (0, value)) for corner, n, rotation
-            in zip(corners, K.signature.period_cycles[0], rotations)
-            if (value := n * rotation % dihedral.modulus))
+            (corner, (0, value)) for corner, n, a, b
+            in zip(corners, cycle, rotations, rotations[1:])
+            if (value := n * (b - a) % dihedral.modulus))
     for rel, value in unmapped:
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
@@ -804,7 +783,7 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
     extension = DihedralExtension(hom, image_order)
-    if certified is not None:
+    if residual is not None:
         extension._keep("rho", datum)
     return extension
 

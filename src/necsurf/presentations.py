@@ -21,13 +21,15 @@ The disc-quotient group's generators and every relator but its corners
 are built once per frame (gamma, r) (``_disc_quotient_frame``), and each
 group of the frame shares them.
 
+The frame is also the one owner of what is certified on it for every
+K of the frame (``Frame``), so evicting it evicts its certificates.
+
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
 by one comparison: with the one relator it is named to come from, read
 from the named rotation, or with the empty word.  A word named for a
 corner (tau_k tau_(k+1))^(n_k) that is the n_k-th power of a unit is
-certified by its unit, so what is certified does not depend on the
-periods, and the statuses are memoised by value (``relator_statuses``).
+certified by its unit.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from .signatures import (
 )
 from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
-# the size of each of the four memos of the shape stage, one entry per
-# key: per frame (gamma, r), ``_disc_quotient_frame`` and
-# ``relator_statuses`` here and ``cosets.schreier_frame``, which also holds
-# the lemma's witness; per shape, ``pipeline.shape_certificate``
+# the size of each of the two memos of the shape stage, one entry per
+# key: per frame (gamma, r), ``_disc_quotient_frame`` here, whose frame
+# holds every certificate that does not read the periods; per shape,
+# ``pipeline.shape_certificate``
 SHAPE_MEMO_SIZE = 16
 
 
@@ -69,15 +71,13 @@ class Presentation(Record):
     closed form are computed on first use and kept in slots outside
     ``_fields``, so comparison and hashing ignore them.  So is ``_frame``:
     a disc-quotient group built by ``canonical_presentation`` keeps the
-    frame (``_disc_quotient_frame``) whose generators and relators it
-    shares, and a derived presentation the ``cosets.SchreierFrame`` it was
-    derived in; a rebuilt or copied presentation keeps none.  A frame
-    keeps in ``_folds`` what ``pipeline`` certifies on it under Theta: the
-    relators Theta must walk per rho, and the corner units.
+    ``Frame`` whose generators and relators it shares, and a presentation
+    derived in that frame's Schreier frame keeps the same ``Frame``; a
+    rebuilt or copied presentation keeps none.
     """
 
     __slots__ = ("generators", "relators", "torsion_words", "signature",
-                 "_involutions", "_names_by_kind", "_closed_form", "_frame", "_folds")
+                 "_involutions", "_names_by_kind", "_closed_form", "_frame")
     _fields = __slots__[:4]
 
     def __init__(
@@ -110,6 +110,21 @@ class Presentation(Record):
                 names.setdefault(k.kind, []).append(g)
             by_kind = self._keep("_names_by_kind", {k: tuple(gs) for k, gs in names.items()})
         return by_kind.get(kind, ())
+
+
+class Frame(Presentation):
+    """The disc-quotient group of one frame (gamma, r) without its corner
+    relators (``_disc_quotient_frame``), and the owner of what is
+    certified once for every K of the frame, each None until then and
+    none a field: ``schreier``, the ``cosets.SchreierFrame`` derived from
+    it under K's parity map; ``statuses``, the classical relators of the
+    derived kernel after its corners with their statuses; ``folds``, K's
+    relators that Theta does not send to 1 for every rho; ``inverted``,
+    the Schreier generators whose tau1-identities the lemma certified;
+    and ``eta``, eta's images as forms."""
+
+    __slots__ = ("schreier", "statuses", "folds", "inverted", "eta")
+    _fields = Presentation._fields
 
 
 def orientation_character(p: Presentation) -> dict[str, int]:
@@ -146,11 +161,12 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def _disc_quotient_frame(gamma: int, r: int) -> Presentation:
+def _disc_quotient_frame(gamma: int, r: int) -> Frame:
     """The disc-quotient group with gamma interior points and r corners
     without its corner relators, with its involutions, its names by kind
     and the connector's closed form computed: what every K of the frame
-    (gamma, r) shares, as none of it reads the periods."""
+    (gamma, r) shares, as none of it reads the periods.  It is the one
+    memo of the frame's certificates (``Frame``)."""
     xs = [f"x{i}" for i in range(1, gamma + 1)]
     taus = [f"tau{j}" for j in range(1, r + 2)]
     generators = (
@@ -163,7 +179,9 @@ def _disc_quotient_frame(gamma: int, r: int) -> Presentation:
     relators += [Word.gen(t, 2) for t in taus]
     relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
     relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
-    frame = Presentation(tuple(generators), tuple(relators))
+    frame = Frame(tuple(generators), tuple(relators))
+    for slot in Frame.__slots__:
+        frame._keep(slot, None)
     # the lookups each K of the frame takes over
     frame.involution_names()
     connector_closed_form(frame)
@@ -242,7 +260,7 @@ def verify_derived_relators(
     trivial, so nothing is eliminated.  Only a word named trivial gets the
     connector's closed form x_1^-1...x_gamma^-1 spliced in, and must
     reduce to the empty word.  Anything else is unresolved.  No other
-    relator of ``p`` is read.
+    relator of ``p`` is read, and nothing is kept.
 
     A relator named at rotation 0 that is U^m, m >= 2, for its first two
     letters U, two distinct generators (a corner (tau_k tau_(k+1))^(n_k)),
@@ -251,52 +269,22 @@ def verify_derived_relators(
     reduction, which is cyclically reduced of length 2, and u^m to the
     m-th power of u's whenever that has length 2 or more.  So u^m matches
     U^m exactly when u matches U, and each status is the whole word's.
-    What is compared no longer reads the periods, so the statuses are
-    memoised by value (``relator_statuses``): one entry per frame (gamma,
-    r) serves every shape of the frame.
     """
-    relators = p.relators
-    items = []
-    for word, source in zip(words, sources, strict=True):
-        letters = word.letters
-        if source is not None:
-            index, k = source
-            rel = relators[index].letters
-            unit, m = rel[:2], len(rel) // 2
-            if (k == 0 and m > 1 and unit[0][0] != unit[1][0] and rel == unit * m
-                    and letters == (root := letters[:len(letters) // m]) * m):
-                letters, rel = root, unit
-            source = (rel, k)
-        items.append((letters, source))
+    relators, involutions = p.relators, p.involution_names()
     closed_form = connector_closed_form(p)
-    return relator_statuses(
-        tuple(items), (tuple(substitution), tuple(w.letters for w in substitution.values())),
-        p.involution_names(), (tuple(closed_form), tuple(w.letters for w in closed_form.values())),
-    )
 
-
-@lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def relator_statuses(
-    items: tuple[tuple[tuple, tuple | None], ...], images: tuple[tuple, tuple],
-    involutions: frozenset[str], elimination: tuple[tuple, tuple],
-) -> tuple[str, ...]:
-    """The status of each (word letters, (relator letters, rotation) or
-    None) of ``items``, as ``verify_derived_relators`` defines it: the
-    derived generators and their letters are ``images``, the connector and
-    its closed form's letters ``elimination``.  It reads only its
-    arguments, so it is memoised by value for the ``SHAPE_MEMO_SIZE`` most
-    recent keys."""
-    substitution = {g: Word(letters) for g, letters in zip(*images)}
-    closed_form = {e: Word(letters) for e, letters in zip(*elimination)}
-
-    def status(letters: tuple, named: tuple | None) -> str:
-        letters = substitute_letters(letters, substitution)
-        if named is None:
-            left = cyclic_reduce_letters(substitute_letters(letters, closed_form), involutions)
-            return "unresolved" if left else "trivial"
-        rel, k = named
+    def status(letters: tuple, source: tuple[int, int] | None) -> str:
+        if source is None:
+            spliced = substitute_letters(substitute_letters(letters, substitution), closed_form)
+            return "unresolved" if cyclic_reduce_letters(spliced, involutions) else "trivial"
+        index, k = source
+        rel = relators[index].letters
+        unit, m = rel[:2], len(rel) // 2
+        if (k == 0 and m > 1 and unit[0][0] != unit[1][0] and rel == unit * m
+                and letters == (root := letters[:len(letters) // m]) * m):
+            letters, rel = root, unit
         rel = cyclic_reduce_letters(rel, involutions)
-        spelled = cyclic_reduce_letters(letters, involutions) == rel[k:] + rel[:k]
-        return "matches-relator" if spelled else "unresolved"
+        spelled = cyclic_reduce_letters(substitute_letters(letters, substitution), involutions)
+        return "matches-relator" if spelled == rel[k:] + rel[:k] else "unresolved"
 
-    return tuple(status(*item) for item in items)
+    return tuple(status(word.letters, source) for word, source in zip(words, sources, strict=True))

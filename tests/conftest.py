@@ -10,7 +10,6 @@ from necsurf import (
     admissible_shapes,
     build_theta,
     canonical_presentation,
-    cosets,
     derive_delta_hat,
     first_smooth_epimorphism,
     presentations,
@@ -68,15 +67,12 @@ def generated_subgroup(group, elements):
 
 @pytest.fixture(autouse=True)
 def cold_shape_memo():
-    """Each test starts with every memo of the shape stage empty (the
-    shapes; per frame, K's generators and relators but the corners, the
-    Reidemeister-Schreier frames with the lemma's witness rows and
-    certified identities, and the statuses of the classical relators),
-    so a test that patches a step of the shape stage sees that step run."""
+    """Each test starts with both memos of the shape stage empty (the
+    shapes, and the frames (gamma, r), each with all that is certified on
+    it), so a test that patches a step of the shape stage sees that step
+    run."""
     shape_certificate.cache_clear()
     presentations._disc_quotient_frame.cache_clear()
-    cosets.schreier_frame.cache_clear()
-    presentations.relator_statuses.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from necsurf import (
     quotient_disc_signature,
     reidemeister_schreier,
 )
-from necsurf import cosets, presentations
+from necsurf import presentations
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -322,12 +322,13 @@ class TestSchreierFrame:
             Presentation, "__init__",
             lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
         )
-        reidemeister_schreier(K, theta)
+        cold = reidemeister_schreier(K, theta)
         assert len(built) == 2  # the frame's relator-free presentation, and the kernel's
         built.clear()
-        reidemeister_schreier(other, other_theta)
+        warm = reidemeister_schreier(other, other_theta)
         assert len(built) == 1
-        assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert warm.frame is cold.frame
+        assert presentations._disc_quotient_frame.cache_info().misses == 1
 
     def test_warm_results_equal_cold_ones_on_the_signature_battery(
         self, signature_battery, monkeypatch
@@ -361,16 +362,18 @@ class TestSchreierFrame:
             walked.append(bool(walks))
         monkeypatch.undo()
         assert walked == [False] * 1640
-        frame_memos = (presentations._disc_quotient_frame, cosets.schreier_frame)
-        for memo in frame_memos:
-            assert memo.cache_info()[:2] == (1640 - 22, 22)  # (hits, misses)
+        # each case looks its frame up twice, to build K and to derive in it
+        frames = presentations._disc_quotient_frame
+        assert frames.cache_info()[:2] == (2 * 1640 - 22, 22)  # (hits, misses)
         # the classical relators are printed for even gamma alone: 9 frames,
-        # gamma = 2 with r = 1..4 and gamma = 4 with r = 0..4
-        assert presentations.relator_statuses.cache_info()[:2] == (659 - 9, 9)
+        # gamma = 2 with r = 1..4 and gamma = 4 with r = 0..4, each of
+        # which keeps one certificate of its rows after the corners
+        kept = [derived.presentation._frame.statuses
+                for (gamma, _), (derived, _) in zip(order, warm) if gamma % 2 == 0]
+        assert len(kept) == 659 and None not in kept and len(set(map(id, kept))) == 9
 
         for case, (derived, lemma) in zip(order, warm):
-            for memo in (*frame_memos, presentations.relator_statuses):
-                memo.cache_clear()
+            frames.cache_clear()
             cold, cold_lemma = derive_and_check(*case)
             sub, cold_sub = derived.subgroup, cold.subgroup
             assert sub.generators == cold_sub.generators
@@ -391,7 +394,8 @@ class TestSchreierFrame:
         altered_K = Presentation(
             K.generators, K.relators[:i] + altered_to + K.relators[i + 1:], signature=K.signature)
         altered = reidemeister_schreier(altered_K, build_theta(altered_K))
-        assert cosets.schreier_frame.cache_info()[:2] == (0, 2)  # (hits, misses)
+        assert altered.frame is not canonical.frame
+        assert not hasattr(altered.presentation, "_frame")
         assert altered.presentation.relators == conjugate_relators(altered)
         names = {str(w) for w in canonical.presentation.relators}
         assert names - {str(w) for w in altered.presentation.relators} == missing
@@ -407,7 +411,7 @@ class TestSchreierFrame:
         swapped = Presentation(
             K.generators, K.relators[:-1] + (parse_word("tau3 tau2") ** 4,), signature=K.signature)
         sub = reidemeister_schreier(swapped, build_theta(swapped))
-        assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert sub.frame is canonical.frame
         assert sub.generators is canonical.generators
         assert sub.presentation.relators == conjugate_relators(sub)
         assert sub.presentation.relators != canonical.presentation.relators

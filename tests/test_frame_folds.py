@@ -2,8 +2,8 @@
 folds under a symbolic Theta, and each relator of the derived kernel
 under a symbolic eta, to 0, +-R or +-n_k*x_k, R = 2(d_1 + ... + d_gamma)
 + x_1 + ... + x_r.  Per rho, Theta walks only K's relators whose fold is
-not 0, the connector relator, and reads each corner off its unit; eta
-walks none."""
+not 0, the connector relator, and reads each corner's rotation off the
+images of its two reflections; eta walks none."""
 
 import re
 import sys
@@ -77,9 +77,8 @@ def test_every_fold_has_its_expected_form(shape):
     taus = frame.generators_of_kind("reflection")
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     assert forms(theta, units) == [(0, x[k]) for k in range(1, r + 1)]
-    residual, kept_units = pipeline._theta_residual(K)
+    residual = pipeline._theta_residual(K)
     assert residual.relators == (frame.relators[gamma + r + 1],)
-    assert kept_units == tuple(units)
     # every Schreier generator folds to a rotation; under eta each head
     # folds as its source under Theta, negated from coset 1, and so does
     # each corner unit's rewrite; the torsion words are exactly x_k
@@ -93,8 +92,8 @@ def test_every_fold_has_its_expected_form(shape):
         assert rows == [(0, x[k] if u == 0 else minus(x[k])) for k in range(1, r + 1)]
     torsion = [word for word, _ in derived.presentation.torsion_words]
     assert forms(eta, torsion) == [(0, x[k]) for k in range(1, r + 1)]
-    assert pipeline._eta_images(derived) is sub.frame.eta is not None
-    assert K._frame._folds is pipeline._theta_residual(K)
+    assert pipeline._eta_images(derived) is K._frame.eta is not None
+    assert K._frame.folds is pipeline._theta_residual(K)
 
 
 def numeric_theta(K, datum):
@@ -118,7 +117,9 @@ def assert_verdicts_agree(K, derived, datum):
     the walk's.  Under eta = Theta on the generators' words: each relator
     of the derived kernel, a head or a corner row, maps to its source's
     image under Theta, negated from coset 1."""
-    residual, units = pipeline._theta_residual(K)
+    residual = pipeline._theta_residual(K)
+    taus = K.generators_of_kind("reflection")
+    units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     theta = numeric_theta(K, datum)
     periods = K.signature.period_cycles[0]
     m = len(K.relators) - len(units)
@@ -257,13 +258,28 @@ def test_a_wrong_closed_form_fails_and_names_the_relator(
         realize(datum)
 
 
+def test_a_reflection_sent_to_a_rotation_fails_the_frame(monkeypatch):
+    # each corner's rotation is read off the images of its two
+    # reflections, so the frame certifies that each maps to a reflection
+    images = pipeline._theta_images
+
+    def mutate(K, target, glides, sums):
+        table = images(K, target, glides, sums)
+        tau2 = K.generators_of_kind("reflection")[1]
+        return table | {tau2: (0, table[tau2][1])}
+
+    monkeypatch.setattr(pipeline, "_theta_images", mutate)
+    with pytest.raises(PipelineAssertionError,
+                       match=r"^Theta sends the reflection tau2 to a rotation$"):
+        realize(GENUS2)
+
+
 def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator():
     # a certificate of K's frame that keeps no relator to walk still
     # passes a valid rho, but the rewrites of the connector relator fold
     # to +-R under eta, not to the identity the certificate claims
     K, derived = derived_for(1, (2, 2, 2))
-    residual, units = pipeline._theta_residual(K)
-    K._frame._keep("_folds", (replace(residual, relators=()), units))
+    K._frame._keep("folds", replace(pipeline._theta_residual(K), relators=()))
     extension = extend_to_dihedral(K, GENUS2)
     assert extension.rho is GENUS2
     with pytest.raises(PipelineAssertionError) as exc:
@@ -323,11 +339,12 @@ TAMPERS = [
 @pytest.mark.parametrize("tamper, message", TAMPERS, ids=lambda v: getattr(v, "__name__", ""))
 def test_tampers_raise_in_a_certified_frame(tamper, message):
     sibling = realize(first_smooth_epimorphism(1, (2, 2, 4), 8))
-    assert hasattr(sibling.k_presentation._frame, "_folds")
-    assert sibling.derived.subgroup.frame.eta is not None
+    frame = sibling.k_presentation._frame
+    assert frame.folds is not None and frame.eta is not None
     with pytest.raises(PipelineAssertionError, match=message):
         tamper()
-    assert cosets.schreier_frame.cache_info().misses == 1
+    assert presentations._disc_quotient_frame.cache_info().misses == 1
+    assert derived_for(1, (2, 2, 2))[1].presentation._frame is frame
 
 
 def test_walked_eta_reasons_are_the_oracles():

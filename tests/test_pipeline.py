@@ -1,5 +1,6 @@
 import ast
 import copy
+import gc
 import inspect
 import math
 import re
@@ -46,7 +47,8 @@ from necsurf import (
     reidemeister_schreier,
     validate_action,
 )
-from necsurf import abelian, certificate, cosets, pipeline, presentations
+from necsurf import abelian, certificate, pipeline, presentations
+from necsurf.cosets import SchreierFrame
 from necsurf.pipeline import _printed_relator_words
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -599,9 +601,10 @@ class TestDeriveDeltaHat:
         # every mutation of the two tests above, after a shape of the same
         # frame (gamma, r) certified the frame's classical relators; with
         # r = 0 the frame has one shape, which warms it
-        derived_for(*sibling)
-        derived_for(gamma, periods)
-        assert presentations.relator_statuses.cache_info()[:2] == (1, 1)  # (hits, misses)
+        _, warm = derived_for(*sibling)
+        _, derived = derived_for(gamma, periods)
+        kept = derived.presentation._frame.statuses
+        assert kept is not None and warm.presentation._frame.statuses is kept
         self.test_wrong_exponent_in_a_printed_word_is_an_assertion(monkeypatch, gamma, periods)
         if periods:
             self.test_wrong_named_source_is_an_assertion(monkeypatch, gamma, periods)
@@ -994,8 +997,8 @@ def test_tampered_lemma_data_raise_after_the_memo_is_warm(shape, tamper, message
     certified = pipeline.shape_certificate(*shape)
     _, derived = derived_for(*shape)
     assert derived == certified.derived and lemma1_check(derived) == certified.lemma
-    assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
-    assert derived.subgroup.frame.inverted is derived.subgroup.generators
+    assert derived.subgroup.frame is certified.derived.subgroup.frame
+    assert derived.presentation._frame.inverted is derived.subgroup.generators
     with pytest.raises(PipelineAssertionError, match=message):
         lemma1_check(tamper(derived))
 
@@ -1013,9 +1016,9 @@ def test_tampered_lemma_data_raise_in_a_warm_frame(shape, tamper, message):
     sibling = pipeline.shape_certificate(*SIBLINGS[shape])
     _, derived = derived_for(*shape)
     lemma1_check(derived)
-    assert cosets.schreier_frame.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert presentations._disc_quotient_frame.cache_info().misses == 1
     assert derived.subgroup.frame is sibling.derived.subgroup.frame
-    assert derived.subgroup.frame.inverted is derived.subgroup.generators
+    assert derived.presentation._frame.inverted is derived.subgroup.generators
     with pytest.raises(PipelineAssertionError, match=message):
         lemma1_check(tamper(derived))
 
@@ -1288,8 +1291,7 @@ class TestShapeMemo:
         assert pipeline.shape_certificate.cache_info().currsize == 1
 
     def test_every_memo_has_the_same_bound(self):
-        for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame,
-                     cosets.schreier_frame, presentations.relator_statuses):
+        for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame):
             assert memo.cache_info().maxsize == pipeline.SHAPE_MEMO_SIZE
 
     def test_shapes_of_one_frame_derive_it_once(self):
@@ -1302,15 +1304,16 @@ class TestShapeMemo:
         for p in (2, 6):
             assert realize(first_smooth_epimorphism(5, (p,), 12)).conclusion
         assert pipeline.shape_certificate.cache_info()[:2] == (2, 3)  # (hits, misses)
-        for memo in (presentations._disc_quotient_frame, cosets.schreier_frame):
-            assert memo.cache_info().misses == 1
+        assert presentations._disc_quotient_frame.cache_info().misses == 1
         # the lemma's witness rows and identities live on that one frame
-        frame, *others = (pipeline.shape_certificate(5, (p,)).derived.subgroup.frame
-                          for p in (2, 3, 6))
+        shapes = [pipeline.shape_certificate(5, (p,)) for p in (2, 3, 6)]
+        frame, *others = (shape.derived.subgroup.frame for shape in shapes)
         assert all(other is frame for other in others)
-        assert frame.inverted is frame.subgroup.generators
+        owner = shapes[0].k_presentation._frame
+        assert all(shape.derived.presentation._frame is owner for shape in shapes)
+        assert owner.schreier is frame and owner.inverted is frame.subgroup.generators
         # odd gamma prints no classical relators
-        assert presentations.relator_statuses.cache_info()[:2] == (0, 0)
+        assert owner.statuses is None
 
     def test_even_gamma_shapes_of_one_frame_certify_it_once(self):
         # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
@@ -1320,13 +1323,32 @@ class TestShapeMemo:
             K = disc_group(4, (p,))
             derived = derive_delta_hat(K, build_theta(K))
             assert lemma1_check(derived).ok
-            frames.append(derived.subgroup.frame)
-        for memo in (presentations._disc_quotient_frame, cosets.schreier_frame,
-                     presentations.relator_statuses):
-            assert memo.cache_info()[:2] == (2, 1)  # (hits, misses)
-        frame, *others = frames
-        assert all(other is frame for other in others)
-        assert frame.inverted is frame.subgroup.generators
+            frames.append(derived.presentation._frame)
+        assert presentations._disc_quotient_frame.cache_info().misses == 1
+        owner, *others = frames
+        assert all(other is owner for other in others)
+        assert owner is K._frame and owner.schreier is derived.subgroup.frame
+        assert owner.inverted is derived.subgroup.generators
+        assert owner.statuses is not None
+
+    def test_clearing_both_memos_frees_every_schreier_frame(self):
+        # a SchreierFrame is kept by K's frame, or by nothing when K differs
+        # from its frame: once both memos are cleared and the results are
+        # dropped, gc finds none of those this test made
+        def schreier_frames():
+            gc.collect()
+            return {id(obj) for obj in gc.get_objects() if type(obj) is SchreierFrame}
+
+        before = schreier_frames()
+        realize(GENUS2)
+        K = disc_group(2, (3, 4))
+        derive_delta_hat(replace(K, relators=K.relators[1:]), build_theta(K))
+        del K
+        # the altered K's frame went with its dropped result; GENUS2's stays
+        assert len(schreier_frames() - before) == 1
+        pipeline.shape_certificate.cache_clear()
+        presentations._disc_quotient_frame.cache_clear()
+        assert schreier_frames() <= before
 
     def test_invalid_input_never_reaches_the_memo(self):
         realize(GENUS2)

@@ -46,6 +46,7 @@ def _instances():
         cert.derived,
         sub,
         sub.frame,
+        cert.k_presentation._frame,
         sub.generators[0],
         sub.generators[0].word,
         cert.lemma,
@@ -75,7 +76,7 @@ def _fields(obj):
 
 def test_one_instance_of_each_record_class():
     assert sorted(IDS) == sorted(cls.__name__ for cls in _record_classes())
-    assert len(IDS) == 20
+    assert len(IDS) == 21
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=IDS)
