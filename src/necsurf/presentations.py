@@ -126,6 +126,14 @@ class Frame(Presentation):
     __slots__ = ("schreier", "statuses", "folds", "inverted", "eta")
     _fields = Presentation._fields
 
+    def __init__(
+        self, generators: Iterable[tuple[str, GeneratorKind]], relators: Iterable[Word],
+        torsion_words: Iterable[tuple[Word, int]] = (), signature: NECSignature | None = None,
+    ) -> None:
+        super().__init__(generators, relators, torsion_words, signature)
+        for slot in Frame.__slots__:
+            self._keep(slot, None)
+
 
 def orientation_character(p: Presentation) -> dict[str, int]:
     """The generator -> {+1, -1} map induced by the declared kinds."""
@@ -180,8 +188,6 @@ def _disc_quotient_frame(gamma: int, r: int) -> Frame:
     relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
     relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
     frame = Frame(tuple(generators), tuple(relators))
-    for slot in Frame.__slots__:
-        frame._keep(slot, None)
     # the lookups each K of the frame takes over
     frame.involution_names()
     connector_closed_form(frame)

@@ -12,6 +12,7 @@ from necsurf import (
     canonical_presentation,
     derive_delta_hat,
     first_smooth_epimorphism,
+    pipeline,
     presentations,
     quotient_disc_signature,
     reduced_area,
@@ -73,6 +74,18 @@ def cold_shape_memo():
     run."""
     shape_certificate.cache_clear()
     presentations._disc_quotient_frame.cache_clear()
+
+
+@pytest.fixture
+def verified_words(monkeypatch):
+    """How many words each call of ``verify_derived_relators`` from
+    ``derive_delta_hat`` certifies, in call order: a shape's corner rows,
+    and a frame's rows after its corners when the frame kept none."""
+    counts, verify = [], pipeline.verify_derived_relators
+    monkeypatch.setattr(
+        pipeline, "verify_derived_relators",
+        lambda p, words, *rest: counts.append(len(words)) or verify(p, words, *rest))
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -596,15 +596,18 @@ class TestDeriveDeltaHat:
         ((2, (3, 3, 3)), 2, (3, 4, 5)), ((4, (2, 2, 2)), 4, (3, 3, 3)), ((6, ()), 6, ()),
     ])
     def test_printed_row_mutations_raise_in_a_warm_frame(
-        self, monkeypatch, sibling, gamma, periods
+        self, monkeypatch, verified_words, sibling, gamma, periods
     ):
         # every mutation of the two tests above, after a shape of the same
         # frame (gamma, r) certified the frame's classical relators; with
-        # r = 0 the frame has one shape, which warms it
-        _, warm = derived_for(*sibling)
-        _, derived = derived_for(gamma, periods)
-        kept = derived.presentation._frame.statuses
-        assert kept is not None and warm.presentation._frame.statuses is kept
+        # r = 0 the frame has one shape, which warms it.  The sibling
+        # certifies its r corner rows and then the rows after them; the
+        # shape certifies its r corner rows alone
+        derived_for(*sibling)
+        derived_for(gamma, periods)
+        monkeypatch.undo()
+        r, (first, rows, last) = len(periods), verified_words
+        assert first == last == r and rows > 0
         self.test_wrong_exponent_in_a_printed_word_is_an_assertion(monkeypatch, gamma, periods)
         if periods:
             self.test_wrong_named_source_is_an_assertion(monkeypatch, gamma, periods)
@@ -1315,9 +1318,10 @@ class TestShapeMemo:
         # odd gamma prints no classical relators
         assert owner.statuses is None
 
-    def test_even_gamma_shapes_of_one_frame_certify_it_once(self):
+    def test_even_gamma_shapes_of_one_frame_certify_it_once(self, verified_words):
         # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
-        # above, which also prints its classical relators
+        # above, which also prints its classical relators: each shape
+        # certifies its corner row, and only the first the rows after it
         frames = []
         for p in (2, 3, 6):
             K = disc_group(4, (p,))
@@ -1330,6 +1334,7 @@ class TestShapeMemo:
         assert owner is K._frame and owner.schreier is derived.subgroup.frame
         assert owner.inverted is derived.subgroup.generators
         assert owner.statuses is not None
+        assert verified_words == [1, verified_words[1], 1, 1]
 
     def test_clearing_both_memos_frees_every_schreier_frame(self):
         # a SchreierFrame is kept by K's frame, or by nothing when K differs

@@ -24,7 +24,7 @@ from necsurf import (
     realize,
     shape_certificate,
 )
-from necsurf.presentations import connector_closed_form
+from necsurf.presentations import Frame, connector_closed_form
 from necsurf.words import Record
 from reference import abelianization, replace
 
@@ -133,6 +133,16 @@ def test_derived_slots_stay_out_of_comparison():
     fresh = replace(K)
     assert connector_closed_form(K) and K == fresh and hash(K) == hash(fresh)
     assert replace(theta) == theta and "_by_name" not in repr(theta)
+
+
+def test_a_rebuilt_frame_keeps_no_certificate():
+    # a frame's certificates are slots outside its fields: a copy, an
+    # unpickled or a rebuilt frame starts with each of them None
+    frame = realize(GENUS2).k_presentation._frame
+    assert frame.schreier is not None and frame.folds is not None
+    for twin in (replace(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
+        assert twin == frame
+        assert [getattr(twin, slot) for slot in Frame.__slots__] == [None] * 5
 
 
 def test_repr_is_the_dataclass_text():
