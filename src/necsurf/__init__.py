@@ -44,7 +44,6 @@ from .presentations import (
     UnsupportedSignatureError,
     canonical_presentation,
     check_homomorphism,
-    orientation_character,
     verify_derived_relators,
 )
 from .signatures import (

@@ -20,10 +20,10 @@ corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
 else is derived once per frame (gamma, r), a ``SchreierFrame``: the
 Schreier generators from K's generators with their kinds and theta's
 parity, the rewrites of the other relators, and the lemma's witness rows
-among them.  K's frame (``presentations.Frame``) keeps it, so it lives
-exactly as long as that frame does in its memo; a K that differs from
-its frame gets a frame of its own, kept nowhere.  Each subgroup keeps
-its frame, and per shape only the corners are rewritten.
+among them.  K's frame (``presentations.Frame``) derives it on first use
+and keeps it, so it lives exactly as long as that frame does; a K that
+is not its frame plus its corners is refused.  Each subgroup keeps its
+frame, and per shape only the corners are rewritten.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -39,7 +39,7 @@ from __future__ import annotations
 from math import prod
 
 from .groups import FiniteHom
-from .presentations import Presentation, _disc_quotient_frame
+from .presentations import Frame, Presentation, _disc_quotient_frame, connector_closed_form
 from .signatures import CONNECTOR, GLIDE, GeneratorKind
 from .words import Record, Word
 
@@ -64,9 +64,11 @@ class SchreierSubgroup(Record):
     presentation (with its torsion words) and the rewriting map into it.
     ``pair_names`` names the Schreier generator of each (coset, generator)
     pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
-    bit on each generator.  ``frame`` is the ``SchreierFrame`` the subgroup
-    was derived in, a slot outside ``_fields`` that a copy keeps; a frame's
-    own subgroup has no ``base``, no relators and no ``frame``."""
+    bit on each generator.  ``frame`` is K's frame
+    (``presentations.Frame``), which the subgroup was derived in and which
+    holds its ``SchreierFrame``: a slot outside ``_fields`` that a copy
+    keeps.  A frame's own subgroup has no ``base``, no relators and no
+    ``frame``."""
 
     __slots__ = ("base", "generators", "presentation", "pair_names", "parity", "frame")
     _fields = __slots__[:5]
@@ -74,7 +76,7 @@ class SchreierSubgroup(Record):
     def __init__(
         self, base: Presentation | None, generators: tuple[SchreierGenerator, ...],
         presentation: Presentation, pair_names: dict[tuple[int, str], str | None],
-        parity: dict[str, int], frame: SchreierFrame | None = None,
+        parity: dict[str, int], frame: Frame | None = None,
     ) -> None:
         self._assign(base, generators, presentation, pair_names, parity)
         self._keep("frame", frame)
@@ -121,7 +123,7 @@ class SchreierFrame(Record):
     x_gamma...x_1*e from cosets 0 and 1, then x_j*x_j from coset 0 for
     each interior point x_j, each row the head itself; ``sums`` is the
     rows' exponent sums added, the last gamma subtracted, without zeros.
-    What is certified on it is kept on K's frame, which keeps it."""
+    K's frame keeps it (``frame_schreier``), with what is certified on it."""
 
     __slots__ = ("subgroup", "heads", "corners", "witness", "sums")
 
@@ -133,6 +135,19 @@ class SchreierFrame(Record):
         self._assign(subgroup, heads, corners, witness, sums)
 
 
+def frame_schreier(frame: Frame) -> SchreierFrame:
+    """The ``SchreierFrame`` of K's frame under K's parity map, derived on
+    first use from the frame alone and kept on it.  The parity is 1 on
+    every reflection and interior point, and on the connector the parity
+    of its closed form x_1^-1...x_gamma^-1, which the long relator forces."""
+    if frame.schreier is None:
+        parity = {g: int(kind.kind != "connector") for g, kind in frame.generators}
+        for e, word in connector_closed_form(frame).items():
+            parity[e] = sum(parity[x] for x, _ in word.letters) % 2
+        frame._keep("schreier", schreier_frame(frame.generators, frame.relators, parity))
+    return frame.schreier
+
+
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
     """Presentation of ker(theta) over the coset representatives {1, tau_1},
     with its torsion words.
@@ -140,23 +155,22 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     Raises ``ValueError``, naming what fails, unless theta is K's parity
     map: ``p`` carries a signature with a single period cycle, has a
     reflection and at least one interior point, each an involution, and
-    theta has image of order 2 and moves every reflection and interior
-    point (so 1 and tau_1 represent the two cosets).  Generators come in
-    canonical order: delta_j, c_k, the connector pair, delta_jt, c_kt,
-    tau1sq.  Relators are the rewritten conjugates u * R * u^-1 of the
-    base relators for u = 1, then u = tau_1, each read as the walk of R
-    from coset u; free reduction commutes with the walk, so no conjugate
-    is built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
+    theta has image of order 2, moves every reflection and interior point
+    (so 1 and tau_1 represent the two cosets) and sends the connector to
+    the parity the long relator forces.  ``p`` must be its frame (gamma,
+    r) (``presentations._disc_quotient_frame``) plus its r corners: its
+    generators and its relators but the last r are the frame's, or a
+    ``ValueError`` names each that is not.  Generators come in canonical
+    order: delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.
+    Relators are the rewritten conjugates u * R * u^-1 of the base
+    relators for u = 1, then u = tau_1, each read as the walk of R from
+    coset u; free reduction commutes with the walk, so no conjugate is
+    built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
     coset 0, of its full order n_k; each interior involution is moved, so
     it leaves no period.  The checks run on every call; all else comes
-    from the ``SchreierFrame`` but the rewrites of the last r relators of
-    ``p`` (r periods), and the de-duplication of the relators.  The frame
-    is the one K's frame (gamma, r) keeps when ``p``'s generators, its
-    relators but the last r and theta's bits equal the frame's, a tuple
-    comparison that the objects a canonical K shares cut short; the first
-    ``p`` equal to K's frame but for theta's bits has it derived and kept,
-    and the presentation derived in it keeps K's frame.  Any other ``p``
-    has a frame derived that nothing keeps.
+    from the frame's ``SchreierFrame`` (``frame_schreier``) but the
+    rewrites of the r corners and the de-duplication of the relators, and
+    the subgroup keeps the frame.
     """
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
@@ -182,18 +196,27 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
             f"theta must move every reflection and interior point, and fixes {', '.join(fixed)}"
         )
     cycle = p.signature.period_cycles[0]
+    frame = _disc_quotient_frame(len(elliptics), len(cycle))
     prefix = p.relators[:len(p.relators) - len(cycle)]
-    owner = _disc_quotient_frame(len(elliptics), len(cycle))
-    frame = owner.schreier
-    if frame is None and (p.generators, prefix) == (owner.generators, owner.relators):
-        frame = owner._keep("schreier", schreier_frame(p.generators, prefix, parity))
-    elif frame is None or (p.generators, prefix, parity) != (
-            owner.generators, owner.relators, frame.subgroup.parity):
-        frame, owner = schreier_frame(p.generators, prefix, parity), None
-    sub, corners = frame.subgroup, frame.corners
+    problems = [] if p.generators == frame.generators else ["its generators are not the frame's"]
+    if len(prefix) != len(frame.relators):
+        problems.append(f"it has {len(prefix)} relators before its {len(cycle)} corners,"
+                        f" the frame {len(frame.relators)}")
+    else:
+        problems += [f"its relator {rel} is not the frame's {want}"
+                     for rel, want in zip(prefix, frame.relators) if rel != want]
+    if problems:
+        raise ValueError(f"K is not its frame ({len(elliptics)}, {len(cycle)}) plus its"
+                         f" corners: {'; '.join(problems)}")
+    schreier = frame_schreier(frame)
+    sub, corners = schreier.subgroup, schreier.corners
+    wrong = [g for g, bit in sub.parity.items() if parity[g] != bit]
+    if wrong:
+        raise ValueError(f"theta must send {', '.join(wrong)} to the parity the long relator"
+                         " forces")
     relators: list[Word] = []
     seen_relators: set[tuple[tuple[str, int], ...]] = set()
-    for u, head in enumerate(frame.heads):
+    for u, head in enumerate(schreier.heads):
         tail = (_rewrite_corner(sub, corners, rel, u) for rel in p.relators[len(prefix):])
         for rewritten in (*head, *tail):
             if rewritten.letters and rewritten.letters not in seen_relators:
@@ -201,8 +224,6 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
                 relators.append(rewritten)
     torsion = zip((w for w, _ in corners.values()), cycle)
     presentation = Presentation(sub.presentation.generators, relators, torsion)
-    if owner is not None:
-        presentation._keep("_frame", owner)
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 

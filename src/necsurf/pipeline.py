@@ -42,9 +42,10 @@ The chain constructed and verified here:
    rho Theta walks that one relator, four letters, and reads each corner
    off the images of its two reflections.  Each relator of the derived
    kernel folds under the symbolic eta as the relator of K it rewrites,
-   so eta walks none.  With the images, |Theta(K)| = 4n and eta's
-   surjectivity (gcds), its parities and torsion orders, a rho costs
-   O(gamma + r);
+   so eta walks none: it evaluates the two rewrites of the connector
+   relator at rho, and its torsion orders hold the corners.  With the
+   images, |Theta(K)| = 4n and eta's surjectivity (gcds), its parities
+   and torsion orders, a rho costs O(gamma + r);
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
@@ -64,15 +65,19 @@ of those relators and the lemma's witness rows among them with their
 exponent sums; the lemma's certified identities; and the statuses of the
 classical relators of the derived kernel after its corners.  With
 ``shape_certificate`` these are the two memos of the shape stage, and
-no memo key holds a word.  A new shape in a warm frame spells and
-rewrites its corners, checks each corner relator against its unit's
-power, checks the claimed signature, looks the witness rows up among its
-relators and reads H1 off its periods.  The first ``realize`` that reads
-a frame also folds it (step 5): the frame keeps the relators Theta walks
-(``_theta_residual``) and eta's images as forms (``_eta_images``);
-``derive_delta_hat`` and ``lemma1_check`` never fold.  Each memo keeps
-its 16 most recent keys, and evicting a frame evicts all it certified;
-a frame only gains what is certified on it.
+no memo key holds a word.  The frame is an argument: K must be its frame
+plus its corners (``cosets.reidemeister_schreier`` refuses any other),
+the derived kernel's subgroup holds the frame, and the lemma and the rho
+stage read it there, each by one path.  A new shape in a warm frame
+spells and rewrites its corners, checks each corner relator against its
+unit's power, checks the claimed signature, looks the witness rows up
+among its relators and reads H1 off its periods.  The first ``realize``
+that reads a frame also folds it (step 5): the frame keeps the relators
+Theta walks (``_theta_residual``) and eta's images as forms
+(``_eta_images``); ``derive_delta_hat`` and ``lemma1_check`` never fold.
+Each certificate is derived on first use from the frame alone, so a
+copied frame derives its own again.  Each memo keeps its 16 most recent
+keys, and evicting a frame evicts all it certified.
 Measured with tracemalloc, a frame retains about 21 KB on the 126-action
 battery (27 KB at most), 98 KB at gamma = 40 and 12.0 MB at
 gamma = 5120, its certificates included; a shape retains 5 KB beyond
@@ -92,12 +97,14 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product, repeat
+from operator import mul
 
-from .cosets import SchreierSubgroup, reidemeister_schreier
+from .cosets import SchreierSubgroup, frame_schreier, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
     SHAPE_MEMO_SIZE,
+    Frame,
     Presentation,
     canonical_presentation,
     check_homomorphism,
@@ -374,9 +381,9 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     The classical relators are certified by ``verify_derived_relators``,
     a corner row c^p by its unit c, which spells tau_k*tau_(k+1), once
     K's corner is checked to be that unit's p-th power.  The closing row
-    and the delta-alternations do not read the periods, so K's frame
-    keeps them with their statuses, and a shape whose rows after the
-    corners equal the frame's checks only its r corners."""
+    and the delta-alternations do not read the periods: the first shape
+    of a frame certifies them and K's frame keeps their statuses, so
+    every later shape of the frame checks only its r corners."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
@@ -399,17 +406,14 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     if not sub.parity[connector]:
         labels, words, sources = zip(*_printed_relator_words(sub, periods))
         images = {g.name: g.word for g in sub.generators}
-        r, frame = len(periods), getattr(sub.presentation, "_frame", None)
+        r, frame = len(periods), sub.frame
         corners = verify_derived_relators(K, words[:r], sources[:r], images)
-        rows, kept = (words[r:], sources[r:]), getattr(frame, "statuses", None)
-        if kept is None or kept[0] != rows:
-            kept = rows, verify_derived_relators(K, *rows, images)
-            if frame is not None and frame.statuses is None and "unresolved" not in kept[1]:
-                frame._keep("statuses", kept)
-        printed = list(zip(labels, corners + kept[1]))
+        statuses = frame.statuses or verify_derived_relators(K, words[r:], sources[r:], images)
+        printed = list(zip(labels, corners + statuses))
         for label, status in printed:
             if status == "unresolved":
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
+        frame._keep("statuses", statuses)
 
     return DerivedKernel(subgroup=sub, signature=claim, printed_checks=tuple(printed))
 
@@ -483,25 +487,24 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     each of these gamma + 2 rows is a relator of the derived presentation.
 
     None of this reads the periods, so it is certified once per frame
-    (gamma, r): the witness rows are the own rewrites of K's relators of
-    the ``cosets.SchreierFrame`` the subgroup keeps, with their exponent
-    sums, and the first lemma that reads K's frame, which the derived
-    presentation keeps, certifies the identities and keeps the generators
-    there as ``inverted``.  A subgroup whose generators are not the
-    frame's has its own words certified.  The lemma looks up no memo.
-    Per call, each row is looked up among the relators of the ``derived``
-    it is given, and the sums are compared with a*b's.
+    (gamma, r), on the frame the subgroup keeps: the Schreier generators
+    and the witness rows, with their exponent sums, are the frame's
+    ``cosets.SchreierFrame``'s, and the first lemma of the frame certifies
+    the identities in the frame's generators and keeps the generators'
+    names there as ``inverted``.  The lemma looks up no memo.  Per call,
+    each row is looked up among the relators of the ``derived`` it is
+    given, and the sums are compared with a*b's.
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
     signature (Macbeath, Canad. J. Math. 19, 1967): Z^(gamma-1) plus the
     finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
-    sub = derived.subgroup
-    K, frame, generators = sub.base, sub.frame, sub.generators
-    owner = getattr(derived.presentation, "_frame", None)
+    frame = derived.subgroup.frame
+    schreier = frame_schreier(frame)
+    generators = schreier.subgroup.generators
     a, b = pair = tuple(gen.name for gen in generators if gen.role == "connector")
-    if getattr(owner, "inverted", None) is not generators:
-        tau1, involutions = K.generators_of_kind("reflection")[0], K.involution_names()
+    if frame.inverted is None:
+        tau1, involutions = frame.generators_of_kind("reflection")[0], frame.involution_names()
         last_letter = {a: (b, -1), b: (a, -1)}
         substitution = {gen.name: gen.word for gen in generators}
         for name in substitution:
@@ -511,25 +514,24 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
                     f"conjugation identity for {name} could not be certified:"
                     f" {Word(identity)} does not reduce to 1 in K"
                 )
-        if owner is not None and generators is owner.schreier.subgroup.generators:
-            owner._keep("inverted", generators)
+        frame._keep("inverted", tuple(substitution))
 
     relators = {rel.letters for rel in derived.presentation.relators}
-    for row, word, coset in frame.witness:
+    for row, word, coset in schreier.witness:
         if row.letters not in relators:
             raise PipelineAssertionError(
                 f"connector product {a}*{b}: witness row {row} ({word} from coset"
                 f" {coset}) is not a relator of the derived kernel"
             )
-    if frame.sums != {a: 1, b: 1}:
+    if schreier.sums != {a: 1, b: 1}:
         raise PipelineAssertionError(
-            f"connector product {a}*{b}: witness rows sum to {frame.sums}, not to {a}*{b}"
+            f"connector product {a}*{b}: witness rows sum to {schreier.sums}, not to {a}*{b}"
         )
 
     sig = derived.signature
     return LemmaReport(
         connector_pair=pair,
-        inversion_entries=tuple(gen.name for gen in generators),
+        inversion_entries=frame.inverted,
         invariant_factors=_torsion_factors(sig.proper_periods),
         free_rank=sig.genus - 1,
     )
@@ -542,7 +544,8 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 class ShapeCertificate(Record):
     """K, theta, the derived kernel and the lemma report of one quotient
     shape (gamma; -; [n_1..n_r]), each checked; shared by every
-    certificate of that shape and never mutated."""
+    certificate of that shape and never mutated.  ``frame`` is K's frame,
+    which the derived kernel's subgroup keeps: the rho stage reads it."""
 
     __slots__ = ("k_presentation", "theta", "derived", "lemma")
 
@@ -551,6 +554,10 @@ class ShapeCertificate(Record):
         lemma: LemmaReport,
     ) -> None:
         self._assign(k_presentation, theta, derived, lemma)
+
+    @property
+    def frame(self) -> Frame:
+        return self.derived.subgroup.frame
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
@@ -581,14 +588,9 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
 
 class DihedralExtension(Record):
     """Theta: K -> D_2n and its image order 4n, the index of ker(Theta) in
-    K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/.
-    ``rho``, outside ``_fields``, is the datum whose closed form Theta is
-    when ``extend_to_dihedral`` checked it on K's frame certificate, and
-    None for a rebuilt or copied extension, whose eta ``construct_eta``
-    reads off Theta's images and walks."""
+    K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/."""
 
-    __slots__ = ("hom", "image_order", "rho")
-    _fields = __slots__[:2]
+    __slots__ = ("hom", "image_order")
     reflection_rotation = 0  # bench/layers.py:63; ROADMAP item 12
 
     @property
@@ -597,7 +599,6 @@ class DihedralExtension(Record):
 
     def __init__(self, hom: FiniteHom, image_order: int) -> None:
         self._assign(hom, image_order)
-        self._keep("rho", None)
 
 
 class _Forms:
@@ -662,18 +663,14 @@ def _symbolic_theta(K: Presentation) -> dict:
     return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1)))
 
 
-def _theta_residual(K: Presentation) -> Presentation | None:
+def _theta_residual(frame: Frame) -> Presentation:
     """The relators of K that Theta does not send to the identity for
     every rho, certified once per frame (gamma, r) and kept on it: the
-    relators of the frame (``presentations._disc_quotient_frame``, K's
-    relators but the corners) whose fold under the symbolic Theta is not
-    the identity, in order, as a presentation.  Each reflection is
-    certified to map to a reflection, so that each corner unit
-    tau_k*tau_(k+1) maps to a rotation, read off the two images.  None
-    for a K that is not its frame's own, such as a rebuilt one."""
-    frame = getattr(K, "_frame", None)
-    if frame is None:
-        return None
+    relators of the frame (K's relators but the corners) whose fold under
+    the symbolic Theta is not the identity, in order, as a presentation.
+    Each reflection is certified to map to a reflection, so that each
+    corner unit tau_k*tau_(k+1) maps to a rotation, read off the two
+    images."""
     if frame.folds is None:
         table = _symbolic_theta(frame)
         for tau in frame.generators_of_kind("reflection"):
@@ -685,33 +682,28 @@ def _theta_residual(K: Presentation) -> Presentation | None:
     return frame.folds
 
 
-def _eta_images(derived: DerivedKernel) -> tuple | None:
+def _eta_images(frame: Frame) -> tuple:
     """eta's images as forms, certified once per frame (gamma, r) and kept
-    on K's frame: eta on each Schreier generator is the rotation Theta
-    folds its word to, and each head (a relator of K rewritten from coset
-    u) and each corner unit's rewrite from coset u folds under eta as its
-    source folds under Theta, conjugated by the coset's representative (1
-    or tau1, which negates a rotation).  So eta sends every relator of the
-    derived kernel to the identity at each rho at which Theta is a
-    homomorphism.  Returns the one-term images as a tuple of names, one of
-    variables and one of coefficients, and the other generators as (name,
-    word).  None for a derived kernel that is not its frame's own: a
-    rebuilt presentation, other generators, or a frame that is not K's.
-    Called only once K's frame is certified (``_theta_residual``)."""
-    sub = derived.subgroup
-    frame, schreier = getattr(sub.base, "_frame", None), sub.frame
-    if (frame is None or getattr(derived.presentation, "_frame", None) is not frame
-            or schreier is not frame.schreier
-            or sub.generators is not schreier.subgroup.generators):
-        return None
+    on it: eta on each Schreier generator is the rotation Theta folds its
+    word to, and each head (a relator of K rewritten from coset u) and
+    each corner unit's rewrite from coset u folds under eta as its source
+    folds under Theta (``_theta_residual``), conjugated by the coset's
+    representative (1 or tau1, which negates a rotation).  So each relator
+    of the derived kernel folds to the identity, or to +-R or +-n_k*x_k.
+    Returns the one-term images as a tuple of names, one of variables and
+    one of coefficients; the other generators each as its name, its
+    variables and its coefficients; and for each relator Theta walks, its
+    variables and coefficients and its heads from cosets 0 and 1, whose
+    forms are it and its negation."""
     if frame.eta is None:
-        theta = _symbolic_theta(frame)
+        schreier, theta = frame_schreier(frame), _symbolic_theta(frame)
+        generators = schreier.subgroup.generators
         # eta's images, and its one-term ones as names, variables and
         # coefficients; the others (the connector pair's, gamma terms, and
-        # tau1sq's) are read by word
+        # tau1sq's) are kept as forms
         eta, singles, others = {}, [], []
-        words = (gen.word.letters for gen in sub.generators)
-        for gen, (flip, form) in zip(sub.generators, _Forms.folds(theta, words)):
+        words = (gen.word.letters for gen in generators)
+        for gen, (flip, form) in zip(generators, _Forms.folds(theta, words)):
             if flip:
                 raise PipelineAssertionError(
                     f"eta: Theta sends the kernel generator {gen.name} to a reflection")
@@ -720,18 +712,19 @@ def _eta_images(derived: DerivedKernel) -> tuple | None:
                 [(v, c)] = form.items()
                 singles.append((gen.name, v, c))
             else:
-                others.append((gen.name, gen.word))
+                others.append((gen.name, tuple(form), tuple(form.values())))
         # each source's fold under Theta; None for the identity
         taus = frame.generators_of_kind("reflection")
         units = tuple(Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:]))
-        moved = (*frame.folds.relators, *units)
+        moved = (*_theta_residual(frame).relators, *units)
         folds = dict(zip(map(id, moved), _Forms.folds(theta, (w.letters for w in moved))))
         sources = (*frame.relators, *units)
         expected = [folds.get(id(w)) for w in sources]
+        residual = {}
         for u, head in enumerate(schreier.heads):
             rows = (*head, *(schreier.corners[unit.letters][u] for unit in units))
-            for row, source, want, (_, form) in zip(
-                    rows, sources, expected, _Forms.folds(eta, (w.letters for w in rows))):
+            for i, (row, source, want, (_, form)) in enumerate(zip(
+                    rows, sources, expected, _Forms.folds(eta, (w.letters for w in rows)))):
                 if form or want:
                     want_flip, want_form = want or (0, {})
                     if u:  # conjugation by tau1 negates the rotation
@@ -739,40 +732,40 @@ def _eta_images(derived: DerivedKernel) -> tuple | None:
                     if want_flip or form != want_form:
                         raise PipelineAssertionError(f"eta: relator {row} from coset {u} does"
                                                      f" not fold as Theta folds {source}")
-        frame._keep("eta", (tuple(zip(*singles)), tuple(others)))
+                    if i < len(head):  # the form from coset 0, then each row
+                        residual.setdefault(i, (form, []))[1].append(row)
+        residual = tuple((tuple(form), tuple(form.values()), tuple(rows))
+                         for form, rows in residual.values())
+        frame._keep("eta", (tuple(zip(*singles)), tuple(others), residual))
     return frame.eta
 
 
-def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension:
-    """Theta: K -> D_2n, written on K's generators from rho in closed form
-    (``_theta_images``): Theta(tau1) = t, Theta(x_j) = t*s^((-1)^j d_j),
-    Theta(tau_(k+1)) = t*s^(x_1 + ... + x_k), and Theta(e) the normal form
-    of e's closed form, forced by the long relator.
-    Theta is then verified to be a homomorphism on K with image of order
-    4n, so ker(Theta) has index 4n in K.  Only the relators that the frame
-    of K does not certify for every rho are walked (``_theta_residual``):
-    the connector relator e^-1*tau_(r+1)*e*tau1^-1, four letters; each
-    corner maps to n_k times its unit's rotation, b - a for the
-    reflections Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b; the
-    result then keeps rho.  A K that is not its frame's own has every
-    relator walked.  The image order is a gcd.  A failed check raises ``PipelineAssertionError``
-    naming it: the first relator that does not hold, with its image.
+def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralExtension:
+    """Theta: K -> D_2n on the shape's K, written on K's generators from
+    rho in closed form (``_theta_images``): Theta(tau1) = t, Theta(x_j) =
+    t*s^((-1)^j d_j), Theta(tau_(k+1)) = t*s^(x_1 + ... + x_k), and
+    Theta(e) the normal form of e's closed form, forced by the long
+    relator.  Theta is then verified to be a homomorphism on K with image
+    of order 4n, so ker(Theta) has index 4n in K.  Only the relators that
+    K's frame does not certify for every rho are walked
+    (``_theta_residual``): the connector relator e^-1*tau_(r+1)*e*tau1^-1,
+    four letters; each corner maps to n_k times its unit's rotation, b - a
+    for the reflections Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b.
+    The image order is a gcd.  A failed check raises
+    ``PipelineAssertionError`` naming it: the first relator that does not
+    hold, with its image.
     """
+    K = shape.k_presentation
     dihedral = DihedralGroup(datum.order)
     glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
     hom = FiniteHom.from_dict(
         K, dihedral, _theta_images(K, dihedral, glides, accumulate(datum.x_images)))
-    residual = _theta_residual(K)
-    if residual is None:
-        unmapped = check_homomorphism(K, hom)
-    else:
-        cycle = K.signature.period_cycles[0]
-        corners = K.relators[len(K.relators) - len(cycle):]
-        rotations = [hom.image_of(tau)[1] for tau in K.generators_of_kind("reflection")]
-        unmapped = check_homomorphism(residual, hom) + tuple(
-            (corner, (0, value)) for corner, n, a, b
-            in zip(corners, cycle, rotations, rotations[1:])
-            if (value := n * (b - a) % dihedral.modulus))
+    cycle = K.signature.period_cycles[0]
+    corners = K.relators[len(K.relators) - len(cycle):]
+    rotations = [hom.image_of(tau)[1] for tau in K.generators_of_kind("reflection")]
+    unmapped = check_homomorphism(_theta_residual(shape.frame), hom) + tuple(
+        (corner, (0, value)) for corner, n, a, b in zip(corners, cycle, rotations, rotations[1:])
+        if (value := n * (b - a) % dihedral.modulus))
     for rel, value in unmapped:
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
@@ -782,10 +775,7 @@ def extend_to_dihedral(K: Presentation, datum: ActionDatum) -> DihedralExtension
         raise PipelineAssertionError(
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
-    extension = DihedralExtension(hom, image_order)
-    if residual is not None:
-        extension._keep("rho", datum)
-    return extension
+    return DihedralExtension(hom, image_order)
 
 
 class EtaResult(Record):
@@ -799,57 +789,40 @@ class EtaResult(Record):
         self._assign(hom, torsion_images)
 
 
-def construct_eta(
-    derived: DerivedKernel, extension: DihedralExtension, datum: ActionDatum
-) -> EtaResult:
-    """Epimorphism of the derived kernel onto C_2n carrying exactly the
-    branch data of rho: the restriction of Theta, eta(g) = the rotation
-    Theta(g.word) for each kernel generator g.
+def construct_eta(shape: ShapeCertificate, datum: ActionDatum) -> EtaResult:
+    """Epimorphism of the shape's derived kernel onto C_2n carrying exactly
+    the branch data of rho: the restriction of Theta, eta(g) = the rotation
+    Theta(g.word) for each kernel generator g, read off K's frame
+    (``_eta_images``) as its certified form at rho's images.
 
     The result is verified to be a surface-kernel epimorphism, with every
     reason found, in this order: relators that do not map to the identity,
     non-surjectivity (a gcd), torsion words whose image has lost order,
     and images whose parity differs from their generator's orientation
     character; then its torsion images must equal rho's elliptic images in
-    order.  When the extension keeps the rho it was checked at, on the
-    kernel's own K, and the kernel is its frame's own, eta is read off the
-    frame (``_eta_images``): each image is its certified one-term form at
-    that rho, or Theta's on its word, certified to be a rotation, and no
-    relator is walked: each folds as the relator of K it rewrites, which
-    Theta sends to the identity at that rho.  Otherwise each image is
-    Theta's on the generator's word, which must be a rotation, and every
-    relator is walked.  A failed check raises ``PipelineAssertionError``
-    naming it.
+    order.  No relator is walked: each folds as the relator of K it
+    rewrites, so only the heads of the relators Theta walks are evaluated
+    at rho, and each corner row holds once its torsion word's order
+    divides n_k.  A failed check raises ``PipelineAssertionError`` naming
+    it.
     """
     target = CyclicGroup(datum.order)
-    sub, pres = derived.subgroup, derived.presentation
-    rho = extension.rho
-    forms = _eta_images(derived) if rho is not None and extension.hom.domain is sub.base else None
+    pres, modulus = shape.derived.presentation, target.modulus
+    (names, variables, coefficients), others, residual = _eta_images(shape.frame)
+    # each variable's value: d_j at j, x_1 + ... + x_k at -k
+    values = [0, *datum.d_images, *reversed(list(accumulate(datum.x_images)))]
 
-    if forms is not None:
-        # each variable's value: d_j at j, x_1 + ... + x_k at -k
-        values = [0, *rho.d_images, *reversed(list(accumulate(rho.x_images)))]
-        (names, variables, coefficients), others = forms
-        modulus = extension.hom.target.modulus
-        images = {g: c * values[v] % modulus for g, v, c in zip(names, variables, coefficients)}
-        images.update((g, extension.hom.evaluate(word)[1]) for g, word in others)
-    else:
-        images = {}
-        for gen in sub.generators:
-            flip, rot = extension.hom.evaluate(gen.word)
-            if flip:
-                raise PipelineAssertionError(
-                    f"eta: Theta sends the kernel generator {gen.name} to the"
-                    f" reflection {extension.hom.target.format((flip, rot))}"
-                )
-            images[gen.name] = rot
+    def at(vs: tuple, cs: tuple) -> int:
+        return sum(map(mul, map(values.__getitem__, vs), cs)) % modulus
 
+    images = {g: c * values[v] % modulus for g, v, c in zip(names, variables, coefficients)}
+    images.update((g, at(vs, cs)) for g, vs, cs in others)
     hom = FiniteHom.from_dict(pres, target, images)
-    unmapped = check_homomorphism(pres, hom) if forms is None else ()
-    problems = [f"eta is not a homomorphism: relator {rel} maps to {decimal(value)}"
-                for rel, value in unmapped]
+    problems = [f"eta is not a homomorphism: relator {row} maps to {decimal(v)}"
+                for vs, cs, rows in residual if (value := at(vs, cs))
+                for row, v in zip(rows, (value, modulus - value))]
     if not hom.is_surjective():
-        problems.append(f"eta is not surjective onto C_{decimal(target.modulus)}")
+        problems.append(f"eta is not surjective onto C_{decimal(modulus)}")
     torsion_images = tuple(hom.evaluate(word) for word, _ in pres.torsion_words)
     for (word, n), image in zip(pres.torsion_words, torsion_images):
         if (order := target.element_order(image)) != n:
@@ -901,15 +874,14 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     gives K, theta, the derived kernel and the lemma report, built and
     checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
     most recent shapes; a new shape reuses the certificates of its frame
-    (gamma, r) and checks only its corners.  The rho stage follows:
-    ``extend_to_dihedral``, ``construct_eta`` and the genus bookkeeping:
-    validation's genus, read off Delta, against Riemann-Hurwitz for
-    ker(Theta) at index ``image_order`` in K.  The shape's K and derived
-    kernel are their frame's own, so both read their relators off the
-    frame's certificates, made by the first call that reads the frame:
-    a warm call walks one relator of K, four letters, reads each corner
-    off its unit, and walks no relator of the derived kernel, so its rho
-    stage is O(gamma + r).
+    (gamma, r) and checks only its corners.  The rho stage follows on the
+    shape certificate: ``extend_to_dihedral``, ``construct_eta`` and the
+    genus bookkeeping: validation's genus, read off Delta, against
+    Riemann-Hurwitz for ker(Theta) at index ``image_order`` in K.  Both
+    read their relators off the certificates of K's frame, made by the
+    first call that reads the frame: a warm call walks one relator of K,
+    four letters, reads each corner off its unit, and walks no relator of
+    the derived kernel, so its rho stage is O(gamma + r).
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the
@@ -917,10 +889,10 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     """
     genus = validate_action(datum)
     shape = shape_certificate(datum.gamma, datum.periods)
-    K, derived = shape.k_presentation, shape.derived
-    extension = extend_to_dihedral(K, datum)
-    eta = construct_eta(derived, extension, datum)
+    extension = extend_to_dihedral(shape, datum)
+    eta = construct_eta(shape, datum)
 
+    K = shape.k_presentation
     genus_real = surface_kernel_genus(K.signature, extension.image_order)
     if genus_real != genus:
         raise PipelineAssertionError(f"genus bookkeeping disagrees: {genus} vs {genus_real}")
@@ -930,7 +902,7 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
         genus=genus,
         k_presentation=K,
         theta=shape.theta,
-        derived=derived,
+        derived=shape.derived,
         lemma=shape.lemma,
         eta=eta,
         extension=extension,
@@ -982,11 +954,23 @@ def _image_choices(
     ]
 
 
-def _parity_obstructed(gamma: int, periods: tuple[int, ...], order: int) -> bool:
-    """Whether gamma + #{k : n/n_k odd} is odd, with 2n = order, which
-    leaves no epimorphism (``first_smooth_epimorphism`` says why)."""
+def _has_epimorphism(gamma: int, periods: tuple[int, ...], order: int) -> bool:
+    """Whether a surface-kernel epimorphism onto C_order, order = 2n, exists
+    for an admissible shape, in O(r) gcds: exactly when gamma + #{k : n/n_k
+    odd} is even, and gamma >= 2 or the odd part of n divides
+    lcm(n_1, ..., n_r).  Split by the CRT over the prime powers of 2n:
+    - at 2, each glide image is odd and each x_k = 2*(n/n_k)*u_k with u_k
+      a unit mod n_k, odd where n/n_k is; halved, the long relator reads
+      sum(d) + sum((n/n_k)*u_k) = 0 mod n, n even, so it needs an even
+      number of odd terms, and the odd glides generate;
+    - at an odd prime p, 2 is a unit, so one glide solves the relator, and
+      a second can be a unit; with gamma = 1 that glide is forced, and is
+      0 mod p when every x_k is, so some x_k must be a unit at p, that is
+      v_p(n_k) = v_p(n)."""
     n = order // 2
-    return (gamma + sum(n // p % 2 for p in periods)) % 2 == 1
+    if (gamma + sum(n // p % 2 for p in periods)) % 2:
+        return False
+    return gamma >= 2 or math.lcm(*periods) % (n // (n & -n)) == 0
 
 
 def enumerate_smooth_epimorphisms(
@@ -1010,14 +994,13 @@ def enumerate_smooth_epimorphisms(
     and the cost is (order/2)^(gamma-1) prefixes, plus at most
     order * tau(order) states of order/2 glide values each (tau counting
     divisors), plus the elliptic product, plus the output; a shape with no
-    epimorphism lists nothing at once, as ``first_smooth_epimorphism``
-    decides first: by parity (``_parity_obstructed``), else by its walk.
+    epimorphism lists nothing at once (``_has_epimorphism``).
     Counts are raw, with no quotient by any equivalence.  Raises
     ``ActionValidationError``, itemised as for ``realize``, when the shape
     is not admissible (``_image_choices``).
     """
     letters = _image_choices(gamma, periods, order)
-    if _parity_obstructed(gamma, periods, order) or _first_images(letters, order) is None:
+    if not _has_epimorphism(gamma, periods, order):
         return EnumerationResult(())
     glides = letters[0][1]
     by_sum: dict[int, list[tuple[int, ...]]] = {}
@@ -1054,27 +1037,23 @@ def first_smooth_epimorphism(
     """Lexicographically first surface-kernel epimorphism, as an action
     datum, or None when there is none.
 
-    None at once, after ``_image_choices``' reasons, when gamma +
-    #{k : n/n_k odd} is odd (``_parity_obstructed``).  Each glide image is
-    odd, and each x_k = 2*(n/n_k)*u_k with u_k a unit mod n_k, so u_k is
-    odd where n/n_k is (n_k is then even).  Halved, the long relator reads
-    sum(d) + sum((n/n_k)*u_k) = 0 mod n, with n even, so it needs an even
-    number of odd terms.  Otherwise a depth-first walk over the
-    letters d_1..d_gamma, x_1..x_r, trying each letter's candidates
-    (``_image_choices``) in increasing order.  The
-    state after k letters is (k, relator sum mod order, gcd of order and
-    the images so far), and a state found to have no completion is never
-    expanded again.  So the walk expands each state at most once: at most
-    (gamma + r) * order * tau(order) states, tau counting divisors, each
-    tried against one letter's candidates.  The walk keeps an explicit
-    stack, so gamma is not bounded by the recursion limit.  Raises
-    ``ActionValidationError`` on the shapes ``enumerate_smooth_epimorphisms``
-    rejects, with the same reasons.
+    None at once, after ``_image_choices``' reasons, when the closed form
+    ``_has_epimorphism`` says there is none, so the walk runs only on a
+    shape that has one: a depth-first walk over the letters d_1..d_gamma,
+    x_1..x_r, trying each letter's candidates (``_image_choices``) in
+    increasing order.  The state after k letters is (k, relator sum mod
+    order, gcd of order and the images so far), and a state found to have
+    no completion is never expanded again.  So the walk expands each state
+    at most once: at most (gamma + r) * order * tau(order) states, tau
+    counting divisors, each tried against one letter's candidates.  The
+    walk keeps an explicit stack, so gamma is not bounded by the recursion
+    limit.  Raises ``ActionValidationError`` on the shapes
+    ``enumerate_smooth_epimorphisms`` rejects, with the same reasons.
     """
     letters = _image_choices(gamma, periods, order)
-    images = None if _parity_obstructed(gamma, periods, order) else _first_images(letters, order)
-    if images is None:
+    if not _has_epimorphism(gamma, periods, order):
         return None
+    images = _first_images(letters, order)
     return ActionDatum(gamma, periods, order // 2, images[:gamma], images[gamma:])
 
 

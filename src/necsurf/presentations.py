@@ -22,7 +22,8 @@ are built once per frame (gamma, r) (``_disc_quotient_frame``), and each
 group of the frame shares them.
 
 The frame is also the one owner of what is certified on it for every
-K of the frame (``Frame``), so evicting it evicts its certificates.
+K of the frame (``Frame``), so evicting it evicts its certificates.  An
+object built from the frame holds it; none finds it by identity.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
@@ -69,15 +70,11 @@ class Presentation(Record):
 
     The involution names, the names of each kind and the connector's
     closed form are computed on first use and kept in slots outside
-    ``_fields``, so comparison and hashing ignore them.  So is ``_frame``:
-    a disc-quotient group built by ``canonical_presentation`` keeps the
-    ``Frame`` whose generators and relators it shares, and a presentation
-    derived in that frame's Schreier frame keeps the same ``Frame``; a
-    rebuilt or copied presentation keeps none.
+    ``_fields``, so comparison and hashing ignore them.
     """
 
     __slots__ = ("generators", "relators", "torsion_words", "signature",
-                 "_involutions", "_names_by_kind", "_closed_form", "_frame")
+                 "_involutions", "_names_by_kind", "_closed_form")
     _fields = __slots__[:4]
 
     def __init__(
@@ -115,13 +112,14 @@ class Presentation(Record):
 class Frame(Presentation):
     """The disc-quotient group of one frame (gamma, r) without its corner
     relators (``_disc_quotient_frame``), and the owner of what is
-    certified once for every K of the frame, each None until then and
-    none a field: ``schreier``, the ``cosets.SchreierFrame`` derived from
-    it under K's parity map; ``statuses``, the classical relators of the
-    derived kernel after its corners with their statuses; ``folds``, K's
-    relators that Theta does not send to 1 for every rho; ``inverted``,
-    the Schreier generators whose tau1-identities the lemma certified;
-    and ``eta``, eta's images as forms."""
+    certified once for every K of the frame, each None until its first
+    use derives it from the frame alone, and none a field, so a copy
+    starts without them: ``schreier``, the ``cosets.SchreierFrame`` of K's
+    parity map (``cosets.frame_schreier``); ``statuses``, those of the
+    classical relators of the derived kernel after its corners;
+    ``folds``, K's relators that Theta does not send to 1 for every rho;
+    ``inverted``, the Schreier generators whose tau1-identities the lemma
+    certified; and ``eta``, eta's images as forms."""
 
     __slots__ = ("schreier", "statuses", "folds", "inverted", "eta")
     _fields = Presentation._fields
@@ -133,11 +131,6 @@ class Frame(Presentation):
         super().__init__(generators, relators, torsion_words, signature)
         for slot in Frame.__slots__:
             self._keep(slot, None)
-
-
-def orientation_character(p: Presentation) -> dict[str, int]:
-    """The generator -> {+1, -1} map induced by the declared kinds."""
-    return {g: kind.character for g, kind in p.generators}
 
 
 def canonical_presentation(sig: NECSignature) -> Presentation:
@@ -164,7 +157,6 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     p = Presentation(frame.generators, frame.relators + tuple(corners), signature=sig)
     for slot in ("_involutions", "_names_by_kind", "_closed_form"):
         p._keep(slot, getattr(frame, slot))
-    p._keep("_frame", frame)
     return p
 
 

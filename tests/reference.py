@@ -11,15 +11,22 @@ every relator of K), for the closed-form check of rho in
 ``pipeline.validate_action`` (``rho_problems_by_presentation``, on Delta's
 presentation) and for eta's checks in ``pipeline.construct_eta``, which
 read the relators off the frame (``surface_kernel_problems``, every
-relator walked).  ``replace`` rebuilds a result with some of its fields
-changed, through the constructor.
+relator walked).  The walks that the frame's one path replaced are the
+oracles of that path, each kept nowhere: a ``cosets.schreier_frame``
+derived from any K (``unkept_reidemeister_schreier``), the lemma on a
+subgroup's own words (``own_word_lemma``), Theta and eta with every
+relator of K or of the derived kernel walked (``walked_theta``,
+``walked_eta``), and all of them in turn (``oracle_certificate``).
+``replace`` rebuilds a result with some of its fields changed, through
+the constructor.
 
 Element arithmetic on plain values, a residue in C_m and a pair
 (eps, k) in D_m (``identity``, ``rotation``, ``mul``, ``inverse``,
 ``order``, each given the group, and the letter-by-letter
 ``element_fold``), the word parser ``parse_word``, the reducers
 ``reduce_mod_involutions`` and ``free_reduce``, the whole-word
-``substitute`` and ``cyclic_reduce``, and ``word_character`` live only
+``substitute`` and ``cyclic_reduce``, ``orientation_character`` and
+``word_character`` live only
 here: the library evaluates words and reduces them cyclically without
 them, and the tests use them as plain functions, never as methods put
 back on library classes."""
@@ -29,9 +36,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import accumulate, product
 
-from necsurf import abelian, pipeline
+from necsurf import abelian, cosets, pipeline
 from necsurf import (
     CyclicGroup,
     DihedralGroup,
@@ -40,9 +47,11 @@ from necsurf import (
     NotInKernelError,
     canonical_presentation,
     check_homomorphism,
-    orientation_character,
+    quotient_disc_signature,
     reduced_area,
     surface_kernel_genus,
+    validate_action,
+    verify_derived_relators,
 )
 from necsurf.kernels import KernelSignatureReport
 from necsurf.presentations import Presentation, connector_closed_form
@@ -241,6 +250,11 @@ def trimmed_reduction(w: Word, involutions=frozenset()) -> Word:
     while len(letters) > 1 and _cancels(letters[0], letters[-1], involutions):
         letters = letters[1:-1]
     return Word(letters)
+
+
+def orientation_character(p: Presentation) -> dict[str, int]:
+    """The generator -> {+1, -1} map induced by the declared kinds."""
+    return {g: kind.character for g, kind in p.generators}
 
 
 def word_character(p: Presentation, w: Word) -> int:
@@ -912,3 +926,111 @@ def abelianization(p: Presentation) -> abelian.Abelianization:
     return abelian.Abelianization(
         moduli, {g: tuple(sorted(vectors[i].items())) for g, i in index.items()}
     )
+
+
+# Every relator walked, and nothing kept: the oracles for the frame's one
+# path in ``necsurf.cosets`` and ``necsurf.pipeline``, which certify once
+# per frame (gamma, r) and read every later shape and rho off the frame.
+
+def unkept_reidemeister_schreier(p: Presentation, theta: FiniteHom):
+    """``cosets.reidemeister_schreier`` with a ``cosets.schreier_frame``
+    derived from ``p`` itself and kept nowhere: for any ``p`` whose
+    generators and theta pass its checks, its frame or not.  The subgroup
+    keeps no frame."""
+    one = theta.target.identity
+    parity = {g: int(theta.image_of(g) != one) for g in p.generator_names()}
+    cycle = p.signature.period_cycles[0]
+    prefix = p.relators[:len(p.relators) - len(cycle)]
+    frame = cosets.schreier_frame(p.generators, prefix, parity)
+    sub, relators = frame.subgroup, []
+    for u in (0, 1):
+        for rel in p.relators:
+            rewritten = sub.rewrite(rel, u)
+            if rewritten.letters and rewritten not in relators:
+                relators.append(rewritten)
+    torsion = zip((w for w, _ in frame.corners.values()), cycle)
+    presentation = Presentation(sub.presentation.generators, relators, torsion)
+    return cosets.SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, parity), frame
+
+
+def own_word_lemma(sub, frame) -> tuple[str, ...]:
+    """The lemma's checks on ``sub``'s own generator words and on
+    ``frame``'s witness rows, looked up among ``sub``'s relators: the
+    names of the generators certified inverted, in order, or
+    ``PipelineAssertionError`` with ``lemma1_check``'s message."""
+    K = sub.base
+    tau1, involutions = K.generators_of_kind("reflection")[0], K.involution_names()
+    a, b = (g.name for g in sub.generators if g.role == "connector")
+    substitution = {g.name: g.word for g in sub.generators}
+    for name in substitution:
+        identity = ((tau1, 1), (name, 1), (tau1, 1), {a: (b, -1), b: (a, -1)}.get(name, (name, 1)))
+        if cyclic_reduce_letters(substitute_letters(identity, substitution), involutions):
+            raise pipeline.PipelineAssertionError(
+                f"conjugation identity for {name} could not be certified:"
+                f" {Word(identity)} does not reduce to 1 in K")
+    relators = {rel.letters for rel in sub.presentation.relators}
+    for row, word, coset in frame.witness:
+        if row.letters not in relators:
+            raise pipeline.PipelineAssertionError(
+                f"connector product {a}*{b}: witness row {row} ({word} from coset"
+                f" {coset}) is not a relator of the derived kernel")
+    assert frame.sums == {a: 1, b: 1}
+    return tuple(substitution)
+
+
+def walked_theta(K: Presentation, datum):
+    """Theta at rho by ``pipeline``'s closed form, with every relator of K
+    walked: (Theta, its failures)."""
+    dihedral = DihedralGroup(datum.order)
+    glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
+    images = pipeline._theta_images(K, dihedral, glides, accumulate(datum.x_images))
+    hom = FiniteHom.from_dict(K, dihedral, images)
+    return hom, check_homomorphism(K, hom)
+
+
+def walked_eta(sub, theta: FiniteHom):
+    """eta as Theta on each Schreier generator's word, every relator of
+    ``sub``'s presentation walked: (eta, the reasons of
+    ``surface_kernel_problems``)."""
+    pres = sub.presentation
+    images = {}
+    for g in sub.generators:
+        flip, rot = theta.evaluate(g.word)
+        assert not flip, g.name
+        images[g.name] = rot
+    eta = FiniteHom.from_dict(pres, CyclicGroup(theta.target.modulus), images)
+    return eta, surface_kernel_problems(pres, eta, "eta")
+
+
+def oracle_certificate(datum):
+    """``realize(datum)`` through the oracles alone, for a valid datum:
+    the unkept Reidemeister-Schreier, every classical relator certified in
+    one call, the own-word lemma, and Theta and eta with every relator
+    walked.  Nothing is read off a frame's certificates."""
+    genus = validate_action(datum)
+    K = canonical_presentation(quotient_disc_signature(datum.gamma, datum.periods))
+    theta = pipeline.build_theta(K)
+    assert not check_homomorphism(K, theta)
+    sub, frame = unkept_reidemeister_schreier(K, theta)
+    printed = ()
+    (connector,) = K.generators_of_kind("connector")
+    if not sub.parity[connector]:
+        labels, words, sources = zip(*pipeline._printed_relator_words(sub, datum.periods))
+        images = {g.name: g.word for g in sub.generators}
+        printed = tuple(zip(labels, verify_derived_relators(K, words, sources, images)))
+        assert "unresolved" not in dict(printed).values()
+    claim = NECSignature(False, datum.gamma, tuple(sorted(datum.periods)))
+    derived = pipeline.DerivedKernel(sub, claim, printed)
+    lemma = pipeline.LemmaReport(
+        tuple(g.name for g in sub.generators if g.role == "connector"),
+        own_word_lemma(sub, frame), pipeline._torsion_factors(claim.proper_periods),
+        claim.genus - 1)
+    hom, unmapped = walked_theta(K, datum)
+    assert not unmapped and hom.image_order() == 2 * datum.order
+    eta, reasons = walked_eta(sub, hom)
+    assert not reasons
+    torsion = tuple(eta.evaluate(word) for word, _ in sub.presentation.torsion_words)
+    assert torsion == datum.x_images
+    return pipeline.RealizationCertificate(
+        datum, genus, K, theta, derived, lemma, pipeline.EtaResult(eta, torsion),
+        pipeline.DihedralExtension(hom, hom.image_order()))

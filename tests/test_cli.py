@@ -269,14 +269,19 @@ def test_failed_search_uses_the_failure_output(tmp_path, capsys, command, fmt):
         assert captured.out == f"input validation failed:\n  - {reason}\n"
 
 
-@pytest.mark.parametrize("n", [4000, 10**6])
-def test_parity_obstructed_search_exits_at_once(tmp_path, capsys, n):
-    # three odd glide images never sum to 0 mod n: no epimorphism, at any n
-    path = write_doc(tmp_path, {"gamma": 3, "periods": [], "n": n, "rho": "search"})
+@pytest.mark.parametrize("gamma, periods, n", [
+    pytest.param(3, [], 4000, id="4000"), pytest.param(3, [], 10**6, id="1000000"),
+    pytest.param(1, [2, 2, 2], 2 * 3**10, id="gamma1-2-2-2-2n-4*3^10"),
+])
+def test_parity_obstructed_search_exits_at_once(tmp_path, capsys, gamma, periods, n):
+    # three odd glide images never sum to 0 mod n, and with one glide the
+    # odd part of n must divide lcm(periods): no epimorphism, at any n
+    path = write_doc(tmp_path, {"gamma": gamma, "periods": periods, "n": n, "rho": "search"})
     started = time.perf_counter()
     code = cli.main(["realize", path])
     assert time.perf_counter() - started < 1
-    reason = f"no surface-kernel epimorphism exists for gamma=3, periods=[], order={2 * n}"
+    reason = (f"no surface-kernel epimorphism exists for gamma={gamma}, periods={periods},"
+              f" order={2 * n}")
     assert code == 1
     assert capsys.readouterr().out == f"input validation failed:\n  - {reason}\n"
 

@@ -25,8 +25,10 @@ from reference import (
     conjugate_rewrite,
     free_reduce,
     identity,
+    naive_theta,
     parse_word,
     reduce_mod_involutions,
+    unkept_reidemeister_schreier,
 )
 from reference import reidemeister_schreier as table_reidemeister_schreier
 
@@ -284,7 +286,7 @@ def test_coset_walk_matches_built_conjugates(derived_battery):
     for _, _, K, _, derived in derived_battery[::16]:
         xs = K.generators_of_kind("elliptic")
         long_relator = Word(tuple((x, 1) for x in reversed(xs)) + (("e", 1),))
-        witness = derived.subgroup.frame.witness
+        witness = derived.subgroup.frame.schreier.witness
         assert [(w, coset) for _, w, coset in witness] == [
             (long_relator, 0), (long_relator, 1)] + [(Word.gen(x, 2), 0) for x in xs]
         for row, w, coset in witness:
@@ -381,25 +383,50 @@ class TestSchreierFrame:
             assert (sub.pair_names, sub.parity) == (cold_sub.pair_names, cold_sub.parity)
             assert derived == cold and lemma == cold_lemma
 
-    @pytest.mark.parametrize("altered_to, missing", [
-        ((), {"c1t*c1", "c1*c1t"}),
-        ((Word.gen("tau2", -2),), {"c1t*c1", "c1*c1t"}),
+    @pytest.mark.parametrize("altered_to, missing, reason", [
+        ((), {"c1t*c1", "c1*c1t"}, "it has 6 relators before its 2 corners, the frame 7"),
+        ((Word.gen("tau2", -2),), {"c1t*c1", "c1*c1t"},
+         "its relator tau2^-1*tau2^-1 is not the frame's tau2*tau2"),
     ], ids=["tau2-squared-dropped", "tau2-squared-inverted"])
-    def test_an_altered_relator_misses_the_frame(self, altered_to, missing):
+    def test_an_altered_relator_misses_the_frame(self, altered_to, missing, reason):
+        # a K that is not its frame plus its corners is refused, naming
+        # each relator that differs, and leaves its frame as it was; the
+        # unkept oracle derives the altered K, whose kernel misses the
+        # rewrites of the relator it lacks
         K = disc_group(2, (3, 4))
         canonical = reidemeister_schreier(K, build_theta(K))
         i = K.relators.index(Word.gen("tau2", 2))
         altered_K = Presentation(
             K.generators, K.relators[:i] + altered_to + K.relators[i + 1:], signature=K.signature)
-        altered = reidemeister_schreier(altered_K, build_theta(altered_K))
-        assert altered.frame is not canonical.frame
-        assert not hasattr(altered.presentation, "_frame")
+        theta = build_theta(altered_K)
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError) as exc:
+                derive(altered_K, theta)
+            assert str(exc.value) == f"K is not its frame (2, 2) plus its corners: {reason}"
+        altered, _ = unkept_reidemeister_schreier(altered_K, theta)
         assert altered.presentation.relators == conjugate_relators(altered)
         names = {str(w) for w in canonical.presentation.relators}
         assert names - {str(w) for w in altered.presentation.relators} == missing
         assert altered.generators == canonical.generators
         assert altered.generators is not canonical.generators
-        assert reidemeister_schreier(K, build_theta(K)).generators is canonical.generators
+        again = reidemeister_schreier(K, build_theta(K))
+        assert again.generators is canonical.generators and again.frame is canonical.frame
+
+    def test_generators_other_than_the_frames_are_refused(self):
+        K = disc_group(2, (3, 4))
+        renamed = Presentation(((("y1" if g == "x1" else g), kind) for g, kind in K.generators),
+                               K.relators, signature=K.signature)
+        with pytest.raises(ValueError) as exc:
+            reidemeister_schreier(renamed, build_theta(renamed))
+        assert str(exc.value) == (
+            "K is not its frame (2, 2) plus its corners: its generators are not the frame's")
+
+    def test_a_connector_bit_the_long_relator_does_not_force_is_refused(self):
+        # e -> 0 at odd gamma leaves x1*e, the long relator, unmapped
+        K = disc_group(1, (2, 2, 2))
+        with pytest.raises(ValueError, match="^theta must send e to the parity the long"
+                                             " relator forces$"):
+            reidemeister_schreier(K, naive_theta(K))
 
     def test_a_corner_that_is_not_a_power_of_its_unit_is_walked(self):
         # (tau3*tau2)^4 in place of (tau2*tau3)^4: the frame is the

@@ -14,7 +14,6 @@ import pytest
 
 from necsurf import (
     ActionDatum,
-    CyclicGroup,
     DihedralGroup,
     FiniteHom,
     PipelineAssertionError,
@@ -34,8 +33,9 @@ from necsurf import (
     validate_action,
 )
 from necsurf import pipeline
+from necsurf.presentations import Presentation
 from necsurf.words import Word
-from reference import mul, replace, rotation, surface_kernel_problems
+from reference import replace, walked_eta, walked_theta
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 
@@ -65,10 +65,10 @@ def test_every_fold_has_its_expected_form(shape):
     gamma, periods = shape
     r = len(periods)
     K, derived = derived_for(*shape)
+    frame = derived.subgroup.frame
     x = [None] + [{-k: 1, 1 - k: -1} if k > 1 else {-1: 1} for k in range(1, r + 1)]
     R = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
     sign_R = R if gamma % 2 else minus(R)
-    frame = K._frame
     theta = pipeline._symbolic_theta(frame)
     # every relator of K but the corners folds to 1 except the connector
     # relator e^-1*tau_(r+1)*e*tau1^-1, to +-R; each corner unit to x_k
@@ -77,7 +77,7 @@ def test_every_fold_has_its_expected_form(shape):
     taus = frame.generators_of_kind("reflection")
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     assert forms(theta, units) == [(0, x[k]) for k in range(1, r + 1)]
-    residual = pipeline._theta_residual(K)
+    residual = pipeline._theta_residual(frame)
     assert residual.relators == (frame.relators[gamma + r + 1],)
     # every Schreier generator folds to a rotation; under eta each head
     # folds as its source under Theta, negated from coset 1, and so does
@@ -86,14 +86,14 @@ def test_every_fold_has_its_expected_form(shape):
     eta = dict(zip((g.name for g in sub.generators), forms(theta, [g.word for g in sub.generators])))
     assert all(flip == 0 for flip, _ in eta.values())
     for u in (0, 1):
-        heads = forms(eta, sub.frame.heads[u])
+        heads = forms(eta, frame.schreier.heads[u])
         assert heads == [*zero, (0, sign_R if u == 0 else minus(sign_R)), (0, {})]
-        rows = forms(eta, [sub.frame.corners[unit.letters][u] for unit in units])
+        rows = forms(eta, [frame.schreier.corners[unit.letters][u] for unit in units])
         assert rows == [(0, x[k] if u == 0 else minus(x[k])) for k in range(1, r + 1)]
     torsion = [word for word, _ in derived.presentation.torsion_words]
     assert forms(eta, torsion) == [(0, x[k]) for k in range(1, r + 1)]
-    assert pipeline._eta_images(derived) is K._frame.eta is not None
-    assert K._frame.folds is pipeline._theta_residual(K)
+    assert pipeline._eta_images(frame) is frame.eta is not None
+    assert frame.folds is pipeline._theta_residual(frame)
 
 
 def numeric_theta(K, datum):
@@ -117,7 +117,7 @@ def assert_verdicts_agree(K, derived, datum):
     the walk's.  Under eta = Theta on the generators' words: each relator
     of the derived kernel, a head or a corner row, maps to its source's
     image under Theta, negated from coset 1."""
-    residual = pipeline._theta_residual(K)
+    residual = pipeline._theta_residual(derived.subgroup.frame)
     taus = K.generators_of_kind("reflection")
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     theta = numeric_theta(K, datum)
@@ -133,7 +133,7 @@ def assert_verdicts_agree(K, derived, datum):
     assert {str(rel) for rel, _ in walked} <= {str(rel) for rel in (*residual.relators, *K.relators[m:])}
 
     sub = derived.subgroup
-    frame = sub.frame
+    frame = sub.frame.schreier
     assert all(theta.evaluate(g.word)[0] == 0 for g in sub.generators)
     eta = {g.name: theta.evaluate(g.word)[1] for g in sub.generators}
     expected = {}
@@ -155,17 +155,20 @@ def test_verdicts_agree_with_the_walk_on_every_small_epimorphism_and_the_battery
                  for d, x in enumerate_smooth_epimorphisms(gamma, periods, order).tuples]
     assert len(data) == 582 and len(action_battery) == 126
     for datum in (*data, *action_battery):
-        K, derived = derived_for(datum.gamma, datum.periods)
-        extension = extend_to_dihedral(K, datum)
-        assert extension.rho is datum  # read off the frame
-        construct_eta(derived, extension, datum)
+        shape = pipeline.shape_certificate(datum.gamma, datum.periods)
+        K, derived = shape.k_presentation, shape.derived
+        extension = extend_to_dihedral(shape, datum)
+        theta, unmapped = walked_theta(K, datum)
+        assert not unmapped and extension.hom.images == theta.images
+        eta, reasons = walked_eta(derived.subgroup, theta)
+        assert not reasons and construct_eta(shape, datum).hom.images == eta.images
         assert_verdicts_agree(K, derived, datum)
         assert_verdicts_agree(K, derived, perturbed(datum))
         # extend_to_dihedral names the walk's first failing relator
         wrong = perturbed(datum)
         walked = check_homomorphism(K, numeric_theta(K, wrong))
         try:
-            extend_to_dihedral(K, wrong)
+            extend_to_dihedral(shape, wrong)
             assert not walked, (wrong, walked)
         except PipelineAssertionError as exc:
             if walked:
@@ -178,26 +181,34 @@ def test_verdicts_agree_with_the_walk_on_every_small_epimorphism_and_the_battery
 
 def test_a_corner_that_fails_is_named_with_its_image():
     # R vanishes at this rho, and x_1 = 1 has order 4, not n_1 = 2
-    K, _ = derived_for(1, (2, 2, 2))
     with pytest.raises(PipelineAssertionError, match=(
         r"^Theta is not a homomorphism: relator tau1\*tau2\*tau1\*tau2 maps to s\^2$"
     )):
-        extend_to_dihedral(K, ActionDatum(1, (2, 2, 2), 2, (1,), (1, 1, 0)))
+        datum = ActionDatum(1, (2, 2, 2), 2, (1,), (1, 1, 0))
+        extend_to_dihedral(pipeline.shape_certificate(datum.gamma, datum.periods), datum)
 
 
-def test_a_rebuilt_k_and_its_kernel_are_walked_in_full(monkeypatch):
+def test_a_rebuilt_k_is_read_off_its_frame(monkeypatch):
+    # a K rebuilt through its constructor is its frame plus its corners by
+    # value: its kernel keeps the frame, and its rho stage walks only the
+    # connector relator, with Theta and eta those of the walk oracles
     walks = []
     check = pipeline.check_homomorphism
     monkeypatch.setattr(pipeline, "check_homomorphism", lambda *a: walks.append(a) or check(*a))
-    K, _ = derived_for(1, (2, 2, 2))
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
     realize(GENUS2)  # the frame is certified
-    rebuilt = replace(K)
+    rebuilt = replace(shape.k_presentation)
     derived = derive_delta_hat(rebuilt, build_theta(rebuilt))
+    assert derived.subgroup.frame is shape.frame and derived == shape.derived
+    rebuilt_shape = replace(shape, k_presentation=rebuilt, derived=derived)
     walks.clear()
-    extension = extend_to_dihedral(rebuilt, GENUS2)
-    assert extension.rho is None
-    construct_eta(derived, extension, GENUS2)
-    assert [p for p, _ in walks] == [rebuilt, derived.presentation]
+    extension = extend_to_dihedral(rebuilt_shape, GENUS2)
+    eta = construct_eta(rebuilt_shape, GENUS2)
+    assert [[str(rel) for rel in p.relators] for p, _ in walks] == [["e^-1*tau4*e*tau1^-1"]]
+    theta, unmapped = walked_theta(rebuilt, GENUS2)
+    assert not unmapped and extension.hom.images == theta.images
+    walked, reasons = walked_eta(derived.subgroup, theta)
+    assert not reasons and eta.hom.images == walked.images
 
 
 def flipped_glide(images):
@@ -278,12 +289,11 @@ def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator():
     # a certificate of K's frame that keeps no relator to walk still
     # passes a valid rho, but the rewrites of the connector relator fold
     # to +-R under eta, not to the identity the certificate claims
-    K, derived = derived_for(1, (2, 2, 2))
-    K._frame._keep("folds", replace(pipeline._theta_residual(K), relators=()))
-    extension = extend_to_dihedral(K, GENUS2)
-    assert extension.rho is GENUS2
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
+    shape.frame._keep("folds", replace(pipeline._theta_residual(shape.frame), relators=()))
+    extend_to_dihedral(shape, GENUS2)
     with pytest.raises(PipelineAssertionError) as exc:
-        construct_eta(derived, extension, GENUS2)
+        construct_eta(shape, GENUS2)
     assert str(exc.value) == (
         "eta: relator f2^-1*c3*f1 from coset 0 does not fold as Theta folds"
         " e^-1*tau4*e*tau1^-1"
@@ -294,75 +304,77 @@ def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator():
 # after a sibling shape of the same frame (1, 3) has certified the frame
 
 def tampered_torsion_list():
-    K, derived = derived_for(1, (2, 2, 2))
-    words = derived.presentation.torsion_words
-    broken = replace(derived.presentation, torsion_words=((words[0][0], 3),) + words[1:])
-    broken = replace(derived, subgroup=replace(derived.subgroup, presentation=broken))
-    construct_eta(broken, extend_to_dihedral(K, GENUS2), GENUS2)
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
+    words = shape.derived.presentation.torsion_words
+    broken = replace(shape.derived.presentation, torsion_words=((words[0][0], 3),) + words[1:])
+    broken = replace(shape.derived, subgroup=replace(shape.derived.subgroup, presentation=broken))
+    construct_eta(replace(shape, derived=broken), GENUS2)
 
 
-def tampered_extension():
-    K, derived = derived_for(1, (2, 2, 2))
-    ext = extend_to_dihedral(K, GENUS2)
-    target = ext.hom.target
-    x1 = mul(target, ext.hom.image_of("x1"), rotation(target, 1))
-    images = dict(ext.hom.images) | {"x1": x1}
-    construct_eta(derived, replace(ext, hom=FiniteHom.from_dict(K, target, images)), GENUS2)
+def tampered_eta_forms():
+    # eta's certified form of delta1, -d_1, doubled: its image turns even
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
+    (names, variables, coefficients), others, residual = pipeline._eta_images(shape.frame)
+    coefficients = tuple(2 * c if g == "delta1" else c for g, c in zip(names, coefficients))
+    shape.frame._keep("eta", ((names, variables, coefficients), others, residual))
+    construct_eta(shape, GENUS2)
 
 
 def unmapped_relator():
-    K, _ = derived_for(1, (2, 2, 2))
-    extend_to_dihedral(K, ActionDatum(1, (2, 2, 2), 2, (1,), (1, 2, 2)))
+    datum = ActionDatum(1, (2, 2, 2), 2, (1,), (1, 2, 2))
+    extend_to_dihedral(pipeline.shape_certificate(datum.gamma, datum.periods), datum)
 
 
 def image_of_the_wrong_order():
-    K, _ = derived_for(1, (2, 2, 2))
-    extend_to_dihedral(K, ActionDatum(1, (2, 2, 2), 4, (2,), (4, 4, 4)))
+    datum = ActionDatum(1, (2, 2, 2), 4, (2,), (4, 4, 4))
+    extend_to_dihedral(pipeline.shape_certificate(datum.gamma, datum.periods), datum)
 
 
-def tampered_k():
-    K, _ = derived_for(1, (2, 2, 2))
-    x1 = K.generators_of_kind("elliptic")[0]
-    extend_to_dihedral(replace(K, relators=(*K.relators, Word.gen(x1))), GENUS2)
+def tampered_residual():
+    # the frame's residual, the relators Theta walks, with x1 appended
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
+    residual = pipeline._theta_residual(shape.frame)
+    x1 = shape.frame.generators_of_kind("elliptic")[0]
+    shape.frame._keep("folds", Presentation(residual.generators,
+                                            (*residual.relators, Word.gen(x1))))
+    extend_to_dihedral(shape, GENUS2)
 
 
 TAMPERS = [
     (tampered_torsion_list, r"^eta: torsion collapse: c1 image 2 has order 2, declared 3$"),
-    (tampered_extension, r"^eta: .*orientation mismatch"),
+    (tampered_eta_forms, r"^eta: .*orientation mismatch: glide image delta1 -> 2 is even"),
     (unmapped_relator,
      r"^Theta is not a homomorphism: relator e\^-1\*tau4\*e\*tau1\^-1 maps to s\^3$"),
     (image_of_the_wrong_order, r"^Theta image has order 8, expected 4n = 16$"),
-    (tampered_k, r"^Theta is not a homomorphism: relator x1 maps to t\*s\^3$"),
+    (tampered_residual, r"^Theta is not a homomorphism: relator x1 maps to t\*s\^3$"),
 ]
 
 
 @pytest.mark.parametrize("tamper, message", TAMPERS, ids=lambda v: getattr(v, "__name__", ""))
 def test_tampers_raise_in_a_certified_frame(tamper, message):
     sibling = realize(first_smooth_epimorphism(1, (2, 2, 4), 8))
-    frame = sibling.k_presentation._frame
+    frame = sibling.derived.subgroup.frame
     assert frame.folds is not None and frame.eta is not None
     with pytest.raises(PipelineAssertionError, match=message):
         tamper()
     assert presentations._disc_quotient_frame.cache_info().misses == 1
-    assert derived_for(1, (2, 2, 2))[1].presentation._frame is frame
+    assert pipeline.shape_certificate(1, (2, 2, 2)).frame is frame
 
 
 def test_walked_eta_reasons_are_the_oracles():
-    # a rebuilt presentation is not the frame's own, so eta walks it, and
-    # its reasons are the oracle's, item for item
-    K, derived = derived_for(1, (2, 2, 2))
-    words = derived.presentation.torsion_words
-    broken_pres = replace(derived.presentation, torsion_words=((words[0][0], 3),) + words[1:],
-                          relators=(*derived.presentation.relators, Word.gen("c1")))
-    broken = replace(derived, subgroup=replace(derived.subgroup, presentation=broken_pres))
-    extension = extend_to_dihedral(K, GENUS2)
-    assert pipeline._eta_images(broken) is None
-    images = {g.name: extension.hom.evaluate(g.word)[1] for g in derived.subgroup.generators}
-    eta = FiniteHom.from_dict(broken_pres, CyclicGroup(4), images)
-    reasons = surface_kernel_problems(broken_pres, eta, "eta")
-    assert reasons[0] == "eta is not a homomorphism: relator c1 maps to 2"
+    # at d_1 = 2 the rewrites of the connector relator fold to +-R = 2, not
+    # to 0: eta names both, and its reasons are those of the walk of every
+    # relator, item for item
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
+    wrong = ActionDatum(1, (2, 2, 2), 2, (2,), (2, 2, 2))
+    theta, unmapped = walked_theta(shape.k_presentation, wrong)
+    assert [str(rel) for rel, _ in unmapped] == ["e^-1*tau4*e*tau1^-1"]
+    _, reasons = walked_eta(shape.derived.subgroup, theta)
+    assert [r for r in reasons if "homomorphism" in r] == [
+        "eta is not a homomorphism: relator f2^-1*c3*f1 maps to 2",
+        "eta is not a homomorphism: relator f1^-1*c3t*f2*tau1sq^-1 maps to 2"]
     with pytest.raises(PipelineAssertionError) as exc:
-        construct_eta(broken, extension, GENUS2)
+        construct_eta(shape, wrong)
     assert str(exc.value) == "eta: " + "; ".join(reasons)
 
 
@@ -372,7 +384,7 @@ def test_a_warm_realize_walks_only_the_connector_relator(monkeypatch):
     monkeypatch.setattr(pipeline, "check_homomorphism", lambda *a: walks.append(a) or check(*a))
     tuples = enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples
     for d, x in tuples:
-        assert realize(ActionDatum(3, (3, 6), 6, d, x)).extension.rho is not None
+        assert realize(ActionDatum(3, (3, 6), 6, d, x)).conclusion
     # theta's check in the shape stage walks K once; then each rho walks
     # one relator of K under Theta, and none of the derived kernel
     K = pipeline.shape_certificate(3, (3, 6)).k_presentation

@@ -10,10 +10,10 @@ from necsurf import (
     canonical_presentation,
     check_homomorphism,
     extend_to_dihedral,
-    orientation_character,
     quotient_disc_signature,
     reduced_area,
     reidemeister_schreier,
+    shape_certificate,
     verify_derived_relators,
 )
 from necsurf.pipeline import _printed_relator_words, build_theta
@@ -29,6 +29,7 @@ from reference import (
     identity,
     index_derived_relators,
     naive_theta,
+    orientation_character,
     parse_word,
     rotation,
     scan_derived_relators,
@@ -206,8 +207,8 @@ class TestCheckHomomorphismOracle:
         for _, _, K, theta, _ in derived_battery:
             assert check_homomorphism(K, theta) == elementwise_failures(K, theta) == ()
         for datum in action_battery:
-            K = disc_group(datum.gamma, datum.periods)
-            Theta = extend_to_dihedral(K, datum).hom
+            shape = shape_certificate(datum.gamma, datum.periods)
+            K, Theta = shape.k_presentation, extend_to_dihedral(shape, datum).hom
             assert check_homomorphism(K, Theta) == elementwise_failures(K, Theta) == ()
 
     def test_broken_Theta_and_rho(self, action_battery):
@@ -215,8 +216,8 @@ class TestCheckHomomorphismOracle:
         # shifted by 1, so the long relator's sum moves by 2, fail as the
         # oracle says
         for datum in action_battery:
-            K = disc_group(datum.gamma, datum.periods)
-            Theta = extend_to_dihedral(K, datum).hom
+            shape = shape_certificate(datum.gamma, datum.periods)
+            K, Theta = shape.k_presentation, extend_to_dihedral(shape, datum).hom
             images = dict(Theta.images, x1=rotation(Theta.target, 1))
             broken = FiniteHom.from_dict(K, Theta.target, images)
             failures = check_homomorphism(K, broken)

@@ -46,7 +46,7 @@ def _instances():
         cert.derived,
         sub,
         sub.frame,
-        cert.k_presentation._frame,
+        sub.frame.schreier,
         sub.generators[0],
         sub.generators[0].word,
         cert.lemma,
@@ -138,7 +138,8 @@ def test_derived_slots_stay_out_of_comparison():
 def test_a_rebuilt_frame_keeps_no_certificate():
     # a frame's certificates are slots outside its fields: a copy, an
     # unpickled or a rebuilt frame starts with each of them None
-    frame = realize(GENUS2).k_presentation._frame
+    frame = shape_certificate(1, (2, 2, 2)).frame
+    realize(GENUS2)
     assert frame.schreier is not None and frame.folds is not None
     for twin in (replace(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
         assert twin == frame
