@@ -717,9 +717,9 @@ def _eta_images(frame: Frame) -> tuple:
         taus = frame.generators_of_kind("reflection")
         units = tuple(Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:]))
         moved = (*_theta_residual(frame).relators, *units)
-        folds = dict(zip(map(id, moved), _Forms.folds(theta, (w.letters for w in moved))))
+        folds = dict(zip(moved, _Forms.folds(theta, (w.letters for w in moved))))
         sources = (*frame.relators, *units)
-        expected = [folds.get(id(w)) for w in sources]
+        expected = [folds.get(w) for w in sources]
         residual = {}
         for u, head in enumerate(schreier.heads):
             rows = (*head, *(schreier.corners[unit.letters][u] for unit in units))
