@@ -21,10 +21,10 @@ field is named by its path, such as "rho.d"); the values, rho's lengths
 included (gamma glide images, one elliptic image per period), are
 checked by ``validate_action``, which lists every failing item at once.
 With "search" the lexicographically first epimorphism, found by the
-memoised walk of ``first_smooth_epimorphism``, is used; it rejects a
-shape with the itemised ``shape_problems`` reasons that an explicit rho
-would get, and an order 2n or a gamma above ``sys.maxsize``, which it
-cannot index, with a reason naming it.
+closed-form descent of ``first_smooth_epimorphism``, is used; it rejects
+a shape with the itemised ``shape_problems`` reasons that an explicit
+rho would get, and an order 2n or a gamma above ``sys.maxsize`` with a
+reason naming it.
 Residues out of range are reduced mod 2n with a warning (when n >= 1;
 otherwise validation rejects n).
 

@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product, repeat
 from operator import mul
@@ -740,6 +740,14 @@ def _eta_images(frame: Frame) -> tuple:
     return frame.eta
 
 
+def _check_fits(shape: ShapeCertificate, datum: ActionDatum) -> None:
+    """Raise ``ValueError`` naming both shapes unless the datum is of the shape's."""
+    sig = shape.k_presentation.signature
+    if (own := (len(sig.proper_periods), sig.period_cycles[0])) != (datum.gamma, datum.periods):
+        raise ValueError(f"a datum of shape {datum.delta_signature()} does not fit the"
+                         f" shape certificate of {NECSignature(False, *own)}")
+
+
 def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralExtension:
     """Theta: K -> D_2n on the shape's K, written on K's generators from
     rho in closed form (``_theta_images``): Theta(tau1) = t, Theta(x_j) =
@@ -753,8 +761,9 @@ def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralE
     for the reflections Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b.
     The image order is a gcd.  A failed check raises
     ``PipelineAssertionError`` naming it: the first relator that does not
-    hold, with its image.
+    hold, with its image.  A datum of another shape raises ``ValueError``.
     """
+    _check_fits(shape, datum)
     K = shape.k_presentation
     dihedral = DihedralGroup(datum.order)
     glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
@@ -804,8 +813,9 @@ def construct_eta(shape: ShapeCertificate, datum: ActionDatum) -> EtaResult:
     rewrites, so only the heads of the relators Theta walks are evaluated
     at rho, and each corner row holds once its torsion word's order
     divides n_k.  A failed check raises ``PipelineAssertionError`` naming
-    it.
+    it, and a datum of another shape raises ``ValueError``.
     """
+    _check_fits(shape, datum)
     target = CyclicGroup(datum.order)
     pres, modulus = shape.derived.presentation, target.modulus
     (names, variables, coefficients), others, residual = _eta_images(shape.frame)
@@ -924,22 +934,14 @@ class EnumerationResult(Record):
         return len(self.tuples)
 
 
-def _image_choices(
-    gamma: int, periods: tuple[int, ...], order: int
-) -> list[tuple[int, Sequence[int]]]:
-    """The letters d_1..d_gamma, x_1..x_r, each as its weight in the long
-    relator and its candidate images in increasing order: the odd
-    residues for every glide, and for a period p the residues of exact
-    order p in C_order, which are (order/p)*u for the units u mod p.
-    Raises ``ActionValidationError`` unless the shape is admissible: an
-    even order 2n carries the reasons of ``shape_problems(gamma, periods,
-    n)``, an odd order one reason naming it.  The searches index by
-    machine integers, so an otherwise admissible shape gets one reason
-    each for an order or a gamma above ``sys.maxsize``."""
-    if order % 2:
-        reasons = [f"order {order} is odd: the action order must be 2n with n even"]
-    else:
-        reasons = shape_problems(gamma, periods, order // 2)
+def _check_search_shape(gamma: int, periods: tuple[int, ...], order: int) -> None:
+    """Raise ``ActionValidationError`` unless the searches take the shape,
+    with the reasons of ``shape_problems(gamma, periods, n)`` for an even
+    order 2n and one naming an odd order.  The searches index by machine
+    integers, so an otherwise admissible shape gets one reason each for an
+    order or a gamma above ``sys.maxsize``."""
+    reasons = ([f"order {order} is odd: the action order must be 2n with n even"] if order % 2
+               else shape_problems(gamma, periods, order // 2))
     if not reasons:
         if order > sys.maxsize:
             reasons.append(f"order {decimal(order)} exceeds {sys.maxsize}, the largest order"
@@ -949,9 +951,6 @@ def _image_choices(
                            " the search can index")
     if reasons:
         raise ActionValidationError(tuple(reasons))
-    return [(2, range(1, order, 2))] * gamma + [
-        (1, [order // p * u for u in range(1, p) if math.gcd(u, p) == 1]) for p in periods
-    ]
 
 
 def _has_epimorphism(gamma: int, periods: tuple[int, ...], order: int) -> bool:
@@ -982,34 +981,33 @@ def enumerate_smooth_epimorphisms(
     Conditions: each elliptic image has exactly its declared order, each
     glide image is odd, the long relator sums to zero, and the images
     generate.  An elliptic image of period p is (order/p)*u with u a unit
-    mod p (``_image_choices``), so every elliptic tuple has the same gcd
-    with order, order / lcm(periods) (order itself when r = 0), and the
-    elliptic product is listed once, grouped by its sum mod order.  The
-    first gamma - 1 glides are walked in product order, each prefix
-    carrying its state: twice its sum mod order, and its gcd with
-    order / lcm(periods).  Each state's moves on one glide, and its block
-    of last glide values that keep the images generating, each with the
-    elliptic tuples that then close the long relator, are built once.  So
-    the output is in lexicographic order over (d_1..d_gamma, x_1..x_r),
-    and the cost is (order/2)^(gamma-1) prefixes, plus at most
-    order * tau(order) states of order/2 glide values each (tau counting
-    divisors), plus the elliptic product, plus the output; a shape with no
-    epimorphism lists nothing at once (``_has_epimorphism``).
-    Counts are raw, with no quotient by any equivalence.  Raises
-    ``ActionValidationError``, itemised as for ``realize``, when the shape
-    is not admissible (``_image_choices``).
+    mod p, so every elliptic tuple has the same gcd with order, order /
+    lcm(periods) (order itself when r = 0), and the elliptic product is
+    listed once, grouped by its sum mod order.  The first gamma - 1 glides
+    are walked in product order, each prefix carrying its state: twice its
+    sum mod order, and its gcd with order / lcm(periods).  Each state's
+    moves on one glide, and its block of last glide values that keep the
+    images generating, each with the elliptic tuples that then close the
+    long relator, are built once.  So the output is in lexicographic order
+    over (d_1..d_gamma, x_1..x_r), and the cost is (order/2)^(gamma-1)
+    prefixes, plus at most order * tau(order) states of order/2 glide
+    values each (tau counting divisors), plus the elliptic product, plus
+    the output; a shape with no epimorphism lists nothing at once
+    (``_has_epimorphism``).  Counts are raw, with no quotient by any
+    equivalence.  Raises ``ActionValidationError``, itemised as for
+    ``realize``, when the shape is not admissible (``_check_search_shape``).
     """
-    letters = _image_choices(gamma, periods, order)
+    _check_search_shape(gamma, periods, order)
     if not _has_epimorphism(gamma, periods, order):
         return EnumerationResult(())
-    glides = letters[0][1]
     by_sum: dict[int, list[tuple[int, ...]]] = {}
-    for x_images in product(*(choices for _, choices in letters[gamma:])):
+    for x_images in product(*([order // p * u for u in range(1, p) if math.gcd(u, p) == 1]
+                              for p in periods)):
         by_sum.setdefault(sum(x_images) % order, []).append(x_images)
 
     @cache
     def step(total: int, g: int) -> list[tuple[int, tuple[int, int]]]:
-        return [(v, ((total + 2 * v) % order, math.gcd(g, v))) for v in glides]
+        return [(v, ((total + 2 * v) % order, math.gcd(g, v))) for v in range(1, order, 2)]
 
     @cache
     def block(total: int, g: int) -> list[tuple[int, list[tuple[int, ...]]]]:
@@ -1035,52 +1033,53 @@ def first_smooth_epimorphism(
     gamma: int, periods: tuple[int, ...], order: int
 ) -> ActionDatum | None:
     """Lexicographically first surface-kernel epimorphism, as an action
-    datum, or None when there is none.
+    datum, or None at once when ``_has_epimorphism`` says there is none;
+    ``ActionValidationError`` as for ``enumerate_smooth_epimorphisms``.
 
-    None at once, after ``_image_choices``' reasons, when the closed form
-    ``_has_epimorphism`` says there is none, so the walk runs only on a
-    shape that has one: a depth-first walk over the letters d_1..d_gamma,
-    x_1..x_r, trying each letter's candidates (``_image_choices``) in
-    increasing order.  The state after k letters is (k, relator sum mod
-    order, gcd of order and the images so far), and a state found to have
-    no completion is never expanded again.  So the walk expands each state
-    at most once: at most (gamma + r) * order * tau(order) states, tau
-    counting divisors, each tried against one letter's candidates.  The
-    walk keeps an explicit stack, so gamma is not bounded by the recursion
-    limit.  Raises ``ActionValidationError`` on the shapes
-    ``enumerate_smooth_epimorphisms`` rejects, with the same reasons.
+    A greedy descent gives each letter d_1..d_gamma, x_1..x_r its least
+    image whose suffix still completes, so no candidate is listed:
+    d_1..d_(gamma-1) = 1, since a suffix with a glide completes by the
+    parity of ``_has_epimorphism`` alone.  By its per-prime conditions,
+    periods[j:], of lcm A, complete a prefix of relator sum s and gcd g
+    with the order iff M = order/A divides t = -s mod order, gcd(g, n/A)
+    = 1, t/M has the parity of the number of periods that attain A's
+    2-adic valuation (A even), and t/M is prime to the odd part of A/B,
+    B the lcm of each period's gcd with the lcm of those after it: a
+    prime divides A/B where one period alone attains A's valuation.  An
+    image scale*c steps through the progression of c that M | t leaves to
+    the first c that passes, in O(gamma + r) operations and a few steps,
+    or raises ``PipelineAssertionError``.
     """
-    letters = _image_choices(gamma, periods, order)
+    _check_search_shape(gamma, periods, order)
     if not _has_epimorphism(gamma, periods, order):
         return None
-    images = _first_images(letters, order)
-    return ActionDatum(gamma, periods, order // 2, images[:gamma], images[gamma:])
+    n, r = order // 2, len(periods)
+    lcms, seconds, parities = [1] * (r + 1), [1] * (r + 1), [0] * (r + 1)
+    for j in reversed(range(r)):
+        p, a = periods[j], lcms[j + 1]
+        lcms[j], seconds[j] = math.lcm(a, p), math.lcm(seconds[j + 1], math.gcd(a, p))
+        low, top = p & -p, a & -a
+        parities[j] = 1 if low > top else parities[j + 1] ^ (low == top)
 
+    def completes(j: int, s: int, g: int) -> bool:  # given M | t
+        a, odd = lcms[j], lcms[j] // seconds[j]
+        t = -s % order // (order // a)
+        return (math.gcd(g, n // a) == 1 and (a % 2 == 1 or t % 2 == parities[j])
+                and math.gcd(t, odd // (odd & -odd)) == 1)
 
-def _first_images(letters: list[tuple[int, Sequence[int]]], order: int) -> list[int] | None:
-    """The walk of ``first_smooth_epimorphism``: its images, or None."""
-    last = len(letters) - 1
-    dead: set[tuple[int, int, int]] = set()
-    # one frame per letter on the path: (total, gcd) before it, and the
-    # index of its next candidate, so its chosen image is the one before
-    stack = [(0, order, 0)]
-    while stack:
-        total, g, i = stack.pop()
-        k = len(stack)
-        weight, choices = letters[k]
-        while i < len(choices):
-            value = choices[i]
-            i += 1
-            child = ((total + weight * value) % order, math.gcd(g, value))
-            if k == last:
-                if child == (0, 1):
-                    images = [letters[j][1][nxt - 1] for j, (*_, nxt) in enumerate(stack)]
-                    images.append(value)
-                    return images
-            elif (k + 1, *child) not in dead:
-                stack.append((total, g, i))
-                stack.append((*child, 0))
-                break
-        else:
-            dead.add((k, total, g))
-    return None
+    images = [1] * (gamma - 1)
+    s, g = 2 * (gamma - 1), order if gamma == 1 else 1
+    for j, (weight, scale, unit) in enumerate([(2, 1, 2), *((1, order // p, p) for p in periods)]):
+        # the suffix periods[j:] needs weight*scale*c = -s mod M: c = start mod step
+        m = order // lcms[j]
+        h = math.gcd(weight * scale, m)
+        step, (start, rest) = m // h, divmod(-s % m, h)
+        start = start * pow(weight * scale // h, -1, step) % step or step
+        image = next((scale * c for c in range(start, 0 if rest else order // scale, step)
+                      if math.gcd(c, unit) == 1
+                      and completes(j, s + weight * scale * c, math.gcd(g, scale * c))), None)
+        if image is None:
+            raise PipelineAssertionError(f"first epimorphism: no image of letter {gamma + j}")
+        images.append(image)
+        s, g = s + weight * image, math.gcd(g, image)
+    return ActionDatum(gamma, periods, n, images[:gamma], images[gamma:])

@@ -11,8 +11,10 @@ every relator of K), for the closed-form check of rho in
 ``pipeline.validate_action`` (``rho_problems_by_presentation``, on Delta's
 presentation) and for eta's checks in ``pipeline.construct_eta``, which
 read the relators off the frame (``surface_kernel_problems``, every
-relator walked).  The walks that the frame's one path replaced are the
-oracles of that path, each kept nowhere: a ``cosets.schreier_frame``
+relator walked), and for the closed-form descent of
+``pipeline.first_smooth_epimorphism`` (``walked_first``, the memoised
+walk over candidate lists).  The walks that the frame's one path
+replaced are the oracles of that path, each kept nowhere: a ``cosets.schreier_frame``
 derived from any K (``unkept_reidemeister_schreier``), the lemma on a
 subgroup's own words (``own_word_lemma``), Theta and eta with every
 relator of K or of the derived kernel walked (``walked_theta``,
@@ -689,7 +691,8 @@ def rho_problems_by_presentation(datum):
     return surface_kernel_problems(delta, rho, "rho"), surface_kernel_genus(sig, datum.order)
 
 
-# The unpruned product-space filter: the oracle for the pruned search in
+# The unpruned product-space filter, the loop over the glide product and
+# the walk over candidate lists: the oracles for the searches in
 # ``necsurf.pipeline``.
 
 def unpruned_epimorphisms(gamma, periods, order):
@@ -734,6 +737,48 @@ def product_loop_epimorphisms(gamma, periods, order):
             d_gcd = math.gcd(order, *d_images)
             found += [(d_images, x) for x, x_gcd in closing if math.gcd(d_gcd, x_gcd) == 1]
     return tuple(found)
+
+
+def walked_first(gamma, periods, order):
+    """The images of the lexicographically first epimorphism, or None, by
+    the memoised depth-first walk over the candidate images: the oracle
+    for the closed-form descent of ``necsurf.pipeline.first_smooth_epimorphism``.
+    Each letter d_1..d_gamma, x_1..x_r has its weight in the long relator
+    and its candidates in increasing order: the odd residues for a glide,
+    and (order/p)*u for the units u mod a period p.  The state after k
+    letters is (k, relator sum mod order, gcd of order and the images so
+    far), and a state found to have no completion is never expanded
+    again, so the walk expands at most (gamma + r) * order * tau(order)
+    states, tau counting divisors.  It keeps an explicit stack, so gamma
+    is not bounded by the recursion limit."""
+    letters = [(2, range(1, order, 2))] * gamma + [
+        (1, [order // p * u for u in range(1, p) if math.gcd(u, p) == 1]) for p in periods
+    ]
+    last = len(letters) - 1
+    dead = set()
+    # one frame per letter on the path: (total, gcd) before it, and the
+    # index of its next candidate, so its chosen image is the one before
+    stack = [(0, order, 0)]
+    while stack:
+        total, g, i = stack.pop()
+        k = len(stack)
+        weight, choices = letters[k]
+        while i < len(choices):
+            value = choices[i]
+            i += 1
+            child = ((total + weight * value) % order, math.gcd(g, value))
+            if k == last:
+                if child == (0, 1):
+                    images = [letters[j][1][nxt - 1] for j, (*_, nxt) in enumerate(stack)]
+                    images.append(value)
+                    return images
+            elif (k + 1, *child) not in dead:
+                stack.append((total, g, i))
+                stack.append((*child, 0))
+                break
+        else:
+            dead.add((k, total, g))
+    return None
 
 
 # Abelianization of a whole presentation by unit-pivot elimination, then

@@ -69,7 +69,9 @@ from reference import (
     theta_through_eta,
     unkept_reidemeister_schreier,
     unpruned_epimorphisms,
+    walked_first,
 )
+import reference
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 GAMMA4 = ActionDatum(4, (), 2, (1, 1, 1, 1), ())
@@ -790,6 +792,16 @@ class TestConstructEta:
         with pytest.raises(PipelineAssertionError):
             eta_for(K, broken, GENUS2)
 
+    def test_datum_of_another_shape_is_refused(self):
+        # a valid datum of (2; -; [2, 2]) against the certificate of
+        # (1; -; [2, 2, 2]) is named as such, not read as eta reasons
+        datum = first_smooth_epimorphism(2, (2, 2), 4)
+        with pytest.raises(ValueError, match=re.escape(
+                "a datum of shape (2;−;[2,2]) does not fit the shape certificate of"
+                " (1;−;[2,2,2])")) as exc:
+            construct_eta(pipeline.shape_certificate(1, (2, 2, 2)), datum)
+        assert type(exc.value) is ValueError
+
     def test_tampered_theta_yields_no_eta(self):
         # eta's images are Theta's folds, kept on the frame as forms: with
         # delta1's form, -d_1, replaced by c1's, x_1, its image turns even
@@ -1164,6 +1176,20 @@ class TestExtendToDihedral:
             PipelineAssertionError, match="^Theta image has order 8, expected 4n = 16$"
         ):
             extend(ActionDatum(1, (2, 2, 2), 4, (2,), (4, 4, 4)))
+
+    def test_datum_of_another_shape_is_refused(self):
+        # the same periods in another order are another shape, and so is a
+        # datum of (2; -; [2, 2]), which used to fail on tau4's missing image
+        shape = pipeline.shape_certificate(1, (2, 2, 4))
+        for datum, names in [
+            (first_smooth_epimorphism(1, (2, 4, 2), 8), "(1;−;[2,4,2])"),
+            (first_smooth_epimorphism(2, (2, 2), 8), "(2;−;[2,2])"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a datum of shape {names} does not fit the shape certificate of"
+                    " (1;−;[2,2,4])")) as exc:
+                extend_to_dihedral(shape, datum)
+            assert type(exc.value) is ValueError
 
     def test_gamma4_extension_index8(self):
         assert extend(GAMMA4).kernel_index == 8
@@ -1653,12 +1679,11 @@ class TestFirstEpimorphism:
 
     @pytest.mark.parametrize("gamma", [13, 41])
     def test_infeasible_walk_expands_each_state_once(self, monkeypatch, gamma):
-        # every candidate tried costs one gcd; the walk has at most
-        # gamma * 8 * tau(8) states, each trying the 4 odd residues, where
-        # a walk without the memo would try about 4^gamma.  Odd gamma with
-        # no periods is parity-obstructed, so the walk is called directly.
+        # the oracle stays tractable: every candidate tried costs one gcd;
+        # the walk has at most gamma * 8 * tau(8) states, each trying the 4
+        # odd residues, where a walk without the memo would try about
+        # 4^gamma.  Odd gamma with no periods is parity-obstructed.
         bound = gamma * 8 * 4 * 4
-        letters = pipeline._image_choices(gamma, (), 8)
         tried = 0
 
         def gcd(*args):
@@ -1668,25 +1693,27 @@ class TestFirstEpimorphism:
                 raise AssertionError(f"more than {bound} candidates tried")
             return math.gcd(*args)
 
-        monkeypatch.setattr(pipeline, "math", SimpleNamespace(gcd=gcd))
-        assert pipeline._first_images(letters, 8) is None
+        monkeypatch.setattr(reference, "math", SimpleNamespace(gcd=gcd))
+        assert walked_first(gamma, (), 8) is None
         assert tried > 0
 
     def test_deep_infeasible_walk_needs_no_recursion(self):
         # odd gamma at 2n = 4: the walk backtracks through all 2001 letters
-        assert pipeline._first_images(pipeline._image_choices(2001, (), 4), 4) is None
+        assert walked_first(2001, (), 4) is None
         assert first_smooth_epimorphism(2001, (), 4) is None
 
     def test_parity_obstruction_agrees_with_the_walk(self):
         # the closed form: an epimorphism exists exactly when gamma +
         # #{k : n/n_k odd} is even, and gamma >= 2 or the odd part of n
         # divides lcm(n_1..n_r).  On every shape with gamma <= 6, r <= 4 and
-        # 2n <= 48 the walk agrees, and both searches answer as it does;
-        # 40 shapes of even parity have none, as the odd part fails
+        # 2n <= 48 (the 260 battery shapes and the 652 larger shapes of
+        # test_matches_product_loop among them) the walk agrees, and the
+        # descent finds the walk's images; 40 shapes of even parity have
+        # none, as the odd part fails
         shapes = admissible_shapes(6, 4, 48)
         none = odd = 0
         for gamma, periods, order in shapes:
-            walk = pipeline._first_images(pipeline._image_choices(gamma, periods, order), order)
+            walk = walked_first(gamma, periods, order)
             exists = pipeline._has_epimorphism(gamma, periods, order)
             assert exists == (walk is not None), (gamma, periods, order)
             datum = first_smooth_epimorphism(gamma, periods, order)
@@ -1699,6 +1726,72 @@ class TestFirstEpimorphism:
             n = order // 2
             odd += (gamma + sum(n // p % 2 for p in periods)) % 2
         assert (len(shapes), none, odd) == (5758, 2912, 2872)
+
+    def test_descent_matches_the_walk_on_random_shapes(self):
+        # seeded shapes with 2n <= 400, gamma <= 3 and up to 4 periods,
+        # beyond the exhaustive range of the test above
+        rng = random.Random(42)
+        compared = found = 0
+        while compared < 400:
+            n = 2 * rng.randint(13, 100)
+            divisors = [p for p in range(2, n + 1) if n % p == 0]
+            gamma = rng.randint(1, 3)
+            periods = tuple(rng.choice(divisors) for _ in range(rng.randint(0, 4)))
+            if pipeline.shape_problems(gamma, periods, n):
+                continue
+            compared += 1
+            datum = first_smooth_epimorphism(gamma, periods, 2 * n)
+            images = datum and list(datum.d_images + datum.x_images)
+            assert images == walked_first(gamma, periods, 2 * n), (gamma, periods, n)
+            found += datum is not None
+        assert 0 < found < compared
+
+    def test_descent_is_valid_on_random_factorisations(self):
+        # seeded orders 2n <= sys.maxsize with up to five prime factors
+        # besides 2: each datum found is a valid action, and None occurs
+        # exactly where the closed-form criterion says there is none
+        rng = random.Random(5)
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 1000003, 998244353]
+        found = none = 0
+        while found + none < 3000:
+            powers = {2: rng.randint(1, 20), **{p: rng.randint(1, 4)
+                                                for p in rng.sample(primes, rng.randint(0, 5))}}
+            n = math.prod(p**e for p, e in powers.items())
+            divisors = (math.prod(q**rng.randint(0, e) for q, e in powers.items())
+                        for _ in range(rng.randint(0, 5)))
+            periods = tuple(p for p in divisors if p > 1)
+            gamma = rng.choice((1, 1, 2, 3))
+            if 2 * n > sys.maxsize or pipeline.shape_problems(gamma, periods, n):
+                continue
+            datum = first_smooth_epimorphism(gamma, periods, 2 * n)
+            assert (datum is not None) == pipeline._has_epimorphism(gamma, periods, 2 * n)
+            if datum is None:
+                none += 1
+            else:
+                found += 1
+                assert datum.delta_signature() == NECSignature(False, gamma, periods)
+                validate_action(datum)
+        assert found > 500 and none > 500
+
+    @pytest.mark.parametrize("gamma, periods, order", [
+        pytest.param(3, (), 8, id="parity"),
+        pytest.param(1, (2, 2, 2), 4 * 3**10, id="odd-part"),
+    ])
+    def test_descent_raises_where_the_criterion_is_wrong(self, monkeypatch, gamma, periods,
+                                                        order):
+        # the descent trusts _has_epimorphism for the root and checks every
+        # letter: told an obstructed shape has an epimorphism, it finds no image
+        monkeypatch.setattr(pipeline, "_has_epimorphism", lambda *shape: True)
+        with pytest.raises(PipelineAssertionError, match="^first epimorphism: no image of letter "):
+            first_smooth_epimorphism(gamma, periods, order)
+
+    @pytest.mark.parametrize("n, limit", [(10**6, 0.1), (10**18, 1)])
+    def test_descent_time_does_not_grow_with_n(self, n, limit):
+        # the walk took 0.9 s at n = 10**6 and never returned at 10**18
+        started = time.perf_counter()
+        datum = first_smooth_epimorphism(1, (n, n, n), 2 * n)
+        assert time.perf_counter() - started < limit
+        assert (datum.d_images, datum.x_images) == ((1,), (2, 2, 2 * n - 6))
 
     @pytest.mark.parametrize("gamma, periods, n", [
         pytest.param(3, (), 4000, id="4000"), pytest.param(3, (), 10**6, id="1000000"),
