@@ -9,13 +9,22 @@ For each workload of bench/run.py it runs
 
     python3 bench/run.py --workload W --seed 1 --seconds T
 
-in a child process with PYTHONDONTWRITEBYTECODE=1 and keeps the last line
-of its standard output, one JSON object.  It adds the line count of
+three times, each in a child process with PYTHONDONTWRITEBYTECODE=1, and
+reads the last line of each run's standard output, one JSON object.  Each
+metric records the median of the three runs as its value, with the three
+values beside it under "runs"; the workload is correct when every run is,
+and its attempted and failed cases are summed.  It adds the line count of
 src/necsurf/*.py, the Python version and the Tier-1 wall time, in seconds
 and in ref: divided by the median of bench/run.py's ``time_reference()``
 timed before and after the suite.  It writes BENCH_<tag>.json at the root
 of the checkout; with --parent, the numbers of BENCH_<parent>.json are
 copied in beside the new ones under "parent".
+
+A point is comparable with its parent's only when both were recorded
+under the same machine state: the CPU speed of a shared machine drifts,
+and ``setup_s`` is measured in fresh processes whose start-up the ref
+does not cancel.  To compare two revisions, run both in alternation on
+one machine.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("action-battery", "signature-battery", "scaling-ladder", "epimorphism-search")
 SEED = 1
+RUNS = 3  # runs of each workload; each metric records their median
 TIER1 = ("-m", "pytest", "-q", "-W", "error", "--continue-on-collection-errors")
 REFERENCE_SAMPLES = 11  # timings of the reference loop on each side of Tier-1
 
@@ -65,6 +75,19 @@ def run_workload(workload: str, seconds: float) -> dict:
                            f" {done.returncode}); its stderr ends:\n{tail}") from None
 
 
+def median_of_runs(results: list[dict]) -> dict:
+    """One workload's runs as one result: correct when every run is, the
+    attempted and failed cases summed, and each metric's median as its
+    value, with every run's value under "runs"."""
+    metrics = {}
+    for name, metric in results[0]["metrics"].items():
+        values = [result["metrics"][name]["value"] for result in results]
+        metrics[name] = {**metric, "value": statistics.median(values), "runs": values}
+    return {"correct": all(result["correct"] for result in results),
+            "attempted": sum(result["attempted"] for result in results),
+            "failed": sum(result["failed"] for result in results), "metrics": metrics}
+
+
 def run_tier1() -> tuple[float, int]:
     """Wall seconds and exit code of the Tier-1 suite."""
     env = _env()
@@ -81,10 +104,11 @@ def src_lines() -> int:
 
 def collect(tag: str, seconds: float, workload_runner=run_workload, tier1_runner=run_tier1,
             time_reference=None) -> dict:
-    """One trajectory point: every workload's result, then Tier-1's wall
-    time between two sets of reference timings."""
+    """One trajectory point: every workload's median of ``RUNS`` runs, then
+    Tier-1's wall time between two sets of reference timings."""
     time_reference = time_reference or _time_reference()
-    workloads = {w: workload_runner(w, seconds) for w in WORKLOADS}
+    workloads = {w: median_of_runs([workload_runner(w, seconds) for _ in range(RUNS)])
+                 for w in WORKLOADS}
     before = [time_reference() for _ in range(REFERENCE_SAMPLES)]
     tier1_s, code = tier1_runner()
     after = [time_reference() for _ in range(REFERENCE_SAMPLES)]

@@ -142,7 +142,8 @@ def validation_failure_text(failure: dict) -> str:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True) + "\n"
+    """Every JSON output, on one line with sorted keys (``certificate.encode``)."""
+    return certificate.encode(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

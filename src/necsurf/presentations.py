@@ -18,12 +18,10 @@ them by kind (``generators_of_kind``), or the crosscap group's from
 ``crosscap_names`` without building the group.  ``connector_closed_form``
 solves the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
 The disc-quotient group's generators and every relator but its corners
-are built once per frame (gamma, r) (``_disc_quotient_frame``), and each
-group of the frame shares them.
-
-The frame is also the one owner of what is certified on it for every
-K of the frame (``Frame``), so evicting it evicts its certificates.  An
-object built from the frame holds it; none finds it by identity.
+are built once per frame (gamma, r) (``_disc_quotient_frame``), which
+each group of the frame shares, and which owns what is certified on it
+(``Frame``): an object built from the frame holds it, and evicting it
+evicts its certificates.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
@@ -88,6 +86,14 @@ class Presentation(Record):
         self._assign(generators, tuple(relators), tuple((w, n) for w, n in torsion_words),
                          signature)
 
+    @classmethod
+    def _on(cls, generators: tuple, relators: tuple, torsion_words: tuple = (),
+            signature: NECSignature | None = None) -> "Presentation":
+        """A presentation on a frame's generators, known distinct: unchecked."""
+        p = cls.__new__(cls)
+        p._assign(generators, relators, torsion_words, signature)
+        return p
+
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.generators)
 
@@ -115,13 +121,14 @@ class Frame(Presentation):
     certified once for every K of the frame, each None until its first
     use derives it from the frame alone, and none a field, so a copy
     starts without them: ``schreier``, the ``cosets.SchreierFrame`` of K's
-    parity map (``cosets.frame_schreier``); ``statuses``, those of the
-    classical relators of the derived kernel after its corners;
-    ``folds``, K's relators that Theta does not send to 1 for every rho;
-    ``inverted``, the Schreier generators whose tau1-identities the lemma
-    certified; and ``eta``, eta's images as forms."""
+    parity map; ``statuses`` and ``printed``, the classical relators of
+    the derived kernel after its corners, their statuses, and the corner
+    units; ``folds``, K's relators that Theta does not send to 1 for every
+    rho; ``inverted``, the Schreier generators whose tau1-identities the
+    lemma certified; ``eta``, eta's images as forms; and ``fragments``,
+    the document's parts that read no period (``certificate.document``)."""
 
-    __slots__ = ("schreier", "statuses", "folds", "inverted", "eta")
+    __slots__ = ("schreier", "statuses", "printed", "folds", "inverted", "eta", "fragments")
     _fields = Presentation._fields
 
     def __init__(
@@ -139,7 +146,7 @@ def canonical_presentation(sig: NECSignature) -> Presentation:
         sig.orientable
         and sig.genus == 0
         and len(sig.period_cycles) == 1
-        and all(m == 2 for m in sig.proper_periods)
+        and set(sig.proper_periods) <= {2}
     ):
         return _disc_quotient_presentation(sig)
     if not sig.orientable and not sig.period_cycles:
@@ -153,8 +160,8 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     cycle = sig.period_cycles[0]
     frame = _disc_quotient_frame(len(sig.proper_periods), len(cycle))
     taus = frame.generators_of_kind("reflection")
-    corners = [Word(((taus[k], 1), (taus[k + 1], 1)) * n) for k, n in enumerate(cycle)]
-    p = Presentation(frame.generators, frame.relators + tuple(corners), signature=sig)
+    corners = [Word(((taus[k], 1), (taus[k + 1], 1))) ** n for k, n in enumerate(cycle)]
+    p = Presentation._on(frame.generators, frame.relators + tuple(corners), (), sig)
     for slot in ("_involutions", "_names_by_kind", "_closed_form"):
         p._keep(slot, getattr(frame, slot))
     return p

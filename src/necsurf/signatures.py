@@ -142,13 +142,14 @@ def reduced_area(sig: NECSignature) -> Fraction:
     value is negative or zero exactly for the spherical and euclidean
     signatures; positive reduced area characterises hyperbolic groups.
     Every term is summed as an integer over one common denominator,
-    2*lcm of all the periods, and one ``Fraction`` reduces the total.
+    2*lcm of all the periods, once per distinct proper period, and one
+    ``Fraction`` reduces the total.
     """
     alpha = 2 if sig.orientable else 1
-    corners = [n for cycle in sig.period_cycles for n in cycle]
-    lcm = math.lcm(*sig.proper_periods, *corners)
+    proper, corners = set(sig.proper_periods), [n for cycle in sig.period_cycles for n in cycle]
+    lcm = math.lcm(*proper, *corners)
     numerator = 2 * lcm * (alpha * sig.genus + len(sig.period_cycles) - 2)
-    numerator += sum(2 * (m - 1) * (lcm // m) for m in sig.proper_periods)
+    numerator += sum(2 * (m - 1) * (lcm // m) * sig.proper_periods.count(m) for m in proper)
     numerator += sum((n - 1) * (lcm // n) for n in corners)
     return Fraction(numerator, 2 * lcm)
 

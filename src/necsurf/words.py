@@ -7,7 +7,7 @@ handed a tuple of hashable pairs; any other input (a list, a generator,
 letters that are lists) is coerced letter by letter, and a bad letter
 raises ``ValueError`` naming it.  So every ``Word`` is hashable.  Every
 operation below builds its result's letter tuple once and makes one
-``Word`` from it.
+``Word`` from it; a power repeats checked letters, so it checks none.
 
 ``cyclic_reduce_letters`` reduces letters as a cyclic word, modulo a
 declared set of involutions (generators g with g^2 = 1), under which g^-1
@@ -121,7 +121,9 @@ class Word(Record):
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n)
+        power = Word.__new__(Word)
+        object.__setattr__(power, "letters", self.letters * n)
+        return power
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))

@@ -38,11 +38,31 @@ def stub_record(trajectory, tag, calls=None):
 def test_collect_records_each_workload_and_tier1_in_ref(trajectory):
     calls = []
     record = stub_record(trajectory, "new", calls)
-    assert calls == [(w, 0.5) for w in trajectory.WORKLOADS]
-    assert record["workloads"] == {w: RESULT for w in trajectory.WORKLOADS}
+    assert calls == [(w, 0.5) for w in trajectory.WORKLOADS for _ in range(3)]
+    assert record["workloads"] == {w: trajectory.median_of_runs([RESULT] * 3)
+                                   for w in trajectory.WORKLOADS}
     assert record["tier1"] == {"seconds": 6.0, "ref": 3000.0, "reference_s": 0.002, "exit_code": 0}
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "necsurf").glob("*.py"))
     assert record["src_lines"] == lines and record["seed"] == 1 and record["tag"] == "new"
+
+
+def test_each_metric_records_the_median_of_three_runs(trajectory):
+    # the runs of one workload, as a drifting machine gives them: the
+    # median of each metric is its value, whatever the order, the three
+    # values are kept beside it, and one failed run marks the workload
+    values = iter([2.5, 9.0, 1.0, 0.30, 0.10, 0.20])
+    runs = [{"correct": correct, "attempted": 3, "failed": int(not correct),
+             "metrics": {"cases_per_ref": {"value": next(values), "unit": "1/ref"}}}
+            for correct in (True, False, True)]
+    for run in runs:
+        run["metrics"]["case_p50_ref"] = {"value": next(values), "unit": "ref"}
+    merged = trajectory.median_of_runs(runs)
+    assert merged["metrics"] == {
+        "cases_per_ref": {"value": 2.5, "unit": "1/ref", "runs": [2.5, 9.0, 1.0]},
+        "case_p50_ref": {"value": 0.20, "unit": "ref", "runs": [0.30, 0.10, 0.20]},
+    }
+    assert (merged["correct"], merged["attempted"], merged["failed"]) == (False, 9, 1)
+    assert trajectory.RUNS == 3
 
 
 def test_main_writes_the_parent_numbers_beside_the_new_ones(trajectory, tmp_path, monkeypatch):

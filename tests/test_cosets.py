@@ -318,12 +318,12 @@ class TestSchreierFrame:
     def test_a_warm_derivation_builds_one_presentation(self, monkeypatch):
         (K, theta), (other, other_theta) = (
             (K, build_theta(K)) for K in (disc_group(2, (3, 4)), disc_group(2, (5, 6))))
+        # each presentation stores its fields once, by ``_assign``, whether
+        # its constructor checks them or it is built on a frame's generators
         built = []
-        init = Presentation.__init__
-        monkeypatch.setattr(
-            Presentation, "__init__",
-            lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
-        )
+        assign = Presentation._assign
+        monkeypatch.setattr(Presentation, "_assign",
+                            lambda self, *fields: built.append(self) or assign(self, *fields))
         cold = reidemeister_schreier(K, theta)
         assert len(built) == 2  # the frame's relator-free presentation, and the kernel's
         built.clear()
@@ -440,3 +440,23 @@ class TestSchreierFrame:
         assert sub.generators is canonical.generators
         assert sub.presentation.relators == conjugate_relators(sub)
         assert sub.presentation.relators != canonical.presentation.relators
+
+    @pytest.mark.parametrize("corner", ["tau2 tau2", "tau1 x1 x1 tau1^-1",
+                                        "tau1 tau2 tau2 tau1^-1", "tau2 tau3 tau2 tau3"])
+    def test_corner_rows_that_are_heads_keep_the_relator_order(self, corner):
+        # a last corner whose rewrite from coset 0 is a head row of coset 0
+        # (tau2^2) or of coset 1 (a tau1-conjugate of a relator), or a
+        # square of a unit: the frame's rows and the corner rows are
+        # de-duplicated in the order the walk of every relator gives; the
+        # lemma finds its witness rows where they stand (odd gamma, so no
+        # classical relator reads the altered corner)
+        K = disc_group(3, (3, 4))
+        altered = Presentation(
+            K.generators, K.relators[:-1] + (parse_word(corner),), signature=K.signature)
+        theta = build_theta(altered)
+        sub = reidemeister_schreier(altered, theta)
+        assert sub.presentation.relators == conjugate_relators(sub)
+        assert sub.presentation.relators == unkept_reidemeister_schreier(
+            altered, theta)[0].presentation.relators
+        derived = derive_delta_hat(altered, theta)
+        assert lemma1_check(derived).inversion_entries == tuple(g.name for g in sub.generators)

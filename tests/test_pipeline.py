@@ -2,12 +2,15 @@ import ast
 import copy
 import gc
 import inspect
+import io
+import json
 import math
 import random
 import re
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from itertools import combinations_with_replacement, product
@@ -1481,16 +1484,36 @@ def rendered(cert) -> str:
     return cli.render_json(certificate.document(cert, doc))
 
 
-def test_memo_history_leaves_every_document_byte_identical(action_battery):
+def cli_views(datum, workdir) -> tuple[str, ...]:
+    """What ``cli.main`` prints for ``datum``: ``realize`` and
+    ``check-lemma``, each in text and in JSON."""
+    path = Path(workdir) / "datum.json"
+    path.write_text(json.dumps({"gamma": datum.gamma, "periods": list(datum.periods),
+                                "n": datum.n, "rho": {"d": list(datum.d_images),
+                                                      "x": list(datum.x_images)}}))
+    views = []
+    for command in ("realize", "check-lemma"):
+        for fmt in ("text", "json"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(["--format", fmt, command, str(path)]) == cli.EXIT_OK
+            views.append(out.getvalue())
+    return tuple(views)
+
+
+def test_memo_history_leaves_every_document_byte_identical(action_battery, tmp_path):
     # the 126 battery data in 5 seeded shuffled orders, each of the two
-    # memos cleared at random before 15% of the calls: every document is
-    # byte-identical to the cold run's, and so is the oracle path's
+    # memos cleared at random before 15% of the calls: each of the four
+    # views cli.main prints, realize and check-lemma in text and in JSON,
+    # warm frame fragments or cold, is byte-identical to the cold run's,
+    # and so is the oracle path's document, which reads no frame
     memos = (pipeline.shape_certificate, presentations._disc_quotient_frame)
     cold = {}
     for datum in action_battery:
         for memo in memos:
             memo.cache_clear()
-        cold[datum] = rendered(realize(datum))
+        cold[datum] = cli_views(datum, tmp_path)
+        assert cold[datum][1] == rendered(realize(datum))
     cleared = [0, 0]
     for seed in range(5):
         rng = random.Random(seed)
@@ -1501,10 +1524,79 @@ def test_memo_history_leaves_every_document_byte_identical(action_battery):
                 if rng.random() < 0.15:
                     memo.cache_clear()
                     cleared[i] += 1
-            assert rendered(realize(datum)) == cold[datum], (seed, datum)
+            assert cli_views(datum, tmp_path) == cold[datum], (seed, datum)
         for datum in order[::9]:
-            assert rendered(oracle_certificate(datum)) == cold[datum], (seed, datum)
+            assert rendered(oracle_certificate(datum)) == cold[datum][1], (seed, datum)
     assert min(cleared) > 5 * 126 * 0.1
+
+
+MUTATIONS = [
+    lambda doc: doc["k_presentation"]["generators"][0].update(name="y1"),
+    lambda doc: doc["k_presentation"]["relators"].insert(0, "y1*y1"),
+    lambda doc: doc["k_presentation"]["relators"].pop(),
+    lambda doc: doc["delta_hat_presentation"]["generators"].pop(),
+    lambda doc: doc["delta_hat_presentation"]["relators"].reverse(),
+    lambda doc: doc["delta_hat_presentation"]["relators"].append("y1"),
+    lambda doc: doc["correspondence"][-1].update(word="y1"),
+    lambda doc: doc["theta"]["images"].update(x1="0"),
+    lambda doc: doc.update(theta={}),
+]
+
+
+def containers(value):
+    """Every list and dict in a JSON-ready value, itself included."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS)
+def test_a_mutated_document_changes_no_other(mutate):
+    # the values a document takes from its frame's fragments are fresh
+    # copies, so two documents of a frame and the frame's fragments share
+    # no list or dict; mutating one document leaves the next document of
+    # its shape and of a sibling shape of its frame byte-identical, and the
+    # mutated document renders as json.dumps renders what it now holds
+    data = [first_smooth_epimorphism(2, periods, 12) for periods in ((2, 6), (6, 2))]
+    expected = [rendered(realize(datum)) for datum in data]
+    docs = [certificate.document(realize(datum), {}) for datum in data]
+    kept = [value for _, value, _ in realize(data[0]).derived.subgroup.frame.fragments.values()]
+    ids = [{id(c) for c in containers(value)} for value in (*docs, kept)]
+    assert not ids[0] & ids[1] and not (ids[0] | ids[1]) & (ids[2] - {id(kept)})
+    for datum in data:
+        doc = certificate.document(realize(datum), {})
+        mutate(doc)
+        assert cli.render_json(doc) == json.dumps(doc, sort_keys=True) + "\n"
+        assert [rendered(realize(other)) for other in data] == expected
+    assert realize(data[0]).derived.subgroup.frame is realize(data[1]).derived.subgroup.frame
+
+
+def test_a_new_shape_in_a_warm_frame_pays_only_for_its_corners(monkeypatch):
+    # (gamma; -; [2, 2]) at n = 6 warms the frame (gamma, 2), its document
+    # included; then (gamma; -; [3, 3]) constructs as many words in the
+    # shape stage, and its document spells as many, at gamma = 4 as at 400
+    def counts(gamma):
+        presentations._disc_quotient_frame.cache_clear()
+        pipeline.shape_certificate.cache_clear()
+        certificate.document(realize(first_smooth_epimorphism(gamma, (2, 2), 12)), {})
+        datum = first_smooth_epimorphism(gamma, (3, 3), 12)
+        cert, built, spelled = realize(datum), [], []
+        # a word is constructed checked (``__post_init__``) or as a power
+        post_init, power, spell = Word.__post_init__, Word.__pow__, Word.__str__
+        monkeypatch.setattr(Word, "__post_init__", lambda w: built.append(1) or post_init(w))
+        monkeypatch.setattr(Word, "__pow__", lambda w, n: built.append(1) or power(w, n))
+        monkeypatch.setattr(Word, "__str__", lambda w: spelled.append(1) or spell(w))
+        K = canonical_presentation(quotient_disc_signature(gamma, (3, 3)))
+        lemma1_check(derive_delta_hat(K, build_theta(K)))
+        words = len(built)
+        cli.render_json(certificate.document(cert, {}))
+        monkeypatch.undo()
+        return words, len(spelled)
+
+    small, large = counts(4), counts(400)
+    assert small == large
+    assert small[1] == 6  # K's two corners, and the kernel's four corner rows
 
 
 class TestEnumeration:

@@ -19,6 +19,7 @@ from necsurf import (
     DihedralGroup,
     NECSignature,
     Word,
+    certificate,
     enumerate_smooth_epimorphisms,
     first_smooth_epimorphism,
     realize,
@@ -137,13 +138,16 @@ def test_derived_slots_stay_out_of_comparison():
 
 def test_a_rebuilt_frame_keeps_no_certificate():
     # a frame's certificates are slots outside its fields: a copy, an
-    # unpickled or a rebuilt frame starts with each of them None
-    frame = shape_certificate(1, (2, 2, 2)).frame
-    realize(GENUS2)
-    assert frame.schreier is not None and frame.folds is not None
+    # unpickled or a rebuilt frame starts with each of them None, the
+    # printed rows of an even gamma and a document's fragments included
+    datum = first_smooth_epimorphism(2, (3,), 12)
+    certificate.document(realize(datum), {})
+    frame = shape_certificate(2, (3,)).frame
+    assert None not in [getattr(frame, slot) for slot in Frame.__slots__]
+    assert len(Frame.__slots__) == 7
     for twin in (replace(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
         assert twin == frame
-        assert [getattr(twin, slot) for slot in Frame.__slots__] == [None] * 5
+        assert [getattr(twin, slot) for slot in Frame.__slots__] == [None] * 7
 
 
 def test_repr_is_the_dataclass_text():
