@@ -12,8 +12,9 @@ For each workload of bench/run.py it runs
 three times, each in a child process with PYTHONDONTWRITEBYTECODE=1, and
 reads the last line of each run's standard output, one JSON object.  Each
 metric records the median of the three runs as its value, with the three
-values beside it under "runs"; the workload is correct when every run is,
-and its attempted and failed cases are summed.  It adds the line count of
+values beside it under "runs"; so do the attempted and failed case counts,
+their runs under the workload's "runs", and the workload is correct when
+every run is.  It adds the line count of
 src/necsurf/*.py, the Python version and the Tier-1 wall time, in seconds
 and in ref: divided by the median of bench/run.py's ``time_reference()``
 timed before and after the suite.  It writes BENCH_<tag>.json at the root
@@ -76,16 +77,17 @@ def run_workload(workload: str, seconds: float) -> dict:
 
 
 def median_of_runs(results: list[dict]) -> dict:
-    """One workload's runs as one result: correct when every run is, the
-    attempted and failed cases summed, and each metric's median as its
+    """One workload's runs as one result: correct when every run is, and
+    the median of the attempted and failed cases and of each metric as its
     value, with every run's value under "runs"."""
     metrics = {}
     for name, metric in results[0]["metrics"].items():
         values = [result["metrics"][name]["value"] for result in results]
         metrics[name] = {**metric, "value": statistics.median(values), "runs": values}
+    runs = {key: [result[key] for result in results] for key in ("attempted", "failed")}
     return {"correct": all(result["correct"] for result in results),
-            "attempted": sum(result["attempted"] for result in results),
-            "failed": sum(result["failed"] for result in results), "metrics": metrics}
+            **{key: statistics.median(values) for key, values in runs.items()},
+            "runs": runs, "metrics": metrics}
 
 
 def run_tier1() -> tuple[float, int]:

@@ -2,22 +2,13 @@
 
 ``document(cert, input_doc)`` is the only code that reads a
 ``RealizationCertificate`` for output; it returns the dict that
-``necsurf --format json realize`` prints on one line with sorted keys
-(``encode``), which ``json.loads`` gives back unchanged.  Every other
-view reads that dict alone: ``text`` renders the human-readable
-certificate, ``lemma_report`` projects the ``check-lemma`` document and
-``lemma_text`` renders that.  Images are listed in the generator order of
-the document's presentations, so the document reloaded from that JSON
-renders the same bytes.
-
-The parts that read no period are alike in every document of a frame
-(gamma, r): K's generators and relators but the corners, Delta-hat's
-generators and rows from K's frame, the correspondence and theta's
-images.  The frame's first document keeps them, with their JSON text, on
-the frame (``_fragments``).  A document takes a fresh copy of each part
-its certificate reads off the frame's objects, so it shares no mutable
-object, and spells only its corners; ``encode`` splices the kept text in
-for each such part that is still the frame's.
+``necsurf --format json realize`` prints on one line with sorted keys,
+which ``json.loads`` gives back unchanged.  Every other view reads that
+dict alone: ``text`` renders the human-readable certificate,
+``lemma_report`` projects the ``check-lemma`` document and ``lemma_text``
+renders that.  Images are listed in the generator order of the
+document's presentations, so the document reloaded from that JSON renders
+the same bytes.
 
 ``realize`` raises at the first check that fails, so these keys are
 literals: ``signature_match``, ``genus_match``, ``conclusion``, the
@@ -35,161 +26,98 @@ reflection is read off ``k_presentation``.
 
 from __future__ import annotations
 
-import json
-
-from .cosets import frame_schreier
 from .pipeline import RealizationCertificate
-from .presentations import Frame
+from .presentations import Presentation
 from .signatures import NECSignature
-
-_dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(value, sort_keys=True)
 
 
 def _signature(sig: NECSignature) -> dict:
-    return {"sign": sig.sign, "genus": sig.genus, "proper_periods": list(sig.proper_periods),
-            "period_cycles": [list(c) for c in sig.period_cycles], "display": sig.display()}
+    return {
+        "sign": sig.sign,
+        "genus": sig.genus,
+        "proper_periods": list(sig.proper_periods),
+        "period_cycles": [list(c) for c in sig.period_cycles],
+        "display": sig.display(),
+    }
 
 
-def _generators(generators) -> list:
-    return [{"name": g, "kind": k.kind, "order": k.order} for g, k in generators]
-
-
-def _correspondence(generators) -> list:
-    return [{"name": g.name, "role": g.role, "word": str(g.word)} for g in generators]
-
-
-def _words(words) -> list:
-    return [*map(str, words)]
+def _presentation(p: Presentation) -> dict:
+    return {
+        "generators": [
+            {"name": g, "kind": k.kind, "order": k.order} for g, k in p.generators
+        ],
+        "relators": [str(r) for r in p.relators],
+    }
 
 
 def _images(hom) -> dict:
     return {name: hom.target.format(value) for name, value in hom.images}
 
 
-def _fragments(frame: Frame) -> dict:
-    """The frame's parts of a document by name, each as the objects it is
-    read off, its value and its JSON text, kept by its first document."""
-    if frame.fragments is None:
-        schreier = frame_schreier(frame)
-        sub, (first, second) = schreier.subgroup, schreier.rows
-        parts = {"k_generators": (frame.generators, _generators),
-                 "k_relators": (frame.relators, _words),
-                 "theta": (schreier.images, lambda bits: {g: str(b) for g, b in bits}),
-                 "generators": (sub.presentation.generators, _generators),
-                 "correspondence": (sub.generators, _correspondence),
-                 "first": (first, _words), "second": (second, _words)}
-        frame._keep("fragments", {name: (source, value, _dumps(value))
-                                  for name, (source, build) in parts.items()
-                                  for value in (build(source),)})
-    return frame.fragments
-
-
-class _Document(dict):
-    """``document``'s dict, whose ``parts`` list each value it took from its
-    frame: its path, start (None: whole value), kept value and text."""
-
-    __slots__ = ("parts",)
-
-
 def document(cert: RealizationCertificate, input_doc: dict) -> dict:
     """The certificate of one realization, with ``input_doc`` echoed as
     its ``input``."""
-    datum, lemma, K, theta, derived = (
-        cert.datum, cert.lemma, cert.k_presentation, cert.theta, cert.derived)
-    sub, pres, ext = derived.subgroup, derived.presentation, cert.extension
-    (connector,) = K.generators_of_kind("connector")
-    connector_exponent = theta.image_of(connector)
-    kept, doc = _fragments(sub.frame) if sub.frame else {}, _Document()
-    doc.parts = []  # the values taken from the frame, for encode
-
-    def read(name: str, source, build, *path, start: int | None = None):
-        # a fresh copy of the frame's value if source is what it is read off
-        if name not in kept or source != kept[name][0]:
-            return build(source)
-        value = kept[name][1]
-        doc.parts.append((path, start, value, kept[name][2]))
-        if type(value) is dict:
-            return dict(value)
-        return [*map(dict.copy, value)] if value and type(value[0]) is dict else [*value]
-
-    h, i = (len(kept[name][0]) if kept else 0 for name in ("k_relators", "first"))
-    j = i + len(pres.torsion_words)
-    k, rels = j + (len(kept["second"][0]) if kept else 0), pres.relators
-    kp, at = "k_presentation", "delta_hat_presentation"
-    doc.update({
+    datum = cert.datum
+    lemma = cert.lemma
+    (connector,) = cert.k_presentation.generators_of_kind("connector")
+    connector_exponent = cert.theta.image_of(connector)
+    return {
         "input": input_doc,
         "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
         "genus": cert.genus,
         "quotient_signature": _signature(datum.delta_signature()),
-        "k_signature": _signature(K.signature),
-        "k_presentation": {
-            "generators": read("k_generators", K.generators, _generators, kp, "generators"),
-            "relators": [*read("k_relators", K.relators[:h], _words, kp, "relators", start=0),
-                         *_words(K.relators[h:])]},
-        "theta": {"images": read("theta", theta.images, lambda _: _images(theta), "theta",
-                                 "images"),
-                  "connector_exponent": connector_exponent,
-                  "printed_connector_valid": connector_exponent == 0},
+        "k_signature": _signature(cert.k_presentation.signature),
+        "k_presentation": _presentation(cert.k_presentation),
+        "theta": {
+            "images": _images(cert.theta),
+            "connector_exponent": connector_exponent,
+            "printed_connector_valid": connector_exponent == 0,
+        },
         "area_ratio": "2",
-        "delta_hat_signature": _signature(derived.signature),
-        "delta_hat_presentation": {
-            "generators": read("generators", pres.generators, _generators, at, "generators"),
-            "relators": [*read("first", rels[:i], _words, at, "relators", start=0),
-                         *_words(rels[i:j]),
-                         *read("second", rels[j:k], _words, at, "relators", start=j),
-                         *_words(rels[k:])]},
-        "correspondence": read("correspondence", sub.generators, _correspondence,
-                               "correspondence"),
+        "delta_hat_signature": _signature(cert.derived.signature),
+        "delta_hat_presentation": _presentation(cert.derived.presentation),
+        "correspondence": [
+            {"name": g.name, "role": g.role, "word": str(g.word)}
+            for g in cert.derived.subgroup.generators
+        ],
         "signature_match": True,
         "printed_relator_checks": [
-            {"relator": label, "status": status} for label, status in derived.printed_checks],
+            {"relator": label, "status": status}
+            for label, status in cert.derived.printed_checks
+        ],
         "lemma1": {
-            "gamma_even": connector_exponent == 0, "connector_pair": list(lemma.connector_pair),
-            "connector_product_class": [0] * len(sub.generators),
-            "connector_product_zero": True, "conjugation_inversion_ok": True,
+            "gamma_even": connector_exponent == 0,
+            "connector_pair": list(lemma.connector_pair),
+            "connector_product_class": [0] * len(cert.derived.subgroup.generators),
+            "connector_product_zero": True,
+            "conjugation_inversion_ok": True,
             "conjugation_certificates_ok": True,
-            "abelianization": {"invariant_factors": list(lemma.invariant_factors),
-                               "free_rank": lemma.free_rank}},
-        "eta": {"images": _images(cert.eta.hom), "unit": 1,
-                "torsion_images": list(cert.eta.torsion_images), "surjective": True,
-                "parity_ok": True, "torsion_ok": True, "branch_match": True},
-        "theta_extension": {"images": _images(ext.hom), "reflection_rotation": 0,
-                            "surjective": True, "restriction_agrees": True,
-                            "image_order": ext.image_order, "kernel_index": ext.image_order},
-        "genus_real": cert.genus, "genus_match": True, "conclusion": True,
-    })
-    return doc
-
-
-def encode(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True)``, the text ``render_json`` prints.
-    In a shallow copy of a ``document``, each value taken from its frame
-    that the document still holds, a whole value or a block of a relator
-    list, becomes a mark, and the frame's text replaces each mark in one
-    ``json.dumps`` of the copy.  Any other dict, or one holding a string
-    that starts as a mark does (with a NUL), is encoded whole."""
-    parts, skeleton, texts = doc.parts if type(doc) is _Document else (), dict(doc), []
-    try:
-        for (*outer, field), start, value, text in reversed(parts):
-            holder = skeleton
-            for top in outer:
-                if skeleton[top] is doc[top]:
-                    skeleton[top] = dict(doc[top])
-                holder = skeleton[top]
-            held, mark, stop = holder[field], f"\0{len(texts)}", (start or 0) + len(value)
-            if start is None and held == value:
-                holder[field] = mark
-            elif start is not None and type(held) is list and held[start:stop] == value:
-                holder[field], text = [*held[:start], mark, *held[stop:]], text[1:-1]
-            else:
-                continue
-            texts.append(text)
-        head, *tails = _dumps(skeleton).split('"\\u0000')
-    except (KeyError, TypeError, ValueError):
-        tails = None
-    if not texts or tails is None or len(tails) != len(texts):
-        return _dumps(doc)
-    return head + "".join(texts[int(i)] + rest for i, rest in (t.split('"', 1) for t in tails))
+            "abelianization": {
+                "invariant_factors": list(lemma.invariant_factors),
+                "free_rank": lemma.free_rank,
+            },
+        },
+        "eta": {
+            "images": _images(cert.eta.hom),
+            "unit": 1,
+            "torsion_images": list(cert.eta.torsion_images),
+            "surjective": True,
+            "parity_ok": True,
+            "torsion_ok": True,
+            "branch_match": True,
+        },
+        "theta_extension": {
+            "images": _images(cert.extension.hom),
+            "reflection_rotation": 0,
+            "surjective": True,
+            "restriction_agrees": True,
+            "image_order": cert.extension.image_order,
+            "kernel_index": cert.extension.image_order,
+        },
+        "genus_real": cert.genus,
+        "genus_match": True,
+        "conclusion": True,
+    }
 
 
 def _first_reflection(presentation: dict) -> str:

@@ -142,8 +142,7 @@ def validation_failure_text(failure: dict) -> str:
 
 
 def render_json(doc: dict) -> str:
-    """Every JSON output, on one line with sorted keys (``certificate.encode``)."""
-    return certificate.encode(doc) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,34 @@ The construction derives one subgroup: the kernel of the parity map
 theta from a single-boundary disc-quotient group K onto C_2, which moves
 every reflection and every interior point; K has at least one interior
 point, and each is an involution.  This module alone reads theta and
-checks those conditions.  The Schreier coset representatives are
-therefore {1, tau_1} (the doubled fundamental domain), and the coset of
-a word is the theta-parity bit of its prefix.  Each pair (coset c,
-generator g) gives the Schreier word rep(c) * g * rep(c xor theta(g))^-1;
-only (0, tau_1) is trivial.  Every generator is born with its canonical
-name, role and orientation kind: the glides delta_j = tau_1 x_j, c_k =
-tau_1 tau_(k+1), the connector pair e1, e2 (theta(e) = 0, gamma even) or
-f1, f2 (theta(e) = 1, gamma odd), the tau_1-conjugates delta_jt and c_kt,
-and tau1sq.  The kernel's torsion words are K's corners, rewritten here.
-The periods enter only K's last r relators, the corners
-(tau_k tau_(k+1))^(n_k), and the torsion orders, so all else is derived
-once per frame (gamma, r), a ``SchreierFrame`` that K's frame derives on
-first use and keeps; each subgroup keeps its frame, and per shape only
-the corners are rewritten.
+checks those conditions.
+The Schreier coset representatives are therefore fixed, {1, tau_1} (the
+doubled fundamental domain), and the coset of a word is the theta-parity
+bit of its prefix.  Each pair (coset c, generator g) gives the Schreier
+word rep(c) * g * rep(c xor theta(g))^-1; only (0, tau_1) is trivial.
+Every generator is born with its canonical name, role and orientation
+kind: the glides delta_j = tau_1 x_j, c_k = tau_1 tau_(k+1), the connector
+pair e1, e2 (theta(e) = 0, gamma even) or f1, f2 (theta(e) = 1, gamma
+odd), the tau_1-conjugates delta_jt and c_kt, and tau1sq.  The kernel's
+torsion words are K's corners, rewritten here, so
+``pipeline.derive_delta_hat`` checks its claimed signature against the
+subgroup without theta.  The periods enter only K's last r relators, the
+corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
+else is derived once per frame (gamma, r), a ``SchreierFrame``: the
+Schreier generators from K's generators with their kinds and theta's
+parity, the rewrites of the other relators, and the lemma's witness rows
+among them.  K's frame (``presentations.Frame``) derives it on first use
+and keeps it, so it lives exactly as long as that frame does; a K that
+is not its frame plus its corners is refused.  Each subgroup keeps its
+frame, and per shape only the corners are rewritten and de-duplicated.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
-building it, and a corner is read as a power.  The derived presentation
-is simplified only by freely reducing and de-duplicating the rewritten
-relators, so the correspondence with the ambient group stays auditable.
+building it; the derived relators, the witness row for the conjugated
+long relator among them, are read that way, and a corner's as a power.
+The derived presentation is simplified only by freely reducing and
+de-duplicating the rewritten relators; nothing more aggressive, so the
+correspondence with the ambient group stays auditable.
 """
 
 from __future__ import annotations
@@ -56,9 +64,11 @@ class SchreierSubgroup(Record):
     presentation (with its torsion words) and the rewriting map into it.
     ``pair_names`` names the Schreier generator of each (coset, generator)
     pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
-    bit on each generator.  ``frame``, a slot outside ``_fields`` that a
-    copy keeps, is K's frame, which the subgroup was derived in; a frame's
-    own subgroup has no ``base``, no relators and no ``frame``."""
+    bit on each generator.  ``frame`` is K's frame
+    (``presentations.Frame``), which the subgroup was derived in and which
+    holds its ``SchreierFrame``: a slot outside ``_fields`` that a copy
+    keeps.  A frame's own subgroup has no ``base``, no relators and no
+    ``frame``."""
 
     __slots__ = ("base", "generators", "presentation", "pair_names", "parity", "frame")
     _fields = __slots__[:5]
@@ -114,27 +124,26 @@ class SchreierFrame(Record):
     each interior point x_j, each row the head itself; ``sums`` is the
     rows' exponent sums added, the last gamma subtracted, without zeros.
     ``rows`` are the heads of each coset, each kept if no earlier head has
-    its letters, ``letters`` those of coset 0's rows, then of all, with
-    the empty word's; ``witnessed`` says each witness row is a row, and
-    ``images`` are theta's (name, bit) pairs in K's generator order."""
+    its letters, and ``letters`` those of coset 0's rows, then of all,
+    with the empty word's; ``witnessed`` says each witness row is a row.
+    K's frame keeps it (``frame_schreier``), with what is certified on it."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "letters",
-                 "witnessed", "images")
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "letters", "witnessed")
 
     def __init__(
         self, subgroup: SchreierSubgroup, heads: tuple[tuple[Word, ...], ...],
         corners: dict[tuple, tuple[Word, Word]], witness: tuple[tuple[Word, Word, int], ...],
         sums: dict[str, int], rows: tuple[tuple[Word, ...], ...], letters: tuple[frozenset, ...],
-        witnessed: bool, images: tuple[tuple[str, int], ...],
+        witnessed: bool,
     ) -> None:
-        self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed, images)
+        self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed)
 
 
 def frame_schreier(frame: Frame) -> SchreierFrame:
-    """The ``SchreierFrame`` of K's frame under K's parity map, kept on it:
-    1 on every reflection and interior point, and on the connector the
-    parity of its closed form x_1^-1...x_gamma^-1, as the long relator
-    forces."""
+    """The ``SchreierFrame`` of K's frame under K's parity map, derived on
+    first use from the frame alone and kept on it.  The parity is 1 on
+    every reflection and interior point, and on the connector the parity
+    of its closed form x_1^-1...x_gamma^-1, which the long relator forces."""
     if frame.schreier is None:
         parity = {g: int(kind.kind != "connector") for g, kind in frame.generators}
         for e, word in connector_closed_form(frame).items():
@@ -143,37 +152,31 @@ def frame_schreier(frame: Frame) -> SchreierFrame:
     return frame.schreier
 
 
-def in_frame_order(sub: SchreierSubgroup) -> bool:
-    """Whether the relators of ``sub`` are its frame's rows of coset 0, r
-    more, those of coset 1 and r more, r its number of torsion words, as
-    ``reidemeister_schreier`` lists them unless a corner row is a head:
-    two tuple comparisons, which the rows shared with the frame cut short."""
-    (first, second), relators = frame_schreier(sub.frame).rows, sub.presentation.relators
-    i, r = len(first), len(sub.presentation.torsion_words)
-    return (len(relators) == i + len(second) + 2 * r and relators[:i] == first
-            and relators[i + r:i + r + len(second)] == second)
-
-
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
     """Presentation of ker(theta) over the coset representatives {1, tau_1},
     with its torsion words.
 
     Raises ``ValueError``, naming what fails, unless theta is K's parity
-    map (``_checked_frame``: ``p`` has one period cycle, a reflection and
-    an interior point, each interior point an involution, and theta has
-    image of order 2, moves every reflection and interior point and sends
-    the connector to the parity the long relator forces) and ``p`` is its
-    frame (gamma, r) plus its r corners.  A few comparisons with the frame
-    accept both (``_accepted_frame``); the itemised checks run only when
-    one fails.  Generators come in canonical order: delta_j, c_k, the
-    connector pair, delta_jt, c_kt, tau1sq.  Relators are the rewrites
-    u * R * u^-1 of K's relators for u = 1, then u = tau_1, each the walk
-    of R from coset u, de-duplicated: the frame's ``rows``, with the 2r
-    corner rewrites de-duplicated against them in the same order, so a
-    new shape in a warm frame costs O(r) Python steps.  Torsion words:
-    each corner tau_k tau_(k+1) rewritten from coset 0, of its full order
-    n_k.  The subgroup keeps the frame."""
-    frame = _accepted_frame(p, theta) or _checked_frame(p, theta)
+    map: ``p`` carries a signature with a single period cycle, has a
+    reflection and at least one interior point, each an involution, and
+    theta has image of order 2, moves every reflection and interior point
+    (so 1 and tau_1 represent the two cosets) and sends the connector to
+    the parity the long relator forces.  ``p`` must be its frame (gamma,
+    r) (``presentations._disc_quotient_frame``) plus its r corners: its
+    generators and its relators but the last r are the frame's, or a
+    ``ValueError`` names each that is not.  Generators come in canonical
+    order: delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.
+    Relators are the rewritten conjugates u * R * u^-1 of the base
+    relators for u = 1, then u = tau_1, each read as the walk of R from
+    coset u; free reduction commutes with the walk, so no conjugate is
+    built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
+    coset 0, of its full order n_k; each interior involution is moved, so
+    it leaves no period.  K and theta are accepted by comparisons with the
+    frame, or else checked item by item (``_checked_frame``).  All else
+    comes from the frame's ``SchreierFrame`` but the r corner rewrites,
+    de-duplicated against its ``rows``, and the subgroup keeps the frame.
+    """
+    frame = _checked_frame(p, theta)
     schreier = frame_schreier(frame)
     sub, corners, (first, second) = schreier.subgroup, schreier.corners, schreier.rows
     tail = p.relators[len(frame.relators):]
@@ -187,47 +190,46 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
             if rewritten.letters not in seen and rewritten.letters not in added:
                 added.add(rewritten.letters)
                 relators.append(rewritten)
-    torsion = tuple(zip((w for w, _ in corners.values()), p.signature.period_cycles[0]))
-    presentation = Presentation._on(sub.presentation.generators, tuple(relators), torsion)
+    torsion = zip((w for w, _ in corners.values()), p.signature.period_cycles[0])
+    presentation = Presentation(sub.presentation.generators, relators, torsion)
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
-def _accepted_frame(p: Presentation, theta: FiniteHom) -> Frame | None:
-    """K's frame if K is its frame plus its corners and theta its parity map
-    into a group of order 2, by comparisons that a canonical K and theta
-    cut short, else None; no ``SchreierFrame`` is derived for another K."""
-    sig, gamma = p.signature, len(p.generators_of_kind("elliptic"))
-    if sig is None or len(sig.period_cycles) != 1 or not gamma:
-        return None
-    frame = _disc_quotient_frame(gamma, len(sig.period_cycles[0]))
-    head = len(frame.relators)
-    if (p.generators == frame.generators and p.relators[:head] == frame.relators
-            and len(p.relators) == head + len(sig.period_cycles[0])
-            and theta.target.order == 2
-            and theta.images == frame_schreier(frame).images):
-        return frame
-    return None
-
-
 def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
-    """K's frame, after each check of ``reidemeister_schreier`` in turn:
-    the first that fails raises ``ValueError`` naming all it finds."""
+    """K's frame, by comparisons that a canonical K and theta cut short,
+    or else after each check of ``reidemeister_schreier`` in turn: the
+    first that fails raises ``ValueError`` naming all it finds."""
+    sig, gamma = p.signature, len(p.generators_of_kind("elliptic"))
+    if sig is not None and len(sig.period_cycles) == 1 and gamma:
+        r = len(sig.period_cycles[0])
+        frame, head = _disc_quotient_frame(gamma, r), len(p.relators) - r
+        if (p.generators == frame.generators and p.relators[:head] == frame.relators
+                and theta.target.order == 2
+                and theta.images == tuple(frame_schreier(frame).subgroup.parity.items())):
+            return frame
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
-    reflections, elliptics = (p.generators_of_kind(k) for k in ("reflection", "elliptic"))
+    reflections = p.generators_of_kind("reflection")
     if not reflections:
         raise ValueError("K has no reflection tau_1 to represent the second coset")
+    elliptics = p.generators_of_kind("elliptic")
     if not elliptics:
         raise ValueError(
-            "K needs at least one interior cone point (the kernel is orientable otherwise)")
-    if higher := [x for x in elliptics if x not in p.involution_names()]:
+            "K needs at least one interior cone point (the kernel is orientable otherwise)"
+        )
+    higher = [x for x in elliptics if x not in p.involution_names()]
+    if higher:
         raise ValueError(f"every interior point must be an involution, unlike {', '.join(higher)}")
-    if (index := theta.image_order()) != 2:
+    index = theta.image_order()
+    if index != 2:
         raise ValueError(f"theta has index {index}, expected 2")
-    parity = {g: int(theta.image_of(g) != theta.target.identity) for g in p.generator_names()}
-    if fixed := [g for g in reflections + elliptics if not parity[g]]:
-        raise ValueError("theta must move every reflection and interior point, and fixes"
-                         f" {', '.join(fixed)}")
+    one = theta.target.identity
+    parity = {g: int(theta.image_of(g) != one) for g in p.generator_names()}
+    fixed = [g for g in reflections + elliptics if not parity[g]]
+    if fixed:
+        raise ValueError(
+            f"theta must move every reflection and interior point, and fixes {', '.join(fixed)}"
+        )
     cycle = p.signature.period_cycles[0]
     frame = _disc_quotient_frame(len(elliptics), len(cycle))
     prefix = p.relators[:len(p.relators) - len(cycle)]
@@ -241,8 +243,8 @@ def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
     if problems:
         raise ValueError(f"K is not its frame ({len(elliptics)}, {len(cycle)}) plus its"
                          f" corners: {'; '.join(problems)}")
-    parity_of_frame = frame_schreier(frame).subgroup.parity
-    if wrong := [g for g, bit in parity_of_frame.items() if parity[g] != bit]:
+    wrong = [g for g, bit in frame_schreier(frame).subgroup.parity.items() if parity[g] != bit]
+    if wrong:
         raise ValueError(f"theta must send {', '.join(wrong)} to the parity the long relator"
                          " forces")
     return frame
@@ -314,7 +316,6 @@ def schreier_frame(
     for head in heads:
         rows.append(tuple(w for w in head if w.letters not in seen and not seen.add(w.letters)))
         letters.append(frozenset(seen))
-    witnessed = all(row.letters in seen for row, _, _ in witness)
     return SchreierFrame(subgroup, heads, corners, tuple(witness),
                          {g: x for g, x in sums.items() if x}, tuple(rows), tuple(letters),
-                         witnessed, tuple(parity.items()))
+                         all(row.letters in seen for row, _, _ in witness))

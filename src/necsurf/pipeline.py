@@ -3,46 +3,83 @@
 Input: a cyclic orientation-reversing action on a closed hyperbolic
 surface, given by the quotient data (gamma crosscaps, cone orders
 n_1..n_r, action order 2n with n even) together with a surface-kernel
-epimorphism rho onto C_2n.  The chain constructed and verified here:
+epimorphism rho onto C_2n.
 
-1. validate the datum, rho by closed-form conditions in O(gamma + r)
+The chain constructed and verified here:
+
+1. validate the action datum, rho by closed-form conditions in O(gamma + r)
    integers, and compute the genus by exact Riemann-Hurwitz arithmetic;
 2. build the bordered disc-quotient group K (gamma interior order-2
-   points, corner orders n_1..n_r) and the parity map theta: K -> C_2,
-   the connector sent to gamma mod 2, as the long relator forces;
-3. derive the index-2 kernel of theta by Reidemeister-Schreier over
-   {1, tau1}, each generator born with its canonical name, and check its
-   claimed signature (gamma; -; [n_1..n_r]): torsion orders, orientation
-   and the area identity of index 2;
-4. certify that conjugation by tau1 inverts the kernel's abelianization
-   H1, so every homomorphism to an abelian group has normal kernel in K,
-   and read H1 off the certified signature;
-5. write Theta: K -> D_2n in closed form from rho, Theta(tau1) = t, and
-   read eta off it as its restriction to the derived kernel, eta(delta_j)
-   = (-1)^j d_j and eta(c_k) = x_1 + ... + x_k; their relators are folded
-   once per frame under a symbolic Theta whose rotations are linear forms
-   in rho's images, so a rho walks one relator of four letters, reads
-   each corner off its reflections, and costs O(gamma + r);
+   points, corner orders n_1..n_r) and the parity map theta: K -> C_2
+   sending each interior point and reflection to the non-trivial element
+   and the connector to gamma mod 2, as the long relator forces;
+3. derive the index-2 kernel of theta by Reidemeister-Schreier over the
+   fixed coset representatives {1, tau1}: each generator is born with its
+   canonical name (delta_j = tau1*x_j, c_k = tau1*tau_(k+1), the connector
+   pair, their tau1-conjugates, tau1sq) and kernel words are rewritten by
+   walking theta's parity bit; claim its signature (gamma; -; [n_1..n_r])
+   and check the claim in O(gamma + r): the torsion words' orders are the
+   periods, some Schreier generator reverses orientation, and the claimed
+   reduced area is twice K's (Riemann-Hurwitz at index 2);
+4. certify, in one pass over the Schreier generators, that conjugation by
+   the first reflection inverts the kernel's abelianization H1 (so every
+   homomorphism to an abelian group has normal kernel in K): tau1*g*tau1*g
+   reduces to 1 in K for each generator g but the connector pair, which
+   tau1 swaps, and one witness of gamma + 2 derived relators kills the
+   connector product in H1; H1 itself is read off the certified
+   signature: Z^(gamma-1) + Z/(2*n_m) + the Z/n_i for i != m, n_m a
+   period of largest 2-adic valuation (Z^(gamma-1) + Z/2 when r = 0);
+5. write Theta: K -> D_2n on K's generators from rho in closed form, with
+   Theta(tau1) = t, and read eta off it as its restriction to the derived
+   kernel: an epimorphism onto C_2n with eta(delta_j) = (-1)^j d_j and
+   eta(c_k) = x_1 + ... + x_k (branch data matched exactly, in order).
+   Their relators are certified once per frame (gamma, r), for every rho
+   at once, by folding them under a symbolic Theta, whose rotations are
+   integer linear forms in rho's images: a relator that folds to the
+   identity holds at every rho.  Of K's relators but the corners only the
+   connector relator does not (it folds to +-R, R = 2(d_1 + ... +
+   d_gamma) + x_1 + ... + x_r), and each corner unit folds to x_k, so per
+   rho Theta walks that one relator, four letters, and reads each corner
+   off the images of its two reflections.  Each relator of the derived
+   kernel folds under the symbolic eta as the relator of K it rewrites,
+   so eta walks none: it evaluates the two rewrites of the connector
+   relator at rho, and its torsion orders hold the corners.  With the
+   images, |Theta(K)| = 4n and eta's surjectivity (gcds), its parities
+   and torsion orders, a rho costs O(gamma + r);
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
 
-Steps 2 to 4 depend only on the shape (gamma; -; [n_1..n_r]), so
-``realize`` validates, then takes ``shape_certificate(gamma, periods)``,
-memoised for the ``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then runs
-steps 5 and 6.  Below it, every fact the periods do not enter is
-certified once per frame (gamma, r) and kept on K's frame, a
-``presentations.Frame`` memoised by the two ints, each in a slot
-derived on first use from the frame alone: a copied frame derives its
-own, and evicting a frame evicts all it certified.  No memo key holds a
-word.  The frame is an argument: K must be its frame plus its corners
-(``cosets.reidemeister_schreier`` refuses any other), the derived
-kernel's subgroup holds the frame, and the lemma, the rho stage and the
-document read it there, each by one path.  So a new shape in a warm
-frame costs O(r) Python steps: it spells, rewrites and checks its
-corners, checks the claimed signature and reads H1 off its periods, and
-its document spells only its corners (``certificate.document``).
-README's frame section lists the slots and the memory a frame retains.
+Steps 2 to 4 depend only on the quotient shape (gamma; -; [n_1..n_r]),
+not on rho or n, so ``realize`` runs in two stages: validation first,
+then ``shape_certificate(gamma, periods)``, which builds and checks K,
+theta, the derived kernel and the lemma report and is memoised for the
+``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
+A sweep over the epimorphisms of one shape derives that shape once.
+Below it, every fact the periods do not enter is certified once per
+frame (gamma, r) and kept on K's frame, a ``presentations.Frame``
+memoised by the two ints (``presentations._disc_quotient_frame``): K's
+generators and relators but the r corners; the ``cosets.SchreierFrame``,
+with the Schreier generators, their kinds, theta's parity, the rewrites
+of those relators and the lemma's witness rows among them with their
+exponent sums; the lemma's certified identities; and the classical
+relators of the derived kernel after its corners with their statuses.  With
+``shape_certificate`` these are the two memos of the shape stage, and
+no memo key holds a word.  The frame is an argument: K must be its frame
+plus its corners (``cosets.reidemeister_schreier`` refuses any other),
+the derived kernel's subgroup holds the frame, and the lemma and the rho
+stage read it there, each by one path.  A new shape in a warm frame
+takes O(r) Python steps: it spells, rewrites and de-duplicates its
+corners, checks them and the claimed signature, finds the witness rows
+where they stand and reads H1 off its periods.  The first ``realize``
+that reads a frame also folds it (step 5): the frame keeps the relators
+Theta walks (``_theta_residual``) and eta's images as forms
+(``_eta_images``); ``derive_delta_hat`` and ``lemma1_check`` never fold.
+Each certificate is derived on first use from the frame alone, so a
+copied frame derives its own again.  Each memo keeps its 16 most recent
+keys, and evicting a frame evicts all it certified.  So the memos hold
+at most 16 frames plus 16 shapes, each shape with the one frame whose
+objects it shares; README's frame section gives what each retains.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -59,7 +96,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product, repeat
 from operator import mul
 
-from .cosets import SchreierSubgroup, frame_schreier, in_frame_order, reidemeister_schreier
+from .cosets import SchreierSubgroup, frame_schreier, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
@@ -298,11 +335,11 @@ def _printed_relator_words(
     with the connector relator, the long relator and the corners) and the
     rotation at which the word, spelled in K and reduced, equals it.
     c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, each the
-    power of a unit spelling tau_j*tau_(j+1); e1*e2^-1[*c_r] spells
-    e*tau1*e^-1*tau_(r+1), the connector relator read from its third
-    letter (rotation 2), for r = 0 too; the delta-alternations are trivial
-    (None).  The frame keeps what reads no period as ``printed``: the
-    units, the rows after the corners and the words that certify them."""
+    power of a unit that spells the corner's tau_j*tau_(j+1); e1*e2^-1[*c_r] spells
+    e*tau1*e^-1*tau_(r+1), the connector relator e^-1*tau_(r+1)*e*tau1
+    read from its third letter (rotation 2), for r = 0 too; the
+    delta-alternations are trivial (None).  K's frame keeps all of it that
+    reads no period as ``printed``."""
     corner, frame = len(sub.base.relators) - len(periods), sub.frame
     printed = frame and frame.printed
     if not printed:
@@ -329,20 +366,26 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
     with its torsion words and its claimed signature, and (when theta's
     bit on the connector is 0, as for even gamma) the certified classical
-    relator list.  Every input check is ``reidemeister_schreier``'s.
+    relator list.  Every input check is ``reidemeister_schreier``'s, and
+    runs first: theta must be K's parity map, and K needs an interior cone
+    point.
 
     The claim is Delta's signature (gamma; -; [sorted periods]), so the
     two groups are isomorphic (Macbeath, Canad. J. Math. 19, 1967).  The
-    kernel has no boundary, and three facts fix the rest: the torsion
-    words' orders are the periods; some Schreier generator (delta_1, the
-    first tested) reverses orientation; and the claimed reduced area is
-    twice K's (Riemann-Hurwitz at index 2).  A fact that fails raises
+    kernel has no reflection, so no boundary, and three O(gamma + r) facts
+    fix the rest: the torsion words' orders are the periods, as a
+    multiset; some Schreier generator has orientation character -1; and
+    the claimed reduced area is twice K's (Riemann-Hurwitz at index 2),
+    which with the periods and the sign fixes the genus.  The area check
+    multiplies, so it holds where K's area is 0.  A fact that fails raises
     ``PipelineAssertionError`` naming the claimed signature.
 
     The classical relators are certified by ``verify_derived_relators``,
-    a corner row c^p by its unit c once K's corner is checked to be the
-    p-th power of tau_k*tau_(k+1).  K's frame keeps the rows after the
-    corners and their statuses, so a later shape checks only its corners."""
+    a corner row c^p by its unit c, which spells tau_k*tau_(k+1), once
+    K's corner is checked to be that unit's p-th power.  The closing row
+    and the delta-alternations do not read the periods: the first shape
+    of a frame builds and certifies them, K's frame keeps both, so every
+    later shape of the frame spells and checks only its r corners."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
@@ -365,7 +408,8 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     if not sub.parity[connector]:
         labels, words, sources = zip(*_printed_relator_words(sub, periods))
         r, frame = len(periods), sub.frame
-        corners = verify_derived_relators(K, words[:r], sources[:r], images := frame.printed[2])
+        images = frame.printed[2]
+        corners = verify_derived_relators(K, words[:r], sources[:r], images)
         statuses = frame.statuses or verify_derived_relators(K, words[r:], sources[r:], images)
         printed = list(zip(labels, corners + statuses))
         for label, status in printed:
@@ -432,53 +476,73 @@ def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
 
 def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     """Certify the normality lemma in one pass over the Schreier generators,
-    without abelianizing the kernel.  For each generator g, tau1*g*tau1*g,
-    spelled in K, reduces to the empty word, so conjugation by tau1 sends
-    g to g^-1, except for the connector pair (a, b), which tau1 swaps,
-    tau1*a*tau1*b^-1 = 1.  So tau1 acts as -1 on H1 once the class of a*b
-    is zero.  One witness shows that: the long relator rewritten from
-    cosets 0 and 1, minus x_j*x_j rewritten from coset 0 for each interior
-    point x_j, has the exponent sums of a*b, and each of these gamma + 2
-    rows is a relator of the derived presentation.
+    without abelianizing the kernel.
 
-    None of this reads the periods, so it is certified on the frame the
-    subgroup keeps, which gives the generators, the pair (by its pair
-    names) and the witness rows with their sums; the frame's first lemma
-    certifies the identities and keeps the names as ``inverted``.  Per
-    call, two tuple comparisons find the rows among the relators of
-    ``derived`` where they stand in the frame's order
-    (``cosets.in_frame_order``), and each is looked up otherwise.  H1 is
-    read off the signature ``derive_delta_hat`` certified (Macbeath,
-    Canad. J. Math. 19, 1967): Z^(gamma-1) and ``_torsion_factors``."""
+    For each generator g an identity, spelled in K by
+    ``substitute_letters``, reduces to the empty word
+    (``cyclic_reduce_letters``): tau1*g*tau1*g = 1, so
+    conjugation by tau1 sends g to g^-1, except for the connector pair
+    (a, b), which tau1 swaps, tau1*a*tau1*b^-1 = 1.  So tau1 acts as -1 on
+    H1 once the class of a*b is zero.  One witness shows that: the long
+    relator L rewritten from cosets 0 and 1, minus x_j*x_j rewritten from
+    coset 0 for each interior point x_j, has the exponent sums of a*b, and
+    each of these gamma + 2 rows is a relator of the derived presentation.
+
+    None of this reads the periods, so it is certified once per frame
+    (gamma, r), on the frame the subgroup keeps: the Schreier generators
+    and the witness rows, with their exponent sums, are the frame's
+    ``cosets.SchreierFrame``'s, and the first lemma of the frame certifies
+    the identities in the frame's generators and keeps the generators'
+    names there as ``inverted``; the pair is read off its pair names.
+    Per call, the rows are found where they stand among the relators of
+    the ``derived`` it is given, or else looked up among them, and the
+    sums are compared with a*b's.
+
+    H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
+    ``derive_delta_hat`` certified, as an NEC group is determined by its
+    signature (Macbeath, Canad. J. Math. 19, 1967): Z^(gamma-1) plus the
+    finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     frame = derived.subgroup.frame
     schreier = frame_schreier(frame)
+    generators = schreier.subgroup.generators
     (e,) = frame.generators_of_kind("connector")
     a, b = pair = tuple(schreier.subgroup.pair_names[u, e] for u in (0, 1))
     if frame.inverted is None:
         tau1, involutions = frame.generators_of_kind("reflection")[0], frame.involution_names()
         last_letter = {a: (b, -1), b: (a, -1)}
-        substitution = {gen.name: gen.word for gen in schreier.subgroup.generators}
+        substitution = {gen.name: gen.word for gen in generators}
         for name in substitution:
             identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
             if cyclic_reduce_letters(substitute_letters(identity, substitution), involutions):
-                raise PipelineAssertionError(f"conjugation identity for {name} could not be"
-                                             f" certified: {Word(identity)} does not reduce"
-                                             " to 1 in K")
+                raise PipelineAssertionError(
+                    f"conjugation identity for {name} could not be certified:"
+                    f" {Word(identity)} does not reduce to 1 in K"
+                )
         frame._keep("inverted", tuple(substitution))
 
-    if not (schreier.witnessed and in_frame_order(derived.subgroup)):
-        relators = {rel.letters for rel in derived.presentation.relators}
+    (first, second), relators = schreier.rows, derived.presentation.relators
+    i, r = len(first), len(derived.presentation.torsion_words)
+    if not (schreier.witnessed and len(relators) == i + len(second) + 2 * r
+            and relators[:i] == first and relators[i + r:i + r + len(second)] == second):
+        relators = {rel.letters for rel in relators}
         for row, word, coset in schreier.witness:
             if row.letters not in relators:
                 raise PipelineAssertionError(
                     f"connector product {a}*{b}: witness row {row} ({word} from coset"
-                    f" {coset}) is not a relator of the derived kernel")
+                    f" {coset}) is not a relator of the derived kernel"
+                )
     if schreier.sums != {a: 1, b: 1}:
         raise PipelineAssertionError(
-            f"connector product {a}*{b}: witness rows sum to {schreier.sums}, not to {a}*{b}")
+            f"connector product {a}*{b}: witness rows sum to {schreier.sums}, not to {a}*{b}"
+        )
 
     sig = derived.signature
-    return LemmaReport(pair, frame.inverted, _torsion_factors(sig.proper_periods), sig.genus - 1)
+    return LemmaReport(
+        connector_pair=pair,
+        inversion_entries=frame.inverted,
+        invariant_factors=_torsion_factors(sig.proper_periods),
+        free_rank=sig.genus - 1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +585,9 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
         raise PipelineAssertionError("parity map theta is not a homomorphism")
 
     derived = derive_delta_hat(K, theta)
-    return ShapeCertificate(K, theta, derived, lemma1_check(derived))
+    return ShapeCertificate(
+        k_presentation=K, theta=theta, derived=derived, lemma=lemma1_check(derived)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +785,13 @@ def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralE
         if (value := n * (b - a) % dihedral.modulus))
     for rel, value in unmapped:
         raise PipelineAssertionError(
-            f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}")
+            f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
+        )
     image_order = hom.image_order()
     if image_order != dihedral.order:
         raise PipelineAssertionError(
-            f"Theta image has order {image_order}, expected 4n = {dihedral.order}")
+            f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
+        )
     return DihedralExtension(hom, image_order)
 
 
@@ -819,15 +887,19 @@ class RealizationCertificate(Record):
 def realize(datum: ActionDatum) -> RealizationCertificate:
     """Run the full chain and emit the certificate, in two stages.
 
-    ``validate_action`` runs first, so invalid input never reaches the
-    shape stage.  ``shape_certificate(gamma, periods)`` then gives K,
-    theta, the derived kernel and the lemma report, memoised per shape;
-    a new shape in a warm frame (gamma, r) costs O(r) Python steps.  The
-    rho stage, ``extend_to_dihedral``, ``construct_eta`` and the genus
-    bookkeeping (validation's genus against Riemann-Hurwitz for
-    ker(Theta) at index ``image_order`` in K), reads its relators off K's
-    frame, so it is O(gamma + r).  ``realize`` encodes nothing: a frame's
-    document fragments are built by its first ``certificate.document``.
+    ``validate_action`` runs first, on every call, so invalid input never
+    reaches the shape stage.  ``shape_certificate(gamma, periods)`` then
+    gives K, theta, the derived kernel and the lemma report, built and
+    checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
+    most recent shapes; a new shape reuses the certificates of its frame
+    (gamma, r) and checks only its corners.  The rho stage follows on the
+    shape certificate: ``extend_to_dihedral``, ``construct_eta`` and the
+    genus bookkeeping: validation's genus, read off Delta, against
+    Riemann-Hurwitz for ker(Theta) at index ``image_order`` in K.  Both
+    read their relators off the certificates of K's frame, made by the
+    first call that reads the frame: a warm call walks one relator of K,
+    four letters, reads each corner off its unit, and walks no relator of
+    the derived kernel, so its rho stage is O(gamma + r).
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the
@@ -843,8 +915,16 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     if genus_real != genus:
         raise PipelineAssertionError(f"genus bookkeeping disagrees: {genus} vs {genus_real}")
 
-    return RealizationCertificate(datum, genus, K, shape.theta, shape.derived, shape.lemma, eta,
-                                  extension)
+    return RealizationCertificate(
+        datum=datum,
+        genus=genus,
+        k_presentation=K,
+        theta=shape.theta,
+        derived=shape.derived,
+        lemma=shape.lemma,
+        eta=eta,
+        extension=extension,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ them by kind (``generators_of_kind``), or the crosscap group's from
 ``crosscap_names`` without building the group.  ``connector_closed_form``
 solves the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
 The disc-quotient group's generators and every relator but its corners
-are built once per frame (gamma, r) (``_disc_quotient_frame``), which
-each group of the frame shares, and which owns what is certified on it
-(``Frame``): an object built from the frame holds it, and evicting it
-evicts its certificates.
+are built once per frame (gamma, r) (``_disc_quotient_frame``), and each
+group of the frame shares them.
+
+The frame is also the one owner of what is certified on it for every
+K of the frame (``Frame``), so evicting it evicts its certificates.  An
+object built from the frame holds it; none finds it by identity.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
@@ -80,19 +82,10 @@ class Presentation(Record):
         torsion_words: Iterable[tuple[Word, int]] = (), signature: NECSignature | None = None,
     ) -> None:
         generators = tuple(generators)
-        names = [g for g, _ in generators]
-        if len(set(names)) != len(names):
+        if len(dict(generators)) != len(generators):
             raise ValueError("duplicate generator names")
         self._assign(generators, tuple(relators), tuple((w, n) for w, n in torsion_words),
                          signature)
-
-    @classmethod
-    def _on(cls, generators: tuple, relators: tuple, torsion_words: tuple = (),
-            signature: NECSignature | None = None) -> "Presentation":
-        """A presentation on a frame's generators, known distinct: unchecked."""
-        p = cls.__new__(cls)
-        p._assign(generators, relators, torsion_words, signature)
-        return p
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.generators)
@@ -121,14 +114,14 @@ class Frame(Presentation):
     certified once for every K of the frame, each None until its first
     use derives it from the frame alone, and none a field, so a copy
     starts without them: ``schreier``, the ``cosets.SchreierFrame`` of K's
-    parity map; ``statuses`` and ``printed``, the classical relators of
-    the derived kernel after its corners, their statuses, and the corner
-    units; ``folds``, K's relators that Theta does not send to 1 for every
-    rho; ``inverted``, the Schreier generators whose tau1-identities the
-    lemma certified; ``eta``, eta's images as forms; and ``fragments``,
-    the document's parts that read no period (``certificate.document``)."""
+    parity map (``cosets.frame_schreier``); ``statuses`` and ``printed``,
+    the classical relators of the derived kernel after its corners, their
+    statuses, and the units and words that certify them;
+    ``folds``, K's relators that Theta does not send to 1 for every rho;
+    ``inverted``, the Schreier generators whose tau1-identities the lemma
+    certified; and ``eta``, eta's images as forms."""
 
-    __slots__ = ("schreier", "statuses", "printed", "folds", "inverted", "eta", "fragments")
+    __slots__ = ("schreier", "statuses", "printed", "folds", "inverted", "eta")
     _fields = Presentation._fields
 
     def __init__(
@@ -161,7 +154,7 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     frame = _disc_quotient_frame(len(sig.proper_periods), len(cycle))
     taus = frame.generators_of_kind("reflection")
     corners = [Word(((taus[k], 1), (taus[k + 1], 1))) ** n for k, n in enumerate(cycle)]
-    p = Presentation._on(frame.generators, frame.relators + tuple(corners), (), sig)
+    p = Presentation(frame.generators, frame.relators + tuple(corners), signature=sig)
     for slot in ("_involutions", "_names_by_kind", "_closed_form"):
         p._keep(slot, getattr(frame, slot))
     return p

@@ -48,12 +48,13 @@ def test_collect_records_each_workload_and_tier1_in_ref(trajectory):
 
 def test_each_metric_records_the_median_of_three_runs(trajectory):
     # the runs of one workload, as a drifting machine gives them: the
-    # median of each metric is its value, whatever the order, the three
-    # values are kept beside it, and one failed run marks the workload
+    # median of each metric and of the case counts is its value, whatever
+    # the order, the three values are kept beside it, and one failed run
+    # marks the workload
     values = iter([2.5, 9.0, 1.0, 0.30, 0.10, 0.20])
-    runs = [{"correct": correct, "attempted": 3, "failed": int(not correct),
+    runs = [{"correct": correct, "attempted": attempted, "failed": int(not correct),
              "metrics": {"cases_per_ref": {"value": next(values), "unit": "1/ref"}}}
-            for correct in (True, False, True)]
+            for correct, attempted in ((True, 40), (False, 90), (True, 10))]
     for run in runs:
         run["metrics"]["case_p50_ref"] = {"value": next(values), "unit": "ref"}
     merged = trajectory.median_of_runs(runs)
@@ -61,7 +62,8 @@ def test_each_metric_records_the_median_of_three_runs(trajectory):
         "cases_per_ref": {"value": 2.5, "unit": "1/ref", "runs": [2.5, 9.0, 1.0]},
         "case_p50_ref": {"value": 0.20, "unit": "ref", "runs": [0.30, 0.10, 0.20]},
     }
-    assert (merged["correct"], merged["attempted"], merged["failed"]) == (False, 9, 1)
+    assert (merged["correct"], merged["attempted"], merged["failed"]) == (False, 40, 0)
+    assert merged["runs"] == {"attempted": [40, 90, 10], "failed": [0, 1, 0]}
     assert trajectory.RUNS == 3
 
 

@@ -318,12 +318,12 @@ class TestSchreierFrame:
     def test_a_warm_derivation_builds_one_presentation(self, monkeypatch):
         (K, theta), (other, other_theta) = (
             (K, build_theta(K)) for K in (disc_group(2, (3, 4)), disc_group(2, (5, 6))))
-        # each presentation stores its fields once, by ``_assign``, whether
-        # its constructor checks them or it is built on a frame's generators
         built = []
-        assign = Presentation._assign
-        monkeypatch.setattr(Presentation, "_assign",
-                            lambda self, *fields: built.append(self) or assign(self, *fields))
+        init = Presentation.__init__
+        monkeypatch.setattr(
+            Presentation, "__init__",
+            lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+        )
         cold = reidemeister_schreier(K, theta)
         assert len(built) == 2  # the frame's relator-free presentation, and the kernel's
         built.clear()

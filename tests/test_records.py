@@ -19,7 +19,6 @@ from necsurf import (
     DihedralGroup,
     NECSignature,
     Word,
-    certificate,
     enumerate_smooth_epimorphisms,
     first_smooth_epimorphism,
     realize,
@@ -139,15 +138,14 @@ def test_derived_slots_stay_out_of_comparison():
 def test_a_rebuilt_frame_keeps_no_certificate():
     # a frame's certificates are slots outside its fields: a copy, an
     # unpickled or a rebuilt frame starts with each of them None, the
-    # printed rows of an even gamma and a document's fragments included
-    datum = first_smooth_epimorphism(2, (3,), 12)
-    certificate.document(realize(datum), {})
+    # printed rows of an even gamma included
+    realize(first_smooth_epimorphism(2, (3,), 12))
     frame = shape_certificate(2, (3,)).frame
     assert None not in [getattr(frame, slot) for slot in Frame.__slots__]
-    assert len(Frame.__slots__) == 7
+    assert len(Frame.__slots__) == 6
     for twin in (replace(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
         assert twin == frame
-        assert [getattr(twin, slot) for slot in Frame.__slots__] == [None] * 7
+        assert [getattr(twin, slot) for slot in Frame.__slots__] == [None] * 6
 
 
 def test_repr_is_the_dataclass_text():
