@@ -109,7 +109,7 @@ class SchreierSubgroup(Record):
             raise NotInKernelError(
                 f"{w} is not in the kernel (the walk from coset {start} ends at coset {coset})"
             )
-        return Word(tuple(out))
+        return Word.unchecked(tuple(out))
 
 
 class SchreierFrame(Record):
@@ -125,18 +125,20 @@ class SchreierFrame(Record):
     rows' exponent sums added, the last gamma subtracted, without zeros.
     ``rows`` are the heads of each coset, each kept if no earlier head has
     its letters, and ``letters`` those of coset 0's rows, then of all,
-    with the empty word's; ``witnessed`` says each witness row is a row.
-    K's frame keeps it (``frame_schreier``), with what is certified on it."""
+    with the empty word's; ``witnessed`` says each witness row is a row,
+    ``reversing`` that a Schreier generator reverses orientation.  K's
+    frame keeps it (``frame_schreier``), with what is certified on it."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "letters", "witnessed")
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "letters", "witnessed",
+                 "reversing")
 
     def __init__(
         self, subgroup: SchreierSubgroup, heads: tuple[tuple[Word, ...], ...],
         corners: dict[tuple, tuple[Word, Word]], witness: tuple[tuple[Word, Word, int], ...],
         sums: dict[str, int], rows: tuple[tuple[Word, ...], ...], letters: tuple[frozenset, ...],
-        witnessed: bool,
+        witnessed: bool, reversing: bool,
     ) -> None:
-        self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed)
+        self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed, reversing)
 
 
 def frame_schreier(frame: Frame) -> SchreierFrame:
@@ -195,10 +197,11 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
-def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
-    """K's frame, by comparisons that a canonical K and theta cut short,
-    or else after each check of ``reidemeister_schreier`` in turn: the
-    first that fails raises ``ValueError`` naming all it finds."""
+def accepted_frame(p: Presentation, theta: FiniteHom) -> Frame | None:
+    """K's frame if K is the frame plus r relators and theta the frame's
+    parity map, by comparisons a canonical K and theta cut short; else
+    None.  Theta then kills the frame's relators and each corner unit
+    tau_k*tau_(k+1): the frame's ``SchreierFrame`` rewrote them."""
     sig, gamma = p.signature, len(p.generators_of_kind("elliptic"))
     if sig is not None and len(sig.period_cycles) == 1 and gamma:
         r = len(sig.period_cycles[0])
@@ -207,6 +210,13 @@ def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
                 and theta.target.order == 2
                 and theta.images == tuple(frame_schreier(frame).subgroup.parity.items())):
             return frame
+    return None
+
+
+def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
+    """K's frame, as ``accepted_frame`` accepts it or after each check."""
+    if frame := accepted_frame(p, theta):
+        return frame
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
     reflections = p.generators_of_kind("reflection")
@@ -288,7 +298,7 @@ def schreier_frame(
     pair_names: dict[tuple[int, str], str | None] = {(0, tau1): None}
     schreier: list[SchreierGenerator] = []
     for coset, g, name, role in pairs + conjugates:
-        word = Word(reps[coset] + ((g, 1),) + rep_inverses[coset ^ parity[g]])
+        word = Word.unchecked(reps[coset] + ((g, 1),) + rep_inverses[coset ^ parity[g]])
         pair_names[(coset, g)] = name
         schreier.append(SchreierGenerator(name, word, role))
 
@@ -318,4 +328,5 @@ def schreier_frame(
         letters.append(frozenset(seen))
     return SchreierFrame(subgroup, heads, corners, tuple(witness),
                          {g: x for g, x in sums.items() if x}, tuple(rows), tuple(letters),
-                         all(row.letters in seen for row, _, _ in witness))
+                         all(row.letters in seen for row, _, _ in witness),
+                         any(kind.character == -1 for _, kind in subgroup.presentation.generators))

@@ -60,6 +60,10 @@ class CyclicGroup(Record):
     def __contains__(self, x: object) -> bool:
         return _is_residue(x, self.modulus)
 
+    def contains_all(self, xs: tuple) -> bool:
+        """Whether each of ``xs`` is in the group, in C-level passes."""
+        return set(map(type, xs)) <= {int} and (not xs or 0 <= min(xs) and max(xs) < self.modulus)
+
     def format(self, x: int) -> str:
         return str(x)
 
@@ -111,6 +115,12 @@ class DihedralGroup(Record):
             and _is_residue(x[0], 2) and _is_residue(x[1], self.modulus)
         )
 
+    def contains_all(self, xs: tuple) -> bool:
+        pairs = set(map(type, xs)) <= {tuple} and set(map(len, xs)) <= {2}
+        flips, rotations = tuple(zip(*xs)) if pairs and xs else ((), ())
+        return (pairs and CyclicGroup(2).contains_all(flips)
+                and CyclicGroup(self.modulus).contains_all(rotations))
+
     def format(self, x: tuple[int, int]) -> str:
         flip, rot = x
         if flip:
@@ -161,8 +171,9 @@ class FiniteHom(Record):
     and the undeclared ones) and that every image is an element of
     ``target`` (else ``GroupMismatchError`` names the generator); whether
     the images actually satisfy the relators is checked by
-    ``presentations.check_homomorphism``.  The name -> image lookup is a
-    slot outside ``_fields``, so comparison and hashing ignore it."""
+    ``presentations.check_homomorphism``.  Both checks run in bulk, and
+    name by name only where that fails.  The name -> image lookup is a slot
+    outside ``_fields``, so comparison and hashing ignore it."""
 
     __slots__ = ("domain", "target", "images", "_by_name")
     _fields = __slots__[:3]
@@ -171,22 +182,23 @@ class FiniteHom(Record):
         self, domain: "Presentation", target: CyclicGroup | DihedralGroup,
         images: Iterable[tuple[str, object]],
     ) -> None:
-        images = tuple(images)
-        names = {g for g, _ in domain.generators}
-        assigned = {g for g, _ in images}
-        if names != assigned:
-            raise ValueError(
-                f"generator images do not match the domain: missing images for"
-                f" {sorted(names - assigned)}, images for undeclared generators"
-                f" {sorted(assigned - names)}"
-            )
-        for g, img in images:
-            if img not in target:
-                raise GroupMismatchError(
-                    f"image {img!r} of generator {g} is not an element of {target}"
+        images, names = tuple(images), domain.generator_names()
+        by_name = dict(images)
+        if len(images) != len(names) or tuple(by_name) != names:
+            if (declared := set(names)) != (assigned := set(by_name)):
+                raise ValueError(
+                    f"generator images do not match the domain: missing images for"
+                    f" {sorted(declared - assigned)}, images for undeclared generators"
+                    f" {sorted(assigned - declared)}"
                 )
+        if not target.contains_all([img for _, img in images]):
+            for g, img in images:
+                if img not in target:
+                    raise GroupMismatchError(
+                        f"image {img!r} of generator {g} is not an element of {target}"
+                    )
         self._assign(domain, target, images)
-        object.__setattr__(self, "_by_name", dict(images))
+        object.__setattr__(self, "_by_name", by_name)
 
     @classmethod
     def from_dict(cls, domain, target, images: dict) -> "FiniteHom":

@@ -60,26 +60,30 @@ Below it, every fact the periods do not enter is certified once per
 frame (gamma, r) and kept on K's frame, a ``presentations.Frame``
 memoised by the two ints (``presentations._disc_quotient_frame``): K's
 generators and relators but the r corners; the ``cosets.SchreierFrame``,
-with the Schreier generators, their kinds, theta's parity, the rewrites
-of those relators and the lemma's witness rows among them with their
-exponent sums; the lemma's certified identities; and the classical
-relators of the derived kernel after its corners with their statuses.  With
-``shape_certificate`` these are the two memos of the shape stage, and
-no memo key holds a word.  The frame is an argument: K must be its frame
-plus its corners (``cosets.reidemeister_schreier`` refuses any other),
-the derived kernel's subgroup holds the frame, and the lemma and the rho
-stage read it there, each by one path.  A new shape in a warm frame
-takes O(r) Python steps: it spells, rewrites and de-duplicates its
-corners, checks them and the claimed signature, finds the witness rows
-where they stand and reads H1 off its periods.  The first ``realize``
-that reads a frame also folds it (step 5): the frame keeps the relators
-Theta walks (``_theta_residual``) and eta's images as forms
-(``_eta_images``); ``derive_delta_hat`` and ``lemma1_check`` never fold.
-Each certificate is derived on first use from the frame alone, so a
-copied frame derives its own again.  Each memo keeps its 16 most recent
-keys, and evicting a frame evicts all it certified.  So the memos hold
-at most 16 frames plus 16 shapes, each shape with the one frame whose
-objects it shares; README's frame section gives what each retains.
+with the Schreier generators, their kinds (one reverses orientation),
+theta's parity, the rewrites from both cosets of those relators and of
+each corner unit tau_k*tau_(k+1), which put them in ker(theta), and the
+lemma's witness rows; the lemma's certified identities; and the statuses
+of the derived kernel's classical relators, a corner unit each and the
+rows after the corners.  With ``shape_certificate`` these are the two
+memos of the shape stage, and no memo key holds a word.  The frame is an
+argument: K must be its frame plus its corners
+(``cosets.reidemeister_schreier`` refuses any other), the derived
+kernel's subgroup holds the frame, and the lemma and the rho stage read
+it there, each by one path.  A new shape in a warm frame takes O(r)
+Python steps and certifies no word: it spells its corners, accepts theta
+as the frame's parity map by tuple comparisons and each corner of K as
+its unit's power (so theta kills it, and its classical row holds),
+rewrites and de-duplicates the corners, checks the claimed signature,
+finds the witness rows where they stand and reads H1 off its periods.
+The first ``realize`` that reads a frame also folds it (step 5): the
+frame keeps the relators Theta walks (``_theta_residual``) and eta's
+images as forms (``_eta_images``); the shape stage never folds.  Each
+certificate is derived on first use from the frame alone, so a copied
+frame derives its own again.  Each memo keeps its 16 most recent keys,
+and evicting a frame evicts all it certified.  So the memos hold at most
+16 frames plus 16 shapes, each shape with the one frame whose objects it
+shares; README's frame section gives what each retains.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -93,10 +97,10 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache, lru_cache
-from itertools import accumulate, combinations_with_replacement, product, repeat
+from itertools import accumulate, combinations_with_replacement, product, repeat, zip_longest
 from operator import mul
 
-from .cosets import SchreierSubgroup, frame_schreier, reidemeister_schreier
+from .cosets import SchreierSubgroup, accepted_frame, frame_schreier, reidemeister_schreier
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
@@ -297,7 +301,7 @@ def build_theta(K: Presentation) -> FiniteHom:
     long relator hold (so the naive image e -> 1 is valid exactly when
     gamma is even)."""
     c2 = CyclicGroup(2)
-    images = {name: 1 for name, kind in K.generators if kind.kind != "connector"}
+    images = dict.fromkeys(K.generator_names(), 1)
     for e, word in connector_closed_form(K).items():
         images[e] = c2.normal_form(images, word.letters)
     return FiniteHom.from_dict(K, c2, images)
@@ -326,40 +330,34 @@ class DerivedKernel(Record):
         return KernelSignatureReport(self.signature)
 
 
-def _printed_relator_words(
-    sub: SchreierSubgroup, periods: tuple[int, ...]
-) -> list[tuple[str, Word, tuple[int, int] | None]]:
-    """The classical relator list of the derived kernel when theta kills
-    the connector, over the derived generators, their names read by role,
-    each with its source: the index of a relator of K (K's relators end
-    with the connector relator, the long relator and the corners) and the
-    rotation at which the word, spelled in K and reduced, equals it.
-    c1^(n_1) spells corner 1 and (c_k^-1*c_(k+1))^p corner k+1, each the
-    power of a unit that spells the corner's tau_j*tau_(j+1); e1*e2^-1[*c_r] spells
-    e*tau1*e^-1*tau_(r+1), the connector relator e^-1*tau_(r+1)*e*tau1
-    read from its third letter (rotation 2), for r = 0 too; the
-    delta-alternations are trivial (None).  K's frame keeps all of it that
-    reads no period as ``printed``."""
-    corner, frame = len(sub.base.relators) - len(periods), sub.frame
-    printed = frame and frame.printed
-    if not printed:
+def _printed_relator_words(sub: SchreierSubgroup) -> tuple[tuple, Presentation]:
+    """The derived kernel's classical relators when theta kills the
+    connector, for its frame: each row's label, word over the generators
+    named by role, and source in the frame with its corner units
+    (``Frame.with_corners`` at n_k = 1, returned too), a relator's index
+    and the rotation at which the word, spelled in K, reduces to it.  c1
+    spells tau1*tau2 and (c_k^-1*c_(k+1)) tau_(k+1)*tau_(k+2) at rotation
+    0; e1*e2^-1[*c_r] the connector relator e^-1*tau_(r+1)*e*tau1 from its
+    third letter (rotation 2); the delta-alternations are trivial (None).
+    K's frame keeps both as ``printed``."""
+    frame = sub.frame
+    if frame.printed is None:
         names: dict[str, list[str]] = {}
         for g in sub.generators:
             names.setdefault(g.role, []).append(g.name)
         deltas, cs, (e1, e2) = names["glide"], names.get("corner rotation", []), names["connector"]
-        units = [(c, ((c, 1),)) for c in cs[:1]]
-        units += [(f"({a}^-1*{b})", ((a, -1), (b, 1))) for a, b in zip(cs, cs[1:])]
+        units, corner = frame.with_corners((1,) * len(cs)), len(frame.relators)
+        rows = [(c, Word(((c, 1),)), (corner, 0)) for c in cs[:1]]
+        rows += [(f"({a}^-1*{b})", Word(((a, -1), (b, 1))), (corner + k, 0))
+                 for k, (a, b) in enumerate(zip(cs, cs[1:]), start=1)]
         closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
-        rows = [(str(closing), closing, (corner - 2, 2))]
+        rows.append((str(closing), closing, (corner - 2, 2)))
         # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
         for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
             letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
             rows.append((f"delta-alternation-{i}", Word((*letters, (e, -1))), None))
-        printed = tuple(units), tuple(rows), {g.name: g.word for g in sub.generators}
-        if frame:
-            frame._keep("printed", printed)
-    return [(f"{text}^{p}", Word(unit) ** p, (corner + k, 0))
-            for k, ((text, unit), p) in enumerate(zip(printed[0], periods))] + [*printed[1]]
+        frame._keep("printed", (tuple(rows), units))
+    return frame.printed
 
 
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
@@ -374,18 +372,19 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     two groups are isomorphic (Macbeath, Canad. J. Math. 19, 1967).  The
     kernel has no reflection, so no boundary, and three O(gamma + r) facts
     fix the rest: the torsion words' orders are the periods, as a
-    multiset; some Schreier generator has orientation character -1; and
-    the claimed reduced area is twice K's (Riemann-Hurwitz at index 2),
-    which with the periods and the sign fixes the genus.  The area check
-    multiplies, so it holds where K's area is 0.  A fact that fails raises
+    multiset; some Schreier generator, a frame's, has orientation
+    character -1 (``SchreierFrame.reversing``); and the claimed reduced
+    area is twice K's (Riemann-Hurwitz at index 2), which with the periods
+    and the sign fixes the genus.  The area check multiplies, so it holds
+    where K's area is 0.  A fact that fails raises
     ``PipelineAssertionError`` naming the claimed signature.
 
-    The classical relators are certified by ``verify_derived_relators``,
-    a corner row c^p by its unit c, which spells tau_k*tau_(k+1), once
-    K's corner is checked to be that unit's p-th power.  The closing row
-    and the delta-alternations do not read the periods: the first shape
-    of a frame builds and certifies them, K's frame keeps both, so every
-    later shape of the frame spells and checks only its r corners."""
+    The first shape of a frame certifies each corner unit c, which spells
+    tau_k*tau_(k+1), the closing row and the delta-alternations in one
+    ``verify_derived_relators`` call, and K's frame keeps the statuses.
+    A corner row c^(n_k) holds once K's corner is checked, by one tuple
+    comparison, to be the n_k-th power of that unit, so a later shape of
+    the frame certifies no word."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
@@ -397,27 +396,28 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     orders = sorted(n for _, n in sub.presentation.torsion_words)
     if orders != list(claim.proper_periods):
         raise unproved(f"torsion word orders {orders} are not the periods")
-    if all(kind.character == 1 for _, kind in sub.presentation.generators):
+    if not frame_schreier(sub.frame).reversing:
         raise unproved("no Schreier generator reverses orientation")
     area, k_area = reduced_area(claim), reduced_area(K.signature)
     if area != 2 * k_area:
         raise unproved(f"reduced area {area} is not twice K's {k_area}")
 
-    printed: list[tuple[str, str]] = []
+    printed: tuple[tuple[str, str], ...] = ()
     (connector,) = K.generators_of_kind("connector")
     if not sub.parity[connector]:
-        labels, words, sources = zip(*_printed_relator_words(sub, periods))
-        r, frame = len(periods), sub.frame
-        images = frame.printed[2]
-        corners = verify_derived_relators(K, words[:r], sources[:r], images)
-        statuses = frame.statuses or verify_derived_relators(K, words[r:], sources[r:], images)
-        printed = list(zip(labels, corners + statuses))
-        for label, status in printed:
-            if status == "unresolved":
+        (rows, units), frame, r = _printed_relator_words(sub), sub.frame, len(periods)
+        texts, words, sources = zip(*rows)
+        statuses = frame.statuses or verify_derived_relators(
+            units, words, sources, {g.name: g.word for g in sub.generators})
+        labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + list(texts[r:])
+        corners = zip(K.relators[len(K.relators) - r:], units.relators[len(units.relators) - r:])
+        fits = [rel.letters == unit.letters * p for (rel, unit), p in zip(corners, periods)]
+        for label, status, fit in zip_longest(labels, statuses, fits, fillvalue=True):
+            if status == "unresolved" or not fit:
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
-        frame._keep("statuses", statuses)
+        printed = tuple(zip(labels, frame._keep("statuses", statuses)))
 
-    return DerivedKernel(subgroup=sub, signature=claim, printed_checks=tuple(printed))
+    return DerivedKernel(subgroup=sub, signature=claim, printed_checks=printed)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +464,8 @@ def _torsion_factors(periods: tuple[int, ...]) -> tuple[int, ...]:
     One gcd/lcm pass inserts each order into the chain d_1 | d_2 | ...
     (at each prime, into the sorted exponents); the 1s are dropped."""
     orders = list(periods) or [1]
-    m = max(range(len(orders)), key=lambda i: orders[i] & -orders[i])
-    orders[m] *= 2
+    lows = [x & -x for x in orders]
+    orders[lows.index(max(lows))] *= 2
     chain: list[int] = []
     for x in orders:
         for j in reversed(range(len(chain))):
@@ -574,6 +574,8 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     theta, theta a homomorphism, ``derive_delta_hat`` (which claims and
     checks the kernel's signature, the index-2 area identity included) and
     ``lemma1_check``.  A failed check raises ``PipelineAssertionError``.
+    Theta is accepted as its frame's parity map with each corner of K its
+    unit's power (``cosets.accepted_frame``): no relator is walked.
 
     Memoised for the ``SHAPE_MEMO_SIZE`` most recent shapes; a call that
     raises is not memoised, so it raises again on the next call.  The
@@ -581,7 +583,9 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     ``validate_action`` has accepted the datum."""
     K = canonical_presentation(quotient_disc_signature(gamma, periods))
     theta = build_theta(K)
-    if check_homomorphism(K, theta):
+    frame, corners = accepted_frame(K, theta), K.relators[len(K.relators) - len(periods):]
+    if frame is None or any(rel.letters != unit * n for rel, unit, n
+                            in zip(corners, frame.schreier.corners, periods)):
         raise PipelineAssertionError("parity map theta is not a homomorphism")
 
     derived = derive_delta_hat(K, theta)

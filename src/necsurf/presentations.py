@@ -28,9 +28,7 @@ object built from the frame holds it; none finds it by identity.
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
 by one comparison: with the one relator it is named to come from, read
-from the named rotation, or with the empty word.  A word named for a
-corner (tau_k tau_(k+1))^(n_k) that is the n_k-th power of a unit is
-certified by its unit.
+from the named rotation, or with the empty word.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ class Presentation(Record):
                          signature)
 
     def generator_names(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.generators)
+        return next(zip(*self.generators), ())
 
     def involution_names(self) -> frozenset[str]:
         try:
@@ -114,12 +112,12 @@ class Frame(Presentation):
     certified once for every K of the frame, each None until its first
     use derives it from the frame alone, and none a field, so a copy
     starts without them: ``schreier``, the ``cosets.SchreierFrame`` of K's
-    parity map (``cosets.frame_schreier``); ``statuses`` and ``printed``,
-    the classical relators of the derived kernel after its corners, their
-    statuses, and the units and words that certify them;
-    ``folds``, K's relators that Theta does not send to 1 for every rho;
-    ``inverted``, the Schreier generators whose tau1-identities the lemma
-    certified; and ``eta``, eta's images as forms."""
+    parity map (``cosets.frame_schreier``); ``printed`` and ``statuses``,
+    the derived kernel's classical relators (a corner unit each, then the
+    rows after the corners) and their statuses; ``folds``, K's relators
+    Theta does not send to 1 for every rho; ``inverted``, the Schreier
+    generators whose tau1-identities the lemma certified; ``eta``, eta's
+    images as forms."""
 
     __slots__ = ("schreier", "statuses", "printed", "folds", "inverted", "eta")
     _fields = Presentation._fields
@@ -131,6 +129,19 @@ class Frame(Presentation):
         super().__init__(generators, relators, torsion_words, signature)
         for slot in Frame.__slots__:
             self._keep(slot, None)
+
+    def with_corners(self, cycle: Iterable[int], sig: NECSignature | None = None) -> Presentation:
+        """K of the frame with corner orders ``cycle`` (with each n_k = 1, the
+        frame with its corner units), sharing the frame's generators, which
+        were checked when it was built, and its lookups."""
+        taus = self.generators_of_kind("reflection")
+        corners = (Word(((a, 1), (b, 1))) ** n for a, b, n in zip(taus, taus[1:], cycle))
+        p = Presentation.__new__(Presentation)
+        p._assign(self.generators, self.relators + tuple(corners), (), sig)
+        self.involution_names(), connector_closed_form(self)
+        for slot in ("_involutions", "_names_by_kind", "_closed_form"):
+            p._keep(slot, getattr(self, slot))
+        return p
 
 
 def canonical_presentation(sig: NECSignature) -> Presentation:
@@ -151,22 +162,16 @@ def canonical_presentation(sig: NECSignature) -> Presentation:
 
 def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     cycle = sig.period_cycles[0]
-    frame = _disc_quotient_frame(len(sig.proper_periods), len(cycle))
-    taus = frame.generators_of_kind("reflection")
-    corners = [Word(((taus[k], 1), (taus[k + 1], 1))) ** n for k, n in enumerate(cycle)]
-    p = Presentation(frame.generators, frame.relators + tuple(corners), signature=sig)
-    for slot in ("_involutions", "_names_by_kind", "_closed_form"):
-        p._keep(slot, getattr(frame, slot))
-    return p
+    return _disc_quotient_frame(len(sig.proper_periods), len(cycle)).with_corners(cycle, sig)
 
 
 @lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def _disc_quotient_frame(gamma: int, r: int) -> Frame:
     """The disc-quotient group with gamma interior points and r corners
-    without its corner relators, with its involutions, its names by kind
-    and the connector's closed form computed: what every K of the frame
-    (gamma, r) shares, as none of it reads the periods.  It is the one
-    memo of the frame's certificates (``Frame``)."""
+    without its corner relators: what every K of the frame (gamma, r)
+    shares with its lookups (``Frame.with_corners``), as none of it reads
+    the periods.  It is the one memo of the frame's certificates
+    (``Frame``)."""
     xs = [f"x{i}" for i in range(1, gamma + 1)]
     taus = [f"tau{j}" for j in range(1, r + 2)]
     generators = (
@@ -179,11 +184,7 @@ def _disc_quotient_frame(gamma: int, r: int) -> Frame:
     relators += [Word.gen(t, 2) for t in taus]
     relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
     relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
-    frame = Frame(tuple(generators), tuple(relators))
-    # the lookups each K of the frame takes over
-    frame.involution_names()
-    connector_closed_form(frame)
-    return frame
+    return Frame(tuple(generators), tuple(relators))
 
 
 def crosscap_names(gamma: int, r: int) -> tuple[list[str], list[str]]:
@@ -259,14 +260,6 @@ def verify_derived_relators(
     connector's closed form x_1^-1...x_gamma^-1 spliced in, and must
     reduce to the empty word.  Anything else is unresolved.  No other
     relator of ``p`` is read, and nothing is kept.
-
-    A relator named at rotation 0 that is U^m, m >= 2, for its first two
-    letters U, two distinct generators (a corner (tau_k tau_(k+1))^(n_k)),
-    is compared by its unit when the word is u^m: u against U.  Reduction
-    commutes with these powers: U^m reduces to the m-th power of U's
-    reduction, which is cyclically reduced of length 2, and u^m to the
-    m-th power of u's whenever that has length 2 or more.  So u^m matches
-    U^m exactly when u matches U, and each status is the whole word's.
     """
     relators, involutions = p.relators, p.involution_names()
     closed_form = connector_closed_form(p)
@@ -276,12 +269,7 @@ def verify_derived_relators(
             spliced = substitute_letters(substitute_letters(letters, substitution), closed_form)
             return "unresolved" if cyclic_reduce_letters(spliced, involutions) else "trivial"
         index, k = source
-        rel = relators[index].letters
-        unit, m = rel[:2], len(rel) // 2
-        if (k == 0 and m > 1 and unit[0][0] != unit[1][0] and rel == unit * m
-                and letters == (root := letters[:len(letters) // m]) * m):
-            letters, rel = root, unit
-        rel = cyclic_reduce_letters(rel, involutions)
+        rel = cyclic_reduce_letters(relators[index].letters, involutions)
         spelled = cyclic_reduce_letters(substitute_letters(letters, substitution), involutions)
         return "matches-relator" if spelled == rel[k:] + rel[:k] else "unresolved"
 

@@ -7,7 +7,7 @@ handed a tuple of hashable pairs; any other input (a list, a generator,
 letters that are lists) is coerced letter by letter, and a bad letter
 raises ``ValueError`` naming it.  So every ``Word`` is hashable.  Every
 operation below builds its result's letter tuple once and makes one
-``Word`` from it; a power repeats checked letters, so it checks none.
+``Word`` from it; a power, a product or an inverse checks none again.
 
 ``cyclic_reduce_letters`` reduces letters as a cyclic word, modulo a
 declared set of involutions (generators g with g^2 = 1), under which g^-1
@@ -109,6 +109,13 @@ class Word(Record):
         object.__setattr__(self, "letters", _checked_letters(letters))
 
     @classmethod
+    def unchecked(cls, letters: tuple[tuple[str, int], ...]) -> "Word":
+        """The word of ``letters``, each known to be a (name, +1/-1) pair."""
+        word = cls.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def gen(cls, name: str, exp: int = 1) -> "Word":
         if exp == 0:
             return cls()
@@ -116,17 +123,15 @@ class Word(Record):
         return cls((letter,) * abs(exp))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word.unchecked(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        power = Word.__new__(Word)
-        object.__setattr__(power, "letters", self.letters * n)
-        return power
+        return Word.unchecked(self.letters * n)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word.unchecked(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -18,7 +18,9 @@ replaced are the oracles of that path, each kept nowhere: a ``cosets.schreier_fr
 derived from any K (``unkept_reidemeister_schreier``), the lemma on a
 subgroup's own words (``own_word_lemma``), Theta and eta with every
 relator of K or of the derived kernel walked (``walked_theta``,
-``walked_eta``), and all of them in turn (``oracle_certificate``).
+``walked_eta``), one shape's classical relators with each corner row a
+power named for K's corner (``printed_relator_words``), and all of them
+in turn (``oracle_certificate``).
 ``replace`` rebuilds a result with some of its fields changed, through
 the constructor.
 
@@ -1047,6 +1049,31 @@ def walked_eta(sub, theta: FiniteHom):
     return eta, surface_kernel_problems(pres, eta, "eta")
 
 
+def printed_relator_words(sub, periods):
+    """The classical relator list of one shape's derived kernel when theta
+    kills the connector, each row's label, word and source in K
+    (``sub.base``): c1^(n_1) named for corner 1 and (c_k^-1*c_(k+1))^(n_(k+1))
+    for corner k+1, each at rotation 0, e1*e2^-1[*c_r] for the connector
+    relator at rotation 2, and the delta-alternations for nothing.  Built
+    from the subgroup's roles alone, as the oracle of the frame's rows
+    (``pipeline._printed_relator_words``), which name the corner units."""
+    names = {}
+    for g in sub.generators:
+        names.setdefault(g.role, []).append(g.name)
+    deltas, cs, (e1, e2) = names["glide"], names.get("corner rotation", []), names["connector"]
+    corner = len(sub.base.relators) - len(periods)
+    units = [(c, Word(((c, 1),))) for c in cs[:1]]
+    units += [(f"({a}^-1*{b})", Word(((a, -1), (b, 1)))) for a, b in zip(cs, cs[1:])]
+    rows = [(f"{text}^{p}", unit ** p, (corner + k, 0))
+            for k, ((text, unit), p) in enumerate(zip(units, periods))]
+    closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
+    rows.append((str(closing), closing, (corner - 2, 2)))
+    for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
+        letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
+        rows.append((f"delta-alternation-{i}", Word((*letters, (e, -1))), None))
+    return rows
+
+
 def oracle_certificate(datum):
     """``realize(datum)`` through the oracles alone, for a valid datum:
     the unkept Reidemeister-Schreier, every classical relator certified in
@@ -1060,7 +1087,7 @@ def oracle_certificate(datum):
     printed = ()
     (connector,) = K.generators_of_kind("connector")
     if not sub.parity[connector]:
-        labels, words, sources = zip(*pipeline._printed_relator_words(sub, datum.periods))
+        labels, words, sources = zip(*printed_relator_words(sub, datum.periods))
         images = {g.name: g.word for g in sub.generators}
         printed = tuple(zip(labels, verify_derived_relators(K, words, sources, images)))
         assert "unresolved" not in dict(printed).values()

@@ -154,6 +154,57 @@ class TestFiniteHom:
         with pytest.raises(GroupMismatchError, match="generator b"):
             FiniteHom.from_dict(p, target, {"a": identity(target), "b": image})
 
+    # construction tests names and images in bulk, and words a failure
+    # name by name: each message is the one the item-by-item check gives
+    @pytest.mark.parametrize("group", [CyclicGroup, DihedralGroup])
+    @pytest.mark.parametrize("kind", [
+        "bool", "negative", "too-large", "not-a-tuple", "short", "long", "bool-in-pair"])
+    def test_each_bad_image_is_named_with_its_message(self, group, kind):
+        target = group(4)
+        cyclic = group is CyclicGroup
+        image = {
+            "bool": True,
+            "negative": -1 if cyclic else (0, -1),
+            "too-large": 4 if cyclic else (0, 4),
+            "not-a-tuple": (0, 1) if cyclic else [0, 1],
+            "short": (1,),
+            "long": (0, 1, 2),
+            "bool-in-pair": (True, 0),
+        }[kind]
+        p = self._free_presentation("a", "b", "c")
+        images = {"a": identity(target), "b": image, "c": identity(target)}
+        for build in (lambda: FiniteHom.from_dict(p, target, images),
+                      lambda: FiniteHom(p, target, tuple(images.items()))):
+            with pytest.raises(GroupMismatchError) as exc:
+                build()
+            assert str(exc.value) == f"image {image!r} of generator b is not an element of {target}"
+        # the first image that is not an element is named, as the loop finds it
+        with pytest.raises(GroupMismatchError) as exc:
+            FiniteHom.from_dict(p, target, {**images, "a": image, "c": -2})
+        assert str(exc.value) == f"image {image!r} of generator a is not an element of {target}"
+
+    @pytest.mark.parametrize("group", [CyclicGroup, DihedralGroup])
+    def test_missing_and_undeclared_names_have_their_message(self, group):
+        target = group(4)
+        p = self._free_presentation("a", "b")
+        one = identity(target)
+        cases = [
+            ({"a": one}, "missing images for ['b'], images for undeclared generators []"),
+            ({"a": one, "b": one, "c": one},
+             "missing images for [], images for undeclared generators ['c']"),
+            ({"b": one, "c": one}, "missing images for ['a'], images for undeclared generators ['c']"),
+        ]
+        for images, reason in cases:
+            for build in (lambda: FiniteHom.from_dict(p, target, images),
+                          lambda: FiniteHom(p, target, tuple(images.items()))):
+                with pytest.raises(ValueError) as exc:
+                    build()
+                assert type(exc.value) is ValueError
+                assert str(exc.value) == f"generator images do not match the domain: {reason}"
+        # images in another order, or given twice, still match the domain
+        assert FiniteHom(p, target, (("b", one), ("a", one))).image_of("b") == one
+        assert FiniteHom(p, target, (("a", one), ("b", one), ("a", one))).image_of("a") == one
+
     def test_evaluate_matches_element_fold(self):
         # seeded random words, inverse letters included, over C_m and D_m;
         # the dihedral images mix rotations and reflections

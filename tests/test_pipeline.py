@@ -55,7 +55,7 @@ from necsurf import abelian, certificate, cli, cosets, pipeline, presentations
 from necsurf.cosets import SchreierFrame
 from necsurf.presentations import Frame
 from necsurf.pipeline import _printed_relator_words
-from necsurf.signatures import CONNECTOR
+from necsurf.signatures import CONNECTOR, GeneratorKind
 from necsurf.words import Word
 from reference import (
     cayley_coset_table,
@@ -183,36 +183,41 @@ def unresolved_relators(K, words, sources, substitution):
 
 
 def with_printed_row(monkeypatch, index, mutate):
-    """Patch ``_printed_relator_words`` so that its row ``index`` (label,
-    word, source) is replaced by ``mutate(word, source)``, a (word,
-    source) pair; returns the row's label."""
+    """Patch ``_printed_relator_words`` so that its frame row ``index``
+    (label, word, source) is replaced by ``mutate(word, source)``, a
+    (word, source) pair; returns the row's label.  A corner row is its
+    unit, labelled without the shape's period."""
     labels = []
 
-    def printed(sub, periods):
-        rows = _printed_relator_words(sub, periods)
+    def printed(sub):
+        rows, units = _printed_relator_words(sub)
         label, word, source = rows[index]
-        rows[index] = (label, *mutate(word, source))
         labels.append(label)
-        return rows
+        return (*rows[:index], (label, *mutate(word, source)), *rows[index + 1:]), units
 
     monkeypatch.setattr(pipeline, "_printed_relator_words", printed)
     return labels
 
 
+def frame_rows(K, theta):
+    """The frame rows ``derive_delta_hat`` certifies for K's frame, and
+    the shape's labels of the same rows (``reference.printed_relator_words``)."""
+    sub = reidemeister_schreier(K, theta)
+    shape = reference.printed_relator_words(sub, K.signature.period_cycles[0])
+    return _printed_relator_words(sub)[0], [label for label, _, _ in shape]
+
+
 def exponent_mutations(rows, periods):
     """(row index, mutate) pairs for ``with_printed_row``: one letter of
-    one printed word inverted, in each word in turn, and one power too
-    many on each corner word."""
+    one frame row inverted, in each row in turn, and each corner unit
+    squared, one power too many."""
     mutations = [
         (i, lambda word, source, j=j: (
             Word(word.letters[:j] + ((word.letters[j][0], -word.letters[j][1]),)
                  + word.letters[j + 1:]), source))
         for i, (_, word, _) in enumerate(rows) for j in (0, len(word) - 1)
     ]
-    return mutations + [
-        (i, lambda word, source, p=p: (word * Word(word.letters[:len(word) // p]), source))
-        for i, p in enumerate(periods)
-    ]
+    return mutations + [(i, lambda word, source: (word * word, source)) for i in range(len(periods))]
 
 
 def source_mutations(rows, periods):
@@ -582,21 +587,21 @@ class TestDeriveDeltaHat:
     def test_wrong_exponent_in_a_printed_word_is_an_assertion(self, monkeypatch, gamma, periods):
         K = disc_group(gamma, periods)
         theta = build_theta(K)
-        rows = _printed_relator_words(reidemeister_schreier(K, theta), periods)
+        rows, shape_labels = frame_rows(K, theta)
         mutations = exponent_mutations(rows, periods)
         assert len(mutations) == 2 * (len(periods) + 3) + len(periods)
         for i, mutate in mutations:
             labels = with_printed_row(monkeypatch, i, mutate)
             with pytest.raises(PipelineAssertionError) as exc:
                 derive_delta_hat(K, theta)
-            assert str(exc.value) == f"classical relator {labels[0]} could not be certified"
+            assert str(exc.value) == f"classical relator {shape_labels[i]} could not be certified"
             assert labels[0] == rows[i][0]
 
     @pytest.mark.parametrize("gamma, periods", [(2, (3, 4, 5)), (4, (3, 3, 3))])
     def test_wrong_named_source_is_an_assertion(self, monkeypatch, gamma, periods):
         K = disc_group(gamma, periods)
         theta = build_theta(K)
-        rows = _printed_relator_words(reidemeister_schreier(K, theta), periods)
+        rows, shape_labels = frame_rows(K, theta)
         connector = rows[len(periods)][2]
         assert K.relators[connector[0]] == Word(
             (("e", -1), (f"tau{len(periods) + 1}", 1), ("e", 1), ("tau1", -1))
@@ -605,27 +610,37 @@ class TestDeriveDeltaHat:
             labels = with_printed_row(monkeypatch, i, mutate)
             with pytest.raises(PipelineAssertionError) as exc:
                 derive_delta_hat(K, theta)
-            assert str(exc.value) == f"classical relator {labels[0]} could not be certified"
+            assert str(exc.value) == f"classical relator {shape_labels[i]} could not be certified"
             assert labels[0] == rows[i][0]
 
     def test_printed_words_name_their_sources(self):
-        # c1^3 from (tau1 tau2)^3, (c_k^-1*c_(k+1))^p from corner k+1,
-        # both at rotation 0, the connector word from the connector
-        # relator at rotation 2, the alternations from nothing
+        # c1 from tau1 tau2, (c_k^-1*c_(k+1)) from the unit of corner k+1,
+        # both at rotation 0 in the frame with its corner units, the
+        # connector word from the connector relator at rotation 2, the
+        # alternations from nothing; a shape's corner row c1^3 is named
+        # for K's corner (tau1 tau2)^3
         K = disc_group(2, (3, 4, 5))
         sub = reidemeister_schreier(K, build_theta(K))
+        rows, units = _printed_relator_words(sub)
         named = {
-            label: None if source is None else (str(K.relators[source[0]]), source[1])
-            for label, _, source in _printed_relator_words(sub, (3, 4, 5))
+            label: None if source is None else (str(units.relators[source[0]]), source[1])
+            for label, _, source in rows
         }
         assert named == {
-            "c1^3": ("tau1*tau2*tau1*tau2*tau1*tau2", 0),
-            "(c1^-1*c2)^4": ("*".join(["tau2*tau3"] * 4), 0),
-            "(c2^-1*c3)^5": ("*".join(["tau3*tau4"] * 5), 0),
+            "c1": ("tau1*tau2", 0),
+            "(c1^-1*c2)": ("tau2*tau3", 0),
+            "(c2^-1*c3)": ("tau3*tau4", 0),
             "e1*e2^-1*c3": ("e^-1*tau4*e*tau1^-1", 2),
             "delta-alternation-1": None,
             "delta-alternation-2": None,
         }
+        assert units.relators[:-3] == K.relators[:-3] == sub.frame.relators
+        assert [(label, str(K.relators[source[0]])) for label, _, source
+                in reference.printed_relator_words(sub, (3, 4, 5))[:3]] == [
+            ("c1^3", "tau1*tau2*tau1*tau2*tau1*tau2"),
+            ("(c1^-1*c2)^4", "*".join(["tau2*tau3"] * 4)),
+            ("(c2^-1*c3)^5", "*".join(["tau3*tau4"] * 5)),
+        ]
 
     @pytest.mark.parametrize("gamma, periods, order", [(2, (3,), 12), (4, (), 4)])
     def test_closing_row_at_another_rotation_is_an_assertion(
@@ -655,31 +670,59 @@ class TestDeriveDeltaHat:
         # every mutation of the two tests above, after a shape of the same
         # frame (gamma, r) certified the frame's classical relators; with
         # r = 0 the frame has one shape, which warms it.  The sibling
-        # certifies its r corner rows and then the rows after them; the
-        # shape certifies its r corner rows alone.  So a mutated corner row
-        # raises in the warm frame, and a mutated row after the corners is
-        # not read again there: it raises once the frame is derived anew
+        # certifies the frame's r corner units and its rows after them in
+        # one call, and the shape certifies no word.  So a mutated row is
+        # not read again in the warm frame: it raises once the frame is
+        # derived anew.  What a shape does check there, that each corner
+        # of K is its unit's n_k-th power, raises in the warm frame
         derived_for(*sibling)
         derived_for(gamma, periods)
         monkeypatch.undo()
-        r, (first, rows, last) = len(periods), verified_words
-        assert first == last == r and rows > 0
+        r = len(periods)
+        assert verified_words == [r + 3]
         K = disc_group(gamma, periods)
         theta = build_theta(K)
-        printed = _printed_relator_words(reidemeister_schreier(K, theta), periods)
-        mutations = exponent_mutations(printed, periods)
-        mutations += source_mutations(printed, periods) if periods else []
+        rows, shape_labels = frame_rows(K, theta)
+        mutations = exponent_mutations(rows, periods)
+        mutations += source_mutations(rows, periods) if periods else []
         for i, mutate in mutations:
             monkeypatch.undo()
             derive_delta_hat(K, theta)  # the frame certifies its rows
             labels = with_printed_row(monkeypatch, i, mutate)
-            if i >= r:
-                derive_delta_hat(K, theta)
-                presentations._disc_quotient_frame.cache_clear()
+            derive_delta_hat(K, theta)
+            presentations._disc_quotient_frame.cache_clear()
             with pytest.raises(PipelineAssertionError) as exc:
                 derive_delta_hat(K, theta)
-            assert str(exc.value) == f"classical relator {labels[-1]} could not be certified"
-            assert labels[-1] == printed[i][0]
+            assert str(exc.value) == f"classical relator {shape_labels[i]} could not be certified"
+            assert labels[-1] == rows[i][0]
+        monkeypatch.undo()
+        for k, p in enumerate(periods):
+            derive_delta_hat(K, theta)
+            corner = len(K.relators) - r + k
+            bent = replace(K, relators=(*K.relators[:corner], Word(
+                K.relators[corner].letters[:2]) ** (p + 1), *K.relators[corner + 1:]))
+            with pytest.raises(PipelineAssertionError) as exc:
+                derive_delta_hat(bent, build_theta(bent))
+            assert str(exc.value) == f"classical relator {shape_labels[k]} could not be certified"
+
+    def test_a_mutated_corner_unit_on_the_frame_is_an_assertion(self, verified_words):
+        # the frame's unit of corner 1 reversed, tau2*tau1: in the warm
+        # frame K's corner is not its power, and once the frame's statuses
+        # are gone the row c1 does not spell it; each raises, named for the
+        # shape's corner row
+        derived_for(2, (3, 4))
+        frame = presentations._disc_quotient_frame(2, 2)
+        rows, units = frame.printed
+        unit = len(units.relators) - 2
+        relators = (*units.relators[:unit], Word(units.relators[unit].letters[::-1]),
+                    *units.relators[unit + 1:])
+        frame._keep("printed", (rows, replace(units, relators=relators)))
+        for statuses in (frame.statuses, None):
+            frame._keep("statuses", statuses)
+            with pytest.raises(PipelineAssertionError) as exc:
+                derived_for(2, (5, 4))
+            assert str(exc.value) == "classical relator c1^5 could not be certified"
+        assert verified_words == [2 + 3, 2 + 3]
 
     def test_theta_of_index_one_rejected(self):
         # the index check lives in reidemeister_schreier alone
@@ -715,10 +758,9 @@ class TestDeriveDeltaHat:
         assert_claim_refused("torsion word orders [2, 2, 3] are not the periods")
 
     def test_orientable_kernel_refuses_the_claim(self, monkeypatch):
-        def mutate(pres):
-            return replace(pres, generators=tuple((name, CONNECTOR) for name, _ in pres.generators))
-
-        with_rs_presentation(monkeypatch, mutate)
+        # a frame whose Schreier generators all preserve orientation: the
+        # frame keeps the fact, and the kernel's generators are its own
+        monkeypatch.setattr(cosets, "GLIDE", CONNECTOR)
         assert_claim_refused("no Schreier generator reverses orientation")
 
     def test_area_of_k_patched_off_refuses_the_claim(self, monkeypatch):
@@ -1300,6 +1342,26 @@ class TestRealize:
         ):
             realize(GENUS2)
 
+    @pytest.mark.parametrize("gamma", [3, 4])
+    @pytest.mark.parametrize("patch", ["parity bit", "corner unit"])
+    def test_theta_its_frame_does_not_certify_is_an_assertion(self, gamma, patch):
+        # theta is certified as its frame's parity map, whose Schreier
+        # frame rewrote the frame's relators and each corner unit, with
+        # each corner of K its unit's power; a frame whose parity bit on
+        # tau2, or whose unit of corner 1, differs certifies no theta
+        frame = presentations._disc_quotient_frame(gamma, 2)
+        schreier = cosets.frame_schreier(frame)
+        if patch == "parity bit":
+            parity = schreier.subgroup.parity | {"tau2": 0}
+            schreier = replace(schreier, subgroup=replace(schreier.subgroup, parity=parity))
+        else:
+            (unit, rows), *rest = schreier.corners.items()
+            schreier = replace(schreier, corners=dict([(unit[::-1], rows), *rest]))
+        frame._keep("schreier", schreier)
+        with pytest.raises(PipelineAssertionError) as exc:
+            pipeline.shape_certificate(gamma, (3, 3))
+        assert str(exc.value) == "parity map theta is not a homomorphism"
+
     def test_genus_disagreement_is_an_assertion(self, monkeypatch):
         # validation computes the genus from Delta's signature; only the
         # genus realize reads off K (the one signature with a boundary) is off
@@ -1413,8 +1475,7 @@ class TestShapeMemo:
 
     def test_even_gamma_shapes_of_one_frame_certify_it_once(self, verified_words):
         # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
-        # above, which also prints its classical relators: each shape
-        # certifies its corner row, and only the first the rows after it
+        # above, which also prints its classical relators
         frames = []
         for p in (2, 3, 6):
             K = disc_group(4, (p,))
@@ -1427,7 +1488,39 @@ class TestShapeMemo:
         assert owner is presentations._disc_quotient_frame(4, 1)
         assert owner.inverted == tuple(g.name for g in derived.subgroup.generators)
         assert owner.statuses is not None
-        assert verified_words == [1, verified_words[1], 1, 1]
+        # the first shape certifies the frame's corner unit and its three
+        # rows after it, in one call; the other two certify no word
+        assert verified_words == [1 + 3]
+
+    @pytest.mark.parametrize("warm, new", [
+        ((400, (2, 2)), (400, (3, 3))), ((4, (2, 2, 2)), (4, (4, 6, 8))),
+    ])
+    def test_a_new_shape_in_a_warm_frame_certifies_nothing(
+        self, monkeypatch, verified_words, warm, new
+    ):
+        # after a shape of its frame, a new shape's stage certifies no
+        # word, evaluates no relator of the frame under theta (nor any of
+        # K's) and reads no orientation character: each is a frame fact
+        pipeline.shape_certificate(*warm)
+        assert verified_words == [len(warm[1]) + 3]
+        frame = presentations._disc_quotient_frame(new[0], len(new[1]))
+        evaluated, walked, characters = [], [], []
+        normal_form, check = CyclicGroup.normal_form, pipeline.check_homomorphism
+        monkeypatch.setattr(CyclicGroup, "normal_form", lambda self, table, letters: (
+            evaluated.append(tuple(letters)) or normal_form(self, table, evaluated[-1])))
+        monkeypatch.setattr(pipeline, "check_homomorphism",
+                            lambda p, hom: walked.append(p) or check(p, hom))
+        character = GeneratorKind.character
+        monkeypatch.setattr(GeneratorKind, "character", property(
+            lambda kind: characters.append(kind) or character.fget(kind)))
+        shape = pipeline.shape_certificate(*new)
+        assert verified_words == [len(warm[1]) + 3]
+        assert walked == [] and characters == []
+        assert len(evaluated) == 1  # theta's image of e, from e's closed form
+        relators = {rel.letters for rel in shape.k_presentation.relators}
+        assert not relators & set(evaluated) and frame.relators[0].letters in relators
+        assert presentations._disc_quotient_frame.cache_info().misses == 1
+        assert shape.derived.printed_checks[0] == (f"c1^{new[1][0]}", "matches-relator")
 
     def test_clearing_both_memos_frees_every_schreier_frame(self):
         # a SchreierFrame is kept by K's frame alone, and a K that is not

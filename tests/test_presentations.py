@@ -31,6 +31,7 @@ from reference import (
     naive_theta,
     orientation_character,
     parse_word,
+    printed_relator_words,
     rotation,
     scan_derived_relators,
     search_connector_elimination,
@@ -372,28 +373,35 @@ def assert_named_sources_agree(K, sub, periods):
     """Every printed relator with a source, spelled in K and reduced by
     the oracle, equals that source reduced the same way and read from its
     named rotation; each status is the one the oracle index over every
-    relator of K gives, and the relator the oracle matches is the named
+    relator gives, and the relator the oracle matches is the named
     source, with the connector's closed form substituted and reduced.
-    Returns the statuses."""
-    _, words, sources = zip(*_printed_relator_words(sub, periods))
+    Both lists are checked: the shape's, each corner row a power named for
+    K's corner (``printed_relator_words``), and the frame's that
+    ``derive_delta_hat`` certifies, each corner row a unit named for its
+    unit in the frame with its corner units.  Returns the statuses."""
+    rows, units = _printed_relator_words(sub)
     substitution = {g.name: g.word for g in sub.generators}
-    named = verify_derived_relators(K, words, sources, substitution)
-    index = index_derived_relators(K, words, substitution)
-    elimination = connector_closed_form(K)
-    involutions = K.involution_names()
-    for word, named_source, status, (expected, matched) in zip(
-        words, sources, named, index, strict=True
-    ):
-        assert status == expected != "unresolved", (str(word), status, expected)
-        if named_source is None:
-            assert matched is None
-            continue
-        i, k = named_source
-        rel = cyclic_reduce(K.relators[i], involutions).letters
-        spelled = cyclic_reduce(substitute(word, substitution), involutions).letters
-        assert spelled == rel[k:] + rel[:k], str(word)
-        assert cyclic_reduce(substitute(K.relators[i], elimination), involutions) == matched
-    return set(named)
+    statuses = set()
+    for p, listed in ((K, printed_relator_words(sub, periods)), (units, rows)):
+        _, words, sources = zip(*listed)
+        named = verify_derived_relators(p, words, sources, substitution)
+        index = index_derived_relators(p, words, substitution)
+        elimination = connector_closed_form(p)
+        involutions = p.involution_names()
+        for word, named_source, status, (expected, matched) in zip(
+            words, sources, named, index, strict=True
+        ):
+            assert status == expected != "unresolved", (str(word), status, expected)
+            if named_source is None:
+                assert matched is None
+                continue
+            i, k = named_source
+            rel = cyclic_reduce(p.relators[i], involutions).letters
+            spelled = cyclic_reduce(substitute(word, substitution), involutions).letters
+            assert spelled == rel[k:] + rel[:k], str(word)
+            assert cyclic_reduce(substitute(p.relators[i], elimination), involutions) == matched
+        statuses |= set(named)
+    return statuses
 
 
 def test_named_sources_agree_with_index_on_battery(derived_battery):
@@ -442,7 +450,7 @@ def test_rotation_index_matches_linear_scan(derived_battery):
         if gamma % 2:
             continue
         sub = derived.subgroup
-        printed = [w for _, w, _ in _printed_relator_words(sub, periods)]
+        printed = [w for _, w, _ in printed_relator_words(sub, periods)]
         words = printed + [w.inverse() for w in printed]
         words += [
             Word((("tau1", 1), (g.name, 1)) * 2)
