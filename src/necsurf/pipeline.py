@@ -53,8 +53,8 @@ The chain constructed and verified here:
 Steps 2 to 4 depend only on the quotient shape (gamma; -; [n_1..n_r]),
 not on rho or n, so ``realize`` runs in two stages: validation first,
 then ``shape_certificate(gamma, periods)``, which builds and checks K,
-theta, the derived kernel and the lemma report and is memoised for the
-``SHAPE_MEMO_SIZE`` = 16 most recent shapes, then steps 5 and 6 for rho.
+theta, the derived kernel and the lemma report and is memoised, then
+steps 5 and 6 for rho.
 A sweep over the epimorphisms of one shape derives that shape once.
 Below it, every fact the periods do not enter is certified once per
 frame (gamma, r) and kept on K's frame, a ``presentations.Frame``
@@ -80,10 +80,10 @@ The first ``realize`` that reads a frame also folds it (step 5): the
 frame keeps the relators Theta walks (``_theta_residual``) and eta's
 images as forms (``_eta_images``); the shape stage never folds.  Each
 certificate is derived on first use from the frame alone, so a copied
-frame derives its own again.  Each memo keeps its 16 most recent keys,
-and evicting a frame evicts all it certified.  So the memos hold at most
-16 frames plus 16 shapes, each shape with the one frame whose objects it
-shares; README's frame section gives what each retains.
+frame derives its own again.  Each memo holds its newest key or at most
+``MEMO_LETTERS`` letters of K (``presentations.LetterMemo``), evicting a
+frame evicts all it certified, and a shape holds the one frame whose
+objects it shares; README's frame section gives what each retains.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -96,7 +96,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from functools import cache, lru_cache
+from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product, repeat, zip_longest
 from operator import mul
 
@@ -104,8 +104,8 @@ from .cosets import SchreierSubgroup, accepted_frame, frame_schreier, reidemeist
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
-    SHAPE_MEMO_SIZE,
     Frame,
+    LetterMemo,
     Presentation,
     canonical_presentation,
     check_homomorphism,
@@ -568,7 +568,7 @@ class ShapeCertificate(Record):
         return self.derived.subgroup.frame
 
 
-@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+@partial(LetterMemo, weight=lambda gamma, ns: 3 * gamma + 2 * len(ns) + 7 + 2 * sum(ns))
 def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     """The rho-independent stage of ``realize``, in its order: K and
     theta, theta a homomorphism, ``derive_delta_hat`` (which claims and
@@ -577,10 +577,10 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     Theta is accepted as its frame's parity map with each corner of K its
     unit's power (``cosets.accepted_frame``): no relator is walked.
 
-    Memoised for the ``SHAPE_MEMO_SIZE`` most recent shapes; a call that
-    raises is not memoised, so it raises again on the next call.  The
-    shape is not checked here: ``realize`` calls this only after
-    ``validate_action`` has accepted the datum."""
+    Memoised by the letters of K (``LetterMemo``); a call that raises is
+    not memoised, so it raises again on the next call.  The shape is not
+    checked here: ``realize`` calls this only after ``validate_action``
+    has accepted the datum."""
     K = canonical_presentation(quotient_disc_signature(gamma, periods))
     theta = build_theta(K)
     frame, corners = accepted_frame(K, theta), K.relators[len(K.relators) - len(periods):]
@@ -894,8 +894,8 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     ``validate_action`` runs first, on every call, so invalid input never
     reaches the shape stage.  ``shape_certificate(gamma, periods)`` then
     gives K, theta, the derived kernel and the lemma report, built and
-    checked once per shape and memoised for the ``SHAPE_MEMO_SIZE`` = 16
-    most recent shapes; a new shape reuses the certificates of its frame
+    checked once per shape and memoised by the letters of K it holds
+    (``presentations.LetterMemo``); a new shape reuses the certificates of its frame
     (gamma, r) and checks only its corners.  The rho stage follows on the
     shape certificate: ``extend_to_dihedral``, ``construct_eta`` and the
     genus bookkeeping: validation's genus, read off Delta, against

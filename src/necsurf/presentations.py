@@ -33,8 +33,9 @@ from the named rotation, or with the empty word.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from functools import lru_cache
+from collections import namedtuple
+from collections.abc import Callable, Iterable
+from functools import partial, update_wrapper
 
 from .groups import FiniteHom
 from .signatures import (
@@ -47,11 +48,40 @@ from .signatures import (
 )
 from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
-# the size of each of the two memos of the shape stage, one entry per
-# key: per frame (gamma, r), ``_disc_quotient_frame`` here, whose frame
-# holds every certificate that does not read the periods; per shape,
-# ``pipeline.shape_certificate``
-SHAPE_MEMO_SIZE = 16
+# the budget of each memo of the shape stage (``LetterMemo``), in letters of K
+MEMO_LETTERS = 2**16
+
+
+class LetterMemo:
+    """A least-recently-used memo of ``build`` holding at most
+    ``MEMO_LETTERS`` letters of K (``weight(*key)`` each) or its newest
+    entry alone, with ``lru_cache``'s ``cache_info`` and ``cache_clear``."""
+
+    CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+    def __init__(self, build: Callable, weight: Callable[..., int]) -> None:
+        update_wrapper(self, build)
+        self.weight = weight
+        self.cache_clear()
+
+    def __call__(self, *key):
+        try:
+            entry = self.entries.pop(key)
+            self.hits += 1
+        except KeyError:
+            self.misses += 1
+            entry = self.__wrapped__(*key), self.weight(*key)
+            self.held += entry[1]
+            while self.held > MEMO_LETTERS and self.entries:
+                self.held -= self.entries.pop(next(iter(self.entries)))[1]
+        self.entries[key] = entry
+        return entry[0]
+
+    def cache_info(self) -> LetterMemo.CacheInfo:
+        return self.CacheInfo(self.hits, self.misses, MEMO_LETTERS, len(self.entries))
+
+    def cache_clear(self) -> None:
+        self.entries, self.held, self.hits, self.misses = {}, 0, 0, 0
 
 
 class UnsupportedSignatureError(ValueError):
@@ -165,7 +195,7 @@ def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     return _disc_quotient_frame(len(sig.proper_periods), len(cycle)).with_corners(cycle, sig)
 
 
-@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+@partial(LetterMemo, weight=lambda gamma, r: 3 * gamma + 2 * r + 7)
 def _disc_quotient_frame(gamma: int, r: int) -> Frame:
     """The disc-quotient group with gamma interior points and r corners
     without its corner relators: what every K of the frame (gamma, r)

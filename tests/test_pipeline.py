@@ -1167,18 +1167,23 @@ def test_witness_rows_are_the_frames_own_rewrites(shape):
 
 @pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
 def test_lemma_reads_its_frame_after_the_memo_evicts_it(
-    signature_battery, shape, tamper, message
+    monkeypatch, signature_battery, shape, tamper, message
 ):
     # the subgroup carries its frame, so the lemma never looks it up: after
-    # 16 other frames evict it from the memo, the lemma still certifies the
-    # shape, with the report of a fresh derivation, and a deep copy too
+    # other frames exceed the memo's budget, lowered to a few frames, and
+    # evict it, the lemma still certifies the shape, with the report of a
+    # fresh derivation, and a deep copy too
+    monkeypatch.setattr(presentations, "MEMO_LETTERS", 64)
+    frames = presentations._disc_quotient_frame
     _, derived = derived_for(*shape)
     others = {}
     for gamma, periods in signature_battery:
         if (gamma, len(periods)) != (shape[0], len(shape[1])):
             others.setdefault((gamma, len(periods)), periods)
-    for gamma, r in list(others)[:16]:
+    for gamma, r in others:
         derived_for(gamma, others[gamma, r])
+        assert frames.held <= 64
+    assert (shape[0], len(shape[1])) not in frames.entries
     report = lemma1_check(derived)
     _, again = derived_for(*shape)
     assert again.subgroup.frame is not derived.subgroup.frame  # the memo missed
@@ -1412,8 +1417,8 @@ class TestShapeMemo:
         assert (info.misses, info.hits) == (1, 287)
 
     def test_bounded_by_a_module_constant(self):
-        assert pipeline.SHAPE_MEMO_SIZE == 16
-        assert pipeline.shape_certificate.cache_info().maxsize == 16
+        assert presentations.MEMO_LETTERS == 2**16
+        assert pipeline.shape_certificate.cache_info().maxsize == 2**16
 
     def test_warm_and_cold_documents_agree_on_battery(self, action_battery):
         # the memo is warmed by another rho of the same shape, so a warm
@@ -1448,9 +1453,13 @@ class TestShapeMemo:
         assert len(calls) == 2
         assert pipeline.shape_certificate.cache_info().currsize == 1
 
-    def test_every_memo_has_the_same_bound(self):
+    def test_every_memo_has_the_same_bound(self, monkeypatch):
+        # one budget for both memos, read on each call; neither is a
+        # function, so a tracer that wraps the public functions skips both
+        monkeypatch.setattr(presentations, "MEMO_LETTERS", 100)
         for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame):
-            assert memo.cache_info().maxsize == pipeline.SHAPE_MEMO_SIZE
+            assert type(memo) is presentations.LetterMemo and not inspect.isfunction(memo)
+            assert memo.cache_info().maxsize == 100
 
     def test_shapes_of_one_frame_derive_it_once(self):
         # (5; -; [p]) for p = 2, 3, 6: three shapes, one frame.  At 2n = 12,
@@ -1554,6 +1563,90 @@ class TestShapeMemo:
         assert before.currsize == 1
 
 
+def toy_memo(build=lambda key: object()):
+    """A letter memo whose every key is its own weight."""
+    return presentations.LetterMemo(build, weight=lambda key: key)
+
+
+class TestLetterMemo:
+    def test_eviction_is_least_recent_first_and_a_hit_refreshes(self, monkeypatch):
+        monkeypatch.setattr(presentations, "MEMO_LETTERS", 10)
+        memo = toy_memo()
+        three, four = memo(3), memo(4)
+        assert memo(3) is three  # a hit: 4 is now the least recent
+        memo(5)  # 12 letters: 4 is evicted
+        assert list(memo.entries) == [(3,), (5,)] and memo.held == 8
+        assert memo(3) is three  # 5 is now the least recent
+        assert memo(4) is not four  # 12 letters again: 5 is evicted
+        assert list(memo.entries) == [(3,), (4,)] and memo.held == 7
+        assert memo.cache_info() == (2, 4, 10, 2)  # (hits, misses, maxsize, currsize)
+
+    def test_a_lone_entry_over_the_budget_is_kept(self, monkeypatch):
+        monkeypatch.setattr(presentations, "MEMO_LETTERS", 10)
+        memo = toy_memo()
+        memo(4)
+        big = memo(11)
+        assert list(memo.entries) == [(11,)] and memo.held == 11
+        assert memo(11) is big and memo.cache_info()[:2] == (1, 2)
+        # so are a shape and its frame over a budget of one letter
+        monkeypatch.setattr(presentations, "MEMO_LETTERS", 1)
+        shape = pipeline.shape_certificate(1, (2, 2, 2))
+        assert pipeline.shape_certificate(1, (2, 2, 2)) is shape
+        assert pipeline.shape_certificate.cache_info()[:2] == (1, 1)
+        for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame):
+            assert memo.cache_info().misses == memo.cache_info().currsize == 1
+
+    def test_a_raising_build_stores_nothing(self):
+        calls = []
+
+        def build(key):
+            calls.append(key)
+            if len(calls) == 1:
+                raise PipelineAssertionError("failed once")
+            return key
+
+        memo = toy_memo(build)
+        with pytest.raises(PipelineAssertionError, match="^failed once$"):
+            memo(3)
+        assert memo.entries == {} and memo.held == 0
+        assert memo(3) == memo(3) == 3 and calls == [3, 3]
+        assert memo.cache_info() == (1, 2, presentations.MEMO_LETTERS, 1)
+
+    def test_the_held_weight_exceeds_the_budget_only_in_one_entry(
+        self, monkeypatch, action_battery
+    ):
+        # a budget of about four battery frames, two shapes: each memo
+        # holds the weights of its entries, and no more than the budget
+        # unless it holds one entry
+        monkeypatch.setattr(presentations, "MEMO_LETTERS", 85)
+        memos = (pipeline.shape_certificate, presentations._disc_quotient_frame)
+        for datum in action_battery:
+            assert realize(datum).conclusion
+            for memo in memos:
+                assert memo.held == sum(weight for _, weight in memo.entries.values())
+                assert memo.held <= 85 or len(memo.entries) == 1
+        # so each memo evicted keys that it then missed again
+        shape_misses, frame_misses = (memo.cache_info().misses for memo in memos)
+        assert shape_misses > 112 and frame_misses > 20
+
+    def test_the_weights_are_the_letters_of_k(self, action_battery):
+        # a frame weighs the letters of its relators, K's but the corners,
+        # and a shape those of all of K's, on the 112 battery shapes; the
+        # battery's working set, their sums, fits each memo's budget
+        shapes = {(datum.gamma, datum.periods) for datum in action_battery}
+        frames = {(gamma, len(periods)) for gamma, periods in shapes}
+        assert (len(shapes), len(frames)) == (112, 20)
+        for gamma, periods in shapes:
+            K = canonical_presentation(quotient_disc_signature(gamma, periods))
+            frame = presentations._disc_quotient_frame(gamma, len(periods))
+            assert pipeline.shape_certificate.weight(gamma, periods) == sum(map(len, K.relators))
+            assert (presentations._disc_quotient_frame.weight(gamma, len(periods))
+                    == sum(map(len, frame.relators)))
+        assert sum(pipeline.shape_certificate.weight(*shape) for shape in shapes) == 4901
+        assert sum(presentations._disc_quotient_frame.weight(*frame) for frame in frames) == 427
+        assert 427 < 4901 <= presentations.MEMO_LETTERS
+
+
 def test_the_oracles_agree_with_the_frame_on_both_batteries(derived_battery, action_battery):
     # the walks the frame's one path replaced, each kept nowhere, give what
     # the frame gives: the unkept Reidemeister-Schreier and the own-word
@@ -1594,12 +1687,16 @@ def cli_views(datum, workdir) -> tuple[str, ...]:
     return tuple(views)
 
 
-def test_memo_history_leaves_every_document_byte_identical(action_battery, tmp_path):
+def test_memo_history_leaves_every_document_byte_identical(
+    action_battery, tmp_path, monkeypatch
+):
     # the 126 battery data in 5 seeded shuffled orders, each of the two
-    # memos cleared at random before 15% of the calls: each of the four
-    # views cli.main prints, realize and check-lemma in text and in JSON,
-    # warm frame or cold, is byte-identical to the cold run's, and so is
-    # the oracle path's document, which reads no frame
+    # memos cleared at random before 15% of the calls, then in a sixth
+    # with the budget lowered to about 4 battery frames, so that each
+    # memo evicts by its budget: each of the four views cli.main prints,
+    # realize and check-lemma in text and in JSON, warm frame or cold, is
+    # byte-identical to the cold run's, and so is the oracle path's
+    # document, which reads no frame
     memos = (pipeline.shape_certificate, presentations._disc_quotient_frame)
     cold = {}
     for datum in action_battery:
@@ -1621,6 +1718,16 @@ def test_memo_history_leaves_every_document_byte_identical(action_battery, tmp_p
         for datum in order[::9]:
             assert rendered(oracle_certificate(datum)) == cold[datum][1], (seed, datum)
     assert min(cleared) > 5 * 126 * 0.1
+    monkeypatch.setattr(presentations, "MEMO_LETTERS", 85)
+    for memo in memos:
+        memo.cache_clear()
+    order = list(action_battery)
+    random.Random(5).shuffle(order)
+    for datum in order:
+        assert cli_views(datum, tmp_path) == cold[datum], datum
+    # each memo missed keys again after evicting them
+    shape_misses, frame_misses = (memo.cache_info().misses for memo in memos)
+    assert shape_misses > 112 and frame_misses > 20
 
 
 MUTATIONS = [
