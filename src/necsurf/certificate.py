@@ -1,14 +1,19 @@
-"""The realization certificate as one document.
+"""The realization certificate as one JSON document.
 
-``document(cert, input_doc)`` is the only code that reads a
-``RealizationCertificate`` for output; it returns the dict that
-``necsurf --format json realize`` prints on one line with sorted keys,
-which ``json.loads`` gives back unchanged.  Every other view reads that
-dict alone: ``text`` renders the human-readable certificate,
-``lemma_report`` projects the ``check-lemma`` document and ``lemma_text``
-renders that.  Images are listed in the generator order of the
-document's presentations, so the document reloaded from that JSON renders
-the same bytes.
+``render(cert, input_doc)`` is the only code that reads a
+``RealizationCertificate`` for output: it returns the line that ``necsurf
+--format json realize`` prints, the document with sorted keys and
+``input_doc`` echoed as its ``input``.  The shape's first document
+encodes the twelve keys that the shape (gamma; -; [n_1..n_r]) alone
+fixes and keeps that text on the ``ShapeCertificate``, which the shape
+memo evicts with it; each call encodes only the six keys that read rho or
+the input, and the literal ``genus_match``, and splices them in.  ``document(cert, input_doc)`` is that
+line parsed, fresh on every call.  Every other view reads that dict
+alone: ``text`` renders the human-readable certificate, ``lemma_report``
+projects the ``check-lemma`` document and ``lemma_text`` renders that.
+Images are listed in the generator order of the document's
+presentations, so the document reloaded from that JSON renders the same
+bytes.
 
 ``realize`` raises at the first check that fails, so these keys are
 literals: ``signature_match``, ``genus_match``, ``conclusion``, the
@@ -26,9 +31,24 @@ reflection is read off ``k_presentation``.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator
+from itertools import chain
+
 from .pipeline import RealizationCertificate
 from .presentations import Presentation
 from .signatures import NECSignature
+
+# The document's keys in sorted order, in runs: the shape's at even positions,
+# each call's at odd ones (genus_match, a literal, joins genus and genus_real)
+_RUNS = (
+    ("area_ratio", "conclusion", "correspondence", "delta_hat_presentation",
+     "delta_hat_signature"),
+    ("eta", "genus", "genus_match", "genus_real", "input"),
+    ("k_presentation", "k_signature", "lemma1", "printed_relator_checks", "quotient_signature"),
+    ("rho_resolved",), ("signature_match", "theta"), ("theta_extension",))
+# the document is a tree, so the encoder skips json.dumps' cycle check
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _signature(sig: NECSignature) -> dict:
@@ -54,41 +74,36 @@ def _images(hom) -> dict:
     return {name: hom.target.format(value) for name, value in hom.images}
 
 
-def document(cert: RealizationCertificate, input_doc: dict) -> dict:
-    """The certificate of one realization, with ``input_doc`` echoed as
-    its ``input``."""
-    datum = cert.datum
-    lemma = cert.lemma
-    (connector,) = cert.k_presentation.generators_of_kind("connector")
-    connector_exponent = cert.theta.image_of(connector)
+def _shape_keys(cert: RealizationCertificate) -> dict:
+    """The keys of ``cert``'s document that its shape alone fixes."""
+    shape, lemma = cert.shape, cert.shape.lemma
+    (connector,) = shape.k_presentation.generators_of_kind("connector")
+    connector_exponent = shape.theta.image_of(connector)
     return {
-        "input": input_doc,
-        "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
-        "genus": cert.genus,
-        "quotient_signature": _signature(datum.delta_signature()),
-        "k_signature": _signature(cert.k_presentation.signature),
-        "k_presentation": _presentation(cert.k_presentation),
+        "quotient_signature": _signature(cert.datum.delta_signature()),
+        "k_signature": _signature(shape.k_presentation.signature),
+        "k_presentation": _presentation(shape.k_presentation),
         "theta": {
-            "images": _images(cert.theta),
+            "images": _images(shape.theta),
             "connector_exponent": connector_exponent,
             "printed_connector_valid": connector_exponent == 0,
         },
         "area_ratio": "2",
-        "delta_hat_signature": _signature(cert.derived.signature),
-        "delta_hat_presentation": _presentation(cert.derived.presentation),
+        "delta_hat_signature": _signature(shape.derived.signature),
+        "delta_hat_presentation": _presentation(shape.derived.presentation),
         "correspondence": [
             {"name": g.name, "role": g.role, "word": str(g.word)}
-            for g in cert.derived.subgroup.generators
+            for g in shape.derived.subgroup.generators
         ],
         "signature_match": True,
         "printed_relator_checks": [
             {"relator": label, "status": status}
-            for label, status in cert.derived.printed_checks
+            for label, status in shape.derived.printed_checks
         ],
         "lemma1": {
             "gamma_even": connector_exponent == 0,
             "connector_pair": list(lemma.connector_pair),
-            "connector_product_class": [0] * len(cert.derived.subgroup.generators),
+            "connector_product_class": [0] * len(shape.derived.subgroup.generators),
             "connector_product_zero": True,
             "conjugation_inversion_ok": True,
             "conjugation_certificates_ok": True,
@@ -97,27 +112,54 @@ def document(cert: RealizationCertificate, input_doc: dict) -> dict:
                 "free_rank": lemma.free_rank,
             },
         },
+        "conclusion": True,
+    }
+
+
+def _rho_keys(cert: RealizationCertificate, input_doc: dict) -> dict:
+    """The keys of ``cert``'s document that each call encodes."""
+    datum = cert.datum
+    return {
+        "input": input_doc,
+        "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
+        "genus": cert.genus,
         "eta": {
             "images": _images(cert.eta.hom),
             "unit": 1,
             "torsion_images": list(cert.eta.torsion_images),
-            "surjective": True,
-            "parity_ok": True,
-            "torsion_ok": True,
-            "branch_match": True,
+            "surjective": True, "parity_ok": True, "torsion_ok": True, "branch_match": True,
         },
         "theta_extension": {
             "images": _images(cert.extension.hom),
             "reflection_rotation": 0,
-            "surjective": True,
-            "restriction_agrees": True,
+            "surjective": True, "restriction_agrees": True,
             "image_order": cert.extension.image_order,
             "kernel_index": cert.extension.image_order,
         },
         "genus_real": cert.genus,
         "genus_match": True,
-        "conclusion": True,
     }
+
+
+def _encoded(keys: dict, runs: tuple[tuple[str, ...], ...]) -> Iterator[str]:
+    """Each run of ``keys`` as JSON text, the object's braces cut off."""
+    return (_encode({key: keys[key] for key in run})[1:-1] for run in runs)
+
+
+def render(cert: RealizationCertificate, input_doc: dict) -> str:
+    """The certificate of one realization, with ``input_doc`` echoed as
+    its ``input``, as ``json.dumps`` with sorted keys prints it, and a
+    newline: the shape's runs, kept by its first document, spliced with
+    this call's."""
+    shape_runs = cert.shape.json_runs or cert.shape._keep(
+        "json_runs", tuple(_encoded(_shape_keys(cert), _RUNS[::2])))
+    rho_runs = _encoded(_rho_keys(cert, input_doc), _RUNS[1::2])
+    return "{" + ", ".join(chain.from_iterable(zip(shape_runs, rho_runs))) + "}\n"
+
+
+def document(cert: RealizationCertificate, input_doc: dict) -> dict:
+    """``render(cert, input_doc)``, parsed."""
+    return json.loads(render(cert, input_doc))
 
 
 def _first_reflection(presentation: dict) -> str:

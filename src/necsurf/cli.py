@@ -10,9 +10,10 @@ Subcommands:
 * ``check-lemma <file>`` -- run the full pipeline and print only the
   normality-lemma report.
 
-Both ``realize`` and ``check-lemma`` render ``necsurf.certificate``'s
-document: the whole of it, or its lemma projection, as text or as JSON,
-which ``render_json`` prints, for every command, on one line with sorted keys.
+Both ``realize`` and ``check-lemma`` print a view of the certificate's
+JSON text (``necsurf.certificate.render``), which ``realize --format
+json`` writes as it is; ``render_json`` prints every other JSON output on
+one line with sorted keys.
 
 Input file: a JSON object {"gamma": int, "periods": [int..], "n": int,
 "rho": {"d": [int..], "x": [int..]} | "search"}.  Reading it checks only
@@ -178,27 +179,25 @@ def _load_document(path: str) -> dict:
 def _cmd_certificate(args: argparse.Namespace) -> int:
     """``realize`` and ``check-lemma``: load the input file, resolve rho,
     run the pipeline once and emit the subcommand's view of the
-    certificate document, or the itemised failure on invalid input (a
-    "search" that finds no epimorphism included).  A certificate holding
-    an integer longer than Python prints (``sys.get_int_max_str_digits``)
-    is an input error naming that limit."""
+    certificate's JSON text (``certificate.render``), or the itemised
+    failure on invalid input (a "search" that finds no epimorphism
+    included).  A certificate holding an integer longer than Python prints
+    (``sys.get_int_max_str_digits``) is an input error naming that limit."""
     doc = _load_document(args.file)
     try:
         datum = datum_from_document(doc, warn=lambda msg: print(msg, file=sys.stderr))
         cert = realize(datum)
     except ActionValidationError as exc:
-        code, view = EXIT_INVALID, validation_failure_json(doc, exc.reasons)
-        render_text = validation_failure_text
-    else:
-        code, render_text = EXIT_OK, args.render_text
+        failure = validation_failure_json(doc, exc.reasons)
+        text = render_json(failure) if args.format == "json" else validation_failure_text(failure)
+        _emit(text, args.out)
+        return EXIT_INVALID
     try:
-        if code == EXIT_OK:
-            view = args.view(certificate.document(cert, doc))
-        text = render_json(view) if args.format == "json" else render_text(view)
+        text = args.views[args.format](certificate.render(cert, doc))
     except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
         raise InputError(f"cannot print the certificate: {exc}")
     _emit(text, args.out)
-    return code
+    return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -265,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_realize = sub.add_parser("realize", help="run the full pipeline on a JSON input")
     p_realize.add_argument("file", help="JSON file with gamma, periods, n, rho")
-    p_realize.set_defaults(func=_cmd_certificate, view=lambda doc: doc,
-                           render_text=certificate.text)
+    p_realize.set_defaults(func=_cmd_certificate, views={
+        "json": lambda text: text, "text": lambda text: certificate.text(json.loads(text))})
 
     p_enum = sub.add_parser("enumerate", help="list surface-kernel epimorphisms")
     p_enum.add_argument("--gamma", type=int, required=True)
@@ -276,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("check-lemma", help="print only the normality-lemma report")
     p_lemma.add_argument("file", help="JSON file with gamma, periods, n, rho")
-    p_lemma.set_defaults(func=_cmd_certificate, view=certificate.lemma_report,
-                         render_text=certificate.lemma_text)
+    p_lemma.set_defaults(func=_cmd_certificate, views={
+        "json": lambda text: render_json(certificate.lemma_report(json.loads(text))),
+        "text": lambda text: certificate.lemma_text(certificate.lemma_report(json.loads(text)))})
     return parser
 
 

@@ -96,6 +96,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
+from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product, repeat, zip_longest
 from operator import mul
@@ -113,12 +114,7 @@ from .presentations import (
     crosscap_names,
     verify_derived_relators,
 )
-from .signatures import (
-    NECSignature,
-    quotient_disc_signature,
-    reduced_area,
-    surface_kernel_genus,
-)
+from .signatures import NECSignature, area_terms, quotient_disc_signature, reduced_area
 from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
 
@@ -201,9 +197,8 @@ def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
             )
     if not errors:
         sig = NECSignature(False, gamma, periods)
-        area = reduced_area(sig)
-        if area <= 0:
-            errors.append(f"signature {sig} is not hyperbolic (reduced area {area})")
+        if (area := area_terms(sig))[0] <= 0:
+            errors.append(f"signature {sig} is not hyperbolic (reduced area {Fraction(*area)})")
     return errors
 
 
@@ -550,18 +545,22 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 class ShapeCertificate(Record):
-    """K, theta, the derived kernel and the lemma report of one quotient
-    shape (gamma; -; [n_1..n_r]), each checked; shared by every
-    certificate of that shape and never mutated.  ``frame`` is K's frame,
-    which the derived kernel's subgroup keeps: the rho stage reads it."""
+    """K, theta, the derived kernel, the lemma report and K's reduced area
+    of one quotient shape (gamma; -; [n_1..n_r]), each checked; shared by
+    every certificate of that shape and never mutated but for
+    ``json_runs``, outside ``_fields``: None until ``certificate.render``
+    keeps the shape's JSON text there.  ``frame`` is K's frame, which the
+    derived kernel's subgroup keeps: the rho stage reads it."""
 
-    __slots__ = ("k_presentation", "theta", "derived", "lemma")
+    __slots__ = ("k_presentation", "theta", "derived", "lemma", "k_area", "json_runs")
+    _fields = __slots__[:5]
 
     def __init__(
         self, k_presentation: Presentation, theta: FiniteHom, derived: DerivedKernel,
-        lemma: LemmaReport,
+        lemma: LemmaReport, k_area: Fraction,
     ) -> None:
-        self._assign(k_presentation, theta, derived, lemma)
+        self._assign(k_presentation, theta, derived, lemma, k_area)
+        self._keep("json_runs", None)
 
     @property
     def frame(self) -> Frame:
@@ -589,9 +588,8 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
         raise PipelineAssertionError("parity map theta is not a homomorphism")
 
     derived = derive_delta_hat(K, theta)
-    return ShapeCertificate(
-        k_presentation=K, theta=theta, derived=derived, lemma=lemma1_check(derived)
-    )
+    return ShapeCertificate(k_presentation=K, theta=theta, derived=derived,
+                            lemma=lemma1_check(derived), k_area=reduced_area(K.signature))
 
 
 # ---------------------------------------------------------------------------
@@ -875,17 +873,21 @@ class RealizationCertificate(Record):
     quotient signature is ``datum.delta_signature()``, K's is
     ``k_presentation.signature``, theta's connector exponent is its image
     of the connector, the area ratio is 2, and the real surface has genus
-    ``genus``.  ``conclusion`` is a constant kept for bench/."""
+    ``genus``.  K, theta, the derived kernel and the lemma are the shape
+    certificate's.  ``conclusion`` is a constant kept for bench/."""
 
-    __slots__ = ("datum", "genus", "k_presentation", "theta", "derived", "lemma", "eta",
-                 "extension")
+    __slots__ = ("datum", "genus", "shape", "eta", "extension")
     conclusion = True  # bench/workloads.py:243; ROADMAP item 12
+    k_presentation = property(lambda self: self.shape.k_presentation)
+    theta = property(lambda self: self.shape.theta)
+    derived = property(lambda self: self.shape.derived)
+    lemma = property(lambda self: self.shape.lemma)
 
     def __init__(
-        self, datum: ActionDatum, genus: int, k_presentation: Presentation, theta: FiniteHom,
-        derived: DerivedKernel, lemma: LemmaReport, eta: EtaResult, extension: DihedralExtension,
+        self, datum: ActionDatum, genus: int, shape: ShapeCertificate, eta: EtaResult,
+        extension: DihedralExtension,
     ) -> None:
-        self._assign(datum, genus, k_presentation, theta, derived, lemma, eta, extension)
+        self._assign(datum, genus, shape, eta, extension)
 
 
 def realize(datum: ActionDatum) -> RealizationCertificate:
@@ -899,11 +901,12 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     (gamma, r) and checks only its corners.  The rho stage follows on the
     shape certificate: ``extend_to_dihedral``, ``construct_eta`` and the
     genus bookkeeping: validation's genus, read off Delta, against
-    Riemann-Hurwitz for ker(Theta) at index ``image_order`` in K.  Both
-    read their relators off the certificates of K's frame, made by the
-    first call that reads the frame: a warm call walks one relator of K,
-    four letters, reads each corner off its unit, and walks no relator of
-    the derived kernel, so its rho stage is O(gamma + r).
+    Riemann-Hurwitz for ker(Theta) at index ``image_order`` in K, on the
+    integer terms of K's area.  The first two read their relators off the
+    certificates of K's frame, made by the first call that reads the
+    frame: a warm call walks one relator of K, four letters, reads each
+    corner off its unit, and walks no relator of the derived kernel, so
+    its rho stage is O(gamma + r).
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the
@@ -914,21 +917,11 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     extension = extend_to_dihedral(shape, datum)
     eta = construct_eta(shape, datum)
 
-    K = shape.k_presentation
-    genus_real = surface_kernel_genus(K.signature, extension.image_order)
-    if genus_real != genus:
-        raise PipelineAssertionError(f"genus bookkeeping disagrees: {genus} vs {genus_real}")
-
-    return RealizationCertificate(
-        datum=datum,
-        genus=genus,
-        k_presentation=K,
-        theta=shape.theta,
-        derived=shape.derived,
-        lemma=shape.lemma,
-        eta=eta,
-        extension=extension,
-    )
+    area, index = shape.k_area, extension.image_order
+    if 2 * (genus - 1) * area.denominator != index * area.numerator:
+        raise PipelineAssertionError(
+            f"genus bookkeeping disagrees: {genus} vs {index * area / 2 + 1}")
+    return RealizationCertificate(datum, genus, shape, eta, extension)
 
 
 # ---------------------------------------------------------------------------

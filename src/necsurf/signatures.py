@@ -131,8 +131,9 @@ class NECSignature(Record):
         return self.display()
 
 
-def reduced_area(sig: NECSignature) -> Fraction:
-    """Reduced hyperbolic area mu/2pi of a fundamental region.
+def area_terms(sig: NECSignature) -> tuple[int, int]:
+    """Reduced hyperbolic area mu/2pi of a fundamental region, unreduced,
+    as (numerator, denominator).
 
     For signature (g; +/-; [m_i]; {C_1..C_k}) this is
 
@@ -142,8 +143,7 @@ def reduced_area(sig: NECSignature) -> Fraction:
     value is negative or zero exactly for the spherical and euclidean
     signatures; positive reduced area characterises hyperbolic groups.
     Every term is summed as an integer over one common denominator,
-    2*lcm of all the periods, once per distinct proper period, and one
-    ``Fraction`` reduces the total.
+    2*lcm of all the periods, once per distinct proper period.
     """
     alpha = 2 if sig.orientable else 1
     proper, corners = set(sig.proper_periods), [n for cycle in sig.period_cycles for n in cycle]
@@ -151,7 +151,12 @@ def reduced_area(sig: NECSignature) -> Fraction:
     numerator = 2 * lcm * (alpha * sig.genus + len(sig.period_cycles) - 2)
     numerator += sum(2 * (m - 1) * (lcm // m) * sig.proper_periods.count(m) for m in proper)
     numerator += sum((n - 1) * (lcm // n) for n in corners)
-    return Fraction(numerator, 2 * lcm)
+    return numerator, 2 * lcm
+
+
+def reduced_area(sig: NECSignature) -> Fraction:
+    """``area_terms(sig)``, reduced by one ``Fraction``."""
+    return Fraction(*area_terms(sig))
 
 
 def quotient_disc_signature(gamma: int, periods: Iterable[int]) -> NECSignature:

@@ -20,7 +20,10 @@ subgroup's own words (``own_word_lemma``), Theta and eta with every
 relator of K or of the derived kernel walked (``walked_theta``,
 ``walked_eta``), one shape's classical relators with each corner row a
 power named for K's corner (``printed_relator_words``), and all of them
-in turn (``oracle_certificate``).
+in turn (``oracle_certificate``).  ``oracle_document`` builds a
+certificate's whole document as one dict, key by key, the oracle of
+``necsurf.certificate.render``, which splices a shape's encoded keys
+with each call's.
 ``replace`` rebuilds a result with some of its fields changed, through
 the constructor.
 
@@ -1103,6 +1106,97 @@ def oracle_certificate(datum):
     assert not reasons
     torsion = tuple(eta.evaluate(word) for word, _ in sub.presentation.torsion_words)
     assert torsion == datum.x_images
+    shape = pipeline.ShapeCertificate(K, theta, derived, lemma, reduced_area(K.signature))
     return pipeline.RealizationCertificate(
-        datum, genus, K, theta, derived, lemma, pipeline.EtaResult(eta, torsion),
+        datum, genus, shape, pipeline.EtaResult(eta, torsion),
         pipeline.DihedralExtension(hom, hom.image_order()))
+
+
+def _oracle_signature(sig: NECSignature) -> dict:
+    return {
+        "sign": sig.sign,
+        "genus": sig.genus,
+        "proper_periods": list(sig.proper_periods),
+        "period_cycles": [list(c) for c in sig.period_cycles],
+        "display": sig.display(),
+    }
+
+
+def _oracle_presentation(p: Presentation) -> dict:
+    return {
+        "generators": [
+            {"name": g, "kind": k.kind, "order": k.order} for g, k in p.generators
+        ],
+        "relators": [str(r) for r in p.relators],
+    }
+
+
+def _oracle_images(hom) -> dict:
+    return {name: hom.target.format(value) for name, value in hom.images}
+
+
+def oracle_document(cert, input_doc: dict) -> dict:
+    """The certificate document of ``cert`` as one dict, with
+    ``input_doc`` echoed as its ``input``: ``necsurf --format json
+    realize`` prints ``json.dumps`` of it with sorted keys."""
+    datum = cert.datum
+    lemma = cert.lemma
+    (connector,) = cert.k_presentation.generators_of_kind("connector")
+    connector_exponent = cert.theta.image_of(connector)
+    return {
+        "input": input_doc,
+        "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
+        "genus": cert.genus,
+        "quotient_signature": _oracle_signature(datum.delta_signature()),
+        "k_signature": _oracle_signature(cert.k_presentation.signature),
+        "k_presentation": _oracle_presentation(cert.k_presentation),
+        "theta": {
+            "images": _oracle_images(cert.theta),
+            "connector_exponent": connector_exponent,
+            "printed_connector_valid": connector_exponent == 0,
+        },
+        "area_ratio": "2",
+        "delta_hat_signature": _oracle_signature(cert.derived.signature),
+        "delta_hat_presentation": _oracle_presentation(cert.derived.presentation),
+        "correspondence": [
+            {"name": g.name, "role": g.role, "word": str(g.word)}
+            for g in cert.derived.subgroup.generators
+        ],
+        "signature_match": True,
+        "printed_relator_checks": [
+            {"relator": label, "status": status}
+            for label, status in cert.derived.printed_checks
+        ],
+        "lemma1": {
+            "gamma_even": connector_exponent == 0,
+            "connector_pair": list(lemma.connector_pair),
+            "connector_product_class": [0] * len(cert.derived.subgroup.generators),
+            "connector_product_zero": True,
+            "conjugation_inversion_ok": True,
+            "conjugation_certificates_ok": True,
+            "abelianization": {
+                "invariant_factors": list(lemma.invariant_factors),
+                "free_rank": lemma.free_rank,
+            },
+        },
+        "eta": {
+            "images": _oracle_images(cert.eta.hom),
+            "unit": 1,
+            "torsion_images": list(cert.eta.torsion_images),
+            "surjective": True,
+            "parity_ok": True,
+            "torsion_ok": True,
+            "branch_match": True,
+        },
+        "theta_extension": {
+            "images": _oracle_images(cert.extension.hom),
+            "reflection_rotation": 0,
+            "surjective": True,
+            "restriction_agrees": True,
+            "image_order": cert.extension.image_order,
+            "kernel_index": cert.extension.image_order,
+        },
+        "genus_real": cert.genus,
+        "genus_match": True,
+        "conclusion": True,
+    }

@@ -1,10 +1,11 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from necsurf import cli, pipeline
+from necsurf import certificate, cli, pipeline, presentations
 from necsurf.pipeline import PipelineAssertionError
 
 GENUS2_DOC = {
@@ -474,6 +475,61 @@ def test_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, command
     path = write_doc(tmp_path, GENUS2_DOC)
     assert cli.main([command, path]) == 0
     assert len(calls) == 1
+
+
+def battery_argv(data, tmp_path) -> list[list[str]]:
+    """``realize --format json --out`` on each datum, as the action battery
+    runs it."""
+    argv = []
+    for i, datum in enumerate(data):
+        doc = {"gamma": datum.gamma, "periods": list(datum.periods), "n": datum.n,
+               "rho": {"d": list(datum.d_images), "x": list(datum.x_images)}}
+        path = write_doc(tmp_path, doc, f"datum{i}.json")
+        argv.append(["--format", "json", "--out", path + ".out", "realize", path])
+    return argv
+
+
+def test_a_battery_pass_builds_each_shapes_json_once(action_battery, tmp_path, monkeypatch):
+    # the 126 data fall into 112 shapes, which the shape memo keeps, so a
+    # second pass splices every document from kept runs
+    built = []
+    shape_keys = certificate._shape_keys
+    monkeypatch.setattr(certificate, "_shape_keys", lambda cert: built.append(cert) or
+                        shape_keys(cert))
+    argv = battery_argv(action_battery, tmp_path)
+    outputs = []
+    for _ in range(2):
+        assert all(cli.main(args) == cli.EXIT_OK for args in argv)
+        outputs.append([Path(args[3]).read_text(encoding="utf-8") for args in argv])
+    assert len(built) == len({(c.datum.gamma, c.datum.periods) for c in built}) == 112
+    assert outputs[1] == outputs[0]
+
+
+def test_a_shape_rebuilt_after_eviction_prints_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # with a budget of one letter each memo keeps only its newest entry, so
+    # realizing another shape evicts (1; -; [2, 2, 2]) with its JSON text
+    path, other = write_doc(tmp_path, GENUS2_DOC), write_doc(
+        tmp_path, {"gamma": 2, "periods": [3], "n": 6, "rho": "search"}, "other.json")
+    argvs = [[*fmt, command, path] for fmt in ([], ["--format", "json"])
+             for command in ("realize", "check-lemma")]
+
+    def views():
+        outs = []
+        for argv in argvs:
+            assert cli.main(argv) == cli.EXIT_OK
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    expected = views()
+    kept = pipeline.shape_certificate(1, (2, 2, 2))
+    assert kept.json_runs is not None
+    monkeypatch.setattr(presentations, "MEMO_LETTERS", 1)
+    assert cli.main(["realize", other]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert pipeline.shape_certificate.cache_info().currsize == 1
+    assert views() == expected
+    rebuilt = pipeline.shape_certificate(1, (2, 2, 2))
+    assert rebuilt is not kept and rebuilt.json_runs == kept.json_runs
 
 
 class TestEnumerateCommand:

@@ -49,6 +49,7 @@ from necsurf import (
     realize,
     reduced_area,
     reidemeister_schreier,
+    surface_kernel_genus,
     validate_action,
 )
 from necsurf import abelian, certificate, cli, cosets, pipeline, presentations
@@ -62,6 +63,7 @@ from reference import (
     element_fold,
     naive_theta,
     oracle_certificate,
+    oracle_document,
     own_word_lemma,
     parse_word,
     product_loop_epimorphisms,
@@ -312,7 +314,7 @@ class TestValidateAction:
         shapes = admissible_shapes(4, 4, 120)
         for gamma, periods, order in shapes:
             sig = NECSignature(False, gamma, periods)
-            assert pipeline.surface_kernel_genus(sig, order) >= 2
+            assert surface_kernel_genus(sig, order) >= 2
         assert len(shapes) == 23775
 
 
@@ -525,8 +527,7 @@ def test_result_types_hold_only_values_that_vary():
         "DihedralExtension": {"hom", "image_order"},
         "EtaResult": {"hom", "torsion_images"},
         "LemmaReport": {"connector_pair", "inversion_entries", "invariant_factors", "free_rank"},
-        "RealizationCertificate": {"datum", "genus", "k_presentation", "theta", "derived",
-                                   "lemma", "eta", "extension"},
+        "RealizationCertificate": {"datum", "genus", "shape", "eta", "extension"},
         "DerivedKernel": {"subgroup", "signature", "printed_checks"},
     }
     shims = {"reflection_rotation", "kernel_index", "unit", "connector_product_zero", "ok",
@@ -1369,12 +1370,13 @@ class TestRealize:
 
     def test_genus_disagreement_is_an_assertion(self, monkeypatch):
         # validation computes the genus from Delta's signature; only the
-        # genus realize reads off K (the one signature with a boundary) is off
-        genus = pipeline.surface_kernel_genus
+        # genus realize reads off K's area, kept on the shape certificate,
+        # is off: K's area doubled gives 2g - 2 = 8 * 1/2
+        shape = pipeline.shape_certificate
         monkeypatch.setattr(
             pipeline,
-            "surface_kernel_genus",
-            lambda sig, order: genus(sig, order) + (1 if sig.period_cycles else 0),
+            "shape_certificate",
+            lambda gamma, periods: replace(shape(gamma, periods), k_area=Fraction(1, 2)),
         )
         with pytest.raises(
             PipelineAssertionError, match="genus bookkeeping disagrees: 2 vs 3$"
@@ -1766,6 +1768,56 @@ def test_a_mutated_document_changes_no_other(mutate):
         mutate(doc)
         assert [rendered(realize(other)) for other in data] == expected
     assert realize(data[0]).derived.subgroup.frame is realize(data[1]).derived.subgroup.frame
+
+
+def test_render_is_the_oracle_documents_json(action_battery):
+    # the shape's runs spliced with each call's are json.dumps of the
+    # whole document, key by key, on every battery datum and golden input,
+    # once with the shape's runs built and once with them kept
+    golden = Path(__file__).parent / "golden"
+    data = list(action_battery)
+    for name in ("genus2", "gamma2-search"):
+        doc = json.loads((golden / f"{name}.input.json").read_text(encoding="utf-8"))
+        data.append(cli.datum_from_document(cli.parse_input_document(doc)))
+    for datum in data:
+        doc = {"gamma": datum.gamma, "periods": list(datum.periods), "n": datum.n,
+               "rho": {"d": list(datum.d_images), "x": list(datum.x_images)}}
+        for _ in range(2):
+            cert = realize(datum)
+            expected = json.dumps(oracle_document(cert, doc), sort_keys=True) + "\n"
+            assert certificate.render(cert, doc) == expected, datum
+        assert certificate.document(cert, doc) == oracle_document(cert, doc)
+    assert len(data) == 128
+
+
+def test_realize_and_the_signature_battery_build_no_shape_runs(
+    action_battery, signature_battery, monkeypatch
+):
+    # a shape's JSON text is built by its first document alone: realize
+    # keeps none, and derive_delta_hat and lemma1_check make no shape
+    built = counting(monkeypatch, certificate, "_shape_keys")
+    shapes = {}
+    for datum in action_battery:
+        shapes[datum.gamma, datum.periods] = realize(datum).shape
+    for gamma, periods in signature_battery:
+        K = canonical_presentation(quotient_disc_signature(gamma, periods))
+        lemma1_check(derive_delta_hat(K, build_theta(K)))
+    assert built == [] and len(shapes) == 112
+    assert all(shape.json_runs is None for shape in shapes.values())
+
+
+def test_a_warm_rho_stage_builds_no_fraction(action_battery, monkeypatch):
+    # validation tests hyperbolicity by the sign of an integer numerator,
+    # and the genus is checked against K's area kept on the shape
+    for datum in action_battery:
+        realize(datum)
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    for datum in action_battery:
+        realize(datum)
+    assert built == []
+    assert Fraction(1, 2) and built == [(1, 2)]
 
 
 def test_a_new_shape_in_a_warm_frame_pays_only_for_its_corners(monkeypatch):
