@@ -52,11 +52,9 @@ from .signatures import (
     REFLECTION,
     GeneratorKind,
     NECSignature,
-    NoSurfaceKernelError,
     elliptic,
     quotient_disc_signature,
     reduced_area,
-    surface_kernel_genus,
 )
 from .words import Word
 

@@ -20,10 +20,10 @@ corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
 else is derived once per frame (gamma, r), a ``SchreierFrame``: the
 Schreier generators from K's generators with their kinds and theta's
 parity, the rewrites of the other relators, and the lemma's witness rows
-among them.  K's frame (``presentations.Frame``) derives it on first use
-and keeps it, so it lives exactly as long as that frame does; a K that
-is not its frame plus its corners is refused.  Each subgroup keeps its
-frame, and per shape only the corners are rewritten and de-duplicated.
+among them, built with the rest of K's frame certificate
+(``presentations.certify_frame``); a K that is not its frame plus its
+corners is refused.  Each subgroup keeps its frame's certificate, and
+per shape only the corners are rewritten and de-duplicated.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
@@ -39,7 +39,7 @@ from __future__ import annotations
 from math import prod
 
 from .groups import FiniteHom
-from .presentations import Frame, Presentation, _disc_quotient_frame, connector_closed_form
+from .presentations import Presentation, certify_frame
 from .signatures import CONNECTOR, GLIDE, GeneratorKind
 from .words import Record, Word
 
@@ -64,11 +64,11 @@ class SchreierSubgroup(Record):
     presentation (with its torsion words) and the rewriting map into it.
     ``pair_names`` names the Schreier generator of each (coset, generator)
     pair, or None for the trivial pair (0, tau_1); ``parity`` is theta's
-    bit on each generator.  ``frame`` is K's frame
-    (``presentations.Frame``), which the subgroup was derived in and which
-    holds its ``SchreierFrame``: a slot outside ``_fields`` that a copy
-    keeps.  A frame's own subgroup has no ``base``, no relators and no
-    ``frame``."""
+    bit on each generator.  ``frame`` is the certificate of K's frame
+    (``frames.FrameCertificate``), which the subgroup was derived in and
+    which holds its ``SchreierFrame``: a slot outside ``_fields`` that a
+    copy keeps.  A frame's own subgroup has no ``base``, no relators and
+    no ``frame``."""
 
     __slots__ = ("base", "generators", "presentation", "pair_names", "parity", "frame")
     _fields = __slots__[:5]
@@ -76,7 +76,7 @@ class SchreierSubgroup(Record):
     def __init__(
         self, base: Presentation | None, generators: tuple[SchreierGenerator, ...],
         presentation: Presentation, pair_names: dict[tuple[int, str], str | None],
-        parity: dict[str, int], frame: Frame | None = None,
+        parity: dict[str, int], frame: FrameCertificate | None = None,
     ) -> None:
         self._assign(base, generators, presentation, pair_names, parity)
         self._keep("frame", frame)
@@ -127,7 +127,7 @@ class SchreierFrame(Record):
     its letters, and ``letters`` those of coset 0's rows, then of all,
     with the empty word's; ``witnessed`` says each witness row is a row,
     ``reversing`` that a Schreier generator reverses orientation.  K's
-    frame keeps it (``frame_schreier``), with what is certified on it."""
+    frame certificate holds it (``frames.FrameCertificate.schreier``)."""
 
     __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "letters", "witnessed",
                  "reversing")
@@ -141,19 +141,6 @@ class SchreierFrame(Record):
         self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed, reversing)
 
 
-def frame_schreier(frame: Frame) -> SchreierFrame:
-    """The ``SchreierFrame`` of K's frame under K's parity map, derived on
-    first use from the frame alone and kept on it.  The parity is 1 on
-    every reflection and interior point, and on the connector the parity
-    of its closed form x_1^-1...x_gamma^-1, which the long relator forces."""
-    if frame.schreier is None:
-        parity = {g: int(kind.kind != "connector") for g, kind in frame.generators}
-        for e, word in connector_closed_form(frame).items():
-            parity[e] = sum(parity[x] for x, _ in word.letters) % 2
-        frame._keep("schreier", schreier_frame(frame.generators, frame.relators, parity))
-    return frame.schreier
-
-
 def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
     """Presentation of ker(theta) over the coset representatives {1, tau_1},
     with its torsion words.
@@ -164,7 +151,7 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     theta has image of order 2, moves every reflection and interior point
     (so 1 and tau_1 represent the two cosets) and sends the connector to
     the parity the long relator forces.  ``p`` must be its frame (gamma,
-    r) (``presentations._disc_quotient_frame``) plus its r corners: its
+    r) (``presentations.disc_quotient_frame``) plus its r corners: its
     generators and its relators but the last r are the frame's, or a
     ``ValueError`` names each that is not.  Generators come in canonical
     order: delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.
@@ -179,9 +166,9 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     de-duplicated against its ``rows``, and the subgroup keeps the frame.
     """
     frame = _checked_frame(p, theta)
-    schreier = frame_schreier(frame)
+    schreier = frame.schreier
     sub, corners, (first, second) = schreier.subgroup, schreier.corners, schreier.rows
-    tail = p.relators[len(frame.relators):]
+    tail = p.relators[len(frame.presentation.relators):]
     relators, added = list(first), set()
     for u, seen in enumerate(schreier.letters):
         if u:
@@ -197,24 +184,25 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
-def accepted_frame(p: Presentation, theta: FiniteHom) -> Frame | None:
-    """K's frame if K is the frame plus r relators and theta the frame's
-    parity map, by comparisons a canonical K and theta cut short; else
-    None.  Theta then kills the frame's relators and each corner unit
-    tau_k*tau_(k+1): the frame's ``SchreierFrame`` rewrote them."""
+def accepted_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate | None:
+    """K's frame certificate if K is the frame plus r relators and theta
+    the frame's parity map, by comparisons a canonical K and theta cut
+    short; else None.  Theta then kills the frame's relators and each
+    corner unit tau_k*tau_(k+1): the frame's ``SchreierFrame`` rewrote them."""
     sig, gamma = p.signature, len(p.generators_of_kind("elliptic"))
     if sig is not None and len(sig.period_cycles) == 1 and gamma:
         r = len(sig.period_cycles[0])
-        frame, head = _disc_quotient_frame(gamma, r), len(p.relators) - r
-        if (p.generators == frame.generators and p.relators[:head] == frame.relators
+        frame, head = certify_frame(gamma, r), len(p.relators) - r
+        if (p.generators == frame.presentation.generators
+                and p.relators[:head] == frame.presentation.relators
                 and theta.target.order == 2
-                and theta.images == tuple(frame_schreier(frame).subgroup.parity.items())):
+                and theta.images == tuple(frame.schreier.subgroup.parity.items())):
             return frame
     return None
 
 
-def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
-    """K's frame, as ``accepted_frame`` accepts it or after each check."""
+def _checked_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate:
+    """K's frame certificate, as ``accepted_frame`` accepts it or after each check."""
     if frame := accepted_frame(p, theta):
         return frame
     if p.signature is None or len(p.signature.period_cycles) != 1:
@@ -241,19 +229,19 @@ def _checked_frame(p: Presentation, theta: FiniteHom) -> Frame:
             f"theta must move every reflection and interior point, and fixes {', '.join(fixed)}"
         )
     cycle = p.signature.period_cycles[0]
-    frame = _disc_quotient_frame(len(elliptics), len(cycle))
-    prefix = p.relators[:len(p.relators) - len(cycle)]
-    problems = [] if p.generators == frame.generators else ["its generators are not the frame's"]
-    if len(prefix) != len(frame.relators):
+    frame = certify_frame(len(elliptics), len(cycle))
+    base, prefix = frame.presentation, p.relators[:len(p.relators) - len(cycle)]
+    problems = [] if p.generators == base.generators else ["its generators are not the frame's"]
+    if len(prefix) != len(base.relators):
         problems.append(f"it has {len(prefix)} relators before its {len(cycle)} corners,"
-                        f" the frame {len(frame.relators)}")
+                        f" the frame {len(base.relators)}")
     else:
         problems += [f"its relator {rel} is not the frame's {want}"
-                     for rel, want in zip(prefix, frame.relators) if rel != want]
+                     for rel, want in zip(prefix, base.relators) if rel != want]
     if problems:
         raise ValueError(f"K is not its frame ({len(elliptics)}, {len(cycle)}) plus its"
                          f" corners: {'; '.join(problems)}")
-    wrong = [g for g, bit in frame_schreier(frame).subgroup.parity.items() if parity[g] != bit]
+    wrong = [g for g, bit in frame.schreier.subgroup.parity.items() if parity[g] != bit]
     if wrong:
         raise ValueError(f"theta must send {', '.join(wrong)} to the parity the long relator"
                          " forces")

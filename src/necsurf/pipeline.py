@@ -57,33 +57,17 @@ theta, the derived kernel and the lemma report and is memoised, then
 steps 5 and 6 for rho.
 A sweep over the epimorphisms of one shape derives that shape once.
 Below it, every fact the periods do not enter is certified once per
-frame (gamma, r) and kept on K's frame, a ``presentations.Frame``
-memoised by the two ints (``presentations._disc_quotient_frame``): K's
-generators and relators but the r corners; the ``cosets.SchreierFrame``,
-with the Schreier generators, their kinds (one reverses orientation),
-theta's parity, the rewrites from both cosets of those relators and of
-each corner unit tau_k*tau_(k+1), which put them in ker(theta), and the
-lemma's witness rows; the lemma's certified identities; and the statuses
-of the derived kernel's classical relators, a corner unit each and the
-rows after the corners.  With ``shape_certificate`` these are the two
-memos of the shape stage, and no memo key holds a word.  The frame is an
-argument: K must be its frame plus its corners
-(``cosets.reidemeister_schreier`` refuses any other), the derived
-kernel's subgroup holds the frame, and the lemma and the rho stage read
-it there, each by one path.  A new shape in a warm frame takes O(r)
-Python steps and certifies no word: it spells its corners, accepts theta
-as the frame's parity map by tuple comparisons and each corner of K as
-its unit's power (so theta kills it, and its classical row holds),
-rewrites and de-duplicates the corners, checks the claimed signature,
-finds the witness rows where they stand and reads H1 off its periods.
-The first ``realize`` that reads a frame also folds it (step 5): the
-frame keeps the relators Theta walks (``_theta_residual``) and eta's
-images as forms (``_eta_images``); the shape stage never folds.  Each
-certificate is derived on first use from the frame alone, so a copied
-frame derives its own again.  Each memo holds its newest key or at most
-``MEMO_LETTERS`` letters of K (``presentations.LetterMemo``), evicting a
-frame evicts all it certified, and a shape holds the one frame whose
-objects it shares; README's frame section gives what each retains.
+frame (gamma, r), in one record built whole (``frames.FrameCertificate``)
+and memoised by ``presentations.certify_frame``: with
+``shape_certificate``, the two memos of the shape stage, each bounded by
+letters of K (``presentations.LetterMemo``).  K must be its frame plus
+its corners (``cosets.reidemeister_schreier`` refuses any other), and the
+derived kernel's subgroup holds the frame's record, where the lemma and
+the rho stage read it.  A new shape in a warm frame takes O(r) Python
+steps and certifies no word: it spells its corners, accepts theta and
+each corner of K by tuple comparisons with the frame, rewrites and
+de-duplicates the corners, checks the claimed signature and reads H1 off
+its periods.  README's frame section gives what each memo retains.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -101,21 +85,20 @@ from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product, repeat, zip_longest
 from operator import mul
 
-from .cosets import SchreierSubgroup, accepted_frame, frame_schreier, reidemeister_schreier
+from .cosets import SchreierSubgroup, accepted_frame, reidemeister_schreier
+from .frames import FrameCertificate, PipelineAssertionError, _theta_images
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
-    Frame,
     LetterMemo,
     Presentation,
     canonical_presentation,
     check_homomorphism,
     connector_closed_form,
     crosscap_names,
-    verify_derived_relators,
 )
 from .signatures import NECSignature, area_terms, quotient_disc_signature, reduced_area
-from .words import Record, Word, cyclic_reduce_letters, substitute_letters
+from .words import Record
 
 
 class ActionValidationError(ValueError):
@@ -124,11 +107,6 @@ class ActionValidationError(ValueError):
     def __init__(self, reasons: tuple[str, ...]):
         self.reasons = tuple(reasons)
         super().__init__("; ".join(reasons))
-
-
-class PipelineAssertionError(RuntimeError):
-    """An internal step failed where the construction guarantees success:
-    either a bug or an unsupported edge case, never a silent downgrade."""
 
 
 # ---------------------------------------------------------------------------
@@ -325,36 +303,6 @@ class DerivedKernel(Record):
         return KernelSignatureReport(self.signature)
 
 
-def _printed_relator_words(sub: SchreierSubgroup) -> tuple[tuple, Presentation]:
-    """The derived kernel's classical relators when theta kills the
-    connector, for its frame: each row's label, word over the generators
-    named by role, and source in the frame with its corner units
-    (``Frame.with_corners`` at n_k = 1, returned too), a relator's index
-    and the rotation at which the word, spelled in K, reduces to it.  c1
-    spells tau1*tau2 and (c_k^-1*c_(k+1)) tau_(k+1)*tau_(k+2) at rotation
-    0; e1*e2^-1[*c_r] the connector relator e^-1*tau_(r+1)*e*tau1 from its
-    third letter (rotation 2); the delta-alternations are trivial (None).
-    K's frame keeps both as ``printed``."""
-    frame = sub.frame
-    if frame.printed is None:
-        names: dict[str, list[str]] = {}
-        for g in sub.generators:
-            names.setdefault(g.role, []).append(g.name)
-        deltas, cs, (e1, e2) = names["glide"], names.get("corner rotation", []), names["connector"]
-        units, corner = frame.with_corners((1,) * len(cs)), len(frame.relators)
-        rows = [(c, Word(((c, 1),)), (corner, 0)) for c in cs[:1]]
-        rows += [(f"({a}^-1*{b})", Word(((a, -1), (b, 1))), (corner + k, 0))
-                 for k, (a, b) in enumerate(zip(cs, cs[1:]), start=1)]
-        closing = Word(((e1, 1), (e2, -1), *((c, 1) for c in cs[-1:])))
-        rows.append((str(closing), closing, (corner - 2, 2)))
-        # delta1^-1*delta2*delta3^-1*... and its sign flip, then e1^-1 or e2^-1
-        for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
-            letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
-            rows.append((f"delta-alternation-{i}", Word((*letters, (e, -1))), None))
-        frame._keep("printed", (tuple(rows), units))
-    return frame.printed
-
-
 def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
     with its torsion words and its claimed signature, and (when theta's
@@ -374,12 +322,12 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     where K's area is 0.  A fact that fails raises
     ``PipelineAssertionError`` naming the claimed signature.
 
-    The first shape of a frame certifies each corner unit c, which spells
-    tau_k*tau_(k+1), the closing row and the delta-alternations in one
-    ``verify_derived_relators`` call, and K's frame keeps the statuses.
-    A corner row c^(n_k) holds once K's corner is checked, by one tuple
-    comparison, to be the n_k-th power of that unit, so a later shape of
-    the frame certifies no word."""
+    The classical relators are read off the certificate of K's frame
+    (``frames.FrameCertificate``), which certifies each corner unit c
+    (spelling tau_k*tau_(k+1)), the closing row and the
+    delta-alternations in one ``verify_derived_relators`` call.  A corner
+    row c^(n_k) holds once K's corner is checked, by one tuple comparison,
+    to be the n_k-th power of that unit, so a shape certifies no word."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
@@ -391,7 +339,7 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     orders = sorted(n for _, n in sub.presentation.torsion_words)
     if orders != list(claim.proper_periods):
         raise unproved(f"torsion word orders {orders} are not the periods")
-    if not frame_schreier(sub.frame).reversing:
+    if not sub.frame.schreier.reversing:
         raise unproved("no Schreier generator reverses orientation")
     area, k_area = reduced_area(claim), reduced_area(K.signature)
     if area != 2 * k_area:
@@ -400,17 +348,16 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     printed: tuple[tuple[str, str], ...] = ()
     (connector,) = K.generators_of_kind("connector")
     if not sub.parity[connector]:
-        (rows, units), frame, r = _printed_relator_words(sub), sub.frame, len(periods)
-        texts, words, sources = zip(*rows)
-        statuses = frame.statuses or verify_derived_relators(
-            units, words, sources, {g.name: g.word for g in sub.generators})
-        labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + list(texts[r:])
-        corners = zip(K.relators[len(K.relators) - r:], units.relators[len(units.relators) - r:])
+        frame, r = sub.frame, len(periods)
+        texts = [text for text, _, _ in frame.rows]
+        labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + texts[r:]
+        units = frame.units.relators
+        corners = zip(K.relators[len(K.relators) - r:], units[len(units) - r:])
         fits = [rel.letters == unit.letters * p for (rel, unit), p in zip(corners, periods)]
-        for label, status, fit in zip_longest(labels, statuses, fits, fillvalue=True):
+        for label, status, fit in zip_longest(labels, frame.statuses, fits, fillvalue=True):
             if status == "unresolved" or not fit:
                 raise PipelineAssertionError(f"classical relator {label} could not be certified")
-        printed = tuple(zip(labels, frame._keep("statuses", statuses)))
+        printed = tuple(zip(labels, frame.statuses))
 
     return DerivedKernel(subgroup=sub, signature=claim, printed_checks=printed)
 
@@ -484,37 +431,23 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     each of these gamma + 2 rows is a relator of the derived presentation.
 
     None of this reads the periods, so it is certified once per frame
-    (gamma, r), on the frame the subgroup keeps: the Schreier generators
-    and the witness rows, with their exponent sums, are the frame's
-    ``cosets.SchreierFrame``'s, and the first lemma of the frame certifies
-    the identities in the frame's generators and keeps the generators'
-    names there as ``inverted``; the pair is read off its pair names.
-    Per call, the rows are found where they stand among the relators of
-    the ``derived`` it is given, or else looked up among them, and the
-    sums are compared with a*b's.
+    (gamma, r), in the certificate of the frame the subgroup keeps
+    (``frames.FrameCertificate``): the Schreier generators and the
+    witness rows, with their exponent sums, are its
+    ``cosets.SchreierFrame``'s, and the identities were certified in the
+    frame's generators when it was built (``inverted``); the pair is read
+    off its pair names.  Per call, the rows are found where they stand
+    among the relators of the ``derived`` it is given, or else looked up
+    among them, and the sums are compared with a*b's.
 
     H1 itself is read off the signature (gamma; -; [n_1..n_r]) that
     ``derive_delta_hat`` certified, as an NEC group is determined by its
     signature (Macbeath, Canad. J. Math. 19, 1967): Z^(gamma-1) plus the
     finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     frame = derived.subgroup.frame
-    schreier = frame_schreier(frame)
-    generators = schreier.subgroup.generators
-    (e,) = frame.generators_of_kind("connector")
+    schreier = frame.schreier
+    (e,) = frame.presentation.generators_of_kind("connector")
     a, b = pair = tuple(schreier.subgroup.pair_names[u, e] for u in (0, 1))
-    if frame.inverted is None:
-        tau1, involutions = frame.generators_of_kind("reflection")[0], frame.involution_names()
-        last_letter = {a: (b, -1), b: (a, -1)}
-        substitution = {gen.name: gen.word for gen in generators}
-        for name in substitution:
-            identity = ((tau1, 1), (name, 1), (tau1, 1), last_letter.get(name, (name, 1)))
-            if cyclic_reduce_letters(substitute_letters(identity, substitution), involutions):
-                raise PipelineAssertionError(
-                    f"conjugation identity for {name} could not be certified:"
-                    f" {Word(identity)} does not reduce to 1 in K"
-                )
-        frame._keep("inverted", tuple(substitution))
-
     (first, second), relators = schreier.rows, derived.presentation.relators
     i, r = len(first), len(derived.presentation.torsion_words)
     if not (schreier.witnessed and len(relators) == i + len(second) + 2 * r
@@ -549,8 +482,9 @@ class ShapeCertificate(Record):
     of one quotient shape (gamma; -; [n_1..n_r]), each checked; shared by
     every certificate of that shape and never mutated but for
     ``json_runs``, outside ``_fields``: None until ``certificate.render``
-    keeps the shape's JSON text there.  ``frame`` is K's frame, which the
-    derived kernel's subgroup keeps: the rho stage reads it."""
+    keeps the shape's JSON text there.  ``frame`` is the certificate of
+    K's frame, which the derived kernel's subgroup keeps: the rho stage
+    reads it."""
 
     __slots__ = ("k_presentation", "theta", "derived", "lemma", "k_area", "json_runs")
     _fields = __slots__[:5]
@@ -563,7 +497,7 @@ class ShapeCertificate(Record):
         self._keep("json_runs", None)
 
     @property
-    def frame(self) -> Frame:
+    def frame(self) -> FrameCertificate:
         return self.derived.subgroup.frame
 
 
@@ -611,145 +545,6 @@ class DihedralExtension(Record):
         self._assign(hom, image_order)
 
 
-class _Forms:
-    """D_2n with symbolic rotations, each an integer linear form in rho's
-    images: a dict from variable to nonzero coefficient, where variable
-    j >= 1 is d_j and variable -k is x_1 + ... + x_k, the rotation of
-    Theta(tau_(k+1)), so every generator's image but the connector's has
-    one term.  An element is (flip, form), as (eps, k) is in
-    ``groups.DihedralGroup``, which ``reflection`` and ``normal_form``
-    mirror."""
-
-    @staticmethod
-    def reflection(form) -> tuple[int, dict]:
-        return 1, form or {}
-
-    @staticmethod
-    def normal_form(table: dict, letters: Iterable[tuple[str, int]]) -> tuple[int, dict]:
-        return next(_Forms.folds(table, (letters,)))
-
-    @staticmethod
-    def folds(table: dict, words: Iterable) -> Iterator[tuple[int, dict]]:
-        """The normal form of each word's letters, by the product rule with
-        a running sign: the rotation is sign*acc; a reflection t*s^f sends
-        it to f - sign*acc, so acc gains -sign*f and the sign turns; a
-        rotation s^f adds e*sign*f.  Each letter costs its image's terms,
-        and nothing is negated but at the end."""
-        for letters in words:
-            flip, sign, acc = 0, 1, {}
-            for g, e in letters:
-                img_flip, img = table[g]
-                step = -sign if img_flip else sign * e
-                for v, c in img.items():
-                    if c := acc.get(v, 0) + step * c:
-                        acc[v] = c
-                    else:
-                        del acc[v]
-                if img_flip:
-                    flip, sign = flip ^ 1, -sign
-            yield flip, acc if sign == 1 else {v: -c for v, c in acc.items()}
-
-
-def _theta_images(K: Presentation, target, glides: Iterable, sums: Iterable) -> dict:
-    """Theta on K's generators in closed form, in ``target``: tau1 -> t,
-    x_j -> t*s^(glides[j]), tau_(k+1) -> t*s^(sums[k]) and e -> the normal
-    form of e's closed form (``connector_closed_form``), forced by the long
-    relator.  ``extend_to_dihedral`` reads it in D_2n at (-1)^j d_j and
-    x_1 + ... + x_k, and ``_symbolic_theta`` in ``_Forms`` at the
-    variables, so the folds certify the images rho is given."""
-    taus = K.generators_of_kind("reflection")
-    images = {taus[0]: target.reflection(0)}
-    images.update(zip(K.generators_of_kind("elliptic"), map(target.reflection, glides)))
-    images.update(zip(taus[1:], map(target.reflection, sums)))
-    for e, word in connector_closed_form(K).items():
-        images[e] = target.normal_form(images, word.letters)
-    return images
-
-
-def _symbolic_theta(K: Presentation) -> dict:
-    """Theta's images on K's generators in ``_Forms``."""
-    gamma, r = len(K.generators_of_kind("elliptic")), len(K.generators_of_kind("reflection")) - 1
-    glides = ({j: -1 if j % 2 else 1} for j in range(1, gamma + 1))
-    return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1)))
-
-
-def _theta_residual(frame: Frame) -> Presentation:
-    """The relators of K that Theta does not send to the identity for
-    every rho, certified once per frame (gamma, r) and kept on it: the
-    relators of the frame (K's relators but the corners) whose fold under
-    the symbolic Theta is not the identity, in order, as a presentation.
-    Each reflection is certified to map to a reflection, so that each
-    corner unit tau_k*tau_(k+1) maps to a rotation, read off the two
-    images."""
-    if frame.folds is None:
-        table = _symbolic_theta(frame)
-        for tau in frame.generators_of_kind("reflection"):
-            if not table[tau][0]:
-                raise PipelineAssertionError(f"Theta sends the reflection {tau} to a rotation")
-        folds = _Forms.folds(table, (rel.letters for rel in frame.relators))
-        residual = [rel for rel, (flip, form) in zip(frame.relators, folds) if flip or form]
-        frame._keep("folds", Presentation(frame.generators, residual))
-    return frame.folds
-
-
-def _eta_images(frame: Frame) -> tuple:
-    """eta's images as forms, certified once per frame (gamma, r) and kept
-    on it: eta on each Schreier generator is the rotation Theta folds its
-    word to, and each head (a relator of K rewritten from coset u) and
-    each corner unit's rewrite from coset u folds under eta as its source
-    folds under Theta (``_theta_residual``), conjugated by the coset's
-    representative (1 or tau1, which negates a rotation).  So each relator
-    of the derived kernel folds to the identity, or to +-R or +-n_k*x_k.
-    Returns the one-term images as a tuple of names, one of variables and
-    one of coefficients; the other generators each as its name, its
-    variables and its coefficients; and for each relator Theta walks, its
-    variables and coefficients and its heads from cosets 0 and 1, whose
-    forms are it and its negation."""
-    if frame.eta is None:
-        schreier, theta = frame_schreier(frame), _symbolic_theta(frame)
-        generators = schreier.subgroup.generators
-        # eta's images, and its one-term ones as names, variables and
-        # coefficients; the others (the connector pair's, gamma terms, and
-        # tau1sq's) are kept as forms
-        eta, singles, others = {}, [], []
-        words = (gen.word.letters for gen in generators)
-        for gen, (flip, form) in zip(generators, _Forms.folds(theta, words)):
-            if flip:
-                raise PipelineAssertionError(
-                    f"eta: Theta sends the kernel generator {gen.name} to a reflection")
-            eta[gen.name] = 0, form
-            if len(form) == 1:
-                [(v, c)] = form.items()
-                singles.append((gen.name, v, c))
-            else:
-                others.append((gen.name, tuple(form), tuple(form.values())))
-        # each source's fold under Theta; None for the identity
-        taus = frame.generators_of_kind("reflection")
-        units = tuple(Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:]))
-        moved = (*_theta_residual(frame).relators, *units)
-        folds = dict(zip(moved, _Forms.folds(theta, (w.letters for w in moved))))
-        sources = (*frame.relators, *units)
-        expected = [folds.get(w) for w in sources]
-        residual = {}
-        for u, head in enumerate(schreier.heads):
-            rows = (*head, *(schreier.corners[unit.letters][u] for unit in units))
-            for i, (row, source, want, (_, form)) in enumerate(zip(
-                    rows, sources, expected, _Forms.folds(eta, (w.letters for w in rows)))):
-                if form or want:
-                    want_flip, want_form = want or (0, {})
-                    if u:  # conjugation by tau1 negates the rotation
-                        want_form = {v: -c for v, c in want_form.items()}
-                    if want_flip or form != want_form:
-                        raise PipelineAssertionError(f"eta: relator {row} from coset {u} does"
-                                                     f" not fold as Theta folds {source}")
-                    if i < len(head):  # the form from coset 0, then each row
-                        residual.setdefault(i, (form, []))[1].append(row)
-        residual = tuple((tuple(form), tuple(form.values()), tuple(rows))
-                         for form, rows in residual.values())
-        frame._keep("eta", (tuple(zip(*singles)), tuple(others), residual))
-    return frame.eta
-
-
 def _check_fits(shape: ShapeCertificate, datum: ActionDatum) -> None:
     """Raise ``ValueError`` naming both shapes unless the datum is of the shape's."""
     sig = shape.k_presentation.signature
@@ -765,8 +560,8 @@ def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralE
     Theta(e) the normal form of e's closed form, forced by the long
     relator.  Theta is then verified to be a homomorphism on K with image
     of order 4n, so ker(Theta) has index 4n in K.  Only the relators that
-    K's frame does not certify for every rho are walked
-    (``_theta_residual``): the connector relator e^-1*tau_(r+1)*e*tau1^-1,
+    K's frame does not certify for every rho are walked (its record's
+    ``folds``): the connector relator e^-1*tau_(r+1)*e*tau1^-1,
     four letters; each corner maps to n_k times its unit's rotation, b - a
     for the reflections Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b.
     The image order is a gcd.  A failed check raises
@@ -782,7 +577,7 @@ def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralE
     cycle = K.signature.period_cycles[0]
     corners = K.relators[len(K.relators) - len(cycle):]
     rotations = [hom.image_of(tau)[1] for tau in K.generators_of_kind("reflection")]
-    unmapped = check_homomorphism(_theta_residual(shape.frame), hom) + tuple(
+    unmapped = check_homomorphism(shape.frame.folds, hom) + tuple(
         (corner, (0, value)) for corner, n, a, b in zip(corners, cycle, rotations, rotations[1:])
         if (value := n * (b - a) % dihedral.modulus))
     for rel, value in unmapped:
@@ -811,8 +606,8 @@ class EtaResult(Record):
 def construct_eta(shape: ShapeCertificate, datum: ActionDatum) -> EtaResult:
     """Epimorphism of the shape's derived kernel onto C_2n carrying exactly
     the branch data of rho: the restriction of Theta, eta(g) = the rotation
-    Theta(g.word) for each kernel generator g, read off K's frame
-    (``_eta_images``) as its certified form at rho's images.
+    Theta(g.word) for each kernel generator g, read off the record of K's
+    frame (``eta``) as its certified form at rho's images.
 
     The result is verified to be a surface-kernel epimorphism, with every
     reason found, in this order: relators that do not map to the identity,
@@ -828,7 +623,7 @@ def construct_eta(shape: ShapeCertificate, datum: ActionDatum) -> EtaResult:
     _check_fits(shape, datum)
     target = CyclicGroup(datum.order)
     pres, modulus = shape.derived.presentation, target.modulus
-    (names, variables, coefficients), others, residual = _eta_images(shape.frame)
+    (names, variables, coefficients), others, residual = shape.frame.eta
     # each variable's value: d_j at j, x_1 + ... + x_k at -k
     values = [0, *datum.d_images, *reversed(list(accumulate(datum.x_images)))]
 
@@ -897,16 +692,16 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     reaches the shape stage.  ``shape_certificate(gamma, periods)`` then
     gives K, theta, the derived kernel and the lemma report, built and
     checked once per shape and memoised by the letters of K it holds
-    (``presentations.LetterMemo``); a new shape reuses the certificates of its frame
-    (gamma, r) and checks only its corners.  The rho stage follows on the
-    shape certificate: ``extend_to_dihedral``, ``construct_eta`` and the
-    genus bookkeeping: validation's genus, read off Delta, against
-    Riemann-Hurwitz for ker(Theta) at index ``image_order`` in K, on the
-    integer terms of K's area.  The first two read their relators off the
-    certificates of K's frame, made by the first call that reads the
-    frame: a warm call walks one relator of K, four letters, reads each
-    corner off its unit, and walks no relator of the derived kernel, so
-    its rho stage is O(gamma + r).
+    (``presentations.LetterMemo``); a new shape reuses the certificate of
+    its frame (gamma, r) and checks only its corners.  The rho stage
+    follows on the shape certificate: ``extend_to_dihedral``,
+    ``construct_eta`` and the genus bookkeeping: validation's genus, read
+    off Delta, against Riemann-Hurwitz for ker(Theta) at index
+    ``image_order`` in K, on the integer terms of K's area.  The first two
+    read their relators off the frame's certificate: each walks at most
+    one relator of K, four letters, reads each corner off its unit, and
+    walks no relator of the derived kernel, so the rho stage is
+    O(gamma + r).
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the

@@ -18,12 +18,15 @@ them by kind (``generators_of_kind``), or the crosscap group's from
 ``crosscap_names`` without building the group.  ``connector_closed_form``
 solves the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
 The disc-quotient group's generators and every relator but its corners
-are built once per frame (gamma, r) (``_disc_quotient_frame``), and each
-group of the frame shares them.
+are built once per frame (gamma, r) (``disc_quotient_frame``), and each
+group of the frame shares them with their lookups (``_with_corners``).
 
-The frame is also the one owner of what is certified on it for every
-K of the frame (``Frame``), so evicting it evicts its certificates.  An
-object built from the frame holds it; none finds it by identity.
+Everything certified on a frame for every K of it is one immutable
+record, ``frames.FrameCertificate``, built whole by ``certify_frame(gamma,
+r)``, the frame's one memo, so evicting it evicts its certificates.  Its
+builder sits above this module, and the memo reaches it at call time.
+An object built from the frame holds its record; none finds it by
+identity.
 
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
@@ -65,15 +68,15 @@ class LetterMemo:
         self.cache_clear()
 
     def __call__(self, *key):
-        try:
-            entry = self.entries.pop(key)
-            self.hits += 1
-        except KeyError:
+        entry = self.entries.pop(key, None)
+        if entry is None:  # built outside a handler: what it raises has no context
             self.misses += 1
             entry = self.__wrapped__(*key), self.weight(*key)
             self.held += entry[1]
             while self.held > MEMO_LETTERS and self.entries:
                 self.held -= self.entries.pop(next(iter(self.entries)))[1]
+        else:
+            self.hits += 1
         self.entries[key] = entry
         return entry[0]
 
@@ -97,8 +100,8 @@ class Presentation(Record):
     the presentation was built from, when one is known.
 
     The involution names, the names of each kind and the connector's
-    closed form are computed on first use and kept in slots outside
-    ``_fields``, so comparison and hashing ignore them.
+    closed form (a frame's when it is built) are computed on first use
+    and kept in slots outside ``_fields``, which equality ignores.
     """
 
     __slots__ = ("generators", "relators", "torsion_words", "signature",
@@ -136,44 +139,6 @@ class Presentation(Record):
         return by_kind.get(kind, ())
 
 
-class Frame(Presentation):
-    """The disc-quotient group of one frame (gamma, r) without its corner
-    relators (``_disc_quotient_frame``), and the owner of what is
-    certified once for every K of the frame, each None until its first
-    use derives it from the frame alone, and none a field, so a copy
-    starts without them: ``schreier``, the ``cosets.SchreierFrame`` of K's
-    parity map (``cosets.frame_schreier``); ``printed`` and ``statuses``,
-    the derived kernel's classical relators (a corner unit each, then the
-    rows after the corners) and their statuses; ``folds``, K's relators
-    Theta does not send to 1 for every rho; ``inverted``, the Schreier
-    generators whose tau1-identities the lemma certified; ``eta``, eta's
-    images as forms."""
-
-    __slots__ = ("schreier", "statuses", "printed", "folds", "inverted", "eta")
-    _fields = Presentation._fields
-
-    def __init__(
-        self, generators: Iterable[tuple[str, GeneratorKind]], relators: Iterable[Word],
-        torsion_words: Iterable[tuple[Word, int]] = (), signature: NECSignature | None = None,
-    ) -> None:
-        super().__init__(generators, relators, torsion_words, signature)
-        for slot in Frame.__slots__:
-            self._keep(slot, None)
-
-    def with_corners(self, cycle: Iterable[int], sig: NECSignature | None = None) -> Presentation:
-        """K of the frame with corner orders ``cycle`` (with each n_k = 1, the
-        frame with its corner units), sharing the frame's generators, which
-        were checked when it was built, and its lookups."""
-        taus = self.generators_of_kind("reflection")
-        corners = (Word(((a, 1), (b, 1))) ** n for a, b, n in zip(taus, taus[1:], cycle))
-        p = Presentation.__new__(Presentation)
-        p._assign(self.generators, self.relators + tuple(corners), (), sig)
-        self.involution_names(), connector_closed_form(self)
-        for slot in ("_involutions", "_names_by_kind", "_closed_form"):
-            p._keep(slot, getattr(self, slot))
-        return p
-
-
 def canonical_presentation(sig: NECSignature) -> Presentation:
     """Canonical presentation for the two supported signature families."""
     if (
@@ -192,16 +157,24 @@ def canonical_presentation(sig: NECSignature) -> Presentation:
 
 def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
     cycle = sig.period_cycles[0]
-    return _disc_quotient_frame(len(sig.proper_periods), len(cycle)).with_corners(cycle, sig)
+    frame = certify_frame(len(sig.proper_periods), len(cycle)).presentation
+    return _with_corners(frame, cycle, sig)
 
 
 @partial(LetterMemo, weight=lambda gamma, r: 3 * gamma + 2 * r + 7)
-def _disc_quotient_frame(gamma: int, r: int) -> Frame:
+def certify_frame(gamma: int, r: int) -> frames.FrameCertificate:
+    """The frame (gamma, r) and all that is certified on it for every K of
+    the frame, built whole (``frames.certified_frame``), as none of it
+    reads the periods: the frame's one memo."""
+    from . import frames  # the record's builder sits above this module
+
+    return frames.certified_frame(disc_quotient_frame(gamma, r))
+
+
+def disc_quotient_frame(gamma: int, r: int) -> Presentation:
     """The disc-quotient group with gamma interior points and r corners
-    without its corner relators: what every K of the frame (gamma, r)
-    shares with its lookups (``Frame.with_corners``), as none of it reads
-    the periods.  It is the one memo of the frame's certificates
-    (``Frame``)."""
+    without its corner relators, built with its lookups, which
+    ``_with_corners`` shares with each K of the frame."""
     xs = [f"x{i}" for i in range(1, gamma + 1)]
     taus = [f"tau{j}" for j in range(1, r + 2)]
     generators = (
@@ -214,7 +187,24 @@ def _disc_quotient_frame(gamma: int, r: int) -> Frame:
     relators += [Word.gen(t, 2) for t in taus]
     relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
     relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
-    return Frame(tuple(generators), tuple(relators))
+    frame = Presentation(tuple(generators), tuple(relators))
+    frame.involution_names(), connector_closed_form(frame)
+    return frame
+
+
+def _with_corners(
+    frame: Presentation, cycle: Iterable[int], sig: NECSignature | None = None,
+) -> Presentation:
+    """K of the frame with corner orders ``cycle`` (with each n_k = 1, the
+    frame with its corner units), sharing the frame's generators, which
+    were checked when it was built, and its lookups."""
+    taus = frame.generators_of_kind("reflection")
+    corners = (Word(((a, 1), (b, 1))) ** n for a, b, n in zip(taus, taus[1:], cycle))
+    p = Presentation.__new__(Presentation)
+    p._assign(frame.generators, frame.relators + tuple(corners), (), sig)
+    for slot in ("_involutions", "_names_by_kind", "_closed_form"):
+        p._keep(slot, getattr(frame, slot))
+    return p
 
 
 def crosscap_names(gamma: int, r: int) -> tuple[list[str], list[str]]:

@@ -26,10 +26,6 @@ from fractions import Fraction
 from .words import Record
 
 
-class NoSurfaceKernelError(ValueError):
-    """No torsion-free surface kernel of the requested index exists."""
-
-
 # ---------------------------------------------------------------------------
 # Generator kinds
 # ---------------------------------------------------------------------------
@@ -175,23 +171,4 @@ def quotient_disc_signature(gamma: int, periods: Iterable[int]) -> NECSignature:
         proper_periods=(2,) * gamma,
         period_cycles=(periods,),
     )
-
-
-def surface_kernel_genus(sig: NECSignature, index: int) -> int:
-    """Genus of a torsion-free orientable surface kernel of given index.
-
-    Solves 2g - 2 = index * reduced_area(sig) and insists the right-hand
-    side is a positive even integer; otherwise no surface kernel of this
-    index exists.
-    """
-    area = reduced_area(sig)
-    if area <= 0:
-        raise ValueError(f"signature {sig} is not hyperbolic (reduced area {area})")
-    doubled = index * area
-    if doubled.denominator != 1 or doubled.numerator % 2 != 0:
-        raise NoSurfaceKernelError(
-            f"no surface kernel of index {index} exists for {sig}: "
-            f"2g-2 = {doubled} is not a positive even integer"
-        )
-    return doubled.numerator // 2 + 1
 

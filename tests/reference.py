@@ -56,7 +56,6 @@ from necsurf import (
     check_homomorphism,
     quotient_disc_signature,
     reduced_area,
-    surface_kernel_genus,
     validate_action,
     verify_derived_relators,
 )
@@ -66,6 +65,29 @@ from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
 
 
+class NoSurfaceKernelError(ValueError):
+    """No torsion-free surface kernel of the requested index exists."""
+
+
+def surface_kernel_genus(sig: NECSignature, index: int) -> int:
+    """Genus of a torsion-free orientable surface kernel of given index.
+
+    Solves 2g - 2 = index * reduced_area(sig) and insists the right-hand
+    side is a positive even integer; otherwise no surface kernel of this
+    index exists.
+    """
+    area = reduced_area(sig)
+    if area <= 0:
+        raise ValueError(f"signature {sig} is not hyperbolic (reduced area {area})")
+    doubled = index * area
+    if doubled.denominator != 1 or doubled.numerator % 2 != 0:
+        raise NoSurfaceKernelError(
+            f"no surface kernel of index {index} exists for {sig}: "
+            f"2g-2 = {doubled} is not a positive even integer"
+        )
+    return doubled.numerator // 2 + 1
+
+
 def replace(obj, **changes):
     """A new ``type(obj)`` built by its constructor from ``obj``'s values,
     with ``changes`` in place of some: each constructor parameter is read
@@ -73,6 +95,14 @@ def replace(obj, **changes):
     parameter raises ``TypeError``, as the constructor does."""
     values = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
     return type(obj)(**{**values, **changes})
+
+
+def with_frame(shape, **changes):
+    """``shape`` with the certificate of its frame, which its derived
+    subgroup holds, replaced by a copy with ``changes``."""
+    sub = shape.derived.subgroup
+    subgroup = replace(sub, frame=replace(sub.frame, **changes))
+    return replace(shape, derived=replace(shape.derived, subgroup=subgroup))
 
 
 # Element arithmetic in C_m (residues in range(m)) and D_m (pairs
@@ -979,8 +1009,9 @@ def abelianization(p: Presentation) -> abelian.Abelianization:
 
 
 # Every relator walked, and nothing kept: the oracles for the frame's one
-# path in ``necsurf.cosets`` and ``necsurf.pipeline``, which certify once
-# per frame (gamma, r) and read every later shape and rho off the frame.
+# path in ``necsurf.cosets``, ``necsurf.frames`` and ``necsurf.pipeline``,
+# which certify once per frame (gamma, r) and read every later shape and
+# rho off the frame.
 
 def unkept_reidemeister_schreier(p: Presentation, theta: FiniteHom):
     """``cosets.reidemeister_schreier`` with a ``cosets.schreier_frame``
@@ -1059,7 +1090,7 @@ def printed_relator_words(sub, periods):
     for corner k+1, each at rotation 0, e1*e2^-1[*c_r] for the connector
     relator at rotation 2, and the delta-alternations for nothing.  Built
     from the subgroup's roles alone, as the oracle of the frame's rows
-    (``pipeline._printed_relator_words``), which name the corner units."""
+    (``frames._printed_relator_words``), which name the corner units."""
     names = {}
     for g in sub.generators:
         names.setdefault(g.role, []).append(g.name)

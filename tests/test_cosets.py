@@ -324,13 +324,16 @@ class TestSchreierFrame:
             Presentation, "__init__",
             lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
         )
+        # K's frame was certified, its relator-free subgroup presentation
+        # included, when K was built: the first derivation builds only the
+        # kernel's presentation too
         cold = reidemeister_schreier(K, theta)
-        assert len(built) == 2  # the frame's relator-free presentation, and the kernel's
+        assert len(built) == 1
         built.clear()
         warm = reidemeister_schreier(other, other_theta)
         assert len(built) == 1
         assert warm.frame is cold.frame
-        assert presentations._disc_quotient_frame.cache_info().misses == 1
+        assert presentations.certify_frame.cache_info().misses == 1
 
     def test_warm_results_equal_cold_ones_on_the_signature_battery(
         self, signature_battery, monkeypatch, verified_words
@@ -365,7 +368,7 @@ class TestSchreierFrame:
         monkeypatch.undo()
         assert walked == [False] * 1640
         # each case looks its frame up twice, to build K and to derive in it
-        frames = presentations._disc_quotient_frame
+        frames = presentations.certify_frame
         assert frames.cache_info()[:2] == (2 * 1640 - 22, 22)  # (hits, misses)
         # the classical relators are printed for even gamma alone: 659
         # shapes in 9 frames, gamma = 2 with r = 1..4 and gamma = 4 with

@@ -32,10 +32,10 @@ from necsurf import (
     realize,
     validate_action,
 )
-from necsurf import pipeline
+from necsurf import frames, pipeline
 from necsurf.presentations import Presentation
 from necsurf.words import Word
-from reference import replace, walked_eta, walked_theta
+from reference import replace, walked_eta, walked_theta, with_frame
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 
@@ -51,7 +51,7 @@ def frame_shapes():
 
 
 def forms(table, words):
-    return list(pipeline._Forms.folds(table, (w.letters for w in words)))
+    return list(frames._Forms.folds(table, (w.letters for w in words)))
 
 
 def minus(form):
@@ -66,19 +66,19 @@ def test_every_fold_has_its_expected_form(shape):
     r = len(periods)
     K, derived = derived_for(*shape)
     frame = derived.subgroup.frame
+    base = frame.presentation
     x = [None] + [{-k: 1, 1 - k: -1} if k > 1 else {-1: 1} for k in range(1, r + 1)]
     R = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
     sign_R = R if gamma % 2 else minus(R)
-    theta = pipeline._symbolic_theta(frame)
+    theta = frames._symbolic_theta(base)
     # every relator of K but the corners folds to 1 except the connector
     # relator e^-1*tau_(r+1)*e*tau1^-1, to +-R; each corner unit to x_k
     zero = [(0, {})] * (gamma + r + 1)
-    assert forms(theta, frame.relators) == [*zero, (0, sign_R), (0, {})]
-    taus = frame.generators_of_kind("reflection")
+    assert forms(theta, base.relators) == [*zero, (0, sign_R), (0, {})]
+    taus = base.generators_of_kind("reflection")
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     assert forms(theta, units) == [(0, x[k]) for k in range(1, r + 1)]
-    residual = pipeline._theta_residual(frame)
-    assert residual.relators == (frame.relators[gamma + r + 1],)
+    assert frame.folds.relators == (base.relators[gamma + r + 1],)
     # every Schreier generator folds to a rotation; under eta each head
     # folds as its source under Theta, negated from coset 1, and so does
     # each corner unit's rewrite; the torsion words are exactly x_k
@@ -92,8 +92,9 @@ def test_every_fold_has_its_expected_form(shape):
         assert rows == [(0, x[k] if u == 0 else minus(x[k])) for k in range(1, r + 1)]
     torsion = [word for word, _ in derived.presentation.torsion_words]
     assert forms(eta, torsion) == [(0, x[k]) for k in range(1, r + 1)]
-    assert pipeline._eta_images(frame) is frame.eta is not None
-    assert frame.folds is pipeline._theta_residual(frame)
+    # the record's builder made the folds and forms from the frame alone
+    assert frames._theta_residual(base) == frame.folds
+    assert frames._eta_images(base, frame.schreier, frame.folds) == frame.eta
 
 
 def numeric_theta(K, datum):
@@ -117,7 +118,7 @@ def assert_verdicts_agree(K, derived, datum):
     the walk's.  Under eta = Theta on the generators' words: each relator
     of the derived kernel, a head or a corner row, maps to its source's
     image under Theta, negated from coset 1."""
-    residual = pipeline._theta_residual(derived.subgroup.frame)
+    residual = derived.subgroup.frame.folds
     taus = K.generators_of_kind("reflection")
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     theta = numeric_theta(K, datum)
@@ -237,15 +238,23 @@ def wrong_connector(images):
     return mutate
 
 
-# (mutation, odd-gamma datum, even-gamma datum, the relator named, its
-# image): a datum at which the mutated Theta is not a homomorphism
+def unmapped(relator, image):
+    return f"Theta is not a homomorphism: relator {relator} maps to {image}"
+
+
+# (mutation, odd-gamma datum, even-gamma datum, and the message for each,
+# in a 1-tuple, as the test ids number it): a datum at which the mutated
+# Theta is not a homomorphism.  At even gamma, Theta(e) = Theta(tau1)
+# sends e1 = e to a reflection, which the frame's record refuses before
+# rho's walk of x2*x1*e could
 MUTATIONS = [
     (flipped_glide, ActionDatum(1, (2, 4), 4, (1,), (4, 2)), ActionDatum(2, (2,), 4, (1, 1), (4,)),
-     ("e^-1*tau3*e*tau1^-1", "s^4"), ("e^-1*tau2*e*tau1^-1", "s^4")),
+     (unmapped("e^-1*tau3*e*tau1^-1", "s^4"),), (unmapped("e^-1*tau2*e*tau1^-1", "s^4"),)),
     (dropped_x1, ActionDatum(3, (2,), 2, (1, 1, 1), (2,)), ActionDatum(2, (2,), 4, (1, 1), (4,)),
-     ("e^-1*tau2*e*tau1^-1", "s^2"), ("e^-1*tau2*e*tau1^-1", "s^4")),
+     (unmapped("e^-1*tau2*e*tau1^-1", "s^2"),), (unmapped("e^-1*tau2*e*tau1^-1", "s^4"),)),
     (wrong_connector, GENUS2, ActionDatum(2, (2, 2), 2, (1, 1), (2, 2)),
-     ("e^-1*tau4*e*tau1^-1", "s^2"), ("x2*x1*e", "t*s^2")),
+     (unmapped("e^-1*tau4*e*tau1^-1", "s^2"),),
+     ("eta: Theta sends the kernel generator e1 to a reflection",)),
 ]
 
 
@@ -255,45 +264,50 @@ MUTATIONS = [
 def test_a_wrong_closed_form_fails_and_names_the_relator(
     monkeypatch, parity, mutation, odd, even, odd_named, even_named
 ):
-    # the mutation changes Theta's images for the frame and for rho alike;
-    # the frame keeps what its folds give, and rho's walk of them fails
-    datum, (relator, image) = (odd, odd_named) if parity == 0 else (even, even_named)
+    # the mutation changes Theta's images for the frame's record builder
+    # and for rho alike; the frame keeps what its folds give, and rho's
+    # walk of them fails
+    datum, (message,) = (odd, odd_named) if parity == 0 else (even, even_named)
     assert datum.gamma % 2 != parity and validate_action(datum)
     realize(datum)
-    monkeypatch.setattr(pipeline, "_theta_images", mutation(pipeline._theta_images))
+    mutated = mutation(frames._theta_images)
+    for module in (frames, pipeline):
+        monkeypatch.setattr(module, "_theta_images", mutated)
     pipeline.shape_certificate.cache_clear()
-    presentations._disc_quotient_frame.cache_clear()
-    with pytest.raises(PipelineAssertionError, match=(
-        rf"^Theta is not a homomorphism: relator {re.escape(relator)} maps to {re.escape(image)}$"
-    )):
+    presentations.certify_frame.cache_clear()
+    with pytest.raises(PipelineAssertionError, match=rf"^{re.escape(message)}$"):
         realize(datum)
 
 
 def test_a_reflection_sent_to_a_rotation_fails_the_frame(monkeypatch):
     # each corner's rotation is read off the images of its two
     # reflections, so the frame certifies that each maps to a reflection
-    images = pipeline._theta_images
+    images = frames._theta_images
 
     def mutate(K, target, glides, sums):
         table = images(K, target, glides, sums)
         tau2 = K.generators_of_kind("reflection")[1]
         return table | {tau2: (0, table[tau2][1])}
 
-    monkeypatch.setattr(pipeline, "_theta_images", mutate)
+    monkeypatch.setattr(frames, "_theta_images", mutate)
     with pytest.raises(PipelineAssertionError,
                        match=r"^Theta sends the reflection tau2 to a rotation$"):
         realize(GENUS2)
 
 
-def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator():
+def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator(monkeypatch):
     # a certificate of K's frame that keeps no relator to walk still
     # passes a valid rho, but the rewrites of the connector relator fold
-    # to +-R under eta, not to the identity the certificate claims
+    # to +-R under eta, not to the identity the certificate claims, so the
+    # record's builder refuses such a certificate
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    shape.frame._keep("folds", replace(pipeline._theta_residual(shape.frame), relators=()))
-    extend_to_dihedral(shape, GENUS2)
+    extend_to_dihedral(with_frame(shape, folds=replace(shape.frame.folds, relators=())), GENUS2)
+    residual = frames._theta_residual
+    monkeypatch.setattr(frames, "_theta_residual",
+                        lambda frame: replace(residual(frame), relators=()))
+    presentations.certify_frame.cache_clear()
     with pytest.raises(PipelineAssertionError) as exc:
-        construct_eta(shape, GENUS2)
+        presentations.certify_frame(1, 3)
     assert str(exc.value) == (
         "eta: relator f2^-1*c3*f1 from coset 0 does not fold as Theta folds"
         " e^-1*tau4*e*tau1^-1"
@@ -314,10 +328,10 @@ def tampered_torsion_list():
 def tampered_eta_forms():
     # eta's certified form of delta1, -d_1, doubled: its image turns even
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    (names, variables, coefficients), others, residual = pipeline._eta_images(shape.frame)
+    (names, variables, coefficients), others, residual = shape.frame.eta
     coefficients = tuple(2 * c if g == "delta1" else c for g, c in zip(names, coefficients))
-    shape.frame._keep("eta", ((names, variables, coefficients), others, residual))
-    construct_eta(shape, GENUS2)
+    construct_eta(with_frame(shape, eta=((names, variables, coefficients), others, residual)),
+                  GENUS2)
 
 
 def unmapped_relator():
@@ -333,11 +347,10 @@ def image_of_the_wrong_order():
 def tampered_residual():
     # the frame's residual, the relators Theta walks, with x1 appended
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    residual = pipeline._theta_residual(shape.frame)
-    x1 = shape.frame.generators_of_kind("elliptic")[0]
-    shape.frame._keep("folds", Presentation(residual.generators,
-                                            (*residual.relators, Word.gen(x1))))
-    extend_to_dihedral(shape, GENUS2)
+    residual = shape.frame.folds
+    x1 = shape.frame.presentation.generators_of_kind("elliptic")[0]
+    folds = Presentation(residual.generators, (*residual.relators, Word.gen(x1)))
+    extend_to_dihedral(with_frame(shape, folds=folds), GENUS2)
 
 
 TAMPERS = [
@@ -357,7 +370,7 @@ def test_tampers_raise_in_a_certified_frame(tamper, message):
     assert frame.folds is not None and frame.eta is not None
     with pytest.raises(PipelineAssertionError, match=message):
         tamper()
-    assert presentations._disc_quotient_frame.cache_info().misses == 1
+    assert presentations.certify_frame.cache_info().misses == 1
     assert pipeline.shape_certificate(1, (2, 2, 2)).frame is frame
 
 
@@ -391,7 +404,7 @@ def test_a_warm_realize_walks_only_the_connector_relator(monkeypatch):
     assert pipeline.shape_certificate.cache_info().misses == 1
     assert [[str(rel) for rel in p.relators] for p, _ in walks] == (
         [["e^-1*tau3*e*tau1^-1"]] * len(tuples))
-    assert presentations._disc_quotient_frame.cache_info().misses == 1
+    assert presentations.certify_frame.cache_info().misses == 1
 
 
 def test_the_surface_kernel_walk_moved_to_the_tests():

@@ -18,7 +18,6 @@ from necsurf import (
     quotient_disc_signature,
     reduced_area,
     reidemeister_schreier,
-    surface_kernel_genus,
 )
 from necsurf import kernels, pipeline
 from necsurf.presentations import Presentation
@@ -30,6 +29,7 @@ from reference import (
     kernel_signature_index2,
     replace,
     substitute,
+    surface_kernel_genus,
     surface_kernel_problems,
     termwise_area,
     termwise_kernel_genus,

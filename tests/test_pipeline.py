@@ -49,13 +49,12 @@ from necsurf import (
     realize,
     reduced_area,
     reidemeister_schreier,
-    surface_kernel_genus,
     validate_action,
 )
-from necsurf import abelian, certificate, cli, cosets, pipeline, presentations
+from necsurf import abelian, certificate, cli, cosets, frames, pipeline, presentations
 from necsurf.cosets import SchreierFrame
-from necsurf.presentations import Frame
-from necsurf.pipeline import _printed_relator_words
+from necsurf.frames import _printed_relator_words
+from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR, GeneratorKind
 from necsurf.words import Word
 from reference import (
@@ -71,10 +70,12 @@ from reference import (
     replace,
     rho_problems_by_presentation,
     rotation,
+    surface_kernel_genus,
     theta_through_eta,
     unkept_reidemeister_schreier,
     unpruned_epimorphisms,
     walked_first,
+    with_frame,
 )
 import reference
 
@@ -113,35 +114,37 @@ def without_relator(derived, text):
 
 
 def with_generator_word(derived, name, word):
-    """``derived`` in a copy of its frame, which starts with no
-    certificate, whose ``SchreierFrame`` gives the Schreier generator
-    ``name`` the word ``word``: what the lemma certifies the identities
-    on."""
-    frame, schreier = replace(derived.subgroup.frame), derived.subgroup.frame.schreier
-    generators = tuple(
-        replace(g, word=word) if g.name == name else g for g in schreier.subgroup.generators
-    )
-    frame._keep("schreier", replace(
-        schreier, subgroup=replace(schreier.subgroup, generators=generators)))
+    """``derived`` with its frame certified anew by the record's builder
+    (``frames.certified_frame``), from a ``SchreierFrame`` that gives the
+    Schreier generator ``name`` the word ``word``: what the lemma
+    certifies the identities on."""
+    build = frames.schreier_frame
+
+    def tampered(*args):
+        schreier = build(*args)
+        generators = tuple(
+            replace(g, word=word) if g.name == name else g for g in schreier.subgroup.generators)
+        return replace(schreier, subgroup=replace(schreier.subgroup, generators=generators))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "schreier_frame", tampered)
+        frame = frames.certified_frame(derived.subgroup.frame.presentation)
     return replace(derived, subgroup=replace(derived.subgroup, frame=frame))
 
 
 def with_frame_relators(monkeypatch, keep):
-    """Patch the frame memo, as ``presentations`` and ``cosets`` read it,
-    so that each frame (gamma, r) has only the relators that ``keep``
+    """Patch the frame presentation that the frame memo certifies, so
+    that each frame (gamma, r) has only the relators that ``keep``
     accepts, and so has each K built on it."""
-    frames, build = {}, presentations._disc_quotient_frame
+    build = presentations.disc_quotient_frame
 
     def frame(gamma, r):
-        if (gamma, r) not in frames:
-            full = build(gamma, r)
-            frames[gamma, r] = Frame(full.generators, filter(keep, full.relators))
-            presentations.connector_closed_form(frames[gamma, r])
-            frames[gamma, r].involution_names()
-        return frames[gamma, r]
+        full = build(gamma, r)
+        kept = Presentation(full.generators, filter(keep, full.relators))
+        presentations.connector_closed_form(kept), kept.involution_names()
+        return kept
 
-    monkeypatch.setattr(presentations, "_disc_quotient_frame", frame)
-    monkeypatch.setattr(cosets, "_disc_quotient_frame", frame)
+    monkeypatch.setattr(presentations, "disc_quotient_frame", frame)
 
 
 def with_presentation(derived, presentation):
@@ -185,19 +188,20 @@ def unresolved_relators(K, words, sources, substitution):
 
 
 def with_printed_row(monkeypatch, index, mutate):
-    """Patch ``_printed_relator_words`` so that its frame row ``index``
-    (label, word, source) is replaced by ``mutate(word, source)``, a
-    (word, source) pair; returns the row's label.  A corner row is its
-    unit, labelled without the shape's period."""
+    """Patch the record builder's ``frames._printed_relator_words`` so that
+    its frame row ``index`` (label, word, source) is replaced by
+    ``mutate(word, source)``, a (word, source) pair; returns the row's
+    label.  A corner row is its unit, labelled without the shape's
+    period.  The next frame the memo builds reads the patch."""
     labels = []
 
-    def printed(sub):
-        rows, units = _printed_relator_words(sub)
+    def printed(frame, schreier):
+        rows, units = _printed_relator_words(frame, schreier)
         label, word, source = rows[index]
         labels.append(label)
         return (*rows[:index], (label, *mutate(word, source)), *rows[index + 1:]), units
 
-    monkeypatch.setattr(pipeline, "_printed_relator_words", printed)
+    monkeypatch.setattr(frames, "_printed_relator_words", printed)
     return labels
 
 
@@ -206,7 +210,7 @@ def frame_rows(K, theta):
     the shape's labels of the same rows (``reference.printed_relator_words``)."""
     sub = reidemeister_schreier(K, theta)
     shape = reference.printed_relator_words(sub, K.signature.period_cycles[0])
-    return _printed_relator_words(sub)[0], [label for label, _, _ in shape]
+    return sub.frame.rows, [label for label, _, _ in shape]
 
 
 def exponent_mutations(rows, periods):
@@ -577,8 +581,8 @@ class TestDeriveDeltaHat:
         assert "c1^3" in labels
 
     def test_uncertified_classical_relator_is_an_assertion(self, monkeypatch):
-        K = disc_group(2, (3,))
-        monkeypatch.setattr(pipeline, "verify_derived_relators", unresolved_relators)
+        monkeypatch.setattr(frames, "verify_derived_relators", unresolved_relators)
+        K = disc_group(2, (3,))  # its frame is certified with the stand-in
         with pytest.raises(
             PipelineAssertionError, match=r"classical relator c1\^3 could not be certified"
         ):
@@ -593,6 +597,7 @@ class TestDeriveDeltaHat:
         assert len(mutations) == 2 * (len(periods) + 3) + len(periods)
         for i, mutate in mutations:
             labels = with_printed_row(monkeypatch, i, mutate)
+            presentations.certify_frame.cache_clear()
             with pytest.raises(PipelineAssertionError) as exc:
                 derive_delta_hat(K, theta)
             assert str(exc.value) == f"classical relator {shape_labels[i]} could not be certified"
@@ -609,6 +614,7 @@ class TestDeriveDeltaHat:
         )
         for i, mutate in source_mutations(rows, periods):
             labels = with_printed_row(monkeypatch, i, mutate)
+            presentations.certify_frame.cache_clear()
             with pytest.raises(PipelineAssertionError) as exc:
                 derive_delta_hat(K, theta)
             assert str(exc.value) == f"classical relator {shape_labels[i]} could not be certified"
@@ -622,7 +628,7 @@ class TestDeriveDeltaHat:
         # for K's corner (tau1 tau2)^3
         K = disc_group(2, (3, 4, 5))
         sub = reidemeister_schreier(K, build_theta(K))
-        rows, units = _printed_relator_words(sub)
+        rows, units = sub.frame.rows, sub.frame.units
         named = {
             label: None if source is None else (str(units.relators[source[0]]), source[1])
             for label, _, source in rows
@@ -635,7 +641,7 @@ class TestDeriveDeltaHat:
             "delta-alternation-1": None,
             "delta-alternation-2": None,
         }
-        assert units.relators[:-3] == K.relators[:-3] == sub.frame.relators
+        assert units.relators[:-3] == K.relators[:-3] == sub.frame.presentation.relators
         assert [(label, str(K.relators[source[0]])) for label, _, source
                 in reference.printed_relator_words(sub, (3, 4, 5))[:3]] == [
             ("c1^3", "tau1*tau2*tau1*tau2*tau1*tau2"),
@@ -654,6 +660,7 @@ class TestDeriveDeltaHat:
         closing = len(periods)
         for k in (1, 3):
             pipeline.shape_certificate.cache_clear()
+            presentations.certify_frame.cache_clear()
             labels = with_printed_row(
                 monkeypatch, closing, lambda word, source, k=k: (word, (source[0], k))
             )
@@ -688,15 +695,17 @@ class TestDeriveDeltaHat:
         mutations += source_mutations(rows, periods) if periods else []
         for i, mutate in mutations:
             monkeypatch.undo()
+            presentations.certify_frame.cache_clear()
             derive_delta_hat(K, theta)  # the frame certifies its rows
             labels = with_printed_row(monkeypatch, i, mutate)
             derive_delta_hat(K, theta)
-            presentations._disc_quotient_frame.cache_clear()
+            presentations.certify_frame.cache_clear()
             with pytest.raises(PipelineAssertionError) as exc:
                 derive_delta_hat(K, theta)
             assert str(exc.value) == f"classical relator {shape_labels[i]} could not be certified"
             assert labels[-1] == rows[i][0]
         monkeypatch.undo()
+        presentations.certify_frame.cache_clear()
         for k, p in enumerate(periods):
             derive_delta_hat(K, theta)
             corner = len(K.relators) - r + k
@@ -707,21 +716,24 @@ class TestDeriveDeltaHat:
             assert str(exc.value) == f"classical relator {shape_labels[k]} could not be certified"
 
     def test_a_mutated_corner_unit_on_the_frame_is_an_assertion(self, verified_words):
-        # the frame's unit of corner 1 reversed, tau2*tau1: in the warm
-        # frame K's corner is not its power, and once the frame's statuses
-        # are gone the row c1 does not spell it; each raises, named for the
-        # shape's corner row
+        # the frame's unit of corner 1 reversed, tau2*tau1: in a memoised
+        # record with the frame's statuses, K's corner is not its power,
+        # and in a record built with that unit the row c1 does not spell
+        # it; each raises, named for the shape's corner row
         derived_for(2, (3, 4))
-        frame = presentations._disc_quotient_frame(2, 2)
-        rows, units = frame.printed
+        frame = presentations.certify_frame(2, 2)
+        units = frame.units
         unit = len(units.relators) - 2
-        relators = (*units.relators[:unit], Word(units.relators[unit].letters[::-1]),
-                    *units.relators[unit + 1:])
-        frame._keep("printed", (rows, replace(units, relators=relators)))
-        for statuses in (frame.statuses, None):
-            frame._keep("statuses", statuses)
-            with pytest.raises(PipelineAssertionError) as exc:
-                derived_for(2, (5, 4))
+        bent = replace(units, relators=(*units.relators[:unit],
+                                        Word(units.relators[unit].letters[::-1]),
+                                        *units.relators[unit + 1:]))
+        for name, patched in (("certified_frame", lambda _: replace(frame, units=bent)), (
+                "_printed_relator_words", lambda *a: (_printed_relator_words(*a)[0], bent))):
+            presentations.certify_frame.cache_clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(frames, name, patched)
+                with pytest.raises(PipelineAssertionError) as exc:
+                    derived_for(2, (5, 4))
             assert str(exc.value) == "classical relator c1^5 could not be certified"
         assert verified_words == [2 + 3, 2 + 3]
 
@@ -849,14 +861,15 @@ class TestConstructEta:
         assert type(exc.value) is ValueError
 
     def test_tampered_theta_yields_no_eta(self):
-        # eta's images are Theta's folds, kept on the frame as forms: with
-        # delta1's form, -d_1, replaced by c1's, x_1, its image turns even
+        # eta's images are Theta's folds, kept in the frame's record as
+        # forms: with delta1's form, -d_1, replaced by c1's, x_1, its image
+        # turns even
         shape = pipeline.shape_certificate(1, (2, 2, 2))
-        (names, variables, coefficients), others, residual = pipeline._eta_images(shape.frame)
+        (names, variables, coefficients), others, residual = shape.frame.eta
         i, j = names.index("delta1"), names.index("c1")
         variables = variables[:i] + variables[j:j + 1] + variables[i + 1:]
         coefficients = coefficients[:i] + coefficients[j:j + 1] + coefficients[i + 1:]
-        shape.frame._keep("eta", ((names, variables, coefficients), others, residual))
+        shape = with_frame(shape, eta=((names, variables, coefficients), others, residual))
         with pytest.raises(PipelineAssertionError, match="orientation mismatch"):
             construct_eta(shape, GENUS2)
 
@@ -1045,25 +1058,24 @@ class TestLemma:
             lemma1_check(broken)
 
     def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
-        # a reducer that reduces nothing leaves tau1*delta1*tau1*delta1 non-empty
-        _, derived = derived_for(1, (2, 2, 2))
-        monkeypatch.setattr(pipeline, "cyclic_reduce_letters", lambda letters, involutions=(): letters)
+        # a reducer that reduces nothing leaves tau1*delta1*tau1*delta1
+        # non-empty, so the frame's record is not built
+        monkeypatch.setattr(frames, "cyclic_reduce_letters", lambda letters, involutions=(): letters)
         with pytest.raises(
             PipelineAssertionError,
             match="conjugation identity for delta1 could not be certified",
         ):
-            lemma1_check(derived)
+            lemma1_check(derived_for(1, (2, 2, 2))[1])
 
     def test_conjugate_leaving_the_kernel_is_an_assertion(self):
         # delta1 = x1 is not in the kernel, and tau1*x1*tau1*x1 is not 1 in K
         _, derived = derived_for(1, (2, 2, 2))
-        broken = with_generator_word(derived, "delta1", Word.gen("x1"))
         with pytest.raises(
             PipelineAssertionError,
             match=r"conjugation identity for delta1 could not be certified:"
             r" tau1\*delta1\*tau1\*delta1 does not reduce",
         ):
-            lemma1_check(broken)
+            lemma1_check(with_generator_word(derived, "delta1", Word.gen("x1")))
 
     @pytest.mark.parametrize("gamma, periods", [(1, (2, 2, 2)), (2, (3,))])
     def test_corrupt_connector_word_is_an_assertion(self, gamma, periods):
@@ -1072,13 +1084,12 @@ class TestLemma:
         _, derived = derived_for(gamma, periods)
         a, b = lemma1_check(derived).connector_pair
         words = {g.name: g.word for g in derived.subgroup.generators}
-        broken = with_generator_word(derived, b, words[a])
         with pytest.raises(
             PipelineAssertionError,
             match=f"conjugation identity for {a} could not be certified:"
             rf" tau1\*{a}\*tau1\*{b}\^-1 does not reduce",
         ):
-            lemma1_check(broken)
+            lemma1_check(with_generator_word(derived, b, words[a]))
 
 
 # Each data-tamper case of TestLemma: (shape, tamper of its derived
@@ -1143,7 +1154,7 @@ def test_tampered_lemma_data_raise_in_a_warm_frame(shape, tamper, message):
     sibling = pipeline.shape_certificate(*SIBLINGS[shape])
     _, derived = derived_for(*shape)
     lemma1_check(derived)
-    assert presentations._disc_quotient_frame.cache_info().misses == 1
+    assert presentations.certify_frame.cache_info().misses == 1
     assert derived.subgroup.frame is sibling.derived.subgroup.frame
     assert derived.subgroup.frame.inverted == sibling.lemma.inversion_entries
     with pytest.raises(PipelineAssertionError, match=message):
@@ -1175,7 +1186,7 @@ def test_lemma_reads_its_frame_after_the_memo_evicts_it(
     # evict it, the lemma still certifies the shape, with the report of a
     # fresh derivation, and a deep copy too
     monkeypatch.setattr(presentations, "MEMO_LETTERS", 64)
-    frames = presentations._disc_quotient_frame
+    frames = presentations.certify_frame
     _, derived = derived_for(*shape)
     others = {}
     for gamma, periods in signature_battery:
@@ -1350,20 +1361,21 @@ class TestRealize:
 
     @pytest.mark.parametrize("gamma", [3, 4])
     @pytest.mark.parametrize("patch", ["parity bit", "corner unit"])
-    def test_theta_its_frame_does_not_certify_is_an_assertion(self, gamma, patch):
+    def test_theta_its_frame_does_not_certify_is_an_assertion(self, monkeypatch, gamma, patch):
         # theta is certified as its frame's parity map, whose Schreier
         # frame rewrote the frame's relators and each corner unit, with
         # each corner of K its unit's power; a frame whose parity bit on
         # tau2, or whose unit of corner 1, differs certifies no theta
-        frame = presentations._disc_quotient_frame(gamma, 2)
-        schreier = cosets.frame_schreier(frame)
+        frame = presentations.certify_frame(gamma, 2)
+        schreier = frame.schreier
         if patch == "parity bit":
             parity = schreier.subgroup.parity | {"tau2": 0}
             schreier = replace(schreier, subgroup=replace(schreier.subgroup, parity=parity))
         else:
             (unit, rows), *rest = schreier.corners.items()
             schreier = replace(schreier, corners=dict([(unit[::-1], rows), *rest]))
-        frame._keep("schreier", schreier)
+        monkeypatch.setattr(frames, "certified_frame", lambda _: replace(frame, schreier=schreier))
+        presentations.certify_frame.cache_clear()
         with pytest.raises(PipelineAssertionError) as exc:
             pipeline.shape_certificate(gamma, (3, 3))
         assert str(exc.value) == "parity map theta is not a homomorphism"
@@ -1459,7 +1471,7 @@ class TestShapeMemo:
         # one budget for both memos, read on each call; neither is a
         # function, so a tracer that wraps the public functions skips both
         monkeypatch.setattr(presentations, "MEMO_LETTERS", 100)
-        for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame):
+        for memo in (pipeline.shape_certificate, presentations.certify_frame):
             assert type(memo) is presentations.LetterMemo and not inspect.isfunction(memo)
             assert memo.cache_info().maxsize == 100
 
@@ -1473,7 +1485,7 @@ class TestShapeMemo:
         for p in (2, 6):
             assert realize(first_smooth_epimorphism(5, (p,), 12)).conclusion
         assert pipeline.shape_certificate.cache_info()[:2] == (2, 3)  # (hits, misses)
-        assert presentations._disc_quotient_frame.cache_info().misses == 1
+        assert presentations.certify_frame.cache_info().misses == 1
         # the lemma's witness rows and identities live on that one frame
         shapes = [pipeline.shape_certificate(5, (p,)) for p in (2, 3, 6)]
         frame, *others = (shape.derived.subgroup.frame for shape in shapes)
@@ -1482,7 +1494,7 @@ class TestShapeMemo:
         assert all(shape.frame is owner for shape in shapes)
         assert owner.inverted == tuple(g.name for g in owner.schreier.subgroup.generators)
         # odd gamma prints no classical relators
-        assert owner.statuses is None
+        assert (owner.rows, owner.units, owner.statuses) == ((), None, ())
 
     def test_even_gamma_shapes_of_one_frame_certify_it_once(self, verified_words):
         # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
@@ -1493,12 +1505,12 @@ class TestShapeMemo:
             derived = derive_delta_hat(K, build_theta(K))
             assert lemma1_check(derived).ok
             frames.append(derived.subgroup.frame)
-        assert presentations._disc_quotient_frame.cache_info().misses == 1
+        assert presentations.certify_frame.cache_info().misses == 1
         owner, *others = frames
         assert all(other is owner for other in others)
-        assert owner is presentations._disc_quotient_frame(4, 1)
+        assert owner is presentations.certify_frame(4, 1)
         assert owner.inverted == tuple(g.name for g in derived.subgroup.generators)
-        assert owner.statuses is not None
+        assert owner.statuses == ("matches-relator",) * 2 + ("trivial",) * 2
         # the first shape certifies the frame's corner unit and its three
         # rows after it, in one call; the other two certify no word
         assert verified_words == [1 + 3]
@@ -1514,7 +1526,7 @@ class TestShapeMemo:
         # K's) and reads no orientation character: each is a frame fact
         pipeline.shape_certificate(*warm)
         assert verified_words == [len(warm[1]) + 3]
-        frame = presentations._disc_quotient_frame(new[0], len(new[1]))
+        frame = presentations.certify_frame(new[0], len(new[1]))
         evaluated, walked, characters = [], [], []
         normal_form, check = CyclicGroup.normal_form, pipeline.check_homomorphism
         monkeypatch.setattr(CyclicGroup, "normal_form", lambda self, table, letters: (
@@ -1529,9 +1541,38 @@ class TestShapeMemo:
         assert walked == [] and characters == []
         assert len(evaluated) == 1  # theta's image of e, from e's closed form
         relators = {rel.letters for rel in shape.k_presentation.relators}
-        assert not relators & set(evaluated) and frame.relators[0].letters in relators
-        assert presentations._disc_quotient_frame.cache_info().misses == 1
+        assert not relators & set(evaluated) and frame.presentation.relators[0].letters in relators
+        assert presentations.certify_frame.cache_info().misses == 1
         assert shape.derived.printed_checks[0] == (f"c1^{new[1][0]}", "matches-relator")
+
+    @pytest.mark.parametrize("gamma, periods, order", [(1, (2, 2, 2), 4), (2, (2, 2), 4)])
+    def test_a_derivation_alone_builds_the_whole_frame_record(
+        self, monkeypatch, gamma, periods, order
+    ):
+        # derive_delta_hat and lemma1_check, with no realize, build the
+        # frame's record whole in one miss of its memo: every field is
+        # there (but the classical rows of an odd gamma), and none can be
+        # assigned; a realize of the shape then misses no frame and builds
+        # no record
+        built, build = [], frames.certified_frame
+        monkeypatch.setattr(frames, "certified_frame", lambda p: built.append(p) or build(p))
+        _, derived = derived_for(gamma, periods)
+        assert lemma1_check(derived).ok
+        frame = derived.subgroup.frame
+        assert presentations.certify_frame.cache_info().misses == len(built) == 1
+        fields = {name: getattr(frame, name) for name in frame._fields}
+        assert len(fields) == 8 and all(fields[name] for name in (
+            "presentation", "schreier", "inverted", "folds", "eta"))
+        classical = ("rows", "units", "statuses")
+        assert all(fields[name] for name in classical) if gamma % 2 == 0 else (
+            [fields[name] for name in classical] == [(), None, ()])
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(frame, name, value)
+            assert getattr(frame, name) is value
+        datum = first_smooth_epimorphism(gamma, periods, order)
+        assert realize(datum).derived.subgroup.frame is frame
+        assert presentations.certify_frame.cache_info().misses == len(built) == 1
 
     def test_clearing_both_memos_frees_every_schreier_frame(self):
         # a SchreierFrame is kept by K's frame alone, and a K that is not
@@ -1544,14 +1585,15 @@ class TestShapeMemo:
 
         before = schreier_frames()
         realize(GENUS2)
-        K = disc_group(2, (3, 4))
+        K = disc_group(2, (3, 4))  # its frame is certified with it
+        built = schreier_frames()
         with pytest.raises(ValueError, match="^K is not its frame"):
             derive_delta_hat(replace(K, relators=K.relators[1:]), build_theta(K))
         del K
-        # the refused K derived no frame; GENUS2's stays
-        assert len(schreier_frames() - before) == 1
+        # the refused K derived no frame; GENUS2's and K's stay
+        assert schreier_frames() == built and len(built - before) == 2
         pipeline.shape_certificate.cache_clear()
-        presentations._disc_quotient_frame.cache_clear()
+        presentations.certify_frame.cache_clear()
         assert schreier_frames() <= before
 
     def test_invalid_input_never_reaches_the_memo(self):
@@ -1595,7 +1637,7 @@ class TestLetterMemo:
         shape = pipeline.shape_certificate(1, (2, 2, 2))
         assert pipeline.shape_certificate(1, (2, 2, 2)) is shape
         assert pipeline.shape_certificate.cache_info()[:2] == (1, 1)
-        for memo in (pipeline.shape_certificate, presentations._disc_quotient_frame):
+        for memo in (pipeline.shape_certificate, presentations.certify_frame):
             assert memo.cache_info().misses == memo.cache_info().currsize == 1
 
     def test_a_raising_build_stores_nothing(self):
@@ -1614,6 +1656,21 @@ class TestLetterMemo:
         assert memo(3) == memo(3) == 3 and calls == [3, 3]
         assert memo.cache_info() == (1, 2, presentations.MEMO_LETTERS, 1)
 
+    def test_what_a_build_raises_carries_no_context(self, monkeypatch):
+        # each build runs outside the memo's lookup, so what it raises does
+        # not say it happened while handling the memo's miss, at either
+        # level of the shape stage's nested memos; neither keeps the key
+        memo = toy_memo(lambda key: 1 // 0)
+        with pytest.raises(ZeroDivisionError) as exc:
+            memo(3)
+        assert exc.value.__context__ is None and memo.entries == {}
+        monkeypatch.setattr(frames, "cyclic_reduce_letters", lambda letters, involutions: letters)
+        with pytest.raises(PipelineAssertionError, match="^conjugation identity") as exc:
+            pipeline.shape_certificate(1, (2, 2, 2))
+        assert exc.value.__context__ is None and exc.value.__cause__ is None
+        for memo in (pipeline.shape_certificate, presentations.certify_frame):
+            assert memo.entries == {} and memo.cache_info().misses == 1
+
     def test_the_held_weight_exceeds_the_budget_only_in_one_entry(
         self, monkeypatch, action_battery
     ):
@@ -1621,7 +1678,7 @@ class TestLetterMemo:
         # holds the weights of its entries, and no more than the budget
         # unless it holds one entry
         monkeypatch.setattr(presentations, "MEMO_LETTERS", 85)
-        memos = (pipeline.shape_certificate, presentations._disc_quotient_frame)
+        memos = (pipeline.shape_certificate, presentations.certify_frame)
         for datum in action_battery:
             assert realize(datum).conclusion
             for memo in memos:
@@ -1640,12 +1697,12 @@ class TestLetterMemo:
         assert (len(shapes), len(frames)) == (112, 20)
         for gamma, periods in shapes:
             K = canonical_presentation(quotient_disc_signature(gamma, periods))
-            frame = presentations._disc_quotient_frame(gamma, len(periods))
+            frame = presentations.certify_frame(gamma, len(periods))
             assert pipeline.shape_certificate.weight(gamma, periods) == sum(map(len, K.relators))
-            assert (presentations._disc_quotient_frame.weight(gamma, len(periods))
-                    == sum(map(len, frame.relators)))
+            assert (presentations.certify_frame.weight(gamma, len(periods))
+                    == sum(map(len, frame.presentation.relators)))
         assert sum(pipeline.shape_certificate.weight(*shape) for shape in shapes) == 4901
-        assert sum(presentations._disc_quotient_frame.weight(*frame) for frame in frames) == 427
+        assert sum(presentations.certify_frame.weight(*frame) for frame in frames) == 427
         assert 427 < 4901 <= presentations.MEMO_LETTERS
 
 
@@ -1699,7 +1756,7 @@ def test_memo_history_leaves_every_document_byte_identical(
     # realize and check-lemma in text and in JSON, warm frame or cold, is
     # byte-identical to the cold run's, and so is the oracle path's
     # document, which reads no frame
-    memos = (pipeline.shape_certificate, presentations._disc_quotient_frame)
+    memos = (pipeline.shape_certificate, presentations.certify_frame)
     cold = {}
     for datum in action_battery:
         for memo in memos:
@@ -1829,7 +1886,7 @@ def test_a_new_shape_in_a_warm_frame_pays_only_for_its_corners(monkeypatch):
     package = str(Path(necsurf.__file__).parent)
 
     def count(gamma):
-        presentations._disc_quotient_frame.cache_clear()
+        presentations.certify_frame.cache_clear()
         pipeline.shape_certificate.cache_clear()
         realize(first_smooth_epimorphism(gamma, (2, 2), 12))
         built, lines = [], [0]

@@ -16,7 +16,7 @@ from necsurf import (
     shape_certificate,
     verify_derived_relators,
 )
-from necsurf.pipeline import _printed_relator_words, build_theta
+from necsurf.pipeline import build_theta
 from necsurf.presentations import Presentation, connector_closed_form
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
@@ -379,7 +379,7 @@ def assert_named_sources_agree(K, sub, periods):
     K's corner (``printed_relator_words``), and the frame's that
     ``derive_delta_hat`` certifies, each corner row a unit named for its
     unit in the frame with its corner units.  Returns the statuses."""
-    rows, units = _printed_relator_words(sub)
+    rows, units = sub.frame.rows, sub.frame.units
     substitution = {g.name: g.word for g in sub.generators}
     statuses = set()
     for p, listed in ((K, printed_relator_words(sub, periods)), (units, rows)):

@@ -24,7 +24,7 @@ from necsurf import (
     realize,
     shape_certificate,
 )
-from necsurf.presentations import Frame, connector_closed_form
+from necsurf.presentations import certify_frame, connector_closed_form
 from necsurf.words import Record
 from reference import abelianization, replace
 
@@ -135,17 +135,19 @@ def test_derived_slots_stay_out_of_comparison():
     assert replace(theta) == theta and "_by_name" not in repr(theta)
 
 
-def test_a_rebuilt_frame_keeps_no_certificate():
-    # a frame's certificates are slots outside its fields: a copy, an
-    # unpickled or a rebuilt frame starts with each of them None, the
-    # printed rows of an even gamma included
-    realize(first_smooth_epimorphism(2, (3,), 12))
-    frame = shape_certificate(2, (3,)).frame
-    assert None not in [getattr(frame, slot) for slot in Frame.__slots__]
-    assert len(Frame.__slots__) == 6
-    for twin in (replace(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
-        assert twin == frame
-        assert [getattr(twin, slot) for slot in Frame.__slots__] == [None] * 6
+def test_a_rebuilt_subgroup_keeps_its_frame_certificate():
+    # the frame's certificates are the fields of one record, which the
+    # derived subgroup keeps: a replaced, deep-copied or unpickled
+    # subgroup keeps an equal record, with every field, the printed rows
+    # of an even gamma included
+    sub = shape_certificate(2, (3,)).derived.subgroup
+    frame = sub.frame
+    assert frame is certify_frame(2, 1)
+    assert None not in [getattr(frame, name) for name in frame._fields]
+    assert len(frame._fields) == 8
+    for twin in (replace(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert twin == sub and twin.frame == frame
+    assert replace(sub).frame is frame
 
 
 def test_repr_is_the_dataclass_text():

@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 
 from necsurf import (
     NECSignature,
-    NoSurfaceKernelError,
     elliptic,
     GeneratorKind,
     quotient_disc_signature,
     reduced_area,
-    surface_kernel_genus,
 )
-from reference import termwise_area
+from reference import NoSurfaceKernelError, surface_kernel_genus, termwise_area
 
 
 def crosscap(gamma, periods=()):
