@@ -6,10 +6,14 @@
 ``input_doc`` echoed as its ``input``.  The shape's first document
 encodes the twelve keys that the shape (gamma; -; [n_1..n_r]) alone
 fixes and keeps that text on the ``ShapeCertificate``, which the shape
-memo evicts with it; each call encodes only the six keys that read rho or
-the input, and the literal ``genus_match``, and splices them in.  ``document(cert, input_doc)`` is that
-line parsed, fresh on every call.  Every other view reads that dict
-alone: ``text`` renders the human-readable certificate, ``lemma_report``
+memo evicts with it, beside eta's and Theta's image maps: their JSON
+keys in sorted order, each value a format field of its generator's index.
+Each call fills the six keys that read rho or the input, and the literal
+``genus_match``, into templates (``_RHO_RUNS``): eta's and Theta's
+integer tuples, in generator order, fill the kept maps, so no name is
+sorted or encoded per call.  ``document(cert, input_doc)`` is that line
+parsed, fresh on every call.  Every other view reads that dict alone:
+``text`` renders the human-readable certificate, ``lemma_report``
 projects the ``check-lemma`` document and ``lemma_text`` renders that.
 Images are listed in the generator order of the document's
 presentations, so the document reloaded from that JSON renders the same
@@ -33,20 +37,30 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, count
 
+from .groups import DihedralGroup
 from .pipeline import RealizationCertificate
 from .presentations import Presentation
 from .signatures import NECSignature
 
-# The document's keys in sorted order, in runs: the shape's at even positions,
-# each call's at odd ones (genus_match, a literal, joins genus and genus_real)
-_RUNS = (
+# The document's keys in sorted order, in runs: the shape's, each followed
+# by one of each call's (genus_match, a literal, joins genus and genus_real)
+_SHAPE_RUNS = (
     ("area_ratio", "conclusion", "correspondence", "delta_hat_presentation",
      "delta_hat_signature"),
-    ("eta", "genus", "genus_match", "genus_real", "input"),
     ("k_presentation", "k_signature", "lemma1", "printed_relator_checks", "quotient_signature"),
-    ("rho_resolved",), ("signature_match", "theta"), ("theta_extension",))
+    ("signature_match", "theta"))
+# each call's runs, the literals of eta and theta_extension spelled out:
+# {0} eta's images, {1} its torsion images, {2} the genus, {3} the input,
+# {4} rho's images, {5} Theta's images and {6} its image order
+_RHO_RUNS = (
+    '"eta": {{"branch_match": true, "images": {0}, "parity_ok": true, "surjective": true,'
+    ' "torsion_images": {1}, "torsion_ok": true, "unit": 1}}, "genus": {2},'
+    ' "genus_match": true, "genus_real": {2}, "input": {3}',
+    '"rho_resolved": {4}',
+    '"theta_extension": {{"image_order": {6}, "images": {5}, "kernel_index": {6},'
+    ' "reflection_rotation": 0, "restriction_agrees": true, "surjective": true}}')
 # the document is a tree, so the encoder skips json.dumps' cycle check
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
@@ -70,8 +84,12 @@ def _presentation(p: Presentation) -> dict:
     }
 
 
-def _images(hom) -> dict:
-    return {name: hom.target.format(value) for name, value in hom.images}
+def _image_map(p: Presentation) -> str:
+    """The JSON object of strings that maps each generator of ``p``, in
+    sorted order, to the ``str.format`` field of its index (the names hold
+    no brace)."""
+    items = (f'{_encode(g)}: "{{{i}}}"' for g, i in sorted(zip(p.generator_names(), count())))
+    return "{{" + ", ".join(items) + "}}"
 
 
 def _shape_keys(cert: RealizationCertificate) -> dict:
@@ -84,7 +102,7 @@ def _shape_keys(cert: RealizationCertificate) -> dict:
         "k_signature": _signature(shape.k_presentation.signature),
         "k_presentation": _presentation(shape.k_presentation),
         "theta": {
-            "images": _images(shape.theta),
+            "images": {name: str(bit) for name, bit in shape.theta.images},
             "connector_exponent": connector_exponent,
             "printed_connector_valid": connector_exponent == 0,
         },
@@ -116,29 +134,13 @@ def _shape_keys(cert: RealizationCertificate) -> dict:
     }
 
 
-def _rho_keys(cert: RealizationCertificate, input_doc: dict) -> dict:
-    """The keys of ``cert``'s document that each call encodes."""
-    datum = cert.datum
-    return {
-        "input": input_doc,
-        "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
-        "genus": cert.genus,
-        "eta": {
-            "images": _images(cert.eta.hom),
-            "unit": 1,
-            "torsion_images": list(cert.eta.torsion_images),
-            "surjective": True, "parity_ok": True, "torsion_ok": True, "branch_match": True,
-        },
-        "theta_extension": {
-            "images": _images(cert.extension.hom),
-            "reflection_rotation": 0,
-            "surjective": True, "restriction_agrees": True,
-            "image_order": cert.extension.image_order,
-            "kernel_index": cert.extension.image_order,
-        },
-        "genus_real": cert.genus,
-        "genus_match": True,
-    }
+def _shape_runs(cert: RealizationCertificate) -> tuple:
+    """The shape's runs of the document, eta's and Theta's image maps
+    (``_image_map``) and theta's images, the flips of Theta's."""
+    shape = cert.shape
+    return (tuple(_encoded(_shape_keys(cert), _SHAPE_RUNS)),
+            _image_map(shape.derived.presentation), _image_map(shape.k_presentation),
+            tuple(bit for _, bit in shape.theta.images))
 
 
 def _encoded(keys: dict, runs: tuple[tuple[str, ...], ...]) -> Iterator[str]:
@@ -150,11 +152,18 @@ def render(cert: RealizationCertificate, input_doc: dict) -> str:
     """The certificate of one realization, with ``input_doc`` echoed as
     its ``input``, as ``json.dumps`` with sorted keys prints it, and a
     newline: the shape's runs, kept by its first document, spliced with
-    this call's."""
-    shape_runs = cert.shape.json_runs or cert.shape._keep(
-        "json_runs", tuple(_encoded(_shape_keys(cert), _RUNS[::2])))
-    rho_runs = _encoded(_rho_keys(cert, input_doc), _RUNS[1::2])
-    return "{" + ", ".join(chain.from_iterable(zip(shape_runs, rho_runs))) + "}\n"
+    this call's, which fill Theta's and eta's tuples into the shape's
+    kept image maps."""
+    shape, datum, extension = cert.shape, cert.datum, cert.extension
+    runs, eta_map, theta_map, flips = shape.json_runs or shape._keep(
+        "json_runs", _shape_runs(cert))
+    theta = map(DihedralGroup(datum.order).format, zip(flips, extension.rotations))
+    values = (eta_map.format(*cert.eta.images), _encode(list(cert.eta.torsion_images)),
+              cert.genus, _encode(input_doc),
+              _encode({"d": list(datum.d_images), "x": list(datum.x_images)}),
+              theta_map.format(*theta), extension.image_order)
+    rho_runs = (run.format(*values) for run in _RHO_RUNS)
+    return "{" + ", ".join(chain.from_iterable(zip(runs, rho_runs))) + "}\n"
 
 
 def document(cert: RealizationCertificate, input_doc: dict) -> dict:

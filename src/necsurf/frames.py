@@ -38,17 +38,28 @@ class FrameCertificate(Record):
     frame with its corner units that names their sources, and their
     statuses; ``inverted``, the Schreier generators whose
     tau1-identities the lemma certified; ``folds``, K's relators Theta
-    does not send to 1 for every rho; ``eta``, eta's images as forms."""
+    does not send to 1 for every rho; ``walk``, e's closed form and those
+    relators as (index, exponent) letters; ``eta``, eta's images as forms,
+    in generator order (``_eta_images``); ``parities``, each image's
+    parity, 1 for a glide.  So a rho costs only integer arithmetic."""
 
     __slots__ = ("presentation", "schreier", "rows", "units", "statuses", "inverted", "folds",
-                 "eta")
+                 "walk", "eta", "parities")
 
     def __init__(
         self, presentation: Presentation, schreier: SchreierFrame, rows: tuple,
         units: Presentation | None, statuses: tuple[str, ...], inverted: tuple[str, ...],
-        folds: Presentation, eta: tuple,
+        folds: Presentation, walk: tuple, eta: tuple, parities: tuple[int, ...],
     ) -> None:
-        self._assign(presentation, schreier, rows, units, statuses, inverted, folds, eta)
+        self._assign(presentation, schreier, rows, units, statuses, inverted, folds, walk, eta,
+                     parities)
+
+    def unmapped(self, target, images) -> Iterator[tuple[Word, object]]:
+        """Each relator of ``folds`` that ``images``, Theta's in K's
+        generator order, do not send to the identity, with its image."""
+        for rel, letters in zip(self.folds.relators, self.walk[1]):
+            if (value := target.normal_form(images, letters)) != target.identity:
+                yield rel, value
 
 
 def certified_frame(frame: Presentation) -> FrameCertificate:
@@ -68,9 +79,19 @@ def certified_frame(frame: Presentation) -> FrameCertificate:
         _, words, sources = zip(*rows)
         statuses = verify_derived_relators(
             units, words, sources, {g.name: g.word for g in schreier.subgroup.generators})
-    folds = _theta_residual(frame)
+    index = {g: i for i, g in enumerate(frame.generator_names())}
+    connector = _indexed(solved, index)
+    theta = _symbolic_theta(frame, connector)
+    folds, kinds = _theta_residual(frame, theta), schreier.subgroup.presentation.generators
     return FrameCertificate(frame, schreier, rows, units, statuses, _inverted(frame, schreier),
-                            folds, _eta_images(frame, schreier, folds))
+                            folds, (connector, tuple(_indexed(w, index) for w in folds.relators)),
+                            _eta_images(frame, schreier, folds, theta),
+                            tuple(int(kind.character == -1) for _, kind in kinds))
+
+
+def _indexed(word: Word, index: dict) -> tuple[tuple[int, int], ...]:
+    """``word``'s letters with each generator replaced by its ``index``."""
+    return tuple((index[g], e) for g, e in word.letters)
 
 
 def _printed_relator_words(frame: Presentation, schreier: SchreierFrame) -> tuple:
@@ -159,74 +180,70 @@ class _Forms:
             yield flip, acc if sign == 1 else {v: -c for v, c in acc.items()}
 
 
-def _theta_images(K: Presentation, target, glides: Iterable, sums: Iterable) -> dict:
-    """Theta on K's generators in closed form, in ``target``: tau1 -> t,
-    x_j -> t*s^(glides[j]), tau_(k+1) -> t*s^(sums[k]) and e -> the normal
-    form of e's closed form (``connector_closed_form``), forced by the long
-    relator.  ``pipeline.extend_to_dihedral`` reads it in D_2n at
+def _theta_images(connector: tuple, target, glides: Iterable, sums: Iterable) -> list:
+    """Theta on K's generators in closed form, in ``target``, in K's
+    generator order: x_j -> t*s^(glides[j]), e -> the normal form of e's
+    closed form x_1^-1...x_gamma^-1 (``connector``, as (index, exponent)
+    letters), forced by the long relator, tau1 -> t and tau_(k+1) ->
+    t*s^(sums[k]).  ``pipeline.extend_to_dihedral`` reads it in D_2n at
     (-1)^j d_j and x_1 + ... + x_k, and ``_symbolic_theta`` in ``_Forms``
     at the variables, so the folds certify the images rho is given."""
-    taus = K.generators_of_kind("reflection")
-    images = {taus[0]: target.reflection(0)}
-    images.update(zip(K.generators_of_kind("elliptic"), map(target.reflection, glides)))
-    images.update(zip(taus[1:], map(target.reflection, sums)))
-    for e, word in connector_closed_form(K).items():
-        images[e] = target.normal_form(images, word.letters)
+    images = list(map(target.reflection, glides))
+    images += target.normal_form(images, connector), target.reflection(0)
+    images += map(target.reflection, sums)
     return images
 
 
-def _symbolic_theta(K: Presentation) -> dict:
-    """Theta's images on K's generators in ``_Forms``."""
+def _symbolic_theta(K: Presentation, connector: tuple) -> dict:
+    """Theta's images on K's generators in ``_Forms``, by name."""
     gamma, r = len(K.generators_of_kind("elliptic")), len(K.generators_of_kind("reflection")) - 1
     glides = ({j: -1 if j % 2 else 1} for j in range(1, gamma + 1))
-    return _theta_images(K, _Forms, glides, ({-k: 1} for k in range(1, r + 1)))
+    images = _theta_images(connector, _Forms, glides, ({-k: 1} for k in range(1, r + 1)))
+    return dict(zip(K.generator_names(), images))
 
 
-def _theta_residual(frame: Presentation) -> Presentation:
+def _theta_residual(frame: Presentation, theta: dict) -> Presentation:
     """The relators of K that Theta does not send to the identity for
     every rho: the relators of the frame (K's relators but the corners)
-    whose fold under the symbolic Theta is not the identity, in order, as
-    a presentation.  Each reflection is certified to map to a reflection,
-    so that each corner unit tau_k*tau_(k+1) maps to a rotation, read off
-    the two images."""
-    table = _symbolic_theta(frame)
+    whose fold under the symbolic Theta (``theta``) is not the identity,
+    in order, as a presentation.  Each reflection is certified to map to
+    a reflection, so that each corner unit tau_k*tau_(k+1) maps to a
+    rotation, read off the two images."""
     for tau in frame.generators_of_kind("reflection"):
-        if not table[tau][0]:
+        if not theta[tau][0]:
             raise PipelineAssertionError(f"Theta sends the reflection {tau} to a rotation")
-    folds = _Forms.folds(table, (rel.letters for rel in frame.relators))
+    folds = _Forms.folds(theta, (rel.letters for rel in frame.relators))
     return Presentation(frame.generators,
                         [rel for rel, (flip, form) in zip(frame.relators, folds) if flip or form])
 
 
-def _eta_images(frame: Presentation, schreier: SchreierFrame, residual: Presentation) -> tuple:
+def _eta_images(
+    frame: Presentation, schreier: SchreierFrame, residual: Presentation, theta: dict,
+) -> tuple:
     """eta's images as forms: eta on each Schreier generator is the
-    rotation Theta folds its word to, and each head (a relator of K
-    rewritten from coset u) and each corner unit's rewrite from coset u
-    folds under eta as its source folds under Theta (whose ``residual``
-    holds the sources that do not fold to the identity), conjugated by
-    the coset's representative (1 or tau1, which negates a rotation).  So
-    each relator of the derived kernel folds to the identity, or to +-R
-    or +-n_k*x_k.  Returns the one-term images as a tuple of names, one of
-    variables and one of coefficients; the other generators each as its
-    name, its variables and its coefficients; and for each relator Theta
-    walks, its variables and coefficients and its heads from cosets 0 and
-    1, whose forms are it and its negation."""
-    theta, generators = _symbolic_theta(frame), schreier.subgroup.generators
-    # eta's images, and its one-term ones as names, variables and
-    # coefficients; the others (the connector pair's, gamma terms, and
-    # tau1sq's) are kept as forms
+    rotation the symbolic Theta (``theta``) folds its word to, and each
+    head (a relator of K rewritten from coset u) and each corner unit's
+    rewrite from coset u folds under eta as its source folds under Theta
+    (whose ``residual`` holds the sources that do not fold to the
+    identity), conjugated by the coset's representative (1 or tau1, which
+    negates a rotation).  So each relator of the derived kernel folds to
+    the identity, or to +-R or +-n_k*x_k.  Returns, in generator order,
+    each image's variable and coefficient (0 and 0 unless it has one
+    term); the others, each its index, variables and coefficients; for
+    each relator Theta walks, its variables and coefficients and its heads
+    from cosets 0 and 1, whose forms are it and its negation; and the
+    torsion words as (index, exponent) letters."""
+    generators = schreier.subgroup.generators
     eta, singles, others = {}, [], []
     words = (gen.word.letters for gen in generators)
-    for gen, (flip, form) in zip(generators, _Forms.folds(theta, words)):
+    for i, (gen, (flip, form)) in enumerate(zip(generators, _Forms.folds(theta, words))):
         if flip:
             raise PipelineAssertionError(
                 f"eta: Theta sends the kernel generator {gen.name} to a reflection")
         eta[gen.name] = 0, form
-        if len(form) == 1:
-            [(v, c)] = form.items()
-            singles.append((gen.name, v, c))
-        else:
-            others.append((gen.name, tuple(form), tuple(form.values())))
+        singles.append(next(iter(form.items())) if len(form) == 1 else (0, 0))
+        if len(form) > 1:
+            others.append((i, tuple(form), tuple(form.values())))
     # each source's fold under Theta; None for the identity
     units = tuple(map(Word, schreier.corners))
     moved = (*residual.relators, *units)
@@ -247,5 +264,7 @@ def _eta_images(frame: Presentation, schreier: SchreierFrame, residual: Presenta
                                                  f" not fold as Theta folds {source}")
                 if i < len(head):  # the form from coset 0, then each row
                     forms.setdefault(i, (form, []))[1].append(row)
-    return tuple(zip(*singles)), tuple(others), tuple(
-        (tuple(form), tuple(form.values()), tuple(rows)) for form, rows in forms.values())
+    index = {gen.name: i for i, gen in enumerate(generators)}
+    return (*zip(*singles), tuple(others), tuple(
+        (tuple(form), tuple(form.values()), tuple(rows)) for form, rows in forms.values()),
+        tuple(_indexed(w, index) for w, _ in schreier.corners.values()))

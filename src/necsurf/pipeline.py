@@ -45,7 +45,8 @@ The chain constructed and verified here:
    so eta walks none: it evaluates the two rewrites of the connector
    relator at rho, and its torsion orders hold the corners.  With the
    images, |Theta(K)| = 4n and eta's surjectivity (gcds), its parities
-   and torsion orders, a rho costs O(gamma + r);
+   and torsion orders, a rho costs O(gamma + r) integer steps: Theta and
+   eta are tuples in generator order, named only when rendered;
 6. conclude: ker(Theta) = ker(eta) uniformizes a closed surface of the
    same genus carrying both the cyclic action and a reflection, and emit
    the full audit trail as a certificate.
@@ -93,11 +94,10 @@ from .presentations import (
     LetterMemo,
     Presentation,
     canonical_presentation,
-    check_homomorphism,
     connector_closed_form,
     crosscap_names,
 )
-from .signatures import NECSignature, area_terms, quotient_disc_signature, reduced_area
+from .signatures import NECSignature, area_terms, quotient_disc_signature
 from .words import Record
 
 
@@ -318,9 +318,10 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     multiset; some Schreier generator, a frame's, has orientation
     character -1 (``SchreierFrame.reversing``); and the claimed reduced
     area is twice K's (Riemann-Hurwitz at index 2), which with the periods
-    and the sign fixes the genus.  The area check multiplies, so it holds
-    where K's area is 0.  A fact that fails raises
-    ``PipelineAssertionError`` naming the claimed signature.
+    and the sign fixes the genus.  The area check cross-multiplies both
+    areas' integer terms (``area_terms``), so it holds where K's area is
+    0.  A fact that fails raises ``PipelineAssertionError`` naming the
+    claimed signature.
 
     The classical relators are read off the certificate of K's frame
     (``frames.FrameCertificate``), which certifies each corner unit c
@@ -341,9 +342,9 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
         raise unproved(f"torsion word orders {orders} are not the periods")
     if not sub.frame.schreier.reversing:
         raise unproved("no Schreier generator reverses orientation")
-    area, k_area = reduced_area(claim), reduced_area(K.signature)
-    if area != 2 * k_area:
-        raise unproved(f"reduced area {area} is not twice K's {k_area}")
+    (a, b), (c, d) = area_terms(claim), area_terms(K.signature)
+    if a * d != 2 * c * b:
+        raise unproved(f"reduced area {Fraction(a, b)} is not twice K's {Fraction(c, d)}")
 
     printed: tuple[tuple[str, str], ...] = ()
     (connector,) = K.generators_of_kind("connector")
@@ -479,19 +480,19 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
 
 class ShapeCertificate(Record):
     """K, theta, the derived kernel, the lemma report and K's reduced area
-    of one quotient shape (gamma; -; [n_1..n_r]), each checked; shared by
-    every certificate of that shape and never mutated but for
-    ``json_runs``, outside ``_fields``: None until ``certificate.render``
-    keeps the shape's JSON text there.  ``frame`` is the certificate of
-    K's frame, which the derived kernel's subgroup keeps: the rho stage
-    reads it."""
+    (``area_terms``) of one quotient shape (gamma; -; [n_1..n_r]), each
+    checked; shared by every certificate of that shape and never mutated
+    but for ``json_runs``, outside ``_fields``: None until
+    ``certificate.render`` keeps the shape's JSON text and keys there.
+    ``frame`` is the certificate of K's frame, which the derived kernel's
+    subgroup keeps: the rho stage reads it."""
 
     __slots__ = ("k_presentation", "theta", "derived", "lemma", "k_area", "json_runs")
     _fields = __slots__[:5]
 
     def __init__(
         self, k_presentation: Presentation, theta: FiniteHom, derived: DerivedKernel,
-        lemma: LemmaReport, k_area: Fraction,
+        lemma: LemmaReport, k_area: tuple[int, int],
     ) -> None:
         self._assign(k_presentation, theta, derived, lemma, k_area)
         self._keep("json_runs", None)
@@ -523,7 +524,7 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
 
     derived = derive_delta_hat(K, theta)
     return ShapeCertificate(k_presentation=K, theta=theta, derived=derived,
-                            lemma=lemma1_check(derived), k_area=reduced_area(K.signature))
+                            lemma=lemma1_check(derived), k_area=area_terms(K.signature))
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +532,20 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
 # ---------------------------------------------------------------------------
 
 class DihedralExtension(Record):
-    """Theta: K -> D_2n and its image order 4n, the index of ker(Theta) in
-    K.  ``reflection_rotation`` and ``kernel_index`` are kept for bench/."""
+    """Theta: K -> D_2n as each image's rotation, in K's generator order,
+    and its image order 4n, the index of ker(Theta) in K.  K's frame fixes
+    the flips: Theta(g) = t^theta(g)*s^k, theta the shape's parity map.
+    ``reflection_rotation`` and ``kernel_index`` are kept for bench/."""
 
-    __slots__ = ("hom", "image_order")
+    __slots__ = ("rotations", "image_order")
     reflection_rotation = 0  # bench/layers.py:63; ROADMAP item 12
 
     @property
     def kernel_index(self) -> int:  # bench/workloads.py:240; ROADMAP item 12
         return self.image_order
 
-    def __init__(self, hom: FiniteHom, image_order: int) -> None:
-        self._assign(hom, image_order)
+    def __init__(self, rotations: tuple[int, ...], image_order: int) -> None:
+        self._assign(rotations, image_order)
 
 
 def _check_fits(shape: ShapeCertificate, datum: ActionDatum) -> None:
@@ -554,99 +557,104 @@ def _check_fits(shape: ShapeCertificate, datum: ActionDatum) -> None:
 
 
 def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralExtension:
-    """Theta: K -> D_2n on the shape's K, written on K's generators from
-    rho in closed form (``_theta_images``): Theta(tau1) = t, Theta(x_j) =
-    t*s^((-1)^j d_j), Theta(tau_(k+1)) = t*s^(x_1 + ... + x_k), and
+    """Theta: K -> D_2n on the shape's K, in K's generator order, from rho
+    in closed form (``_theta_images``): Theta(x_j) = t*s^((-1)^j d_j),
     Theta(e) the normal form of e's closed form, forced by the long
-    relator.  Theta is then verified to be a homomorphism on K with image
-    of order 4n, so ker(Theta) has index 4n in K.  Only the relators that
-    K's frame does not certify for every rho are walked (its record's
-    ``folds``): the connector relator e^-1*tau_(r+1)*e*tau1^-1,
-    four letters; each corner maps to n_k times its unit's rotation, b - a
-    for the reflections Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b.
-    The image order is a gcd.  A failed check raises
-    ``PipelineAssertionError`` naming it: the first relator that does not
-    hold, with its image.  A datum of another shape raises ``ValueError``.
+    relator, Theta(tau1) = t and Theta(tau_(k+1)) = t*s^(x_1 + ... + x_k).
+    Theta is then verified to be a homomorphism on K with image of order
+    4n, so ker(Theta) has index 4n in K.  Only the relators that K's frame
+    does not certify for every rho are walked, as (index, exponent)
+    letters (``FrameCertificate.unmapped``): the connector relator
+    e^-1*tau_(r+1)*e*tau1^-1, four letters; each corner maps to n_k times
+    its unit's rotation, b - a for the reflections Theta(tau_k) = t*s^a and
+    Theta(tau_(k+1)) = t*s^b.  The image order is a gcd.  No name is read.
+    A failed check raises ``PipelineAssertionError`` naming it: the first
+    relator that does not hold, with its image.  A datum of another shape
+    raises ``ValueError``.
     """
     _check_fits(shape, datum)
-    K = shape.k_presentation
-    dihedral = DihedralGroup(datum.order)
-    glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
-    hom = FiniteHom.from_dict(
-        K, dihedral, _theta_images(K, dihedral, glides, accumulate(datum.x_images)))
-    cycle = K.signature.period_cycles[0]
-    corners = K.relators[len(K.relators) - len(cycle):]
-    rotations = [hom.image_of(tau)[1] for tau in K.generators_of_kind("reflection")]
-    unmapped = check_homomorphism(shape.frame.folds, hom) + tuple(
-        (corner, (0, value)) for corner, n, a, b in zip(corners, cycle, rotations, rotations[1:])
-        if (value := n * (b - a) % dihedral.modulus))
+    frame, dihedral, cycle = shape.frame, DihedralGroup(datum.order), datum.periods
+    glides = [-d if j % 2 else d for j, d in enumerate(datum.d_images, start=1)]
+    images = _theta_images(frame.walk[0], dihedral, glides, accumulate(datum.x_images))
+    _, rotations = zip(*images)
+    taus, relators = rotations[datum.gamma + 1:], shape.k_presentation.relators
+    unmapped = (*frame.unmapped(dihedral, images), *(
+        (corner, (0, value)) for corner, n, a, b in zip(relators[len(relators) - len(cycle):],
+                                                        cycle, taus, taus[1:])
+        if (value := n * (b - a) % dihedral.modulus)))
     for rel, value in unmapped:
         raise PipelineAssertionError(
             f"Theta is not a homomorphism: relator {rel} maps to {dihedral.format(value)}"
         )
-    image_order = hom.image_order()
+    image_order = dihedral.subgroup_order(images)
     if image_order != dihedral.order:
         raise PipelineAssertionError(
             f"Theta image has order {image_order}, expected 4n = {dihedral.order}"
         )
-    return DihedralExtension(hom, image_order)
+    return DihedralExtension(rotations, image_order)
 
 
 class EtaResult(Record):
-    """eta onto C_2n and its torsion images, rho's elliptic images (the
+    """eta onto C_2n, as its image of each generator of the derived kernel
+    in their order, and its torsion images, rho's elliptic images (the
     branch match has unit 1; ``unit`` is a constant kept for bench/)."""
 
-    __slots__ = ("hom", "torsion_images")
+    __slots__ = ("images", "torsion_images")
     unit = 1  # bench/workloads.py:241; ROADMAP item 12
 
-    def __init__(self, hom: FiniteHom, torsion_images: tuple[int, ...]) -> None:
-        self._assign(hom, torsion_images)
+    def __init__(self, images: tuple[int, ...], torsion_images: tuple[int, ...]) -> None:
+        self._assign(images, torsion_images)
 
 
 def construct_eta(shape: ShapeCertificate, datum: ActionDatum) -> EtaResult:
     """Epimorphism of the shape's derived kernel onto C_2n carrying exactly
     the branch data of rho: the restriction of Theta, eta(g) = the rotation
     Theta(g.word) for each kernel generator g, read off the record of K's
-    frame (``eta``) as its certified form at rho's images.
+    frame (``eta``) as its certified form at rho's images, in the
+    generators' order.
 
     The result is verified to be a surface-kernel epimorphism, with every
     reason found, in this order: relators that do not map to the identity,
     non-surjectivity (a gcd), torsion words whose image has lost order,
     and images whose parity differs from their generator's orientation
-    character; then its torsion images must equal rho's elliptic images in
-    order.  No relator is walked: each folds as the relator of K it
-    rewrites, so only the heads of the relators Theta walks are evaluated
-    at rho, and each corner row holds once its torsion word's order
-    divides n_k.  A failed check raises ``PipelineAssertionError`` naming
-    it, and a datum of another shape raises ``ValueError``.
+    character (one comparison with the frame's ``parities``, itemised only
+    when it fails); then its torsion images must equal rho's elliptic
+    images in order.  No relator is walked: each folds as the relator of K
+    it rewrites, so only the heads of the relators Theta walks are
+    evaluated at rho, and each corner row holds once its torsion word's
+    order divides n_k; a torsion word is evaluated as its frame's (index,
+    exponent) letters.  No name is read but for a reason.  A failed check
+    raises ``PipelineAssertionError`` naming it, and a datum of another
+    shape raises ``ValueError``.
     """
     _check_fits(shape, datum)
-    target = CyclicGroup(datum.order)
+    target, frame = CyclicGroup(datum.order), shape.frame
     pres, modulus = shape.derived.presentation, target.modulus
-    (names, variables, coefficients), others, residual = shape.frame.eta
+    variables, coefficients, others, residual, torsion = frame.eta
     # each variable's value: d_j at j, x_1 + ... + x_k at -k
     values = [0, *datum.d_images, *reversed(list(accumulate(datum.x_images)))]
 
     def at(vs: tuple, cs: tuple) -> int:
         return sum(map(mul, map(values.__getitem__, vs), cs)) % modulus
 
-    images = {g: c * values[v] % modulus for g, v, c in zip(names, variables, coefficients)}
-    images.update((g, at(vs, cs)) for g, vs, cs in others)
-    hom = FiniteHom.from_dict(pres, target, images)
+    images = [c * values[v] % modulus for v, c in zip(variables, coefficients)]
+    for i, vs, cs in others:
+        images[i] = at(vs, cs)
     problems = [f"eta is not a homomorphism: relator {row} maps to {decimal(v)}"
                 for vs, cs, rows in residual if (value := at(vs, cs))
                 for row, v in zip(rows, (value, modulus - value))]
-    if not hom.is_surjective():
+    if target.subgroup_order(images) != modulus:
         problems.append(f"eta is not surjective onto C_{decimal(modulus)}")
-    torsion_images = tuple(hom.evaluate(word) for word, _ in pres.torsion_words)
+    torsion_images = tuple(target.normal_form(images, letters) for letters in torsion)
     for (word, n), image in zip(pres.torsion_words, torsion_images):
         if (order := target.element_order(image)) != n:
             problems.append(f"torsion collapse: {word} image {decimal(image)} has order"
                             f" {decimal(order)}, declared {n}")
-    for name, kind in pres.generators:
-        if (v := images[name]) % 2 != (kind.character == -1):
-            problems.append(f"orientation mismatch: {kind.kind} image {name} -> {decimal(v)} is"
-                            f" {'odd' if v % 2 else 'even'}")
+    if tuple(map((1).__and__, images)) != frame.parities:  # each image's parity
+        problems += [f"orientation mismatch: {kind.kind} image {name} -> {decimal(v)} is"
+                     f" {'odd' if v % 2 else 'even'}"
+                     for (name, kind), v, bit in zip(pres.generators, images, frame.parities)
+                     if v % 2 != bit]
     if problems:
         raise PipelineAssertionError("eta: " + "; ".join(problems))
     if torsion_images != datum.x_images:
@@ -654,7 +662,7 @@ def construct_eta(shape: ShapeCertificate, datum: ActionDatum) -> EtaResult:
             f"eta: torsion images {list(torsion_images)} differ from rho's elliptic"
             f" images {list(datum.x_images)}"
         )
-    return EtaResult(hom=hom, torsion_images=torsion_images)
+    return EtaResult(tuple(images), torsion_images)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +709,7 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     read their relators off the frame's certificate: each walks at most
     one relator of K, four letters, reads each corner off its unit, and
     walks no relator of the derived kernel, so the rho stage is
-    O(gamma + r).
+    O(gamma + r) integer steps.
 
     Raises ``ActionValidationError`` on invalid input and
     ``PipelineAssertionError`` if an internal step fails where the
@@ -712,10 +720,10 @@ def realize(datum: ActionDatum) -> RealizationCertificate:
     extension = extend_to_dihedral(shape, datum)
     eta = construct_eta(shape, datum)
 
-    area, index = shape.k_area, extension.image_order
-    if 2 * (genus - 1) * area.denominator != index * area.numerator:
-        raise PipelineAssertionError(
-            f"genus bookkeeping disagrees: {genus} vs {index * area / 2 + 1}")
+    (numerator, denominator), index = shape.k_area, extension.image_order
+    if 2 * (genus - 1) * denominator != index * numerator:
+        raise PipelineAssertionError(f"genus bookkeeping disagrees: {genus} vs"
+                                     f" {Fraction(index * numerator, 2 * denominator) + 1}")
     return RealizationCertificate(datum, genus, shape, eta, extension)
 
 

@@ -156,8 +156,10 @@ def canonical_presentation(sig: NECSignature) -> Presentation:
 
 
 def _disc_quotient_presentation(sig: NECSignature) -> Presentation:
-    cycle = sig.period_cycles[0]
-    frame = certify_frame(len(sig.proper_periods), len(cycle)).presentation
+    # with no interior point, which no derivation takes, no frame is certified
+    gamma, cycle = len(sig.proper_periods), sig.period_cycles[0]
+    frame = (certify_frame(gamma, len(cycle)).presentation if gamma
+             else disc_quotient_frame(0, len(cycle)))
     return _with_corners(frame, cycle, sig)
 
 

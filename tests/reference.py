@@ -23,7 +23,9 @@ power named for K's corner (``printed_relator_words``), and all of them
 in turn (``oracle_certificate``).  ``oracle_document`` builds a
 certificate's whole document as one dict, key by key, the oracle of
 ``necsurf.certificate.render``, which splices a shape's encoded keys
-with each call's.
+with each call's.  ``rebuilt_hom`` names a tuple of the rho stage,
+Theta's rotations or eta's residues, as the ``FiniteHom`` it stands for,
+the form in which the tests read it.
 ``replace`` rebuilds a result with some of its fields changed, through
 the constructor.
 
@@ -61,7 +63,7 @@ from necsurf import (
 )
 from necsurf.kernels import KernelSignatureReport
 from necsurf.presentations import Presentation, connector_closed_form
-from necsurf.signatures import CONNECTOR, GLIDE
+from necsurf.signatures import CONNECTOR, GLIDE, area_terms
 from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
 
 
@@ -314,16 +316,16 @@ def naive_theta(K):
     )
 
 
-def theta_through_eta(derived, eta, name):
+def theta_through_eta(derived, eta: FiniteHom, name):
     """Theta of the K generator ``name``, rebuilt from eta by rewriting:
     rotation(eta(rewrite(g))) when theta(g) = 1, and
     t * rotation(eta(rewrite(tau1 * g))) otherwise."""
-    dihedral = DihedralGroup(eta.hom.target.modulus)
+    dihedral = DihedralGroup(eta.target.modulus)
     if not derived.subgroup.parity[name]:
         rewritten = derived.subgroup.rewrite(Word.gen(name))
-        return rotation(dihedral, eta.hom.evaluate(rewritten))
+        return rotation(dihedral, eta.evaluate(rewritten))
     rewritten = derived.subgroup.rewrite(Word.gen("tau1") * Word.gen(name))
-    return mul(dihedral, (1, 0), rotation(dihedral, eta.hom.evaluate(rewritten)))
+    return mul(dihedral, (1, 0), rotation(dihedral, eta.evaluate(rewritten)))
 
 
 def character_factors_through_image(p, hom):
@@ -1061,12 +1063,31 @@ def own_word_lemma(sub, frame) -> tuple[str, ...]:
 
 def walked_theta(K: Presentation, datum):
     """Theta at rho by ``pipeline``'s closed form, with every relator of K
-    walked: (Theta, its failures)."""
+    walked: (Theta, its failures).  e's closed form is read off K's own
+    names."""
     dihedral = DihedralGroup(datum.order)
     glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
-    images = pipeline._theta_images(K, dihedral, glides, accumulate(datum.x_images))
-    hom = FiniteHom.from_dict(K, dihedral, images)
+    names = K.generator_names()
+    ((_, solved),) = connector_closed_form(K).items()
+    connector = tuple((names.index(g), e) for g, e in solved.letters)
+    images = pipeline._theta_images(connector, dihedral, glides, accumulate(datum.x_images))
+    hom = FiniteHom(K, dihedral, zip(names, images, strict=True))
     return hom, check_homomorphism(K, hom)
+
+
+def rebuilt_hom(shape, datum, result) -> FiniteHom:
+    """The ``FiniteHom`` that the rho stage's tuple ``result`` stands for
+    at ``datum``: eta's images (an ``EtaResult``) named by the derived
+    kernel's generators, or Theta's rotations (a ``DihedralExtension``)
+    by K's, each with theta's image as its flip.  Construction checks
+    that every image is an element of the target."""
+    if isinstance(result, pipeline.EtaResult):
+        pres = shape.derived.presentation
+        return FiniteHom(pres, CyclicGroup(datum.order),
+                         zip(pres.generator_names(), result.images, strict=True))
+    images = ((name, (flip, rotation)) for (name, flip), rotation
+              in zip(shape.theta.images, result.rotations, strict=True))
+    return FiniteHom(shape.k_presentation, DihedralGroup(datum.order), images)
 
 
 def walked_eta(sub, theta: FiniteHom):
@@ -1137,10 +1158,10 @@ def oracle_certificate(datum):
     assert not reasons
     torsion = tuple(eta.evaluate(word) for word, _ in sub.presentation.torsion_words)
     assert torsion == datum.x_images
-    shape = pipeline.ShapeCertificate(K, theta, derived, lemma, reduced_area(K.signature))
+    shape = pipeline.ShapeCertificate(K, theta, derived, lemma, area_terms(K.signature))
     return pipeline.RealizationCertificate(
-        datum, genus, shape, pipeline.EtaResult(eta, torsion),
-        pipeline.DihedralExtension(hom, hom.image_order()))
+        datum, genus, shape, pipeline.EtaResult(tuple(v for _, v in eta.images), torsion),
+        pipeline.DihedralExtension(tuple(k for _, (_, k) in hom.images), hom.image_order()))
 
 
 def _oracle_signature(sig: NECSignature) -> dict:
@@ -1211,7 +1232,7 @@ def oracle_document(cert, input_doc: dict) -> dict:
             },
         },
         "eta": {
-            "images": _oracle_images(cert.eta.hom),
+            "images": _oracle_images(rebuilt_hom(cert.shape, datum, cert.eta)),
             "unit": 1,
             "torsion_images": list(cert.eta.torsion_images),
             "surjective": True,
@@ -1220,7 +1241,7 @@ def oracle_document(cert, input_doc: dict) -> dict:
             "branch_match": True,
         },
         "theta_extension": {
-            "images": _oracle_images(cert.extension.hom),
+            "images": _oracle_images(rebuilt_hom(cert.shape, datum, cert.extension)),
             "reflection_rotation": 0,
             "surjective": True,
             "restriction_agrees": True,

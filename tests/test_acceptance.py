@@ -28,6 +28,7 @@ from reference import (
     kernel_signature_index2,
     mul,
     naive_theta,
+    rebuilt_hom,
     rotation,
     unpruned_epimorphisms,
 )
@@ -104,15 +105,15 @@ def test_criterion_4_dihedral_certificates(action_battery, closure):
     for datum in action_battery:
         cert = realize(datum)
         ext = cert.extension
-        images = [v for _, v in ext.hom.images]
-        assert len(closure(ext.hom.target, images)) == ext.hom.target.order
+        Theta = rebuilt_hom(cert.shape, datum, ext)
+        eta = rebuilt_hom(cert.shape, datum, cert.eta)
+        images = [v for _, v in Theta.images]
+        assert len(closure(Theta.target, images)) == Theta.target.order
         for gen in cert.derived.subgroup.generators:
-            assert ext.hom.evaluate(gen.word) == rotation(
-                ext.hom.target, cert.eta.hom.image_of(gen.name)
-            )
+            assert Theta.evaluate(gen.word) == rotation(Theta.target, eta.image_of(gen.name))
         assert ext.image_order == 4 * datum.n
         assert ext.kernel_index == 4 * datum.n
-        assert ext.hom.target == DihedralGroup(2 * datum.n)
+        assert Theta.target == DihedralGroup(2 * datum.n)
         assert cert.conclusion
         K = cert.k_presentation
         naive = check_homomorphism(K, naive_theta(K))
@@ -142,7 +143,7 @@ def test_criterion_5_genus_two_end_to_end():
     cert = realize(datum)
     assert cert.genus == 2 == oracle_genus
     assert cert.derived.report.signature == NECSignature(False, 1, (2, 2, 2))
-    assert cert.extension.hom.target == DihedralGroup(4)
+    assert rebuilt_hom(cert.shape, datum, cert.extension).target == DihedralGroup(4)
     assert cert.extension.kernel_index == 8
     assert cert.extension.image_order == 8  # K/ker = full D4
     assert cert.conclusion

@@ -5,22 +5,24 @@ under a symbolic eta, to 0, +-R or +-n_k*x_k, R = 2(d_1 + ... + d_gamma)
 not 0, the connector relator, and reads each corner's rotation off the
 images of its two reflections; eta walks none."""
 
+import json
+import math
+import random
 import re
 import sys
 import tracemalloc
-from itertools import accumulate
 
 import pytest
 
 from necsurf import (
     ActionDatum,
+    CyclicGroup,
     DihedralGroup,
     FiniteHom,
     PipelineAssertionError,
     admissible_shapes,
     build_theta,
     canonical_presentation,
-    check_homomorphism,
     construct_eta,
     cosets,
     derive_delta_hat,
@@ -32,10 +34,17 @@ from necsurf import (
     realize,
     validate_action,
 )
-from necsurf import frames, pipeline
+from necsurf import certificate, frames, pipeline
 from necsurf.presentations import Presentation
 from necsurf.words import Word
-from reference import replace, walked_eta, walked_theta, with_frame
+from reference import (
+    oracle_document,
+    rebuilt_hom,
+    replace,
+    walked_eta,
+    walked_theta,
+    with_frame,
+)
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 
@@ -70,7 +79,7 @@ def test_every_fold_has_its_expected_form(shape):
     x = [None] + [{-k: 1, 1 - k: -1} if k > 1 else {-1: 1} for k in range(1, r + 1)]
     R = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
     sign_R = R if gamma % 2 else minus(R)
-    theta = frames._symbolic_theta(base)
+    theta = frames._symbolic_theta(base, frame.walk[0])
     # every relator of K but the corners folds to 1 except the connector
     # relator e^-1*tau_(r+1)*e*tau1^-1, to +-R; each corner unit to x_k
     zero = [(0, {})] * (gamma + r + 1)
@@ -79,6 +88,10 @@ def test_every_fold_has_its_expected_form(shape):
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
     assert forms(theta, units) == [(0, x[k]) for k in range(1, r + 1)]
     assert frame.folds.relators == (base.relators[gamma + r + 1],)
+    # as (index, exponent) letters: e = x_1^-1...x_gamma^-1 and
+    # e^-1*tau_(r+1)*e*tau1^-1, e after the gamma interior points, then tau1
+    assert frame.walk == (tuple((j, -1) for j in range(gamma)),
+                          (((gamma, -1), (gamma + 1 + r, 1), (gamma, 1), (gamma + 1, -1)),))
     # every Schreier generator folds to a rotation; under eta each head
     # folds as its source under Theta, negated from coset 1, and so does
     # each corner unit's rewrite; the torsion words are exactly x_k
@@ -93,16 +106,8 @@ def test_every_fold_has_its_expected_form(shape):
     torsion = [word for word, _ in derived.presentation.torsion_words]
     assert forms(eta, torsion) == [(0, x[k]) for k in range(1, r + 1)]
     # the record's builder made the folds and forms from the frame alone
-    assert frames._theta_residual(base) == frame.folds
-    assert frames._eta_images(base, frame.schreier, frame.folds) == frame.eta
-
-
-def numeric_theta(K, datum):
-    """Theta at any rho, valid or not, by the closed form realize uses."""
-    dihedral = DihedralGroup(datum.order)
-    glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
-    images = pipeline._theta_images(K, dihedral, glides, accumulate(datum.x_images))
-    return FiniteHom.from_dict(K, dihedral, images)
+    assert frames._theta_residual(base, theta) == frame.folds
+    assert frames._eta_images(base, frame.schreier, frame.folds, theta) == frame.eta
 
 
 def perturbed(datum):
@@ -121,7 +126,7 @@ def assert_verdicts_agree(K, derived, datum):
     residual = derived.subgroup.frame.folds
     taus = K.generators_of_kind("reflection")
     units = [Word(((a, 1), (b, 1))) for a, b in zip(taus, taus[1:])]
-    theta = numeric_theta(K, datum)
+    theta, walked = walked_theta(K, datum)  # at any rho, valid or not
     periods = K.signature.period_cycles[0]
     m = len(K.relators) - len(units)
     kept = {rel.letters for rel in residual.relators}
@@ -130,7 +135,6 @@ def assert_verdicts_agree(K, derived, datum):
         assert rel.letters in kept or theta.evaluate(rel) == (0, 0), (datum, str(rel))
     for rel, n, rotation in zip(K.relators[m:], periods, rotations, strict=True):
         assert theta.evaluate(rel) == (0, n * rotation % datum.order), (datum, str(rel))
-    walked = check_homomorphism(K, theta)
     assert {str(rel) for rel, _ in walked} <= {str(rel) for rel in (*residual.relators, *K.relators[m:])}
 
     sub = derived.subgroup
@@ -160,14 +164,15 @@ def test_verdicts_agree_with_the_walk_on_every_small_epimorphism_and_the_battery
         K, derived = shape.k_presentation, shape.derived
         extension = extend_to_dihedral(shape, datum)
         theta, unmapped = walked_theta(K, datum)
-        assert not unmapped and extension.hom.images == theta.images
+        assert not unmapped and rebuilt_hom(shape, datum, extension).images == theta.images
         eta, reasons = walked_eta(derived.subgroup, theta)
-        assert not reasons and construct_eta(shape, datum).hom.images == eta.images
+        assert not reasons
+        assert rebuilt_hom(shape, datum, construct_eta(shape, datum)).images == eta.images
         assert_verdicts_agree(K, derived, datum)
         assert_verdicts_agree(K, derived, perturbed(datum))
         # extend_to_dihedral names the walk's first failing relator
         wrong = perturbed(datum)
-        walked = check_homomorphism(K, numeric_theta(K, wrong))
+        _, walked = walked_theta(K, wrong)
         try:
             extend_to_dihedral(shape, wrong)
             assert not walked, (wrong, walked)
@@ -189,13 +194,20 @@ def test_a_corner_that_fails_is_named_with_its_image():
         extend_to_dihedral(pipeline.shape_certificate(datum.gamma, datum.periods), datum)
 
 
+def walked_folds(monkeypatch) -> list:
+    """The relators of each frame whose folds the rho stage walks
+    (``FrameCertificate.unmapped``), one list per walk, from now on."""
+    walks, unmapped = [], frames.FrameCertificate.unmapped
+    monkeypatch.setattr(frames.FrameCertificate, "unmapped", lambda frame, *args: walks.append(
+        [str(rel) for rel in frame.folds.relators]) or unmapped(frame, *args))
+    return walks
+
+
 def test_a_rebuilt_k_is_read_off_its_frame(monkeypatch):
     # a K rebuilt through its constructor is its frame plus its corners by
     # value: its kernel keeps the frame, and its rho stage walks only the
     # connector relator, with Theta and eta those of the walk oracles
-    walks = []
-    check = pipeline.check_homomorphism
-    monkeypatch.setattr(pipeline, "check_homomorphism", lambda *a: walks.append(a) or check(*a))
+    walks = walked_folds(monkeypatch)
     shape = pipeline.shape_certificate(1, (2, 2, 2))
     realize(GENUS2)  # the frame is certified
     rebuilt = replace(shape.k_presentation)
@@ -205,36 +217,36 @@ def test_a_rebuilt_k_is_read_off_its_frame(monkeypatch):
     walks.clear()
     extension = extend_to_dihedral(rebuilt_shape, GENUS2)
     eta = construct_eta(rebuilt_shape, GENUS2)
-    assert [[str(rel) for rel in p.relators] for p, _ in walks] == [["e^-1*tau4*e*tau1^-1"]]
+    assert walks == [["e^-1*tau4*e*tau1^-1"]]
     theta, unmapped = walked_theta(rebuilt, GENUS2)
-    assert not unmapped and extension.hom.images == theta.images
+    assert not unmapped and rebuilt_hom(rebuilt_shape, GENUS2, extension).images == theta.images
     walked, reasons = walked_eta(derived.subgroup, theta)
-    assert not reasons and eta.hom.images == walked.images
+    assert not reasons and rebuilt_hom(rebuilt_shape, GENUS2, eta).images == walked.images
 
 
 def flipped_glide(images):
     """Theta(x_1) with the sign of its rotation flipped."""
-    def mutate(K, target, glides, sums):
+    def mutate(connector, target, glides, sums):
         first, *rest = glides
         negated = {v: -c for v, c in first.items()} if isinstance(first, dict) else -first
-        return images(K, target, (negated, *rest), sums)
+        return images(connector, target, (negated, *rest), sums)
     return mutate
 
 
 def dropped_x1(images):
     """Theta(tau_2) = t: x_1 dropped from its rotation x_1."""
-    def mutate(K, target, glides, sums):
+    def mutate(connector, target, glides, sums):
         first, *rest = sums
-        return images(K, target, glides, (({} if isinstance(first, dict) else 0), *rest))
+        return images(connector, target, glides, (({} if isinstance(first, dict) else 0), *rest))
     return mutate
 
 
 def wrong_connector(images):
-    """Theta(e) = Theta(tau1)."""
-    def mutate(K, target, glides, sums):
-        table = images(K, target, glides, sums)
-        (e,) = K.generators_of_kind("connector")
-        return table | {e: table[K.generators_of_kind("reflection")[0]]}
+    """Theta(e) = Theta(tau1): e follows the gamma interior points, each
+    a letter of its closed form, and tau1 follows e."""
+    def mutate(connector, target, glides, sums):
+        table, e = images(connector, target, glides, sums), len(connector)
+        return [*table[:e], table[e + 1], *table[e + 1:]]
     return mutate
 
 
@@ -284,10 +296,10 @@ def test_a_reflection_sent_to_a_rotation_fails_the_frame(monkeypatch):
     # reflections, so the frame certifies that each maps to a reflection
     images = frames._theta_images
 
-    def mutate(K, target, glides, sums):
-        table = images(K, target, glides, sums)
-        tau2 = K.generators_of_kind("reflection")[1]
-        return table | {tau2: (0, table[tau2][1])}
+    def mutate(connector, target, glides, sums):
+        # tau2 follows the gamma interior points, e and tau1
+        table, tau2 = images(connector, target, glides, sums), len(connector) + 2
+        return [*table[:tau2], (0, table[tau2][1]), *table[tau2 + 1:]]
 
     monkeypatch.setattr(frames, "_theta_images", mutate)
     with pytest.raises(PipelineAssertionError,
@@ -301,10 +313,12 @@ def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator(monkeypatch
     # to +-R under eta, not to the identity the certificate claims, so the
     # record's builder refuses such a certificate
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    extend_to_dihedral(with_frame(shape, folds=replace(shape.frame.folds, relators=())), GENUS2)
+    unwalked = with_frame(shape, folds=replace(shape.frame.folds, relators=()),
+                          walk=(shape.frame.walk[0], ()))
+    extend_to_dihedral(unwalked, GENUS2)
     residual = frames._theta_residual
     monkeypatch.setattr(frames, "_theta_residual",
-                        lambda frame: replace(residual(frame), relators=()))
+                        lambda frame, theta: replace(residual(frame, theta), relators=()))
     presentations.certify_frame.cache_clear()
     with pytest.raises(PipelineAssertionError) as exc:
         presentations.certify_frame(1, 3)
@@ -326,12 +340,19 @@ def tampered_torsion_list():
 
 
 def tampered_eta_forms():
-    # eta's certified form of delta1, -d_1, doubled: its image turns even
+    # eta's certified form of delta1, the first generator, -d_1, doubled:
+    # its image turns even
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    (names, variables, coefficients), others, residual = shape.frame.eta
-    coefficients = tuple(2 * c if g == "delta1" else c for g, c in zip(names, coefficients))
-    construct_eta(with_frame(shape, eta=((names, variables, coefficients), others, residual)),
-                  GENUS2)
+    variables, (first, *coefficients), *rest = shape.frame.eta
+    construct_eta(with_frame(shape, eta=(variables, (2 * first, *coefficients), *rest)), GENUS2)
+
+
+def flipped_parity_bit():
+    # the parity the frame requires of delta1's image, 1 for a glide, set
+    # to 0: its image, 3, is odd
+    shape = pipeline.shape_certificate(1, (2, 2, 2))
+    first, *parities = shape.frame.parities
+    construct_eta(with_frame(shape, parities=(1 - first, *parities)), GENUS2)
 
 
 def unmapped_relator():
@@ -345,17 +366,20 @@ def image_of_the_wrong_order():
 
 
 def tampered_residual():
-    # the frame's residual, the relators Theta walks, with x1 appended
+    # the frame's residual, the relators Theta walks, with x1, K's first
+    # generator, appended, in its letters too
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    residual = shape.frame.folds
+    residual, (connector, letters) = shape.frame.folds, shape.frame.walk
     x1 = shape.frame.presentation.generators_of_kind("elliptic")[0]
     folds = Presentation(residual.generators, (*residual.relators, Word.gen(x1)))
-    extend_to_dihedral(with_frame(shape, folds=folds), GENUS2)
+    extend_to_dihedral(with_frame(shape, folds=folds, walk=(connector, (*letters, ((0, 1),)))),
+                       GENUS2)
 
 
 TAMPERS = [
     (tampered_torsion_list, r"^eta: torsion collapse: c1 image 2 has order 2, declared 3$"),
     (tampered_eta_forms, r"^eta: .*orientation mismatch: glide image delta1 -> 2 is even"),
+    (flipped_parity_bit, r"^eta: orientation mismatch: glide image delta1 -> 3 is odd$"),
     (unmapped_relator,
      r"^Theta is not a homomorphism: relator e\^-1\*tau4\*e\*tau1\^-1 maps to s\^3$"),
     (image_of_the_wrong_order, r"^Theta image has order 8, expected 4n = 16$"),
@@ -392,19 +416,66 @@ def test_walked_eta_reasons_are_the_oracles():
 
 
 def test_a_warm_realize_walks_only_the_connector_relator(monkeypatch):
-    walks = []
-    check = pipeline.check_homomorphism
-    monkeypatch.setattr(pipeline, "check_homomorphism", lambda *a: walks.append(a) or check(*a))
-    tuples = enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples
-    for d, x in tuples:
-        assert realize(ActionDatum(3, (3, 6), 6, d, x)).conclusion
     # theta's check in the shape stage walks no relator of K, as theta is
     # its frame's parity map; each rho walks one relator of K under Theta,
-    # and none of the derived kernel
+    # its frame's folds, and none of the derived kernel.  Theta and eta are
+    # integer tuples, so once the shape is warm a realize constructs no
+    # FiniteHom and tests no image for membership in its group
+    walks = walked_folds(monkeypatch)
+    first, *rest = (ActionDatum(3, (3, 6), 6, d, x)
+                    for d, x in enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples)
+    frame = realize(first).shape.frame
+    built, tested = [], []
+    init = FiniteHom.__init__
+    monkeypatch.setattr(FiniteHom, "__init__", lambda hom, *args: built.append(args) or init(
+        hom, *args))
+    for group in (CyclicGroup, DihedralGroup):
+        monkeypatch.setattr(group, "__contains__", lambda g, x, contains=group.__contains__: (
+            tested.append(x) or contains(g, x)))
+    assert all(realize(datum).conclusion for datum in rest)
     assert pipeline.shape_certificate.cache_info().misses == 1
-    assert [[str(rel) for rel in p.relators] for p, _ in walks] == (
-        [["e^-1*tau3*e*tau1^-1"]] * len(tuples))
+    assert [str(rel) for rel in frame.folds.relators] == ["e^-1*tau3*e*tau1^-1"]
+    assert walks == [["e^-1*tau3*e*tau1^-1"]] * (1 + len(rest))
     assert presentations.certify_frame.cache_info().misses == 1
+    assert built == [] and tested == []
+
+
+# the shapes of the benchmark's scaling ladder (bench/workloads.py)
+LADDER_SHAPES = [
+    (10, (), 4), (20, (), 4), (40, (), 4), (2, (2, 4, 6, 12, 2, 4, 6, 12, 3), 24),
+    (1, (2, 4, 6, 12, 2, 4, 6, 12, 3, 4), 24), (2, (60, 60), 120), (1, (60, 20, 12), 120),
+]
+
+
+def seeded_rho(rng, gamma, periods, order):
+    """The first epimorphism of the shape times a random unit mod 2n (an
+    automorphism of C_2n), its glide images shuffled: another epimorphism."""
+    first = first_smooth_epimorphism(gamma, periods, order)
+    unit = rng.choice([u for u in range(1, order) if math.gcd(u, order) == 1])
+    glides = [unit * d for d in first.d_images]
+    rng.shuffle(glides)
+    return ActionDatum(gamma, periods, order // 2, glides, [unit * x for x in first.x_images])
+
+
+def test_the_tuples_are_the_walked_oracles_and_render_the_oracle_document(action_battery):
+    # Theta's and eta's tuples, named by rebuilt_hom, are the walk
+    # oracles' homomorphisms, and the render is the oracle document's JSON
+    rng = random.Random(48)
+    data = [*action_battery, *(ActionDatum(5, (2,), 6, d, x) for d, x
+                               in enumerate_smooth_epimorphisms(5, (2,), 12).tuples)]
+    data += [seeded_rho(rng, *shape) for shape in LADDER_SHAPES]
+    assert len(data) == 126 + 2560 + 7
+    for datum in data:
+        cert = realize(datum)
+        theta, unmapped = walked_theta(cert.k_presentation, datum)
+        eta, reasons = walked_eta(cert.derived.subgroup, theta)
+        assert not unmapped and not reasons
+        assert rebuilt_hom(cert.shape, datum, cert.extension).images == theta.images
+        assert rebuilt_hom(cert.shape, datum, cert.eta).images == eta.images
+        doc = {"gamma": datum.gamma, "periods": list(datum.periods), "n": datum.n,
+               "rho": {"d": list(datum.d_images), "x": list(datum.x_images)}}
+        assert certificate.render(cert, doc) == json.dumps(
+            oracle_document(cert, doc), sort_keys=True) + "\n", datum
 
 
 def test_the_surface_kernel_walk_moved_to_the_tests():

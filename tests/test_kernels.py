@@ -20,7 +20,7 @@ from necsurf import (
     reidemeister_schreier,
 )
 from necsurf import kernels, pipeline
-from necsurf.presentations import Presentation
+from necsurf.presentations import Presentation, certify_frame
 from necsurf.signatures import elliptic
 from necsurf.words import Word
 from reference import (
@@ -128,7 +128,8 @@ class TestKernelSignatureIndex2:
     def test_pure_boundary_quotient_is_rejected(self):
         # no interior cone points: the character factors through C2 and
         # the kernel would be the orientable double, which the construction
-        # never derives
+        # never derives, so no frame record is built for it
+        misses = certify_frame.cache_info().misses
         K = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
         theta = build_theta(K)
         assert not check_homomorphism(K, theta)
@@ -138,6 +139,7 @@ class TestKernelSignatureIndex2:
         with pytest.raises(ValueError) as derived:
             derive_delta_hat(K, theta)
         assert str(derived.value) == str(rs.value)
+        assert certify_frame.cache_info().misses == misses
 
     def test_orientability_matches_walk(self, derived_battery):
         # the oracle's signature of each battery kernel against the claimed

@@ -66,6 +66,7 @@ from reference import (
     own_word_lemma,
     parse_word,
     product_loop_epimorphisms,
+    rebuilt_hom,
     reduce_mod_involutions,
     replace,
     rho_problems_by_presentation,
@@ -99,11 +100,13 @@ def extend(datum):
 
 def eta_for(K, derived, datum):
     """eta at ``datum`` on ``derived``, after Theta on ``K``: the shape
-    certificate of ``datum``'s shape with K and the derived kernel given."""
+    certificate of ``datum``'s shape with K and the derived kernel given;
+    the ``EtaResult`` and its ``FiniteHom``."""
     shape = replace(pipeline.shape_certificate(datum.gamma, datum.periods),
                     k_presentation=K, derived=derived)
     extend_to_dihedral(shape, datum)
-    return construct_eta(shape, datum)
+    eta = construct_eta(shape, datum)
+    return eta, rebuilt_hom(shape, datum, eta)
 
 
 def without_relator(derived, text):
@@ -528,8 +531,8 @@ def test_result_types_hold_only_values_that_vary():
                     DerivedKernel)
     }
     assert fields == {
-        "DihedralExtension": {"hom", "image_order"},
-        "EtaResult": {"hom", "torsion_images"},
+        "DihedralExtension": {"rotations", "image_order"},
+        "EtaResult": {"images", "torsion_images"},
         "LemmaReport": {"connector_pair", "inversion_entries", "invariant_factors", "free_rank"},
         "RealizationCertificate": {"datum", "genus", "shape", "eta", "extension"},
         "DerivedKernel": {"subgroup", "signature", "printed_checks"},
@@ -778,9 +781,9 @@ class TestDeriveDeltaHat:
 
     def test_area_of_k_patched_off_refuses_the_claim(self, monkeypatch):
         # K is the one signature with a boundary; validation reads only Delta's
-        area = pipeline.reduced_area
+        area = pipeline.area_terms
         monkeypatch.setattr(
-            pipeline, "reduced_area", lambda sig: 0 if sig.period_cycles else area(sig)
+            pipeline, "area_terms", lambda sig: (0, 1) if sig.period_cycles else area(sig)
         )
         assert_claim_refused("reduced area 1/2 is not twice K's 0")
 
@@ -814,29 +817,29 @@ class TestDeriveDeltaHat:
 class TestConstructEta:
     def test_genus2_instance(self):
         K, derived = derived_for(1, (2, 2, 2))
-        eta = eta_for(K, derived, GENUS2)
-        assert not check_homomorphism(derived.presentation, eta.hom)
+        eta, hom = eta_for(K, derived, GENUS2)
+        assert not check_homomorphism(derived.presentation, hom)
         assert eta.torsion_images == GENUS2.x_images and eta.unit == 1
-        assert eta.hom.image_of("delta1") % 2 == 1
+        assert hom.image_of("delta1") % 2 == 1
         assert [
-            eta.hom.target.element_order(eta.hom.evaluate(w))
+            hom.target.element_order(hom.evaluate(w))
             for w, _ in derived.presentation.torsion_words
         ] == [2, 2, 2]
-        assert eta.hom.is_surjective()
+        assert hom.is_surjective()
 
     def test_gamma4_instance(self):
         K, derived = derived_for(4, ())
-        eta = eta_for(K, derived, GAMMA4)
-        assert not check_homomorphism(derived.presentation, eta.hom)
-        assert eta.hom.is_surjective()
+        _, hom = eta_for(K, derived, GAMMA4)
+        assert not check_homomorphism(derived.presentation, hom)
+        assert hom.is_surjective()
         for j in range(1, 5):
-            assert eta.hom.image_of(f"delta{j}") % 2 == 1
+            assert hom.image_of(f"delta{j}") % 2 == 1
 
     def test_deterministic(self):
         K, derived = derived_for(1, (2, 2, 2))
-        first = eta_for(K, derived, GENUS2)
-        second = eta_for(K, derived, GENUS2)
-        assert first.hom.images == second.hom.images
+        first, first_hom = eta_for(K, derived, GENUS2)
+        second, second_hom = eta_for(K, derived, GENUS2)
+        assert first == second and first_hom.images == second_hom.images
 
     def test_inconsistent_torsion_fixture_fails(self):
         K, derived = derived_for(1, (2, 2, 2))
@@ -865,11 +868,12 @@ class TestConstructEta:
         # forms: with delta1's form, -d_1, replaced by c1's, x_1, its image
         # turns even
         shape = pipeline.shape_certificate(1, (2, 2, 2))
-        (names, variables, coefficients), others, residual = shape.frame.eta
+        variables, coefficients, *rest = shape.frame.eta
+        names = shape.derived.presentation.generator_names()
         i, j = names.index("delta1"), names.index("c1")
         variables = variables[:i] + variables[j:j + 1] + variables[i + 1:]
         coefficients = coefficients[:i] + coefficients[j:j + 1] + coefficients[i + 1:]
-        shape = with_frame(shape, eta=((names, variables, coefficients), others, residual))
+        shape = with_frame(shape, eta=(variables, coefficients, *rest))
         with pytest.raises(PipelineAssertionError, match="orientation mismatch"):
             construct_eta(shape, GENUS2)
 
@@ -888,16 +892,15 @@ def test_closed_form_on_every_small_epimorphism(closure):
             eta = construct_eta(shape, datum)
             assert eta.torsion_images == x_images
             assert eta.unit == 1
-            assert ext.hom.image_of("tau1") == dihedral.reflection(0)
-            assert not check_homomorphism(K, ext.hom)
-            images = [v for _, v in ext.hom.images]
+            Theta, eta_hom = (rebuilt_hom(shape, datum, result) for result in (ext, eta))
+            assert Theta.image_of("tau1") == dihedral.reflection(0)
+            assert not check_homomorphism(K, Theta)
+            images = [v for _, v in Theta.images]
             assert ext.image_order == len(closure(dihedral, images)) == 2 * order
             for gen in derived.subgroup.generators:
-                assert ext.hom.evaluate(gen.word) == rotation(
-                    dihedral, eta.hom.image_of(gen.name)
-                )
-            for name, image in ext.hom.images:
-                assert image == theta_through_eta(derived, eta, name)
+                assert Theta.evaluate(gen.word) == rotation(dihedral, eta_hom.image_of(gen.name))
+            for name, image in Theta.images:
+                assert image == theta_through_eta(derived, eta_hom, name)
             checked.append(datum)
     assert len(checked) == 582
     assert {datum.gamma % 2 for datum in checked} == {0, 1}
@@ -922,8 +925,8 @@ def test_evaluate_matches_element_fold_on_battery(action_battery):
         for hom, pres, extra in (
             (rho, delta, []),
             (cert.theta, K, schreier),
-            (cert.extension.hom, K, schreier),
-            (cert.eta.hom, derived, []),
+            (rebuilt_hom(cert.shape, datum, cert.extension), K, schreier),
+            (rebuilt_hom(cert.shape, datum, cert.eta), derived, []),
         ):
             words = [*pres.relators, *(w for w, _ in pres.torsion_words), *extra]
             words += [Word.gen(g, e) for g in pres.generator_names() for e in (1, -1)]
@@ -1209,17 +1212,16 @@ class TestExtendToDihedral:
         shape = pipeline.shape_certificate(1, (2, 2, 2))
         K, derived = shape.k_presentation, shape.derived
         ext = extend_to_dihedral(shape, GENUS2)
-        eta = construct_eta(shape, GENUS2)
-        images = [v for _, v in ext.hom.images]
-        assert len(closure(ext.hom.target, images)) == ext.hom.target.order == 8
+        Theta = rebuilt_hom(shape, GENUS2, ext)
+        eta = rebuilt_hom(shape, GENUS2, construct_eta(shape, GENUS2))
+        images = [v for _, v in Theta.images]
+        assert len(closure(Theta.target, images)) == Theta.target.order == 8
         for gen in derived.subgroup.generators:
-            assert ext.hom.evaluate(gen.word) == rotation(
-                ext.hom.target, eta.hom.image_of(gen.name)
-            )
+            assert Theta.evaluate(gen.word) == rotation(Theta.target, eta.image_of(gen.name))
         assert ext.image_order == 8
         assert ext.kernel_index == 8
-        assert not check_homomorphism(K, ext.hom)
-        flip, rot = ext.hom.image_of("tau1")
+        assert not check_homomorphism(K, Theta)
+        flip, rot = Theta.image_of("tau1")
         assert flip == 1 and rot == ext.reflection_rotation
 
     def test_relator_not_mapped_to_one_is_an_assertion(self):
@@ -1259,19 +1261,19 @@ class TestExtendToDihedral:
     def test_restriction_agrees_with_eta(self):
         shape = pipeline.shape_certificate(2, (3,))
         derived, datum = shape.derived, first_smooth_epimorphism(2, (3,), 12)
-        ext = extend_to_dihedral(shape, datum)
-        eta = construct_eta(shape, datum)
+        Theta = rebuilt_hom(shape, datum, extend_to_dihedral(shape, datum))
+        eta = rebuilt_hom(shape, datum, construct_eta(shape, datum))
         for gen in derived.subgroup.generators:
-            flip, rot = ext.hom.evaluate(gen.word)
+            flip, rot = Theta.evaluate(gen.word)
             assert flip == 0
-            assert rot == eta.hom.image_of(gen.name)
+            assert rot == eta.image_of(gen.name)
 
     def test_extension_agrees_with_eta_on_arbitrary_kernel_words(self):
         shape = pipeline.shape_certificate(2, (2, 6))
         K, derived = shape.k_presentation, shape.derived
         datum = first_smooth_epimorphism(2, (2, 6), 12)
-        ext = extend_to_dihedral(shape, datum)
-        eta = construct_eta(shape, datum)
+        Theta = rebuilt_hom(shape, datum, extend_to_dihedral(shape, datum))
+        eta = rebuilt_hom(shape, datum, construct_eta(shape, datum))
         for text in (
             "tau1 x1 tau2 x2",
             "e tau1 x1 tau3 tau2 x2 e^-1 x1 tau1",
@@ -1280,14 +1282,14 @@ class TestExtendToDihedral:
             w = parse_word(text)
             if build_theta(K).evaluate(w) != 0:
                 continue
-            flip, rot = ext.hom.evaluate(w)
+            flip, rot = Theta.evaluate(w)
             assert flip == 0
-            assert rot == eta.hom.evaluate(derived.subgroup.rewrite(w))
+            assert rot == eta.evaluate(derived.subgroup.rewrite(w))
 
     def test_eta_coset_table_has_four_cosets(self):
         K, derived = derived_for(1, (2, 2, 2))
-        eta = eta_for(K, derived, GENUS2)
-        table = cayley_coset_table(eta.hom)
+        _, eta = eta_for(K, derived, GENUS2)
+        table = cayley_coset_table(eta)
         assert table.index == 4
         perm = table.forward["delta1"]
         i, seen = 0, []
@@ -1332,12 +1334,13 @@ class TestRealize:
 
     def test_area_ratio_other_than_two_is_an_assertion(self, monkeypatch):
         # Delta's area made three times K's: the claim is refused
-        area = pipeline.reduced_area
-        monkeypatch.setattr(
-            pipeline,
-            "reduced_area",
-            lambda sig: area(sig) * (1 if sig.period_cycles else Fraction(3, 2)),
-        )
+        area = pipeline.area_terms
+
+        def tripled(sig):
+            (numerator, denominator), boundary = area(sig), sig.period_cycles
+            return (numerator, denominator) if boundary else (3 * numerator, 2 * denominator)
+
+        monkeypatch.setattr(pipeline, "area_terms", tripled)
         with pytest.raises(
             PipelineAssertionError, match="reduced area 3/4 is not twice K's 1/4$"
         ):
@@ -1388,7 +1391,7 @@ class TestRealize:
         monkeypatch.setattr(
             pipeline,
             "shape_certificate",
-            lambda gamma, periods: replace(shape(gamma, periods), k_area=Fraction(1, 2)),
+            lambda gamma, periods: replace(shape(gamma, periods), k_area=(1, 2)),
         )
         with pytest.raises(
             PipelineAssertionError, match="genus bookkeeping disagrees: 2 vs 3$"
@@ -1528,10 +1531,10 @@ class TestShapeMemo:
         assert verified_words == [len(warm[1]) + 3]
         frame = presentations.certify_frame(new[0], len(new[1]))
         evaluated, walked, characters = [], [], []
-        normal_form, check = CyclicGroup.normal_form, pipeline.check_homomorphism
+        normal_form, check = CyclicGroup.normal_form, presentations.check_homomorphism
         monkeypatch.setattr(CyclicGroup, "normal_form", lambda self, table, letters: (
             evaluated.append(tuple(letters)) or normal_form(self, table, evaluated[-1])))
-        monkeypatch.setattr(pipeline, "check_homomorphism",
+        monkeypatch.setattr(presentations, "check_homomorphism",
                             lambda p, hom: walked.append(p) or check(p, hom))
         character = GeneratorKind.character
         monkeypatch.setattr(GeneratorKind, "character", property(
@@ -1561,8 +1564,8 @@ class TestShapeMemo:
         frame = derived.subgroup.frame
         assert presentations.certify_frame.cache_info().misses == len(built) == 1
         fields = {name: getattr(frame, name) for name in frame._fields}
-        assert len(fields) == 8 and all(fields[name] for name in (
-            "presentation", "schreier", "inverted", "folds", "eta"))
+        assert len(fields) == 10 and all(fields[name] for name in (
+            "presentation", "schreier", "inverted", "folds", "walk", "eta", "parities"))
         classical = ("rows", "units", "statuses")
         assert all(fields[name] for name in classical) if gamma % 2 == 0 else (
             [fields[name] for name in classical] == [(), None, ()])

@@ -32,6 +32,7 @@ from reference import (
     orientation_character,
     parse_word,
     printed_relator_words,
+    rebuilt_hom,
     rotation,
     scan_derived_relators,
     search_connector_elimination,
@@ -209,7 +210,8 @@ class TestCheckHomomorphismOracle:
             assert check_homomorphism(K, theta) == elementwise_failures(K, theta) == ()
         for datum in action_battery:
             shape = shape_certificate(datum.gamma, datum.periods)
-            K, Theta = shape.k_presentation, extend_to_dihedral(shape, datum).hom
+            K = shape.k_presentation
+            Theta = rebuilt_hom(shape, datum, extend_to_dihedral(shape, datum))
             assert check_homomorphism(K, Theta) == elementwise_failures(K, Theta) == ()
 
     def test_broken_Theta_and_rho(self, action_battery):
@@ -218,7 +220,8 @@ class TestCheckHomomorphismOracle:
         # oracle says
         for datum in action_battery:
             shape = shape_certificate(datum.gamma, datum.periods)
-            K, Theta = shape.k_presentation, extend_to_dihedral(shape, datum).hom
+            K = shape.k_presentation
+            Theta = rebuilt_hom(shape, datum, extend_to_dihedral(shape, datum))
             images = dict(Theta.images, x1=rotation(Theta.target, 1))
             broken = FiniteHom.from_dict(K, Theta.target, images)
             failures = check_homomorphism(K, broken)

@@ -26,7 +26,7 @@ from necsurf import (
 )
 from necsurf.presentations import certify_frame, connector_closed_form
 from necsurf.words import Record
-from reference import abelianization, replace
+from reference import abelianization, rebuilt_hom, replace
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 
@@ -42,7 +42,7 @@ def _instances():
         cert.k_presentation.generators[0][1],
         cert.theta,
         cert.theta.target,
-        cert.extension.hom.target,
+        rebuilt_hom(cert.shape, GENUS2, cert.extension).target,
         cert.derived,
         sub,
         sub.frame,
@@ -144,7 +144,7 @@ def test_a_rebuilt_subgroup_keeps_its_frame_certificate():
     frame = sub.frame
     assert frame is certify_frame(2, 1)
     assert None not in [getattr(frame, name) for name in frame._fields]
-    assert len(frame._fields) == 8
+    assert len(frame._fields) == 10
     for twin in (replace(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
         assert twin == sub and twin.frame == frame
     assert replace(sub).frame is frame
