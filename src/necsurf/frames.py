@@ -38,28 +38,22 @@ class FrameCertificate(Record):
     frame with its corner units that names their sources, and their
     statuses; ``inverted``, the Schreier generators whose
     tau1-identities the lemma certified; ``folds``, K's relators Theta
-    does not send to 1 for every rho; ``walk``, e's closed form and those
-    relators as (index, exponent) letters; ``eta``, eta's images as forms,
-    in generator order (``_eta_images``); ``parities``, each image's
-    parity, 1 for a glide.  So a rho costs only integer arithmetic."""
+    does not send to 1 for every rho; ``connector``, e's closed form, and
+    ``walk``, those relators, as (index, exponent) letters over Theta's
+    images in K's generator order; ``eta``, eta's images as forms, in
+    generator order (``_eta_images``); ``parities``, each image's parity,
+    1 for a glide.  So a rho costs only integer arithmetic."""
 
     __slots__ = ("presentation", "schreier", "rows", "units", "statuses", "inverted", "folds",
-                 "walk", "eta", "parities")
+                 "connector", "walk", "eta", "parities")
 
     def __init__(
         self, presentation: Presentation, schreier: SchreierFrame, rows: tuple,
         units: Presentation | None, statuses: tuple[str, ...], inverted: tuple[str, ...],
-        folds: Presentation, walk: tuple, eta: tuple, parities: tuple[int, ...],
+        folds: Presentation, connector: tuple, walk: tuple, eta: tuple, parities: tuple[int, ...],
     ) -> None:
-        self._assign(presentation, schreier, rows, units, statuses, inverted, folds, walk, eta,
-                     parities)
-
-    def unmapped(self, target, images) -> Iterator[tuple[Word, object]]:
-        """Each relator of ``folds`` that ``images``, Theta's in K's
-        generator order, do not send to the identity, with its image."""
-        for rel, letters in zip(self.folds.relators, self.walk[1]):
-            if (value := target.normal_form(images, letters)) != target.identity:
-                yield rel, value
+        self._assign(presentation, schreier, rows, units, statuses, inverted, folds, connector,
+                     walk, eta, parities)
 
 
 def certified_frame(frame: Presentation) -> FrameCertificate:
@@ -84,7 +78,7 @@ def certified_frame(frame: Presentation) -> FrameCertificate:
     theta = _symbolic_theta(frame, connector)
     folds, kinds = _theta_residual(frame, theta), schreier.subgroup.presentation.generators
     return FrameCertificate(frame, schreier, rows, units, statuses, _inverted(frame, schreier),
-                            folds, (connector, tuple(_indexed(w, index) for w in folds.relators)),
+                            folds, connector, tuple(_indexed(w, index) for w in folds.relators),
                             _eta_images(frame, schreier, folds, theta),
                             tuple(int(kind.character == -1) for _, kind in kinds))
 

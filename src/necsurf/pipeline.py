@@ -94,6 +94,7 @@ from .presentations import (
     LetterMemo,
     Presentation,
     canonical_presentation,
+    check_homomorphism,
     connector_closed_form,
     crosscap_names,
 )
@@ -564,21 +565,21 @@ def extend_to_dihedral(shape: ShapeCertificate, datum: ActionDatum) -> DihedralE
     Theta is then verified to be a homomorphism on K with image of order
     4n, so ker(Theta) has index 4n in K.  Only the relators that K's frame
     does not certify for every rho are walked, as (index, exponent)
-    letters (``FrameCertificate.unmapped``): the connector relator
-    e^-1*tau_(r+1)*e*tau1^-1, four letters; each corner maps to n_k times
-    its unit's rotation, b - a for the reflections Theta(tau_k) = t*s^a and
-    Theta(tau_(k+1)) = t*s^b.  The image order is a gcd.  No name is read.
-    A failed check raises ``PipelineAssertionError`` naming it: the first
-    relator that does not hold, with its image.  A datum of another shape
-    raises ``ValueError``.
+    letters (``check_homomorphism`` on ``FrameCertificate.walk``): the
+    connector relator e^-1*tau_(r+1)*e*tau1^-1, four letters; each corner
+    maps to n_k times its unit's rotation, b - a for the reflections
+    Theta(tau_k) = t*s^a and Theta(tau_(k+1)) = t*s^b.  The image order
+    is a gcd.  No name is read.  A failed check raises
+    ``PipelineAssertionError`` naming it: the first relator that does not
+    hold, with its image.  A datum of another shape raises ``ValueError``.
     """
     _check_fits(shape, datum)
     frame, dihedral, cycle = shape.frame, DihedralGroup(datum.order), datum.periods
     glides = [-d if j % 2 else d for j, d in enumerate(datum.d_images, start=1)]
-    images = _theta_images(frame.walk[0], dihedral, glides, accumulate(datum.x_images))
+    images = _theta_images(frame.connector, dihedral, glides, accumulate(datum.x_images))
     _, rotations = zip(*images)
     taus, relators = rotations[datum.gamma + 1:], shape.k_presentation.relators
-    unmapped = (*frame.unmapped(dihedral, images), *(
+    unmapped = (*check_homomorphism(frame.folds, images, dihedral, frame.walk), *(
         (corner, (0, value)) for corner, n, a, b in zip(relators[len(relators) - len(cycle):],
                                                         cycle, taus, taus[1:])
         if (value := n * (b - a) % dihedral.modulus)))

@@ -235,15 +235,21 @@ def _crosscap_presentation(sig: NECSignature) -> Presentation:
 # ---------------------------------------------------------------------------
 
 def check_homomorphism(
-    p: Presentation, hom: FiniteHom
+    p: Presentation, hom: FiniteHom | list, target=None, walk: Iterable = (),
 ) -> tuple[tuple[Word, object], ...]:
     """Evaluate every relator; images defining a homomorphism send all of
-    them to the identity.  Returns the failures, each offending relator
-    with the element it evaluates to, so an empty tuple means valid."""
-    identity = hom.target.identity
-    return tuple(
-        (rel, value) for rel in p.relators if (value := hom.evaluate(rel)) != identity
-    )
+    them to the identity.  ``hom`` is a ``FiniteHom``, or its images in
+    ``target`` in p's generator order, with ``walk`` p's relators as
+    (index, exponent) letters, so that no name is read.  Returns the
+    failures, each offending relator with the element it evaluates to, so
+    an empty tuple means valid."""
+    if target is None:
+        target, values = hom.target, map(hom.evaluate, p.relators)
+    else:
+        values = (target.normal_form(hom, letters) for letters in walk)
+    identity = target.identity
+    return tuple((rel, value) for rel, value in zip(p.relators, values, strict=True)
+                 if value != identity)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,6 @@ def test_criterion_4_dihedral_certificates(action_battery, closure):
             assert Theta.evaluate(gen.word) == rotation(Theta.target, eta.image_of(gen.name))
         assert ext.image_order == 4 * datum.n
         assert ext.kernel_index == 4 * datum.n
-        assert Theta.target == DihedralGroup(2 * datum.n)
         assert cert.conclusion
         K = cert.k_presentation
         naive = check_homomorphism(K, naive_theta(K))
@@ -143,7 +142,9 @@ def test_criterion_5_genus_two_end_to_end():
     cert = realize(datum)
     assert cert.genus == 2 == oracle_genus
     assert cert.derived.report.signature == NECSignature(False, 1, (2, 2, 2))
-    assert rebuilt_hom(cert.shape, datum, cert.extension).target == DihedralGroup(4)
+    # Theta in D4 on x1, e, tau1..tau4: t*s^-d1, e's closed form x1^-1,
+    # then t*s^(x_1 + ... + x_k) for k = 0..3
+    assert cert.extension.rotations == (3, 3, 0, 2, 0, 2)
     assert cert.extension.kernel_index == 8
     assert cert.extension.image_order == 8  # K/ker = full D4
     assert cert.conclusion

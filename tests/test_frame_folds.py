@@ -79,7 +79,7 @@ def test_every_fold_has_its_expected_form(shape):
     x = [None] + [{-k: 1, 1 - k: -1} if k > 1 else {-1: 1} for k in range(1, r + 1)]
     R = {j: 2 for j in range(1, gamma + 1)} | ({-r: 1} if r else {})
     sign_R = R if gamma % 2 else minus(R)
-    theta = frames._symbolic_theta(base, frame.walk[0])
+    theta = frames._symbolic_theta(base, frame.connector)
     # every relator of K but the corners folds to 1 except the connector
     # relator e^-1*tau_(r+1)*e*tau1^-1, to +-R; each corner unit to x_k
     zero = [(0, {})] * (gamma + r + 1)
@@ -90,8 +90,8 @@ def test_every_fold_has_its_expected_form(shape):
     assert frame.folds.relators == (base.relators[gamma + r + 1],)
     # as (index, exponent) letters: e = x_1^-1...x_gamma^-1 and
     # e^-1*tau_(r+1)*e*tau1^-1, e after the gamma interior points, then tau1
-    assert frame.walk == (tuple((j, -1) for j in range(gamma)),
-                          (((gamma, -1), (gamma + 1 + r, 1), (gamma, 1), (gamma + 1, -1)),))
+    assert frame.connector == tuple((j, -1) for j in range(gamma))
+    assert frame.walk == (((gamma, -1), (gamma + 1 + r, 1), (gamma, 1), (gamma + 1, -1)),)
     # every Schreier generator folds to a rotation; under eta each head
     # folds as its source under Theta, negated from coset 1, and so does
     # each corner unit's rewrite; the torsion words are exactly x_k
@@ -195,11 +195,11 @@ def test_a_corner_that_fails_is_named_with_its_image():
 
 
 def walked_folds(monkeypatch) -> list:
-    """The relators of each frame whose folds the rho stage walks
-    (``FrameCertificate.unmapped``), one list per walk, from now on."""
-    walks, unmapped = [], frames.FrameCertificate.unmapped
-    monkeypatch.setattr(frames.FrameCertificate, "unmapped", lambda frame, *args: walks.append(
-        [str(rel) for rel in frame.folds.relators]) or unmapped(frame, *args))
+    """The relators of each presentation that ``pipeline`` walks
+    (``check_homomorphism``), one list per walk, from now on."""
+    walks, check = [], pipeline.check_homomorphism
+    monkeypatch.setattr(pipeline, "check_homomorphism", lambda p, *args: walks.append(
+        [str(rel) for rel in p.relators]) or check(p, *args))
     return walks
 
 
@@ -313,8 +313,7 @@ def test_eta_rejects_a_frame_whose_theta_certificate_omits_a_relator(monkeypatch
     # to +-R under eta, not to the identity the certificate claims, so the
     # record's builder refuses such a certificate
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    unwalked = with_frame(shape, folds=replace(shape.frame.folds, relators=()),
-                          walk=(shape.frame.walk[0], ()))
+    unwalked = with_frame(shape, folds=replace(shape.frame.folds, relators=()), walk=())
     extend_to_dihedral(unwalked, GENUS2)
     residual = frames._theta_residual
     monkeypatch.setattr(frames, "_theta_residual",
@@ -369,11 +368,10 @@ def tampered_residual():
     # the frame's residual, the relators Theta walks, with x1, K's first
     # generator, appended, in its letters too
     shape = pipeline.shape_certificate(1, (2, 2, 2))
-    residual, (connector, letters) = shape.frame.folds, shape.frame.walk
+    residual, walk = shape.frame.folds, shape.frame.walk
     x1 = shape.frame.presentation.generators_of_kind("elliptic")[0]
     folds = Presentation(residual.generators, (*residual.relators, Word.gen(x1)))
-    extend_to_dihedral(with_frame(shape, folds=folds, walk=(connector, (*letters, ((0, 1),)))),
-                       GENUS2)
+    extend_to_dihedral(with_frame(shape, folds=folds, walk=(*walk, ((0, 1),))), GENUS2)
 
 
 TAMPERS = [

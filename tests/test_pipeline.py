@@ -1531,11 +1531,11 @@ class TestShapeMemo:
         assert verified_words == [len(warm[1]) + 3]
         frame = presentations.certify_frame(new[0], len(new[1]))
         evaluated, walked, characters = [], [], []
-        normal_form, check = CyclicGroup.normal_form, presentations.check_homomorphism
+        normal_form, check = CyclicGroup.normal_form, pipeline.check_homomorphism
         monkeypatch.setattr(CyclicGroup, "normal_form", lambda self, table, letters: (
             evaluated.append(tuple(letters)) or normal_form(self, table, evaluated[-1])))
-        monkeypatch.setattr(presentations, "check_homomorphism",
-                            lambda p, hom: walked.append(p) or check(p, hom))
+        monkeypatch.setattr(pipeline, "check_homomorphism",
+                            lambda p, *args: walked.append(p) or check(p, *args))
         character = GeneratorKind.character
         monkeypatch.setattr(GeneratorKind, "character", property(
             lambda kind: characters.append(kind) or character.fget(kind)))
@@ -1564,8 +1564,9 @@ class TestShapeMemo:
         frame = derived.subgroup.frame
         assert presentations.certify_frame.cache_info().misses == len(built) == 1
         fields = {name: getattr(frame, name) for name in frame._fields}
-        assert len(fields) == 10 and all(fields[name] for name in (
-            "presentation", "schreier", "inverted", "folds", "walk", "eta", "parities"))
+        assert len(fields) == 11 and all(fields[name] for name in (
+            "presentation", "schreier", "inverted", "folds", "connector", "walk", "eta",
+            "parities"))
         classical = ("rows", "units", "statuses")
         assert all(fields[name] for name in classical) if gamma % 2 == 0 else (
             [fields[name] for name in classical] == [(), None, ()])

@@ -252,6 +252,12 @@ class TestCheckHomomorphismOracle:
         images = {g: data.draw(image) for g in p.generator_names()}
         hom = FiniteHom.from_dict(p, target, images)
         assert check_homomorphism(p, hom) == elementwise_failures(p, hom)
+        # the same images in generator order, with the relators as
+        # (index, exponent) letters, give the same failures
+        names = p.generator_names()
+        walk = [tuple((names.index(g), e) for g, e in rel.letters) for rel in p.relators]
+        in_order = [images[g] for g in names]
+        assert check_homomorphism(p, in_order, target, walk) == elementwise_failures(p, hom)
 
 
 class TestVerifyDerivedRelator:

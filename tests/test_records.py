@@ -144,7 +144,7 @@ def test_a_rebuilt_subgroup_keeps_its_frame_certificate():
     frame = sub.frame
     assert frame is certify_frame(2, 1)
     assert None not in [getattr(frame, name) for name in frame._fields]
-    assert len(frame._fields) == 10
+    assert len(frame._fields) == 11
     for twin in (replace(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
         assert twin == sub and twin.frame == frame
     assert replace(sub).frame is frame
