@@ -29,6 +29,12 @@ reason naming it.
 Residues out of range are reduced mod 2n with a warning (when n >= 1;
 otherwise validation rejects n).
 
+``--out PATH`` writes stdout's bytes over PATH in place and cuts it to
+length (``O_TRUNC`` would make ext4 flush the rewrite at close), following
+symlinks and keeping the file's inode and mode.  Nothing is synced, so
+the write is not atomic.  A failure exits 1 naming PATH; one after the
+open first empties the file.
+
 Exit codes: 0 success, 1 usage error or input/validation failure with
 itemized reasons, 2 internal assertion (a step failing where the
 construction guarantees success -- always a bug or unsupported edge).
@@ -40,8 +46,10 @@ comes only from that exception.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import certificate
@@ -151,14 +159,26 @@ def render_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write output file {out_path!r}: {exc.strerror}")
-    else:
+    """Print ``text``, or write it over ``out_path`` as the module docstring says."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, "wb", closefd=False) as handle:
+                handle.write(data)
+            if os.fstat(fd).st_size > len(data):  # a device or a FIFO has size 0
+                os.ftruncate(fd, len(data))
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {out_path!r}: {exc.strerror}")
 
 
 def _load_document(path: str) -> dict:

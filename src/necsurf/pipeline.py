@@ -98,7 +98,7 @@ from .presentations import (
     connector_closed_form,
     crosscap_names,
 )
-from .signatures import NECSignature, area_terms, quotient_disc_signature
+from .signatures import NECSignature, area_terms, quotient_disc_signature, reduced_area
 from .words import Record
 
 
@@ -174,10 +174,10 @@ def shape_problems(gamma: int, periods: tuple[int, ...], n: int) -> list[str]:
                 f"period n_{i} = {nj} exceeds {sys.maxsize}, the longest relator"
                 " word that can be spelled out"
             )
-    if not errors:
+    # each period divides n, so n * area = n(gamma - 2) + sum(n - n/n_k) = genus - 1
+    if not errors and n * (gamma - 2) + sum(n - n // nj for nj in periods) <= 0:
         sig = NECSignature(False, gamma, periods)
-        if (area := area_terms(sig))[0] <= 0:
-            errors.append(f"signature {sig} is not hyperbolic (reduced area {Fraction(*area)})")
+        errors.append(f"signature {sig} is not hyperbolic (reduced area {reduced_area(sig)})")
     return errors
 
 

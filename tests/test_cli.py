@@ -1,4 +1,8 @@
+import builtins
+import errno
 import json
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -82,10 +86,12 @@ class TestRealizeCommand:
     def test_out_file(self, tmp_path, capsys):
         path = write_doc(tmp_path, GENUS2_DOC)
         out_path = tmp_path / "cert.json"
+        assert cli.main(["--format", "json", "realize", path]) == 0
+        stdout = capsys.readouterr().out
         code = cli.main(["--format", "json", "--out", str(out_path), "realize", path])
         assert code == 0
         assert capsys.readouterr().out == ""
-        assert json.loads(out_path.read_text())["conclusion"] is True
+        assert out_path.read_bytes() == stdout.encode("utf-8")
 
     def test_odd_n_exits_one_citing_evenness(self, tmp_path, capsys):
         doc = dict(GENUS2_DOC, n=3)
@@ -219,6 +225,82 @@ class TestRealizeCommand:
         assert code == 1
         assert captured.err.startswith(f"invalid input: cannot write output file '{out_path}'")
         assert captured.err.count("\n") == 1
+
+    def test_out_file_rewritten_shorter_holds_only_the_new_bytes(self, tmp_path, capsys):
+        # 3880, 1834 and then 209 bytes over one file, each cut to its length
+        path = write_doc(tmp_path, GENUS2_DOC)
+        out_path = tmp_path / "cert.out"
+        sizes = []
+        for argv in (["--format", "json", "realize"], ["realize"], ["check-lemma"]):
+            assert cli.main([*argv, path]) == 0
+            stdout = capsys.readouterr().out.encode("utf-8")
+            assert cli.main(["--out", str(out_path), *argv, path]) == 0
+            assert out_path.read_bytes() == stdout
+            sizes.append(len(stdout))
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_out_dev_null_exits_zero(self, tmp_path, capsys):
+        # a character device reports size 0, so it is never cut to length
+        path = write_doc(tmp_path, GENUS2_DOC)
+        assert cli.main(["--out", os.devnull, "realize", path]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        path = write_doc(tmp_path, GENUS2_DOC)
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(b"x" * 10000)
+        link.symlink_to(target)
+        assert cli.main(["check-lemma", path]) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert cli.main(["--out", str(link), "check-lemma", path]) == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == stdout
+
+    def test_out_file_keeps_its_inode_and_mode(self, tmp_path):
+        path = write_doc(tmp_path, GENUS2_DOC)
+        out_path = tmp_path / "cert.txt"
+        out_path.write_bytes(b"old")
+        out_path.chmod(0o600)
+        before = out_path.stat()
+        assert cli.main(["--out", str(out_path), "realize", path]) == 0
+        after = out_path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+
+    def test_failed_write_leaves_no_byte_of_the_old_document(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the write puts down a prefix of the new bytes and then fails: the
+        # file is cut to 0, so neither that prefix nor the old tail is kept
+        path = write_doc(tmp_path, GENUS2_DOC)
+        out_path = tmp_path / "cert.json"
+        assert cli.main(["--format", "json", "--out", str(out_path), "realize", path]) == 0
+        assert out_path.stat().st_size == 3880
+
+        class FailingWriter:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, data):
+                os.write(self.fd, data[:100])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if mode == "wb":
+                return FailingWriter(file)
+            return builtins.open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code = cli.main(["--out", str(out_path), "check-lemma", path])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"invalid input: cannot write output file '{out_path}':"
+                f" {os.strerror(errno.ENOSPC)}\n")
+        assert out_path.read_bytes() == b""
 
     def test_directory_input_exits_one(self, tmp_path, capsys):
         code = cli.main(["realize", str(tmp_path)])
@@ -560,6 +642,17 @@ class TestEnumerateCommand:
         # one line with sorted keys
         assert out == json.dumps(doc, sort_keys=True) + "\n"
         assert out.count("\n") == 1
+
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        out_path = tmp_path / "enumerate.out"
+        out_path.write_bytes(b"x" * 10000)
+        for fmt in ("text", "json"):
+            argv = ["enumerate", "--gamma", "1", "--periods", "2,2,2", "--order", "4"]
+            assert cli.main(["--format", fmt, *argv]) == 0
+            stdout = capsys.readouterr().out.encode("utf-8")
+            assert cli.main(["--format", fmt, "--out", str(out_path), *argv]) == 0
+            assert capsys.readouterr().out == ""
+            assert out_path.read_bytes() == stdout
 
     def test_bad_order_exits_one(self, capsys):
         code = cli.main(["enumerate", "--gamma", "1", "--periods", "2", "--order", "6"])

@@ -55,7 +55,7 @@ from necsurf import abelian, certificate, cli, cosets, frames, pipeline, present
 from necsurf.cosets import SchreierFrame
 from necsurf.frames import _printed_relator_words
 from necsurf.presentations import Presentation
-from necsurf.signatures import CONNECTOR, GeneratorKind
+from necsurf.signatures import CONNECTOR, GeneratorKind, area_terms
 from necsurf.words import Word
 from reference import (
     cayley_coset_table,
@@ -323,6 +323,24 @@ class TestValidateAction:
             sig = NECSignature(False, gamma, periods)
             assert surface_kernel_genus(sig, order) >= 2
         assert len(shapes) == 23775
+
+    def test_hyperbolicity_in_integers_agrees_with_area_terms(self):
+        # shape_problems decides hyperbolicity by n(gamma - 2) + sum(n - n/n_k),
+        # n times the reduced area; area_terms decides it over 2 lcm(periods)
+        checked = refused = 0
+        for n in range(2, 31, 2):
+            divisors = [p for p in range(2, n + 1) if n % p == 0]
+            for gamma in range(1, 5):
+                for r in range(5):
+                    for periods in combinations_with_replacement(divisors, r):
+                        sig = NECSignature(False, gamma, periods)
+                        area = area_terms(sig)
+                        expected = [] if area[0] > 0 else [
+                            f"signature {sig} is not hyperbolic (reduced area {Fraction(*area)})"]
+                        assert pipeline.shape_problems(gamma, periods, n) == expected, sig
+                        checked += 1
+                        refused += bool(expected)
+        assert (checked, refused) == (5856, 104)
 
 
 def closed_form_check(datum):
