@@ -41,7 +41,7 @@ from itertools import chain, count
 
 from .groups import DihedralGroup
 from .pipeline import RealizationCertificate
-from .presentations import Presentation
+from .presentations import Presentation, connector_name
 from .signatures import NECSignature
 
 # The document's keys in sorted order, in runs: the shape's, each followed
@@ -95,8 +95,7 @@ def _image_map(p: Presentation) -> str:
 def _shape_keys(cert: RealizationCertificate) -> dict:
     """The keys of ``cert``'s document that its shape alone fixes."""
     shape, lemma = cert.shape, cert.shape.lemma
-    (connector,) = shape.k_presentation.generators_of_kind("connector")
-    connector_exponent = shape.theta.image_of(connector)
+    connector_exponent = shape.theta.image_of(connector_name(shape.k_presentation))
     return {
         "quotient_signature": _signature(cert.datum.delta_signature()),
         "k_signature": _signature(shape.k_presentation.signature),

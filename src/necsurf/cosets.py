@@ -187,12 +187,13 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
 def accepted_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate | None:
     """K's frame certificate if K is the frame plus r relators and theta
     the frame's parity map, by comparisons a canonical K and theta cut
-    short; else None.  Theta then kills the frame's relators and each
-    corner unit tau_k*tau_(k+1): the frame's ``SchreierFrame`` rewrote them."""
-    sig, gamma = p.signature, len(p.generators_of_kind("elliptic"))
-    if sig is not None and len(sig.period_cycles) == 1 and gamma:
+    short, gamma and r read off K's signature; else None.  Theta then
+    kills the frame's relators and each corner unit tau_k*tau_(k+1): the
+    frame's ``SchreierFrame`` rewrote them."""
+    sig = p.signature
+    if sig is not None and len(sig.period_cycles) == 1 and sig.proper_periods:
         r = len(sig.period_cycles[0])
-        frame, head = certify_frame(gamma, r), len(p.relators) - r
+        frame, head = certify_frame(len(sig.proper_periods), r), len(p.relators) - r
         if (p.generators == frame.presentation.generators
                 and p.relators[:head] == frame.presentation.relators
                 and theta.target.order == 2
@@ -232,6 +233,8 @@ def _checked_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate:
     frame = certify_frame(len(elliptics), len(cycle))
     base, prefix = frame.presentation, p.relators[:len(p.relators) - len(cycle)]
     problems = [] if p.generators == base.generators else ["its generators are not the frame's"]
+    if len(p.signature.proper_periods) != len(elliptics):
+        problems.append(f"its signature has {len(p.signature.proper_periods)} interior points")
     if len(prefix) != len(base.relators):
         problems.append(f"it has {len(prefix)} relators before its {len(cycle)} corners,"
                         f" the frame {len(base.relators)}")

@@ -14,12 +14,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .cosets import SchreierFrame, schreier_frame
-from .presentations import (
-    Presentation,
-    _with_corners,
-    connector_closed_form,
-    verify_derived_relators,
-)
+from .presentations import Presentation, _with_corners, verify_derived_relators
+from .signatures import GeneratorKind
 from .words import Record, Word, cyclic_reduce_letters, substitute_letters
 
 
@@ -30,16 +26,17 @@ class PipelineAssertionError(RuntimeError):
 
 class FrameCertificate(Record):
     """What is certified on the frame (gamma, r) for every K of it, built
-    whole by ``certified_frame``: ``presentation``, the frame, with its
-    lookups; ``schreier``, the ``cosets.SchreierFrame`` of K's parity map;
+    whole by ``certified_frame``: ``presentation``, the frame;
+    ``schreier``, the ``cosets.SchreierFrame`` of K's parity map;
     ``rows``, ``units`` and ``statuses``, when theta kills the connector
     (even gamma; else empty and None), the derived kernel's classical
     relators (a corner unit each, then the rows after the corners), the
     frame with its corner units that names their sources, and their
     statuses; ``inverted``, the Schreier generators whose
     tau1-identities the lemma certified; ``folds``, K's relators Theta
-    does not send to 1 for every rho; ``connector``, e's closed form, and
-    ``walk``, those relators, as (index, exponent) letters over Theta's
+    does not send to 1 for every rho; ``connector``, e's closed form
+    x_1^-1...x_gamma^-1, the one that is kept, and ``walk``, those
+    relators, as (index, exponent) letters over Theta's
     images in K's generator order; ``eta``, eta's images as forms, in
     generator order (``_eta_images``); ``parities``, each image's parity,
     1 for a glide.  So a rho costs only integer arithmetic."""
@@ -56,23 +53,34 @@ class FrameCertificate(Record):
                      walk, eta, parities)
 
 
+def parity_bits(
+    generators: Iterable[tuple[str, GeneratorKind]], gamma: int,
+) -> tuple[tuple[str, int], ...]:
+    """K's parity map theta: K -> C_2 as each of K's ``generators`` with
+    its bit, in order: 1 on each interior point and each reflection, and
+    on the connector gamma mod 2, the parity of its closed form
+    x_1^-1...x_gamma^-1, which the long relator x_gamma...x_1*e forces."""
+    return tuple((g, gamma % 2 if kind.kind == "connector" else 1) for g, kind in generators)
+
+
 def certified_frame(frame: Presentation) -> FrameCertificate:
-    """Every certificate of the frame ``frame``, derived from it alone.
-    The parity map is 1 on every reflection and interior point, and on
-    the connector the parity of its closed form x_1^-1...x_gamma^-1,
-    which the long relator forces.  A failed check raises
+    """Every certificate of the frame ``frame``, derived from it alone,
+    under its parity map (``parity_bits``).  e's closed form is built once,
+    kept as (index, exponent) letters, and spelled by name only for
+    ``verify_derived_relators``.  A failed check raises
     ``PipelineAssertionError`` naming it; a classical relator's status is
     checked by each shape, which names it with its period."""
-    parity = {g: int(kind.kind != "connector") for g, kind in frame.generators}
-    ((e, solved),) = connector_closed_form(frame).items()
-    parity[e] = sum(parity[x] for x, _ in solved.letters) % 2
+    xs, (e,) = frame.generators_of_kind("elliptic"), frame.generators_of_kind("connector")
+    solved = Word(tuple((x, -1) for x in xs))
+    parity = dict(parity_bits(frame.generators, len(xs)))
     schreier = schreier_frame(frame.generators, frame.relators, parity)
     rows, units, statuses = (), None, ()
     if not parity[e]:
         rows, units = _printed_relator_words(frame, schreier)
         _, words, sources = zip(*rows)
         statuses = verify_derived_relators(
-            units, words, sources, {g.name: g.word for g in schreier.subgroup.generators})
+            units, words, sources, {g.name: g.word for g in schreier.subgroup.generators},
+            {e: solved})
     index = {g: i for i, g in enumerate(frame.generator_names())}
     connector = _indexed(solved, index)
     theta = _symbolic_theta(frame, connector)

@@ -221,6 +221,3 @@ class FiniteHom(Record):
 
     def image_order(self) -> int:
         return self.target.subgroup_order(v for _, v in self.images)
-
-    def is_surjective(self) -> bool:
-        return self.image_order() == self.target.order

@@ -87,7 +87,7 @@ from itertools import accumulate, combinations_with_replacement, product, repeat
 from operator import mul
 
 from .cosets import SchreierSubgroup, accepted_frame, reidemeister_schreier
-from .frames import FrameCertificate, PipelineAssertionError, _theta_images
+from .frames import FrameCertificate, PipelineAssertionError, _theta_images, parity_bits
 from .groups import CyclicGroup, DihedralGroup, FiniteHom
 from .kernels import KernelSignatureReport
 from .presentations import (
@@ -95,11 +95,11 @@ from .presentations import (
     Presentation,
     canonical_presentation,
     check_homomorphism,
-    connector_closed_form,
+    connector_name,
     crosscap_names,
 )
 from .signatures import NECSignature, area_terms, quotient_disc_signature, reduced_area
-from .words import Record
+from .words import Record, Word
 
 
 class ActionValidationError(ValueError):
@@ -269,16 +269,13 @@ def validate_action(datum: ActionDatum) -> int:
 # ---------------------------------------------------------------------------
 
 def build_theta(K: Presentation) -> FiniteHom:
-    """The parity map K -> C_2: interior elliptics and reflections go to
-    the non-trivial element, and the connector to the normal form of its
-    closed form x_1^-1...x_gamma^-1, gamma mod 2: the one image making the
-    long relator hold (so the naive image e -> 1 is valid exactly when
-    gamma is even)."""
-    c2 = CyclicGroup(2)
-    images = dict.fromkeys(K.generator_names(), 1)
-    for e, word in connector_closed_form(K).items():
-        images[e] = c2.normal_form(images, word.letters)
-    return FiniteHom.from_dict(K, c2, images)
+    """The parity map K -> C_2 (``frames.parity_bits``, with gamma read off
+    K's signature): interior elliptics and reflections go to the
+    non-trivial element, and the connector to gamma mod 2, the parity of
+    its closed form x_1^-1...x_gamma^-1: the one image making the long
+    relator hold (so the naive image e -> 1 is valid exactly when gamma is
+    even).  No frame is certified."""
+    return FiniteHom(K, CyclicGroup(2), parity_bits(K.generators, len(K.signature.proper_periods)))
 
 
 class DerivedKernel(Record):
@@ -324,15 +321,19 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     0.  A fact that fails raises ``PipelineAssertionError`` naming the
     claimed signature.
 
-    The classical relators are read off the certificate of K's frame
-    (``frames.FrameCertificate``), which certifies each corner unit c
-    (spelling tau_k*tau_(k+1)), the closing row and the
-    delta-alternations in one ``verify_derived_relators`` call.  A corner
-    row c^(n_k) holds once K's corner is checked, by one tuple comparison,
-    to be the n_k-th power of that unit, so a shape certifies no word."""
+    The torsion words are the corner units' rewrites, so each corner of K
+    is checked, by one tuple comparison, to be the n_k-th power of its
+    unit, at both parities; at odd gamma a corner that is not raises
+    naming the claim and the corner.  The classical relators are read off
+    the certificate of K's frame (``frames.FrameCertificate``), which
+    certifies each corner unit c (spelling tau_k*tau_(k+1)), the closing
+    row and the delta-alternations in one ``verify_derived_relators``
+    call; a corner row c^(n_k) holds once K's corner is that unit's n_k-th
+    power, so a shape certifies no word, and a row that fails names its
+    label."""
     sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
-    claim = NECSignature(False, len(K.generators_of_kind("elliptic")), tuple(sorted(periods)))
+    claim = NECSignature(False, len(K.signature.proper_periods), tuple(sorted(periods)))
 
     def unproved(reason: str) -> PipelineAssertionError:
         # the claim is printed only when a fact fails
@@ -347,21 +348,23 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     if a * d != 2 * c * b:
         raise unproved(f"reduced area {Fraction(a, b)} is not twice K's {Fraction(c, d)}")
 
-    printed: tuple[tuple[str, str], ...] = ()
-    (connector,) = K.generators_of_kind("connector")
-    if not sub.parity[connector]:
-        frame, r = sub.frame, len(periods)
-        texts = [text for text, _, _ in frame.rows]
-        labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + texts[r:]
-        units = frame.units.relators
-        corners = zip(K.relators[len(K.relators) - r:], units[len(units) - r:])
-        fits = [rel.letters == unit.letters * p for (rel, unit), p in zip(corners, periods)]
-        for label, status, fit in zip_longest(labels, frame.statuses, fits, fillvalue=True):
-            if status == "unresolved" or not fit:
-                raise PipelineAssertionError(f"classical relator {label} could not be certified")
-        printed = tuple(zip(labels, frame.statuses))
-
-    return DerivedKernel(subgroup=sub, signature=claim, printed_checks=printed)
+    frame, r = sub.frame, len(periods)
+    corners = K.relators[len(K.relators) - r:]
+    if frame.units is None:  # odd gamma: no classical row reads the corners
+        for k, (rel, unit, n) in enumerate(zip(corners, frame.schreier.corners, periods), 1):
+            if rel.letters != unit * n:
+                raise unproved(f"corner {k} of K is not ({Word(unit)})^{n}")
+        return DerivedKernel(subgroup=sub, signature=claim, printed_checks=())
+    texts = [text for text, _, _ in frame.rows]
+    labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + texts[r:]
+    units = frame.units.relators
+    fits = [rel.letters == unit.letters * p
+            for rel, unit, p in zip(corners, units[len(units) - r:], periods)]
+    for label, status, fit in zip_longest(labels, frame.statuses, fits, fillvalue=True):
+        if status == "unresolved" or not fit:
+            raise PipelineAssertionError(f"classical relator {label} could not be certified")
+    return DerivedKernel(subgroup=sub, signature=claim,
+                         printed_checks=tuple(zip(labels, frame.statuses)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +451,7 @@ def lemma1_check(derived: DerivedKernel) -> LemmaReport:
     finite direct sum of cyclic groups that ``_torsion_factors`` gives."""
     frame = derived.subgroup.frame
     schreier = frame.schreier
-    (e,) = frame.presentation.generators_of_kind("connector")
+    e = connector_name(derived.subgroup.base)
     a, b = pair = tuple(schreier.subgroup.pair_names[u, e] for u in (0, 1))
     (first, second), relators = schreier.rows, derived.presentation.relators
     i, r = len(first), len(derived.presentation.torsion_words)

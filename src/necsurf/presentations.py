@@ -13,13 +13,15 @@ Two canonical families are built here:
   generators d_1..d_gamma and elliptic generators x_1..x_r, with relators
   x_i^{n_i} and x_1...x_r d_1^2...d_gamma^2.
 
-This module alone spells out these generator names; everyone else takes
-them by kind (``generators_of_kind``), or the crosscap group's from
-``crosscap_names`` without building the group.  ``connector_closed_form``
-solves the long relator for the connector, e = x_1^-1...x_gamma^-1, once.
-The disc-quotient group's generators and every relator but its corners
-are built once per frame (gamma, r) (``disc_quotient_frame``), and each
-group of the frame shares them with their lookups (``_with_corners``).
+This module alone spells out these generator names and the frame's
+generator order x_1..x_gamma, e, tau_1..tau_(r+1); everyone else takes
+them by kind (``generators_of_kind``), the connector of a K of the frame
+from ``connector_name``, or the crosscap group's from ``crosscap_names``
+without building the group.  The disc-quotient group's generators and
+every relator but its corners are built once per frame (gamma, r)
+(``disc_quotient_frame``), and each group of the frame shares them
+(``_with_corners``).  A presentation holds its four fields and nothing
+else.
 
 Everything certified on a frame for every K of it is one immutable
 record, ``frames.FrameCertificate``, built whole by ``certify_frame(gamma,
@@ -31,7 +33,8 @@ identity.
 ``verify_derived_relators`` certifies that words over derived subgroup
 generators are trivial in the ambient group by bounded rewriting, each
 by one comparison: with the one relator it is named to come from, read
-from the named rotation, or with the empty word.
+from the named rotation, or, with the connector's closed form that its
+caller passes spliced in, with the empty word.
 """
 
 from __future__ import annotations
@@ -98,15 +101,9 @@ class Presentation(Record):
     cyclic subgroups up to conjugacy, with their orders; surface-kernel
     checks test exactly these.  ``signature`` carries the NEC signature
     the presentation was built from, when one is known.
-
-    The involution names, the names of each kind and the connector's
-    closed form (a frame's when it is built) are computed on first use
-    and kept in slots outside ``_fields``, which equality ignores.
     """
 
-    __slots__ = ("generators", "relators", "torsion_words", "signature",
-                 "_involutions", "_names_by_kind", "_closed_form")
-    _fields = __slots__[:4]
+    __slots__ = ("generators", "relators", "torsion_words", "signature")
 
     def __init__(
         self, generators: Iterable[tuple[str, GeneratorKind]], relators: Iterable[Word],
@@ -122,21 +119,10 @@ class Presentation(Record):
         return next(zip(*self.generators), ())
 
     def involution_names(self) -> frozenset[str]:
-        try:
-            return self._involutions
-        except AttributeError:
-            return self._keep("_involutions", frozenset(
-                g for g, kind in self.generators if kind.is_involution))
+        return frozenset(g for g, kind in self.generators if kind.is_involution)
 
     def generators_of_kind(self, kind: str) -> tuple[str, ...]:
-        try:
-            by_kind = self._names_by_kind
-        except AttributeError:
-            names: dict[str, list[str]] = {}
-            for g, k in self.generators:
-                names.setdefault(k.kind, []).append(g)
-            by_kind = self._keep("_names_by_kind", {k: tuple(gs) for k, gs in names.items()})
-        return by_kind.get(kind, ())
+        return tuple(g for g, k in self.generators if k.kind == kind)
 
 
 def canonical_presentation(sig: NECSignature) -> Presentation:
@@ -175,8 +161,9 @@ def certify_frame(gamma: int, r: int) -> frames.FrameCertificate:
 
 def disc_quotient_frame(gamma: int, r: int) -> Presentation:
     """The disc-quotient group with gamma interior points and r corners
-    without its corner relators, built with its lookups, which
-    ``_with_corners`` shares with each K of the frame."""
+    without its corner relators, on the generators x_1..x_gamma, e,
+    tau_1..tau_(r+1) in this order, which ``_with_corners`` shares with
+    each K of the frame."""
     xs = [f"x{i}" for i in range(1, gamma + 1)]
     taus = [f"tau{j}" for j in range(1, r + 2)]
     generators = (
@@ -189,24 +176,27 @@ def disc_quotient_frame(gamma: int, r: int) -> Presentation:
     relators += [Word.gen(t, 2) for t in taus]
     relators.append(Word((("e", -1), (taus[-1], 1), ("e", 1), (taus[0], -1))))
     relators.append(Word((*((x, 1) for x in reversed(xs)), ("e", 1))))
-    frame = Presentation(tuple(generators), tuple(relators))
-    frame.involution_names(), connector_closed_form(frame)
-    return frame
+    return Presentation(tuple(generators), tuple(relators))
 
 
 def _with_corners(
-    frame: Presentation, cycle: Iterable[int], sig: NECSignature | None = None,
+    frame: Presentation, cycle: tuple[int, ...], sig: NECSignature | None = None,
 ) -> Presentation:
-    """K of the frame with corner orders ``cycle`` (with each n_k = 1, the
-    frame with its corner units), sharing the frame's generators, which
-    were checked when it was built, and its lookups."""
-    taus = frame.generators_of_kind("reflection")
-    corners = (Word(((a, 1), (b, 1))) ** n for a, b, n in zip(taus, taus[1:], cycle))
+    """K of the frame with its r corner orders ``cycle`` (with each n_k = 1,
+    the frame with its corner units), sharing the frame's generators,
+    which were checked when it was built; its reflections are its last
+    r + 1."""
+    taus = frame.generators[len(frame.generators) - len(cycle) - 1:]
+    corners = (Word(((a, 1), (b, 1))) ** n for (a, _), (b, _), n in zip(taus, taus[1:], cycle))
     p = Presentation.__new__(Presentation)
     p._assign(frame.generators, frame.relators + tuple(corners), (), sig)
-    for slot in ("_involutions", "_names_by_kind", "_closed_form"):
-        p._keep(slot, getattr(frame, slot))
     return p
+
+
+def connector_name(K: Presentation) -> str:
+    """The connector of a K of the frame (gamma, r): its generator after
+    the gamma interior points, gamma read off K's signature."""
+    return K.generators[len(K.signature.proper_periods)][0]
 
 
 def crosscap_names(gamma: int, r: int) -> tuple[list[str], list[str]]:
@@ -256,21 +246,9 @@ def check_homomorphism(
 # Derived-relator certification by bounded rewriting
 # ---------------------------------------------------------------------------
 
-def connector_closed_form(p: Presentation) -> dict[str, Word]:
-    """The connector solved from the long relator x_gamma...x_2 x_1 e of
-    the disc-quotient group (a Tietze elimination): e = x_1^-1...x_gamma^-1.
-    Every image of e, theta's and Theta's, is the normal form of this word,
-    solved once per presentation; callers read the dict, never change it."""
-    try:
-        return p._closed_form
-    except AttributeError:
-        solved = Word(tuple((x, -1) for x in p.generators_of_kind("elliptic")))
-        return p._keep("_closed_form", {e: solved for e in p.generators_of_kind("connector")})
-
-
 def verify_derived_relators(
     p: Presentation, words: Iterable[Word], sources: Iterable[tuple[int, int] | None],
-    substitution: dict[str, Word],
+    substitution: dict[str, Word], closed_form: dict[str, Word],
 ) -> tuple[str, ...]:
     """Certify that each of ``words`` (over derived-generator names, with
     ``substitution`` expressing those names in the ambient generators) is
@@ -284,13 +262,12 @@ def verify_derived_relators(
     cyclically, freely and modulo the involutions.  A word with a source
     must equal that relator, reduced the same way and read from its named
     rotation, letter for letter: a rotation of a defining relator is
-    trivial, so nothing is eliminated.  Only a word named trivial gets the
-    connector's closed form x_1^-1...x_gamma^-1 spliced in, and must
-    reduce to the empty word.  Anything else is unresolved.  No other
+    trivial, so nothing is eliminated.  Only a word named trivial gets
+    ``closed_form``, the connector's closed form x_1^-1...x_gamma^-1 by
+    name, spliced in, and must reduce to the empty word.  Anything else is unresolved.  No other
     relator of ``p`` is read, and nothing is kept.
     """
     relators, involutions = p.relators, p.involution_names()
-    closed_form = connector_closed_form(p)
 
     def status(letters: tuple, source: tuple[int, int] | None) -> str:
         if source is None:

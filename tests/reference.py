@@ -20,8 +20,10 @@ subgroup's own words (``own_word_lemma``), Theta and eta with every
 relator of K or of the derived kernel walked (``walked_theta``,
 ``walked_eta``), one shape's classical relators with each corner row a
 power named for K's corner (``printed_relator_words``), and all of them
-in turn (``oracle_certificate``).  ``oracle_document`` builds a
-certificate's whole document as one dict, key by key, the oracle of
+in turn (``oracle_certificate``); they solve the long relator for the
+connector themselves (``connector_elimination``, checked against the
+relator search ``search_connector_elimination``).  ``oracle_document``
+builds a certificate's whole document as one dict, key by key, the oracle of
 ``necsurf.certificate.render``, which splices a shape's encoded keys
 with each call's.  ``rebuilt_hom`` names a tuple of the rho stage,
 Theta's rotations or eta's residues, as the ``FiniteHom`` it stands for,
@@ -62,7 +64,7 @@ from necsurf import (
     verify_derived_relators,
 )
 from necsurf.kernels import KernelSignatureReport
-from necsurf.presentations import Presentation, connector_closed_form
+from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR, GLIDE, area_terms
 from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
 
@@ -595,7 +597,7 @@ def index_derived_relators(p: Presentation, words, substitution) -> tuple:
     first, so each word costs one lookup and is matched with the first
     relator that a scan in relator order would find."""
     involutions = p.involution_names()
-    elimination = connector_closed_form(p)
+    elimination = connector_elimination(p)
 
     def normalise(w: Word) -> Word:
         return cyclic_reduce(substitute(w, elimination), involutions)
@@ -625,7 +627,7 @@ def scan_derived_relators(p: Presentation, words, substitution) -> tuple:
     compared, by ``cyclically_equal``, with every remaining relator and
     its inverse in relator order, and the first hit is the match."""
     involutions = p.involution_names()
-    elimination = connector_closed_form(p)
+    elimination = connector_elimination(p)
 
     def normalise(w: Word) -> Word:
         return cyclic_reduce(substitute(w, elimination), involutions)
@@ -648,8 +650,17 @@ def scan_derived_relators(p: Presentation, words, substitution) -> tuple:
     return tuple(certs)
 
 
-# The relator search for the connector: the oracle for the closed form
-# e = x_1^-1...x_gamma^-1 in ``necsurf.presentations``.
+# The connector's closed form e = x_1^-1...x_gamma^-1, written here from
+# p's own names, and the relator search that checks it: the oracles for
+# the frame record's ``connector``.
+
+def connector_elimination(p: Presentation) -> dict[str, Word]:
+    """The connector solved from the long relator x_gamma...x_1*e (a
+    Tietze elimination): e = x_1^-1...x_gamma^-1, over the interior
+    points in p's generator order."""
+    solved = Word(tuple((g, -1) for g, kind in p.generators if kind.kind == "elliptic"))
+    return {g: solved for g, kind in p.generators if kind.kind == "connector"}
+
 
 def search_connector_elimination(p: Presentation) -> dict[str, Word] | None:
     """Solve the unique relator containing the connector exactly once for
@@ -691,7 +702,7 @@ def surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> l
         f"{label} is not a homomorphism: relator {rel} maps to {pipeline.decimal(value)}"
         for rel, value in check_homomorphism(pres, hom)
     ]
-    if not hom.is_surjective():
+    if hom.image_order() != hom.target.order:
         problems.append(f"{label} is not surjective onto C_{pipeline.decimal(hom.target.modulus)}")
     for word, n in pres.torsion_words:
         image = hom.evaluate(word)
@@ -1068,7 +1079,7 @@ def walked_theta(K: Presentation, datum):
     dihedral = DihedralGroup(datum.order)
     glides = ((-1) ** j * d for j, d in enumerate(datum.d_images, start=1))
     names = K.generator_names()
-    ((_, solved),) = connector_closed_form(K).items()
+    ((_, solved),) = connector_elimination(K).items()
     connector = tuple((names.index(g), e) for g, e in solved.letters)
     images = pipeline._theta_images(connector, dihedral, glides, accumulate(datum.x_images))
     hom = FiniteHom(K, dihedral, zip(names, images, strict=True))
@@ -1144,7 +1155,8 @@ def oracle_certificate(datum):
     if not sub.parity[connector]:
         labels, words, sources = zip(*printed_relator_words(sub, datum.periods))
         images = {g.name: g.word for g in sub.generators}
-        printed = tuple(zip(labels, verify_derived_relators(K, words, sources, images)))
+        printed = tuple(zip(labels, verify_derived_relators(
+            K, words, sources, images, connector_elimination(K))))
         assert "unresolved" not in dict(printed).values()
     claim = NECSignature(False, datum.gamma, tuple(sorted(datum.periods)))
     derived = pipeline.DerivedKernel(sub, claim, printed)

@@ -4,9 +4,11 @@ import pytest
 
 from necsurf import (
     CyclicGroup,
+    DerivedKernel,
     FiniteHom,
     NECSignature,
     NotInKernelError,
+    PipelineAssertionError,
     SchreierSubgroup,
     build_theta,
     canonical_presentation,
@@ -426,6 +428,18 @@ class TestSchreierFrame:
         assert str(exc.value) == (
             "K is not its frame (2, 2) plus its corners: its generators are not the frame's")
 
+    def test_a_signature_other_than_the_frames_is_refused(self):
+        # gamma is read off K's signature, which must count K's interior
+        # points, or the claimed signature would not be K's kernel's
+        K = disc_group(2, (3, 4))
+        relabelled = Presentation(K.generators, K.relators,
+                                  signature=quotient_disc_signature(3, (3, 4)))
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError) as exc:
+                derive(relabelled, build_theta(K))
+            assert str(exc.value) == (
+                "K is not its frame (2, 2) plus its corners: its signature has 3 interior points")
+
     def test_a_connector_bit_the_long_relator_does_not_force_is_refused(self):
         # e -> 0 at odd gamma leaves x1*e, the long relator, unmapped
         K = disc_group(1, (2, 2, 2))
@@ -453,8 +467,9 @@ class TestSchreierFrame:
         # (tau2^2) or of coset 1 (a tau1-conjugate of a relator), or a
         # square of a unit: the frame's rows and the corner rows are
         # de-duplicated in the order the walk of every relator gives; the
-        # lemma finds its witness rows where they stand (odd gamma, so no
-        # classical relator reads the altered corner)
+        # lemma finds its witness rows where they stand, in a derived kernel
+        # built directly: derive_delta_hat certifies no claim for it, as
+        # its last corner is not (tau2*tau3)^4
         K = disc_group(3, (3, 4))
         altered = Presentation(
             K.generators, K.relators[:-1] + (parse_word(corner),), signature=K.signature)
@@ -463,5 +478,7 @@ class TestSchreierFrame:
         assert sub.presentation.relators == conjugate_relators(sub)
         assert sub.presentation.relators == unkept_reidemeister_schreier(
             altered, theta)[0].presentation.relators
-        derived = derive_delta_hat(altered, theta)
+        derived = DerivedKernel(sub, NECSignature(False, 3, (3, 4)), ())
         assert lemma1_check(derived).inversion_entries == tuple(g.name for g in sub.generators)
+        with pytest.raises(PipelineAssertionError, match=r"corner 2 of K is not \(tau2\*tau3\)\^4$"):
+            derive_delta_hat(altered, theta)

@@ -143,9 +143,7 @@ def with_frame_relators(monkeypatch, keep):
 
     def frame(gamma, r):
         full = build(gamma, r)
-        kept = Presentation(full.generators, filter(keep, full.relators))
-        presentations.connector_closed_form(kept), kept.involution_names()
-        return kept
+        return Presentation(full.generators, filter(keep, full.relators))
 
     monkeypatch.setattr(presentations, "disc_quotient_frame", frame)
 
@@ -185,7 +183,7 @@ def reasons_of(datum):
     return exc.value.reasons
 
 
-def unresolved_relators(K, words, sources, substitution):
+def unresolved_relators(K, words, sources, substitution, closed_form):
     """A stand-in for ``verify_derived_relators`` that certifies nothing."""
     return tuple("unresolved" for _ in zip(words, sources, strict=True))
 
@@ -593,6 +591,25 @@ class TestDeriveDeltaHat:
         }
         assert connector_pair == {"tau1*e", "e*tau1"}
 
+    @pytest.mark.parametrize("gamma", [1, 3])
+    def test_a_corner_off_its_period_is_refused_at_odd_gamma(self, gamma):
+        # K's last corner (tau2*tau3)^5 where its signature says 3: its
+        # torsion word c1t*c2 has the order 3 that the signature gives it,
+        # but K's corner is not its unit's third power, so the claim is
+        # not certified, as at even gamma, where the classical row says so
+        K = disc_group(gamma, (2, 3))
+        bent = replace(K, relators=(*K.relators[:-1], parse_word("tau2 tau3") ** 5))
+        with pytest.raises(PipelineAssertionError) as exc:
+            derive_delta_hat(bent, build_theta(bent))
+        assert str(exc.value) == (f"derived kernel signature ({gamma};−;[2,3]) not certified:"
+                                  " corner 2 of K is not (tau2*tau3)^3")
+        derive_delta_hat(K, build_theta(K))
+        K = disc_group(gamma + 1, (2, 3))
+        bent = replace(K, relators=(*K.relators[:-1], parse_word("tau2 tau3") ** 5))
+        with pytest.raises(PipelineAssertionError) as exc:
+            derive_delta_hat(bent, build_theta(bent))
+        assert str(exc.value) == "classical relator (c1^-1*c2)^3 could not be certified"
+
     def test_even_gamma_printed_relators_certified(self):
         _, derived = derived_for(2, (3,))
         assert derived.report.signature == NECSignature(False, 2, (3,))
@@ -843,13 +860,13 @@ class TestConstructEta:
             hom.target.element_order(hom.evaluate(w))
             for w, _ in derived.presentation.torsion_words
         ] == [2, 2, 2]
-        assert hom.is_surjective()
+        assert hom.image_order() == hom.target.order
 
     def test_gamma4_instance(self):
         K, derived = derived_for(4, ())
         _, hom = eta_for(K, derived, GAMMA4)
         assert not check_homomorphism(derived.presentation, hom)
-        assert hom.is_surjective()
+        assert hom.image_order() == hom.target.order
         for j in range(1, 5):
             assert hom.image_of(f"delta{j}") % 2 == 1
 
@@ -1543,8 +1560,8 @@ class TestShapeMemo:
         self, monkeypatch, verified_words, warm, new
     ):
         # after a shape of its frame, a new shape's stage certifies no
-        # word, evaluates no relator of the frame under theta (nor any of
-        # K's) and reads no orientation character: each is a frame fact
+        # word, evaluates no word under theta (its bit on e is gamma mod 2)
+        # and reads no orientation character: each is a frame fact
         pipeline.shape_certificate(*warm)
         assert verified_words == [len(warm[1]) + 3]
         frame = presentations.certify_frame(new[0], len(new[1]))
@@ -1560,9 +1577,8 @@ class TestShapeMemo:
         shape = pipeline.shape_certificate(*new)
         assert verified_words == [len(warm[1]) + 3]
         assert walked == [] and characters == []
-        assert len(evaluated) == 1  # theta's image of e, from e's closed form
-        relators = {rel.letters for rel in shape.k_presentation.relators}
-        assert not relators & set(evaluated) and frame.presentation.relators[0].letters in relators
+        assert evaluated == []  # theta's image of e is gamma mod 2, nothing walked
+        assert frame.presentation.relators[0] in shape.k_presentation.relators
         assert presentations.certify_frame.cache_info().misses == 1
         assert shape.derived.printed_checks[0] == (f"c1^{new[1][0]}", "matches-relator")
 

@@ -17,11 +17,12 @@ from necsurf import (
     verify_derived_relators,
 )
 from necsurf.pipeline import build_theta
-from necsurf.presentations import Presentation, connector_closed_form
+from necsurf.presentations import Presentation, certify_frame
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
 from conftest import signature_battery_cases
 from reference import (
+    connector_elimination,
     cyclic_reduce,
     cyclically_equal,
     elementwise_failures,
@@ -134,7 +135,8 @@ class TestCanonicalCrosscap:
 
 
 @pytest.mark.parametrize("family", ["disc", "crosscap"])
-def test_lookups_match_a_scan_and_are_computed_once(family):
+def test_lookups_match_a_scan_and_are_not_kept(family):
+    # a presentation holds its four fields alone: each lookup reads them
     if family == "disc":
         p = disc_group(3, (2, 4))
     else:
@@ -142,8 +144,8 @@ def test_lookups_match_a_scan_and_are_computed_once(family):
     for kind in ("elliptic", "reflection", "glide", "connector"):
         assert p.generators_of_kind(kind) == tuple(g for g, k in p.generators if k.kind == kind)
     assert p.involution_names() == frozenset(g for g, k in p.generators if k.is_involution)
-    assert p.involution_names() is p.involution_names()
-    assert connector_closed_form(p) is connector_closed_form(p)
+    assert Presentation.__slots__ == Presentation._fields == (
+        "generators", "relators", "torsion_words", "signature")
 
 
 class TestOrientationCharacter:
@@ -268,15 +270,16 @@ class TestVerifyDerivedRelator:
     def test_first_corner_power_matches_link_relator(self):
         K = disc_group(1, (2, 2, 2))
         (status,) = verify_derived_relators(
-            K, [Word.gen("c1", 2)], [(source(K, "tau1 tau2 tau1 tau2"), 0)], self.substitution(K)
-        )
+            K, [Word.gen("c1", 2)], [(source(K, "tau1 tau2 tau1 tau2"), 0)], self.substitution(K),
+            connector_elimination(K))
         assert status == "matches-relator"
 
     def test_consecutive_corner_power(self):
         K = disc_group(1, (2, 3, 2))
         word = (Word.gen("c1", -1) * Word.gen("c2")) ** 3
         corner = source(K, "tau2 tau3 " * 3)
-        (status,) = verify_derived_relators(K, [word], [(corner, 0)], self.substitution(K))
+        (status,) = verify_derived_relators(
+            K, [word], [(corner, 0)], self.substitution(K), connector_elimination(K))
         assert status == "matches-relator"
 
     def test_even_gamma_alternation_is_trivial(self):
@@ -288,7 +291,8 @@ class TestVerifyDerivedRelator:
             * Word.gen("delta4")
             * Word.gen("e1", -1)
         )
-        (status,) = verify_derived_relators(K, [word], [None], self.substitution(K))
+        (status,) = verify_derived_relators(
+            K, [word], [None], self.substitution(K), connector_elimination(K))
         assert status == "trivial"
 
     def test_connector_pair_relation_uses_conjugation_relator(self):
@@ -299,8 +303,8 @@ class TestVerifyDerivedRelator:
         word = Word.gen("e1") * Word.gen("e2", -1) * Word.gen("c1")
         connector = source(K, "e^-1 tau2 e tau1^-1")
         statuses = verify_derived_relators(
-            K, [word] * 4, [(connector, k) for k in range(4)], self.substitution(K)
-        )
+            K, [word] * 4, [(connector, k) for k in range(4)], self.substitution(K),
+            connector_elimination(K))
         assert statuses == ("unresolved", "unresolved", "matches-relator", "unresolved")
 
     def test_first_relator_in_order_is_the_match(self):
@@ -321,8 +325,7 @@ class TestVerifyDerivedRelator:
         corner = source(K, "tau1 tau2 tau1 tau2")
         for named in ((corner, 0), None):
             (status,) = verify_derived_relators(
-                K, [Word.gen("c1")], [named], self.substitution(K)
-            )
+                K, [Word.gen("c1")], [named], self.substitution(K), connector_elimination(K))
             assert status == "unresolved"
 
     def test_named_source_matches_at_its_named_rotation_only(self):
@@ -338,17 +341,16 @@ class TestVerifyDerivedRelator:
         rotations = [Word(letters[k:] + letters[:k]) for k in range(n)]
         for k, word in enumerate(rotations):
             statuses = verify_derived_relators(
-                delta, [word] * n, [(long, j) for j in range(n)], {}
-            )
+                delta, [word] * n, [(long, j) for j in range(n)], {}, {})
             assert statuses == tuple(
                 "matches-relator" if j == k else "unresolved" for j in range(n)
             )
         inverses = [w.inverse() for w in rotations]
         for j in range(n):
-            statuses = verify_derived_relators(delta, inverses, [(long, j)] * n, {})
+            statuses = verify_derived_relators(delta, inverses, [(long, j)] * n, {}, {})
             assert statuses == ("unresolved",) * n
         for other in [*((i, 0) for i in range(long)), None]:
-            statuses = verify_derived_relators(delta, rotations, [other] * n, {})
+            statuses = verify_derived_relators(delta, rotations, [other] * n, {}, {})
             assert statuses == ("unresolved",) * n
 
     def test_wrong_named_source_is_unresolved(self):
@@ -361,7 +363,7 @@ class TestVerifyDerivedRelator:
         statuses = verify_derived_relators(
             K, [corner_word, corner_word, next_word, next_word, corner_word],
             [(first, 0), (second, 0), (second, 0), (first, 0), (connector, 2)],
-            self.substitution(K),
+            self.substitution(K), connector_elimination(K),
         )
         assert statuses == (
             "matches-relator", "unresolved", "matches-relator", "unresolved", "unresolved"
@@ -370,7 +372,8 @@ class TestVerifyDerivedRelator:
     def test_one_source_per_word(self):
         K = disc_group(2, (3,))
         with pytest.raises(ValueError):
-            verify_derived_relators(K, [Word.gen("c1", 3)], [], self.substitution(K))
+            verify_derived_relators(
+                K, [Word.gen("c1", 3)], [], self.substitution(K), connector_elimination(K))
 
 
 def source(K, text):
@@ -393,9 +396,9 @@ def assert_named_sources_agree(K, sub, periods):
     statuses = set()
     for p, listed in ((K, printed_relator_words(sub, periods)), (units, rows)):
         _, words, sources = zip(*listed)
-        named = verify_derived_relators(p, words, sources, substitution)
+        elimination = connector_elimination(p)
+        named = verify_derived_relators(p, words, sources, substitution, elimination)
         index = index_derived_relators(p, words, substitution)
-        elimination = connector_closed_form(p)
         involutions = p.involution_names()
         for word, named_source, status, (expected, matched) in zip(
             words, sources, named, index, strict=True
@@ -501,10 +504,26 @@ def test_rotation_index_matches_linear_scan_on_crosscap_groups(signature_battery
 
 
 def test_connector_elimination_matches_relator_search(signature_battery):
+    # e's closed form, as the frame record keeps it, named by K's
+    # generators, is the relator search's, and the oracle's own
     assert len(signature_battery) == 1640
     for gamma, periods in signature_battery:
         K = disc_group(gamma, periods)
-        assert connector_closed_form(K) == search_connector_elimination(K)
+        names = K.generator_names()
+        kept = Word(tuple((names[i], e) for i, e in certify_frame(gamma, len(periods)).connector))
+        assert {"e": kept} == search_connector_elimination(K) == connector_elimination(K)
+
+
+@pytest.mark.parametrize("gamma", range(1, 9))
+def test_the_frame_keeps_the_oracles_elimination(gamma):
+    # certify_frame(gamma, r).connector, e = x_1^-1...x_gamma^-1 as
+    # (index, exponent) letters in K's generator order, is the oracle's
+    # own elimination, indexed
+    for r in range(4):
+        K = disc_group(gamma, (3,) * r)
+        index = {g: i for i, g in enumerate(K.generator_names())}
+        ((_, solved),) = connector_elimination(K).items()
+        assert certify_frame(gamma, r).connector == tuple((index[g], e) for g, e in solved.letters)
 
 
 def test_duplicate_generator_names_rejected():

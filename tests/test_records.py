@@ -24,7 +24,7 @@ from necsurf import (
     realize,
     shape_certificate,
 )
-from necsurf.presentations import certify_frame, connector_closed_form
+from necsurf.presentations import Presentation, certify_frame
 from necsurf.words import Record
 from reference import abelianization, rebuilt_hom, replace
 
@@ -128,10 +128,15 @@ def test_words_are_set_members():
 
 
 def test_derived_slots_stay_out_of_comparison():
+    # K, built on its frame's shared tuples, is a plain presentation: it
+    # equals, copies and pickles like one built from its fields
     cert = realize(GENUS2)
     K, theta = cert.k_presentation, cert.theta
-    fresh = replace(K)
-    assert connector_closed_form(K) and K == fresh and hash(K) == hash(fresh)
+    fresh = Presentation(K.generators, K.relators, signature=K.signature)
+    assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)
+    for twin in (copy.copy(K), copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
+        assert twin == fresh and hash(twin) == hash(fresh)
+    assert pickle.dumps(K) == pickle.dumps(fresh)
     assert replace(theta) == theta and "_by_name" not in repr(theta)
 
 
