@@ -9,12 +9,7 @@ step with exact arithmetic.
 
 from .abelian import Abelianization
 from .cosets import NotInKernelError, SchreierSubgroup, reidemeister_schreier
-from .groups import (
-    CyclicGroup,
-    DihedralGroup,
-    FiniteHom,
-    GroupMismatchError,
-)
+from .groups import CyclicGroup, DihedralGroup
 from .kernels import KernelSignatureReport
 from .pipeline import (
     ActionDatum,

@@ -28,9 +28,11 @@ is 1, ``theta_extension``'s ``reflection_rotation`` is 0 and its
 ``kernel_index`` is ``image_order``, ``genus_real`` is ``genus`` and
 ``connector_product_class`` is 0 for each derived generator (the
 odd-gamma text still calls it "(recorded)", so that its output stays
-byte-identical).  ``theta``'s ``connector_exponent`` is read off theta;
-``printed_connector_valid`` and ``gamma_even`` say it is 0, and K's first
-reflection is read off ``k_presentation``.
+byte-identical).  ``theta``'s ``connector_exponent`` is theta's bit at
+the connector, K's generator after its gamma interior points, and
+``printed_connector_valid`` and ``gamma_even`` say it is 0; theta's
+images are its bits named by K's generators, and K's first reflection
+is read off ``k_presentation``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import chain, count
 
 from .groups import DihedralGroup
 from .pipeline import RealizationCertificate
-from .presentations import Presentation, connector_name
+from .presentations import Presentation
 from .signatures import NECSignature
 
 # The document's keys in sorted order, in runs: the shape's, each followed
@@ -94,14 +96,14 @@ def _image_map(p: Presentation) -> str:
 
 def _shape_keys(cert: RealizationCertificate) -> dict:
     """The keys of ``cert``'s document that its shape alone fixes."""
-    shape, lemma = cert.shape, cert.shape.lemma
-    connector_exponent = shape.theta.image_of(connector_name(shape.k_presentation))
+    shape, lemma, K = cert.shape, cert.shape.lemma, cert.shape.k_presentation
+    connector_exponent = shape.theta[len(K.signature.proper_periods)]
     return {
         "quotient_signature": _signature(cert.datum.delta_signature()),
-        "k_signature": _signature(shape.k_presentation.signature),
-        "k_presentation": _presentation(shape.k_presentation),
+        "k_signature": _signature(K.signature),
+        "k_presentation": _presentation(K),
         "theta": {
-            "images": {name: str(bit) for name, bit in shape.theta.images},
+            "images": {name: str(bit) for name, bit in zip(K.generator_names(), shape.theta)},
             "connector_exponent": connector_exponent,
             "printed_connector_valid": connector_exponent == 0,
         },
@@ -139,7 +141,7 @@ def _shape_runs(cert: RealizationCertificate) -> tuple:
     shape = cert.shape
     return (tuple(_encoded(_shape_keys(cert), _SHAPE_RUNS)),
             _image_map(shape.derived.presentation), _image_map(shape.k_presentation),
-            tuple(bit for _, bit in shape.theta.images))
+            shape.theta)
 
 
 def _encoded(keys: dict, runs: tuple[tuple[str, ...], ...]) -> Iterator[str]:

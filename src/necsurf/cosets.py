@@ -3,8 +3,10 @@
 The construction derives one subgroup: the kernel of the parity map
 theta from a single-boundary disc-quotient group K onto C_2, which moves
 every reflection and every interior point; K has at least one interior
-point, and each is an involution.  This module alone reads theta and
-checks those conditions.
+point, and each is an involution.  Theta is its bit on each of K's
+generators, a tuple in K's generator order, as K's frame holds it
+(``frames.parity_bits``).  This module alone reads theta and checks
+those conditions.
 The Schreier coset representatives are therefore fixed, {1, tau_1} (the
 doubled fundamental domain), and the coset of a word is the theta-parity
 bit of its prefix.  Each pair (coset c, generator g) gives the Schreier
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 from math import prod
 
-from .groups import FiniteHom
 from .presentations import Presentation, certify_frame
 from .signatures import CONNECTOR, GLIDE, GeneratorKind
 from .words import Record, Word
@@ -141,31 +142,38 @@ class SchreierFrame(Record):
         self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed, reversing)
 
 
-def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup:
+def reidemeister_schreier(p: Presentation, theta: tuple[int, ...]) -> SchreierSubgroup:
     """Presentation of ker(theta) over the coset representatives {1, tau_1},
-    with its torsion words.
+    with its torsion words; theta is its bit on each generator of ``p``,
+    in p's generator order.
 
     Raises ``ValueError``, naming what fails, unless theta is K's parity
-    map: ``p`` carries a signature with a single period cycle, has a
-    reflection and at least one interior point, each an involution, and
-    theta has image of order 2, moves every reflection and interior point
-    (so 1 and tau_1 represent the two cosets) and sends the connector to
-    the parity the long relator forces.  ``p`` must be its frame (gamma,
-    r) (``presentations.disc_quotient_frame``) plus its r corners: its
+    map: one int 0 or 1 per generator, ``p`` carries a signature with a
+    single period cycle, has a reflection and at least one interior
+    point, each an involution, and theta has index 2, moves every
+    reflection and interior point (so 1 and tau_1 represent the two
+    cosets) and sends the connector to the parity the long relator
+    forces.  ``p`` must be its frame (gamma, r)
+    (``presentations.disc_quotient_frame``) plus its r corners: its
     generators and its relators but the last r are the frame's, or a
-    ``ValueError`` names each that is not.  Generators come in canonical
-    order: delta_j, c_k, the connector pair, delta_jt, c_kt, tau1sq.
-    Relators are the rewritten conjugates u * R * u^-1 of the base
-    relators for u = 1, then u = tau_1, each read as the walk of R from
-    coset u; free reduction commutes with the walk, so no conjugate is
-    built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
-    coset 0, of its full order n_k; each interior involution is moved, so
-    it leaves no period.  K and theta are accepted by comparisons with the
-    frame, or else checked item by item (``_checked_frame``).  All else
-    comes from the frame's ``SchreierFrame`` but the r corner rewrites,
-    de-duplicated against its ``rows``, and the subgroup keeps the frame.
+    ``ValueError`` names each that is not.  K and theta are accepted by
+    comparisons with the frame (``accepted_frame``), or else checked item
+    by item (``_checked_frame``); the subgroup is then ``_kernel``'s.
     """
-    frame = _checked_frame(p, theta)
+    return _kernel(p, _checked_frame(p, theta))
+
+
+def _kernel(p: Presentation, frame: FrameCertificate) -> SchreierSubgroup:
+    """ker(theta) of a K that its frame's certificate ``frame`` accepted
+    (``accepted_frame``), which the subgroup keeps.  Generators come in
+    canonical order: delta_j, c_k, the connector pair, delta_jt, c_kt,
+    tau1sq.  Relators are the rewritten conjugates u * R * u^-1 of the
+    base relators for u = 1, then u = tau_1, each read as the walk of R
+    from coset u; free reduction commutes with the walk, so no conjugate
+    is built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
+    coset 0, of its full order n_k; each interior involution is moved, so
+    it leaves no period.  All comes from the frame's ``SchreierFrame``
+    but the r corner rewrites, de-duplicated against its ``rows``."""
     schreier = frame.schreier
     sub, corners, (first, second) = schreier.subgroup, schreier.corners, schreier.rows
     tail = p.relators[len(frame.presentation.relators):]
@@ -184,28 +192,37 @@ def reidemeister_schreier(p: Presentation, theta: FiniteHom) -> SchreierSubgroup
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
-def accepted_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate | None:
+def accepted_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate | None:
     """K's frame certificate if K is the frame plus r relators and theta
-    the frame's parity map, by comparisons a canonical K and theta cut
-    short, gamma and r read off K's signature; else None.  Theta then
-    kills the frame's relators and each corner unit tau_k*tau_(k+1): the
-    frame's ``SchreierFrame`` rewrote them."""
+    the frame's parity vector, by comparisons a canonical K and theta cut
+    short, gamma and r read off K's signature; else None.  Theta is
+    accepted by one comparison with the frame's bits, in generator order.
+    Theta then kills the frame's relators and each corner unit
+    tau_k*tau_(k+1): the frame's ``SchreierFrame`` rewrote them."""
     sig = p.signature
     if sig is not None and len(sig.period_cycles) == 1 and sig.proper_periods:
         r = len(sig.period_cycles[0])
         frame, head = certify_frame(len(sig.proper_periods), r), len(p.relators) - r
         if (p.generators == frame.presentation.generators
                 and p.relators[:head] == frame.presentation.relators
-                and theta.target.order == 2
-                and theta.images == tuple(frame.schreier.subgroup.parity.items())):
+                and theta == tuple(frame.schreier.subgroup.parity.values())):
             return frame
     return None
 
 
-def _checked_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate:
-    """K's frame certificate, as ``accepted_frame`` accepts it or after each check."""
+def _checked_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate:
+    """K's frame certificate, as ``accepted_frame`` accepts it or after
+    each check; generators are named, by zipping theta with them, only
+    here."""
     if frame := accepted_frame(p, theta):
         return frame
+    names = p.generator_names()
+    bits = [] if len(theta) == len(names) else [
+        f"theta has {len(theta)} bits, K {len(names)} generators"]
+    bits += [f"theta sends {g} to {bit!r}, not the int 0 or 1"
+             for g, bit in zip(names, theta) if type(bit) is not int or bit not in (0, 1)]
+    if bits:
+        raise ValueError("; ".join(bits))
     if p.signature is None or len(p.signature.period_cycles) != 1:
         raise ValueError("only single-boundary disc quotients are supported")
     reflections = p.generators_of_kind("reflection")
@@ -219,11 +236,9 @@ def _checked_frame(p: Presentation, theta: FiniteHom) -> FrameCertificate:
     higher = [x for x in elliptics if x not in p.involution_names()]
     if higher:
         raise ValueError(f"every interior point must be an involution, unlike {', '.join(higher)}")
-    index = theta.image_order()
-    if index != 2:
-        raise ValueError(f"theta has index {index}, expected 2")
-    one = theta.target.identity
-    parity = {g: int(theta.image_of(g) != one) for g in p.generator_names()}
+    if not any(theta):
+        raise ValueError("theta has index 1, expected 2")
+    parity = dict(zip(names, theta))
     fixed = [g for g in reflections + elliptics if not parity[g]]
     if fixed:
         raise ValueError(

@@ -53,14 +53,13 @@ class FrameCertificate(Record):
                      walk, eta, parities)
 
 
-def parity_bits(
-    generators: Iterable[tuple[str, GeneratorKind]], gamma: int,
-) -> tuple[tuple[str, int], ...]:
-    """K's parity map theta: K -> C_2 as each of K's ``generators`` with
-    its bit, in order: 1 on each interior point and each reflection, and
-    on the connector gamma mod 2, the parity of its closed form
-    x_1^-1...x_gamma^-1, which the long relator x_gamma...x_1*e forces."""
-    return tuple((g, gamma % 2 if kind.kind == "connector" else 1) for g, kind in generators)
+def parity_bits(generators: Iterable[tuple[str, GeneratorKind]], gamma: int) -> tuple[int, ...]:
+    """K's parity map theta: K -> C_2 as its bit on each of K's
+    ``generators``, in order: 1 on each interior point and each
+    reflection, and on the connector gamma mod 2, the parity of its closed
+    form x_1^-1...x_gamma^-1, which the long relator x_gamma...x_1*e
+    forces."""
+    return tuple(gamma % 2 if kind.kind == "connector" else 1 for _, kind in generators)
 
 
 def certified_frame(frame: Presentation) -> FrameCertificate:
@@ -72,7 +71,7 @@ def certified_frame(frame: Presentation) -> FrameCertificate:
     checked by each shape, which names it with its period."""
     xs, (e,) = frame.generators_of_kind("elliptic"), frame.generators_of_kind("connector")
     solved = Word(tuple((x, -1) for x in xs))
-    parity = dict(parity_bits(frame.generators, len(xs)))
+    parity = dict(zip(frame.generator_names(), parity_bits(frame.generators, len(xs))))
     schreier = schreier_frame(frame.generators, frame.relators, parity)
     rows, units, statuses = (), None, ()
     if not parity[e]:

@@ -65,10 +65,11 @@ letters of K (``presentations.LetterMemo``).  K must be its frame plus
 its corners (``cosets.reidemeister_schreier`` refuses any other), and the
 derived kernel's subgroup holds the frame's record, where the lemma and
 the rho stage read it.  A new shape in a warm frame takes O(r) Python
-steps and certifies no word: it spells its corners, accepts theta and
-each corner of K by tuple comparisons with the frame, rewrites and
-de-duplicates the corners, checks the claimed signature and reads H1 off
-its periods.  README's frame section gives what each memo retains.
+steps and certifies no word: it spells its corners, accepts K and theta
+once and compares each corner of K with its unit's power once, by tuple
+comparisons with the frame, rewrites and de-duplicates the corners,
+checks the claimed signature and reads H1 off its periods.  README's
+frame section gives what each memo retains.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -86,9 +87,9 @@ from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, product, repeat, zip_longest
 from operator import mul
 
-from .cosets import SchreierSubgroup, accepted_frame, reidemeister_schreier
+from .cosets import SchreierSubgroup, _kernel, accepted_frame, reidemeister_schreier
 from .frames import FrameCertificate, PipelineAssertionError, _theta_images, parity_bits
-from .groups import CyclicGroup, DihedralGroup, FiniteHom
+from .groups import CyclicGroup, DihedralGroup
 from .kernels import KernelSignatureReport
 from .presentations import (
     LetterMemo,
@@ -268,14 +269,15 @@ def validate_action(datum: ActionDatum) -> int:
 # theta and the derived kernel
 # ---------------------------------------------------------------------------
 
-def build_theta(K: Presentation) -> FiniteHom:
-    """The parity map K -> C_2 (``frames.parity_bits``, with gamma read off
-    K's signature): interior elliptics and reflections go to the
-    non-trivial element, and the connector to gamma mod 2, the parity of
-    its closed form x_1^-1...x_gamma^-1: the one image making the long
-    relator hold (so the naive image e -> 1 is valid exactly when gamma is
-    even).  No frame is certified."""
-    return FiniteHom(K, CyclicGroup(2), parity_bits(K.generators, len(K.signature.proper_periods)))
+def build_theta(K: Presentation) -> tuple[int, ...]:
+    """The parity map K -> C_2 as its bit on each of K's generators, in
+    K's generator order (``frames.parity_bits``, with gamma read off K's
+    signature): 1 on the interior elliptics and the reflections, and
+    gamma mod 2 on the connector, the parity of its closed form
+    x_1^-1...x_gamma^-1: the one bit making the long relator hold (so the
+    naive bit e -> 1 is valid exactly when gamma is even).  No frame is
+    certified, and no name is read."""
+    return parity_bits(K.generators, len(K.signature.proper_periods))
 
 
 class DerivedKernel(Record):
@@ -301,13 +303,14 @@ class DerivedKernel(Record):
         return KernelSignatureReport(self.signature)
 
 
-def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
+def derive_delta_hat(K: Presentation, theta: tuple[int, ...]) -> DerivedKernel:
     """Reidemeister-Schreier presentation of ker(theta) over {1, tau1},
     with its torsion words and its claimed signature, and (when theta's
     bit on the connector is 0, as for even gamma) the certified classical
-    relator list.  Every input check is ``reidemeister_schreier``'s, and
-    runs first: theta must be K's parity map, and K needs an interior cone
-    point.
+    relator list.  Theta is its bit on each of K's generators, in K's
+    generator order (``build_theta``).  Every input check is
+    ``reidemeister_schreier``'s, and runs first: theta must be K's parity
+    map, and K needs an interior cone point; the rest is ``_derived``'s.
 
     The claim is Delta's signature (gamma; -; [sorted periods]), so the
     two groups are isomorphic (Macbeath, Canad. J. Math. 19, 1967).  The
@@ -321,17 +324,23 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
     0.  A fact that fails raises ``PipelineAssertionError`` naming the
     claimed signature.
 
-    The torsion words are the corner units' rewrites, so each corner of K
-    is checked, by one tuple comparison, to be the n_k-th power of its
-    unit, at both parities; at odd gamma a corner that is not raises
-    naming the claim and the corner.  The classical relators are read off
-    the certificate of K's frame (``frames.FrameCertificate``), which
-    certifies each corner unit c (spelling tau_k*tau_(k+1)), the closing
-    row and the delta-alternations in one ``verify_derived_relators``
-    call; a corner row c^(n_k) holds once K's corner is that unit's n_k-th
-    power, so a shape certifies no word, and a row that fails names its
-    label."""
-    sub = reidemeister_schreier(K, theta)
+    The torsion words are the rewrites of the corner units of the frame's
+    ``SchreierFrame``, so each corner of K is checked, by one tuple
+    comparison, to be the n_k-th power of its unit, at both parities, here
+    alone; at odd gamma a corner that is not raises naming the claim and
+    the corner.  The classical relators are read off the certificate of
+    K's frame (``frames.FrameCertificate``), which certifies each corner
+    unit c (spelling the same tau_k*tau_(k+1)), the closing row and the
+    delta-alternations in one ``verify_derived_relators`` call; a corner
+    row c^(n_k) holds once K's corner is that unit's n_k-th power, so a
+    shape certifies no word, and a row that fails names its label."""
+    return _derived(K, reidemeister_schreier(K, theta))
+
+
+def _derived(K: Presentation, sub: SchreierSubgroup) -> DerivedKernel:
+    """The derived kernel of ``sub``, ker(theta) in K derived in its
+    frame, with its signature claimed and checked and each corner of K
+    compared with its unit's power, as ``derive_delta_hat`` gives them."""
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.signature.proper_periods), tuple(sorted(periods)))
 
@@ -349,17 +358,16 @@ def derive_delta_hat(K: Presentation, theta: FiniteHom) -> DerivedKernel:
         raise unproved(f"reduced area {Fraction(a, b)} is not twice K's {Fraction(c, d)}")
 
     frame, r = sub.frame, len(periods)
-    corners = K.relators[len(K.relators) - r:]
+    units = frame.schreier.corners
+    fits = [rel.letters == unit * n
+            for rel, unit, n in zip(K.relators[len(K.relators) - r:], units, periods)]
     if frame.units is None:  # odd gamma: no classical row reads the corners
-        for k, (rel, unit, n) in enumerate(zip(corners, frame.schreier.corners, periods), 1):
-            if rel.letters != unit * n:
+        for k, (fit, unit, n) in enumerate(zip(fits, units, periods), 1):
+            if not fit:
                 raise unproved(f"corner {k} of K is not ({Word(unit)})^{n}")
         return DerivedKernel(subgroup=sub, signature=claim, printed_checks=())
     texts = [text for text, _, _ in frame.rows]
     labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + texts[r:]
-    units = frame.units.relators
-    fits = [rel.letters == unit.letters * p
-            for rel, unit, p in zip(corners, units[len(units) - r:], periods)]
     for label, status, fit in zip_longest(labels, frame.statuses, fits, fillvalue=True):
         if status == "unresolved" or not fit:
             raise PipelineAssertionError(f"classical relator {label} could not be certified")
@@ -495,7 +503,7 @@ class ShapeCertificate(Record):
     _fields = __slots__[:5]
 
     def __init__(
-        self, k_presentation: Presentation, theta: FiniteHom, derived: DerivedKernel,
+        self, k_presentation: Presentation, theta: tuple[int, ...], derived: DerivedKernel,
         lemma: LemmaReport, k_area: tuple[int, int],
     ) -> None:
         self._assign(k_presentation, theta, derived, lemma, k_area)
@@ -510,10 +518,13 @@ class ShapeCertificate(Record):
 def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     """The rho-independent stage of ``realize``, in its order: K and
     theta, theta a homomorphism, ``derive_delta_hat`` (which claims and
-    checks the kernel's signature, the index-2 area identity included) and
+    checks the kernel's signature, the index-2 area identity included,
+    and compares each corner of K with its unit's power) and
     ``lemma1_check``.  A failed check raises ``PipelineAssertionError``.
-    Theta is accepted as its frame's parity map with each corner of K its
-    unit's power (``cosets.accepted_frame``): no relator is walked.
+    Theta is certified a homomorphism by being accepted, once, as its
+    frame's parity map (``cosets.accepted_frame``): the frame accepted is
+    handed to the derivation (``cosets._kernel``, then ``_derived``),
+    which accepts nothing again, and no relator is walked.
 
     Memoised by the letters of K (``LetterMemo``); a call that raises is
     not memoised, so it raises again on the next call.  The shape is not
@@ -521,12 +532,11 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     has accepted the datum."""
     K = canonical_presentation(quotient_disc_signature(gamma, periods))
     theta = build_theta(K)
-    frame, corners = accepted_frame(K, theta), K.relators[len(K.relators) - len(periods):]
-    if frame is None or any(rel.letters != unit * n for rel, unit, n
-                            in zip(corners, frame.schreier.corners, periods)):
+    frame = accepted_frame(K, theta)
+    if frame is None:
         raise PipelineAssertionError("parity map theta is not a homomorphism")
 
-    derived = derive_delta_hat(K, theta)
+    derived = _derived(K, _kernel(K, frame))
     return ShapeCertificate(k_presentation=K, theta=theta, derived=derived,
                             lemma=lemma1_check(derived), k_area=area_terms(K.signature))
 

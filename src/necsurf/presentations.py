@@ -43,7 +43,6 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import partial, update_wrapper
 
-from .groups import FiniteHom
 from .signatures import (
     CONNECTOR,
     GLIDE,
@@ -225,19 +224,15 @@ def _crosscap_presentation(sig: NECSignature) -> Presentation:
 # ---------------------------------------------------------------------------
 
 def check_homomorphism(
-    p: Presentation, hom: FiniteHom | list, target=None, walk: Iterable = (),
+    p: Presentation, images: list, target, walk: Iterable,
 ) -> tuple[tuple[Word, object], ...]:
     """Evaluate every relator; images defining a homomorphism send all of
-    them to the identity.  ``hom`` is a ``FiniteHom``, or its images in
-    ``target`` in p's generator order, with ``walk`` p's relators as
-    (index, exponent) letters, so that no name is read.  Returns the
-    failures, each offending relator with the element it evaluates to, so
-    an empty tuple means valid."""
-    if target is None:
-        target, values = hom.target, map(hom.evaluate, p.relators)
-    else:
-        values = (target.normal_form(hom, letters) for letters in walk)
+    them to the identity.  ``images`` are in ``target`` in p's generator
+    order, and ``walk`` is p's relators as (index, exponent) letters, so
+    that no name is read.  Returns the failures, each offending relator
+    with the element it evaluates to, so an empty tuple means valid."""
     identity = target.identity
+    values = (target.normal_form(images, letters) for letters in walk)
     return tuple((rel, value) for rel, value in zip(p.relators, values, strict=True)
                  if value != identity)
 

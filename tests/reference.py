@@ -25,9 +25,14 @@ connector themselves (``connector_elimination``, checked against the
 relator search ``search_connector_elimination``).  ``oracle_document``
 builds a certificate's whole document as one dict, key by key, the oracle of
 ``necsurf.certificate.render``, which splices a shape's encoded keys
-with each call's.  ``rebuilt_hom`` names a tuple of the rho stage,
-Theta's rotations or eta's residues, as the ``FiniteHom`` it stands for,
-the form in which the tests read it.
+with each call's.  ``FiniteHom`` is a homomorphism with its images
+named, each checked at construction to be an element of its target, and
+``named_walk`` the relator check that evaluates each relator by name:
+the oracles of the library's tuples in generator order and of its
+indexed ``check_homomorphism``.  ``theta_hom`` names theta's bits and
+``rebuilt_hom`` a tuple of the rho stage, Theta's rotations or eta's
+residues, as the ``FiniteHom`` it stands for, the form in which the
+tests read it.
 ``replace`` rebuilds a result with some of its fields changed, through
 the constructor.
 
@@ -53,11 +58,9 @@ from necsurf import abelian, cosets, pipeline
 from necsurf import (
     CyclicGroup,
     DihedralGroup,
-    FiniteHom,
     NECSignature,
     NotInKernelError,
     canonical_presentation,
-    check_homomorphism,
     quotient_disc_signature,
     reduced_area,
     validate_action,
@@ -66,7 +69,7 @@ from necsurf import (
 from necsurf.kernels import KernelSignatureReport
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR, GLIDE, area_terms
-from necsurf.words import Word, cyclic_reduce_letters, substitute_letters
+from necsurf.words import Record, Word, cyclic_reduce_letters, substitute_letters
 
 
 class NoSurfaceKernelError(ValueError):
@@ -170,6 +173,98 @@ def elementwise_failures(p: Presentation, hom):
         if value != identity(hom.target):
             failures.append((rel, value))
     return tuple(failures)
+
+
+# Homomorphisms with named images, and the relator check by name: the
+# oracles of the library's image tuples in generator order and of its
+# indexed ``check_homomorphism``.
+
+class GroupMismatchError(ValueError):
+    """An element does not belong to the group it is used in."""
+
+
+def is_element(group, x) -> bool:
+    """Whether ``x`` is an element of ``group`` as a plain value: in C_m an
+    ``int`` (not a ``bool``) in ``range(m)``, in D_m a tuple (eps, k) of
+    such, eps in ``range(2)``."""
+    def residue(v, m):
+        return type(v) is int and 0 <= v < m
+
+    if isinstance(group, CyclicGroup):
+        return residue(x, group.modulus)
+    return type(x) is tuple and len(x) == 2 and residue(x[0], 2) and residue(x[1], group.modulus)
+
+
+class FiniteHom(Record):
+    """A homomorphism from a finitely presented group to a finite group,
+    given by its generator images, each with its generator's name.
+    Construction checks that exactly the domain's generators have images
+    (else ``ValueError`` names the missing and the undeclared ones) and
+    that every image is an element of ``target`` (else
+    ``GroupMismatchError`` names the first generator whose image is not);
+    whether the images satisfy the relators is ``named_walk``'s to check.
+    The name -> image lookup is a slot outside ``_fields``, so comparison
+    and hashing ignore it."""
+
+    __slots__ = ("domain", "target", "images", "_by_name")
+    _fields = __slots__[:3]
+
+    def __init__(self, domain: Presentation, target, images) -> None:
+        images, names = tuple(images), domain.generator_names()
+        by_name = dict(images)
+        if (declared := set(names)) != (assigned := set(by_name)):
+            raise ValueError(
+                f"generator images do not match the domain: missing images for"
+                f" {sorted(declared - assigned)}, images for undeclared generators"
+                f" {sorted(assigned - declared)}"
+            )
+        for g, img in images:
+            if not is_element(target, img):
+                raise GroupMismatchError(
+                    f"image {img!r} of generator {g} is not an element of {target}")
+        self._assign(domain, target, images)
+        self._keep("_by_name", by_name)
+
+    @classmethod
+    def from_dict(cls, domain, target, images: dict) -> "FiniteHom":
+        """The homomorphism with these images, put in the domain's
+        generator order; any image for an undeclared generator follows,
+        for construction to reject."""
+        rest = dict(images)
+        ordered = [(g, rest.pop(g)) for g, _ in domain.generators if g in rest]
+        return cls(domain, target, (*ordered, *rest.items()))
+
+    def image_of(self, name: str):
+        return self._by_name[name]
+
+    def evaluate(self, word: Word):
+        """Image of a word: the target's normal form of its letters, each
+        image looked up by name."""
+        return self.target.normal_form(self._by_name, word.letters)
+
+    def image_order(self) -> int:
+        return self.target.subgroup_order(v for _, v in self.images)
+
+
+def named_walk(p: Presentation, hom: FiniteHom):
+    """Each relator of ``p`` that ``hom`` does not send to the identity,
+    with the element it is sent to, in relator order, each evaluated by
+    name (``FiniteHom.evaluate``): the named path that the library's
+    indexed ``check_homomorphism`` replaced."""
+    one = hom.target.identity
+    return tuple((rel, value) for rel in p.relators if (value := hom.evaluate(rel)) != one)
+
+
+def rebit(K: Presentation, theta, **bits) -> tuple:
+    """Theta's bits, in K's generator order, with ``bits`` in place of
+    the named generators' own."""
+    return tuple(bits.get(g, bit) for g, bit in zip(K.generator_names(), theta, strict=True))
+
+
+def theta_hom(K: Presentation, theta) -> FiniteHom:
+    """Theta's bits, in K's generator order, as the ``FiniteHom`` K -> C_2
+    they stand for."""
+    return FiniteHom(K, CyclicGroup(2), zip(K.generator_names(), theta, strict=True))
 
 
 # Areas one Fraction per term: the oracle for the common-denominator sums
@@ -310,12 +405,9 @@ def word_character(p: Presentation, w: Word) -> int:
 
 
 def naive_theta(K):
-    """The parity map with the naive connector image e -> 1 and every
-    other generator sent to the non-trivial element of C_2."""
-    c2 = CyclicGroup(2)
-    return FiniteHom.from_dict(
-        K, c2, {name: int(name != "e") for name in K.generator_names()}
-    )
+    """The parity map's bits with the naive connector image e -> 1 and
+    every other generator sent to the non-trivial element of C_2."""
+    return tuple(int(name != "e") for name in K.generator_names())
 
 
 def theta_through_eta(derived, eta: FiniteHom, name):
@@ -700,7 +792,7 @@ def surface_kernel_problems(pres: Presentation, hom: FiniteHom, label: str) -> l
     the kernel is a torsion-free Fuchsian surface group."""
     problems = [
         f"{label} is not a homomorphism: relator {rel} maps to {pipeline.decimal(value)}"
-        for rel, value in check_homomorphism(pres, hom)
+        for rel, value in named_walk(pres, hom)
     ]
     if hom.image_order() != hom.target.order:
         problems.append(f"{label} is not surjective onto C_{pipeline.decimal(hom.target.modulus)}")
@@ -1026,13 +1118,12 @@ def abelianization(p: Presentation) -> abelian.Abelianization:
 # which certify once per frame (gamma, r) and read every later shape and
 # rho off the frame.
 
-def unkept_reidemeister_schreier(p: Presentation, theta: FiniteHom):
+def unkept_reidemeister_schreier(p: Presentation, theta):
     """``cosets.reidemeister_schreier`` with a ``cosets.schreier_frame``
     derived from ``p`` itself and kept nowhere: for any ``p`` whose
-    generators and theta pass its checks, its frame or not.  The subgroup
-    keeps no frame."""
-    one = theta.target.identity
-    parity = {g: int(theta.image_of(g) != one) for g in p.generator_names()}
+    generators and theta's bits pass its checks, its frame or not.  The
+    subgroup keeps no frame."""
+    parity = dict(zip(p.generator_names(), theta, strict=True))
     cycle = p.signature.period_cycles[0]
     prefix = p.relators[:len(p.relators) - len(cycle)]
     frame = cosets.schreier_frame(p.generators, prefix, parity)
@@ -1083,7 +1174,7 @@ def walked_theta(K: Presentation, datum):
     connector = tuple((names.index(g), e) for g, e in solved.letters)
     images = pipeline._theta_images(connector, dihedral, glides, accumulate(datum.x_images))
     hom = FiniteHom(K, dihedral, zip(names, images, strict=True))
-    return hom, check_homomorphism(K, hom)
+    return hom, named_walk(K, hom)
 
 
 def rebuilt_hom(shape, datum, result) -> FiniteHom:
@@ -1096,9 +1187,10 @@ def rebuilt_hom(shape, datum, result) -> FiniteHom:
         pres = shape.derived.presentation
         return FiniteHom(pres, CyclicGroup(datum.order),
                          zip(pres.generator_names(), result.images, strict=True))
-    images = ((name, (flip, rotation)) for (name, flip), rotation
-              in zip(shape.theta.images, result.rotations, strict=True))
-    return FiniteHom(shape.k_presentation, DihedralGroup(datum.order), images)
+    K = shape.k_presentation
+    images = ((name, (flip, rotation)) for name, flip, rotation
+              in zip(K.generator_names(), shape.theta, result.rotations, strict=True))
+    return FiniteHom(K, DihedralGroup(datum.order), images)
 
 
 def walked_eta(sub, theta: FiniteHom):
@@ -1148,7 +1240,7 @@ def oracle_certificate(datum):
     genus = validate_action(datum)
     K = canonical_presentation(quotient_disc_signature(datum.gamma, datum.periods))
     theta = pipeline.build_theta(K)
-    assert not check_homomorphism(K, theta)
+    assert not named_walk(K, theta_hom(K, theta))
     sub, frame = unkept_reidemeister_schreier(K, theta)
     printed = ()
     (connector,) = K.generators_of_kind("connector")
@@ -1206,7 +1298,8 @@ def oracle_document(cert, input_doc: dict) -> dict:
     datum = cert.datum
     lemma = cert.lemma
     (connector,) = cert.k_presentation.generators_of_kind("connector")
-    connector_exponent = cert.theta.image_of(connector)
+    theta = theta_hom(cert.k_presentation, cert.theta)
+    connector_exponent = theta.image_of(connector)
     return {
         "input": input_doc,
         "rho_resolved": {"d": list(datum.d_images), "x": list(datum.x_images)},
@@ -1215,7 +1308,7 @@ def oracle_document(cert, input_doc: dict) -> dict:
         "k_signature": _oracle_signature(cert.k_presentation.signature),
         "k_presentation": _oracle_presentation(cert.k_presentation),
         "theta": {
-            "images": _oracle_images(cert.theta),
+            "images": _oracle_images(theta),
             "connector_exponent": connector_exponent,
             "printed_connector_valid": connector_exponent == 0,
         },

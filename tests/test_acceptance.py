@@ -12,7 +12,6 @@ from necsurf import (
     NECSignature,
     build_theta,
     canonical_presentation,
-    check_homomorphism,
     construct_eta,
     enumerate_smooth_epimorphisms,
     extend_to_dihedral,
@@ -28,8 +27,10 @@ from reference import (
     kernel_signature_index2,
     mul,
     naive_theta,
+    named_walk,
     rebuilt_hom,
     rotation,
+    theta_hom,
     unpruned_epimorphisms,
 )
 
@@ -115,7 +116,7 @@ def test_criterion_4_dihedral_certificates(action_battery, closure):
         assert ext.kernel_index == 4 * datum.n
         assert cert.conclusion
         K = cert.k_presentation
-        naive = check_homomorphism(K, naive_theta(K))
+        naive = named_walk(K, theta_hom(K, naive_theta(K)))
         assert (not naive) == (datum.gamma % 2 == 0)
     report(
         4,
@@ -205,8 +206,8 @@ def test_criterion_7_connector_parity(signature_battery):
     even = odd = 0
     for gamma, periods in signature_battery:
         K = canonical_presentation(quotient_disc_signature(gamma, periods))
-        naive = check_homomorphism(K, naive_theta(K))
-        fixed = check_homomorphism(K, build_theta(K))
+        naive = named_walk(K, theta_hom(K, naive_theta(K)))
+        fixed = named_walk(K, theta_hom(K, build_theta(K)))
         assert not fixed
         if gamma % 2 == 0:
             even += 1

@@ -5,7 +5,6 @@ import pytest
 from necsurf import (
     CyclicGroup,
     DerivedKernel,
-    FiniteHom,
     NECSignature,
     NotInKernelError,
     PipelineAssertionError,
@@ -22,6 +21,7 @@ from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
 from reference import (
+    FiniteHom,
     cayley_coset_table,
     conjugate_relators,
     conjugate_rewrite,
@@ -29,7 +29,9 @@ from reference import (
     identity,
     naive_theta,
     parse_word,
+    rebit,
     reduce_mod_involutions,
+    theta_hom,
     unkept_reidemeister_schreier,
 )
 from reference import reidemeister_schreier as table_reidemeister_schreier
@@ -48,7 +50,7 @@ class TestCayleyCosetTable:
     def test_parity_map_has_two_cosets(self):
         K = disc_group(2, (2,))
         theta = build_theta(K)
-        table = cayley_coset_table(theta)
+        table = cayley_coset_table(theta_hom(K, theta))
         assert table.index == 2
         for tau in ("tau1", "tau2"):
             assert table.forward[tau] == (1, 0)
@@ -82,7 +84,8 @@ def both_constructions(K):
     """ker(theta) by the closed form over {1, tau1} and by the general
     construction over the coset table."""
     theta = build_theta(K)
-    return reidemeister_schreier(K, theta), table_reidemeister_schreier(K, cayley_coset_table(theta))
+    table = cayley_coset_table(theta_hom(K, theta))
+    return reidemeister_schreier(K, theta), table_reidemeister_schreier(K, table)
 
 
 def generator_pairs(sub):
@@ -166,21 +169,14 @@ class TestReidemeisterSchreier:
 
     def test_requires_the_transversal_one_tau1(self):
         K = disc_group(2, (2,))
-        c2 = CyclicGroup(2)
-        trivial = FiniteHom.from_dict(K, c2, {g: identity(c2) for g in K.generator_names()})
         with pytest.raises(ValueError, match="index 1"):
-            reidemeister_schreier(K, trivial)
-        images = dict(build_theta(K).images) | {"tau1": identity(c2)}
+            reidemeister_schreier(K, (0,) * len(K.generators))
         with pytest.raises(ValueError, match="fixes tau1$"):
-            reidemeister_schreier(K, FiniteHom.from_dict(K, c2, images))
+            reidemeister_schreier(K, rebit(K, build_theta(K), tau1=0))
 
     def test_surviving_reflection_rejected(self):
         K = disc_group(2, (2,))
-        c2 = CyclicGroup(2)
-        images = {name: 1 for name in K.generator_names()}
-        images["e"] = 0
-        images["tau2"] = 0  # tau2 would survive in the kernel
-        bad = FiniteHom.from_dict(K, c2, images)
+        bad = rebit(K, (1,) * len(K.generators), e=0, tau2=0)  # tau2 would survive in the kernel
         with pytest.raises(ValueError, match="tau2"):
             reidemeister_schreier(K, bad)
 
@@ -190,11 +186,40 @@ class TestReidemeisterSchreier:
         with pytest.raises(ValueError, match="single-boundary"):
             reidemeister_schreier(Presentation(K.generators, K.relators), theta)
         # K without its reflections, where theta still has index 2
-        kept = tuple((g, kind) for g, kind in K.generators if kind.kind != "reflection")
-        bare = Presentation(kept, (), signature=K.signature)
-        images = {g: theta.image_of(g) for g, _ in kept}
+        kept = [((g, kind), bit) for (g, kind), bit in zip(K.generators, theta)
+                if kind.kind != "reflection"]
+        bare = Presentation((g for g, _ in kept), (), signature=K.signature)
         with pytest.raises(ValueError, match="no reflection"):
-            reidemeister_schreier(bare, FiniteHom.from_dict(bare, CyclicGroup(2), images))
+            reidemeister_schreier(bare, tuple(bit for _, bit in kept))
+
+    # theta is a bare tuple, so one of another length, or with a value that
+    # is not the int 0 or 1, is refused with each reason, not zipped short
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["one-short", "one-over"])
+    def test_theta_of_another_length_is_refused(self, cut):
+        K = disc_group(2, (2,))
+        theta = build_theta(K)
+        bits = theta[:cut] if cut < 0 else theta + (1,)
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError) as exc:
+                derive(K, bits)
+            assert str(exc.value) == f"theta has {len(bits)} bits, K 5 generators"
+
+    @pytest.mark.parametrize("bit", [2, -1, None, "1", 1.5, True],
+                             ids=["two", "minus-one", "none", "string", "float", "bool"])
+    def test_a_value_that_is_not_a_bit_is_refused(self, bit):
+        # e's bit is 0 at even gamma, and tau1's 1: each is named
+        K = disc_group(2, (2,))
+        bits = rebit(K, build_theta(K), e=bit, tau1=bit)
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError) as exc:
+                derive(K, bits)
+            assert str(exc.value) == (f"theta sends e to {bit!r}, not the int 0 or 1;"
+                                      f" theta sends tau1 to {bit!r}, not the int 0 or 1")
+        with pytest.raises(ValueError) as exc:
+            reidemeister_schreier(K, bits[:-1])
+        assert str(exc.value) == (f"theta has 4 bits, K 5 generators; theta sends e to {bit!r},"
+                                  f" not the int 0 or 1; theta sends tau1 to {bit!r}, not the"
+                                  " int 0 or 1")
 
     def test_generators_are_born_canonical(self):
         for gamma, periods in [(1, (2, 2, 2)), (2, (3,)), (4, ()), (3, (2, 4))]:
@@ -213,7 +238,7 @@ def test_closed_form_matches_reference(derived_battery):
     tau1 = Word.gen("tau1")
     for _, _, K, theta, derived in derived_battery:
         sub = derived.subgroup
-        ref = table_reidemeister_schreier(K, cayley_coset_table(theta))
+        ref = table_reidemeister_schreier(K, cayley_coset_table(theta_hom(K, theta)))
         assert [str(w) for w in ref.transversal] == ["1", "tau1"]
         pairs = generator_pairs(sub)
         assert pairs == canonical_generators(K)
@@ -300,7 +325,8 @@ def test_backward_inverts_forward(derived_battery, action_battery):
     """The theta tables of the signature battery with gamma <= 3, and the
     C_2n tables of rho over the action battery (where the permutations
     are not involutions)."""
-    tables = [cayley_coset_table(theta) for gamma, _, _, theta, _ in derived_battery if gamma <= 3]
+    tables = [cayley_coset_table(theta_hom(K, theta))
+              for gamma, _, K, theta, _ in derived_battery if gamma <= 3]
     for datum in action_battery:
         delta = canonical_presentation(datum.delta_signature())
         c = CyclicGroup(datum.order)

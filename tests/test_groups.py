@@ -4,16 +4,21 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from necsurf import (
-    CyclicGroup,
-    DihedralGroup,
-    FiniteHom,
-    GroupMismatchError,
-)
+from necsurf import CyclicGroup, DihedralGroup
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
-from reference import element_fold, identity, inverse, mul, order, parse_word, rotation
+from reference import (
+    FiniteHom,
+    GroupMismatchError,
+    element_fold,
+    identity,
+    inverse,
+    mul,
+    order,
+    parse_word,
+    rotation,
+)
 
 
 @pytest.mark.parametrize("group", [CyclicGroup, DihedralGroup])
@@ -102,6 +107,8 @@ def test_subgroup_order_matches_closure(closure):
 
 
 class TestFiniteHom:
+    """The named homomorphism, the tests' oracle (``reference.FiniteHom``)."""
+
     def _free_presentation(self, *names):
         return Presentation(tuple((n, CONNECTOR) for n in names), ())
 
@@ -154,8 +161,8 @@ class TestFiniteHom:
         with pytest.raises(GroupMismatchError, match="generator b"):
             FiniteHom.from_dict(p, target, {"a": identity(target), "b": image})
 
-    # construction tests names and images in bulk, and words a failure
-    # name by name: each message is the one the item-by-item check gives
+    # construction words a failure name by name, whether the images come
+    # as a dict or as pairs
     @pytest.mark.parametrize("group", [CyclicGroup, DihedralGroup])
     @pytest.mark.parametrize("kind", [
         "bool", "negative", "too-large", "not-a-tuple", "short", "long", "bool-in-pair"])

@@ -9,11 +9,9 @@ from hypothesis import assume, given, strategies as st
 
 from necsurf import (
     CyclicGroup,
-    FiniteHom,
     NECSignature,
     build_theta,
     canonical_presentation,
-    check_homomorphism,
     derive_delta_hat,
     quotient_disc_signature,
     reduced_area,
@@ -24,15 +22,18 @@ from necsurf.presentations import Presentation, certify_frame
 from necsurf.signatures import elliptic
 from necsurf.words import Word
 from reference import (
+    FiniteHom,
     character_factors_through_image,
     free_reduce,
     kernel_signature_index2,
+    named_walk,
     replace,
     substitute,
     surface_kernel_genus,
     surface_kernel_problems,
     termwise_area,
     termwise_kernel_genus,
+    theta_hom,
     word_character,
 )
 
@@ -101,8 +102,8 @@ class TestKernelSignatureIndex2:
             signature=sig,
         )
         theta = build_theta(K)
-        assert not check_homomorphism(K, theta)
-        assert theta.image_of("x1") == 1
+        assert not named_walk(K, theta_hom(K, theta))
+        assert theta_hom(K, theta).image_of("x1") == 1
         with pytest.raises(ValueError, match="involution, unlike x1$") as rs:
             reidemeister_schreier(K, theta)
         with pytest.raises(ValueError) as derived:
@@ -132,8 +133,8 @@ class TestKernelSignatureIndex2:
         misses = certify_frame.cache_info().misses
         K = canonical_presentation(NECSignature(True, 0, (), ((3, 3),)))
         theta = build_theta(K)
-        assert not check_homomorphism(K, theta)
-        assert character_factors_through_image(K, theta)[0] is True
+        assert not named_walk(K, theta_hom(K, theta))
+        assert character_factors_through_image(K, theta_hom(K, theta))[0] is True
         with pytest.raises(ValueError, match="at least one interior cone point") as rs:
             reidemeister_schreier(K, theta)
         with pytest.raises(ValueError) as derived:
@@ -154,7 +155,8 @@ class TestKernelSignatureIndex2:
             sub = derived.subgroup
             report = kernel_signature_index2(sub)
             assert report.signature == derived.report.signature
-            factors, _ = character_factors_through_image(K, theta)
+            named = theta_hom(K, theta)
+            factors, _ = character_factors_through_image(K, named)
             assert report.signature.orientable == factors is False
 
             taus = K.generators_of_kind("reflection")
@@ -169,15 +171,15 @@ class TestKernelSignatureIndex2:
 
             for xs in product((0, 1), repeat=gamma if gamma <= 2 else 0):
                 if not all(xs):
-                    images = dict(theta.images) | {
+                    images = dict(named.images) | {
                         f"x{j}": v for j, v in enumerate(xs, start=1)
                     }
                     images["e"] = sum(xs) % 2
                     variant = FiniteHom.from_dict(K, c2, images)
-                    assert not check_homomorphism(K, variant)
+                    assert not named_walk(K, variant)
                     fixed = ", ".join(f"x{j}" for j, v in enumerate(xs, start=1) if not v)
                     with pytest.raises(ValueError, match=f"and interior point, and fixes {fixed}$"):
-                        reidemeister_schreier(K, variant)
+                        reidemeister_schreier(K, tuple(v for _, v in variant.images))
                     rejected += 1
         assert (kernels_checked, rejected) == (1640, 1308)
 
@@ -210,7 +212,7 @@ class TestSurfaceKernelCheck:
 
     def test_valid_genus2_epimorphism(self):
         delta, rho = crosscap_rho(1, (2, 2, 2), 2, (1,), (2, 2, 2))
-        assert not check_homomorphism(delta, rho)
+        assert not named_walk(delta, rho)
         assert rho.image_order() == 4 == rho.target.order
         assert all(rho.target.element_order(rho.evaluate(w)) == n for w, n in delta.torsion_words)
         assert character_factors_through_image(delta, rho) == (True, None)

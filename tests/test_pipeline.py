@@ -28,7 +28,6 @@ from necsurf import (
     DihedralExtension,
     DihedralGroup,
     EtaResult,
-    FiniteHom,
     KernelSignatureReport,
     LemmaReport,
     NECSignature,
@@ -38,7 +37,6 @@ from necsurf import (
     admissible_shapes,
     build_theta,
     canonical_presentation,
-    check_homomorphism,
     construct_eta,
     derive_delta_hat,
     enumerate_smooth_epimorphisms,
@@ -58,20 +56,24 @@ from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR, GeneratorKind, area_terms
 from necsurf.words import Word
 from reference import (
+    FiniteHom,
     cayley_coset_table,
     element_fold,
     naive_theta,
+    named_walk,
     oracle_certificate,
     oracle_document,
     own_word_lemma,
     parse_word,
     product_loop_epimorphisms,
+    rebit,
     rebuilt_hom,
     reduce_mod_involutions,
     replace,
     rho_problems_by_presentation,
     rotation,
     surface_kernel_genus,
+    theta_hom,
     theta_through_eta,
     unkept_reidemeister_schreier,
     unpruned_epimorphisms,
@@ -154,15 +156,15 @@ def with_presentation(derived, presentation):
 
 
 def with_rs_presentation(monkeypatch, mutate):
-    """Patch ``pipeline.reidemeister_schreier`` so that the subgroup it
-    returns has its presentation replaced by ``mutate(presentation)``."""
-    rs = pipeline.reidemeister_schreier
+    """Patch ``pipeline._derived``, which ``derive_delta_hat`` and the
+    shape stage hand the Reidemeister-Schreier subgroup, so that the
+    subgroup has its presentation replaced by ``mutate(presentation)``."""
+    derived = pipeline._derived
 
-    def mutated(K, theta):
-        sub = rs(K, theta)
-        return replace(sub, presentation=mutate(sub.presentation))
+    def mutated(K, sub):
+        return derived(K, replace(sub, presentation=mutate(sub.presentation)))
 
-    monkeypatch.setattr(pipeline, "reidemeister_schreier", mutated)
+    monkeypatch.setattr(pipeline, "_derived", mutated)
 
 
 def assert_claim_refused(reason):
@@ -444,27 +446,35 @@ class TestClosedFormRhoCheck:
 
 
 class TestBuildTheta:
+    """Theta is its bit on each of K's generators, in K's generator order;
+    named (``theta_hom``), it is a homomorphism by the named walk."""
+
     def test_even_gamma_kills_connector(self):
         K = disc_group(2, (2,))
         theta = build_theta(K)
-        assert theta.image_of("e") == 0
-        assert not check_homomorphism(K, theta)
-        assert theta.image_order() == 2
+        assert theta == (1, 1, 0, 1, 1)
+        named = theta_hom(K, theta)
+        assert named.image_of("e") == 0
+        assert not named_walk(K, named)
+        assert named.image_order() == 2
 
     def test_odd_gamma_needs_nontrivial_connector(self):
         K = disc_group(1, (2, 2, 2))
         theta = build_theta(K)
-        assert theta.image_of("e") != 0
-        assert not check_homomorphism(K, theta)
-        naive = naive_theta(K)
-        assert check_homomorphism(K, naive)
+        named = theta_hom(K, theta)
+        assert named.image_of("e") != 0
+        assert not named_walk(K, named)
+        naive = theta_hom(K, naive_theta(K))
+        assert named_walk(K, naive)
 
     def test_gamma4_explicit(self):
         K = disc_group(4, ())
         theta = build_theta(K)
-        assert theta.image_of("e") == 0
-        assert all(theta.image_of(g) == 1 for g in ("x1", "x2", "x3", "x4", "tau1"))
-        assert not check_homomorphism(K, theta)
+        assert type(theta) is tuple and len(theta) == len(K.generators)
+        named = theta_hom(K, theta)
+        assert named.image_of("e") == 0
+        assert all(named.image_of(g) == 1 for g in ("x1", "x2", "x3", "x4", "tau1"))
+        assert not named_walk(K, named)
 
 
 def test_each_rule_of_the_chain_has_one_owner():
@@ -755,9 +765,10 @@ class TestDeriveDeltaHat:
 
     def test_a_mutated_corner_unit_on_the_frame_is_an_assertion(self, verified_words):
         # the frame's unit of corner 1 reversed, tau2*tau1: in a memoised
-        # record with the frame's statuses, K's corner is not its power,
-        # and in a record built with that unit the row c1 does not spell
-        # it; each raises, named for the shape's corner row
+        # record with the frame's statuses whose Schreier frame holds that
+        # unit, the one each corner of K is compared with, K's corner is
+        # not its power, and in a record built with that unit the row c1
+        # does not spell it; each raises, named for the shape's corner row
         derived_for(2, (3, 4))
         frame = presentations.certify_frame(2, 2)
         units = frame.units
@@ -765,7 +776,9 @@ class TestDeriveDeltaHat:
         bent = replace(units, relators=(*units.relators[:unit],
                                         Word(units.relators[unit].letters[::-1]),
                                         *units.relators[unit + 1:]))
-        for name, patched in (("certified_frame", lambda _: replace(frame, units=bent)), (
+        (first, rows), *rest = frame.schreier.corners.items()
+        schreier = replace(frame.schreier, corners=dict([(first[::-1], rows), *rest]))
+        for name, patched in (("certified_frame", lambda _: replace(frame, schreier=schreier)), (
                 "_printed_relator_words", lambda *a: (_printed_relator_words(*a)[0], bent))):
             presentations.certify_frame.cache_clear()
             with pytest.MonkeyPatch.context() as patch:
@@ -778,23 +791,17 @@ class TestDeriveDeltaHat:
     def test_theta_of_index_one_rejected(self):
         # the index check lives in reidemeister_schreier alone
         K = disc_group(2, (2,))
-        c2 = CyclicGroup(2)
-        trivial = FiniteHom.from_dict(K, c2, {g: 0 for g in K.generator_names()})
         with pytest.raises(ValueError, match="index 1"):
-            derive_delta_hat(K, trivial)
+            derive_delta_hat(K, (0,) * len(K.generators))
 
     def test_theta_fixing_tau1_rejected(self):
         K = disc_group(2, (2,))
-        c2 = CyclicGroup(2)
-        images = dict(build_theta(K).images) | {"tau1": 0}
         with pytest.raises(ValueError, match="fixes tau1$"):
-            derive_delta_hat(K, FiniteHom.from_dict(K, c2, images))
+            derive_delta_hat(K, rebit(K, build_theta(K), tau1=0))
 
     def test_theta_fixing_an_interior_point_rejected(self):
         K = disc_group(2, (2,))
-        c2 = CyclicGroup(2)
-        images = dict(build_theta(K).images) | {"x1": 0, "e": 1}
-        theta = FiniteHom.from_dict(K, c2, images)
+        theta = rebit(K, build_theta(K), x1=0, e=1)
         message = "^theta must move every reflection and interior point, and fixes x1$"
         for derive in (reidemeister_schreier, derive_delta_hat):
             with pytest.raises(ValueError, match=message):
@@ -853,7 +860,7 @@ class TestConstructEta:
     def test_genus2_instance(self):
         K, derived = derived_for(1, (2, 2, 2))
         eta, hom = eta_for(K, derived, GENUS2)
-        assert not check_homomorphism(derived.presentation, hom)
+        assert not named_walk(derived.presentation, hom)
         assert eta.torsion_images == GENUS2.x_images and eta.unit == 1
         assert hom.image_of("delta1") % 2 == 1
         assert [
@@ -865,7 +872,7 @@ class TestConstructEta:
     def test_gamma4_instance(self):
         K, derived = derived_for(4, ())
         _, hom = eta_for(K, derived, GAMMA4)
-        assert not check_homomorphism(derived.presentation, hom)
+        assert not named_walk(derived.presentation, hom)
         assert hom.image_order() == hom.target.order
         for j in range(1, 5):
             assert hom.image_of(f"delta{j}") % 2 == 1
@@ -929,7 +936,7 @@ def test_closed_form_on_every_small_epimorphism(closure):
             assert eta.unit == 1
             Theta, eta_hom = (rebuilt_hom(shape, datum, result) for result in (ext, eta))
             assert Theta.image_of("tau1") == dihedral.reflection(0)
-            assert not check_homomorphism(K, Theta)
+            assert not named_walk(K, Theta)
             images = [v for _, v in Theta.images]
             assert ext.image_order == len(closure(dihedral, images)) == 2 * order
             for gen in derived.subgroup.generators:
@@ -959,7 +966,7 @@ def test_evaluate_matches_element_fold_on_battery(action_battery):
         schreier = [gen.word for gen in cert.derived.subgroup.generators]
         for hom, pres, extra in (
             (rho, delta, []),
-            (cert.theta, K, schreier),
+            (theta_hom(K, cert.theta), K, schreier),
             (rebuilt_hom(cert.shape, datum, cert.extension), K, schreier),
             (rebuilt_hom(cert.shape, datum, cert.eta), derived, []),
         ):
@@ -1255,7 +1262,7 @@ class TestExtendToDihedral:
             assert Theta.evaluate(gen.word) == rotation(Theta.target, eta.image_of(gen.name))
         assert ext.image_order == 8
         assert ext.kernel_index == 8
-        assert not check_homomorphism(K, Theta)
+        assert not named_walk(K, Theta)
         flip, rot = Theta.image_of("tau1")
         assert flip == 1 and rot == ext.reflection_rotation
 
@@ -1315,7 +1322,7 @@ class TestExtendToDihedral:
             "x2 tau3 x2 tau3",
         ):
             w = parse_word(text)
-            if build_theta(K).evaluate(w) != 0:
+            if theta_hom(K, build_theta(K)).evaluate(w) != 0:
                 continue
             flip, rot = Theta.evaluate(w)
             assert flip == 0
@@ -1343,7 +1350,7 @@ class TestRealize:
         assert cert.extension.kernel_index == 8
         K = cert.k_presentation
         # odd gamma needs the parity fix
-        assert check_homomorphism(K, naive_theta(K))
+        assert named_walk(K, theta_hom(K, naive_theta(K)))
 
     def test_gamma4_certificate(self):
         cert = realize(GAMMA4)
@@ -1351,7 +1358,7 @@ class TestRealize:
         assert cert.genus == 5
         assert cert.extension.kernel_index == 8
         K = cert.k_presentation
-        assert not check_homomorphism(K, naive_theta(K))  # even gamma
+        assert not named_walk(K, theta_hom(K, naive_theta(K)))  # even gamma
 
     @pytest.mark.parametrize("x_images", [(6, 2, 2), (-2, 2, 2)])
     def test_unreduced_residues_realize(self, x_images):
@@ -1388,8 +1395,7 @@ class TestRealize:
         def flipped(K):
             theta = build(K)
             (e,) = K.generators_of_kind("connector")
-            images = dict(theta.images) | {e: 1 - theta.image_of(e)}
-            return FiniteHom.from_dict(K, theta.target, images)
+            return rebit(K, theta, **{e: 1 - theta[K.generator_names().index(e)]})
 
         monkeypatch.setattr(pipeline, "build_theta", flipped)
         with pytest.raises(
@@ -1401,9 +1407,11 @@ class TestRealize:
     @pytest.mark.parametrize("patch", ["parity bit", "corner unit"])
     def test_theta_its_frame_does_not_certify_is_an_assertion(self, monkeypatch, gamma, patch):
         # theta is certified as its frame's parity map, whose Schreier
-        # frame rewrote the frame's relators and each corner unit, with
-        # each corner of K its unit's power; a frame whose parity bit on
-        # tau2, or whose unit of corner 1, differs certifies no theta
+        # frame rewrote the frame's relators and each corner unit: a frame
+        # whose parity bit on tau2 differs certifies no theta.  Each corner
+        # of K is then compared with its unit's power in the derivation
+        # alone: a frame whose unit of corner 1 differs certifies no
+        # corner of K, named as the derivation names it at each parity
         frame = presentations.certify_frame(gamma, 2)
         schreier = frame.schreier
         if patch == "parity bit":
@@ -1416,7 +1424,12 @@ class TestRealize:
         presentations.certify_frame.cache_clear()
         with pytest.raises(PipelineAssertionError) as exc:
             pipeline.shape_certificate(gamma, (3, 3))
-        assert str(exc.value) == "parity map theta is not a homomorphism"
+        assert str(exc.value) == {
+            "parity bit": "parity map theta is not a homomorphism",
+            "corner unit": ("derived kernel signature (3;−;[3,3]) not certified: corner 1 of K"
+                            " is not (tau2*tau1)^3" if gamma % 2
+                            else "classical relator c1^3 could not be certified"),
+        }[patch]
 
     def test_genus_disagreement_is_an_assertion(self, monkeypatch):
         # validation computes the genus from Delta's signature; only the
@@ -1458,7 +1471,7 @@ def negated(datum):
 
 class TestShapeMemo:
     def test_one_shape_is_derived_once(self, monkeypatch):
-        derivations = counting(monkeypatch, pipeline, "reidemeister_schreier")
+        derivations = counting(monkeypatch, pipeline, "_derived")
         lemmas = counting(monkeypatch, pipeline, "lemma1_check")
         tuples = enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples
         assert len(tuples) == 288
@@ -1633,6 +1646,24 @@ class TestShapeMemo:
         pipeline.shape_certificate.cache_clear()
         presentations.certify_frame.cache_clear()
         assert schreier_frames() <= before
+
+    @pytest.mark.parametrize("gamma", [1, 2])
+    def test_a_new_shape_in_a_warm_frame_accepts_its_frame_once(self, monkeypatch, gamma):
+        # building K looks its frame up, to share the frame's generators
+        # and relators, and accepting K and theta looks it up once more;
+        # the frame accepted is handed to the derivation, which accepts
+        # nothing again and compares each corner of K once
+        pipeline.shape_certificate(gamma, (3, 3))
+        lookups, call = [], presentations.LetterMemo.__call__
+        monkeypatch.setattr(presentations.LetterMemo, "__call__", lambda memo, *key: (
+            memo is presentations.certify_frame and lookups.append(key)) or call(memo, *key))
+        accepted = counting(monkeypatch, cosets, "accepted_frame")
+        monkeypatch.setattr(pipeline, "accepted_frame", cosets.accepted_frame)
+        shape = pipeline.shape_certificate(gamma, (3, 6))
+        assert lookups == [(gamma, 2)] * 2
+        assert len(accepted) == 1
+        assert shape.derived.signature.proper_periods == (3, 6)
+        assert presentations.certify_frame.cache_info().misses == 1
 
     def test_invalid_input_never_reaches_the_memo(self):
         realize(GENUS2)

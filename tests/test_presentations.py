@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, strategies as st
 from necsurf import (
     CyclicGroup,
     DihedralGroup,
-    FiniteHom,
     NECSignature,
     UnsupportedSignatureError,
     canonical_presentation,
@@ -22,6 +21,7 @@ from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
 from conftest import signature_battery_cases
 from reference import (
+    FiniteHom,
     connector_elimination,
     cyclic_reduce,
     cyclically_equal,
@@ -30,6 +30,7 @@ from reference import (
     identity,
     index_derived_relators,
     naive_theta,
+    named_walk,
     orientation_character,
     parse_word,
     printed_relator_words,
@@ -38,6 +39,7 @@ from reference import (
     scan_derived_relators,
     search_connector_elimination,
     substitute,
+    theta_hom,
     word_character,
 )
 
@@ -176,17 +178,29 @@ class TestOrientationCharacter:
                     assert word_character(p, rel) == 1
 
 
+def indexed_failures(p, hom):
+    """``check_homomorphism`` on ``hom``'s images in p's generator order,
+    with p's relators as (index, exponent) letters."""
+    names = p.generator_names()
+    walk = [tuple((names.index(g), e) for g, e in rel.letters) for rel in p.relators]
+    return check_homomorphism(p, [hom.image_of(g) for g in names], hom.target, walk)
+
+
 class TestCheckHomomorphism:
+    """The named walk (``named_walk``) on the oracle ``FiniteHom``, and the
+    library's indexed path on the same images."""
+
     def test_even_gamma_connector_to_identity_valid(self):
         K = disc_group(2, (2,))
-        theta = naive_theta(K)
-        assert not check_homomorphism(K, theta)
+        theta = theta_hom(K, naive_theta(K))
+        assert not named_walk(K, theta)
+        assert not indexed_failures(K, theta)
 
     def test_odd_gamma_connector_to_identity_fails_long_relator(self):
         K = disc_group(1, (2, 2, 2))
-        theta = naive_theta(K)
-        result = check_homomorphism(K, theta)
-        assert result
+        theta = theta_hom(K, naive_theta(K))
+        result = named_walk(K, theta)
+        assert result and result == indexed_failures(K, theta)
         assert [str(rel) for rel, _ in result] == ["x1*e"]
         assert theta.target.format(result[0][1]) == "1"  # the residue a, written additively
 
@@ -196,25 +210,30 @@ class TestCheckHomomorphism:
         trivial = FiniteHom.from_dict(
             K, c2, {name: identity(c2) for name in K.generator_names()}
         )
-        assert not check_homomorphism(K, trivial)
+        assert not named_walk(K, trivial)
+        assert not indexed_failures(K, trivial)
 
 
 SIGNATURE_BATTERY = signature_battery_cases()
 
 
 class TestCheckHomomorphismOracle:
-    """``check_homomorphism`` compares each relator's normal form with
-    the identity; the oracle multiplies elements letter by letter.  Both
-    must give the same failures, relators, elements and order."""
+    """``check_homomorphism``, and the named walk, compare each relator's
+    normal form with the identity; the oracle multiplies elements letter
+    by letter.  All must give the same failures, relators, elements and
+    order."""
 
     def test_battery_theta_and_Theta(self, derived_battery, action_battery):
         for _, _, K, theta, _ in derived_battery:
-            assert check_homomorphism(K, theta) == elementwise_failures(K, theta) == ()
+            theta = theta_hom(K, theta)
+            assert named_walk(K, theta) == elementwise_failures(K, theta) == ()
+            assert indexed_failures(K, theta) == ()
         for datum in action_battery:
             shape = shape_certificate(datum.gamma, datum.periods)
             K = shape.k_presentation
             Theta = rebuilt_hom(shape, datum, extend_to_dihedral(shape, datum))
-            assert check_homomorphism(K, Theta) == elementwise_failures(K, Theta) == ()
+            assert named_walk(K, Theta) == elementwise_failures(K, Theta) == ()
+            assert indexed_failures(K, Theta) == ()
 
     def test_broken_Theta_and_rho(self, action_battery):
         # Theta with the rotation x1 -> s, so x1*x1 -> s^2, and rho with d1
@@ -226,16 +245,18 @@ class TestCheckHomomorphismOracle:
             Theta = rebuilt_hom(shape, datum, extend_to_dihedral(shape, datum))
             images = dict(Theta.images, x1=rotation(Theta.target, 1))
             broken = FiniteHom.from_dict(K, Theta.target, images)
-            failures = check_homomorphism(K, broken)
+            failures = named_walk(K, broken)
             assert failures and failures == elementwise_failures(K, broken)
+            assert failures == indexed_failures(K, broken)
 
             delta = canonical_presentation(datum.delta_signature())
             c2n = CyclicGroup(datum.order)
             values = ((datum.d_images[0] + 1) % datum.order, *datum.d_images[1:], *datum.x_images)
             images = dict(zip(delta.generator_names(), values))
             rho = FiniteHom.from_dict(delta, c2n, images)
-            failures = check_homomorphism(delta, rho)
+            failures = named_walk(delta, rho)
             assert failures and failures == elementwise_failures(delta, rho)
+            assert failures == indexed_failures(delta, rho)
 
     @given(st.data())
     def test_arbitrary_images(self, data):
@@ -253,13 +274,10 @@ class TestCheckHomomorphismOracle:
             image = st.tuples(st.integers(0, 1), residues)
         images = {g: data.draw(image) for g in p.generator_names()}
         hom = FiniteHom.from_dict(p, target, images)
-        assert check_homomorphism(p, hom) == elementwise_failures(p, hom)
+        assert named_walk(p, hom) == elementwise_failures(p, hom)
         # the same images in generator order, with the relators as
         # (index, exponent) letters, give the same failures
-        names = p.generator_names()
-        walk = [tuple((names.index(g), e) for g, e in rel.letters) for rel in p.relators]
-        in_order = [images[g] for g in names]
-        assert check_homomorphism(p, in_order, target, walk) == elementwise_failures(p, hom)
+        assert indexed_failures(p, hom) == elementwise_failures(p, hom)
 
 
 class TestVerifyDerivedRelator:

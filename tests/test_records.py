@@ -26,22 +26,22 @@ from necsurf import (
 )
 from necsurf.presentations import Presentation, certify_frame
 from necsurf.words import Record
-from reference import abelianization, rebuilt_hom, replace
+from reference import FiniteHom, abelianization, rebuilt_hom, replace, theta_hom
 
 GENUS2 = ActionDatum(1, (2, 2, 2), 2, (1,), (2, 2, 2))
 
 
 def _instances():
     cert = realize(GENUS2)
-    sub = cert.derived.subgroup
+    sub, theta = cert.derived.subgroup, theta_hom(cert.k_presentation, cert.theta)
     return [
         cert,
         first_smooth_epimorphism(1, (2, 2, 2), 4),
         cert.k_presentation,
         cert.k_presentation.signature,
         cert.k_presentation.generators[0][1],
-        cert.theta,
-        cert.theta.target,
+        theta,
+        theta.target,
         rebuilt_hom(cert.shape, GENUS2, cert.extension).target,
         cert.derived,
         sub,
@@ -75,7 +75,8 @@ def _fields(obj):
 
 
 def test_one_instance_of_each_record_class():
-    assert sorted(IDS) == sorted(cls.__name__ for cls in _record_classes())
+    # each of the library's record classes, and the tests' named homomorphism
+    assert sorted(IDS) == sorted([*(cls.__name__ for cls in _record_classes()), FiniteHom.__name__])
     assert len(IDS) == 21
 
 
@@ -131,7 +132,8 @@ def test_derived_slots_stay_out_of_comparison():
     # K, built on its frame's shared tuples, is a plain presentation: it
     # equals, copies and pickles like one built from its fields
     cert = realize(GENUS2)
-    K, theta = cert.k_presentation, cert.theta
+    K = cert.k_presentation
+    theta = theta_hom(K, cert.theta)
     fresh = Presentation(K.generators, K.relators, signature=K.signature)
     assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)
     for twin in (copy.copy(K), copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
