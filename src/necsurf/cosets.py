@@ -21,19 +21,20 @@ subgroup without theta.  The periods enter only K's last r relators, the
 corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
 else is derived once per frame (gamma, r), a ``SchreierFrame``: the
 Schreier generators from K's generators with their kinds and theta's
-parity, the rewrites of the other relators, and the lemma's witness rows
-among them, built with the rest of K's frame certificate
-(``presentations.certify_frame``); a K that is not its frame plus its
-corners is refused.  Each subgroup keeps its frame's certificate, and
-per shape only the corners are rewritten and de-duplicated.
+parity, the rewrites of the other relators and of each corner unit, and
+the lemma's witness rows among them, built with the rest of K's frame
+certificate (``presentations.certify_frame``); a K that is not its frame
+plus its corner powers is refused (``accepted_frame``).  Each subgroup
+keeps its frame's certificate, and per shape only each corner unit's
+rewrite is raised to its period.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
 building it; the derived relators, the witness row for the conjugated
 long relator among them, are read that way, and a corner's as a power.
-The derived presentation is simplified only by freely reducing and
-de-duplicating the rewritten relators; nothing more aggressive, so the
-correspondence with the ambient group stays auditable.
+The derived presentation is simplified only by freely reducing the
+rewritten relators and de-duplicating the frame's rows; nothing more
+aggressive, so the correspondence with the ambient group stays auditable.
 """
 
 from __future__ import annotations
@@ -124,22 +125,22 @@ class SchreierFrame(Record):
     x_gamma...x_1*e from cosets 0 and 1, then x_j*x_j from coset 0 for
     each interior point x_j, each row the head itself; ``sums`` is the
     rows' exponent sums added, the last gamma subtracted, without zeros.
-    ``rows`` are the heads of each coset, each kept if no earlier head has
-    its letters, and ``letters`` those of coset 0's rows, then of all,
-    with the empty word's; ``witnessed`` says each witness row is a row,
-    ``reversing`` that a Schreier generator reverses orientation.  K's
-    frame certificate holds it (``frames.FrameCertificate.schreier``)."""
+    ``rows`` are the heads of each coset, each kept if it is not empty and
+    no earlier head has its letters; ``witnessed`` says each witness row
+    is a row, ``reversing`` that a Schreier generator reverses
+    orientation.  K's frame certificate holds it
+    (``frames.FrameCertificate.schreier``)."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "letters", "witnessed",
+    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "witnessed",
                  "reversing")
 
     def __init__(
         self, subgroup: SchreierSubgroup, heads: tuple[tuple[Word, ...], ...],
         corners: dict[tuple, tuple[Word, Word]], witness: tuple[tuple[Word, Word, int], ...],
-        sums: dict[str, int], rows: tuple[tuple[Word, ...], ...], letters: tuple[frozenset, ...],
-        witnessed: bool, reversing: bool,
+        sums: dict[str, int], rows: tuple[tuple[Word, ...], ...], witnessed: bool,
+        reversing: bool,
     ) -> None:
-        self._assign(subgroup, heads, corners, witness, sums, rows, letters, witnessed, reversing)
+        self._assign(subgroup, heads, corners, witness, sums, rows, witnessed, reversing)
 
 
 def reidemeister_schreier(p: Presentation, theta: tuple[int, ...]) -> SchreierSubgroup:
@@ -154,66 +155,57 @@ def reidemeister_schreier(p: Presentation, theta: tuple[int, ...]) -> SchreierSu
     reflection and interior point (so 1 and tau_1 represent the two
     cosets) and sends the connector to the parity the long relator
     forces.  ``p`` must be its frame (gamma, r)
-    (``presentations.disc_quotient_frame``) plus its r corners: its
-    generators and its relators but the last r are the frame's, or a
-    ``ValueError`` names each that is not.  K and theta are accepted by
-    comparisons with the frame (``accepted_frame``), or else checked item
-    by item (``_checked_frame``); the subgroup is then ``_kernel``'s.
-    """
-    return _kernel(p, _checked_frame(p, theta))
+    (``presentations.disc_quotient_frame``) plus its r corners
+    (tau_k*tau_(k+1))^(n_k): its generators and its relators but the
+    corners are the frame's, or a ``ValueError`` names each that is not.
+    K and theta are accepted by comparisons with the frame
+    (``accepted_frame``), or else checked item by item (``_checked_frame``).
 
-
-def _kernel(p: Presentation, frame: FrameCertificate) -> SchreierSubgroup:
-    """ker(theta) of a K that its frame's certificate ``frame`` accepted
-    (``accepted_frame``), which the subgroup keeps.  Generators come in
-    canonical order: delta_j, c_k, the connector pair, delta_jt, c_kt,
-    tau1sq.  Relators are the rewritten conjugates u * R * u^-1 of the
-    base relators for u = 1, then u = tau_1, each read as the walk of R
-    from coset u; free reduction commutes with the walk, so no conjugate
-    is built.  Torsion words: each corner tau_k tau_(k+1) rewritten from
-    coset 0, of its full order n_k; each interior involution is moved, so
-    it leaves no period.  All comes from the frame's ``SchreierFrame``
-    but the r corner rewrites, de-duplicated against its ``rows``."""
-    schreier = frame.schreier
-    sub, corners, (first, second) = schreier.subgroup, schreier.corners, schreier.rows
-    tail = p.relators[len(frame.presentation.relators):]
-    relators, added = list(first), set()
-    for u, seen in enumerate(schreier.letters):
-        if u:
-            relators += (second if added.isdisjoint(seen)
-                         else [w for w in second if w.letters not in added])
-        for rel in tail:
-            rewritten = _rewrite_corner(sub, corners, rel, u)
-            if rewritten.letters not in seen and rewritten.letters not in added:
-                added.add(rewritten.letters)
-                relators.append(rewritten)
-    torsion = zip((w for w, _ in corners.values()), p.signature.period_cycles[0])
-    presentation = Presentation(sub.presentation.generators, relators, torsion)
+    All of the subgroup but the corner powers is the frame's
+    ``SchreierFrame``'s, and it keeps the frame's certificate.  Generators
+    come in canonical order: delta_j, c_k, the connector pair, delta_jt,
+    c_kt, tau1sq.  Relators are the rewritten conjugates u * R * u^-1 of
+    K's relators for u = 1, then u = tau_1, each the walk of R from coset
+    u: the frame's rows, then each corner unit's rewrite to the n_k,
+    freely reduced, as the frame certified the rewrite cyclically reduced.
+    Torsion words: each corner unit's rewrite from coset 0, of its full
+    order n_k; each interior involution is moved, so it leaves no period."""
+    frame = _checked_frame(p, theta)
+    schreier, cycle = frame.schreier, p.signature.period_cycles[0]
+    sub, (first, second), rewrites = schreier.subgroup, schreier.rows, schreier.corners.values()
+    powers = [[pair[u] ** n for pair, n in zip(rewrites, cycle)] for u in (0, 1)]
+    relators = (*first, *powers[0], *second, *powers[1])
+    presentation = Presentation(sub.presentation.generators, relators,
+                                zip((w for w, _ in rewrites), cycle))
     return SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, sub.parity, frame)
 
 
 def accepted_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate | None:
-    """K's frame certificate if K is the frame plus r relators and theta
+    """K's frame certificate if K is the frame plus its corners and theta
     the frame's parity vector, by comparisons a canonical K and theta cut
-    short, gamma and r read off K's signature; else None.  Theta is
-    accepted by one comparison with the frame's bits, in generator order.
-    Theta then kills the frame's relators and each corner unit
-    tau_k*tau_(k+1): the frame's ``SchreierFrame`` rewrote them."""
+    short, gamma, r and each n_k read off K's signature; else None.  Theta
+    is one comparison with the frame's bits, and corner k, here alone, one
+    with the n_k-th power of its unit tau_k*tau_(k+1), a key of the frame's
+    ``SchreierFrame.corners``, which rewrote the frame's relators and each
+    unit: so theta kills them."""
     sig = p.signature
     if sig is not None and len(sig.period_cycles) == 1 and sig.proper_periods:
-        r = len(sig.period_cycles[0])
-        frame, head = certify_frame(len(sig.proper_periods), r), len(p.relators) - r
+        cycle = sig.period_cycles[0]
+        frame = certify_frame(len(sig.proper_periods), len(cycle))
+        head = len(p.relators) - len(cycle)
         if (p.generators == frame.presentation.generators
                 and p.relators[:head] == frame.presentation.relators
-                and theta == tuple(frame.schreier.subgroup.parity.values())):
+                and theta == tuple(frame.schreier.subgroup.parity.values())
+                and all(rel.letters == unit * n for rel, unit, n
+                        in zip(p.relators[head:], frame.schreier.corners, cycle))):
             return frame
     return None
 
 
 def _checked_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate:
-    """K's frame certificate, as ``accepted_frame`` accepts it or after
-    each check; generators are named, by zipping theta with them, only
-    here."""
+    """K's frame certificate, as ``accepted_frame`` accepts it, or else a
+    ``ValueError`` that itemises what fails; generators are named, by
+    zipping theta with them, and each corner compared again, only here."""
     if frame := accepted_frame(p, theta):
         return frame
     names = p.generator_names()
@@ -256,6 +248,9 @@ def _checked_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate:
     else:
         problems += [f"its relator {rel} is not the frame's {want}"
                      for rel, want in zip(prefix, base.relators) if rel != want]
+    corners = zip(p.relators[len(prefix):], frame.schreier.corners, cycle)
+    problems += [f"its corner {k} is not ({Word(unit)})^{n}"
+                 for k, (rel, unit, n) in enumerate(corners, start=1) if rel.letters != unit * n]
     if problems:
         raise ValueError(f"K is not its frame ({len(elliptics)}, {len(cycle)}) plus its"
                          f" corners: {'; '.join(problems)}")
@@ -264,16 +259,6 @@ def _checked_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate:
         raise ValueError(f"theta must send {', '.join(wrong)} to the parity the long relator"
                          " forces")
     return frame
-
-
-def _rewrite_corner(frame: SchreierSubgroup, corners: dict, rel: Word, u: int) -> Word:
-    """``frame.rewrite(rel, u)``, read as w^m when ``rel`` is the m-th power
-    of a corner tau_k*tau_(k+1) whose rewrite w from coset u (``corners``)
-    is cyclically reduced: rewriting is a homomorphism on kernel words, and
-    w^m is then freely reduced."""
-    unit, m = rel.letters[:2], len(rel.letters) // 2
-    w = corners[unit][u].letters if unit in corners and rel.letters == unit * m else ()
-    return corners[unit][u] ** m if w and w[0] != (w[-1][0], -w[-1][1]) else frame.rewrite(rel, u)
 
 
 def schreier_frame(
@@ -328,11 +313,10 @@ def schreier_frame(
         witness.append((row, word, u))
         for g, x in row.exponent_sums().items():
             sums[g] = sums.get(g, 0) + sign * x
-    seen, rows, letters = {()}, [], []
-    for head in heads:
-        rows.append(tuple(w for w in head if w.letters not in seen and not seen.add(w.letters)))
-        letters.append(frozenset(seen))
+    seen = {()}
+    rows = tuple(tuple(w for w in head if w.letters not in seen and not seen.add(w.letters))
+                 for head in heads)
     return SchreierFrame(subgroup, heads, corners, tuple(witness),
-                         {g: x for g, x in sums.items() if x}, tuple(rows), tuple(letters),
+                         {g: x for g, x in sums.items() if x}, rows,
                          all(row.letters in seen for row, _, _ in witness),
                          any(kind.character == -1 for _, kind in subgroup.presentation.generators))

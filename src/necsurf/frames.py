@@ -26,31 +26,29 @@ class PipelineAssertionError(RuntimeError):
 
 class FrameCertificate(Record):
     """What is certified on the frame (gamma, r) for every K of it, built
-    whole by ``certified_frame``: ``presentation``, the frame;
-    ``schreier``, the ``cosets.SchreierFrame`` of K's parity map;
-    ``rows``, ``units`` and ``statuses``, when theta kills the connector
-    (even gamma; else empty and None), the derived kernel's classical
-    relators (a corner unit each, then the rows after the corners), the
-    frame with its corner units that names their sources, and their
-    statuses; ``inverted``, the Schreier generators whose
-    tau1-identities the lemma certified; ``folds``, K's relators Theta
-    does not send to 1 for every rho; ``connector``, e's closed form
-    x_1^-1...x_gamma^-1, the one that is kept, and ``walk``, those
-    relators, as (index, exponent) letters over Theta's
-    images in K's generator order; ``eta``, eta's images as forms, in
-    generator order (``_eta_images``); ``parities``, each image's parity,
-    1 for a glide.  So a rho costs only integer arithmetic."""
+    whole by ``certified_frame``: ``presentation``, the frame; ``schreier``,
+    the ``cosets.SchreierFrame`` of K's parity map; ``rows`` and
+    ``statuses``, when theta kills the connector (even gamma; else empty),
+    the derived kernel's classical relators (a corner unit each, then the
+    rows after the corners) and their statuses; ``inverted``, the Schreier
+    generators whose tau1-identities the lemma certified; ``folds``, K's
+    relators Theta does not send to 1 for every rho; ``connector``, e's
+    closed form x_1^-1...x_gamma^-1, the one that is kept, and ``walk``,
+    those relators, as (index, exponent) letters over Theta's images in K's
+    generator order; ``eta``, eta's images as forms, in generator order
+    (``_eta_images``); ``parities``, each image's parity, 1 for a glide.
+    So a rho costs only integer arithmetic."""
 
-    __slots__ = ("presentation", "schreier", "rows", "units", "statuses", "inverted", "folds",
+    __slots__ = ("presentation", "schreier", "rows", "statuses", "inverted", "folds",
                  "connector", "walk", "eta", "parities")
 
     def __init__(
         self, presentation: Presentation, schreier: SchreierFrame, rows: tuple,
-        units: Presentation | None, statuses: tuple[str, ...], inverted: tuple[str, ...],
-        folds: Presentation, connector: tuple, walk: tuple, eta: tuple, parities: tuple[int, ...],
+        statuses: tuple[str, ...], inverted: tuple[str, ...], folds: Presentation,
+        connector: tuple, walk: tuple, eta: tuple, parities: tuple[int, ...],
     ) -> None:
-        self._assign(presentation, schreier, rows, units, statuses, inverted, folds, connector,
-                     walk, eta, parities)
+        self._assign(presentation, schreier, rows, statuses, inverted, folds, connector, walk,
+                     eta, parities)
 
 
 def parity_bits(generators: Iterable[tuple[str, GeneratorKind]], gamma: int) -> tuple[int, ...]:
@@ -66,25 +64,31 @@ def certified_frame(frame: Presentation) -> FrameCertificate:
     """Every certificate of the frame ``frame``, derived from it alone,
     under its parity map (``parity_bits``).  e's closed form is built once,
     kept as (index, exponent) letters, and spelled by name only for
-    ``verify_derived_relators``.  A failed check raises
-    ``PipelineAssertionError`` naming it; a classical relator's status is
-    checked by each shape, which names it with its period."""
+    ``verify_derived_relators``.  Each corner unit's rewrite is checked to
+    be cyclically reduced, so that its n_k-th power is freely reduced.  A
+    failed check raises ``PipelineAssertionError`` naming it; a classical
+    relator's status is checked by each shape, naming it with its period."""
     xs, (e,) = frame.generators_of_kind("elliptic"), frame.generators_of_kind("connector")
     solved = Word(tuple((x, -1) for x in xs))
     parity = dict(zip(frame.generator_names(), parity_bits(frame.generators, len(xs))))
     schreier = schreier_frame(frame.generators, frame.relators, parity)
-    rows, units, statuses = (), None, ()
+    for unit, rewrites in schreier.corners.items():
+        for u, w in enumerate(rewrites):
+            if w.letters and w.letters[0] == (w.letters[-1][0], -w.letters[-1][1]):
+                raise PipelineAssertionError(f"corner unit {Word(unit)}: its rewrite {w} from"
+                                             f" coset {u} is not cyclically reduced")
+    rows, statuses = (), ()
     if not parity[e]:
-        rows, units = _printed_relator_words(frame, schreier)
+        rows = _printed_relator_words(frame, schreier)
         _, words, sources = zip(*rows)
         statuses = verify_derived_relators(
-            units, words, sources, {g.name: g.word for g in schreier.subgroup.generators},
-            {e: solved})
+            _with_corners(frame, (1,) * len(schreier.corners)), words, sources,
+            {g.name: g.word for g in schreier.subgroup.generators}, {e: solved})
     index = {g: i for i, g in enumerate(frame.generator_names())}
     connector = _indexed(solved, index)
     theta = _symbolic_theta(frame, connector)
     folds, kinds = _theta_residual(frame, theta), schreier.subgroup.presentation.generators
-    return FrameCertificate(frame, schreier, rows, units, statuses, _inverted(frame, schreier),
+    return FrameCertificate(frame, schreier, rows, statuses, _inverted(frame, schreier),
                             folds, connector, tuple(_indexed(w, index) for w in folds.relators),
                             _eta_images(frame, schreier, folds, theta),
                             tuple(int(kind.character == -1) for _, kind in kinds))
@@ -99,8 +103,8 @@ def _printed_relator_words(frame: Presentation, schreier: SchreierFrame) -> tupl
     """The derived kernel's classical relators when theta kills the
     connector: each row's label, word over the generators named by role,
     and source in the frame with its corner units (``_with_corners`` at
-    n_k = 1, returned too), a relator's index and the rotation at which
-    the word, spelled in K, reduces to it.  c1 spells tau1*tau2 and
+    n_k = 1), a relator's index and the rotation at which the word,
+    spelled in K, reduces to it.  c1 spells tau1*tau2 and
     (c_k^-1*c_(k+1)) tau_(k+1)*tau_(k+2) at rotation 0; e1*e2^-1[*c_r] the
     connector relator e^-1*tau_(r+1)*e*tau1 from its third letter
     (rotation 2); the delta-alternations are trivial (None)."""
@@ -118,7 +122,7 @@ def _printed_relator_words(frame: Presentation, schreier: SchreierFrame) -> tupl
     for i, (sign, e) in enumerate(((-1, e1), (1, e2)), start=1):
         letters = [(d, sign * (-1) ** j) for j, d in enumerate(deltas)]
         rows.append((f"delta-alternation-{i}", Word((*letters, (e, -1))), None))
-    return tuple(rows), _with_corners(frame, (1,) * len(cs))
+    return tuple(rows)
 
 
 def _inverted(frame: Presentation, schreier: SchreierFrame) -> tuple[str, ...]:

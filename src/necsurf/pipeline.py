@@ -62,14 +62,14 @@ frame (gamma, r), in one record built whole (``frames.FrameCertificate``)
 and memoised by ``presentations.certify_frame``: with
 ``shape_certificate``, the two memos of the shape stage, each bounded by
 letters of K (``presentations.LetterMemo``).  K must be its frame plus
-its corners (``cosets.reidemeister_schreier`` refuses any other), and the
-derived kernel's subgroup holds the frame's record, where the lemma and
-the rho stage read it.  A new shape in a warm frame takes O(r) Python
-steps and certifies no word: it spells its corners, accepts K and theta
-once and compares each corner of K with its unit's power once, by tuple
-comparisons with the frame, rewrites and de-duplicates the corners,
-checks the claimed signature and reads H1 off its periods.  README's
-frame section gives what each memo retains.
+its corner powers (``cosets.reidemeister_schreier`` refuses any other),
+and the derived kernel's subgroup holds the frame's record, where the
+lemma and the rho stage read it.  A new shape in a warm frame takes O(r)
+Python steps and certifies no word: it spells its corners, accepts K,
+its corners and theta once, by tuple comparisons with the frame, raises
+each corner unit's rewrite to its period, checks the claimed signature
+and reads H1 off its periods, all through ``derive_delta_hat``.
+README's frame section gives what each memo retains.
 
 Every map the mathematics fixes is built in closed form and then
 verified; any check that fails where the mathematics says it cannot
@@ -84,10 +84,10 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, combinations_with_replacement, product, repeat, zip_longest
+from itertools import accumulate, combinations_with_replacement, product, repeat
 from operator import mul
 
-from .cosets import SchreierSubgroup, _kernel, accepted_frame, reidemeister_schreier
+from .cosets import SchreierSubgroup, reidemeister_schreier
 from .frames import FrameCertificate, PipelineAssertionError, _theta_images, parity_bits
 from .groups import CyclicGroup, DihedralGroup
 from .kernels import KernelSignatureReport
@@ -100,7 +100,7 @@ from .presentations import (
     crosscap_names,
 )
 from .signatures import NECSignature, area_terms, quotient_disc_signature, reduced_area
-from .words import Record, Word
+from .words import Record
 
 
 class ActionValidationError(ValueError):
@@ -310,7 +310,8 @@ def derive_delta_hat(K: Presentation, theta: tuple[int, ...]) -> DerivedKernel:
     relator list.  Theta is its bit on each of K's generators, in K's
     generator order (``build_theta``).  Every input check is
     ``reidemeister_schreier``'s, and runs first: theta must be K's parity
-    map, and K needs an interior cone point; the rest is ``_derived``'s.
+    map, K needs an interior cone point, and K must be its frame plus its
+    corner powers.
 
     The claim is Delta's signature (gamma; -; [sorted periods]), so the
     two groups are isomorphic (Macbeath, Canad. J. Math. 19, 1967).  The
@@ -324,23 +325,15 @@ def derive_delta_hat(K: Presentation, theta: tuple[int, ...]) -> DerivedKernel:
     0.  A fact that fails raises ``PipelineAssertionError`` naming the
     claimed signature.
 
-    The torsion words are the rewrites of the corner units of the frame's
-    ``SchreierFrame``, so each corner of K is checked, by one tuple
-    comparison, to be the n_k-th power of its unit, at both parities, here
-    alone; at odd gamma a corner that is not raises naming the claim and
-    the corner.  The classical relators are read off the certificate of
-    K's frame (``frames.FrameCertificate``), which certifies each corner
-    unit c (spelling the same tau_k*tau_(k+1)), the closing row and the
+    The torsion words are the rewrites of the corner units that
+    ``cosets.accepted_frame`` compared K's corners with.  The classical
+    relators are read off the certificate of K's frame
+    (``frames.FrameCertificate``), which has rows exactly when gamma is
+    even and certifies each corner unit c, the closing row and the
     delta-alternations in one ``verify_derived_relators`` call; a corner
-    row c^(n_k) holds once K's corner is that unit's n_k-th power, so a
-    shape certifies no word, and a row that fails names its label."""
-    return _derived(K, reidemeister_schreier(K, theta))
-
-
-def _derived(K: Presentation, sub: SchreierSubgroup) -> DerivedKernel:
-    """The derived kernel of ``sub``, ker(theta) in K derived in its
-    frame, with its signature claimed and checked and each corner of K
-    compared with its unit's power, as ``derive_delta_hat`` gives them."""
+    row c^(n_k) then holds, so a shape certifies no word, and a row that
+    fails names its label."""
+    sub = reidemeister_schreier(K, theta)
     periods = K.signature.period_cycles[0]
     claim = NECSignature(False, len(K.signature.proper_periods), tuple(sorted(periods)))
 
@@ -357,19 +350,11 @@ def _derived(K: Presentation, sub: SchreierSubgroup) -> DerivedKernel:
     if a * d != 2 * c * b:
         raise unproved(f"reduced area {Fraction(a, b)} is not twice K's {Fraction(c, d)}")
 
-    frame, r = sub.frame, len(periods)
-    units = frame.schreier.corners
-    fits = [rel.letters == unit * n
-            for rel, unit, n in zip(K.relators[len(K.relators) - r:], units, periods)]
-    if frame.units is None:  # odd gamma: no classical row reads the corners
-        for k, (fit, unit, n) in enumerate(zip(fits, units, periods), 1):
-            if not fit:
-                raise unproved(f"corner {k} of K is not ({Word(unit)})^{n}")
-        return DerivedKernel(subgroup=sub, signature=claim, printed_checks=())
+    frame = sub.frame
     texts = [text for text, _, _ in frame.rows]
-    labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + texts[r:]
-    for label, status, fit in zip_longest(labels, frame.statuses, fits, fillvalue=True):
-        if status == "unresolved" or not fit:
+    labels = [f"{text}^{p}" for text, p in zip(texts, periods)] + texts[len(periods):]
+    for label, status in zip(labels, frame.statuses):
+        if status == "unresolved":
             raise PipelineAssertionError(f"classical relator {label} could not be certified")
     return DerivedKernel(subgroup=sub, signature=claim,
                          printed_checks=tuple(zip(labels, frame.statuses)))
@@ -517,14 +502,12 @@ class ShapeCertificate(Record):
 @partial(LetterMemo, weight=lambda gamma, ns: 3 * gamma + 2 * len(ns) + 7 + 2 * sum(ns))
 def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     """The rho-independent stage of ``realize``, in its order: K and
-    theta, theta a homomorphism, ``derive_delta_hat`` (which claims and
-    checks the kernel's signature, the index-2 area identity included,
-    and compares each corner of K with its unit's power) and
+    theta, ``derive_delta_hat`` (which accepts them, claims and checks the
+    kernel's signature, the index-2 area identity included) and
     ``lemma1_check``.  A failed check raises ``PipelineAssertionError``.
     Theta is certified a homomorphism by being accepted, once, as its
-    frame's parity map (``cosets.accepted_frame``): the frame accepted is
-    handed to the derivation (``cosets._kernel``, then ``_derived``),
-    which accepts nothing again, and no relator is walked.
+    frame's parity map (``cosets.accepted_frame``), so no relator is
+    walked; a refusal, a ``ValueError``, is re-raised naming its reason.
 
     Memoised by the letters of K (``LetterMemo``); a call that raises is
     not memoised, so it raises again on the next call.  The shape is not
@@ -532,11 +515,10 @@ def shape_certificate(gamma: int, periods: tuple[int, ...]) -> ShapeCertificate:
     has accepted the datum."""
     K = canonical_presentation(quotient_disc_signature(gamma, periods))
     theta = build_theta(K)
-    frame = accepted_frame(K, theta)
-    if frame is None:
-        raise PipelineAssertionError("parity map theta is not a homomorphism")
-
-    derived = _derived(K, _kernel(K, frame))
+    try:
+        derived = derive_delta_hat(K, theta)
+    except ValueError as exc:
+        raise PipelineAssertionError(f"parity map theta is not a homomorphism: {exc}") from exc
     return ShapeCertificate(k_presentation=K, theta=theta, derived=derived,
                             lemma=lemma1_check(derived), k_area=area_terms(K.signature))
 

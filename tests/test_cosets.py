@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -16,7 +17,8 @@ from necsurf import (
     quotient_disc_signature,
     reidemeister_schreier,
 )
-from necsurf import presentations
+from conftest import signature_battery_cases
+from necsurf import frames, presentations
 from necsurf.presentations import Presentation
 from necsurf.signatures import CONNECTOR
 from necsurf.words import Word
@@ -31,6 +33,7 @@ from reference import (
     parse_word,
     rebit,
     reduce_mod_involutions,
+    replace,
     theta_hom,
     unkept_reidemeister_schreier,
 )
@@ -266,6 +269,43 @@ def test_closed_form_matches_reference(derived_battery):
             assert sub.rewrite(w) == translate(ref.rewrite(w))
 
 
+def test_undeduplicated_corner_rows_agree_with_the_oracle_beyond_the_battery():
+    """On a seeded sample of shapes with gamma <= 8, r <= 5 and periods
+    <= 8, the subgroup whose corner rows are its units' rewrites raised to
+    the periods, none de-duplicated, equals the one the unkept oracle
+    derives by walking and de-duplicating every relator of K."""
+    shapes = random.Random(52).sample(signature_battery_cases(8, 5, 8), 300)
+    for gamma, periods in shapes:
+        K = disc_group(gamma, periods)
+        theta = build_theta(K)
+        sub = reidemeister_schreier(K, theta)
+        assert sub == unkept_reidemeister_schreier(K, theta)[0], (gamma, periods)
+        rows = sum(map(len, sub.frame.schreier.rows))
+        assert len(sub.presentation.relators) == rows + 2 * len(periods)
+
+
+def test_a_corner_rewrite_that_is_not_cyclically_reduced_is_an_assertion(monkeypatch):
+    # the rewrite of the first corner unit from coset 0, c1, conjugated by
+    # c1t: its power would not be freely reduced, so the frame refuses it
+    # once, naming the unit, and the memo keeps nothing
+    build = frames.schreier_frame
+
+    def conjugated(*args):
+        schreier = build(*args)
+        (unit, (w, w1)), *rest = schreier.corners.items()
+        bent = Word.gen("c1t") * w * Word.gen("c1t", -1)
+        return replace(schreier, corners=dict([(unit, (bent, w1)), *rest]))
+
+    monkeypatch.setattr(frames, "schreier_frame", conjugated)
+    for derive in (lambda: presentations.certify_frame(2, 2), lambda: disc_group(2, (3, 4))):
+        with pytest.raises(PipelineAssertionError) as exc:
+            derive()
+        assert str(exc.value) == ("corner unit tau1*tau2: its rewrite c1t*c1*c1t^-1 from coset 0"
+                                  " is not cyclically reduced")
+    assert presentations.certify_frame.entries == {}
+    assert presentations.certify_frame.cache_info().misses == 2
+
+
 def test_roles_agree_with_orientation(derived_battery):
     """On every battery shape each Schreier generator's role agrees with
     its orientation kind: every glide and its tau1-conjugate reverses
@@ -473,38 +513,45 @@ class TestSchreierFrame:
                                              " relator forces$"):
             reidemeister_schreier(K, naive_theta(K))
 
-    def test_a_corner_that_is_not_a_power_of_its_unit_is_walked(self):
-        # (tau3*tau2)^4 in place of (tau2*tau3)^4: the frame is the
-        # canonical one, and the corner is rewritten letter by letter
+    def test_a_corner_that_is_not_a_power_of_its_unit_is_refused(self):
+        # (tau3*tau2)^4 in place of (tau2*tau3)^4: K's frame is the
+        # canonical one, but K is not its frame plus its corner powers;
+        # the refusal names the corner and leaves the frame as it was,
+        # and the unkept oracle derives the swapped K letter by letter
         K = disc_group(2, (3, 4))
         canonical = reidemeister_schreier(K, build_theta(K))
         swapped = Presentation(
             K.generators, K.relators[:-1] + (parse_word("tau3 tau2") ** 4,), signature=K.signature)
-        sub = reidemeister_schreier(swapped, build_theta(swapped))
-        assert sub.frame is canonical.frame
-        assert sub.generators is canonical.generators
+        theta = build_theta(swapped)
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError) as exc:
+                derive(swapped, theta)
+            assert str(exc.value) == ("K is not its frame (2, 2) plus its corners:"
+                                      " its corner 2 is not (tau2*tau3)^4")
+        sub, _ = unkept_reidemeister_schreier(swapped, theta)
         assert sub.presentation.relators == conjugate_relators(sub)
         assert sub.presentation.relators != canonical.presentation.relators
+        assert reidemeister_schreier(K, build_theta(K)).frame is canonical.frame
 
     @pytest.mark.parametrize("corner", ["tau2 tau2", "tau1 x1 x1 tau1^-1",
                                         "tau1 tau2 tau2 tau1^-1", "tau2 tau3 tau2 tau3"])
     def test_corner_rows_that_are_heads_keep_the_relator_order(self, corner):
         # a last corner whose rewrite from coset 0 is a head row of coset 0
         # (tau2^2) or of coset 1 (a tau1-conjugate of a relator), or a
-        # square of a unit: the frame's rows and the corner rows are
-        # de-duplicated in the order the walk of every relator gives; the
-        # lemma finds its witness rows where they stand, in a derived kernel
-        # built directly: derive_delta_hat certifies no claim for it, as
-        # its last corner is not (tau2*tau3)^4
+        # square of a unit, is not (tau2*tau3)^4, so K is refused; the
+        # unkept oracle de-duplicates its rows and the corner rows in the
+        # order the walk of every relator gives, and the lemma looks its
+        # witness rows up in a derived kernel built directly from it, in
+        # K's frame
         K = disc_group(3, (3, 4))
         altered = Presentation(
             K.generators, K.relators[:-1] + (parse_word(corner),), signature=K.signature)
         theta = build_theta(altered)
-        sub = reidemeister_schreier(altered, theta)
+        for derive in (reidemeister_schreier, derive_delta_hat):
+            with pytest.raises(ValueError, match=r": its corner 2 is not \(tau2\*tau3\)\^4$"):
+                derive(altered, theta)
+        sub = replace(unkept_reidemeister_schreier(altered, theta)[0],
+                      frame=presentations.certify_frame(3, 2))
         assert sub.presentation.relators == conjugate_relators(sub)
-        assert sub.presentation.relators == unkept_reidemeister_schreier(
-            altered, theta)[0].presentation.relators
         derived = DerivedKernel(sub, NECSignature(False, 3, (3, 4)), ())
         assert lemma1_check(derived).inversion_entries == tuple(g.name for g in sub.generators)
-        with pytest.raises(PipelineAssertionError, match=r"corner 2 of K is not \(tau2\*tau3\)\^4$"):
-            derive_delta_hat(altered, theta)

@@ -25,7 +25,6 @@ from necsurf import (
     build_theta,
     canonical_presentation,
     construct_eta,
-    cosets,
     derive_delta_hat,
     enumerate_smooth_epimorphisms,
     extend_to_dihedral,
@@ -146,8 +145,8 @@ def assert_verdicts_agree(K, derived, datum):
     for u, sign in ((0, 1), (1, -1)):
         for row, rel in zip(frame.heads[u], K.relators[:m]):
             expected.setdefault(row.letters, sign * theta.evaluate(rel)[1] % datum.order)
-        for rel, unit, n, rotation in zip(K.relators[m:], units, periods, rotations):
-            row = cosets._rewrite_corner(frame.subgroup, frame.corners, rel, u)
+        for unit, n, rotation in zip(units, periods, rotations):
+            row = frame.corners[unit.letters][u] ** n
             expected.setdefault(row.letters, sign * n * rotation % datum.order)
     for rel in derived.presentation.relators:
         value = sum(e * eta[g] for g, e in rel.letters) % datum.order

@@ -52,7 +52,7 @@ from necsurf import (
 from necsurf import abelian, certificate, cli, cosets, frames, pipeline, presentations
 from necsurf.cosets import SchreierFrame
 from necsurf.frames import _printed_relator_words
-from necsurf.presentations import Presentation
+from necsurf.presentations import Presentation, _with_corners
 from necsurf.signatures import CONNECTOR, GeneratorKind, area_terms
 from necsurf.words import Word
 from reference import (
@@ -156,15 +156,16 @@ def with_presentation(derived, presentation):
 
 
 def with_rs_presentation(monkeypatch, mutate):
-    """Patch ``pipeline._derived``, which ``derive_delta_hat`` and the
-    shape stage hand the Reidemeister-Schreier subgroup, so that the
-    subgroup has its presentation replaced by ``mutate(presentation)``."""
-    derived = pipeline._derived
+    """Patch ``pipeline.reidemeister_schreier``, which ``derive_delta_hat``
+    and so the shape stage derive the subgroup by, so that the subgroup
+    has its presentation replaced by ``mutate(presentation)``."""
+    derive = pipeline.reidemeister_schreier
 
-    def mutated(K, sub):
-        return derived(K, replace(sub, presentation=mutate(sub.presentation)))
+    def mutated(K, theta):
+        sub = derive(K, theta)
+        return replace(sub, presentation=mutate(sub.presentation))
 
-    monkeypatch.setattr(pipeline, "_derived", mutated)
+    monkeypatch.setattr(pipeline, "reidemeister_schreier", mutated)
 
 
 def assert_claim_refused(reason):
@@ -199,10 +200,10 @@ def with_printed_row(monkeypatch, index, mutate):
     labels = []
 
     def printed(frame, schreier):
-        rows, units = _printed_relator_words(frame, schreier)
+        rows = _printed_relator_words(frame, schreier)
         label, word, source = rows[index]
         labels.append(label)
-        return (*rows[:index], (label, *mutate(word, source)), *rows[index + 1:]), units
+        return (*rows[:index], (label, *mutate(word, source)), *rows[index + 1:])
 
     monkeypatch.setattr(frames, "_printed_relator_words", printed)
     return labels
@@ -604,21 +605,18 @@ class TestDeriveDeltaHat:
     @pytest.mark.parametrize("gamma", [1, 3])
     def test_a_corner_off_its_period_is_refused_at_odd_gamma(self, gamma):
         # K's last corner (tau2*tau3)^5 where its signature says 3: its
-        # torsion word c1t*c2 has the order 3 that the signature gives it,
-        # but K's corner is not its unit's third power, so the claim is
-        # not certified, as at even gamma, where the classical row says so
-        K = disc_group(gamma, (2, 3))
-        bent = replace(K, relators=(*K.relators[:-1], parse_word("tau2 tau3") ** 5))
-        with pytest.raises(PipelineAssertionError) as exc:
-            derive_delta_hat(bent, build_theta(bent))
-        assert str(exc.value) == (f"derived kernel signature ({gamma};−;[2,3]) not certified:"
-                                  " corner 2 of K is not (tau2*tau3)^3")
-        derive_delta_hat(K, build_theta(K))
-        K = disc_group(gamma + 1, (2, 3))
-        bent = replace(K, relators=(*K.relators[:-1], parse_word("tau2 tau3") ** 5))
-        with pytest.raises(PipelineAssertionError) as exc:
-            derive_delta_hat(bent, build_theta(bent))
-        assert str(exc.value) == "classical relator (c1^-1*c2)^3 could not be certified"
+        # torsion word c1t*c2 would have the order 3 that the signature
+        # gives it, but K's corner is not its unit's third power, so K is
+        # not its frame plus its corners, at odd gamma as at even gamma
+        for g in (gamma, gamma + 1):
+            K = disc_group(g, (2, 3))
+            bent = replace(K, relators=(*K.relators[:-1], parse_word("tau2 tau3") ** 5))
+            for derive in (reidemeister_schreier, derive_delta_hat):
+                with pytest.raises(ValueError) as exc:
+                    derive(bent, build_theta(bent))
+                assert str(exc.value) == (f"K is not its frame ({g}, 2) plus its corners:"
+                                          " its corner 2 is not (tau2*tau3)^3")
+            derive_delta_hat(K, build_theta(K))
 
     def test_even_gamma_printed_relators_certified(self):
         _, derived = derived_for(2, (3,))
@@ -676,7 +674,7 @@ class TestDeriveDeltaHat:
         # for K's corner (tau1 tau2)^3
         K = disc_group(2, (3, 4, 5))
         sub = reidemeister_schreier(K, build_theta(K))
-        rows, units = sub.frame.rows, sub.frame.units
+        rows, units = sub.frame.rows, _with_corners(sub.frame.presentation, (1,) * 3)
         named = {
             label: None if source is None else (str(units.relators[source[0]]), source[1])
             for label, _, source in rows
@@ -730,7 +728,7 @@ class TestDeriveDeltaHat:
         # one call, and the shape certifies no word.  So a mutated row is
         # not read again in the warm frame: it raises once the frame is
         # derived anew.  What a shape does check there, that each corner
-        # of K is its unit's n_k-th power, raises in the warm frame
+        # of K is its unit's n_k-th power, refuses K in the warm frame
         derived_for(*sibling)
         derived_for(gamma, periods)
         monkeypatch.undo()
@@ -757,35 +755,41 @@ class TestDeriveDeltaHat:
         for k, p in enumerate(periods):
             derive_delta_hat(K, theta)
             corner = len(K.relators) - r + k
-            bent = replace(K, relators=(*K.relators[:corner], Word(
-                K.relators[corner].letters[:2]) ** (p + 1), *K.relators[corner + 1:]))
-            with pytest.raises(PipelineAssertionError) as exc:
+            unit = Word(K.relators[corner].letters[:2])
+            bent = replace(K, relators=(*K.relators[:corner], unit ** (p + 1),
+                                        *K.relators[corner + 1:]))
+            with pytest.raises(ValueError) as exc:
                 derive_delta_hat(bent, build_theta(bent))
-            assert str(exc.value) == f"classical relator {shape_labels[k]} could not be certified"
+            assert str(exc.value) == (f"K is not its frame ({gamma}, {r}) plus its corners:"
+                                      f" its corner {k + 1} is not ({unit})^{p}")
 
     def test_a_mutated_corner_unit_on_the_frame_is_an_assertion(self, verified_words):
         # the frame's unit of corner 1 reversed, tau2*tau1: in a memoised
         # record with the frame's statuses whose Schreier frame holds that
         # unit, the one each corner of K is compared with, K's corner is
-        # not its power, and in a record built with that unit the row c1
-        # does not spell it; each raises, named for the shape's corner row
+        # not its power, so K is refused, naming the corner; in a record
+        # built with that unit the row c1 does not spell it, which raises,
+        # named for the shape's corner row
         derived_for(2, (3, 4))
         frame = presentations.certify_frame(2, 2)
-        units = frame.units
+        units = _with_corners(frame.presentation, (1,) * 2)
         unit = len(units.relators) - 2
         bent = replace(units, relators=(*units.relators[:unit],
                                         Word(units.relators[unit].letters[::-1]),
                                         *units.relators[unit + 1:]))
         (first, rows), *rest = frame.schreier.corners.items()
         schreier = replace(frame.schreier, corners=dict([(first[::-1], rows), *rest]))
-        for name, patched in (("certified_frame", lambda _: replace(frame, schreier=schreier)), (
-                "_printed_relator_words", lambda *a: (_printed_relator_words(*a)[0], bent))):
+        for name, patched, error, message in (
+                ("certified_frame", lambda _: replace(frame, schreier=schreier), ValueError,
+                 "K is not its frame (2, 2) plus its corners: its corner 1 is not (tau2*tau1)^5"),
+                ("_with_corners", lambda *a: bent, PipelineAssertionError,
+                 "classical relator c1^5 could not be certified")):
             presentations.certify_frame.cache_clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(frames, name, patched)
-                with pytest.raises(PipelineAssertionError) as exc:
+                with pytest.raises(error) as exc:
                     derived_for(2, (5, 4))
-            assert str(exc.value) == "classical relator c1^5 could not be certified"
+            assert str(exc.value) == message
         assert verified_words == [2 + 3, 2 + 3]
 
     def test_theta_of_index_one_rejected(self):
@@ -1398,10 +1402,11 @@ class TestRealize:
             return rebit(K, theta, **{e: 1 - theta[K.generator_names().index(e)]})
 
         monkeypatch.setattr(pipeline, "build_theta", flipped)
-        with pytest.raises(
-            PipelineAssertionError, match="^parity map theta is not a homomorphism$"
-        ):
+        with pytest.raises(PipelineAssertionError) as exc:
             realize(GENUS2)
+        assert str(exc.value) == ("parity map theta is not a homomorphism: theta must send e"
+                                  " to the parity the long relator forces")
+        assert type(exc.value.__cause__) is ValueError
 
     @pytest.mark.parametrize("gamma", [3, 4])
     @pytest.mark.parametrize("patch", ["parity bit", "corner unit"])
@@ -1409,9 +1414,9 @@ class TestRealize:
         # theta is certified as its frame's parity map, whose Schreier
         # frame rewrote the frame's relators and each corner unit: a frame
         # whose parity bit on tau2 differs certifies no theta.  Each corner
-        # of K is then compared with its unit's power in the derivation
-        # alone: a frame whose unit of corner 1 differs certifies no
-        # corner of K, named as the derivation names it at each parity
+        # of K is compared with its unit's power as K is accepted: a frame
+        # whose unit of corner 1 differs certifies no corner of K, at
+        # either parity.  The shape stage names each refusal's reason
         frame = presentations.certify_frame(gamma, 2)
         schreier = frame.schreier
         if patch == "parity bit":
@@ -1424,11 +1429,10 @@ class TestRealize:
         presentations.certify_frame.cache_clear()
         with pytest.raises(PipelineAssertionError) as exc:
             pipeline.shape_certificate(gamma, (3, 3))
-        assert str(exc.value) == {
-            "parity bit": "parity map theta is not a homomorphism",
-            "corner unit": ("derived kernel signature (3;−;[3,3]) not certified: corner 1 of K"
-                            " is not (tau2*tau1)^3" if gamma % 2
-                            else "classical relator c1^3 could not be certified"),
+        assert str(exc.value) == "parity map theta is not a homomorphism: " + {
+            "parity bit": "theta must send tau2 to the parity the long relator forces",
+            "corner unit": (f"K is not its frame ({gamma}, 2) plus its corners: its corner 1"
+                            " is not (tau2*tau1)^3"),
         }[patch]
 
     def test_genus_disagreement_is_an_assertion(self, monkeypatch):
@@ -1471,7 +1475,7 @@ def negated(datum):
 
 class TestShapeMemo:
     def test_one_shape_is_derived_once(self, monkeypatch):
-        derivations = counting(monkeypatch, pipeline, "_derived")
+        derivations = counting(monkeypatch, pipeline, "derive_delta_hat")
         lemmas = counting(monkeypatch, pipeline, "lemma1_check")
         tuples = enumerate_smooth_epimorphisms(3, (3, 6), 12).tuples
         assert len(tuples) == 288
@@ -1545,7 +1549,7 @@ class TestShapeMemo:
         assert all(shape.frame is owner for shape in shapes)
         assert owner.inverted == tuple(g.name for g in owner.schreier.subgroup.generators)
         # odd gamma prints no classical relators
-        assert (owner.rows, owner.units, owner.statuses) == ((), None, ())
+        assert (owner.rows, owner.statuses) == ((), ())
 
     def test_even_gamma_shapes_of_one_frame_certify_it_once(self, verified_words):
         # (4; -; [p]) for p = 2, 3, 6: the even-gamma twin of the test
@@ -1611,12 +1615,12 @@ class TestShapeMemo:
         frame = derived.subgroup.frame
         assert presentations.certify_frame.cache_info().misses == len(built) == 1
         fields = {name: getattr(frame, name) for name in frame._fields}
-        assert len(fields) == 11 and all(fields[name] for name in (
+        assert len(fields) == 10 and all(fields[name] for name in (
             "presentation", "schreier", "inverted", "folds", "connector", "walk", "eta",
             "parities"))
-        classical = ("rows", "units", "statuses")
+        classical = ("rows", "statuses")
         assert all(fields[name] for name in classical) if gamma % 2 == 0 else (
-            [fields[name] for name in classical] == [(), None, ()])
+            [fields[name] for name in classical] == [(), ()])
         for name, value in fields.items():
             with pytest.raises(AttributeError):
                 setattr(frame, name, value)
@@ -1651,19 +1655,30 @@ class TestShapeMemo:
     def test_a_new_shape_in_a_warm_frame_accepts_its_frame_once(self, monkeypatch, gamma):
         # building K looks its frame up, to share the frame's generators
         # and relators, and accepting K and theta looks it up once more;
-        # the frame accepted is handed to the derivation, which accepts
-        # nothing again and compares each corner of K once
+        # accepting K compares each corner of K once, and the derivation
+        # accepts nothing again
         pipeline.shape_certificate(gamma, (3, 3))
         lookups, call = [], presentations.LetterMemo.__call__
         monkeypatch.setattr(presentations.LetterMemo, "__call__", lambda memo, *key: (
             memo is presentations.certify_frame and lookups.append(key)) or call(memo, *key))
         accepted = counting(monkeypatch, cosets, "accepted_frame")
-        monkeypatch.setattr(pipeline, "accepted_frame", cosets.accepted_frame)
         shape = pipeline.shape_certificate(gamma, (3, 6))
         assert lookups == [(gamma, 2)] * 2
         assert len(accepted) == 1
         assert shape.derived.signature.proper_periods == (3, 6)
         assert presentations.certify_frame.cache_info().misses == 1
+
+    def test_a_cold_realize_runs_the_public_derivation(self, monkeypatch):
+        # the shape stage derives through derive_delta_hat, which derives
+        # the subgroup through reidemeister_schreier, each looked up by
+        # name, so a tracer that wraps public functions records both once
+        # per cold shape; a warm realize reads the memo and calls neither
+        derivations = counting(monkeypatch, pipeline, "derive_delta_hat")
+        subgroups = counting(monkeypatch, pipeline, "reidemeister_schreier")
+        assert realize(GENUS2).conclusion
+        assert len(derivations) == len(subgroups) == 1
+        assert realize(GENUS2).conclusion and realize(negated(GENUS2)).conclusion
+        assert len(derivations) == len(subgroups) == 1
 
     def test_invalid_input_never_reaches_the_memo(self):
         realize(GENUS2)

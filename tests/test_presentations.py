@@ -16,7 +16,7 @@ from necsurf import (
     verify_derived_relators,
 )
 from necsurf.pipeline import build_theta
-from necsurf.presentations import Presentation, certify_frame
+from necsurf.presentations import Presentation, _with_corners, certify_frame
 from necsurf.signatures import CONNECTOR, GLIDE
 from necsurf.words import Word
 from conftest import signature_battery_cases
@@ -409,7 +409,7 @@ def assert_named_sources_agree(K, sub, periods):
     K's corner (``printed_relator_words``), and the frame's that
     ``derive_delta_hat`` certifies, each corner row a unit named for its
     unit in the frame with its corner units.  Returns the statuses."""
-    rows, units = sub.frame.rows, sub.frame.units
+    rows, units = sub.frame.rows, _with_corners(sub.frame.presentation, (1,) * len(periods))
     substitution = {g.name: g.word for g in sub.generators}
     statuses = set()
     for p, listed in ((K, printed_relator_words(sub, periods)), (units, rows)):
