@@ -21,17 +21,18 @@ subgroup without theta.  The periods enter only K's last r relators, the
 corners (tau_k tau_(k+1))^(n_k), and the torsion orders, so everything
 else is derived once per frame (gamma, r), a ``SchreierFrame``: the
 Schreier generators from K's generators with their kinds and theta's
-parity, the rewrites of the other relators and of each corner unit, and
-the lemma's witness rows among them, built with the rest of K's frame
-certificate (``presentations.certify_frame``); a K that is not its frame
-plus its corner powers is refused (``accepted_frame``).  Each subgroup
-keeps its frame's certificate, and per shape only each corner unit's
-rewrite is raised to its period.
+parity and the rewrites of the other relators and of each corner unit,
+built with the rest of K's frame certificate
+(``presentations.certify_frame``), which certifies the lemma's witness
+among those rows; a K that is not its frame plus its corner powers is
+refused (``accepted_frame``).  Each subgroup keeps its frame's
+certificate, and per shape only each corner unit's rewrite is raised to
+its period.
 
 Rewriting a kernel word walks the parity bit letter by letter.  A walk
 started at coset 1 rewrites the tau_1-conjugate of the word without
-building it; the derived relators, the witness row for the conjugated
-long relator among them, are read that way, and a corner's as a power.
+building it; the derived relators are read that way, and a corner's as
+a power.
 The derived presentation is simplified only by freely reducing the
 rewritten relators and de-duplicating the frame's rows; nothing more
 aggressive, so the correspondence with the ambient group stays auditable.
@@ -120,27 +121,20 @@ class SchreierFrame(Record):
     generators, their kinds and the rewriting map; ``heads`` the rewrites
     of K's relators but the corners from cosets 0 and 1; ``corners`` the
     rewrites of each corner tau_k*tau_(k+1) from both cosets, keyed by its
-    letters.  ``witness`` is the lemma's witness for the connector product,
-    each row with K's relator it rewrites and its coset: the long relator
-    x_gamma...x_1*e from cosets 0 and 1, then x_j*x_j from coset 0 for
-    each interior point x_j, each row the head itself; ``sums`` is the
-    rows' exponent sums added, the last gamma subtracted, without zeros.
-    ``rows`` are the heads of each coset, each kept if it is not empty and
-    no earlier head has its letters; ``witnessed`` says each witness row
-    is a row, ``reversing`` that a Schreier generator reverses
-    orientation.  K's frame certificate holds it
-    (``frames.FrameCertificate.schreier``)."""
+    letters.  ``rows`` are the heads of each coset, each kept if it is not
+    empty and no earlier head has its letters; ``reversing`` says that a
+    Schreier generator reverses orientation.  K's frame certificate holds
+    it (``frames.FrameCertificate.schreier``), and certifies the lemma's
+    witness among its rows."""
 
-    __slots__ = ("subgroup", "heads", "corners", "witness", "sums", "rows", "witnessed",
-                 "reversing")
+    __slots__ = ("subgroup", "heads", "corners", "rows", "reversing")
 
     def __init__(
         self, subgroup: SchreierSubgroup, heads: tuple[tuple[Word, ...], ...],
-        corners: dict[tuple, tuple[Word, Word]], witness: tuple[tuple[Word, Word, int], ...],
-        sums: dict[str, int], rows: tuple[tuple[Word, ...], ...], witnessed: bool,
+        corners: dict[tuple, tuple[Word, Word]], rows: tuple[tuple[Word, ...], ...],
         reversing: bool,
     ) -> None:
-        self._assign(subgroup, heads, corners, witness, sums, rows, witnessed, reversing)
+        self._assign(subgroup, heads, corners, rows, reversing)
 
 
 def reidemeister_schreier(p: Presentation, theta: tuple[int, ...]) -> SchreierSubgroup:
@@ -225,7 +219,8 @@ def _checked_frame(p: Presentation, theta: tuple[int, ...]) -> FrameCertificate:
         raise ValueError(
             "K needs at least one interior cone point (the kernel is orientable otherwise)"
         )
-    higher = [x for x in elliptics if x not in p.involution_names()]
+    involutions = p.involution_names()
+    higher = [x for x in elliptics if x not in involutions]
     if higher:
         raise ValueError(f"every interior point must be an involution, unlike {', '.join(higher)}")
     if not any(theta):
@@ -267,8 +262,7 @@ def schreier_frame(
 ) -> SchreierFrame:
     """The ``SchreierFrame`` of K's generators with their kinds, K's
     relators but the corners (``prefix``) and theta's bit on each
-    generator; it reads only its arguments.  A witness row whose relator
-    ``prefix`` lacks is rewritten here."""
+    generator; it reads only its arguments."""
     reflections, elliptics, connectors = ([g for g, kind in generators if kind.kind == k]
                                           for k in ("reflection", "elliptic", "connector"))
     tau1 = reflections[0]
@@ -302,21 +296,8 @@ def schreier_frame(
     corners = {
         unit: (subgroup.rewrite(Word(unit)), subgroup.rewrite(Word(unit), 1)) for unit in units}
 
-    index = {rel: i for i, rel in enumerate(prefix)}
-    words = [(1, Word((*((x, 1) for x in reversed(elliptics)), (e, 1))), u)
-             for e in connectors for u in (0, 1)]
-    words += [(-1, Word.gen(x, 2), 0) for x in elliptics]
-    witness, sums = [], {}
-    for sign, word, u in words:
-        i = index.get(word)
-        row, word = (subgroup.rewrite(word, u), word) if i is None else (heads[u][i], prefix[i])
-        witness.append((row, word, u))
-        for g, x in row.exponent_sums().items():
-            sums[g] = sums.get(g, 0) + sign * x
     seen = {()}
     rows = tuple(tuple(w for w in head if w.letters not in seen and not seen.add(w.letters))
                  for head in heads)
-    return SchreierFrame(subgroup, heads, corners, tuple(witness),
-                         {g: x for g, x in sums.items() if x}, rows,
-                         all(row.letters in seen for row, _, _ in witness),
+    return SchreierFrame(subgroup, heads, corners, rows,
                          any(kind.character == -1 for _, kind in subgroup.presentation.generators))

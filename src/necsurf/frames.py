@@ -65,9 +65,12 @@ def certified_frame(frame: Presentation) -> FrameCertificate:
     under its parity map (``parity_bits``).  e's closed form is built once,
     kept as (index, exponent) letters, and spelled by name only for
     ``verify_derived_relators``.  Each corner unit's rewrite is checked to
-    be cyclically reduced, so that its n_k-th power is freely reduced.  A
-    failed check raises ``PipelineAssertionError`` naming it; a classical
-    relator's status is checked by each shape, naming it with its period."""
+    be cyclically reduced, so that its n_k-th power is freely reduced, and
+    the lemma's two certificates are checked here alone: the witness that
+    the connector product dies in H1 (``_connector_witness``) and the
+    tau1-identities (``_inverted``).  A failed check raises
+    ``PipelineAssertionError`` naming it; a classical relator's status is
+    checked by each shape, naming it with its period."""
     xs, (e,) = frame.generators_of_kind("elliptic"), frame.generators_of_kind("connector")
     solved = Word(tuple((x, -1) for x in xs))
     parity = dict(zip(frame.generator_names(), parity_bits(frame.generators, len(xs))))
@@ -88,6 +91,7 @@ def certified_frame(frame: Presentation) -> FrameCertificate:
     connector = _indexed(solved, index)
     theta = _symbolic_theta(frame, connector)
     folds, kinds = _theta_residual(frame, theta), schreier.subgroup.presentation.generators
+    _connector_witness(frame, schreier)
     return FrameCertificate(frame, schreier, rows, statuses, _inverted(frame, schreier),
                             folds, connector, tuple(_indexed(w, index) for w in folds.relators),
                             _eta_images(frame, schreier, folds, theta),
@@ -144,6 +148,33 @@ def _inverted(frame: Presentation, schreier: SchreierFrame) -> tuple[str, ...]:
                 f" {Word(identity)} does not reduce to 1 in K"
             )
     return tuple(substitution)
+
+
+def _connector_witness(frame: Presentation, schreier: SchreierFrame) -> None:
+    """Certify the lemma's witness that the connector pair's product a*b
+    dies in H1: the long relator x_gamma...x_1*e rewritten from cosets 0
+    and 1, and x_j*x_j from coset 0 for each interior point x_j, are each
+    one of the frame's ``rows``, and their exponent sums, the last gamma
+    subtracted, are a*b's."""
+    xs, (e,) = frame.generators_of_kind("elliptic"), frame.generators_of_kind("connector")
+    sub = schreier.subgroup
+    a, b = (sub.pair_names[u, e] for u in (0, 1))
+    long_relator = Word.unchecked((*((x, 1) for x in reversed(xs)), (e, 1)))
+    words = [(1, long_relator, 0), (1, long_relator, 1)]
+    words += [(-1, Word.unchecked(((x, 1), (x, 1))), 0) for x in xs]
+    rows, sums = {row.letters for head in schreier.rows for row in head}, {}
+    for sign, word, u in words:
+        row = sub.rewrite(word, u)
+        if row.letters not in rows:
+            raise PipelineAssertionError(
+                f"connector product {a}*{b}: witness row {row} ({word} from coset"
+                f" {u}) is not a relator of the derived kernel")
+        for g, x in row.letters:
+            sums[g] = sums.get(g, 0) + sign * x
+    sums = {g: x for g, x in sums.items() if x}
+    if sums != {a: 1, b: 1}:
+        raise PipelineAssertionError(
+            f"connector product {a}*{b}: witness rows sum to {sums}, not to {a}*{b}")
 
 
 class _Forms:

@@ -16,7 +16,8 @@ relator walked), and for the closed-form descent of
 walk over candidate lists).  The walks that the frame's one path
 replaced are the oracles of that path, each kept nowhere: a ``cosets.schreier_frame``
 derived from any K (``unkept_reidemeister_schreier``), the lemma on a
-subgroup's own words (``own_word_lemma``), Theta and eta with every
+subgroup's own words, with a witness it rewrites and looks up itself
+(``own_word_lemma``), Theta and eta with every
 relator of K or of the derived kernel walked (``walked_theta``,
 ``walked_eta``), one shape's classical relators with each corner row a
 power named for K's corner (``printed_relator_words``), and all of them
@@ -49,6 +50,7 @@ back on library classes."""
 
 import inspect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -1135,14 +1137,17 @@ def unkept_reidemeister_schreier(p: Presentation, theta):
                 relators.append(rewritten)
     torsion = zip((w for w, _ in frame.corners.values()), cycle)
     presentation = Presentation(sub.presentation.generators, relators, torsion)
-    return cosets.SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, parity), frame
+    return cosets.SchreierSubgroup(p, sub.generators, presentation, sub.pair_names, parity)
 
 
-def own_word_lemma(sub, frame) -> tuple[str, ...]:
-    """The lemma's checks on ``sub``'s own generator words and on
-    ``frame``'s witness rows, looked up among ``sub``'s relators: the
-    names of the generators certified inverted, in order, or
-    ``PipelineAssertionError`` with ``lemma1_check``'s message."""
+def own_word_lemma(sub) -> tuple[str, ...]:
+    """The lemma's checks on ``sub``'s own generator words and on a
+    witness built here: the long relator x_gamma...x_1*e of ``sub``'s K
+    rewritten by ``sub`` from cosets 0 and 1 and each x_j*x_j from coset
+    0, each row looked up among ``sub``'s relators, and their exponent
+    sums, the last gamma subtracted, added up.  Returns the names of the
+    generators certified inverted, in order, or raises
+    ``PipelineAssertionError`` with the frame certificate's message."""
     K = sub.base
     tau1, involutions = K.generators_of_kind("reflection")[0], K.involution_names()
     a, b = (g.name for g in sub.generators if g.role == "connector")
@@ -1153,13 +1158,23 @@ def own_word_lemma(sub, frame) -> tuple[str, ...]:
             raise pipeline.PipelineAssertionError(
                 f"conjugation identity for {name} could not be certified:"
                 f" {Word(identity)} does not reduce to 1 in K")
-    relators = {rel.letters for rel in sub.presentation.relators}
-    for row, word, coset in frame.witness:
+    xs, (e,) = K.generators_of_kind("elliptic"), K.generators_of_kind("connector")
+    long_relator = Word(tuple((x, 1) for x in reversed(xs)) + ((e, 1),))
+    witness = [(1, long_relator, 0), (1, long_relator, 1)]
+    witness += [(-1, Word.gen(x, 2), 0) for x in xs]
+    relators, sums = {rel.letters for rel in sub.presentation.relators}, Counter()
+    for sign, word, coset in witness:
+        row = sub.rewrite(word, coset)
         if row.letters not in relators:
             raise pipeline.PipelineAssertionError(
                 f"connector product {a}*{b}: witness row {row} ({word} from coset"
                 f" {coset}) is not a relator of the derived kernel")
-    assert frame.sums == {a: 1, b: 1}
+        for g, x in row.exponent_sums().items():
+            sums[g] += sign * x
+    sums = {g: x for g, x in sums.items() if x}
+    if sums != {a: 1, b: 1}:
+        raise pipeline.PipelineAssertionError(
+            f"connector product {a}*{b}: witness rows sum to {sums}, not to {a}*{b}")
     return tuple(substitution)
 
 
@@ -1241,7 +1256,7 @@ def oracle_certificate(datum):
     K = canonical_presentation(quotient_disc_signature(datum.gamma, datum.periods))
     theta = pipeline.build_theta(K)
     assert not named_walk(K, theta_hom(K, theta))
-    sub, frame = unkept_reidemeister_schreier(K, theta)
+    sub = unkept_reidemeister_schreier(K, theta)
     printed = ()
     (connector,) = K.generators_of_kind("connector")
     if not sub.parity[connector]:
@@ -1254,7 +1269,7 @@ def oracle_certificate(datum):
     derived = pipeline.DerivedKernel(sub, claim, printed)
     lemma = pipeline.LemmaReport(
         tuple(g.name for g in sub.generators if g.role == "connector"),
-        own_word_lemma(sub, frame), pipeline._torsion_factors(claim.proper_periods),
+        own_word_lemma(sub), pipeline._torsion_factors(claim.proper_periods),
         claim.genus - 1)
     hom, unmapped = walked_theta(K, datum)
     assert not unmapped and hom.image_order() == 2 * datum.order

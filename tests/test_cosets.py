@@ -5,7 +5,6 @@ import pytest
 
 from necsurf import (
     CyclicGroup,
-    DerivedKernel,
     NECSignature,
     NotInKernelError,
     PipelineAssertionError,
@@ -30,6 +29,7 @@ from reference import (
     free_reduce,
     identity,
     naive_theta,
+    own_word_lemma,
     parse_word,
     rebit,
     reduce_mod_involutions,
@@ -279,7 +279,7 @@ def test_undeduplicated_corner_rows_agree_with_the_oracle_beyond_the_battery():
         K = disc_group(gamma, periods)
         theta = build_theta(K)
         sub = reidemeister_schreier(K, theta)
-        assert sub == unkept_reidemeister_schreier(K, theta)[0], (gamma, periods)
+        assert sub == unkept_reidemeister_schreier(K, theta), (gamma, periods)
         rows = sum(map(len, sub.frame.schreier.rows))
         assert len(sub.presentation.relators) == rows + 2 * len(periods)
 
@@ -302,6 +302,29 @@ def test_a_corner_rewrite_that_is_not_cyclically_reduced_is_an_assertion(monkeyp
             derive()
         assert str(exc.value) == ("corner unit tau1*tau2: its rewrite c1t*c1*c1t^-1 from coset 0"
                                   " is not cyclically reduced")
+    assert presentations.certify_frame.entries == {}
+    assert presentations.certify_frame.cache_info().misses == 2
+
+
+def test_rows_without_a_witness_row_are_an_assertion(monkeypatch):
+    # the frame's rows without x1*x1 rewritten from coset 0, delta1t*delta1:
+    # the frame certifies the lemma's witness among its rows, so it refuses
+    # them once, naming the row, and the memo keeps nothing
+    build = frames.schreier_frame
+
+    def dropped(*args):
+        schreier = build(*args)
+        rows = tuple(tuple(w for w in head if str(w) != "delta1t*delta1")
+                     for head in schreier.rows)
+        assert sum(map(len, rows)) == sum(map(len, schreier.rows)) - 1
+        return replace(schreier, rows=rows)
+
+    monkeypatch.setattr(frames, "schreier_frame", dropped)
+    for derive in (lambda: presentations.certify_frame(2, 2), lambda: disc_group(2, (3, 4))):
+        with pytest.raises(PipelineAssertionError) as exc:
+            derive()
+        assert str(exc.value) == ("connector product e1*e2: witness row delta1t*delta1 (x1*x1 from"
+                                  " coset 0) is not a relator of the derived kernel")
     assert presentations.certify_frame.entries == {}
     assert presentations.certify_frame.cache_info().misses == 2
 
@@ -343,9 +366,9 @@ def test_walk_from_coset_one_must_end_there():
 def test_coset_walk_matches_built_conjugates(derived_battery):
     """The relators read as walks from coset u equal the rewrites of the
     built conjugates u*R*u^-1 on all 1640 battery shapes; on every 16th,
-    the lemma's gamma + 2 witness rows are the long relator from cosets 0
-    and 1 and each x_j*x_j from coset 0, each the rewrite of its built
-    conjugate (the rows as the lemma reads them, from the frame)."""
+    the rewrite of each of the lemma's gamma + 2 witness words, the built
+    conjugate of the long relator from cosets 0 and 1 and of each x_j*x_j
+    from coset 0, is a relator of the derived kernel."""
     assert len(derived_battery) == 1640
     for _, _, _, _, derived in derived_battery:
         assert derived.presentation.relators == conjugate_relators(derived.subgroup)
@@ -353,12 +376,9 @@ def test_coset_walk_matches_built_conjugates(derived_battery):
     for _, _, K, _, derived in derived_battery[::16]:
         xs = K.generators_of_kind("elliptic")
         long_relator = Word(tuple((x, 1) for x in reversed(xs)) + (("e", 1),))
-        witness = derived.subgroup.frame.schreier.witness
-        assert [(w, coset) for _, w, coset in witness] == [
-            (long_relator, 0), (long_relator, 1)] + [(Word.gen(x, 2), 0) for x in xs]
-        for row, w, coset in witness:
-            assert row == conjugate_rewrite(derived.subgroup, w, coset)
-            assert row in derived.presentation.relators
+        words = [(long_relator, 0), (long_relator, 1)] + [(Word.gen(x, 2), 0) for x in xs]
+        for w, coset in words:
+            assert conjugate_rewrite(derived.subgroup, w, coset) in derived.presentation.relators
 
 
 def test_backward_inverts_forward(derived_battery, action_battery):
@@ -417,7 +437,7 @@ class TestSchreierFrame:
         assert len(order) == 1640 and len(counts) == 22
 
         # the lemma's walks, counted per case: a cold lemma rewrites
-        # nothing, as its witness rows are the frame's own rewrites
+        # nothing, as its witness was certified with the frame
         walks, rewrite = [], SchreierSubgroup.rewrite
         monkeypatch.setattr(
             SchreierSubgroup, "rewrite",
@@ -476,7 +496,7 @@ class TestSchreierFrame:
             with pytest.raises(ValueError) as exc:
                 derive(altered_K, theta)
             assert str(exc.value) == f"K is not its frame (2, 2) plus its corners: {reason}"
-        altered, _ = unkept_reidemeister_schreier(altered_K, theta)
+        altered = unkept_reidemeister_schreier(altered_K, theta)
         assert altered.presentation.relators == conjugate_relators(altered)
         names = {str(w) for w in canonical.presentation.relators}
         assert names - {str(w) for w in altered.presentation.relators} == missing
@@ -513,6 +533,21 @@ class TestSchreierFrame:
                                              " relator forces$"):
             reidemeister_schreier(K, naive_theta(K))
 
+    def test_a_refused_theta_reads_the_involutions_once(self, monkeypatch):
+        # the connector bit flipped at gamma = 64: before theta is refused,
+        # every interior point is checked to be an involution against one
+        # set of K's involutions, built once, not once per point
+        K = disc_group(64, ())
+        theta = build_theta(K)
+        flipped = (*theta[:64], 1 - theta[64], *theta[65:])
+        calls, involutions = [], Presentation.involution_names
+        monkeypatch.setattr(Presentation, "involution_names",
+                            lambda self: calls.append(self) or involutions(self))
+        with pytest.raises(ValueError, match="^theta must send e to the parity the long"
+                                             " relator forces$"):
+            reidemeister_schreier(K, flipped)
+        assert calls == [K]
+
     def test_a_corner_that_is_not_a_power_of_its_unit_is_refused(self):
         # (tau3*tau2)^4 in place of (tau2*tau3)^4: K's frame is the
         # canonical one, but K is not its frame plus its corner powers;
@@ -528,7 +563,7 @@ class TestSchreierFrame:
                 derive(swapped, theta)
             assert str(exc.value) == ("K is not its frame (2, 2) plus its corners:"
                                       " its corner 2 is not (tau2*tau3)^4")
-        sub, _ = unkept_reidemeister_schreier(swapped, theta)
+        sub = unkept_reidemeister_schreier(swapped, theta)
         assert sub.presentation.relators == conjugate_relators(sub)
         assert sub.presentation.relators != canonical.presentation.relators
         assert reidemeister_schreier(K, build_theta(K)).frame is canonical.frame
@@ -540,9 +575,8 @@ class TestSchreierFrame:
         # (tau2^2) or of coset 1 (a tau1-conjugate of a relator), or a
         # square of a unit, is not (tau2*tau3)^4, so K is refused; the
         # unkept oracle de-duplicates its rows and the corner rows in the
-        # order the walk of every relator gives, and the lemma looks its
-        # witness rows up in a derived kernel built directly from it, in
-        # K's frame
+        # order the walk of every relator gives, and the own-word lemma
+        # finds its own witness rows among them
         K = disc_group(3, (3, 4))
         altered = Presentation(
             K.generators, K.relators[:-1] + (parse_word(corner),), signature=K.signature)
@@ -550,8 +584,6 @@ class TestSchreierFrame:
         for derive in (reidemeister_schreier, derive_delta_hat):
             with pytest.raises(ValueError, match=r": its corner 2 is not \(tau2\*tau3\)\^4$"):
                 derive(altered, theta)
-        sub = replace(unkept_reidemeister_schreier(altered, theta)[0],
-                      frame=presentations.certify_frame(3, 2))
+        sub = unkept_reidemeister_schreier(altered, theta)
         assert sub.presentation.relators == conjugate_relators(sub)
-        derived = DerivedKernel(sub, NECSignature(False, 3, (3, 4)), ())
-        assert lemma1_check(derived).inversion_entries == tuple(g.name for g in sub.generators)
+        assert own_word_lemma(sub) == tuple(g.name for g in sub.generators)

@@ -58,6 +58,7 @@ from necsurf.words import Word
 from reference import (
     FiniteHom,
     cayley_coset_table,
+    conjugate_rewrite,
     element_fold,
     naive_theta,
     named_walk,
@@ -111,30 +112,47 @@ def eta_for(K, derived, datum):
     return eta, rebuilt_hom(shape, datum, eta)
 
 
-def without_relator(derived, text):
-    """``derived`` with the relator spelled ``text`` dropped from Δ̂."""
-    relators = tuple(r for r in derived.presentation.relators if str(r) != text)
-    assert len(relators) == len(derived.presentation.relators) - 1
-    return with_presentation(derived, replace(derived.presentation, relators=relators))
+def without_relators(sub, *texts):
+    """``sub`` with each relator spelled in ``texts`` dropped from its
+    presentation."""
+    relators = tuple(r for r in sub.presentation.relators if str(r) not in texts)
+    assert len(relators) == len(sub.presentation.relators) - len(texts)
+    return replace(sub, presentation=replace(sub.presentation, relators=relators))
+
+
+def recertified(derived, tamper):
+    """``derived`` with its frame certified anew by the record's builder
+    (``frames.certified_frame``), from the ``SchreierFrame`` that
+    ``tamper`` makes of the frame's own."""
+    build = frames.schreier_frame
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "schreier_frame", lambda *args: tamper(build(*args)))
+        frame = frames.certified_frame(derived.subgroup.frame.presentation)
+    return replace(derived, subgroup=replace(derived.subgroup, frame=frame))
 
 
 def with_generator_word(derived, name, word):
-    """``derived`` with its frame certified anew by the record's builder
-    (``frames.certified_frame``), from a ``SchreierFrame`` that gives the
-    Schreier generator ``name`` the word ``word``: what the lemma
-    certifies the identities on."""
-    build = frames.schreier_frame
-
-    def tampered(*args):
-        schreier = build(*args)
+    """``derived`` with its frame certified anew from a ``SchreierFrame``
+    that gives the Schreier generator ``name`` the word ``word``: what the
+    lemma certifies the identities on."""
+    def tamper(schreier):
         generators = tuple(
             replace(g, word=word) if g.name == name else g for g in schreier.subgroup.generators)
         return replace(schreier, subgroup=replace(schreier.subgroup, generators=generators))
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frames, "schreier_frame", tampered)
-        frame = frames.certified_frame(derived.subgroup.frame.presentation)
-    return replace(derived, subgroup=replace(derived.subgroup, frame=frame))
+    return recertified(derived, tamper)
+
+
+def without_rows(derived, *texts):
+    """``derived`` with its frame certified anew from a ``SchreierFrame``
+    whose rows lack each row spelled in ``texts``: what the lemma
+    certifies its witness among."""
+    def tamper(schreier):
+        rows = tuple(tuple(w for w in head if str(w) not in texts) for head in schreier.rows)
+        assert sum(map(len, rows)) == sum(map(len, schreier.rows)) - len(texts)
+        return replace(schreier, rows=rows)
+
+    return recertified(derived, tamper)
 
 
 def with_frame_relators(monkeypatch, keep):
@@ -544,6 +562,20 @@ def test_lemma_abelianizes_nothing():
     defined |= {target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}
     assert defined == {"Abelianization"}
     assert not hasattr(necsurf, "smith_normal_form")
+
+
+def test_lemma_reads_no_relator_and_rewrites_nothing():
+    """The lemma's witness is certified with the frame, so
+    ``lemma1_check`` reads no ``relators`` attribute, of the derived
+    kernel or of anything else, and calls no ``rewrite``."""
+    lemma = next(
+        node for node in ast.walk(ast.parse(inspect.getsource(pipeline)))
+        if isinstance(node, ast.FunctionDef) and node.name == "lemma1_check"
+    )
+    attributes = {node.attr for node in ast.walk(lemma) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(lemma) if isinstance(node, ast.Name)}
+    assert "relators" not in attributes
+    assert "rewrite" not in attributes | names
 
 
 def test_result_types_hold_only_values_that_vary():
@@ -1027,21 +1059,19 @@ class TestLemma:
         # delta1t*f2 is x1*e rewritten from coset 0, the first witness row
         # that shows f1*f2 dies in H1, so tau1 no longer provably inverts f1
         _, derived = derived_for(1, (2, 2, 2))
-        broken = without_relator(derived, "delta1t*f2")
         with pytest.raises(
             PipelineAssertionError,
             match=r"f1\*f2: witness row delta1t\*f2 \(x1\*e from coset 0\) is not a relator",
         ):
-            lemma1_check(broken)
+            lemma1_check(without_rows(derived, "delta1t*f2"))
 
     def test_nonzero_connector_product_is_an_assertion(self):
         _, derived = derived_for(2, (3,))
-        broken = without_relator(derived, "delta2t*delta1*e1")
         with pytest.raises(
             PipelineAssertionError,
             match=r"e1\*e2: witness row delta2t\*delta1\*e1 \(x2\*x1\*e from coset 0\)",
         ):
-            lemma1_check(broken)
+            lemma1_check(without_rows(derived, "delta2t*delta1*e1"))
 
     @pytest.mark.parametrize(
         "gamma, periods, row, source",
@@ -1057,54 +1087,56 @@ class TestLemma:
             PipelineAssertionError,
             match=re.escape(f"witness row {row} ({source} from coset 1) is not a relator"),
         ):
-            lemma1_check(without_relator(derived, row))
+            lemma1_check(without_rows(derived, row))
 
     def test_k_without_its_long_relator_is_an_assertion(self, monkeypatch):
-        # a frame without the long relator has no head to read the long
-        # relator's rows from, so it rewrites them, and the lemma finds the
-        # first missing from the derived kernel of the K built on it
+        # a frame without the long relator has no row of it, so the frame
+        # misses the first witness row as it is certified, which building
+        # K does, and the memo keeps nothing
         long_relator = parse_word("x1 e")
         with_frame_relators(monkeypatch, lambda rel: rel != long_relator)
-        K = disc_group(1, (2, 2, 2))
-        assert long_relator not in K.relators
-        derived = derive_delta_hat(K, build_theta(K))
+        assert long_relator not in presentations.disc_quotient_frame(1, 3).relators
         with pytest.raises(
             PipelineAssertionError,
             match=re.escape("witness row delta1t*f2 (x1*e from coset 0) is not a relator"),
         ):
-            lemma1_check(derived)
+            derived_for(1, (2, 2, 2))
+        assert presentations.certify_frame.entries == {}
 
     def test_witness_rows_not_summing_to_the_connector_product_is_an_assertion(
         self, monkeypatch
     ):
         # a rewriting map that appends tau1sq to every walk from coset 1,
-        # in place while the frame is derived, so the garbled row is listed
-        # as a relator: the rows then sum to f1*f2*tau1sq
+        # in place while the frame is derived, so the garbled row is one of
+        # the frame's rows: the rows then sum to f1*f2*tau1sq, and the
+        # frame is refused as the derivation certifies it; the own-word
+        # lemma, on the subgroup that map derives, says the same
+        K = disc_group(1, (2, 2, 2))
+        presentations.certify_frame.cache_clear()
         tau1sq = Word.gen("tau1sq")
         original = SchreierSubgroup.rewrite
         monkeypatch.setattr(
             SchreierSubgroup, "rewrite",
             lambda self, w, coset=0: original(self, w, coset) * (tau1sq if coset else Word()),
         )
-        _, broken = derived_for(1, (2, 2, 2))
-        assert parse_word("delta1 f1 tau1sq") in broken.presentation.relators
-        with pytest.raises(
-            PipelineAssertionError,
-            match=r"f1\*f2: witness rows sum to \{.*'tau1sq': 1\}, not to f1\*f2",
-        ):
-            lemma1_check(broken)
+        message = r"f1\*f2: witness rows sum to \{.*'tau1sq': 1\}, not to f1\*f2"
+        with pytest.raises(PipelineAssertionError, match=message):
+            derive_delta_hat(K, build_theta(K))
+        sub = unkept_reidemeister_schreier(K, build_theta(K))
+        assert parse_word("delta1 f1 tau1sq") in sub.presentation.relators
+        with pytest.raises(PipelineAssertionError, match=message):
+            own_word_lemma(sub)
 
     @pytest.mark.parametrize("gamma, periods", [(1, (2, 2, 2)), (3, (2, 3)), (2, (2, 2))])
     def test_missing_delta1_relator_is_an_assertion(self, gamma, periods):
         # drop both rewrites of x1*x1 (conjugated by 1 and by tau1): the
         # witness names the row it misses
         _, derived = derived_for(gamma, periods)
-        broken = without_relator(without_relator(derived, "delta1t*delta1"), "delta1*delta1t")
         with pytest.raises(
             PipelineAssertionError,
             match=r"witness row delta1t\*delta1 \(x1\*x1 from coset 0\) is not a relator",
         ):
-            lemma1_check(broken)
+            lemma1_check(without_rows(derived, "delta1t*delta1", "delta1*delta1t"))
 
     def test_uncertified_conjugation_identity_is_an_assertion(self, monkeypatch):
         # a reducer that reduces nothing leaves tau1*delta1*tau1*delta1
@@ -1141,26 +1173,33 @@ class TestLemma:
             lemma1_check(with_generator_word(derived, b, words[a]))
 
 
-# Each data-tamper case of TestLemma: (shape, tamper of its derived
-# kernel, the message lemma1_check raises with)
-LEMMA_TAMPERS = [
-    pytest.param((1, (2, 2, 2)), lambda d: without_relator(d, "delta1t*f2"),
-                 r"f1\*f2: witness row delta1t\*f2 \(x1\*e from coset 0\) is not a relator",
-                 id="class-not-inverted"),
-    pytest.param((2, (3,)), lambda d: without_relator(d, "delta2t*delta1*e1"),
-                 r"e1\*e2: witness row delta2t\*delta1\*e1 \(x2\*x1\*e from coset 0\)",
-                 id="nonzero-connector-product"),
-    pytest.param((1, (2, 2, 2)), lambda d: without_relator(d, "delta1*f1"),
-                 re.escape("witness row delta1*f1 (x1*e from coset 1) is not a relator"),
-                 id="long-relator-from-coset-one-odd-gamma"),
-    pytest.param((2, (3,)), lambda d: without_relator(d, "delta2*delta1t*e2"),
-                 re.escape("witness row delta2*delta1t*e2 (x2*x1*e from coset 1) is not a relator"),
-                 id="long-relator-from-coset-one-even-gamma"),
-    *(pytest.param(
-        shape, lambda d: without_relator(without_relator(d, "delta1t*delta1"), "delta1*delta1t"),
-        r"witness row delta1t\*delta1 \(x1\*x1 from coset 0\) is not a relator",
-        id=f"missing-delta1-relator-{shape}")
+# Each drop-a-row case of the lemma's witness: (shape, the rows dropped,
+# the message raised for the first witness row missing, an id)
+ROW_DROPS = [
+    ((1, (2, 2, 2)), ("delta1t*f2",),
+     r"f1\*f2: witness row delta1t\*f2 \(x1\*e from coset 0\) is not a relator",
+     "class-not-inverted"),
+    ((2, (3,)), ("delta2t*delta1*e1",),
+     r"e1\*e2: witness row delta2t\*delta1\*e1 \(x2\*x1\*e from coset 0\)",
+     "nonzero-connector-product"),
+    ((1, (2, 2, 2)), ("delta1*f1",),
+     re.escape("witness row delta1*f1 (x1*e from coset 1) is not a relator"),
+     "long-relator-from-coset-one-odd-gamma"),
+    ((2, (3,)), ("delta2*delta1t*e2",),
+     re.escape("witness row delta2*delta1t*e2 (x2*x1*e from coset 1) is not a relator"),
+     "long-relator-from-coset-one-even-gamma"),
+    *((shape, ("delta1t*delta1", "delta1*delta1t"),
+       r"witness row delta1t\*delta1 \(x1\*x1 from coset 0\) is not a relator",
+       f"missing-delta1-relator-{shape}")
       for shape in ((1, (2, 2, 2)), (3, (2, 3)), (2, (2, 2)))),
+]
+
+# Each data-tamper case of TestLemma: (shape, tamper of its derived
+# kernel's frame, the message the frame raises with as it is certified
+# again)
+LEMMA_TAMPERS = [
+    *(pytest.param(shape, lambda d, texts=texts: without_rows(d, *texts), message, id=name)
+      for shape, texts, message, name in ROW_DROPS),
     pytest.param((1, (2, 2, 2)), lambda d: with_generator_word(d, "delta1", Word.gen("x1")),
                  r"conjugation identity for delta1 could not be certified:"
                  r" tau1\*delta1\*tau1\*delta1 does not reduce",
@@ -1180,7 +1219,8 @@ def generator_word(derived, name):
 @pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
 def test_tampered_lemma_data_raise_after_the_memo_is_warm(shape, tamper, message):
     # every memo is warmed by the untampered shape first: the shape stage
-    # and a second derivation, which reuses the frame
+    # and a second derivation, which reuses the frame; the tampered frame,
+    # certified again, still raises
     certified = pipeline.shape_certificate(*shape)
     _, derived = derived_for(*shape)
     assert derived == certified.derived and lemma1_check(derived) == certified.lemma
@@ -1197,9 +1237,10 @@ SIBLINGS = {(1, (2, 2, 2)): (1, (2, 2, 3)), (2, (3,)): (2, (4,)), (3, (2, 3)): (
 
 @pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
 def test_tampered_lemma_data_raise_in_a_warm_frame(shape, tamper, message):
-    # a sibling shape warms every memo of the frame, and its lemma
-    # certifies the frame's identities; the tampered shape's own lemma
-    # then reads both from the frame, and its tampered data still raise
+    # a sibling shape warms every memo of the frame, whose certificate
+    # holds the lemma's identities and witness; the tampered shape's own
+    # lemma then reads them from the frame, and its frame, tampered and
+    # certified again, still raises
     sibling = pipeline.shape_certificate(*SIBLINGS[shape])
     _, derived = derived_for(*shape)
     lemma1_check(derived)
@@ -1212,18 +1253,31 @@ def test_tampered_lemma_data_raise_in_a_warm_frame(shape, tamper, message):
 
 @pytest.mark.parametrize("shape", [(1, (2, 2, 2)), (2, (3,)), (5, ())])
 def test_witness_rows_are_the_frames_own_rewrites(shape):
-    # each row the lemma looks up is the object the frame rewrote K's
-    # relator into, and each source is K's relator itself: nothing is
-    # stored twice
+    # the gamma + 2 witness words, the long relator from cosets 0 and 1
+    # and each x_j*x_j from coset 0, are relators of K's frame, and the
+    # rewrite of each built conjugate is a relator of the derived kernel
     K, derived = derived_for(*shape)
-    frame = derived.subgroup.frame.schreier
-    prefix = len(K.relators) - len(shape[1])
-    assert len(frame.witness) == shape[0] + 2
-    for row, word, coset in frame.witness:
-        i = K.relators.index(word)
-        assert i < prefix and word is K.relators[i]
-        assert row is frame.heads[coset][i]
+    xs = K.generators_of_kind("elliptic")
+    long_relator = Word((*((x, 1) for x in reversed(xs)), ("e", 1)))
+    words = [(long_relator, 0), (long_relator, 1), *((Word.gen(x, 2), 0) for x in xs)]
+    assert len(words) == shape[0] + 2
+    for word, coset in words:
+        assert word in derived.subgroup.frame.presentation.relators
+        assert conjugate_rewrite(derived.subgroup, word, coset) in derived.presentation.relators
     assert lemma1_check(derived).ok
+
+
+@pytest.mark.parametrize("shape, texts, message, name", ROW_DROPS)
+def test_the_own_word_lemma_looks_each_witness_row_up(shape, texts, message, name):
+    # the oracle builds its own witness with the unkept subgroup and looks
+    # each row up among that subgroup's relators: with the rows dropped,
+    # it names the first it misses, as the frame does
+    K = disc_group(*shape)
+    theta = build_theta(K)
+    sub = unkept_reidemeister_schreier(K, theta)
+    assert own_word_lemma(sub) == lemma1_check(derive_delta_hat(K, theta)).inversion_entries
+    with pytest.raises(PipelineAssertionError, match=message):
+        own_word_lemma(without_relators(sub, *texts))
 
 
 @pytest.mark.parametrize("shape, tamper, message", LEMMA_TAMPERS)
@@ -1541,7 +1595,7 @@ class TestShapeMemo:
             assert realize(first_smooth_epimorphism(5, (p,), 12)).conclusion
         assert pipeline.shape_certificate.cache_info()[:2] == (2, 3)  # (hits, misses)
         assert presentations.certify_frame.cache_info().misses == 1
-        # the lemma's witness rows and identities live on that one frame
+        # the lemma's witness and identities are certified on that one frame
         shapes = [pipeline.shape_certificate(5, (p,)) for p in (2, 3, 6)]
         frame, *others = (shape.derived.subgroup.frame for shape in shapes)
         assert all(other is frame for other in others)
@@ -1797,9 +1851,9 @@ def test_the_oracles_agree_with_the_frame_on_both_batteries(derived_battery, act
     # and of the derived kernel walked under Theta and eta on the 126
     # battery data, whose certificate documents are byte-identical
     for _, _, K, theta, derived in derived_battery:
-        sub, frame = unkept_reidemeister_schreier(K, theta)
+        sub = unkept_reidemeister_schreier(K, theta)
         assert sub == derived.subgroup
-        assert own_word_lemma(sub, frame) == lemma1_check(derived).inversion_entries
+        assert own_word_lemma(sub) == lemma1_check(derived).inversion_entries
     assert len(derived_battery) == 1640 and len(action_battery) == 126
     for datum in action_battery:
         assert rendered(oracle_certificate(datum)) == rendered(realize(datum))
